@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
-from .ngon import sgn, check_conditions
+from .ngon import sgn, check_conditions, regular_negative_vector
 
 
 def bar(a):
@@ -157,15 +157,7 @@ class DodecData:
         """w(R(i)) = -sum_l sgn((v_i, R(i)_l)) sgn((v_i, R(i)_{l+1})) for a
         negative v_i in V_i with all pairings nonzero (deterministic choice)."""
         space, r = self.space, self.projected[i]
-        v = r[0]
-        k = 2
-        while any(space.inner(v, c) == 0 for c in r):
-            v = vec_add(r[0], vec_scale(Fraction(1, k), r[1]))
-            if space.inner(v, v) >= 0:
-                v = r[0]
-            k += 1
-            if k > 10000:
-                raise RuntimeError("could not find a regular negative vector in V_i")
+        v = regular_negative_vector(space, r)
         s = [sgn(space.inner(v, c)) for c in r]
         return -sum(s[l] * s[(l + 1) % 5] for l in range(5))
 
@@ -182,18 +174,7 @@ def validate_dodec(space, cs):
 def default_negative_vector(dodec):
     """Deterministic negative vector with all (v, C_i) nonzero (same policy
     as for N-gons: C_0, perturbed by C_1/k if needed)."""
-    space, cs = dodec.space, dodec.cs
-    v = cs[0]
-    if all(space.inner(v, c) != 0 for c in cs):
-        return v
-    k = 2
-    while True:
-        v = vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
-        if space.inner(v, v) < 0 and all(space.inner(v, c) != 0 for c in cs):
-            return v
-        k += 1
-        if k > 10000:
-            raise RuntimeError("could not find a regular negative vector")
+    return regular_negative_vector(dodec.space, dodec.cs)
 
 
 def dodec_D_kernel(dodec, x):

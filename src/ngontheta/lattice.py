@@ -11,11 +11,9 @@ nonzero kernel — otherwise kappa is doubled and the run retried.
 """
 
 import math
-import os
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import eigh
@@ -26,15 +24,8 @@ from .qspace import (QuadraticSpace, NegativePlane, mat_inv, mat_det, rat,
 from .ngon import w_invariant, epsilon, vertex_plane, gamma_sample
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
-CHUNK = 1024             # fixed accumulation chunk size (thread-count invariant)
+CHUNK = 1024             # fixed accumulation chunk size
 RHO_LOG_TOL = -34.0      # skip cone-mass terms below e^{RHO_LOG_TOL}
-
-
-def thread_count():
-    try:
-        return max(1, int(os.environ.get("NGON_THETA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class CertificationError(RuntimeError):
@@ -55,9 +46,6 @@ class LatticeCoset:
             [self.mu[i] for i in range(m)], dtype=object)
         if any(Fraction(v).denominator != 1 for v in gmu):
             raise ValueError("mu is not in the dual lattice")
-
-    def is_even(self):
-        return all(self.space.gram[i][i] % 2 == 0 for i in range(self.space.dim))
 
 
 def disc_group(space):
@@ -172,16 +160,28 @@ def _fp_enumerate(m_exact, mu, bound):
         return np.zeros((0, m), dtype=np.int64)
     arr = np.array(cands, dtype=np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
-    # exact filter: scale mu and M to integers
-    dmu = math.lcm(*(c.denominator for c in mu)) if m else 1
+    return arr[_majorant_leq(arr, mu, m_exact, bound)]
+
+
+def _majorant_leq(ks, mu, m_exact, bound):
+    """Exact mask of the integer rows k with x^T M x <= bound, x = k + mu.
+    With x = xnum/dmu, M = mi/dm and bound = B.num/B.den this is the integer
+    comparison q * B.den <= B.num * dm * dmu^2, q = xnum^T mi xnum.  It runs
+    in int64 when a bound on |q| rules out overflow, else on Python ints."""
+    bound = Fraction(bound)
+    dmu = math.lcm(*(c.denominator for c in mu))
+    munum = [int(c * dmu) for c in mu]
     dm = math.lcm(*(v.denominator for row in m_exact for v in row))
-    mi = np.array([[int(v * dm) for v in row] for row in m_exact],
-                  dtype=object)
-    xnum = arr * dmu + np.array([int(c * dmu) for c in mu], dtype=object)
-    qvals = np.einsum('ij,jk,ik->i', xnum, mi, xnum)
-    keep = [i for i, qv in enumerate(qvals)
-            if Fraction(int(qv), dm * dmu * dmu) <= bound]
-    return arr[keep]
+    mi = [[int(v * dm) for v in row] for row in m_exact]
+    rhs = bound.numerator * dm * dmu * dmu
+    kmax = int(np.max(np.abs(ks))) if ks.size else 0
+    xmax = kmax * dmu + max(abs(v) for v in munum)
+    qmax = sum(abs(v) for row in mi for v in row) * xmax * xmax
+    dtype = np.int64 if max(qmax * bound.denominator, abs(rhs)) < 2 ** 63 \
+        else object
+    x = ks.astype(dtype) * dmu + np.array(munum, dtype=dtype)
+    q = np.einsum('ij,jk,ik->i', x, np.array(mi, dtype=dtype), x)
+    return np.asarray(q * bound.denominator <= rhs, dtype=bool)
 
 
 def enumerate_coset(coset, window, slack=Fraction(1)):
@@ -220,14 +220,10 @@ class _XBatch:
         xg = self.xnum.astype(object) @ gi.astype(object)
         self.xx_num = np.einsum('ij,ij->i', xg, self.xnum.astype(object))
         self.den2 = self.dmu * self.dmu
-        # exact (x,x)_{z0} for the window split
-        mz = majorant_matrix(space, window.z0.span)
-        dm = math.lcm(*(v.denominator for row in mz for v in row))
-        mzi = np.array([[int(v * dm) for v in row] for row in mz], dtype=object)
-        t = np.einsum('ij,jk,ik->i', self.xnum.astype(object), mzi,
-                      self.xnum.astype(object))
-        self.inside = np.array(
-            [Fraction(int(v), dm * self.den2) <= window.B for v in t])
+        # exact (x,x)_{z0} <= B for the window split
+        self.inside = _majorant_leq(ks, coset.mu,
+                                    majorant_matrix(space, window.z0.span),
+                                    window.B)
 
     def q_exact(self, i):
         return Fraction(int(self.xx_num[i]), 2 * self.den2)
@@ -297,12 +293,13 @@ def _default_z0_span(ngon):
 class _CompletionKernel:
     """Per-polygon cached data for the stable completion kernel
        kernel(x) = eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k + sum_j rho_j,
-    evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q)."""
+    evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q), for a whole
+    batch at once.  The rho_j are signed Gaussian cone masses on the edge
+    planes span(C_j, C_{j+1}): for each sign quadrant, one cone_dist2 call
+    screens every (row, edge) pair and one cone_mass_2d call evaluates the
+    pairs that pass."""
 
     def __init__(self, space, ngon, w_offset=0):
-        from .errfn import cone_mass_2d, cone_dist2
-        self._cone_mass_2d = cone_mass_2d
-        self._cone_dist2 = cone_dist2
         self.space = space
         self.ngon = ngon
         self.w = w_invariant(ngon) + w_offset
@@ -310,24 +307,22 @@ class _CompletionKernel:
         gf = space.gram_f
         self.chat = np.array([space.unit_negative(c) for c in ngon.cs])
         self.chat_g = self.chat @ gf            # rows: (chat_k, .)
-        self.edge_proj = []                     # 2 x m maps x -> plane coords
-        self.edge_ainv = []                     # inverse functional matrices
-        self.edge_a = []
+        proj, amat = [], []
         for j in range(n):
             pl = NegativePlane(space, (ngon.cs[j], ngon.cs[(j + 1) % n]))
             p = pl.ortho @ gf
-            self.edge_proj.append(-p)           # coords of pr_z(x)
+            proj.append(-p)                     # coords of pr_z(x)
             c0 = np.array([float(v) for v in ngon.cs[j]])
             c1 = np.array([float(v) for v in ngon.cs[(j + 1) % n]])
-            a = np.vstack([p @ c0, p @ c1])     # rows a_w[k] = (u_k, c_w)
-            self.edge_a.append(a)
-            self.edge_ainv.append(np.linalg.inv(a))
+            amat.append(np.vstack([p @ c0, p @ c1]))  # rows a_w[k] = (u_k, c_w)
+        self.edge_proj = np.array(proj)         # (n, 2, m): x -> plane coords
+        self.edge_a = np.array(amat)            # (n, 2, 2) functional rows
+        self.edge_ainv = np.linalg.inv(self.edge_a)
 
     def eval_batch(self, batch, v, scale_literal=False):
         """Array of e^{amp}-scaled kernel values for all batch rows inside the
         window; rows outside get 0 (guard band handled by caller)."""
         ngon, space = self.ngon, self.space
-        n = ngon.n
         signs, _ = _sign_matrix(batch, space, ngon.cs)
         scale = math.sqrt(2.0) if scale_literal else math.sqrt(2.0 * v)
         tmat = scale * (batch.xf @ self.chat_g.T)      # tau_k margins
@@ -351,88 +346,57 @@ class _CompletionKernel:
         eff = np.where(signs != 0, np.abs(tmat), 0.0)
         teff = np.maximum(eff, np.roll(eff, -1, axis=1))
         screen = amp[:, None] - math.pi * teff ** 2 > RHO_LOG_TOL
-        for i in np.nonzero(np.any(screen, axis=1))[0]:
-            out[i] += self._rho(batch.xf[i], scale, signs[i], float(amp[i]),
-                                np.nonzero(screen[i])[0])
-        return out
+        rows, edges = np.nonzero(screen)
+        rho = self._rho(batch.xf, scale, signs, amp, rows, edges)
+        return out + np.bincount(rows, rho, minlength=len(out))
 
     @staticmethod
     def xxf(batch):
         return batch.xx_num.astype(float) / batch.den2
 
-    def _rho(self, xf, scale, s, amp, edges):
-        total = 0.0
-        n = self.ngon.n
-        for j in edges:
-            u = scale * (self.edge_proj[j] @ xf)
-            s1, s2 = int(s[j]), int(s[(j + 1) % n])
-            ainv = self.edge_ainv[j]
-            for sig1 in (1, -1):
-                for sig2 in (1, -1):
-                    g = (sig1 - s1) * (sig2 - s2)
-                    if g == 0:
-                        continue
-                    gens = ainv * np.array([sig1, sig2])
-                    d2 = self._cone_dist2(u, gens)
-                    if amp - math.pi * d2 < RHO_LOG_TOL:
-                        continue
-                    total += g * self._cone_mass_2d(u, gens[:, 0], gens[:, 1],
-                                                    amp=min(amp, AMP_CAP))
+    def _rho(self, xf, scale, s, amp, rows, edges):
+        """Signed cone masses summed over the four sign quadrants, one value
+        per (row, edge) pair."""
+        from .errfn import cone_mass_2d, cone_dist2
+        u = scale * np.einsum('pij,pj->pi', self.edge_proj[edges], xf[rows])
+        s1, s2 = s[rows, edges], s[rows, (edges + 1) % self.ngon.n]
+        total = np.zeros(len(rows))
+        for sig in np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+            g = (sig[0] - s1) * (sig[1] - s2)
+            live = np.nonzero(g)[0]
+            d2 = cone_dist2(u[live], sig[:, None] * self.edge_a[edges[live]])
+            live = live[amp[rows[live]] - math.pi * d2 >= RHO_LOG_TOL]
+            gens = self.edge_ainv[edges[live]] * sig
+            total[live] += g[live] * cone_mass_2d(
+                u[live], gens[:, :, 0], gens[:, :, 1], amp=amp[rows[live]])
         return total
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
-                    w_offset=0, _kernel=None, _batch=None):
+                    w_offset=0, _batch=None, _scaled=None):
     """Value of the completed series at tau for one coset, with a tail
-    estimate: (value, tail)."""
+    estimate: (value, tail).  `_scaled` may carry the kernel values of the
+    batch at v = Im tau, which depend on tau only through v."""
     space = coset.space
     v = tau.imag
     if v <= 0:
         raise ValueError("tau must lie in the upper half plane")
     if window is None:
         window = certify_window(space, ngon, _default_z0_span(ngon), nmax)
-    kern = _kernel or _CompletionKernel(space, ngon, w_offset)
     batch = _batch or _XBatch(coset, window)
-    scaled = _eval_kernel_chunked(kern, batch, v, paper_literal)
-    qf = kern.xxf(batch) / 2.0
+    if _scaled is None:
+        _scaled = _CompletionKernel(space, ngon, w_offset).eval_batch(
+            batch, v, paper_literal)
+    qf = _CompletionKernel.xxf(batch) / 2.0
     phase = np.exp(2j * math.pi * tau.real * qf
                    - 2.0 * math.pi * v * np.maximum(qf, 0.0))
-    terms = np.where(batch.inside, scaled * phase, 0.0)
-    # fixed chunk-order accumulation: thread-count independent
+    terms = np.where(batch.inside, _scaled * phase, 0.0)
+    # fixed chunk-order accumulation
     total = complex(0.0)
     for start in range(0, len(terms), CHUNK):
         total += complex(np.sum(terms[start:start + CHUNK]))
     tail = _tail_estimate(batch, window, ngon.n, v)
     return total, tail
-
-
-def _eval_kernel_chunked(kern, batch, v, paper_literal):
-    nthreads = thread_count()
-    nrows = len(batch.xf)
-    if nrows == 0:
-        return np.zeros(0)
-    chunks = [(s, min(s + CHUNK, nrows)) for s in range(0, nrows, CHUNK)]
-
-    def run(se):
-        sub = _BatchView(batch, se[0], se[1])
-        return kern.eval_batch(sub, v, paper_literal)
-
-    if nthreads == 1 or len(chunks) == 1:
-        parts = [run(se) for se in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            parts = list(ex.map(run, chunks))
-    return np.concatenate(parts)
-
-
-class _BatchView:
-    def __init__(self, batch, lo, hi):
-        self.xnum = batch.xnum[lo:hi]
-        self.xf = batch.xf[lo:hi]
-        self.xx_num = batch.xx_num[lo:hi]
-        self.den2 = batch.den2
-        self.inside = batch.inside[lo:hi]
-        self.dmu = batch.dmu
 
 
 def _tail_estimate(batch, window, n_edges, v):
@@ -475,9 +439,10 @@ def weil_matrices(space):
     return reps, tdiag, s
 
 
-def weil_sanity(space):
-    """Return (unitarity defect, S^2-composition defect); both should be ~0."""
-    reps, _, s = weil_matrices(space)
+def weil_sanity(space, weil=None):
+    """Return (unitarity defect, S^2-composition defect); both should be ~0.
+    `weil` may pass the (reps, T, S) that weil_matrices(space) returned."""
+    reps, _, s = weil or weil_matrices(space)
     d = len(reps)
     uni = float(np.max(np.abs(s @ s.conj().T - np.eye(d))))
     # S^2 = phase^2 * permutation mu -> -mu
@@ -495,22 +460,22 @@ def weil_sanity(space):
 def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     """Compare the completion vector at tau+1 and -1/tau against the finite
     Weil transform; returns a report dict."""
-    reps, tdiag, smat = weil_matrices(space)
+    reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
     window = certify_window(space, ngon, _default_z0_span(ngon), nmax)
     kern = _CompletionKernel(space, ngon, w_offset)
 
     batches = {mu: _XBatch(LatticeCoset(space, mu), window) for mu in reps}
+    scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):
-        vals, tails = [], []
-        for mu in reps:
-            coset = LatticeCoset(space, mu)
-            val, tail = completion_eval(coset, ngon, t, nmax, window=window,
-                                        paper_literal=paper_literal,
-                                        _kernel=kern, _batch=batches[mu])
-            vals.append(val)
-            tails.append(tail)
+        if t.imag not in scaled:
+            scaled[t.imag] = [kern.eval_batch(batches[mu], t.imag,
+                                              paper_literal) for mu in reps]
+        vals, tails = zip(*(
+            completion_eval(LatticeCoset(space, mu), ngon, t, nmax,
+                            window=window, _batch=batches[mu], _scaled=k)
+            for mu, k in zip(reps, scaled[t.imag])))
         return np.array(vals), max(tails)
 
     base, tail0 = theta_vec(tau)
@@ -519,7 +484,7 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     inverted, tail2 = theta_vec(-1 / tau)
     auto = tau ** (m / 2.0)
     s_defect = float(np.max(np.abs(inverted - auto * (smat @ base))))
-    uni, comp = weil_sanity(space)
+    uni, comp = weil_sanity(space, weil)
     return {
         "t_defect": t_defect,
         "s_defect": s_defect,

@@ -89,21 +89,21 @@ def validate(space, cs):
     return NGon(space, cs)
 
 
-def default_negative_vector(ngon):
-    """Deterministic negative vector with all (v, C_j) nonzero: C_1, perturbed
-    to C_1 + C_2/K for the smallest K >= 2 if needed (exact checks)."""
-    space, cs = ngon.space, ngon.cs
-    v = cs[0]
-    if all(space.inner(v, c) != 0 for c in cs):
-        return v
-    k = 2
-    while True:
-        v = vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
+def regular_negative_vector(space, cs):
+    """Deterministic negative vector v with all (v, C_j) nonzero: the first
+    of C_1, C_1 + C_2/k for k = 2, 3, ... that qualifies (exact checks).
+    Raises RuntimeError when none does up to k = 10000."""
+    cs = tuple(vec(c) for c in cs)
+    for k in range(1, 10001):
+        v = cs[0] if k == 1 else vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
         if space.inner(v, v) < 0 and all(space.inner(v, c) != 0 for c in cs):
             return v
-        k += 1
-        if k > 10000:
-            raise RuntimeError("could not find a regular negative vector")
+    raise RuntimeError("could not find a regular negative vector")
+
+
+def default_negative_vector(ngon):
+    """regular_negative_vector for the polygon's vectors."""
+    return regular_negative_vector(ngon.space, ngon.cs)
 
 
 def w_invariant(ngon, v=None):
@@ -168,13 +168,7 @@ def illegal_variant_kernel(space, cs, x, v=None):
             "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
             "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
     if v is None:
-        v = cs[0]
-        k = 2
-        while any(space.inner(v, c) == 0 for c in cs):
-            v = vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
-            if space.inner(v, v) >= 0:
-                v = cs[0]
-            k += 1
+        v = regular_negative_vector(space, cs)
     sv = [sgn(space.inner(v, c)) for c in cs]
     w_tilde = sv[n - 1] * sv[0] - sum(sv[j] * sv[j + 1] for j in range(n - 1))
     x = vec(x)

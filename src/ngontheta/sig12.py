@@ -21,7 +21,6 @@ SPACE_ABC = QuadraticSpace([[0, 0, 4], [0, -2, 0], [4, 0, 0]])
 # Gram in the orthogonal e-basis
 SPACE_E = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
 
-E1_ABC = vec((Fraction(1, 2), 0, Fraction(1, 2)))
 E2_ABC = vec((0, 1, 0))
 E3_ABC = vec((Fraction(1, 2), 0, Fraction(-1, 2)))
 

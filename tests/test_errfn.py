@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad, dblquad
+from scipy.special import erf, erfcx
 
 from ngontheta.qspace import QuadraticSpace
 from ngontheta.errfn import (E1, E2, E3, cone_mass_2d, cone_dist2,
                              _radial_1, _radial_2, j0_value)
+from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
 SP3 = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
 SP4 = QuadraticSpace([[2, 0, 0, 0], [0, -2, 0, 0],
@@ -182,6 +184,64 @@ def test_radial_integrals_against_quadrature():
         assert abs(_radial_2(0.0, b) - i2) < 1e-12
 
 
+def _radial_1_scalar(e0, b):
+    """Scalar form of errfn._radial_1 (the integrand of the oracle below)."""
+    sq = math.sqrt(math.pi)
+    if b >= 0:
+        return math.exp(e0) * b * (1.0 + erf(sq * b)) / 2.0 \
+            + math.exp(e0 - math.pi * b * b) / (2.0 * math.pi)
+    return math.exp(e0 - math.pi * b * b) * \
+        (1.0 / (2.0 * math.pi) - (-b / 2.0) * erfcx(sq * (-b)))
+
+
+def _cone_mass_2d_quad(u, g1, g2, amp=0.0, epsabs=1e-13):
+    """Adaptive-quadrature cone mass: the reference for the fixed-node
+    batched cone_mass_2d."""
+    th1 = math.atan2(g1[1], g1[0])
+    th2 = math.atan2(g2[1], g2[0])
+    dth = (th2 - th1) % (2.0 * math.pi)
+    if dth > math.pi:
+        th1, th2 = th2, th1
+        dth = 2.0 * math.pi - dth
+    uu = float(u[0] * u[0] + u[1] * u[1])
+
+    def f(th):
+        b = u[0] * math.cos(th) + u[1] * math.sin(th)
+        return _radial_1_scalar(amp - math.pi * (uu - b * b), b)
+
+    val, _ = quad(f, th1, th1 + dth, epsabs=epsabs, epsrel=1e-11, limit=200)
+    return val
+
+
+def test_cone_mass_batched_vs_quadrature():
+    # tail-heavy grid: amp up to the kernel's cap, centers out to where the
+    # rho screen still admits a cone, openings across (0.01, pi - 0.01);
+    # only cones that pass the screen are compared
+    rng = np.random.default_rng(1606)
+    k = 3000
+    amp = rng.uniform(0.0, AMP_CAP, k)
+    r = np.sqrt(rng.uniform(0.0, (AMP_CAP - RHO_LOG_TOL) / math.pi, k))
+    ang = rng.uniform(-math.pi, math.pi, k)
+    u = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    th = rng.uniform(-math.pi, math.pi, k)
+    th2 = th + rng.uniform(0.01, math.pi - 0.01, k)
+    g1 = rng.uniform(0.2, 5.0, (k, 1)) * np.stack([np.cos(th), np.sin(th)], 1)
+    g2 = np.stack([np.cos(th2), np.sin(th2)], axis=1)
+    swap = rng.random(k) < 0.5
+    g1, g2 = np.where(swap[:, None], g2, g1), np.where(swap[:, None], g1, g2)
+    b = np.linalg.inv(np.stack([g1, g2], axis=2))
+    keep = amp - math.pi * cone_dist2(u, b) >= RHO_LOG_TOL
+    assert keep.sum() >= 2000
+    u, g1, g2, amp = u[keep], g1[keep], g2[keep], amp[keep]
+    got = cone_mass_2d(u, g1, g2, amp=amp)
+    for i in range(len(u)):
+        want = _cone_mass_2d_quad(u[i], g1[i], g2[i], amp=amp[i])
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), \
+            (u[i], g1[i], g2[i], amp[i], got[i], want)
+    # a single cone gives the same value as its row of the batch
+    assert cone_mass_2d(u[7], g1[7], g2[7], amp=amp[7]) == got[7]
+
+
 def test_cone_mass_full_plane():
     # four quadrant cones tile the plane: masses sum to 1
     u = np.array([0.3, -0.2])
@@ -198,6 +258,13 @@ def test_cone_dist2():
     assert cone_dist2(np.array([0.5, 0.5]), gens) == 0.0
     assert abs(cone_dist2(np.array([-1.0, 0.0]), gens) - 1.0) < 1e-9
     assert abs(cone_dist2(np.array([-1.0, -1.0]), gens) - 2.0) < 1e-9
+    # the cone {y : b y >= 0} with rays (1, 0) and (1, 1); batched rows
+    b = np.array([[0.0, 1.0], [1.0, -1.0]])
+    u = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    want = [0.0, 0.5, 1.0, 2.0]
+    got = cone_dist2(u, np.broadcast_to(b, (4, 2, 2)))
+    assert np.allclose(got, want, atol=1e-12)
+    assert [cone_dist2(x, b) for x in u] == list(got)
 
 
 def test_e1_continuity_across_wall():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ngontheta.qspace import NegativePlane
 from ngontheta.errfn import E2
@@ -11,7 +12,8 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                enumerate_coset, QExpansion, _XBatch,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
-                               _CompletionKernel, CertificationError)
+                               _CompletionKernel, CertificationError,
+                               _majorant_leq)
 from ngontheta.ngon import w_invariant
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
@@ -167,6 +169,7 @@ def test_weil_sanity(space_e, space_abc):
         uni, comp = weil_sanity(sp)
         assert uni < 1e-12
         assert comp < 1e-12
+        assert weil_sanity(sp, weil_matrices(sp)) == (uni, comp)
 
 
 def test_weil_t_matrix(space_e):
@@ -200,3 +203,35 @@ def test_qexpansion_coeff_accessor():
     assert qe.coeff(3) == 4
     assert qe.coeff(Fraction(3)) == 4
     assert qe.coeff(2) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_majorant_filter_matches_fraction_filter(data):
+    # int64 rows (small) and Python-int rows (past 2^40, so |q| overflows
+    # int64), with the bound drawn or set exactly to some row's value
+    m = data.draw(st.integers(2, 4))
+    big = data.draw(st.booleans())
+    lim = 2 ** 41 if big else 40
+    ent = st.fractions(-20, 20, max_denominator=9)
+    mat = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            mat[i][j] = mat[j][i] = data.draw(ent)
+    mu = [data.draw(st.fractions(0, 1, max_denominator=6)) % 1
+          for _ in range(m)]
+    rows = data.draw(st.lists(st.lists(st.integers(-lim, lim), min_size=m,
+                                       max_size=m), min_size=1, max_size=30))
+
+    def qform(k):
+        x = [ki + mi for ki, mi in zip(k, mu)]
+        return sum(x[i] * mat[i][j] * x[j] for i in range(m) for j in range(m))
+
+    if data.draw(st.booleans()):
+        bound = qform(rows[data.draw(st.integers(0, len(rows) - 1))])
+    else:
+        bound = data.draw(st.fractions(-10, 10 ** 6, max_denominator=50))
+    ks = np.array(rows, dtype=np.int64)
+    got = _majorant_leq(ks, mu, mat, bound)
+    assert got.dtype == bool
+    assert list(got) == [qform(k) <= bound for k in rows]

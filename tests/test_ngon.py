@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ngontheta.ngon import (check_conditions, validate, NGonValidationError,
                             Violation, KernelValue, w_invariant, epsilon,
                             default_negative_vector, vertex_plane,
+                            regular_negative_vector,
                             gamma_sample, illegal_variant_kernel, from_abmp,
                             to_abmp, abmp_kernel, _abmp_sign)
 from ngontheta.sig12 import (SPACE_ABC, butterfly_collection, butterfly_ngon,
@@ -163,6 +165,19 @@ def test_default_negative_vector_is_regular(funddom, funddom_e):
         v = default_negative_vector(g)
         assert g.space.inner(v, v) < 0
         assert all(g.space.inner(v, c) != 0 for c in g.cs)
+
+
+def test_regular_negative_vector_capped(space_e):
+    # (1,0,0) is orthogonal to C_1 and C_2, so no C_1 + C_2/k is regular
+    cs = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError):
+        regular_negative_vector(space_e, cs)
+    assert time.monotonic() - t0 < 30.0
+    # the first regular candidate is C_1 + C_2/2 when C_1 is not regular
+    cs = ((0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 1, 0))
+    assert regular_negative_vector(space_e, cs) == (0, Fraction(3, 2),
+                                                    Fraction(1, 2))
 
 
 def test_vertex_plane_and_edge_samples(funddom):

@@ -311,53 +311,23 @@ def _default_dodec_z0(dodec):
     return dodec.vertex_vectors(dodec.comb.vertices[0])
 
 
-def dodec_series(coset, dodec, nmax, z0_span=None, window=None, safety=1.5,
-                 _attempt=0):
+def dodec_series(coset, dodec, nmax, window=None, safety=1.5):
     """q-expansion of sum_x P(x) q^{Q(x)} over the certified window; the
     same guard-band retry contract as the N-gon series."""
-    from .lattice import (QExpansion, CertificationError, _XBatch,
-                          _sign_matrix)
-    space = coset.space
+    from .lattice import _certified_series
     nmax = rat(nmax)
-    if z0_span is None:
-        z0_span = _default_dodec_z0(dodec)
-    if window is None:
-        window = certify_dodec_window(space, dodec, z0_span, nmax,
-                                      safety=safety)
-    batch = _XBatch(coset, window)
-    signs, _ = _sign_matrix(batch, space, dodec.cs)
-    trip = np.zeros(len(signs), dtype=np.int64)
-    for (i, u, v) in dodec.comb.vertices:
-        trip += signs[:, i] * signs[:, u] * signs[:, v]
+    tri = np.array(dodec.comb.vertices)
     warr = np.array(dodec.face_w, dtype=np.int64)
-    dnum = trip + signs @ warr             # 8 * D(x)
     dv = int(8 * dodec_D_kernel(dodec, default_negative_vector(dodec)))
-    pnum = dnum - dv                       # 8 * P(x)
-    regular = np.all(signs != 0, axis=1)
-    entries = {}
-    flags = set()
-    bad_guard = False
-    for i in range(len(pnum)):
-        qx = batch.q_exact(i)
-        # the kernel vanishes identically on nonzero vectors of norm <= 0,
-        # so only exponents in [0, nmax] can carry coefficients or flags
-        if qx < 0 or qx > nmax:
-            continue
-        if not batch.inside[i]:
-            if pnum[i] != 0 and batch.xx_num[i] != 0:
-                bad_guard = True
-            continue
-        if not regular[i] and qx > 0:
-            flags.add(qx)
-        if pnum[i] != 0:
-            entries[qx] = entries.get(qx, 0) + Fraction(int(pnum[i]), 8)
-    if bad_guard:
-        if _attempt >= 3:
-            raise CertificationError(
-                "guard band contains kernel-supported vectors; "
-                f"retried up to safety={safety}")
-        return dodec_series(coset, dodec, nmax, z0_span=z0_span, window=None,
-                            safety=safety * 2, _attempt=_attempt + 1)
-    entries = {k: v for k, v in sorted(entries.items())}
-    return QExpansion(mu=coset.mu, entries=entries, nmax=nmax, flags=flags,
-                      window=window)
+
+    def recertify(z0_span, s):
+        return certify_dodec_window(coset.space, dodec, z0_span, nmax,
+                                    safety=s)
+
+    def p8(signs):
+        # 8 P(x) = sum_nu sgn(x;nu) + sum_i w(R(i)) sgn((x,C_i)) - 8 D(v)
+        return np.prod(signs[:, tri], axis=2).sum(axis=1) + signs @ warr - dv
+
+    if window is None:
+        window = recertify(_default_dodec_z0(dodec), safety)
+    return _certified_series(coset, dodec.cs, nmax, window, p8, 8, recertify)

@@ -3,29 +3,33 @@ q-expansions, numerical evaluation of the non-holomorphic completion, and
 finite-Weil-representation modularity checks.
 
 Enumeration is certified in two steps: a comparability constant kappa is
-measured on planes sampled along the polygon boundary, giving the bound
-(x,x)_{z0} <= kappa * (x,x) for every x whose kernel value can be nonzero
-(such x satisfy (x,x) = (x,x)_{z*} for some plane z* on a spanning surface);
-then a guard band above the bound is enumerated and must contain no x with
-nonzero kernel — otherwise kappa is doubled and the run retried.
+measured in floating point on planes sampled along the polygon boundary,
+giving the bound (x,x)_{z0} <= kappa * (x,x) for every x whose kernel value
+can be nonzero (such x satisfy (x,x) = (x,x)_{z*} for some plane z* on a
+spanning surface); then a guard band above the bound is enumerated and must
+contain no x with nonzero kernel.  That exact check is what makes a series
+exact.  When it fails, the window is re-certified about the same base plane
+z0 with twice its safety factor, at most RETRIES times; after that the
+series raises CertificationError (CLI exit code 3).
 """
 
 import math
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.special import erfcx, gammaincc, gamma as gamma_fn
 
-from .qspace import (QuadraticSpace, NegativePlane, mat_inv, mat_det, rat,
-                     vec, vec_scale)
-from .ngon import w_invariant, epsilon, vertex_plane, gamma_sample
+from .qspace import NegativePlane, mat_inv, mat_det, rat, vec
+from .ngon import w_invariant, vertex_plane, gamma_sample
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
 RHO_LOG_TOL = -34.0      # skip cone-mass terms below e^{RHO_LOG_TOL}
+RETRIES = 3              # re-certifications before CertificationError
 
 
 class CertificationError(RuntimeError):
@@ -91,18 +95,28 @@ class EnumWindow:
     safety: float
     nmax: Fraction
 
+    @cached_property
+    def majorant(self):
+        """Exact matrix of (x,x)_{z0}, built on first use."""
+        return majorant_matrix(self.z0.space, self.z0.span)
+
+
+def _majorant_f(plane):
+    """Float matrix of (x,x)_z from the orthonormal basis U of the plane:
+    G + 2 (U G)^T (U G)."""
+    ug = plane.ortho @ plane.space.gram_f
+    return plane.space.gram_f + 2.0 * ug.T @ ug
+
 
 def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     """Comparability window: kappa = safety * max over the given boundary
-    planes of the largest generalized eigenvalue of M_{z0} against M_z."""
+    planes of the largest generalized eigenvalue of M_{z0} against M_z, in
+    floating point (the guard band, not kappa, makes the series exact)."""
     z0 = NegativePlane(space, z0_span)
-    m0 = np.array([[float(v) for v in row]
-                   for row in majorant_matrix(space, z0_span)])
+    m0 = _majorant_f(z0)
     kappa = 1.0
     for pl in planes:
-        mz = np.array([[float(v) for v in row]
-                       for row in majorant_matrix(space, pl.span)])
-        ev = eigh(m0, mz, eigvals_only=True)
+        ev = eigh(m0, _majorant_f(pl), eigvals_only=True)
         kappa = max(kappa, float(np.max(ev)))
     kappa *= safety
     b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
@@ -187,8 +201,7 @@ def _majorant_leq(ks, mu, m_exact, bound):
 def enumerate_coset(coset, window, slack=Fraction(1)):
     """Vectors x in mu+L with (x,x)_{z0} <= slack*B, as integer k-rows plus
     the exact shift mu."""
-    m_exact = majorant_matrix(coset.space, window.z0.span)
-    return _fp_enumerate(m_exact, coset.mu, window.B * slack)
+    return _fp_enumerate(window.majorant, coset.mu, window.B * slack)
 
 
 @dataclass
@@ -210,7 +223,6 @@ class _XBatch:
     def __init__(self, coset, window, slack=Fraction(6, 5)):
         space = coset.space
         ks = enumerate_coset(coset, window, slack)
-        m = space.dim
         self.dmu = math.lcm(*(c.denominator for c in coset.mu))
         munum = np.array([int(c * self.dmu) for c in coset.mu], dtype=np.int64)
         self.xnum = ks * self.dmu + munum       # int64 numerators, denom dmu
@@ -221,12 +233,7 @@ class _XBatch:
         self.xx_num = np.einsum('ij,ij->i', xg, self.xnum.astype(object))
         self.den2 = self.dmu * self.dmu
         # exact (x,x)_{z0} <= B for the window split
-        self.inside = _majorant_leq(ks, coset.mu,
-                                    majorant_matrix(space, window.z0.span),
-                                    window.B)
-
-    def q_exact(self, i):
-        return Fraction(int(self.xx_num[i]), 2 * self.den2)
+        self.inside = _majorant_leq(ks, coset.mu, window.majorant, window.B)
 
 
 def _sign_matrix(batch, space, cs):
@@ -238,51 +245,72 @@ def _sign_matrix(batch, space, cs):
     return np.sign(vals.astype(float)).astype(np.int64), vals
 
 
+def _exponent_rows(batch, mask, nmax):
+    """Indices of the rows in `mask` with 0 <= Q(x) <= nmax (exact).  The
+    kernels vanish identically on nonzero vectors of norm <= 0, so only these
+    rows can carry coefficients or flags."""
+    rows = np.nonzero(mask)[0]
+    q = batch.xx_num[rows]                  # 2 den2 Q(x)
+    top = 2 * batch.den2 * nmax.numerator
+    return rows[(q >= 0) & (q * nmax.denominator <= top)]
+
+
+def _certified_series(coset, cs, nmax, window, kernel, den, recertify):
+    """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a certified window.
+    `kernel` maps the exact sign matrix of the enumerated x against cs to
+    integer numerators; `recertify(z0_span, safety)` builds a new window.
+    A guard-band x with a nonzero kernel and Q(x) in (0, nmax] voids the
+    window, which is then re-certified about its own base plane at twice its
+    safety, at most RETRIES times."""
+    for attempt in range(RETRIES + 1):
+        if attempt:
+            window = recertify(window.z0.span, 2 * window.safety)
+        batch = _XBatch(coset, window)
+        signs, _ = _sign_matrix(batch, coset.space, cs)
+        num = kernel(signs)
+        guard = _exponent_rows(batch, (num != 0) & ~batch.inside, nmax)
+        if not np.any(batch.xx_num[guard] != 0):
+            break
+    else:
+        raise CertificationError(
+            "guard band contains kernel-supported vectors; "
+            f"retried up to safety={window.safety}")
+    # one Fraction per distinct exponent; exponents whose terms cancel keep
+    # a zero entry
+    hits = _exponent_rows(batch, (num != 0) & batch.inside, nmax)
+    exps, where = np.unique(batch.xx_num[hits], return_inverse=True)
+    sums = np.zeros(len(exps), dtype=np.int64)
+    np.add.at(sums, where, num[hits])
+    odd = _exponent_rows(batch, ~np.all(signs != 0, axis=1) & batch.inside,
+                         nmax)
+    qden = 2 * batch.den2
+    return QExpansion(
+        mu=coset.mu, nmax=nmax, window=window,
+        entries={Fraction(int(e), qden): int(c) if den == 1 else
+                 Fraction(int(c), den) for e, c in zip(exps, sums)},
+        flags={Fraction(int(e), qden)
+               for e in set(batch.xx_num[odd]) if e > 0})
+
+
 def holomorphic_series(coset, ngon, nmax, window=None, normalized=False,
-                       safety=1.5, _attempt=0):
-    """q-expansion of sum_x eps(x) q^{Q(x)} over the certified window."""
-    space = coset.space
+                       safety=1.5):
+    """q-expansion of sum_x eps(x) q^{Q(x)} (eps/4 when normalized) over the
+    certified window."""
     nmax = rat(nmax)
-    if window is None:
-        window = certify_window(space, ngon, _default_z0_span(ngon), nmax,
-                                safety=safety)
-    batch = _XBatch(coset, window)
-    signs, _ = _sign_matrix(batch, space, ngon.cs)
-    n = ngon.n
     w = w_invariant(ngon)
-    prod = np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
-    eps = w + prod
-    regular = np.all(signs != 0, axis=1)
-    entries = {}
-    flags = set()
-    bad_guard = False
-    for i in range(len(eps)):
-        qx = batch.q_exact(i)
-        # the kernel vanishes identically on nonzero vectors of norm <= 0,
-        # so only exponents in [0, nmax] can carry coefficients or flags
-        if qx < 0 or qx > nmax:
-            continue
-        if not batch.inside[i]:
-            if eps[i] != 0 and batch.xx_num[i] != 0:
-                bad_guard = True
-            continue
-        if not regular[i] and qx > 0:
-            flags.add(qx)
-        if eps[i] != 0:
-            entries[qx] = entries.get(qx, 0) + int(eps[i])
-    if bad_guard:
-        if _attempt >= 3:
-            raise CertificationError(
-                "guard band contains kernel-supported vectors; "
-                f"retried up to safety={safety}")
-        return holomorphic_series(coset, ngon, nmax, window=None,
-                                  normalized=normalized, safety=safety * 2,
-                                  _attempt=_attempt + 1)
-    entries = {k: v for k, v in sorted(entries.items())}
-    if normalized:
-        entries = {k: Fraction(v, 4) for k, v in entries.items()}
-    return QExpansion(mu=coset.mu, entries=entries, nmax=nmax, flags=flags,
-                      window=window, normalized=normalized)
+
+    def recertify(z0_span, s):
+        return certify_window(coset.space, ngon, z0_span, nmax, safety=s)
+
+    def eps(signs):
+        return w + np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
+
+    if window is None:
+        window = recertify(_default_z0_span(ngon), safety)
+    qe = _certified_series(coset, ngon.cs, nmax, window, eps,
+                           4 if normalized else 1, recertify)
+    qe.normalized = normalized
+    return qe
 
 
 def _default_z0_span(ngon):
@@ -430,11 +458,13 @@ def weil_matrices(space):
     tdiag = np.array([cmath.exp(2j * math.pi * float(space.q(mu)))
                       for mu in reps])
     phase = cmath.exp(2j * math.pi * (q - p) / 8.0)
-    s = np.empty((d, d), dtype=complex)
-    for i, mu in enumerate(reps):
-        for j, nu in enumerate(reps):
-            s[i, j] = cmath.exp(
-                2j * math.pi * S_PAIRING_SIGN * float(space.inner(mu, nu)))
+    # representatives R/den as integer rows: (mu, nu) = (R G R^T)/den^2, whose
+    # float quotient is the correctly rounded float of the exact pairing
+    den = math.lcm(*(c.denominator for mu in reps for c in mu))
+    r = np.array([[int(c * den) for c in mu] for mu in reps], dtype=np.int64)
+    gi = np.array([[int(v) for v in row] for row in space.gram], dtype=np.int64)
+    pair = r @ gi @ r.T / (den * den)
+    s = np.exp(2j * math.pi * S_PAIRING_SIGN * pair)
     s *= phase / math.sqrt(d)
     return reps, tdiag, s
 

@@ -132,11 +132,10 @@ def _signature(gram):
 @dataclass(frozen=True)
 class FloatTolerance:
     abs_eps: float = 1e-12
-    rel_eps: float = 1e-12
     quadrature_target: float = 1e-10
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.rel_eps > 0 and self.quadrature_target > 0):
+        if not (self.abs_eps > 0 and self.quadrature_target > 0):
             raise ValueError("tolerances must be positive")
 
 

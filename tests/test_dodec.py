@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ngontheta.qspace import QuadraticSpace, NegativePlane
-from ngontheta.lattice import LatticeCoset
+from ngontheta.lattice import LatticeCoset, EnumWindow, CertificationError
+from ngontheta import dodec as dodec_mod
 from ngontheta.dodec import (bar, cycle_table, recipe_step, cyclic_equal,
                              check_dodec_conditions, DodecValidationError,
                              validate_dodec, default_negative_vector,
@@ -237,6 +238,28 @@ def test_dodec_series_safety_invariance(seed_dodec4):
     s2 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3, safety=3.0)
     assert s1.entries == s2.entries
     assert s1.flags == s2.flags
+
+
+def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
+    # B = 2 about the default base plane: the P-supported x with Q = 9/8
+    # has (x,x)_{z0} ~ 2.30 and falls in the guard band (2, 12/5]
+    calls = []
+
+    def small(z0_span, safety):
+        return EnumWindow(z0=NegativePlane(SP4, z0_span), B=Fraction(2),
+                          kappa=1.0, safety=safety, nmax=Fraction(2))
+
+    def always_small(space, dodec, z0_span, nmax, safety=1.5):
+        calls.append((z0_span, safety))
+        return small(z0_span, safety)
+
+    monkeypatch.setattr(dodec_mod, "certify_dodec_window", always_small)
+    z0 = seed_dodec4.vertex_vectors(seed_dodec4.comb.vertices[0])
+    mu = (Fraction(1, 4), 0, 0, 0)
+    with pytest.raises(CertificationError):
+        dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 2,
+                     window=small(z0, 1.0))
+    assert calls == [(z0, s) for s in (2.0, 4.0, 8.0)]
 
 
 def test_dodec_window_grows_with_nmax(seed_dodec4):

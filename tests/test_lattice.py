@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngontheta.qspace import NegativePlane
+from ngontheta.qspace import NegativePlane, QuadraticSpace
 from ngontheta.errfn import E2
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
@@ -13,11 +13,16 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                _CompletionKernel, CertificationError,
-                               _majorant_leq)
+                               _majorant_leq, _sign_matrix)
+from ngontheta import lattice
+from ngontheta.dodec import (dodec_series, dodec_D_kernel,
+                             default_negative_vector, seed_construction,
+                             validate_dodec)
 from ngontheta.ngon import w_invariant
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
-                             truncated_class_series)
+                             truncated_class_series, butterfly_ngon,
+                             recover_ngon)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 
@@ -235,3 +240,125 @@ def test_majorant_filter_matches_fraction_filter(data):
     got = _majorant_leq(ks, mu, mat, bound)
     assert got.dtype == bool
     assert list(got) == [qform(k) <= bound for k in rows]
+
+
+def _row_loop_series(batch, signs, num, den, nmax):
+    """Reference: the per-row Fraction loop that the series driver replaced.
+    Returns (entries, flags, whether the guard band holds a supported x)."""
+    regular = np.all(signs != 0, axis=1)
+    entries, flags, bad_guard = {}, set(), False
+    for i in range(len(num)):
+        qx = Fraction(int(batch.xx_num[i]), 2 * batch.den2)
+        if qx < 0 or qx > nmax:
+            continue
+        if not batch.inside[i]:
+            if num[i] != 0 and batch.xx_num[i] != 0:
+                bad_guard = True
+            continue
+        if not regular[i] and qx > 0:
+            flags.add(qx)
+        if num[i] != 0:
+            entries[qx] = entries.get(qx, 0) + Fraction(int(num[i]), den)
+    return dict(sorted(entries.items())), flags, bad_guard
+
+
+def _eps_num(ngon, signs):
+    return w_invariant(ngon) + np.einsum('ij,ij->i', signs,
+                                         np.roll(signs, -1, axis=1))
+
+
+def _p8_num(dodec, signs):
+    trip = np.zeros(len(signs), dtype=np.int64)
+    for (i, u, v) in dodec.comb.vertices:
+        trip += signs[:, i] * signs[:, u] * signs[:, v]
+    dv = 8 * dodec_D_kernel(dodec, default_negative_vector(dodec))
+    return trip + signs @ np.array(dodec.face_w) - int(dv)
+
+
+def _series_input(case, funddom, seed_dodec):
+    """(polygon, series function of (coset, nmax), kernel numerators from
+    signs, denominator) for one parametrized case."""
+    if case.startswith("dodec"):
+        dd = seed_dodec
+        if case == "dodec4":    # a coset whose P coefficients do not cancel
+            sp4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
+                                  [0, 0, -2, 0], [0, 0, 0, -2]])
+            dd = validate_dodec(sp4, seed_construction(
+                sp4, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                (1, 0, 0, 0), [Fraction(a + 3, 40) for a in range(12)]))
+        return (dd, lambda c, n: dodec_series(c, dd, n),
+                lambda s: _p8_num(dd, s), 8)
+    ngon = {"butterfly": butterfly_ngon(),
+            "triangle": recover_ngon([(0, 1), (1, 1), (0, 2)])}.get(case,
+                                                                 funddom)
+    normalized = case == "normalized"
+    return (ngon, lambda c, n: holomorphic_series(c, ngon, n,
+                                                  normalized=normalized),
+            lambda s: _eps_num(ngon, s), 4 if normalized else 1)
+
+
+@pytest.mark.parametrize("case, mu, nmax, cancelled", [
+    ("raw", None, 12, None),
+    ("normalized", None, 12, None),
+    ("raw", (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), 12, None),
+    ("normalized", (Fraction(1, 2), 0, Fraction(1, 2)), 12, None),
+    ("butterfly", None, 30, Fraction(16)),
+    ("triangle", None, 12, None),        # w = 1, so x = 0 gives exponent 0
+    ("dodec", None, 2, Fraction(1)),
+    ("dodec4", (Fraction(1, 4), 0, 0, 0), 4, None),
+])
+def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
+                                        seed_dodec):
+    poly, series, num, den = _series_input(case, funddom, seed_dodec)
+    coset = LatticeCoset(poly.space, mu)
+    qe = series(coset, nmax)
+    batch = _XBatch(coset, qe.window)
+    signs, _ = _sign_matrix(batch, poly.space, poly.cs)
+    entries, flags, bad_guard = _row_loop_series(batch, signs, num(signs),
+                                                 den, Fraction(nmax))
+    assert not bad_guard and entries
+    assert list(qe.entries.items()) == list(entries.items())
+    assert [type(c) for c in qe.entries.values()] == \
+        [int if den == 1 else Fraction] * len(entries)
+    assert qe.flags == flags
+    assert qe.normalized == (case == "normalized")
+    if cancelled is not None:
+        # an exponent whose kernel-supported terms cancel keeps its entry
+        assert qe.entries[cancelled] == 0
+
+
+def _small_window(z0_span, safety):
+    # B = 9 about (E2, E3): the eps-supported x = (1, 1, 1) with Q = 3 has
+    # (x,x)_{z0} = 10 and falls in the guard band (9, 54/5]
+    return EnumWindow(z0=NegativePlane(SPACE_ABC, z0_span), B=Fraction(9),
+                      kappa=1.0, safety=safety, nmax=Fraction(6))
+
+
+def test_guard_band_retry_keeps_base_plane(funddom):
+    coset = LatticeCoset(SPACE_ABC)
+    small = _small_window((E2_ABC, E3_ABC), 1.0)
+    batch = _XBatch(coset, small)
+    signs, _ = _sign_matrix(batch, SPACE_ABC, funddom.cs)
+    assert _row_loop_series(batch, signs, _eps_num(funddom, signs), 1,
+                            Fraction(6))[2]
+    qe = holomorphic_series(coset, funddom, 6, window=small)
+    want = holomorphic_series(
+        coset, funddom, 6,
+        window=certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 6))
+    assert qe.entries == want.entries and qe.flags == want.flags
+    assert qe.window.z0.span == (E2_ABC, E3_ABC)
+    assert qe.window.safety == 2 * small.safety
+
+
+def test_guard_band_retries_exhausted(funddom, monkeypatch):
+    calls = []
+
+    def always_small(space, ngon, z0_span, nmax, safety=1.5):
+        calls.append((z0_span, safety))
+        return _small_window(z0_span, safety)
+
+    monkeypatch.setattr(lattice, "certify_window", always_small)
+    with pytest.raises(CertificationError):
+        holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 6,
+                           window=_small_window((E2_ABC, E3_ABC), 1.0))
+    assert calls == [((E2_ABC, E3_ABC), s) for s in (2.0, 4.0, 8.0)]

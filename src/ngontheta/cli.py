@@ -268,15 +268,10 @@ def cmd_errfn(args):
     space = jsonio.space_from_json(jsonio.load_json(args.space), args.space)
     cs = [_parse_vector_arg(c) for c in args.c]
     x = [float(Fraction(t.strip())) for t in args.x.split(",")]
-    if len(cs) == 1:
-        val = E1(space, cs[0], x)
-    elif len(cs) == 2:
-        val = E2(space, cs[0], cs[1], x)
-    elif len(cs) == 3:
-        val = E3(space, cs[0], cs[1], cs[2], x)
-    else:
+    fn = {1: E1, 2: E2, 3: E3}.get(len(cs))
+    if fn is None:
         raise InputError("errfn eval takes 1, 2, or 3 --c vectors")
-    out = f"E{len(cs)} = {val:.10f}\n"
+    out = f"E{len(cs)} = {fn(space, *cs, x):.10f}\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)

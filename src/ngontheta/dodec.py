@@ -11,11 +11,13 @@ projected 5-tuple R(i) = (P_i C_j)_{j in F(i)} satisfies the 5-gon
 conditions inside V_i = C_i^perp.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import erf
 
 from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
 from .ngon import sgn, check_conditions, regular_negative_vector
@@ -111,13 +113,17 @@ def check_dodec_conditions(space, cs):
     """All violated (face, Violation) pairs of the per-face 5-gon conditions
     on the projected tuples R(i); exact rational arithmetic."""
     cs = tuple(vec(c) for c in cs)
-    comb = cycle_table()
-    out = []
-    for i in range(12):
-        r = projected_tuple(space, cs, comb.cycles[i], i)
-        for viol in check_conditions(space, r):
-            out.append((i, viol))
-    return out
+    return _violations(space, _projected_tuples(space, cs, cycle_table()))
+
+
+def _projected_tuples(space, cs, comb):
+    return tuple(projected_tuple(space, cs, comb.cycles[i], i)
+                 for i in range(12))
+
+
+def _violations(space, projected):
+    return [(i, v) for i, r in enumerate(projected)
+            for v in check_conditions(space, r)]
 
 
 def projected_tuple(space, cs, cycle, i):
@@ -138,16 +144,13 @@ class DodecData:
         cs = tuple(vec(c) for c in cs)
         if len(cs) != 12:
             raise ValueError("need exactly 12 vectors indexed by Z/12Z")
-        if not _checked:
-            bad = check_dodec_conditions(space, cs)
-            if bad:
-                raise DodecValidationError(bad)
         self.space = space
         self.cs = cs
         self.comb = cycle_table()
-        self.projected = tuple(
-            projected_tuple(space, cs, self.comb.cycles[i], i)
-            for i in range(12))
+        self.projected = _projected_tuples(space, cs, self.comb)
+        bad = [] if _checked else _violations(space, self.projected)
+        if bad:
+            raise DodecValidationError(bad)
         self.face_w = tuple(self._w_face(i) for i in range(12))
 
     def __repr__(self):
@@ -163,6 +166,16 @@ class DodecData:
 
     def vertex_vectors(self, tri):
         return tuple(self.cs[a] for a in tri)
+
+    @functools.cached_property
+    def e_frames(self):
+        """Float data of E: the vertex 3-planes' stacked errfn.plane_frame,
+        and the unit normals C_i/|(C_i,C_i)|^{1/2} times the Gram matrix."""
+        from .errfn import plane_frame
+        a, m = zip(*(plane_frame(self.space, self.vertex_vectors(tri))
+                     for tri in self.comb.vertices))
+        normals = [self.space.unit_negative(c) for c in self.cs]
+        return np.array(a), np.array(m), np.array(normals) @ self.space.gram_f
 
 
 def validate_dodec(space, cs):
@@ -201,20 +214,15 @@ def dodec_P_kernel(dodec, x, v=None):
     return dodec_D_kernel(dodec, x) - dodec_D_kernel(dodec, v)
 
 
-def dodec_E_kernel(dodec, x, tol=None):
+def dodec_E_kernel(dodec, x):
     """E(x) = 1/8 sum_nu E3(nu, x sqrt(2)) + 1/8 sum_i w(R(i)) E1(C_i, x sqrt(2));
-    the smooth completion of D (continuous across every wall (x,C_i)=0)."""
-    from .errfn import E1, E3, DEFAULT_TOL
-    space, cs = dodec.space, dodec.cs
-    if tol is None:
-        tol = DEFAULT_TOL
+    the smooth completion of D (continuous across every wall (x,C_i)=0).
+    All 20 vertex terms are one E_frames batch."""
+    from .errfn import E_frames, SQPI
+    a, m, normals = dodec.e_frames
     xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
-    total = 0.0
-    for (i, u, v) in dodec.comb.vertices:
-        total += E3(space, cs[i], cs[u], cs[v], xf, tol)
-    for i in range(12):
-        total += dodec.face_w[i] * E1(space, cs[i], xf)
-    return total / 8.0
+    e1 = erf(SQPI * (normals @ xf))
+    return float((np.sum(E_frames(a, m @ xf)) + e1 @ dodec.face_w) / 8.0)
 
 
 # --- seed construction ------------------------------------------------------
@@ -307,10 +315,6 @@ def certify_dodec_window(space, dodec, z0_span, nmax, safety=1.5,
     return window_from_planes(space, z0_span, planes, nmax, safety=safety)
 
 
-def _default_dodec_z0(dodec):
-    return dodec.vertex_vectors(dodec.comb.vertices[0])
-
-
 def dodec_series(coset, dodec, nmax, window=None, safety=1.5):
     """q-expansion of sum_x P(x) q^{Q(x)} over the certified window; the
     same guard-band retry contract as the N-gon series."""
@@ -329,5 +333,6 @@ def dodec_series(coset, dodec, nmax, window=None, safety=1.5):
         return np.prod(signs[:, tri], axis=2).sum(axis=1) + signs @ warr - dv
 
     if window is None:
-        window = recertify(_default_dodec_z0(dodec), safety)
+        window = recertify(dodec.vertex_vectors(dodec.comb.vertices[0]),
+                           safety)
     return _certified_series(coset, dodec.cs, nmax, window, p8, 8, recertify)

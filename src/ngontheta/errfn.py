@@ -6,9 +6,10 @@ z = span(c_1..c_q).  In orthonormalized plane coordinates the density is
 exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into
 sign-constant cones, and each cone mass is computed with the radial
 integral in closed form and, over the angular variable, fixed
-Gauss-Legendre nodes split at the peak (planar cones, batched) or adaptive
-quadrature over the spherical triangle (solid cones).  Values lie in [-1,1]
-and tend to the product of signs as x grows along a regular direction.
+Gauss-Legendre nodes split at the peak (planar cones, batched).  A solid
+cone's mass is a 1-D integral of planar masses over one wall's normal
+coordinate, on fixed Gauss-Legendre nodes.  Values lie in [-1,1] and tend to
+the product of signs as x grows along a regular direction.
 """
 
 import functools
@@ -16,10 +17,9 @@ import math
 from itertools import product
 
 import numpy as np
-from scipy.integrate import dblquad
-from scipy.special import erf, erfc, erfcx
+from scipy.special import erf, erfcx
 
-from .qspace import NegativePlane, DegeneratePlaneError, DEFAULT_TOL, rat, vec
+from .qspace import NegativePlane, DEFAULT_TOL, vec
 
 SQPI = math.sqrt(math.pi)
 # beyond this sign-margin the Gaussian tail is < erfc(7.5*sqrt(pi)) ~ 1e-78
@@ -29,6 +29,9 @@ CONE_BLOCK = 256         # cones per block of node arrays (bounds temporaries)
 # a piece of a cone ends where its Gaussian factor has fallen by e^{-46}
 # (~1e-20) from the piece's peak; the dropped remainder is smaller still
 PIECE_CUT = 46.0
+LINE_NODES = 24          # Gauss-Legendre nodes per piece of a solid cone
+WINDOW = 3.0             # slice distance spanned by a window at a fast change
+SUM_SLACK = 1e-9         # E2/E3 mass sums further out than this are errors
 
 
 class QuadratureError(RuntimeError):
@@ -38,8 +41,7 @@ class QuadratureError(RuntimeError):
 def E1(space, c, x):
     """erf(sqrt(pi) * (x, c/|(c,c)|^{1/2})) for a negative vector c."""
     und = space.unit_negative(c)
-    t = space.inner_f(x, und)
-    return float(erf(SQPI * t))
+    return float(erf(SQPI * (np.asarray(x, dtype=float) @ space.gram_f @ und)))
 
 
 def _radial_1(e0, b):
@@ -51,16 +53,6 @@ def _radial_1(e0, b):
     ab = np.abs(b)
     return np.exp(e0) * np.maximum(b, 0.0) + np.exp(e0 - np.pi * b * b) \
         * (1.0 / (2.0 * np.pi) - ab / 2.0 * erfcx(SQPI * ab))
-
-
-def _radial_2(e0, b):
-    """exp(e0) * exp(pi b^2) * I2(b) with I2(b) = integral_0^inf r^2 exp(-pi (r-b)^2) dr."""
-    if b >= 0:
-        return math.exp(e0) * (1.0 / (4.0 * math.pi) + b * b / 2.0) * (1.0 + erf(SQPI * b)) \
-            + math.exp(e0 - math.pi * b * b) * b / (2.0 * math.pi)
-    return math.exp(e0 - math.pi * b * b) * \
-        (b / (2.0 * math.pi)
-         + (1.0 / (4.0 * math.pi) + b * b / 2.0) * erfcx(SQPI * (-b)))
 
 
 @functools.cache
@@ -156,112 +148,129 @@ def cone_dist2(u, b):
     return np.where(inside, 0.0, best)[()]
 
 
-def _plane_setup(space, cs, x, tol):
-    """Orthonormalize span(cs); return (functional rows a_k, center u)."""
+def plane_frame(space, cs, tol=DEFAULT_TOL):
+    """Orthonormalize span(cs); return the functional rows a_k and the map m
+    that takes x (as floats) to the centre u = m x, the orthonormal
+    coordinates of pr_z(x)."""
     plane = NegativePlane(space, cs, tol)
-    k = len(cs)
-    a = np.empty((k, k))
-    for i, c in enumerate(cs):
-        cf = np.array([float(v) for v in c])
-        # (y, c) for y = sum t_i u_i equals t . a_i, with a_i[k] = (u_k, c)
-        a[i] = plane.ortho @ space.gram_f @ cf
-    u = plane.coords(np.asarray(x, dtype=float))
-    return a, u
-
-
-def _proportional(c1, c2):
-    """Exact proportionality test for rational vectors; returns the sign of
-    the ratio or None."""
-    c1, c2 = vec(c1), vec(c2)
-    i = next((k for k, v in enumerate(c1) if v != 0), None)
-    if i is None:
-        return None
-    if c2[i] == 0:
-        return None
-    lam = c2[i] / c1[i]
-    if all(b == lam * a for a, b in zip(c1, c2)):
-        return 1 if lam > 0 else -1
-    return None
+    # (y, c) for y = sum t_i u_i equals t . a_i, with a_i[k] = (u_k, c)
+    a = [plane.ortho @ space.gram_f @ np.array([float(v) for v in c])
+         for c in cs]
+    return np.array(a), -(plane.ortho @ space.gram_f)
 
 
 def E2(space, c1, c2, x, tol=DEFAULT_TOL):
-    """Gaussian-averaged sgn(y,c1)sgn(y,c2) over span(c1,c2)."""
-    prop = _proportional(c1, c2)
-    if prop is not None:
-        return float(prop)
-    a, u = _plane_setup(space, (vec(c1), vec(c2)), x, tol)
-    margins = (a @ u) / np.linalg.norm(a, axis=1)
-    if np.min(np.abs(margins)) >= FAST_MARGIN:
-        return float(np.prod(np.sign(a @ u)))
-    sig = np.array(list(product((1.0, -1.0), repeat=2)))
-    gens = np.linalg.inv(sig[:, :, None] * a)
-    masses = cone_mass_2d(np.broadcast_to(u, (4, 2)), gens[:, :, 0],
-                          gens[:, :, 1])
-    total = float(np.sum(sig[:, 0] * sig[:, 1] * masses))
-    return min(1.0, max(-1.0, total))
+    """Gaussian-averaged sgn(y,c1)sgn(y,c2) over span(c1,c2); the sign of
+    the ratio for exactly proportional c1, c2."""
+    c1, c2 = vec(c1), vec(c2)
+    i = next((k for k, v in enumerate(c1) if v != 0), None)
+    if i is not None and c2[i] != 0 and all(c2[i] * a == c1[i] * b
+                                            for a, b in zip(c1, c2)):
+        return 1.0 if c2[i] / c1[i] > 0 else -1.0
+    return _E(space, (c1, c2), x, tol)
 
 
-def cone_mass_3d(u, gens, amp=0.0, epsabs=1e-11):
-    """exp(amp) times the Gaussian mass of the solid cone spanned by the
-    three columns of gens (spherical-triangle angular quadrature)."""
-    v = np.asarray(gens, dtype=float).copy()
-    for k in range(3):
-        v[:, k] /= np.linalg.norm(v[:, k])
-    jac = abs(float(np.linalg.det(v)))
-    if jac < 1e-14:
-        raise QuadratureError("degenerate spherical triangle")
-    uu = float(np.dot(u, u))
-
-    def f(t, s):
-        y = (1.0 - s - t) * v[:, 0] + s * v[:, 1] + t * v[:, 2]
-        r = math.sqrt(float(np.dot(y, y)))
-        b = float(np.dot(u, y)) / r
-        return _radial_2(amp - math.pi * (uu - b * b), b) * jac / (r ** 3)
-
-    val, err = dblquad(f, 0.0, 1.0, 0.0, lambda s: 1.0 - s,
-                       epsabs=epsabs, epsrel=1e-9)
-    if not math.isfinite(val):
-        raise QuadratureError("3-D cone mass quadrature produced non-finite value")
-    return val
+def cone_mass_3d(u, b):
+    """Gaussian masses exp(-pi|y-u|^2) of the solid cones {y : b y >= 0}, u
+    of shape (K, 3), functional rows b of shape (K, 3, 3).  With n a wall's
+    unit normal, the slice at t = (n, y) is a planar cone with apex t p:
+    mass = int_0^inf exp(-pi (t - u_n)^2) cone_mass_2d(u_perp - t p) dt, to
+    a Gaussian factor of e^{-PIECE_CUT}.  The slice mass changes on a scale
+    1/rate where the slice centre crosses a wall (rate |c_j|/|g_j|) or passes
+    the apex (rate |p|): split there, at u_n and WINDOW/rate either side;
+    LINE_NODES Gauss-Legendre nodes a piece, one cone_mass_2d call."""
+    u = np.asarray(u, dtype=float).reshape(-1, 3)
+    nb = np.asarray(b, dtype=float).reshape(-1, 3, 3)
+    nb = nb / np.linalg.norm(nb, axis=2, keepdims=True)
+    if np.any(np.abs(np.linalg.det(nb)) < 1e-14):
+        raise QuadratureError("degenerate solid cone")
+    # condition on the wall whose normal is least parallel to the other two
+    cos = np.abs(nb @ nb.transpose(0, 2, 1)) - 2.0 * np.eye(3)
+    pivot = np.argmin(cos.max(axis=2), axis=1)
+    nb = np.take_along_axis(
+        nb, ((pivot[:, None] + np.arange(3)) % 3)[:, :, None], axis=1)
+    n, walls = nb[:, 0], nb[:, 1:]
+    e1 = walls[:, 0] - np.sum(walls[:, 0] * n, axis=1, keepdims=True) * n
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    frame = np.stack([e1, np.cross(n, e1)], axis=1)        # basis of n^perp
+    # wall j on the slice at t: g_j . s + t c_j >= 0, so p = -g^{-1} c
+    g = walls @ frame.transpose(0, 2, 1)
+    c = np.einsum('kjd,kd->kj', walls, n)
+    ginv = np.linalg.inv(g)
+    p = -np.einsum('kij,kj->ki', ginv, c)
+    un = np.einsum('kd,kd->k', u, n)
+    uperp = np.einsum('kid,kd->ki', frame, u)
+    lo = np.maximum(un - math.sqrt(PIECE_CUT / math.pi), 0.0)
+    hi = np.maximum(un + math.sqrt(PIECE_CUT / math.pi), lo)
+    with np.errstate(divide='ignore', invalid='ignore'):
+        at = np.column_stack([-np.einsum('kjd,kd->kj', g, uperp) / c,
+                              np.sum(uperp * p, 1) / np.sum(p * p, 1)])
+        rate = np.column_stack([np.abs(c) / np.linalg.norm(g, axis=2),
+                                np.linalg.norm(p, axis=1)])
+        knots = np.column_stack([lo, un, hi, at, at - WINDOW / rate,
+                                 at + WINDOW / rate])
+    knots = np.sort(np.clip(np.nan_to_num(knots, nan=-1.0),
+                            lo[:, None], hi[:, None]), axis=1)
+    s, w = np.polynomial.legendre.leggauss(LINE_NODES)
+    length = np.diff(knots, axis=1)[:, :, None] / 2.0
+    shape = (len(u), (knots.shape[1] - 1) * LINE_NODES)
+    t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
+    wt = (length * w).reshape(shape)
+    k, j = np.nonzero(wt > 0.0)       # slices of the pieces of nonzero length
+    mass = np.zeros(shape)
+    mass[k, j] = cone_mass_2d(uperp[k] - t[k, j][:, None] * p[k],
+                              ginv[k, :, 0], ginv[k, :, 1],
+                              amp=-np.pi * (t[k, j] - un[k]) ** 2)
+    return np.sum(mass * wt, axis=1)
 
 
 def E3(space, c1, c2, c3, x, tol=DEFAULT_TOL):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2)sgn(y,c3) over span(c1,c2,c3)."""
-    a, u = _plane_setup(space, (vec(c1), vec(c2), vec(c3)), x, tol)
-    margins = (a @ u) / np.linalg.norm(a, axis=1)
-    if np.min(np.abs(margins)) >= FAST_MARGIN:
-        return float(np.prod(np.sign(a @ u)))
-    total = 0.0
-    for sig in product((1.0, -1.0), repeat=3):
-        b = np.array([sig[i] * a[i] for i in range(3)])
-        # skip far-away octants: their mass is below the Gaussian tail bound
-        d2 = cone_dist2(u, b)
-        if math.pi * d2 > 42.0:   # e^{-42} << 1e-11
-            continue
-        total += sig[0] * sig[1] * sig[2] * cone_mass_3d(
-            u, np.linalg.inv(b), epsabs=epsabs_for(tol))
-    return min(1.0, max(-1.0, total))
+    return _E(space, (c1, c2, c3), x, tol)
 
 
-def epsabs_for(tol):
-    return max(tol.quadrature_target * 1e-2, 1e-12)
+def _E(space, cs, x, tol):
+    a, m = plane_frame(space, tuple(vec(c) for c in cs), tol)
+    return float(E_frames(a[None], (m @ np.asarray(x, dtype=float))[None])[0])
+
+
+def E_frames(a, u):
+    """E2 or E3 for V frames at once: functional rows a of shape (V, q, q)
+    and centres u of shape (V, q) in orthonormal plane coordinates.  The
+    2^q sign cones of the frames that their margins do not decide are
+    screened in one cone_dist2 call and the survivors' masses come from one
+    cone-mass call; a signed sum past 1 + SUM_SLACK raises."""
+    margins = np.einsum('vij,vj->vi', a, u) / np.linalg.norm(a, axis=2)
+    out = np.prod(np.sign(margins), axis=1)
+    slow = np.flatnonzero(np.min(np.abs(margins), axis=1) < FAST_MARGIN)
+    if not slow.size:
+        return out
+    sig = np.array(list(product((1.0, -1.0), repeat=a.shape[1])))
+    b = sig[:, :, None] * a[slow, None]
+    uo = np.broadcast_to(u[slow, None], b.shape[:3])
+    # skip far-away cones: their mass is below e^{-42} << 1e-11
+    near = math.pi * cone_dist2(uo, b) <= 42.0
+    mass = np.zeros(near.shape)
+    if a.shape[1] == 2:
+        gens = np.linalg.inv(b[near])
+        mass[near] = cone_mass_2d(uo[near], gens[:, :, 0], gens[:, :, 1])
+    else:
+        mass[near] = cone_mass_3d(uo[near], b[near])
+    total = mass @ np.prod(sig, axis=1)
+    if np.any(np.abs(total) > 1.0 + SUM_SLACK):
+        raise QuadratureError(f"cone-mass sum {total!r} is outside [-1, 1]")
+    out[slow] = np.clip(total, -1.0, 1.0)
+    return out
 
 
 def j0_value(space, ngon, x):
     """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
     for a regular rational x."""
-    cs = ngon.cs
-    n = len(cs)
-    xr = vec(x)
-    signs = []
-    for c in cs:
-        p = space.inner(xr, c)
-        if p == 0:
-            raise ValueError("x is not regular: (x, C_j) = 0")
-        signs.append(1 if p > 0 else -1)
+    cs, xr, n = ngon.cs, vec(x), len(ngon.cs)
+    pairings = [space.inner(xr, c) for c in cs]
+    if 0 in pairings:
+        raise ValueError("x is not regular: (x, C_j) = 0")
+    s = [1 if p > 0 else -1 for p in pairings]
     xf = np.array([float(v) for v in xr]) * math.sqrt(2.0)
-    total = 0.0
-    for j in range(n):
-        total += E2(space, cs[j], cs[(j + 1) % n], xf) \
-            - signs[j] * signs[(j + 1) % n]
-    return total / 4.0
+    return sum(E2(space, cs[j], cs[(j + 1) % n], xf) - s[j] * s[(j + 1) % n]
+               for j in range(n)) / 4.0

@@ -31,10 +31,6 @@ def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(s, x):
     s = rat(s)
     return tuple(s * a for a in x)
@@ -132,10 +128,9 @@ def _signature(gram):
 @dataclass(frozen=True)
 class FloatTolerance:
     abs_eps: float = 1e-12
-    quadrature_target: float = 1e-10
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.quadrature_target > 0):
+        if not self.abs_eps > 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -177,10 +172,6 @@ class QuadraticSpace:
 
     def q(self, x):
         return self.inner(x, x) / 2
-
-    def inner_f(self, x, y):
-        """Float inner product; accepts numpy arrays or sequences."""
-        return float(np.asarray(x, dtype=float) @ self._gram_f @ np.asarray(y, dtype=float))
 
     def project_perp(self, x, c):
         cc = self.inner(c, c)

@@ -339,6 +339,19 @@ def test_cli_errfn_eval_e2(capsys):
     assert -1.0 <= float(out.split("=")[1]) <= 1.0
 
 
+def test_cli_errfn_eval_e3(capsys, tmp_path):
+    space = tmp_path / "space_q3.json"
+    space.write_text(json.dumps({"schema_version": 1, "gram": [
+        ["2", "0", "0", "0"], ["0", "-2", "0", "0"],
+        ["0", "0", "-2", "0"], ["0", "0", "0", "-2"]]}))
+    code, out, _ = run(capsys, "errfn", "eval", "--space", str(space),
+                       "--c", "1/4,1,0,0", "--c", "0,1,1,0",
+                       "--c", "0,-1,1,1", "--x", "0.1,0.4,-0.3,0.2")
+    assert code == 0
+    # the value computed with an adaptive dblquad for every cone mass
+    assert out == "E3 = 0.1491077194\n"
+
+
 def test_cli_errfn_too_many_vectors(capsys):
     code, _, err = run(capsys, "errfn", "eval", "--space", SPACE,
                        "--c", "0,1,0", "--c", "0,1,0", "--c", "0,1,0",

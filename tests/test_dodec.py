@@ -184,6 +184,27 @@ def test_e_kernel_continuous_across_wall(seed_dodec):
     assert abs(a - b) < 1e-2
 
 
+# dodec_E_kernel on the seed dodecahedron as computed with an adaptive
+# dblquad for every solid-cone mass, before the fixed-node rule replaced it
+F = Fraction
+E_PINNED = (
+    ((1, F(2495573, 44270000), F(7486719, 177080000), 0),
+     0.04095209400764584),
+    ((1, F(1, 10), F(3, 40), 0), 0.03440609192880646),
+    ((F(1, 2), F(-1, 3), F(1, 4), F(1, 5)), 0.0002458859055085444),
+    ((F(-2, 3), F(1, 7), F(2, 9), F(-1, 2)), -0.00021098834946033096),
+    ((F(1, 4), F(1, 8), 0, F(-1, 16)), -0.0006892688866699612),
+    ((F(3, 2), F(-1, 4), 0, F(5, 6)), 9.597060716140526e-06),
+)
+
+
+def test_e_kernel_pinned_values(seed_dodec):
+    for x, want in E_PINNED:
+        got = dodec_E_kernel(seed_dodec, x)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-11, (x, got, want)
+
+
 def test_e_kernel_limits_to_d(seed_dodec):
     x = (1, 0, 0, 0)
     val = dodec_E_kernel(seed_dodec, tuple(40 * t for t in x))

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from scipy.integrate import quad, dblquad
 from scipy.special import erf, erfcx
 
 from ngontheta.qspace import QuadraticSpace
-from ngontheta.errfn import (E1, E2, E3, cone_mass_2d, cone_dist2,
-                             _radial_1, _radial_2, j0_value)
+from ngontheta.errfn import (E1, E2, E3, FAST_MARGIN, QuadratureError,
+                             cone_mass_2d, cone_mass_3d, cone_dist2,
+                             _radial_1, j0_value)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
+SQPI = math.sqrt(math.pi)
 SP3 = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
 SP4 = QuadraticSpace([[2, 0, 0, 0], [0, -2, 0, 0],
                       [0, 0, -2, 0], [0, 0, 0, -2]])
@@ -174,6 +177,18 @@ def test_values_in_unit_interval():
         assert -1.0 <= v <= 1.0
 
 
+def _radial_2(e0, b):
+    """exp(e0) * exp(pi b^2) * I2(b) with I2(b) = integral_0^inf r^2
+    exp(-pi (r-b)^2) dr (the integrand of the solid-cone oracle below)."""
+    if b >= 0:
+        return math.exp(e0) * (1.0 / (4.0 * math.pi) + b * b / 2.0) \
+            * (1.0 + erf(SQPI * b)) \
+            + math.exp(e0 - math.pi * b * b) * b / (2.0 * math.pi)
+    return math.exp(e0 - math.pi * b * b) * \
+        (b / (2.0 * math.pi)
+         + (1.0 / (4.0 * math.pi) + b * b / 2.0) * erfcx(SQPI * (-b)))
+
+
 def test_radial_integrals_against_quadrature():
     for b in (-3.0, -0.4, 0.0, 0.7, 2.5):
         i1, _ = quad(lambda r: r * math.exp(-math.pi * (r - b) ** 2), 0, 40,
@@ -280,3 +295,132 @@ def test_j0_smooth_kernel(funddom):
     assert abs(val) < 1e-6
     with pytest.raises(ValueError):
         j0_value(funddom.space, funddom, (1, 0, 1))  # on a wall
+
+
+def _spherical_triangle_mass(u, v, epsabs, epsrel):
+    """Gaussian mass of the solid cone spanned by the unit columns of v, by
+    adaptive quadrature over the spherical triangle."""
+    jac = abs(float(np.linalg.det(v)))
+    uu = float(np.dot(u, u))
+
+    def f(t, s):
+        y = (1.0 - s - t) * v[:, 0] + s * v[:, 1] + t * v[:, 2]
+        r = math.sqrt(float(np.dot(y, y)))
+        b = float(np.dot(u, y)) / r
+        return _radial_2(-math.pi * (uu - b * b), b) * jac / (r ** 3)
+
+    val, _ = dblquad(f, 0.0, 1.0, 0.0, lambda s: 1.0 - s,
+                     epsabs=epsabs, epsrel=epsrel)
+    return val
+
+
+def _cone_mass_3d_dblquad(u, gens, epsabs=1e-13, epsrel=1e-12):
+    """Adaptive-quadrature mass of the solid cone spanned by the columns of
+    gens: the reference for the fixed-node cone_mass_3d.  When u lies inside
+    the cone the triangle is split at u's direction, where the integrand
+    peaks; unsplit, the adaptive rule misses a narrow peak (0.606 for a cone
+    of mass 1 at |u| = 7.9)."""
+    v = np.asarray(gens, dtype=float)
+    v = v / np.linalg.norm(v, axis=0)
+    if np.all(np.linalg.solve(v, u) > 0):
+        w = u / np.linalg.norm(u)
+        return sum(_spherical_triangle_mass(
+            u, np.column_stack([w, v[:, k], v[:, (k + 1) % 3]]), epsabs,
+            epsrel) for k in range(3))
+    return _spherical_triangle_mass(u, v, epsabs, epsrel)
+
+
+def _random_walls(rng):
+    """Functional rows of a random solid cone; half the time the third wall
+    is tilted towards the span of the first two (ill-conditioned)."""
+    b = rng.normal(size=(3, 3))
+    if rng.random() < 0.5:
+        b[2] = b[2] * 10 ** rng.uniform(-2, 0) \
+            + b[0] * rng.normal() + b[1] * rng.normal()
+    return b * rng.uniform(0.3, 3.0, (3, 1))
+
+
+def _unit_det(b):
+    return abs(np.linalg.det(b / np.linalg.norm(b, axis=-1, keepdims=True)))
+
+
+def test_cone_mass_3d_vs_quadrature():
+    # cones that pass E3's screen: unit-normal |det| down to 0.02, centres
+    # near the apex, outside, and deep inside with the smallest margin just
+    # under FAST_MARGIN (|u| <= 12, past which the oracle itself drifts)
+    rng = np.random.default_rng(2004)
+    us, bs = [], []
+    while len(us) < 100:
+        b = _random_walls(rng)
+        nb = b / np.linalg.norm(b, axis=1, keepdims=True)
+        if _unit_det(b) < 0.02:
+            continue
+        if rng.random() < 0.25:
+            u = np.linalg.inv(nb).sum(axis=1)
+            u *= rng.uniform(5.0, FAST_MARGIN) / np.min(np.abs(nb @ u))
+        else:
+            u = rng.normal(size=3)
+            u *= rng.uniform(0.0, 4.0) / np.linalg.norm(u)
+        if (np.linalg.norm(u) > 12.0 or np.min(np.abs(nb @ u)) >= FAST_MARGIN
+                or math.pi * cone_dist2(u, b) > 42.0):
+            continue
+        us.append(u)
+        bs.append(b)
+    u, b = np.array(us), np.array(bs)
+    margins = np.min(np.abs(np.einsum('kij,kj->ki', b, u))
+                     / np.linalg.norm(b, axis=2), axis=1)
+    assert min(_unit_det(x) for x in b) < 0.025 and margins.max() > 7.0
+    got = cone_mass_3d(u, b)
+    for i in range(len(u)):
+        want = _cone_mass_3d_dblquad(u[i], np.linalg.inv(b[i]))
+        assert abs(got[i] - want) <= 1e-11, (u[i], b[i], got[i], want)
+    # a single cone gives the same value as its row of the batch
+    assert cone_mass_3d(u[7], b[7])[0] == got[7]
+
+
+def test_cone_mass_3d_octants_partition_space():
+    # no oracle: the 8 sign octants of any nondegenerate walls tile R^3, so
+    # their masses, unscreened, sum to 1
+    rng = np.random.default_rng(1609)
+    bs = []
+    while len(bs) < 1000:
+        b = _random_walls(rng)
+        if _unit_det(b) >= 0.02:
+            bs.append(b)
+    u = rng.normal(size=(1000, 3))
+    u *= rng.uniform(0.0, 4.0, (1000, 1)) / np.linalg.norm(u, axis=1,
+                                                           keepdims=True)
+    sig = np.array(list(product((1.0, -1.0), repeat=3)))
+    b = sig[:, :, None] * np.array(bs)[:, None]
+    mass = cone_mass_3d(np.repeat(u, 8, axis=0), b.reshape(-1, 3, 3))
+    assert np.max(np.abs(mass.reshape(1000, 8).sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_cone_mass_3d_degenerate():
+    b = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(QuadratureError):
+        cone_mass_3d(np.zeros(3), b)
+
+
+def test_signed_sum_outside_unit_interval_raises(monkeypatch):
+    # E2 and E3 clamp a signed mass sum that overshoots [-1, 1] by rounding
+    # and raise on one that overshoots by more.  At x = 0 every octant is
+    # evaluated, the all-positive one first; it alone gets a mass.
+    import ngontheta.errfn as errfn
+    c1, c2, c3 = (0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)
+    x = np.zeros(4)
+    for excess, ok in ((1e-10, True), (1e-6, False)):
+        def first(u, *walls, **amp):
+            out = np.zeros(len(u))
+            out[0] = 1.0 + excess
+            return out
+        monkeypatch.setattr(errfn, "cone_mass_3d", first)
+        monkeypatch.setattr(errfn, "cone_mass_2d", first)
+        if ok:
+            assert E3(SP4, c1, c2, c3, x) == 1.0
+            assert E2(SP4, c1, c2, x) == 1.0
+        else:
+            with pytest.raises(QuadratureError):
+                E3(SP4, c1, c2, c3, x)
+            with pytest.raises(QuadratureError):
+                E2(SP4, c1, c2, x)

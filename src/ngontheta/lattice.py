@@ -2,15 +2,20 @@
 q-expansions, numerical evaluation of the non-holomorphic completion, and
 finite-Weil-representation modularity checks.
 
-Enumeration is certified in two steps: a comparability constant kappa is
-measured in floating point on planes sampled along the polygon boundary,
-giving the bound (x,x)_{z0} <= kappa * (x,x) for every x whose kernel value
-can be nonzero (such x satisfy (x,x) = (x,x)_{z*} for some plane z* on a
-spanning surface); then a guard band above the bound is enumerated and must
-contain no x with nonzero kernel.  That exact check is what makes a series
-exact.  When it fails, the window is re-certified about the same base plane
-z0 with twice its safety factor, at most RETRIES times; after that the
-series raises CertificationError (CLI exit code 3).
+Enumeration is certified in two steps.  First a comparability constant kappa
+gives the bound (x,x)_{z0} <= kappa * (x,x) for every x whose kernel value
+can be nonzero: such x satisfy (x,x) = (x,x)_{z*} for some plane z* on the
+wall surface, so kappa only has to bound lambda_max(M_{z0}, M_z) over that
+surface.  log lambda_max(M_{z0}, M_z) is the sup-norm Finsler distance from
+z0 to z on the symmetric space of majorants, which is convex along geodesics
+(Bhatia, Positive Definite Matrices, ch. 6), and every edge of the surface
+is a geodesic segment between two vertex planes, so the maximum is attained
+at a vertex plane; kappa is computed there, in floating point.  Second, a
+guard band above the bound is enumerated and must contain no x with nonzero
+kernel.  That exact check is what makes a series exact.  When it fails, the
+window is re-certified about the same base plane z0 with twice its safety
+factor, at most RETRIES times; after that the series raises
+CertificationError (CLI exit code 3).
 """
 
 import math
@@ -24,7 +29,7 @@ from scipy.linalg import eigh
 from scipy.special import erfcx, gammaincc, gamma as gamma_fn
 
 from .qspace import NegativePlane, mat_inv, mat_det, rat, vec
-from .ngon import w_invariant, vertex_plane, gamma_sample
+from .ngon import w_invariant, vertex_plane
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
@@ -53,18 +58,24 @@ class LatticeCoset:
 
 
 def disc_group(space):
-    """Sorted coset representatives of L∨/L, each with entries in [0,1)."""
+    """Sorted coset representatives of L∨/L, each with entries in [0,1).
+    With d = |det G| the numerators d*mu mod d form the closure of 0 under
+    adding the m integer columns of d*G^{-1}, so memory grows like d*m."""
     m = space.dim
     gi = [[int(v) for v in row] for row in space.gram]
-    det = mat_det(gi)
-    d = abs(int(det))
-    adj = [[int(v * det) for v in row] for row in mat_inv(gi)]  # adjugate * sign
-    adj = np.array(adj, dtype=np.int64)
-    # mu = G^{-1} k mod Z^m for k over (Z/d)^m; G^{-1} = adj(G)/det(G)
-    ks = np.indices((d,) * m).reshape(m, -1).T
-    nums = (ks @ adj.T * int(np.sign(float(det)))) % d
-    nums = np.unique(nums, axis=0)
-    reps = sorted(tuple(Fraction(int(v), d) for v in row) for row in nums)
+    d = abs(int(mat_det(gi)))
+    inv = mat_inv(gi)
+    gens = [tuple(int(inv[i][j] * d) % d for i in range(m)) for j in range(m)]
+    seen = {(0,) * m}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple((a + b) % d for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    reps = sorted(tuple(Fraction(v, d) for v in row) for row in seen)
     assert len(reps) == d, "dual group size must equal |det|"
     return reps
 
@@ -109,7 +120,7 @@ def _majorant_f(plane):
 
 
 def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
-    """Comparability window: kappa = safety * max over the given boundary
+    """Comparability window: kappa = safety * max over the given
     planes of the largest generalized eigenvalue of M_{z0} against M_z, in
     floating point (the guard band, not kappa, makes the series exact)."""
     z0 = NegativePlane(space, z0_span)
@@ -123,12 +134,13 @@ def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety, nmax=rat(nmax))
 
 
-def certify_window(space, ngon, z0_span, nmax, safety=1.5, edge_samples=32):
-    """Window for an N-gon kernel: planes sampled along the boundary polygon."""
+def certify_window(space, ngon, z0_span, nmax, safety=1.5):
+    """Window for an N-gon kernel from its n vertex planes [C_j, C_{j+1}].
+    The edge planes [C_j, (s-1) C_{j-1} + s C_{j+1}] lie on the geodesic
+    between two vertex planes inside the totally geodesic H^2 of
+    span(C_{j-1}, C_j, C_{j+1}), so by convexity of log lambda_max they
+    cannot raise kappa above its value at the vertices."""
     planes = [vertex_plane(ngon, j) for j in range(1, ngon.n + 1)]
-    for j in range(1, ngon.n + 1):
-        for i in range(1, edge_samples + 1):
-            planes.append(gamma_sample(ngon, j, Fraction(i, edge_samples + 1)))
     return window_from_planes(space, z0_span, planes, nmax, safety=safety)
 
 

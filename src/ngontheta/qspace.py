@@ -187,47 +187,6 @@ class QuadraticSpace:
         cf = np.array([float(v) for v in c])
         return cf / math.sqrt(-float(cc))
 
-    def majorant(self, x, z):
-        """Return ((x,x)_z, R(x,z)) as floats for a NegativePlane z."""
-        xx = float(self.inner(x, x)) if not isinstance(x, np.ndarray) else \
-            float(x @ self._gram_f @ x)
-        xf = np.array([float(v) for v in x]) if not isinstance(x, np.ndarray) else x
-        pairings = z.ortho @ self._gram_f @ xf
-        r = float(pairings @ pairings)
-        return xx + 2.0 * r, r
-
-    def r_exact(self, x, span):
-        """R(x,z) = -(pr_z x, pr_z x) as an exact rational, for a plane given
-        by an exact spanning basis."""
-        k = len(span)
-        gm = [[self.inner(a, b) for b in span] for a in span]
-        rhs = [self.inner(x, a) for a in span]
-        coeffs = _solve_exact(gm, rhs)
-        pr = tuple(sum(coeffs[i] * span[i][d] for i in range(k))
-                   for d in range(self.dim))
-        return -self.inner(pr, pr)
-
-    def majorant_exact(self, x, span):
-        r = self.r_exact(x, span)
-        return self.inner(x, x) + 2 * r, r
-
-
-def _solve_exact(a_rows, rhs):
-    n = len(a_rows)
-    a = [[rat(v) for v in row] + [rat(rhs[i])] for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
 
 class DegeneratePlaneError(ValueError):
     pass

@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,3 +64,51 @@ def random_negative_abc(rng):
         c = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
         if 4 * a * c - b * b < 0:
             return (a, b, c)
+
+
+# --- majorant oracles -------------------------------------------------------
+
+def _solve_exact(a_rows, rhs):
+    """Gauss-Jordan solution of a square Fraction system."""
+    n = len(a_rows)
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+         for i, row in enumerate(a_rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        d = a[col][col]
+        a[col] = [v / d for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def r_exact(space, x, span):
+    """R(x,z) = -(pr_z x, pr_z x) as an exact rational, for a plane given
+    by an exact spanning basis."""
+    k = len(span)
+    gm = [[space.inner(a, b) for b in span] for a in span]
+    rhs = [space.inner(x, a) for a in span]
+    coeffs = _solve_exact(gm, rhs)
+    pr = tuple(sum(coeffs[i] * span[i][d] for i in range(k))
+               for d in range(space.dim))
+    return -space.inner(pr, pr)
+
+
+def majorant_exact(space, x, span):
+    """((x,x)_z, R(x,z)) as exact rationals."""
+    r = r_exact(space, x, span)
+    return space.inner(x, x) + 2 * r, r
+
+
+def majorant_float(space, x, z):
+    """((x,x)_z, R(x,z)) in floats from the orthonormal basis of the
+    NegativePlane z."""
+    xf = np.array([float(v) for v in x])
+    pairings = z.ortho @ space.gram_f @ xf
+    r = float(pairings @ pairings)
+    return float(space.inner(x, x)) + 2.0 * r, r

@@ -1,4 +1,5 @@
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from ngontheta.cli import main
 from ngontheta.jsonio import (InputError, parse_rational, rat_to_str,
                               parse_vector, qexpansion_to_json)
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, REPO
 
 FUNDDOM = str(EXAMPLES / "funddom.json")
 LATTICE = str(EXAMPLES / "lattice_sig12.json")
@@ -358,3 +359,26 @@ def test_cli_errfn_too_many_vectors(capsys):
                        "--c", "0,1,0", "--x", "0.5,0.5,0.5")
     assert code == 1
     assert "1, 2, or 3" in err
+
+
+def _readme_commands():
+    """Every `ngontheta ...` command of the README's CLI `sh` block, with
+    backslash continuations joined."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("ngontheta ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 14
+    monkeypatch.chdir(REPO)
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "series.csv").read_text().startswith("n,")

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from ngontheta.qspace import QuadraticSpace, NegativePlane
-from ngontheta.lattice import LatticeCoset, EnumWindow, CertificationError
+from ngontheta.qspace import QuadraticSpace, NegativePlane, vec_add, vec_scale
+from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
+                               window_from_planes)
 from ngontheta import dodec as dodec_mod
 from ngontheta.dodec import (bar, cycle_table, recipe_step, cyclic_equal,
                              check_dodec_conditions, DodecValidationError,
                              validate_dodec, default_negative_vector,
                              dodec_D_kernel, dodec_P_kernel, dodec_E_kernel,
-                             seed_construction, PHI_HAT, dodec_edges,
+                             seed_construction, PHI_HAT,
                              certify_dodec_window, dodec_series)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
@@ -211,19 +212,56 @@ def test_e_kernel_limits_to_d(seed_dodec):
     assert abs(val - float(dodec_D_kernel(seed_dodec, x))) < 1e-6
 
 
-def test_dodec_edges(seed_dodec):
-    edges = dodec_edges(seed_dodec.comb)
-    assert len(edges) == 30
-    comb = seed_dodec.comb
-    per_face = {i: 0 for i in range(12)}
-    for (i, j, a, b) in edges:
-        assert i < j
-        assert j in comb.cycles[i] and i in comb.cycles[j]
-        per_face[i] += 1
-        per_face[j] += 1
-        # a and b flank j in F(i), so each shares a vertex with both i and j
-        assert a in comb.cycles[i] and b in comb.cycles[i]
-    assert all(c == 5 for c in per_face.values())
+def _dodec_edges(comb):
+    """The 30 edges as (i, j, a, b): faces i < j adjacent, with F(i)
+    containing the subsequence (a, j, b)."""
+    out = []
+    for i in range(12):
+        cyc = comb.cycles[i]
+        for p in range(5):
+            j = cyc[p]
+            if j < i:
+                continue
+            a, b = cyc[(p - 1) % 5], cyc[(p + 1) % 5]
+            out.append((i, j, a, b))
+    return out
+
+
+def _edge_planes(dodec, samples=64):
+    """Oracle: `samples` interior planes [C_i, C_j, (s-1) C_a + s C_b] per
+    edge, s = k/(samples+1)."""
+    planes = []
+    for (i, j, a, b) in _dodec_edges(dodec.comb):
+        for k in range(1, samples + 1):
+            s = Fraction(k, samples + 1)
+            third = vec_add(vec_scale(s - 1, dodec.cs[a]),
+                            vec_scale(s, dodec.cs[b]))
+            planes.append(NegativePlane(dodec.space,
+                                        (dodec.cs[i], dodec.cs[j], third)))
+    return planes
+
+
+def test_vertex_kappa_bounds_edge_samples():
+    # log lambda_max(M_z0, M_z) is convex along the geodesic edges, so the
+    # 20 vertex 3-planes alone must bound kappa over every edge sample
+    rng = random.Random(11)
+    for _ in range(3):
+        space = QuadraticSpace([[rng.choice((2, 4, 6)), 0, 0, 0],
+                                [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]])
+        ts = [Fraction(rng.randint(-20, 20), 40) for _ in range(12)]
+        dodec = validate_dodec(space, seed_construction(space, Z0, V0, ts))
+        assert len(_dodec_edges(dodec.comb)) == 30
+        planes = _edge_planes(dodec)
+        tri = rng.choice(dodec.comb.vertices)
+        # a 3-plane tilted towards the positive axis by |r|^2 <= 3/16
+        r = [Fraction(rng.randint(-4, 4), 16) for _ in range(3)]
+        tilted = tuple((r[k],) + Z0[k][1:] for k in range(3))
+        for z0 in (dodec.vertex_vectors(tri), tilted):
+            vertex = certify_dodec_window(space, dodec, z0, 1,
+                                          safety=1.0).kappa
+            edge = window_from_planes(space, z0, planes, 1,
+                                      safety=1.0).kappa
+            assert vertex >= edge * (1 - 1e-12), (vertex, edge)
 
 
 def test_vertex_planes_are_negative(seed_dodec):

@@ -1,11 +1,14 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ngontheta.qspace import NegativePlane, QuadraticSpace
+from ngontheta.qspace import (NegativePlane, QuadraticSpace, mat_det,
+                              mat_inv)
 from ngontheta.errfn import E2
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
@@ -18,11 +21,13 @@ from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel,
                              default_negative_vector, seed_construction,
                              validate_dodec)
-from ngontheta.ngon import w_invariant
+from ngontheta.ngon import w_invariant, vertex_plane, gamma_sample
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
                              truncated_class_series, butterfly_ngon,
-                             recover_ngon)
+                             recover_ngon, cross, point_to_vector)
+
+from conftest import majorant_exact
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 
@@ -36,6 +41,57 @@ def test_disc_group_entries_are_dual(space_e):
     for mu in disc_group(space_e):
         LatticeCoset(space_e, mu)  # does not raise
         assert all(0 <= c < 1 for c in mu)
+
+
+def _disc_group_indices(space):
+    """L∨/L as G^{-1} k mod Z^m over every k in (Z/d)^m: d^m rows."""
+    m = space.dim
+    gi = [[int(v) for v in row] for row in space.gram]
+    det = mat_det(gi)
+    d = abs(int(det))
+    adj = [[int(v * det) for v in row] for row in mat_inv(gi)]
+    adj = np.array(adj, dtype=np.int64)
+    ks = np.indices((d,) * m).reshape(m, -1).T
+    nums = (ks @ adj.T * int(np.sign(float(det)))) % d
+    nums = np.unique(nums, axis=0)
+    return sorted(tuple(Fraction(int(v), d) for v in row) for row in nums)
+
+
+def _random_integral_gram(rng):
+    """Random symmetric integer Gram with 0 < |det|^m <= 10^6."""
+    while True:
+        m = rng.randint(1, 4)
+        r = (6, 6, 3, 2)[m - 1]
+        g = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1):
+                g[i][j] = g[j][i] = rng.randint(-r, r)
+        d = abs(int(mat_det(g)))
+        if d and d ** m <= 10 ** 6:
+            return QuadraticSpace(g)
+
+
+def test_disc_group_matches_index_construction():
+    grams = [SPACE_ABC.gram, SPACE_E.gram,
+             [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]],
+             [[4, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]]
+    spaces = [QuadraticSpace(g) for g in grams]
+    rng = random.Random(6)
+    spaces += [_random_integral_gram(rng) for _ in range(40)]
+    for space in spaces:
+        assert disc_group(space) == _disc_group_indices(space), space.gram
+
+
+def test_disc_group_large_determinant():
+    # |det| = 1000, m = 3: the index construction would need 10^9 rows
+    space = QuadraticSpace([[10, 0, 0], [0, -10, 0], [0, 0, -10]])
+    t0 = time.monotonic()
+    reps = disc_group(space)
+    assert time.monotonic() - t0 < 1.0
+    assert len(reps) == 1000
+    assert reps == sorted(tuple(Fraction(k, 10) for k in (a, b, c))
+                          for a in range(10) for b in range(10)
+                          for c in range(10))
 
 
 def test_coset_rejects_non_dual(space_e):
@@ -59,7 +115,7 @@ def test_majorant_matrix_matches_exact_form(space_abc):
         x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                   for _ in range(3))
         quad = sum(x[i] * m[i][j] * x[j] for i in range(3) for j in range(3))
-        exact, _ = space_abc.majorant_exact(x, span)
+        exact, _ = majorant_exact(space_abc, x, span)
         assert quad == exact
 
 
@@ -92,6 +148,43 @@ def test_window_scales_with_nmax(funddom):
     w2 = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 10)
     assert w2.B >= 2 * w1.B * Fraction(63, 64)
     assert w1.kappa == w2.kappa
+
+
+def _edge_kappa(space, ngon, z0_span, samples=64):
+    """Oracle: the float kappa over `samples` interior planes per boundary
+    edge, [C_j, (s-1) C_{j-1} + s C_{j+1}], s = i/(samples+1)."""
+    planes = [gamma_sample(ngon, j, Fraction(i, samples + 1))
+              for j in range(1, ngon.n + 1) for i in range(1, samples + 1)]
+    return window_from_planes(space, z0_span, planes, 1, safety=1.0).kappa
+
+
+uhp = st.tuples(st.fractions(-3, 3, max_denominator=4),
+                st.fractions(Fraction(1, 4), 4, max_denominator=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(uhp, min_size=3, max_size=7), st.data())
+def test_vertex_kappa_bounds_edge_samples(points, data):
+    # log lambda_max(M_z0, M_z) is convex along the geodesic edges, so the
+    # vertex planes alone must bound kappa over every edge sample
+    try:
+        ngon = recover_ngon(points)
+    except ValueError:              # OrientationError, or collinear vertices
+        assume(False)
+    if data.draw(st.booleans(), label="vertex z0"):
+        j = data.draw(st.integers(1, ngon.n), label="vertex")
+        z0_span = vertex_plane(ngon, j).span
+    else:
+        # x(p)^perp is a negative plane; cross(x(p), x(q)) lies in it
+        p, q1, q2 = (point_to_vector(data.draw(uhp)) for _ in range(3))
+        z0_span = (cross(p, q1), cross(p, q2))
+        try:
+            NegativePlane(SPACE_ABC, z0_span)
+        except ValueError:          # p, q1, q2 on one geodesic
+            assume(False)
+    vertex = certify_window(SPACE_ABC, ngon, z0_span, 1, safety=1.0).kappa
+    edge = _edge_kappa(SPACE_ABC, ngon, z0_span)
+    assert vertex >= edge * (1 - 1e-12), (vertex, edge)
 
 
 def _truncated_oracle(t, n):

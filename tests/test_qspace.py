@@ -10,6 +10,8 @@ from ngontheta.qspace import (QuadraticSpace, NegativePlane,
                               DegeneratePlaneError, vec, vec_primitive,
                               mat_det, mat_inv)
 
+from conftest import majorant_exact, majorant_float
+
 rationals = st.fractions(min_value=-20, max_value=20,
                          max_denominator=6)
 
@@ -84,8 +86,8 @@ def test_majorant_exact_matches_float(space_abc):
     for _ in range(25):
         x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                   for _ in range(3))
-        exact, rex = space_abc.majorant_exact(x, span)
-        approx, rfl = space_abc.majorant(x, pl)
+        exact, rex = majorant_exact(space_abc, x, span)
+        approx, rfl = majorant_float(space_abc, x, pl)
         assert abs(float(exact) - approx) < 1e-9
         assert abs(float(rex) - rfl) < 1e-9
         assert exact >= 0
@@ -98,7 +100,7 @@ def test_majorant_exact_matches_float(space_abc):
 def test_majorant_positive_definite(x):
     space = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
     span = ((0, 1, 0), (0, 1, 1))
-    exact, r = space.majorant_exact(x, span)
+    exact, r = majorant_exact(space, x, span)
     assert r >= 0
     assert exact >= 0
     assert (exact == 0) == (not any(x))

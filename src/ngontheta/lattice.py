@@ -147,7 +147,13 @@ def certify_window(space, ngon, z0_span, nmax, safety=1.5):
 def _fp_enumerate(m_exact, mu, bound):
     """All integer vectors k with (k+mu)^T M (k+mu) <= bound (exact test),
     lexicographically sorted.  Float Fincke-Pohst bounds with padding feed an
-    exact integer filter."""
+    exact integer filter.
+
+    The search runs level-wise, coordinate i = m-1 down to 0: every partial
+    row (k_{i+1}, ..., k_{m-1}) whose remaining budget is at least -pad gets
+    one child per integer k_i in its padded interval, all rows of a level at
+    once; the children of the last level are all kept, so the exact filter
+    alone decides the boundary."""
     m = len(m_exact)
     mf = np.array([[float(v) for v in row] for row in m_exact])
     muf = np.array([float(v) for v in mu])
@@ -161,32 +167,36 @@ def _fp_enumerate(m_exact, mu, bound):
         lmat[i, i + 1:] = a[i, i + 1:] / a[i, i]
         a[i + 1:, i + 1:] -= np.outer(a[i, i + 1:], a[i, i + 1:]) / a[i, i]
     pad = 1e-7 * (1.0 + abs(bf))
-    cands = []
-    ks = np.zeros(m)
-
-    def rec(i, budget):
-        # x_j fixed for j > i; x = k + mu
-        if i < 0:
-            cands.append(ks.copy())
-            return
-        shift = muf[i] + lmat[i, i + 1:] @ (ks[i + 1:] + muf[i + 1:])
-        if budget < -pad:
-            return
-        t = math.sqrt(max(budget + pad, 0.0) / dvec[i])
-        lo = math.ceil(-t - shift - 1e-9)
-        hi = math.floor(t - shift + 1e-9)
-        for kk in range(lo, hi + 1):
-            ks[i] = kk
-            y = kk + shift
-            rec(i - 1, budget - dvec[i] * y * y)
-        ks[i] = 0.0
-
-    rec(m - 1, bf)
-    if not cands:
-        return np.zeros((0, m), dtype=np.int64)
-    arr = np.array(cands, dtype=np.int64)
+    ks = np.zeros((1, 0))             # float k_{i+1..m-1} of each partial row
+    budget = np.array([bf])
+    for i in range(m - 1, -1, -1):
+        live = budget >= -pad
+        ks, budget = ks[live], budget[live]
+        shift = muf[i] + (ks + muf[i + 1:]) @ lmat[i, i + 1:]
+        t = np.sqrt((budget + pad) / dvec[i])
+        lo = np.ceil(-t - shift - 1e-9)
+        hi = np.floor(t - shift + 1e-9)
+        count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(ks)), count)
+        start = np.cumsum(count) - count
+        kk = lo[parent] + (np.arange(len(parent)) - start[parent])
+        y = kk + shift[parent]
+        budget = budget[parent] - dvec[i] * y * y
+        ks = np.column_stack([kk, ks[parent]])
+    arr = ks.astype(np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
     return arr[_majorant_leq(arr, mu, m_exact, bound)]
+
+
+def _absmax(a):
+    """Largest |entry| of an int64 array as a Python int (0 when empty)."""
+    return int(np.max(np.abs(a), initial=0))
+
+
+def _int_dtype(magnitude):
+    """int64 when every value of an integer computation is bounded by
+    `magnitude` < 2^63, else object (Python ints)."""
+    return np.int64 if magnitude < 2 ** 63 else object
 
 
 def _majorant_leq(ks, mu, m_exact, bound):
@@ -200,11 +210,9 @@ def _majorant_leq(ks, mu, m_exact, bound):
     dm = math.lcm(*(v.denominator for row in m_exact for v in row))
     mi = [[int(v * dm) for v in row] for row in m_exact]
     rhs = bound.numerator * dm * dmu * dmu
-    kmax = int(np.max(np.abs(ks))) if ks.size else 0
-    xmax = kmax * dmu + max(abs(v) for v in munum)
+    xmax = _absmax(ks) * dmu + max(abs(v) for v in munum)
     qmax = sum(abs(v) for row in mi for v in row) * xmax * xmax
-    dtype = np.int64 if max(qmax * bound.denominator, abs(rhs)) < 2 ** 63 \
-        else object
+    dtype = _int_dtype(max(qmax * bound.denominator, abs(rhs)))
     x = ks.astype(dtype) * dmu + np.array(munum, dtype=dtype)
     q = np.einsum('ij,jk,ik->i', x, np.array(mi, dtype=dtype), x)
     return np.asarray(q * bound.denominator <= rhs, dtype=bool)
@@ -239,22 +247,31 @@ class _XBatch:
         munum = np.array([int(c * self.dmu) for c in coset.mu], dtype=np.int64)
         self.xnum = ks * self.dmu + munum       # int64 numerators, denom dmu
         self.xf = self.xnum.astype(float) / self.dmu
-        gi = np.array([[int(v) for v in row] for row in space.gram],
-                      dtype=np.int64)
-        xg = self.xnum.astype(object) @ gi.astype(object)
-        self.xx_num = np.einsum('ij,ij->i', xg, self.xnum.astype(object))
+        gi = [[int(v) for v in row] for row in space.gram]
+        # |x^T G x| <= max|x|^2 sum|G| bounds every partial sum
+        dtype = _int_dtype(_absmax(self.xnum) ** 2
+                           * sum(abs(v) for row in gi for v in row))
+        x = self.xnum.astype(dtype)
+        self.xx_num = np.einsum('ij,ij->i', x @ np.array(gi, dtype=dtype), x)
         self.den2 = self.dmu * self.dmu
         # exact (x,x)_{z0} <= B for the window split
         self.inside = _majorant_leq(ks, coset.mu, window.majorant, window.B)
 
 
 def _sign_matrix(batch, space, cs):
-    """Exact signs of (x, C_j) for all rows of the batch (integer arithmetic)."""
-    gi = np.array([[int(v) for v in row] for row in space.gram], dtype=object)
+    """Exact signs of (x, C_j) for all rows of the batch, with the integer
+    values dc (x, C_j) dmu they are taken from."""
+    gi = [[int(v) for v in row] for row in space.gram]
     dc = math.lcm(*(c.denominator for C in cs for c in C))
-    cn = np.array([[int(c * dc) for c in C] for C in cs], dtype=object)
-    vals = batch.xnum.astype(object) @ gi @ cn.T
-    return np.sign(vals.astype(float)).astype(np.int64), vals
+    cn = [[int(c * dc) for c in C] for C in cs]
+    # |x G| <= max|x| * max row sum of |G| entrywise, then times the l1 norm
+    # of a C row; this bounds every partial sum of both products
+    dtype = _int_dtype(_absmax(batch.xnum)
+                       * max(sum(abs(v) for v in row) for row in gi)
+                       * max(sum(abs(v) for v in row) for row in cn))
+    vals = (batch.xnum.astype(dtype) @ np.array(gi, dtype=dtype)
+            @ np.array(cn, dtype=dtype).T)
+    return np.sign(vals).astype(np.int64), vals
 
 
 def _exponent_rows(batch, mask, nmax):
@@ -264,7 +281,7 @@ def _exponent_rows(batch, mask, nmax):
     rows = np.nonzero(mask)[0]
     q = batch.xx_num[rows]                  # 2 den2 Q(x)
     top = 2 * batch.den2 * nmax.numerator
-    return rows[(q >= 0) & (q * nmax.denominator <= top)]
+    return rows[(q >= 0) & (q <= top // nmax.denominator)]
 
 
 def _certified_series(coset, cs, nmax, window, kernel, den, recertify):

@@ -142,6 +142,8 @@ def gamma_sample(ngon, j, s):
     if not 1 <= j <= ngon.n:
         raise ValueError("edge index out of range")
     s = rat(s)
+    if not 0 <= s <= 1:
+        raise ValueError("edge parameter s must lie in [0, 1]")
     cm = ngon.cs[(j - 2) % ngon.n]
     cp = ngon.cs[j % ngon.n]
     second = vec_add(vec_scale(s - 1, cm), vec_scale(s, cp))

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                _CompletionKernel, CertificationError,
-                               _majorant_leq, _sign_matrix)
+                               _majorant_leq, _sign_matrix, _fp_enumerate)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel,
                              default_negative_vector, seed_construction,
@@ -141,6 +142,118 @@ def test_enumeration_shifted_coset(space_e):
     ks = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)), window)
     got = sorted(tuple(int(v) for v in row) for row in ks)
     assert got == [(-1, 0, 0), (0, 0, 0)]   # x = k + mu = (-1/2,0,0), (1/2,0,0)
+
+
+def _fp_enumerate_recursive(m_exact, mu, bound):
+    """Reference: the depth-first Fincke-Pohst recursion, one Python call per
+    candidate, that the level-wise enumeration replaced."""
+    m = len(m_exact)
+    mf = np.array([[float(v) for v in row] for row in m_exact])
+    muf = np.array([float(v) for v in mu])
+    bf = float(bound)
+    # LDL^T: q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2, i eliminated upward
+    a = mf.copy()
+    dvec = np.empty(m)
+    lmat = np.zeros((m, m))
+    for i in range(m):
+        dvec[i] = a[i, i]
+        lmat[i, i + 1:] = a[i, i + 1:] / a[i, i]
+        a[i + 1:, i + 1:] -= np.outer(a[i, i + 1:], a[i, i + 1:]) / a[i, i]
+    pad = 1e-7 * (1.0 + abs(bf))
+    cands = []
+    ks = np.zeros(m)
+
+    def rec(i, budget):
+        # x_j fixed for j > i; x = k + mu
+        if i < 0:
+            cands.append(ks.copy())
+            return
+        shift = muf[i] + lmat[i, i + 1:] @ (ks[i + 1:] + muf[i + 1:])
+        if budget < -pad:
+            return
+        t = math.sqrt(max(budget + pad, 0.0) / dvec[i])
+        lo = math.ceil(-t - shift - 1e-9)
+        hi = math.floor(t - shift + 1e-9)
+        for kk in range(lo, hi + 1):
+            ks[i] = kk
+            y = kk + shift
+            rec(i - 1, budget - dvec[i] * y * y)
+        ks[i] = 0.0
+
+    rec(m - 1, bf)
+    if not cands:
+        return np.zeros((0, m), dtype=np.int64)
+    arr = np.array(cands, dtype=np.int64)
+    arr = arr[np.lexsort(arr.T[::-1])]
+    return arr[_majorant_leq(arr, mu, m_exact, bound)]
+
+
+def _random_majorant(data, space_q3):
+    """An exact positive-definite matrix: L D L^T for a random rational unit
+    lower-triangular L and positive diagonal D, the majorant of a random
+    negative plane of SPACE_ABC, or that of a random negative 3-space of
+    diag(2,-2,-2,-2) (the last two can be ill-conditioned)."""
+    kind = data.draw(st.sampled_from(["ldl", "abc", "q3"]), label="kind")
+    if kind == "abc":
+        p, q1, q2 = (point_to_vector(data.draw(uhp)) for _ in range(3))
+        span = (cross(p, q1), cross(p, q2))
+        try:
+            NegativePlane(SPACE_ABC, span)
+        except ValueError:          # p, q1, q2 on one geodesic
+            assume(False)
+        return majorant_matrix(SPACE_ABC, span)
+    if kind == "q3":
+        # e_{i+1} + t_i e_1 spans a negative 3-space when |t|^2 < 1
+        t = [data.draw(st.fractions(Fraction(-9, 16), Fraction(9, 16),
+                                    max_denominator=16)) for _ in range(3)]
+        span = tuple(tuple([t[i]] + [int(j == i) for j in range(3)])
+                     for i in range(3))
+        return majorant_matrix(space_q3, span)
+    m = data.draw(st.integers(2, 4), label="m")
+    ent = st.fractions(-3, 3, max_denominator=4)
+    low = [[data.draw(ent) if j < i else Fraction(int(i == j))
+            for j in range(m)] for i in range(m)]
+    d = [data.draw(st.fractions(Fraction(1, 2), 4, max_denominator=8))
+         for _ in range(m)]
+    return [[sum(low[i][k] * d[k] * low[j][k] for k in range(m))
+             for j in range(m)] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fp_enumerate_matches_recursion(space_q3, data):
+    mat = _random_majorant(data, space_q3)
+    m = len(mat)
+    mu = [data.draw(st.fractions(0, 1, max_denominator=4)) % 1
+          for _ in range(m)]
+
+    def qform(k):
+        x = [ki + mi for ki, mi in zip(k, mu)]
+        return sum(x[i] * mat[i][j] * x[j] for i in range(m) for j in range(m))
+
+    how = data.draw(st.sampled_from(["zero", "row", "tiny", "negative",
+                                     "drawn"]), label="bound")
+    if how == "zero":
+        bound = Fraction(0)
+    elif how == "row":      # the boundary itself: a row with norm == bound
+        bound = qform(data.draw(st.lists(st.integers(-3, 3), min_size=m,
+                                         max_size=m)))
+    elif how == "tiny":     # below every norm when mu != 0: a level empties
+        bound = data.draw(st.fractions(0, Fraction(1, 64),
+                                       max_denominator=1024))
+    elif how == "negative":
+        bound = data.draw(st.fractions(-5, Fraction(-1, 10 ** 6),
+                                       max_denominator=10 ** 6))
+    else:
+        bound = data.draw(st.fractions(0, 12, max_denominator=64))
+    assume(how != "row" or bound <= 40)
+    got = _fp_enumerate(mat, mu, bound)
+    want = _fp_enumerate_recursive(mat, mu, bound)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and got.shape[1] == m
+    assert np.array_equal(got, want)
+    if how == "row":
+        assert len(got)
 
 
 def test_window_scales_with_nmax(funddom):
@@ -333,6 +446,68 @@ def test_majorant_filter_matches_fraction_filter(data):
     got = _majorant_leq(ks, mu, mat, bound)
     assert got.dtype == bool
     assert list(got) == [qform(k) <= bound for k in rows]
+
+
+def _int_rows(data, m, lim, edge):
+    """1..12 integer rows with entries in [-lim, lim]; with `edge` the first
+    entry is +-lim, so the magnitude bound is attained."""
+    rows = data.draw(st.lists(st.lists(st.integers(-lim, lim), min_size=m,
+                                       max_size=m), min_size=1, max_size=12))
+    if edge:
+        rows[0][0] = data.draw(st.sampled_from([lim, -lim]))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int64_batch_arithmetic_matches_python_ints(data):
+    # rows small, at the largest magnitude the int64 guard admits, or past
+    # it (whose products overflow int64 and must take the object path)
+    m = data.draw(st.integers(2, 4))
+    gram = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = data.draw(st.integers(-6, 6))
+    assume(any(any(row) for row in gram))
+    scale = data.draw(st.sampled_from(["small", "edge", "big"]))
+    cs = [[data.draw(st.fractions(-2 ** 20, 2 ** 20, max_denominator=12)
+                     if scale == "big" else
+                     st.fractions(-9, 9, max_denominator=12))
+           for _ in range(m)] for _ in range(data.draw(st.integers(1, 4)))]
+    assume(any(any(c) for c in cs))
+    dc = math.lcm(*(c.denominator for C in cs for c in C))
+    cn = [[int(c * dc) for c in C] for C in cs]
+    row_g = max(sum(abs(v) for v in row) for row in gram)
+    row_c = max(sum(abs(v) for v in row) for row in cn)
+    sum_g = sum(abs(v) for row in gram for v in row)
+    sign_lim = {"small": 50, "big": 2 ** 62,
+                "edge": (2 ** 63 - 1) // (row_g * row_c)}[scale]
+    xx_lim = {"small": 50, "big": 2 ** 40,
+              "edge": math.isqrt((2 ** 63 - 1) // sum_g)}[scale]
+
+    space = SimpleNamespace(gram=[[Fraction(v) for v in row] for row in gram])
+    rows = _int_rows(data, m, sign_lim, scale == "edge")
+    signs, vals = _sign_matrix(SimpleNamespace(
+        xnum=np.array(rows, dtype=np.int64)), space, cs)
+    want = [[sum(x[i] * gram[i][j] * c[j] for i in range(m) for j in range(m))
+             for c in cn] for x in rows]
+    assert [[int(v) for v in row] for row in vals] == want
+    assert signs.dtype == np.int64
+    assert signs.tolist() == [[(v > 0) - (v < 0) for v in row]
+                              for row in want]
+
+    rows = _int_rows(data, m, xx_lim, scale == "edge")
+    window = SimpleNamespace(majorant=[[Fraction(int(i == j))
+                                        for j in range(m)] for i in range(m)],
+                             B=Fraction(1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "enumerate_coset",
+                   lambda coset, w, slack: np.array(rows, dtype=np.int64))
+        batch = _XBatch(SimpleNamespace(space=space, mu=(Fraction(0),) * m),
+                        window)
+    assert [int(v) for v in batch.xx_num] == [
+        sum(x[i] * gram[i][j] * x[j] for i in range(m) for j in range(m))
+        for x in rows]
 
 
 def _row_loop_series(batch, signs, num, den, nmax):

@@ -194,6 +194,11 @@ def test_vertex_plane_and_edge_samples(funddom):
         vertex_plane(funddom, 5)
     with pytest.raises(ValueError):
         gamma_sample(funddom, 0, Fraction(1, 2))
+    # s outside [0, 1] is a range error, not a plane past the vertex (9/8)
+    # or a degenerate span (2)
+    for s in (Fraction(-1, 8), Fraction(9, 8), 2):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            gamma_sample(funddom, 2, s)
 
 
 def test_illegal_variant_kernel_dart(space_abc):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,18 @@ def test_truncated_class_series_small():
     assert coeffs.get(0, 0) == 0
     flagged = set(series.flags)
     assert {3, 4, 11}.issubset(flagged)  # boundary-incident discriminants
+
+
+def test_truncated_class_series_oracle_large():
+    # the nmax = 400 window reaches |k| = 58: the int64 paths and the float
+    # Fincke-Pohst padding meet coordinates far from the origin
+    t0 = time.monotonic()
+    series = truncated_class_series(2, 400)
+    assert time.monotonic() - t0 < 20.0
+    cut = Fraction(2) ** 2 + Fraction(1, 4)
+    for n in range(1, 401):
+        if n in series.flags:
+            continue
+        want = 2 * sum(1 for (a, b, c) in reduced_forms(n)
+                       if Fraction(c, a) < cut)
+        assert series.coeff(n) == want, n

@@ -10,13 +10,13 @@ Subcommands:
                                   dodecahedral collections
   errfn eval                      generalized error function values
 
-Exit codes: 0 success; 1 malformed input (bad JSON, missing file);
-2 validation failure; 3 certification or quadrature failure.
+Exit codes: 0 success; 1 malformed input (bad JSON, missing file, a vector
+argument of the wrong length); 2 validation failure; 3 certification or
+quadrature failure.
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .jsonio import InputError, parse_rational, rat_to_str
@@ -25,11 +25,16 @@ from .ngon import (NGonValidationError, validate, epsilon, w_invariant,
                    check_conditions)
 
 
-def _parse_vector_arg(s):
+def _parse_vector_arg(s, flag, dim):
+    """The rational vector of option `flag`, which must have `dim` entries."""
     try:
-        return tuple(parse_rational(t.strip()) for t in s.split(","))
+        v = tuple(parse_rational(t.strip()) for t in s.split(","))
     except InputError as e:
         raise InputError(f"bad vector argument {s!r}: {e}") from None
+    if len(v) != dim:
+        raise InputError(
+            f"{flag} has {len(v)} entries; the space has dimension {dim}")
+    return v
 
 
 def _parse_tau(s):
@@ -144,11 +149,11 @@ def cmd_ngon(args):
         return 0
     ngon = validate(space, cs)
     if args.action == "eps":
-        kv = epsilon(ngon, _parse_vector_arg(args.x))
+        kv = epsilon(ngon, _parse_vector_arg(args.x, "--x", space.dim))
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "eps": kv.eps, "regular": kv.regular}, args.out)
     else:
-        v = _parse_vector_arg(args.v) if args.v else None
+        v = _parse_vector_arg(args.v, "--v", space.dim) if args.v else None
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "w": w_invariant(ngon, v)}, args.out)
     return 0
@@ -162,7 +167,7 @@ def cmd_theta(args):
     if lat_space.gram != ngon_space.gram:
         raise InputError("lattice and N-gon Gram matrices differ")
     if args.mu:
-        mu = _parse_vector_arg(args.mu)
+        mu = _parse_vector_arg(args.mu, "--mu", lat_space.dim)
     coset = LatticeCoset(lat_space, mu)
     nmax = parse_rational(args.nmax)
     if args.action == "series":
@@ -217,7 +222,7 @@ def cmd_sig12(args):
         }, args.out)
     elif args.action == "winding":
         space, ngon = _load_ngon(args.ngon)
-        x = _parse_vector_arg(args.x)
+        x = _parse_vector_arg(args.x, "--x", space.dim)
         k = winding_number(ngon, x)
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "winding": k, "eps": epsilon(ngon, x).eps},
@@ -249,14 +254,15 @@ def cmd_dodec(args):
         return 0
     dodec = validate_dodec(space, cs)
     if args.action == "kernel":
-        x = _parse_vector_arg(args.x)
+        x = _parse_vector_arg(args.x, "--x", space.dim)
         jsonio.dump_json({
             "schema_version": jsonio.SCHEMA_VERSION,
             "D": rat_to_str(dodec_D_kernel(dodec, x)),
             "P": rat_to_str(dodec_P_kernel(dodec, x)),
         }, args.out)
     else:
-        mu = _parse_vector_arg(args.mu) if args.mu else None
+        mu = _parse_vector_arg(args.mu, "--mu", space.dim) if args.mu \
+            else None
         qe = dodec_series(LatticeCoset(space, mu), dodec,
                           parse_rational(args.nmax))
         _emit_series(qe, args)
@@ -266,8 +272,8 @@ def cmd_dodec(args):
 def cmd_errfn(args):
     from .errfn import E1, E2, E3
     space = jsonio.space_from_json(jsonio.load_json(args.space), args.space)
-    cs = [_parse_vector_arg(c) for c in args.c]
-    x = [float(Fraction(t.strip())) for t in args.x.split(",")]
+    cs = [_parse_vector_arg(c, "--c", space.dim) for c in args.c]
+    x = [float(t) for t in _parse_vector_arg(args.x, "--x", space.dim)]
     fn = {1: E1, 2: E2, 3: E3}.get(len(cs))
     if fn is None:
         raise InputError("errfn eval takes 1, 2, or 3 --c vectors")

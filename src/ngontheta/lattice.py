@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.special import erfcx, gammaincc, gamma as gamma_fn
 
-from .qspace import NegativePlane, mat_inv, mat_det, rat, vec
+from .qspace import NegativePlane, mat_inv, mat_det, rat, vec, _over_lcm
 from .ngon import w_invariant, vertex_plane
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
@@ -50,10 +50,9 @@ class LatticeCoset:
         if any(v.denominator != 1 for row in space.gram for v in row):
             raise ValueError("lattice Gram matrix must be integral")
         self.mu = vec(mu) if mu is not None else vec([0] * m)
-        gm = [[int(v) for v in row] for row in space.gram]
-        gmu = np.array(gm, dtype=object) @ np.array(
-            [self.mu[i] for i in range(m)], dtype=object)
-        if any(Fraction(v).denominator != 1 for v in gmu):
+        # G mu is integral iff every (e_i, mu) is; a wrong-length mu raises
+        if any(space.inner([int(i == j) for j in range(m)], self.mu)
+               .denominator != 1 for i in range(m)):
             raise ValueError("mu is not in the dual lattice")
 
 
@@ -81,21 +80,16 @@ def disc_group(space):
 
 
 def majorant_matrix(space, z0_span):
-    """Exact positive-definite matrix M with x^T M x = (x,x)_{z0}."""
-    m = space.dim
-    g = [[space.gram[i][j] for j in range(m)] for i in range(m)]
-    s = [vec(v) for v in z0_span]
+    """Exact positive-definite matrix M with x^T M x = (x,x)_{z0}:
+    M = G - 2 (G S) (S^T G S)^{-1} (G S)^T for the span S of z0."""
+    m, s = space.dim, [vec(v) for v in z0_span]
+    gs = [[space.inner([int(i == j) for j in range(m)], v) for v in s]
+          for i in range(m)]                                  # G S  (m x k)
+    inv = mat_inv([[space.inner(u, v) for v in s] for u in s])
     k = len(s)
-    gs = [[sum(g[i][j] * s[a][j] for j in range(m)) for a in range(k)]
-          for i in range(m)]  # G S  (m x k)
-    sgs = [[sum(s[a][i] * gs[i][b] for i in range(m)) for b in range(k)]
-           for a in range(k)]
-    inv = mat_inv(sgs)
-    # M = G - 2 (G S) (S^T G S)^{-1} (G S)^T
-    out = [[g[i][j] - 2 * sum(gs[i][a] * inv[a][b] * gs[j][b]
-                              for a in range(k) for b in range(k))
-            for j in range(m)] for i in range(m)]
-    return out
+    return [[space.gram[i][j] - 2 * sum(gs[i][a] * inv[a][b] * gs[j][b]
+                                        for a in range(k) for b in range(k))
+             for j in range(m)] for i in range(m)]
 
 
 @dataclass
@@ -144,9 +138,21 @@ def certify_window(space, ngon, z0_span, nmax, safety=1.5):
     return window_from_planes(space, z0_span, planes, nmax, safety=safety)
 
 
+@dataclass
+class CosetRows:
+    """Enumerated vectors x = k + mu: int64 k-rows in lexicographic order
+    and the exact integer norms, x^T M x = norms / den."""
+    ks: np.ndarray
+    norms: np.ndarray
+    den: int
+
+    def __len__(self):
+        return len(self.ks)
+
+
 def _fp_enumerate(m_exact, mu, bound):
-    """All integer vectors k with (k+mu)^T M (k+mu) <= bound (exact test),
-    lexicographically sorted.  Float Fincke-Pohst bounds with padding feed an
+    """CosetRows of all integer vectors k with (k+mu)^T M (k+mu) <= bound
+    (exact test).  Float Fincke-Pohst bounds with padding feed an
     exact integer filter.
 
     The search runs level-wise, coordinate i = m-1 down to 0: every partial
@@ -185,7 +191,8 @@ def _fp_enumerate(m_exact, mu, bound):
         ks = np.column_stack([kk, ks[parent]])
     arr = ks.astype(np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
-    return arr[_majorant_leq(arr, mu, m_exact, bound)]
+    mask, norms, den = _majorant_leq(arr, mu, m_exact, bound)
+    return CosetRows(arr[mask], norms[mask], den)
 
 
 def _absmax(a):
@@ -200,13 +207,13 @@ def _int_dtype(magnitude):
 
 
 def _majorant_leq(ks, mu, m_exact, bound):
-    """Exact mask of the integer rows k with x^T M x <= bound, x = k + mu.
-    With x = xnum/dmu, M = mi/dm and bound = B.num/B.den this is the integer
+    """Exact mask of the integer rows k with x^T M x <= bound, x = k + mu,
+    with the integer norms q and their denominator dm * dmu^2.  With
+    x = xnum/dmu, M = mi/dm and bound = B.num/B.den the mask is the integer
     comparison q * B.den <= B.num * dm * dmu^2, q = xnum^T mi xnum.  It runs
     in int64 when a bound on |q| rules out overflow, else on Python ints."""
     bound = Fraction(bound)
-    dmu = math.lcm(*(c.denominator for c in mu))
-    munum = [int(c * dmu) for c in mu]
+    dmu, munum = _over_lcm(mu)
     dm = math.lcm(*(v.denominator for row in m_exact for v in row))
     mi = [[int(v * dm) for v in row] for row in m_exact]
     rhs = bound.numerator * dm * dmu * dmu
@@ -215,12 +222,13 @@ def _majorant_leq(ks, mu, m_exact, bound):
     dtype = _int_dtype(max(qmax * bound.denominator, abs(rhs)))
     x = ks.astype(dtype) * dmu + np.array(munum, dtype=dtype)
     q = np.einsum('ij,jk,ik->i', x, np.array(mi, dtype=dtype), x)
-    return np.asarray(q * bound.denominator <= rhs, dtype=bool)
+    return (np.asarray(q * bound.denominator <= rhs, dtype=bool), q,
+            dm * dmu * dmu)
 
 
 def enumerate_coset(coset, window, slack=Fraction(1)):
-    """Vectors x in mu+L with (x,x)_{z0} <= slack*B, as integer k-rows plus
-    the exact shift mu."""
+    """Vectors x in mu+L with (x,x)_{z0} <= slack*B, as CosetRows: integer
+    k-rows plus the exact shift mu, with their exact norms (x,x)_{z0}."""
     return _fp_enumerate(window.majorant, coset.mu, window.B * slack)
 
 
@@ -242,10 +250,9 @@ class _XBatch:
 
     def __init__(self, coset, window, slack=Fraction(6, 5)):
         space = coset.space
-        ks = enumerate_coset(coset, window, slack)
-        self.dmu = math.lcm(*(c.denominator for c in coset.mu))
-        munum = np.array([int(c * self.dmu) for c in coset.mu], dtype=np.int64)
-        self.xnum = ks * self.dmu + munum       # int64 numerators, denom dmu
+        rows = enumerate_coset(coset, window, slack)
+        self.dmu, munum = _over_lcm(coset.mu)
+        self.xnum = rows.ks * self.dmu + munum  # int64 numerators, denom dmu
         self.xf = self.xnum.astype(float) / self.dmu
         gi = [[int(v) for v in row] for row in space.gram]
         # |x^T G x| <= max|x|^2 sum|G| bounds every partial sum
@@ -254,8 +261,8 @@ class _XBatch:
         x = self.xnum.astype(dtype)
         self.xx_num = np.einsum('ij,ij->i', x @ np.array(gi, dtype=dtype), x)
         self.den2 = self.dmu * self.dmu
-        # exact (x,x)_{z0} <= B for the window split
-        self.inside = _majorant_leq(ks, coset.mu, window.majorant, window.B)
+        # exact (x,x)_{z0} <= B for the window split: norms/den <= B
+        self.inside = rows.norms <= math.floor(window.B * rows.den)
 
 
 def _sign_matrix(batch, space, cs):

@@ -3,6 +3,8 @@
 All sign decisions downstream (kernels, polygon conditions) are made with
 exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
+The exact core is integer: `inner` sums over the nonzero Gram numerators and
+builds one Fraction; NegativePlane takes Bareiss minors of an integer Gram.
 """
 
 from fractions import Fraction
@@ -36,15 +38,36 @@ def vec_scale(s, x):
     return tuple(s * a for a in x)
 
 
+def _over_lcm(x):
+    """(d, numerators) with x_i = numerators_i / d, d the lcm of the
+    denominators of the int or Fraction entries."""
+    d = math.lcm(*(c.denominator for c in x))
+    return d, [int(c.numerator) * (d // c.denominator) for c in x]
+
+
 def vec_primitive(x):
     """Scale a nonzero rational vector by a positive rational so the result
     is an integer vector with content 1."""
-    den = math.lcm(*(c.denominator for c in x))
-    ints = [int(c * den) for c in x]
+    _, ints = _over_lcm(x)
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(Fraction(c // g) for c in ints)
+
+
+def _leading_minors(a):
+    """Leading principal minors of a square integer matrix by fraction-free
+    (Bareiss) elimination without pivoting: after step k the pivot a[k][k]
+    is the k+1-th minor.  Stops after the first zero minor."""
+    a, n, minors = [list(row) for row in a], len(a), [1]
+    for k in range(n):
+        minors.append(a[k][k])
+        if not a[k][k]:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // minors[-2]
+    return minors[1:]
 
 
 def mat_inv(rows):
@@ -86,43 +109,26 @@ def mat_det(rows):
     return det
 
 
-def _signature(gram):
-    """Signature (p, q) of a symmetric rational matrix via congruence
-    diagonalization. Raises on a degenerate form."""
-    m = len(gram)
-    a = [[rat(v) for v in row] for row in gram]
+def _signature(a):
+    """Signature (p, q) of a symmetric integer matrix.  Its characteristic
+    polynomial, exact over the integers by Faddeev-LeVerrier, has only real
+    roots, so Descartes' rule of signs counts the positive and the negative
+    eigenvalues exactly.  Raises on a degenerate form."""
+    m = len(a)
+    coef, mk = [1], [[0] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        mk = [[sum(a[i][l] * mk[l][j] for l in range(m)) + coef[-1] * (i == j)
+               for j in range(m)] for i in range(m)]
+        coef.append(-sum(a[i][l] * mk[l][i]
+                         for i in range(m) for l in range(m)) // k)
+    if coef[-1] == 0:
+        raise ValueError("degenerate quadratic form")
 
-    def add_row_col(i, j, f):
-        # congruence move: row_i += f*row_j, then col_i += f*col_j
-        a[i] = [v + f * w for v, w in zip(a[i], a[j])]
-        for r in range(m):
-            a[r][i] = a[r][i] + f * a[r][j]
+    def changes(c):
+        s = [v > 0 for v in c if v]
+        return sum(u != v for u, v in zip(s, s[1:]))
 
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-
-    p = q = 0
-    for k in range(m):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, m) if a[i][i] != 0), None)
-            if piv is not None:
-                swap(k, piv)
-            else:
-                off = next((j for j in range(k + 1, m) if a[k][j] != 0), None)
-                if off is None:
-                    raise ValueError("degenerate quadratic form")
-                add_row_col(k, off, Fraction(1))
-        d = a[k][k]
-        for i in range(k + 1, m):
-            if a[i][k] != 0:
-                add_row_col(i, k, -a[i][k] / d)
-        if d > 0:
-            p += 1
-        else:
-            q += 1
-    return (p, q)
+    return changes(coef), changes([(-1) ** k * c for k, c in enumerate(coef)])
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,12 @@ class QuadraticSpace:
                     raise ValueError("gram matrix must be symmetric")
         self.gram = g
         self.dim = m
-        self.sig = _signature(g)
+        # integer core: G = gi / den, and (i, j, gi_ij) over the nonzero gi_ij
+        self._den = math.lcm(*(v.denominator for row in g for v in row))
+        gi = [[int(v * self._den) for v in row] for row in g]
+        self._terms = tuple((i, j, v) for i, row in enumerate(gi)
+                            for j, v in enumerate(row) if v)
+        self.sig = _signature(gi)
         self._gram_f = np.array([[float(v) for v in row] for row in g])
 
     @property
@@ -164,11 +175,16 @@ class QuadraticSpace:
     def __repr__(self):
         return f"QuadraticSpace(dim={self.dim}, sig={self.sig})"
 
+    def _inner_num(self, xn, yn):
+        """x^T G y * den for integer rows xn, yn."""
+        return sum(g * xn[i] * yn[j] for i, j, g in self._terms)
+
     def inner(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch")
-        return sum(x[i] * self.gram[i][j] * y[j]
-                   for i in range(self.dim) for j in range(self.dim))
+        dx, xn = _over_lcm(x)
+        dy, yn = _over_lcm(y)
+        return Fraction(self._inner_num(xn, yn), dx * dy * self._den)
 
     def q(self, x):
         return self.inner(x, x) / 2
@@ -195,22 +211,23 @@ class DegeneratePlaneError(ValueError):
 class NegativePlane:
     """Oriented negative q-plane given by an ordered exact spanning basis.
 
-    Negative definiteness of the span Gram matrix is checked exactly
-    (leading principal minors of the negated form must all be positive);
-    the cached orthonormalization satisfies (u_i, u_j) = -delta_ij.
+    Negative definiteness is checked exactly: the leading principal minors
+    of the negated span Gram, scaled to integers, must all be positive; the
+    cached orthonormalization satisfies (u_i, u_j) = -delta_ij.
     """
 
     def __init__(self, space, span, tol=DEFAULT_TOL):
         self.space = space
         self.span = tuple(vec(s) for s in span)
         k = len(self.span)
-        gm = [[space.inner(a, b) for b in self.span] for a in self.span]
-        # leading principal minors of -Gram must be positive
-        for sz in range(1, k + 1):
-            minor = mat_det([[-gm[i][j] for j in range(sz)] for i in range(sz)])
-            if minor <= 0:
-                raise DegeneratePlaneError(
-                    "span Gram matrix is not negative definite")
+        if any(len(s) != space.dim for s in self.span):
+            raise ValueError("dimension mismatch")
+        nums = [_over_lcm(s)[1] for s in self.span]
+        minors = _leading_minors([[-space._inner_num(a, b) for b in nums]
+                                  for a in nums])
+        if any(v <= 0 for v in minors):
+            raise DegeneratePlaneError(
+                "span Gram matrix is not negative definite")
         # modified Gram-Schmidt w.r.t. the negated form
         gf = space.gram_f
         basis = []

@@ -66,6 +66,16 @@ def random_negative_abc(rng):
             return (a, b, c)
 
 
+# --- exact-arithmetic oracles -----------------------------------------------
+
+def inner_dense(gram, x, y):
+    """(x, y) = sum_ij x_i g_ij y_j over all m^2 Gram entries, zeros
+    included, in Fraction arithmetic."""
+    m = len(gram)
+    return sum((Fraction(x[i]) * Fraction(gram[i][j]) * Fraction(y[j])
+                for i in range(m) for j in range(m)), Fraction(0))
+
+
 # --- majorant oracles -------------------------------------------------------
 
 def _solve_exact(a_rows, rhs):

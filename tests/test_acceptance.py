@@ -264,7 +264,7 @@ def test_criterion_08_enumeration_certification():
     window = EnumWindow(z0=NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)),
                         B=Fraction(4), kappa=1.0, safety=1.0,
                         nmax=Fraction(1))
-    ks = enumerate_coset(LatticeCoset(SPACE_ABC), window)
+    ks = enumerate_coset(LatticeCoset(SPACE_ABC), window).ks
     got = sorted(tuple(int(v) for v in row) for row in ks)
     assert got == sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
                           (0, -1, 0), (0, 0, 1), (0, 0, -1)])

@@ -119,6 +119,31 @@ def test_cli_ngon_validate_bad(capsys, tmp_path):
         [(1, 3), (3, 3)]
 
 
+def test_cli_ngon_validate_diagnostics(capsys, tmp_path):
+    # C_2 = 0 and C_4 = 2 C_3: conditions (1), (2) and (3) all fail; the
+    # full report is pinned byte for byte
+    doc = json.loads(open(FUNDDOM).read())
+    doc["cs"] = [["0", "-1", "1/2"], ["0", "0", "0"],
+                 ["-1/3", "1/5", "17/8"], ["-2/3", "2/5", "17/4"],
+                 ["1/2", "0", "-1/2"]]
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "ngon", "validate", "--ngon", str(path))
+    assert code == 2
+    zero = "plane Gram determinant 0 not > 0"
+    turn = "turning quantity 0 not < 0"
+    violations = [
+        {"j": 2, "condition": 1, "message": "(C_2,C_2) = 0 not < 0"},
+        {"j": 1, "condition": 2, "message": zero},
+        {"j": 2, "condition": 2, "message": zero},
+        {"j": 3, "condition": 2, "message": zero},
+        {"j": 4, "condition": 2,
+         "message": "plane Gram determinant -45649/900 not > 0"},
+    ] + [{"j": j, "condition": 3, "message": turn} for j in (1, 2, 3, 4)]
+    assert out == json.dumps({"schema_version": 1, "valid": False,
+                              "violations": violations}, indent=2) + "\n"
+
+
 def test_cli_ngon_eps_and_w(capsys):
     code, out, _ = run(capsys, "ngon", "eps", "--ngon", FUNDDOM,
                        "--x", "1,0,2")
@@ -298,6 +323,44 @@ def test_cli_dodec_validate_bad(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["valid"] is False
     assert {v["face"] for v in obj["violations"]} == {1, 2, 3, 4, 5}
+    # the exact rationals of every diagnostic, byte for byte
+    assert out == json.dumps({"schema_version": 1, "valid": False,
+                              "violations": DODEC_BAD_VIOLATIONS},
+                             indent=2) + "\n"
+    code, out, err = run(capsys, "dodec", "kernel", "--data", str(path),
+                         "--x", "1,0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "validation error: " + DODEC_BAD_MESSAGE + "\n"
+
+
+def _turning(face, j, q):
+    return {"face": face, "j": j, "condition": 3,
+            "message": f"turning quantity {q} not < 0"}
+
+
+DODEC_BAD_VIOLATIONS = [
+    _turning(1, 2, "13537957286008813/450990500000000"),
+    _turning(1, 5, "2728762522281039/90198100000000"),
+    _turning(2, 2, "2728762522281039/90057475000000"),
+    _turning(2, 5, "13598482782981313/450287375000000"),
+    _turning(3, 2, "277520056795537/9172000000000"),
+    _turning(3, 5, "483451192025311/16051000000000"),
+    _turning(4, 2, "3384158344177177/112103093750000"),
+    _turning(4, 5, "1685163889539491/56051546875000"),
+    _turning(5, 2, "1685163889539491/55905062500000"),
+    _turning(5, 5, "1933993898001259/63891500000000"),
+]
+
+DODEC_BAD_MESSAGE = (
+    "dodecahedron conditions fail: "
+    "face 1: N-gon condition (3) fails at j=2: turning quantity "
+    "13537957286008813/450990500000000 not < 0; "
+    "face 1: N-gon condition (3) fails at j=5: turning quantity "
+    "2728762522281039/90198100000000 not < 0; "
+    "face 2: N-gon condition (3) fails at j=2: turning quantity "
+    "2728762522281039/90057475000000 not < 0; "
+    "face 2: N-gon condition (3) fails at j=5: turning quantity "
+    "13598482782981313/450287375000000 not < 0 (+6 more)")
 
 
 def test_cli_dodec_kernel(capsys):
@@ -359,6 +422,29 @@ def test_cli_errfn_too_many_vectors(capsys):
                        "--c", "0,1,0", "--x", "0.5,0.5,0.5")
     assert code == 1
     assert "1, 2, or 3" in err
+
+
+@pytest.mark.parametrize("argv,flag,entries,dim", [
+    (["theta", "series", "--lattice", LATTICE, "--ngon", FUNDDOM,
+      "--nmax", "2", "--mu", "0,0"], "--mu", 2, 3),
+    (["dodec", "series", "--data", DODEC, "--nmax", "2", "--mu", "1/2,0,0"],
+     "--mu", 3, 4),
+    (["ngon", "eps", "--ngon", FUNDDOM, "--x", "1,0,2,1"], "--x", 4, 3),
+    (["ngon", "w", "--ngon", FUNDDOM, "--v", "0,1"], "--v", 2, 3),
+    (["sig12", "winding", "--ngon", FUNDDOM, "--x", "1,0"], "--x", 2, 3),
+    (["dodec", "kernel", "--data", DODEC, "--x", "1,0,0"], "--x", 3, 4),
+    (["errfn", "eval", "--space", SPACE, "--c", "0,1", "--x", "0.5,0.5,0.5"],
+     "--c", 2, 3),
+    (["errfn", "eval", "--space", SPACE, "--c", "0,1,0", "--x", "0.5,0.5"],
+     "--x", 2, 3),
+], ids=["theta-mu", "dodec-mu", "eps-x", "w-v", "winding-x", "kernel-x",
+        "errfn-c", "errfn-x"])
+def test_cli_wrong_length_vector_is_input_error(capsys, argv, flag, entries,
+                                                dim):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {flag} has {entries} entries; "
+                   f"the space has dimension {dim}\n")
 
 
 def _readme_commands():

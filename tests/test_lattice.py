@@ -17,7 +17,8 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                _CompletionKernel, CertificationError,
-                               _majorant_leq, _sign_matrix, _fp_enumerate)
+                               _majorant_leq, _sign_matrix, _fp_enumerate,
+                               CosetRows)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel,
                              default_negative_vector, seed_construction,
@@ -125,21 +126,30 @@ def test_enumeration_small_ball(space_e):
     # origin and the six unit vectors
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(2),
                         kappa=1.0, safety=1.0, nmax=Fraction(1))
-    ks = enumerate_coset(LatticeCoset(space_e), window)
+    ks = enumerate_coset(LatticeCoset(space_e), window).ks
     got = sorted(tuple(int(v) for v in row) for row in ks)
     want = sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                    (0, 0, 1), (0, 0, -1)])
     assert got == want
     # B = 4 additionally admits the twelve two-coordinate vectors
     window.B = Fraction(4)
-    ks = enumerate_coset(LatticeCoset(space_e), window)
-    assert len(ks) == 19
+    assert len(enumerate_coset(LatticeCoset(space_e), window)) == 19
+
+
+def test_lattice_coset_rejects_wrong_length_mu(space_e):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        LatticeCoset(space_e, (Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        LatticeCoset(space_e, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="not in the dual lattice"):
+        LatticeCoset(space_e, (Fraction(1, 3), 0, 0))
 
 
 def test_enumeration_shifted_coset(space_e):
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(1, 2),
                         kappa=1.0, safety=1.0, nmax=Fraction(1))
-    ks = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)), window)
+    ks = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)),
+                         window).ks
     got = sorted(tuple(int(v) for v in row) for row in ks)
     assert got == [(-1, 0, 0), (0, 0, 0)]   # x = k + mu = (-1/2,0,0), (1/2,0,0)
 
@@ -185,7 +195,7 @@ def _fp_enumerate_recursive(m_exact, mu, bound):
         return np.zeros((0, m), dtype=np.int64)
     arr = np.array(cands, dtype=np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
-    return arr[_majorant_leq(arr, mu, m_exact, bound)]
+    return arr[_majorant_leq(arr, mu, m_exact, bound)[0]]
 
 
 def _random_majorant(data, space_q3):
@@ -247,11 +257,14 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
     else:
         bound = data.draw(st.fractions(0, 12, max_denominator=64))
     assume(how != "row" or bound <= 40)
-    got = _fp_enumerate(mat, mu, bound)
+    rows = _fp_enumerate(mat, mu, bound)
+    got = rows.ks
     want = _fp_enumerate_recursive(mat, mu, bound)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and got.shape[1] == m
     assert np.array_equal(got, want)
+    assert [Fraction(int(q), rows.den) for q in rows.norms] == \
+        [qform(k) for k in got.tolist()]
     if how == "row":
         assert len(got)
 
@@ -443,9 +456,10 @@ def test_majorant_filter_matches_fraction_filter(data):
     else:
         bound = data.draw(st.fractions(-10, 10 ** 6, max_denominator=50))
     ks = np.array(rows, dtype=np.int64)
-    got = _majorant_leq(ks, mu, mat, bound)
+    got, norms, den = _majorant_leq(ks, mu, mat, bound)
     assert got.dtype == bool
     assert list(got) == [qform(k) <= bound for k in rows]
+    assert [Fraction(int(q), den) for q in norms] == [qform(k) for k in rows]
 
 
 def _int_rows(data, m, lim, edge):
@@ -501,8 +515,11 @@ def test_int64_batch_arithmetic_matches_python_ints(data):
                                         for j in range(m)] for i in range(m)],
                              B=Fraction(1))
     with pytest.MonkeyPatch.context() as mp:
+        # the norms only feed the window split, which is not checked here
         mp.setattr(lattice, "enumerate_coset",
-                   lambda coset, w, slack: np.array(rows, dtype=np.int64))
+                   lambda coset, w, slack: CosetRows(
+                       np.array(rows, dtype=np.int64),
+                       np.zeros(len(rows), dtype=np.int64), 1))
         batch = _XBatch(SimpleNamespace(space=space, mu=(Fraction(0),) * m),
                         window)
     assert [int(v) for v in batch.xx_num] == [
@@ -600,6 +617,31 @@ def _small_window(z0_span, safety):
     # (x,x)_{z0} = 10 and falls in the guard band (9, 54/5]
     return EnumWindow(z0=NegativePlane(SPACE_ABC, z0_span), B=Fraction(9),
                       kappa=1.0, safety=safety, nmax=Fraction(6))
+
+
+@pytest.mark.parametrize("mu", [None, (Fraction(1, 2), 0, 0),
+                                (Fraction(1, 4), Fraction(1, 2),
+                                 Fraction(1, 4))])
+def test_window_split_is_exact(mu):
+    # the batch's inside mask is (x,x)_{z0} <= B exactly, with B set to the
+    # norm of an enumerated row so that some rows lie on the boundary
+    coset = LatticeCoset(SPACE_ABC, mu)
+    z0 = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
+    window = EnumWindow(z0=z0, B=Fraction(9), kappa=1.0, safety=1.0,
+                        nmax=Fraction(1))
+    mat = window.majorant
+
+    def norms(batch):
+        xs = [[Fraction(int(v), batch.dmu) for v in row] for row in batch.xnum]
+        return [sum(x[i] * mat[i][j] * x[j] for i in range(3)
+                    for j in range(3)) for x in xs]
+
+    window.B = sorted(norms(_XBatch(coset, window)))[10]
+    batch = _XBatch(coset, window)
+    got = norms(batch)
+    assert got.count(window.B) >= 1
+    assert batch.inside.dtype == bool
+    assert list(batch.inside) == [n <= window.B for n in got]
 
 
 def test_guard_band_retry_keeps_base_plane(funddom):

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (QuadraticSpace, NegativePlane,
                               DegeneratePlaneError, vec, vec_primitive,
-                              mat_det, mat_inv)
+                              mat_det, mat_inv, _leading_minors)
 
-from conftest import majorant_exact, majorant_float
+from conftest import inner_dense, majorant_exact, majorant_float
 
 rationals = st.fractions(min_value=-20, max_value=20,
                          max_denominator=6)
@@ -127,3 +127,122 @@ def test_mat_det_inv_exact():
             for i in range(n)]
     assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert d == 18
+
+
+mixed = st.one_of(st.integers(-20, 20), rationals)
+
+
+@st.composite
+def spaces_and_vectors(draw):
+    """A nondegenerate symmetric Gram of dimension 2..5 with rational,
+    non-integral and zero entries, and three vectors mixing int and
+    Fraction coordinates."""
+    m = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=12))
+    gram = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = draw(entry)
+    try:
+        space = QuadraticSpace(gram)
+    except ValueError:                  # degenerate form
+        assume(False)
+    x, y, c = (tuple(draw(mixed) for _ in range(m)) for _ in range(3))
+    return space, gram, x, y, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_and_vectors())
+def test_integer_core_matches_fraction_oracle(case):
+    space, gram, x, y, c = case
+    assert space.gram == tuple(tuple(Fraction(v) for v in row)
+                               for row in gram)
+    got = space.inner(x, y)
+    assert type(got) is Fraction
+    assert got == inner_dense(gram, x, y)
+    assert space.q(x) == inner_dense(gram, x, x) / 2
+    cc = inner_dense(gram, c, c)
+    if cc == 0:
+        with pytest.raises(ValueError):
+            space.project_perp(x, c)
+        return
+    f = inner_dense(gram, x, c) / cc
+    want = tuple(Fraction(a) - f * b for a, b in zip(x, c))
+    assert space.project_perp(x, c) == want
+    assert inner_dense(gram, want, c) == 0
+
+
+def test_inner_dimension_mismatch(space_abc):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        space_abc.inner((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        NegativePlane(space_abc, ((0, 1, 0), (0, 0)))
+
+
+def _old_negative_definite(gram, span):
+    """The rational test NegativePlane used before its integer core: every
+    leading principal minor of the negated span Gram, by mat_det, is > 0."""
+    gm = [[inner_dense(gram, a, b) for b in span] for a in span]
+    return all(mat_det([[-gm[i][j] for j in range(sz)] for i in range(sz)]) > 0
+               for sz in range(1, len(span) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bareiss_minors_match_mat_det(data):
+    # random integer span Grams S^T G S; repeated or dependent span rows make
+    # them singular, and G indefinite makes them indefinite
+    m = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(1, m))
+    small = st.integers(-4, 4)
+    gram = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = data.draw(small)
+    span = [[data.draw(small) for _ in range(m)] for _ in range(k)]
+    if k > 1 and data.draw(st.booleans()):
+        span[-1] = [2 * a - b for a, b in zip(span[0], span[1])]
+    a = [[inner_dense(gram, u, v) for v in span] for u in span]
+    minors = _leading_minors([[int(v) for v in row] for row in a])
+    want = [mat_det([row[:sz] for row in a[:sz]]) for sz in range(1, k + 1)]
+    assert all(type(v) is int for v in minors)
+    assert minors == want[:len(minors)]
+    assert len(minors) == k or minors[-1] == 0
+
+    # NegativePlane accepts exactly the spans the rational test accepts, also
+    # for rational spans and a rational Gram
+    gram = [[Fraction(v, data.draw(st.integers(1, 5), label="gden"))
+             for v in row] for row in gram]
+    gram = [[gram[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+    try:
+        space = QuadraticSpace(gram)
+    except ValueError:
+        return
+    den = data.draw(st.integers(1, 6))
+    rspan = [tuple(Fraction(v, den) if i % 2 else v for i, v in enumerate(s))
+             for s in span]
+    try:
+        NegativePlane(space, rspan)
+        accepted = True
+    except DegeneratePlaneError as e:
+        accepted = "not negative definite" not in str(e)
+    assert accepted == _old_negative_definite(gram, rspan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signature_matches_eigenvalues(data):
+    m = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=5))
+    gram = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = data.draw(entry)
+    if mat_det(gram) == 0:
+        with pytest.raises(ValueError, match="degenerate"):
+            QuadraticSpace(gram)
+        return
+    ev = np.linalg.eigvalsh(np.array(gram, dtype=float))
+    assume(np.min(np.abs(ev)) > 1e-9 * max(1.0, np.max(np.abs(ev))))
+    assert QuadraticSpace(gram).sig == (int(np.sum(ev > 0)),
+                                        int(np.sum(ev < 0)))

@@ -123,23 +123,26 @@ def _cone_mass_block(u, g1, g2, amp):
         - np.arctan2(np.abs(qa), ba)
     length = np.where(cut, np.minimum(length, reach), length)
     s, w = _gl_rule()
-    x = length[:, :, None] * s
-    cx, sx = np.cos(x), np.sin(x)
-    bx = ba[:, :, None] * cx - (turn * qa)[:, :, None] * sx
-    qx = qa[:, :, None] * cx + (turn * ba)[:, :, None] * sx
-    f = _radial_1(amp[:, None, None] - np.pi * qx * qx, bx)
+    tq, tb = turn * qa, turn * ba
+    f = np.empty(length.shape + s.shape)
+    for p in range(2):                  # a piece at a time: half the temporaries
+        x = length[:, p, None] * s
+        cx, sx = np.cos(x), np.sin(x)
+        bx = ba[:, p, None] * cx - tq[:, p, None] * sx
+        qx = qa[:, p, None] * cx + tb[:, p, None] * sx
+        f[:, p] = _radial_1(amp[:, None] - np.pi * qx * qx, bx)
     return np.sum((f @ w) * length, axis=1)
 
 
-def cone_dist2(u, b):
+def cone_dist2(u, b, rays):
     """Squared distance from u to the cone {y : b y >= 0} (0 if u lies
-    inside).  Batched: u of shape (..., d) and b of shape (..., d, d).  Used
-    for cheap skip bounds; a slight underestimate is fine there, so we use
-    0-inside / min-over-rays."""
+    inside), whose rays are the columns of rays = b^{-1}.  Batched: u of
+    shape (..., d), b and rays of shape (..., d, d).  Used for cheap skip
+    bounds; a slight underestimate is fine there, so we use 0-inside /
+    min-over-rays."""
     u = np.asarray(u, dtype=float)
     b = np.asarray(b, dtype=float)
     inside = np.all(np.einsum('...ij,...j->...i', b, u) >= -1e-12, axis=-1)
-    rays = np.linalg.inv(b)
     rays = rays / np.linalg.norm(rays, axis=-2, keepdims=True)
     proj = np.maximum(np.einsum('...i,...ij->...j', u, rays), 0.0)
     d = u[..., :, None] - proj[..., None, :] * rays
@@ -248,11 +251,12 @@ def E_frames(a, u):
     sig = np.array(list(product((1.0, -1.0), repeat=a.shape[1])))
     b = sig[:, :, None] * a[slow, None]
     uo = np.broadcast_to(u[slow, None], b.shape[:3])
+    rays = np.linalg.inv(b)
     # skip far-away cones: their mass is below e^{-42} << 1e-11
-    near = math.pi * cone_dist2(uo, b) <= 42.0
+    near = math.pi * cone_dist2(uo, b, rays) <= 42.0
     mass = np.zeros(near.shape)
     if a.shape[1] == 2:
-        gens = np.linalg.inv(b[near])
+        gens = rays[near]
         mass[near] = cone_mass_2d(uo[near], gens[:, :, 0], gens[:, :, 1])
     else:
         mass[near] = cone_mass_3d(uo[near], b[near])

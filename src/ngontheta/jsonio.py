@@ -88,6 +88,9 @@ def load_lattice_file(path):
     obj = load_json(path)
     space = space_from_json(obj, path)
     mu = parse_vector(obj["mu"]) if "mu" in obj else None
+    if mu is not None and len(mu) != space.dim:
+        raise InputError(f"{path}: mu has {len(mu)} entries; the space has "
+                         f"dimension {space.dim}")
     return space, mu
 
 

@@ -33,6 +33,7 @@ from .ngon import w_invariant, vertex_plane
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
+PAIR_BLOCK = 8192        # rho pairs pooled per round of cone masses
 RHO_LOG_TOL = -34.0      # skip cone-mass terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
 
@@ -357,11 +358,14 @@ def _default_z0_span(ngon):
 class _CompletionKernel:
     """Per-polygon cached data for the stable completion kernel
        kernel(x) = eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k + sum_j rho_j,
-    evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q), for a whole
-    batch at once.  The rho_j are signed Gaussian cone masses on the edge
-    planes span(C_j, C_{j+1}): for each sign quadrant, one cone_dist2 call
-    screens every (row, edge) pair and one cone_mass_2d call evaluates the
-    pairs that pass."""
+    evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q), on the
+    window rows of a list of batches; guard-band rows are not evaluated and
+    get 0.  eps and the wall terms e_k are taken batch by batch.  The rho_j
+    are signed Gaussian cone masses on the edge planes span(C_j, C_{j+1}):
+    the (row, edge) pairs that pass a margin screen are pooled over
+    consecutive batches, about PAIR_BLOCK pairs at a time, which bounds the
+    pooled temporaries; for each sign quadrant one cone_dist2 call screens a
+    pool and one cone_mass_2d call evaluates the pairs that pass."""
 
     def __init__(self, space, ngon, w_offset=0):
         self.space = space
@@ -384,17 +388,44 @@ class _CompletionKernel:
         self.edge_ainv = np.linalg.inv(self.edge_a)
 
     def eval_batch(self, batch, v, scale_literal=False):
-        """Array of e^{amp}-scaled kernel values for all batch rows inside the
-        window; rows outside get 0 (guard band handled by caller)."""
-        ngon, space = self.ngon, self.space
-        signs, _ = _sign_matrix(batch, space, ngon.cs)
+        """Kernel values of one batch (see eval_batches)."""
+        return self.eval_batches([batch], v, scale_literal)[0]
+
+    def eval_batches(self, batches, v, scale_literal=False):
+        """One array per batch of e^{amp}-scaled kernel values at Im tau = v:
+        window rows carry the kernel, guard-band rows 0."""
         scale = math.sqrt(2.0) if scale_literal else math.sqrt(2.0 * v)
-        tmat = scale * (batch.xf @ self.chat_g.T)      # tau_k margins
-        qf = self.xxf(batch) / 2.0
+        out, group = [], []
+        for i, batch in enumerate(batches):
+            group.append((batch.inside, *self._row_terms(batch, v, scale)))
+            if (sum(len(g[2]) for g in group) < PAIR_BLOCK
+                    and i + 1 < len(batches)):
+                continue
+            # one _rho call for the pooled pairs of the group
+            rho = self._rho(*(np.concatenate(a)
+                              for a in zip(*(g[3] for g in group))))
+            start = 0
+            for inside, vals, rows, _ in group:
+                o = np.zeros(len(inside))
+                o[inside] = vals + np.bincount(
+                    rows, rho[start:start + len(rows)], minlength=len(vals))
+                start += len(rows)
+                out.append(o)
+            group = []
+        return out
+
+    def _row_terms(self, batch, v, scale):
+        """The eps and wall terms of the window rows of a batch, the
+        window-row index of each (row, edge) pair that passes the rho screen,
+        and the pairs' arguments for _rho."""
+        inside = batch.inside
+        signs = _sign_matrix(batch, self.space, self.ngon.cs)[0][inside]
+        xf = batch.xf[inside]
+        tmat = scale * (xf @ self.chat_g.T)            # tau_k margins
+        qf = self.xxf(batch)[inside] / 2.0
         amp = np.minimum(2.0 * math.pi * v * np.maximum(0.0, -qf), AMP_CAP)
         prod = np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
-        eps = (self.w + prod).astype(float)
-        out = eps * np.exp(amp)
+        vals = (self.w + prod).astype(float) * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
         coef = np.roll(signs, 1, axis=1) + np.roll(signs, -1, axis=1)
         with np.errstate(over='ignore'):
@@ -403,36 +434,38 @@ class _CompletionKernel:
                 -signs * erfcx(math.sqrt(math.pi) * np.abs(tmat))
                 * np.exp(np.minimum(amp[:, None] - math.pi * tmat ** 2, AMP_CAP)),
                 0.0)
-        out += np.sum(coef * ek, axis=1)
+        vals += np.sum(coef * ek, axis=1)
         # rho terms: signed Gaussian cone masses.  A cone with nonzero weight
         # flips every wall carrying a nonzero sign, so its distance from the
         # Gaussian center is at least the larger signed-wall margin.
         eff = np.where(signs != 0, np.abs(tmat), 0.0)
         teff = np.maximum(eff, np.roll(eff, -1, axis=1))
-        screen = amp[:, None] - math.pi * teff ** 2 > RHO_LOG_TOL
-        rows, edges = np.nonzero(screen)
-        rho = self._rho(batch.xf, scale, signs, amp, rows, edges)
-        return out + np.bincount(rows, rho, minlength=len(out))
+        rows, edges = np.nonzero(amp[:, None] - math.pi * teff ** 2
+                                 > RHO_LOG_TOL)
+        u = scale * np.einsum('pij,pj->pi', self.edge_proj[edges], xf[rows])
+        return vals, rows, (u, signs[rows, edges],
+                            signs[rows, (edges + 1) % self.ngon.n],
+                            amp[rows], edges)
 
     @staticmethod
     def xxf(batch):
         return batch.xx_num.astype(float) / batch.den2
 
-    def _rho(self, xf, scale, s, amp, rows, edges):
+    def _rho(self, u, s1, s2, amp, edges):
         """Signed cone masses summed over the four sign quadrants, one value
-        per (row, edge) pair."""
+        per (row, edge) pair: plane centre u, wall signs s1, s2."""
         from .errfn import cone_mass_2d, cone_dist2
-        u = scale * np.einsum('pij,pj->pi', self.edge_proj[edges], xf[rows])
-        s1, s2 = s[rows, edges], s[rows, (edges + 1) % self.ngon.n]
-        total = np.zeros(len(rows))
+        total = np.zeros(len(u))
         for sig in np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
             g = (sig[0] - s1) * (sig[1] - s2)
             live = np.nonzero(g)[0]
-            d2 = cone_dist2(u[live], sig[:, None] * self.edge_a[edges[live]])
-            live = live[amp[rows[live]] - math.pi * d2 >= RHO_LOG_TOL]
-            gens = self.edge_ainv[edges[live]] * sig
+            rays = self.edge_ainv[edges[live]] * sig
+            d2 = cone_dist2(u[live], sig[:, None] * self.edge_a[edges[live]],
+                            rays)
+            keep = amp[live] - math.pi * d2 >= RHO_LOG_TOL
+            live, rays = live[keep], rays[keep]
             total[live] += g[live] * cone_mass_2d(
-                u[live], gens[:, :, 0], gens[:, :, 1], amp=amp[rows[live]])
+                u[live], rays[:, :, 0], rays[:, :, 1], amp=amp[live])
         return total
 
 
@@ -531,17 +564,17 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     window = certify_window(space, ngon, _default_z0_span(ngon), nmax)
     kern = _CompletionKernel(space, ngon, w_offset)
 
-    batches = {mu: _XBatch(LatticeCoset(space, mu), window) for mu in reps}
+    cosets = [LatticeCoset(space, mu) for mu in reps]
+    batches = [_XBatch(c, window) for c in cosets]
     scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):
         if t.imag not in scaled:
-            scaled[t.imag] = [kern.eval_batch(batches[mu], t.imag,
-                                              paper_literal) for mu in reps]
+            scaled[t.imag] = kern.eval_batches(batches, t.imag, paper_literal)
         vals, tails = zip(*(
-            completion_eval(LatticeCoset(space, mu), ngon, t, nmax,
-                            window=window, _batch=batches[mu], _scaled=k)
-            for mu, k in zip(reps, scaled[t.imag])))
+            completion_eval(c, ngon, t, nmax, window=window, _batch=b,
+                            _scaled=k)
+            for c, b, k in zip(cosets, batches, scaled[t.imag])))
         return np.array(vals), max(tails)
 
     base, tail0 = theta_vec(tau)

@@ -447,6 +447,31 @@ def test_cli_wrong_length_vector_is_input_error(capsys, argv, flag, entries,
                    f"the space has dimension {dim}\n")
 
 
+def test_cli_lattice_file_wrong_length_mu_is_input_error(capsys, tmp_path):
+    obj = json.loads((EXAMPLES / "lattice_sig12.json").read_text())
+    obj["mu"] = ["1/2", "0"]
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "theta", "series", "--lattice", str(lat),
+                         "--ngon", FUNDDOM, "--nmax", "2")
+    assert (code, out) == (1, "")
+    assert err == (f"error: {lat}: mu has 2 entries; "
+                   "the space has dimension 3\n")
+
+
+PINNED = json.loads((REPO / "tests" / "pinned_cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cli_pinned_output(capsys, monkeypatch, name):
+    """Full stdout of `theta modularity` and `theta complete`, byte for byte
+    as recorded in tests/pinned_cli_outputs.json."""
+    monkeypatch.chdir(REPO)
+    code, out, _ = run(capsys, *PINNED[name]["argv"])
+    assert code == 0
+    assert out == PINNED[name]["stdout"]
+
+
 def _readme_commands():
     """Every `ngontheta ...` command of the README's CLI `sh` block, with
     backslash continuations joined."""

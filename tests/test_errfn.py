@@ -244,8 +244,9 @@ def test_cone_mass_batched_vs_quadrature():
     g2 = np.stack([np.cos(th2), np.sin(th2)], axis=1)
     swap = rng.random(k) < 0.5
     g1, g2 = np.where(swap[:, None], g2, g1), np.where(swap[:, None], g1, g2)
-    b = np.linalg.inv(np.stack([g1, g2], axis=2))
-    keep = amp - math.pi * cone_dist2(u, b) >= RHO_LOG_TOL
+    rays = np.stack([g1, g2], axis=2)
+    keep = amp - math.pi * cone_dist2(u, np.linalg.inv(rays), rays) \
+        >= RHO_LOG_TOL
     assert keep.sum() >= 2000
     u, g1, g2, amp = u[keep], g1[keep], g2[keep], amp[keep]
     got = cone_mass_2d(u, g1, g2, amp=amp)
@@ -269,17 +270,20 @@ def test_cone_mass_full_plane():
 
 
 def test_cone_dist2():
-    gens = np.array([[1.0, 0.0], [0.0, 1.0]]).T
-    assert cone_dist2(np.array([0.5, 0.5]), gens) == 0.0
-    assert abs(cone_dist2(np.array([-1.0, 0.0]), gens) - 1.0) < 1e-9
-    assert abs(cone_dist2(np.array([-1.0, -1.0]), gens) - 2.0) < 1e-9
+    eye = np.eye(2)
+    assert cone_dist2(np.array([0.5, 0.5]), eye, eye) == 0.0
+    assert abs(cone_dist2(np.array([-1.0, 0.0]), eye, eye) - 1.0) < 1e-9
+    assert abs(cone_dist2(np.array([-1.0, -1.0]), eye, eye) - 2.0) < 1e-9
     # the cone {y : b y >= 0} with rays (1, 0) and (1, 1); batched rows
     b = np.array([[0.0, 1.0], [1.0, -1.0]])
+    rays = np.array([[1.0, 1.0], [1.0, 0.0]])       # columns (1, 1), (1, 0)
+    assert np.allclose(b @ rays, eye)
     u = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
     want = [0.0, 0.5, 1.0, 2.0]
-    got = cone_dist2(u, np.broadcast_to(b, (4, 2, 2)))
+    got = cone_dist2(u, np.broadcast_to(b, (4, 2, 2)),
+                     np.broadcast_to(rays, (4, 2, 2)))
     assert np.allclose(got, want, atol=1e-12)
-    assert [cone_dist2(x, b) for x in u] == list(got)
+    assert [cone_dist2(x, b, rays) for x in u] == list(got)
 
 
 def test_e1_continuity_across_wall():
@@ -362,7 +366,7 @@ def test_cone_mass_3d_vs_quadrature():
             u = rng.normal(size=3)
             u *= rng.uniform(0.0, 4.0) / np.linalg.norm(u)
         if (np.linalg.norm(u) > 12.0 or np.min(np.abs(nb @ u)) >= FAST_MARGIN
-                or math.pi * cone_dist2(u, b) > 42.0):
+                or math.pi * cone_dist2(u, b, np.linalg.inv(b)) > 42.0):
             continue
         us.append(u)
         bs.append(b)

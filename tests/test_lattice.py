@@ -365,6 +365,38 @@ def test_completion_kernel_matches_e2_sum(funddom):
         assert abs(got[i] - brute * math.exp(amp)) < 1e-9 * math.exp(amp), i
 
 
+@pytest.fixture(scope="module")
+def funddom_batches(funddom):
+    window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 4)
+    return [_XBatch(LatticeCoset(SPACE_ABC, mu), window)
+            for mu in disc_group(SPACE_ABC)]
+
+
+@pytest.mark.parametrize("pair_block", [lattice.PAIR_BLOCK, 300])
+@pytest.mark.parametrize("literal", [False, True])
+def test_eval_batches_matches_per_coset(funddom, funddom_batches, monkeypatch,
+                                        pair_block, literal):
+    # pooling the rho pairs of all 32 cosets changes no bit of any value;
+    # a small PAIR_BLOCK puts pool boundaries between many cosets
+    monkeypatch.setattr(lattice, "PAIR_BLOCK", pair_block)
+    kern = _CompletionKernel(SPACE_ABC, funddom, w_offset=4)
+    for v in (0.37, 1.3):
+        pooled = kern.eval_batches(funddom_batches, v, literal)
+        assert len(pooled) == len(funddom_batches)
+        for batch, got in zip(funddom_batches, pooled):
+            want = kern.eval_batch(batch, v, literal)
+            assert got.shape == want.shape == (len(batch.inside),)
+            assert np.array_equal(got, want)
+
+
+def test_eval_batches_guard_rows_are_zero(funddom, funddom_batches):
+    kern = _CompletionKernel(SPACE_ABC, funddom)
+    for batch, got in zip(funddom_batches,
+                          kern.eval_batches(funddom_batches, 0.8)):
+        assert np.any(~batch.inside) and np.any(got[batch.inside] != 0)
+        assert np.all(got[~batch.inside] == 0)
+
+
 def test_completion_approaches_holomorphic_part(funddom):
     # as v grows the completion tends to the holomorphic series plus the
     # v-independent x = 0 term (the Gaussian wall masses at the origin)

@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .qspace import QuadraticSpace, NegativePlane, FloatTolerance
+from .qspace import QuadraticSpace, NegativePlane
 from .ngon import NGon, validate, epsilon, w_invariant
 
 __all__ = [
-    "QuadraticSpace", "NegativePlane", "FloatTolerance",
+    "QuadraticSpace", "NegativePlane",
     "NGon", "validate", "epsilon", "w_invariant",
 ]

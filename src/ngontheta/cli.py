@@ -20,7 +20,6 @@ import sys
 
 from . import jsonio
 from .jsonio import InputError, parse_rational, rat_to_str
-from .qspace import QuadraticSpace
 from .ngon import (NGonValidationError, validate, epsilon, w_invariant,
                    check_conditions)
 
@@ -235,7 +234,7 @@ def cmd_sig12(args):
 
 
 def cmd_dodec(args):
-    from .dodec import (DodecData, check_dodec_conditions, validate_dodec,
+    from .dodec import (check_dodec_conditions, validate_dodec,
                         dodec_D_kernel, dodec_P_kernel, dodec_series)
     from .lattice import LatticeCoset
     space, cs = jsonio.load_dodec_file(args.data)

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import erf
 
 from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
-from .ngon import sgn, check_conditions, regular_negative_vector
+from .ngon import (sgn, check_conditions, regular_negative_vector,
+                   default_negative_vector)
 
 
 def bar(a):
@@ -138,7 +139,7 @@ def projected_tuple(space, cs, cycle, i):
 class DodecData:
     """A validated dodecahedral collection.  Immutable."""
 
-    def __init__(self, space, cs, _checked=False):
+    def __init__(self, space, cs):
         if space.sig[1] != 3:
             raise ValueError("dodecahedral collections live in signature (p, 3)")
         cs = tuple(vec(c) for c in cs)
@@ -148,7 +149,7 @@ class DodecData:
         self.cs = cs
         self.comb = cycle_table()
         self.projected = _projected_tuples(space, cs, self.comb)
-        bad = [] if _checked else _violations(space, self.projected)
+        bad = _violations(space, self.projected)
         if bad:
             raise DodecValidationError(bad)
         self.face_w = tuple(self._w_face(i) for i in range(12))
@@ -168,12 +169,26 @@ class DodecData:
         return tuple(self.cs[a] for a in tri)
 
     @functools.cached_property
+    def vertex_planes(self):
+        """The 20 vertex 3-planes [C_i, C_u, C_v], in the order of
+        comb.vertices, built on first use."""
+        return tuple(NegativePlane(self.space, self.vertex_vectors(tri))
+                     for tri in self.comb.vertices)
+
+    def kernel(self, signs):
+        """8 P = sum_nu sgn(x;nu) + sum_i w(R(i)) sgn((x,C_i)) - 8 D(v) of
+        each row of an integer matrix of the signs of (x, C_i)."""
+        tri = np.array(self.comb.vertices)
+        dv = int(8 * dodec_D_kernel(self, default_negative_vector(self)))
+        return (np.prod(signs[:, tri], axis=2).sum(axis=1)
+                + signs @ np.array(self.face_w, dtype=np.int64) - dv)
+
+    @functools.cached_property
     def e_frames(self):
         """Float data of E: the vertex 3-planes' stacked errfn.plane_frame,
         and the unit normals C_i/|(C_i,C_i)|^{1/2} times the Gram matrix."""
         from .errfn import plane_frame
-        a, m = zip(*(plane_frame(self.space, self.vertex_vectors(tri))
-                     for tri in self.comb.vertices))
+        a, m = zip(*(plane_frame(p) for p in self.vertex_planes))
         normals = [self.space.unit_negative(c) for c in self.cs]
         return np.array(a), np.array(m), np.array(normals) @ self.space.gram_f
 
@@ -182,12 +197,6 @@ def validate_dodec(space, cs):
     """Return a DodecData or raise DodecValidationError naming, per face,
     the violated 5-gon inequality (face, j, which condition)."""
     return DodecData(space, cs)
-
-
-def default_negative_vector(dodec):
-    """Deterministic negative vector with all (v, C_i) nonzero (same policy
-    as for N-gons: C_0, perturbed by C_1/k if needed)."""
-    return regular_negative_vector(dodec.space, dodec.cs)
 
 
 def dodec_D_kernel(dodec, x):
@@ -283,36 +292,8 @@ def seed_construction(space, z0_basis, v0, t=0):
 
 # --- q-expansion ------------------------------------------------------------
 
-def certify_dodec_window(space, dodec, z0_span, nmax, safety=1.5):
-    """Comparability window from the 20 vertex 3-planes.  An edge plane
-    [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two vertex
-    planes inside the totally geodesic H^3 of span(C_i, C_j, C_a, C_b), so
-    by convexity of log lambda_max it cannot raise kappa above its value at
-    the vertices."""
-    from .lattice import window_from_planes
-    planes = [NegativePlane(space, dodec.vertex_vectors(tri))
-              for tri in dodec.comb.vertices]
-    return window_from_planes(space, z0_span, planes, nmax, safety=safety)
-
-
 def dodec_series(coset, dodec, nmax, window=None, safety=1.5):
     """q-expansion of sum_x P(x) q^{Q(x)} over the certified window; the
-    same guard-band retry contract as the N-gon series."""
+    same window and guard-band retry contract as the N-gon series."""
     from .lattice import _certified_series
-    nmax = rat(nmax)
-    tri = np.array(dodec.comb.vertices)
-    warr = np.array(dodec.face_w, dtype=np.int64)
-    dv = int(8 * dodec_D_kernel(dodec, default_negative_vector(dodec)))
-
-    def recertify(z0_span, s):
-        return certify_dodec_window(coset.space, dodec, z0_span, nmax,
-                                    safety=s)
-
-    def p8(signs):
-        # 8 P(x) = sum_nu sgn(x;nu) + sum_i w(R(i)) sgn((x,C_i)) - 8 D(v)
-        return np.prod(signs[:, tri], axis=2).sum(axis=1) + signs @ warr - dv
-
-    if window is None:
-        window = recertify(dodec.vertex_vectors(dodec.comb.vertices[0]),
-                           safety)
-    return _certified_series(coset, dodec.cs, nmax, window, p8, 8, recertify)
+    return _certified_series(coset, dodec, rat(nmax), window, safety, 8)

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .qspace import NegativePlane, DEFAULT_TOL, vec
+from .qspace import NegativePlane, vec
 
 SQPI = math.sqrt(math.pi)
 # beyond this sign-margin the Gaussian tail is < erfc(7.5*sqrt(pi)) ~ 1e-78
@@ -151,18 +151,18 @@ def cone_dist2(u, b, rays):
     return np.where(inside, 0.0, best)[()]
 
 
-def plane_frame(space, cs, tol=DEFAULT_TOL):
-    """Orthonormalize span(cs); return the functional rows a_k and the map m
-    that takes x (as floats) to the centre u = m x, the orthonormal
+def plane_frame(plane):
+    """The functional rows a_k of the plane's spanning vectors c_k and the
+    map m that takes x (as floats) to the centre u = m x, the orthonormal
     coordinates of pr_z(x)."""
-    plane = NegativePlane(space, cs, tol)
+    gf = plane.space.gram_f
     # (y, c) for y = sum t_i u_i equals t . a_i, with a_i[k] = (u_k, c)
-    a = [plane.ortho @ space.gram_f @ np.array([float(v) for v in c])
-         for c in cs]
-    return np.array(a), -(plane.ortho @ space.gram_f)
+    a = [plane.ortho @ gf @ np.array([float(v) for v in c])
+         for c in plane.span]
+    return np.array(a), -(plane.ortho @ gf)
 
 
-def E2(space, c1, c2, x, tol=DEFAULT_TOL):
+def E2(space, c1, c2, x):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2) over span(c1,c2); the sign of
     the ratio for exactly proportional c1, c2."""
     c1, c2 = vec(c1), vec(c2)
@@ -170,7 +170,7 @@ def E2(space, c1, c2, x, tol=DEFAULT_TOL):
     if i is not None and c2[i] != 0 and all(c2[i] * a == c1[i] * b
                                             for a, b in zip(c1, c2)):
         return 1.0 if c2[i] / c1[i] > 0 else -1.0
-    return _E(space, (c1, c2), x, tol)
+    return _E(space, (c1, c2), x)
 
 
 def cone_mass_3d(u, b):
@@ -227,13 +227,13 @@ def cone_mass_3d(u, b):
     return np.sum(mass * wt, axis=1)
 
 
-def E3(space, c1, c2, c3, x, tol=DEFAULT_TOL):
+def E3(space, c1, c2, c3, x):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2)sgn(y,c3) over span(c1,c2,c3)."""
-    return _E(space, (c1, c2, c3), x, tol)
+    return _E(space, (c1, c2, c3), x)
 
 
-def _E(space, cs, x, tol):
-    a, m = plane_frame(space, tuple(vec(c) for c in cs), tol)
+def _E(space, cs, x):
+    a, m = plane_frame(NegativePlane(space, cs))
     return float(E_frames(a[None], (m @ np.asarray(x, dtype=float))[None])[0])
 
 

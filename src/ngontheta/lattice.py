@@ -15,7 +15,9 @@ guard band above the bound is enumerated and must contain no x with nonzero
 kernel.  That exact check is what makes a series exact.  When it fails, the
 window is re-certified about the same base plane z0 with twice its safety
 factor, at most RETRIES times; after that the series raises
-CertificationError (CLI exit code 3).
+CertificationError (CLI exit code 3).  N-gons and dodecahedra share this
+path: both carry their vertex planes and an integer sign kernel, and the
+default base plane is the first vertex plane.
 """
 
 import math
@@ -29,7 +31,6 @@ from scipy.linalg import eigh
 from scipy.special import erfcx, gammaincc, gamma as gamma_fn
 
 from .qspace import NegativePlane, mat_inv, mat_det, rat, vec, _over_lcm
-from .ngon import w_invariant, vertex_plane
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
@@ -117,7 +118,10 @@ def _majorant_f(plane):
 def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     """Comparability window: kappa = safety * max over the given
     planes of the largest generalized eigenvalue of M_{z0} against M_z, in
-    floating point (the guard band, not kappa, makes the series exact)."""
+    floating point (the guard band, not kappa, makes the series exact).
+    Below safety 1 the window would fall short of the proven bound."""
+    if not (math.isfinite(safety) and safety >= 1):
+        raise ValueError("safety must be a finite number >= 1")
     z0 = NegativePlane(space, z0_span)
     m0 = _majorant_f(z0)
     kappa = 1.0
@@ -129,14 +133,20 @@ def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety, nmax=rat(nmax))
 
 
-def certify_window(space, ngon, z0_span, nmax, safety=1.5):
-    """Window for an N-gon kernel from its n vertex planes [C_j, C_{j+1}].
-    The edge planes [C_j, (s-1) C_{j-1} + s C_{j+1}] lie on the geodesic
-    between two vertex planes inside the totally geodesic H^2 of
-    span(C_{j-1}, C_j, C_{j+1}), so by convexity of log lambda_max they
-    cannot raise kappa above its value at the vertices."""
-    planes = [vertex_plane(ngon, j) for j in range(1, ngon.n + 1)]
-    return window_from_planes(space, z0_span, planes, nmax, safety=safety)
+def certify_window(space, walls, z0_span, nmax, safety=1.5):
+    """Window for the kernel of an NGon or a DodecData from its vertex
+    planes, about the base plane z0_span (None: the first vertex plane).
+    An N-gon edge plane [C_j, (s-1) C_{j-1} + s C_{j+1}] lies on the
+    geodesic between two vertex planes [C_j, C_{j+1}] inside the totally
+    geodesic H^2 of span(C_{j-1}, C_j, C_{j+1}); a dodecahedral edge plane
+    [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two vertex
+    3-planes inside the H^3 of span(C_i, C_j, C_a, C_b).  By convexity of
+    log lambda_max neither can raise kappa above its value at the
+    vertices."""
+    if z0_span is None:
+        z0_span = walls.vertex_planes[0].span
+    return window_from_planes(space, z0_span, walls.vertex_planes, nmax,
+                              safety=safety)
 
 
 @dataclass
@@ -265,6 +275,11 @@ class _XBatch:
         # exact (x,x)_{z0} <= B for the window split: norms/den <= B
         self.inside = rows.norms <= math.floor(window.B * rows.den)
 
+    @cached_property
+    def qf(self):
+        """Float Q(x) of every row, built on first use."""
+        return self.xx_num.astype(float) / self.den2 / 2.0
+
 
 def _sign_matrix(batch, space, cs):
     """Exact signs of (x, C_j) for all rows of the batch, with the integer
@@ -292,19 +307,22 @@ def _exponent_rows(batch, mask, nmax):
     return rows[(q >= 0) & (q <= top // nmax.denominator)]
 
 
-def _certified_series(coset, cs, nmax, window, kernel, den, recertify):
-    """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a certified window.
-    `kernel` maps the exact sign matrix of the enumerated x against cs to
-    integer numerators; `recertify(z0_span, safety)` builds a new window.
-    A guard-band x with a nonzero kernel and Q(x) in (0, nmax] voids the
-    window, which is then re-certified about its own base plane at twice its
-    safety, at most RETRIES times."""
+def _certified_series(coset, walls, nmax, window, safety, den):
+    """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a certified window,
+    where walls.kernel maps the exact sign matrix of the enumerated x
+    against walls.cs to integer numerators.  Without a window, the default
+    one is certified at `safety`.  A guard-band x with a nonzero kernel and
+    Q(x) in (0, nmax] voids the window, which is then re-certified about its
+    own base plane at twice its safety, at most RETRIES times."""
+    if window is None:
+        window = certify_window(coset.space, walls, None, nmax, safety)
     for attempt in range(RETRIES + 1):
         if attempt:
-            window = recertify(window.z0.span, 2 * window.safety)
+            window = certify_window(coset.space, walls, window.z0.span, nmax,
+                                    safety=2 * window.safety)
         batch = _XBatch(coset, window)
-        signs, _ = _sign_matrix(batch, coset.space, cs)
-        num = kernel(signs)
+        signs, _ = _sign_matrix(batch, coset.space, walls.cs)
+        num = walls.kernel(signs)
         guard = _exponent_rows(batch, (num != 0) & ~batch.inside, nmax)
         if not np.any(batch.xx_num[guard] != 0):
             break
@@ -333,26 +351,10 @@ def holomorphic_series(coset, ngon, nmax, window=None, normalized=False,
                        safety=1.5):
     """q-expansion of sum_x eps(x) q^{Q(x)} (eps/4 when normalized) over the
     certified window."""
-    nmax = rat(nmax)
-    w = w_invariant(ngon)
-
-    def recertify(z0_span, s):
-        return certify_window(coset.space, ngon, z0_span, nmax, safety=s)
-
-    def eps(signs):
-        return w + np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
-
-    if window is None:
-        window = recertify(_default_z0_span(ngon), safety)
-    qe = _certified_series(coset, ngon.cs, nmax, window, eps,
-                           4 if normalized else 1, recertify)
+    qe = _certified_series(coset, ngon, rat(nmax), window, safety,
+                           4 if normalized else 1)
     qe.normalized = normalized
     return qe
-
-
-def _default_z0_span(ngon):
-    """Base plane: the first vertex plane."""
-    return vertex_plane(ngon, 1).span
 
 
 class _CompletionKernel:
@@ -361,39 +363,29 @@ class _CompletionKernel:
     evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q), on the
     window rows of a list of batches; guard-band rows are not evaluated and
     get 0.  eps and the wall terms e_k are taken batch by batch.  The rho_j
-    are signed Gaussian cone masses on the edge planes span(C_j, C_{j+1}):
+    are signed Gaussian cone masses on the vertex planes span(C_j, C_{j+1}):
     the (row, edge) pairs that pass a margin screen are pooled over
     consecutive batches, about PAIR_BLOCK pairs at a time, which bounds the
     pooled temporaries; for each sign quadrant one cone_dist2 call screens a
     pool and one cone_mass_2d call evaluates the pairs that pass."""
 
     def __init__(self, space, ngon, w_offset=0):
+        from .errfn import plane_frame
         self.space = space
         self.ngon = ngon
-        self.w = w_invariant(ngon) + w_offset
-        n = ngon.n
-        gf = space.gram_f
+        self.w_offset = w_offset
         self.chat = np.array([space.unit_negative(c) for c in ngon.cs])
-        self.chat_g = self.chat @ gf            # rows: (chat_k, .)
-        proj, amat = [], []
-        for j in range(n):
-            pl = NegativePlane(space, (ngon.cs[j], ngon.cs[(j + 1) % n]))
-            p = pl.ortho @ gf
-            proj.append(-p)                     # coords of pr_z(x)
-            c0 = np.array([float(v) for v in ngon.cs[j]])
-            c1 = np.array([float(v) for v in ngon.cs[(j + 1) % n]])
-            amat.append(np.vstack([p @ c0, p @ c1]))  # rows a_w[k] = (u_k, c_w)
+        self.chat_g = self.chat @ space.gram_f  # rows: (chat_k, .)
+        a, proj = zip(*(plane_frame(pl) for pl in ngon.vertex_planes))
         self.edge_proj = np.array(proj)         # (n, 2, m): x -> plane coords
-        self.edge_a = np.array(amat)            # (n, 2, 2) functional rows
+        self.edge_a = np.array(a)               # (n, 2, 2) functional rows
         self.edge_ainv = np.linalg.inv(self.edge_a)
-
-    def eval_batch(self, batch, v, scale_literal=False):
-        """Kernel values of one batch (see eval_batches)."""
-        return self.eval_batches([batch], v, scale_literal)[0]
 
     def eval_batches(self, batches, v, scale_literal=False):
         """One array per batch of e^{amp}-scaled kernel values at Im tau = v:
         window rows carry the kernel, guard-band rows 0."""
+        if v <= 0:
+            raise ValueError("tau must lie in the upper half plane")
         scale = math.sqrt(2.0) if scale_literal else math.sqrt(2.0 * v)
         out, group = [], []
         for i, batch in enumerate(batches):
@@ -422,10 +414,10 @@ class _CompletionKernel:
         signs = _sign_matrix(batch, self.space, self.ngon.cs)[0][inside]
         xf = batch.xf[inside]
         tmat = scale * (xf @ self.chat_g.T)            # tau_k margins
-        qf = self.xxf(batch)[inside] / 2.0
+        qf = batch.qf[inside]
         amp = np.minimum(2.0 * math.pi * v * np.maximum(0.0, -qf), AMP_CAP)
-        prod = np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
-        vals = (self.w + prod).astype(float) * np.exp(amp)
+        vals = (self.ngon.kernel(signs) + self.w_offset).astype(float) \
+            * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
         coef = np.roll(signs, 1, axis=1) + np.roll(signs, -1, axis=1)
         with np.errstate(over='ignore'):
@@ -447,10 +439,6 @@ class _CompletionKernel:
                             signs[rows, (edges + 1) % self.ngon.n],
                             amp[rows], edges)
 
-    @staticmethod
-    def xxf(batch):
-        return batch.xx_num.astype(float) / batch.den2
-
     def _rho(self, u, s1, s2, amp, edges):
         """Signed cone masses summed over the four sign quadrants, one value
         per (row, edge) pair: plane centre u, wall signs s1, s2."""
@@ -470,30 +458,29 @@ class _CompletionKernel:
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
-                    w_offset=0, _batch=None, _scaled=None):
+                    w_offset=0):
     """Value of the completed series at tau for one coset, with a tail
-    estimate: (value, tail).  `_scaled` may carry the kernel values of the
-    batch at v = Im tau, which depend on tau only through v."""
-    space = coset.space
-    v = tau.imag
-    if v <= 0:
-        raise ValueError("tau must lie in the upper half plane")
+    estimate: (value, tail)."""
     if window is None:
-        window = certify_window(space, ngon, _default_z0_span(ngon), nmax)
-    batch = _batch or _XBatch(coset, window)
-    if _scaled is None:
-        _scaled = _CompletionKernel(space, ngon, w_offset).eval_batch(
-            batch, v, paper_literal)
-    qf = _CompletionKernel.xxf(batch) / 2.0
-    phase = np.exp(2j * math.pi * tau.real * qf
-                   - 2.0 * math.pi * v * np.maximum(qf, 0.0))
-    terms = np.where(batch.inside, _scaled * phase, 0.0)
+        window = certify_window(coset.space, ngon, None, nmax)
+    batch = _XBatch(coset, window)
+    scaled, = _CompletionKernel(coset.space, ngon, w_offset).eval_batches(
+        [batch], tau.imag, paper_literal)
+    return _completion_sum(batch, scaled, window, ngon.n, tau)
+
+
+def _completion_sum(batch, scaled, window, n_edges, tau):
+    """(value, tail) at tau of one coset from the kernel values `scaled` of
+    its batch at v = Im tau, which depend on tau only through v."""
+    v = tau.imag
+    phase = np.exp(2j * math.pi * tau.real * batch.qf
+                   - 2.0 * math.pi * v * np.maximum(batch.qf, 0.0))
+    terms = np.where(batch.inside, scaled * phase, 0.0)
     # fixed chunk-order accumulation
     total = complex(0.0)
     for start in range(0, len(terms), CHUNK):
         total += complex(np.sum(terms[start:start + CHUNK]))
-    tail = _tail_estimate(batch, window, ngon.n, v)
-    return total, tail
+    return total, _tail_estimate(batch, window, n_edges, v)
 
 
 def _tail_estimate(batch, window, n_edges, v):
@@ -561,20 +548,16 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     Weil transform; returns a report dict."""
     reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
-    window = certify_window(space, ngon, _default_z0_span(ngon), nmax)
+    window = certify_window(space, ngon, None, nmax)
     kern = _CompletionKernel(space, ngon, w_offset)
-
-    cosets = [LatticeCoset(space, mu) for mu in reps]
-    batches = [_XBatch(c, window) for c in cosets]
+    batches = [_XBatch(LatticeCoset(space, mu), window) for mu in reps]
     scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):
         if t.imag not in scaled:
             scaled[t.imag] = kern.eval_batches(batches, t.imag, paper_literal)
-        vals, tails = zip(*(
-            completion_eval(c, ngon, t, nmax, window=window, _batch=b,
-                            _scaled=k)
-            for c, b, k in zip(cosets, batches, scaled[t.imag])))
+        vals, tails = zip(*(_completion_sum(b, k, window, ngon.n, t)
+                            for b, k in zip(batches, scaled[t.imag])))
         return np.array(vals), max(tails)
 
     base, tail0 = theta_vec(tau)

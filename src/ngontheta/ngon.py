@@ -9,8 +9,11 @@ A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
 All checks are exact rational arithmetic.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
 
@@ -65,22 +68,37 @@ def check_conditions(space, cs):
 class NGon:
     """A validated N-gon collection. Immutable."""
 
-    def __init__(self, space, cs, _checked=False):
+    def __init__(self, space, cs):
         if space.sig[1] != 2:
             raise ValueError("N-gon collections live in signature (p, 2)")
         cs = tuple(vec(c) for c in cs)
         if len(cs) < 3:
             raise ValueError("need N >= 3 vectors")
-        if not _checked:
-            bad = check_conditions(space, cs)
-            if bad:
-                raise NGonValidationError(bad[0])
+        bad = check_conditions(space, cs)
+        if bad:
+            raise NGonValidationError(bad[0])
         self.space = space
         self.cs = cs
         self.n = len(cs)
 
     def __repr__(self):
         return f"NGon(N={self.n}, sig={self.space.sig})"
+
+    @functools.cached_property
+    def vertex_planes(self):
+        """The n oriented vertex planes [C_j, C_{j+1}], built on first use."""
+        return tuple(NegativePlane(self.space, (c, self.cs[(j + 1) % self.n]))
+                     for j, c in enumerate(self.cs))
+
+    @functools.cached_property
+    def _w(self):
+        return w_invariant(self)
+
+    def kernel(self, signs):
+        """eps = w + sum_j s_j s_{j+1} of each row of an integer matrix of
+        the signs s_j of (x, C_j)."""
+        return self._w + np.einsum('ij,ij->i', signs,
+                                   np.roll(signs, -1, axis=1))
 
 
 def validate(space, cs):
@@ -101,9 +119,10 @@ def regular_negative_vector(space, cs):
     raise RuntimeError("could not find a regular negative vector")
 
 
-def default_negative_vector(ngon):
-    """regular_negative_vector for the polygon's vectors."""
-    return regular_negative_vector(ngon.space, ngon.cs)
+def default_negative_vector(walls):
+    """regular_negative_vector for the vectors of a wall collection (an NGon
+    or a DodecData)."""
+    return regular_negative_vector(walls.space, walls.cs)
 
 
 def w_invariant(ngon, v=None):
@@ -132,8 +151,7 @@ def vertex_plane(ngon, j):
     """Oriented negative plane [C_j, C_{j+1}], 1-based j."""
     if not 1 <= j <= ngon.n:
         raise ValueError("vertex index out of range")
-    return NegativePlane(ngon.space,
-                         (ngon.cs[j - 1], ngon.cs[j % ngon.n]))
+    return ngon.vertex_planes[j - 1]
 
 
 def gamma_sample(ngon, j, s):

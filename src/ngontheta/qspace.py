@@ -8,10 +8,11 @@ builds one Fraction; NegativePlane takes Bareiss minors of an integer Gram.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 import math
 
 import numpy as np
+
+PIVOT_TOL = 1e-12        # smallest squared norm of a Gram-Schmidt pivot
 
 
 def rat(x):
@@ -131,18 +132,6 @@ def _signature(a):
     return changes(coef), changes([(-1) ** k * c for k, c in enumerate(coef)])
 
 
-@dataclass(frozen=True)
-class FloatTolerance:
-    abs_eps: float = 1e-12
-
-    def __post_init__(self):
-        if not self.abs_eps > 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOL = FloatTolerance()
-
-
 class QuadraticSpace:
     """Rational symmetric bilinear form (x,y) = x^T G y with Q(x) = (x,x)/2.
 
@@ -216,7 +205,7 @@ class NegativePlane:
     cached orthonormalization satisfies (u_i, u_j) = -delta_ij.
     """
 
-    def __init__(self, space, span, tol=DEFAULT_TOL):
+    def __init__(self, space, span):
         self.space = space
         self.span = tuple(vec(s) for s in span)
         k = len(self.span)
@@ -236,7 +225,7 @@ class NegativePlane:
             for u in basis:
                 v = v - (-(v @ gf @ u)) * u
             nrm2 = -(v @ gf @ v)
-            if nrm2 < tol.abs_eps:
+            if nrm2 < PIVOT_TOL:
                 raise DegeneratePlaneError("orthonormalization pivot failure")
             basis.append(v / math.sqrt(nrm2))
         self.ortho = np.array(basis)

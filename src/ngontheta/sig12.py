@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qspace import QuadraticSpace, rat, vec, vec_primitive
-from .ngon import NGon, validate, sgn, gamma_sample
+from .ngon import validate, sgn, gamma_sample
 
 # Gram of (X,Y) = -tr(XY) in [a,b,c] coordinates: (x,x) = 2(4ac - b^2)
 SPACE_ABC = QuadraticSpace([[0, 0, 4], [0, -2, 0], [4, 0, 0]])
@@ -108,13 +108,19 @@ def recover_ngon(zs):
         raise OrientationError(
             "total turning is -1 (odd number of right turns); "
             "reverse the vertex order and negate the series")
+    return validate(SPACE_ABC, _signed_crosses(pts, taus))
+
+
+def _signed_crosses(pts, taus):
+    """Primitive C_j = eps_j X(z_{j-1}) x X(z_j), with eps_j the product of
+    the turning signs taus before index j."""
     cs = []
     eps = 1
-    for j in range(n):
+    for j, tau in enumerate(taus):
         y = cross(point_to_vector(pts[j - 1]), point_to_vector(pts[j]))
         cs.append(vec_primitive(tuple(eps * t for t in vec(y))))
-        eps *= taus[j]
-    return validate(SPACE_ABC, cs)
+        eps *= tau
+    return cs
 
 
 def one_sign_term(zs, j):
@@ -241,13 +247,7 @@ def dart_collection():
            UHPoint(0, Fraction(3, 2))]
     taus = [turning_sign(pts[j - 1], pts[j], pts[(j + 1) % 4])
             for j in range(4)]
-    cs = []
-    eps = 1
-    for j in range(4):
-        y = cross(point_to_vector(pts[j - 1]), point_to_vector(pts[j]))
-        cs.append(vec_primitive(tuple(eps * t for t in vec(y))))
-        eps *= taus[j]
-    return tuple(cs)
+    return tuple(_signed_crosses(pts, taus))
 
 
 def reduced_forms(n):

@@ -217,6 +217,16 @@ def test_cli_theta_gram_mismatch(capsys, tmp_path):
     assert "Gram" in err
 
 
+@pytest.mark.parametrize("safety", ["0", "-1", "nan", "0.5"])
+def test_cli_safety_below_one_is_validation_error(capsys, safety):
+    # below 1 the window falls short of the proven vertex kappa
+    code, out, err = run(capsys, "theta", "series", "--lattice", LATTICE,
+                         "--ngon", FUNDDOM, "--nmax", "6",
+                         f"--safety={safety}")
+    assert (code, out) == (2, "")
+    assert err == "validation error: safety must be a finite number >= 1\n"
+
+
 def test_cli_theta_complete(capsys):
     code, out, _ = run(capsys, "theta", "complete", "--lattice", LATTICE,
                        "--ngon", FUNDDOM, "--nmax", "4", "--tau", "0.1+2i")
@@ -464,8 +474,8 @@ PINNED = json.loads((REPO / "tests" / "pinned_cli_outputs.json").read_text())
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_cli_pinned_output(capsys, monkeypatch, name):
-    """Full stdout of `theta modularity` and `theta complete`, byte for byte
-    as recorded in tests/pinned_cli_outputs.json."""
+    """Full stdout of each command in tests/pinned_cli_outputs.json, byte
+    for byte as recorded there."""
     monkeypatch.chdir(REPO)
     code, out, _ = run(capsys, *PINNED[name]["argv"])
     assert code == 0

@@ -6,14 +6,13 @@ import pytest
 
 from ngontheta.qspace import QuadraticSpace, NegativePlane, vec_add, vec_scale
 from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
-                               window_from_planes)
-from ngontheta import dodec as dodec_mod
+                               window_from_planes, certify_window)
+from ngontheta import lattice
 from ngontheta.dodec import (bar, cycle_table, recipe_step, cyclic_equal,
                              check_dodec_conditions, DodecValidationError,
                              validate_dodec, default_negative_vector,
                              dodec_D_kernel, dodec_P_kernel, dodec_E_kernel,
-                             seed_construction, PHI_HAT,
-                             certify_dodec_window, dodec_series)
+                             seed_construction, PHI_HAT, dodec_series)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
                       [0, 0, -2, 0], [0, 0, 0, -2]])
@@ -257,8 +256,7 @@ def test_vertex_kappa_bounds_edge_samples():
         r = [Fraction(rng.randint(-4, 4), 16) for _ in range(3)]
         tilted = tuple((r[k],) + Z0[k][1:] for k in range(3))
         for z0 in (dodec.vertex_vectors(tri), tilted):
-            vertex = certify_dodec_window(space, dodec, z0, 1,
-                                          safety=1.0).kappa
+            vertex = certify_window(space, dodec, z0, 1, safety=1.0).kappa
             edge = window_from_planes(space, z0, planes, 1,
                                       safety=1.0).kappa
             assert vertex >= edge * (1 - 1e-12), (vertex, edge)
@@ -312,7 +310,7 @@ def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
         calls.append((z0_span, safety))
         return small(z0_span, safety)
 
-    monkeypatch.setattr(dodec_mod, "certify_dodec_window", always_small)
+    monkeypatch.setattr(lattice, "certify_window", always_small)
     z0 = seed_dodec4.vertex_vectors(seed_dodec4.comb.vertices[0])
     mu = (Fraction(1, 4), 0, 0, 0)
     with pytest.raises(CertificationError):
@@ -323,6 +321,6 @@ def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
 
 def test_dodec_window_grows_with_nmax(seed_dodec4):
     z0 = seed_dodec4.vertex_vectors(seed_dodec4.comb.vertices[0])
-    w1 = certify_dodec_window(SP4, seed_dodec4, z0, 2)
-    w2 = certify_dodec_window(SP4, seed_dodec4, z0, 4)
+    w1 = certify_window(SP4, seed_dodec4, z0, 2)
+    w2 = certify_window(SP4, seed_dodec4, z0, 4)
     assert w2.B >= 2 * w1.B * Fraction(63, 64)

@@ -352,7 +352,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     batch = _XBatch(LatticeCoset(SPACE_ABC), window)
     kern = _CompletionKernel(SPACE_ABC, funddom)
     v = 0.37
-    got = kern.eval_batch(batch, v)
+    got = kern.eval_batches([batch], v)[0]
     w = w_invariant(funddom)
     n = funddom.n
     rows = [i for i in range(len(batch.xf)) if batch.inside[i]][:25]
@@ -384,7 +384,7 @@ def test_eval_batches_matches_per_coset(funddom, funddom_batches, monkeypatch,
         pooled = kern.eval_batches(funddom_batches, v, literal)
         assert len(pooled) == len(funddom_batches)
         for batch, got in zip(funddom_batches, pooled):
-            want = kern.eval_batch(batch, v, literal)
+            want = kern.eval_batches([batch], v, literal)[0]
             assert got.shape == want.shape == (len(batch.inside),)
             assert np.array_equal(got, want)
 
@@ -418,6 +418,8 @@ def test_completion_rejects_lower_half_plane(funddom):
     with pytest.raises(ValueError):
         completion_eval(LatticeCoset(SPACE_ABC), funddom,
                         complex(0.0, -1.0), 4)
+    with pytest.raises(ValueError, match="upper half plane"):
+        modularity_check(SPACE_ABC, funddom, complex(0.1, 0.0), 2)
 
 
 def test_weil_sanity(space_e, space_abc):
@@ -704,3 +706,33 @@ def test_guard_band_retries_exhausted(funddom, monkeypatch):
         holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 6,
                            window=_small_window((E2_ABC, E3_ABC), 1.0))
     assert calls == [((E2_ABC, E3_ABC), s) for s in (2.0, 4.0, 8.0)]
+
+
+@pytest.mark.parametrize("safety", [0, -1, float("nan"), 0.5])
+def test_safety_below_one_is_rejected(funddom, seed_dodec, safety):
+    # below 1 the window falls short of the proven vertex kappa
+    msg = "safety must be a finite number >= 1"
+    with pytest.raises(ValueError, match=msg):
+        holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 6, safety=safety)
+    with pytest.raises(ValueError, match=msg):
+        dodec_series(LatticeCoset(seed_dodec.space), seed_dodec, 2,
+                     safety=safety)
+
+
+def test_vertex_planes_built_once(monkeypatch, seed_dodec):
+    calls = []
+    init = NegativePlane.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(NegativePlane, "__init__", counted)
+    modularity_check(SPACE_ABC, fundamental_ngon(2), complex(0.1, 0.95), 4)
+    assert len(calls) == 5          # 4 vertex planes and the window's z0
+    dodec = validate_dodec(seed_dodec.space, seed_dodec.cs)
+    coset = LatticeCoset(dodec.space)
+    dodec_series(coset, dodec, 2)
+    calls.clear()
+    dodec_series(coset, dodec, 2)
+    assert len(calls) == 1          # the window's z0; vertex planes cached

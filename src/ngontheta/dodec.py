@@ -8,7 +8,8 @@ the cycle F(i) lists the five faces adjacent to face i, clockwise with
 respect to the outward normal.  The collection C_0..C_11 of negative
 vectors satisfies the dodecahedron conditions when, for every face i, the
 projected 5-tuple R(i) = (P_i C_j)_{j in F(i)} satisfies the 5-gon
-conditions inside V_i = C_i^perp.
+conditions inside V_i = C_i^perp.  Validation, w(R(i)), D(v) and the signs
+of (x, C_i) read the collection's 12 x 12 integer Gram, built once.
 """
 
 import functools
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erf
 
 from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
-from .ngon import (sgn, check_conditions, regular_negative_vector,
-                   default_negative_vector)
+from .ngon import (_Walls, _cyclic_w, _gram_violations, _regular_choice,
+                   default_negative_vector)  # noqa: F401 (re-exported)
 
 
 def bar(a):
@@ -62,9 +62,10 @@ def cyclic_equal(t1, t2):
         tuple(t1[(k + r) % n] for k in range(n)) == tuple(t2) for r in range(n))
 
 
+@functools.cache
 def cycle_table():
     """The fixed face-cycle table with its 20 vertex triples; all structural
-    invariants are checked at construction."""
+    invariants are checked when it is first built (once per process)."""
     cycles = dict(_TOP_CYCLES)
     for a in range(6):
         cycles[bar(a)] = tuple(bar(x) for x in reversed(cycles[a]))
@@ -112,31 +113,29 @@ class DodecValidationError(ValueError):
 
 def check_dodec_conditions(space, cs):
     """All violated (face, Violation) pairs of the per-face 5-gon conditions
-    on the projected tuples R(i); exact rational arithmetic."""
+    on the projected tuples R(i); integer signs on the collection's Gram."""
     cs = tuple(vec(c) for c in cs)
-    return _violations(space, _projected_tuples(space, cs, cycle_table()))
+    d, _, n = space.int_core(cs)
+    return [(i, v) for i, f in enumerate(_face_grams(space, d, n, cycle_table()))
+            for v in _gram_violations(*f)]
 
 
-def _projected_tuples(space, cs, comb):
-    return tuple(projected_tuple(space, cs, comb.cycles[i], i)
-                 for i in range(12))
+def _face_grams(space, d, n, comb):
+    """Per face i, the Gram of R(i) as _gram_violations reads it: from
+    (C_a, C_b) = n_ab / (d_a d_b den) and n_ii < 0, (P_i C_j, P_i C_k) =
+    (n_ij n_ik - n_ii n_jk) / (d_j d_k den |n_ii|).  Raises
+    DodecValidationError at the first i with (C_i, C_i) >= 0."""
+    for i in range(12):
+        if n[i][i] >= 0:
+            cc = Fraction(n[i][i], d[i] ** 2 * space._den)
+            raise DodecValidationError([(i, f"(C_{i}, C_{i}) = {cc} not < 0")])
+    return [([[n[i][j] * n[i][k] - n[i][i] * n[j][k] for k in comb.cycles[i]]
+              for j in comb.cycles[i]],
+             [d[j] for j in comb.cycles[i]], -space._den * n[i][i])
+            for i in range(12)]
 
 
-def _violations(space, projected):
-    return [(i, v) for i, r in enumerate(projected)
-            for v in check_conditions(space, r)]
-
-
-def projected_tuple(space, cs, cycle, i):
-    """R(i) = (P_i C_j)_{j in F(i)} with P_i the orthogonal projection to
-    C_i^perp; vectors stay in ambient coordinates."""
-    if space.inner(cs[i], cs[i]) >= 0:
-        raise DodecValidationError(
-            [(i, f"(C_{i}, C_{i}) = {space.inner(cs[i], cs[i])} not < 0")])
-    return tuple(space.project_perp(cs[j], cs[i]) for j in cycle)
-
-
-class DodecData:
+class DodecData(_Walls):
     """A validated dodecahedral collection.  Immutable."""
 
     def __init__(self, space, cs):
@@ -145,25 +144,26 @@ class DodecData:
         cs = tuple(vec(c) for c in cs)
         if len(cs) != 12:
             raise ValueError("need exactly 12 vectors indexed by Z/12Z")
-        self.space = space
-        self.cs = cs
+        super().__init__(space, cs)
         self.comb = cycle_table()
-        self.projected = _projected_tuples(space, cs, self.comb)
-        bad = _violations(space, self.projected)
+        faces = _face_grams(space, self._d, self._gram, self.comb)
+        bad = [(i, v) for i, f in enumerate(faces) for v in _gram_violations(*f)]
         if bad:
             raise DodecValidationError(bad)
-        self.face_w = tuple(self._w_face(i) for i in range(12))
+        # w(R(i)) = -sum_l sgn((v_i, R(i)_l)) sgn((v_i, R(i)_{l+1})) for the
+        # regular negative v_i in V_i that regular_negative_vector picks
+        self.face_w = tuple(_cyclic_w(_regular_choice(m, s)[1])
+                            for m, s, _ in faces)
+        # 8 D(v) of the default negative vector v
+        self._dv8 = self._d8(_regular_choice(self._gram, self._d)[1])
 
     def __repr__(self):
         return f"DodecData(sig={self.space.sig})"
 
-    def _w_face(self, i):
-        """w(R(i)) = -sum_l sgn((v_i, R(i)_l)) sgn((v_i, R(i)_{l+1})) for a
-        negative v_i in V_i with all pairings nonzero (deterministic choice)."""
-        space, r = self.space, self.projected[i]
-        v = regular_negative_vector(space, r)
-        s = [sgn(space.inner(v, c)) for c in r]
-        return -sum(s[l] * s[(l + 1) % 5] for l in range(5))
+    def _d8(self, s):
+        """8 D from the signs s_i of (x, C_i)."""
+        return (sum(s[i] * s[u] * s[v] for i, u, v in self.comb.vertices)
+                + sum(w * t for w, t in zip(self.face_w, s)))
 
     def vertex_vectors(self, tri):
         return tuple(self.cs[a] for a in tri)
@@ -179,9 +179,8 @@ class DodecData:
         """8 P = sum_nu sgn(x;nu) + sum_i w(R(i)) sgn((x,C_i)) - 8 D(v) of
         each row of an integer matrix of the signs of (x, C_i)."""
         tri = np.array(self.comb.vertices)
-        dv = int(8 * dodec_D_kernel(self, default_negative_vector(self)))
         return (np.prod(signs[:, tri], axis=2).sum(axis=1)
-                + signs @ np.array(self.face_w, dtype=np.int64) - dv)
+                + signs @ np.array(self.face_w, dtype=np.int64) - self._dv8)
 
     @functools.cached_property
     def e_frames(self):
@@ -204,29 +203,26 @@ def dodec_D_kernel(dodec, x):
     sgn(x;nu) is the product of the three signs of the vertex triple.  The
     sign is fixed so that D is the pointwise limit of the smooth kernel E
     along regular rays, which the completed series requires."""
-    space, cs = dodec.space, dodec.cs
-    x = vec(x)
-    s = [sgn(space.inner(x, c)) for c in cs]
-    trip = sum(s[i] * s[u] * s[v] for (i, u, v) in dodec.comb.vertices)
-    wsum = sum(dodec.face_w[i] * s[i] for i in range(12))
-    return Fraction(trip + wsum, 8)
+    return Fraction(dodec._d8(dodec.signs(x)), 8)
 
 
 def dodec_P_kernel(dodec, x, v=None):
     """P(x) = D(x) - D(v) for a (deterministic by default) negative v."""
     if v is None:
-        v = default_negative_vector(dodec)
+        dv = dodec._dv8
     else:
         v = vec(v)
         if not dodec.space.inner(v, v) < 0:
             raise ValueError("P kernel requires a negative vector v")
-    return dodec_D_kernel(dodec, x) - dodec_D_kernel(dodec, v)
+        dv = dodec._d8(dodec.signs(v))
+    return Fraction(dodec._d8(dodec.signs(x)) - dv, 8)
 
 
 def dodec_E_kernel(dodec, x):
     """E(x) = 1/8 sum_nu E3(nu, x sqrt(2)) + 1/8 sum_i w(R(i)) E1(C_i, x sqrt(2));
     the smooth completion of D (continuous across every wall (x,C_i)=0).
     All 20 vertex terms are one E_frames batch."""
+    from scipy.special import erf
     from .errfn import E_frames, SQPI
     a, m, normals = dodec.e_frames
     xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)

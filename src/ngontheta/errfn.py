@@ -17,7 +17,6 @@ import math
 from itertools import product
 
 import numpy as np
-from scipy.special import erf, erfcx
 
 from .qspace import NegativePlane, vec
 
@@ -40,6 +39,7 @@ class QuadratureError(RuntimeError):
 
 def E1(space, c, x):
     """erf(sqrt(pi) * (x, c/|(c,c)|^{1/2})) for a negative vector c."""
+    from scipy.special import erf
     und = space.unit_negative(c)
     return float(erf(SQPI * (np.asarray(x, dtype=float) @ space.gram_f @ und)))
 
@@ -50,6 +50,7 @@ def _radial_1(e0, b):
     1 + erf(t) = 2 - erfcx(t) e^{-t^2} for b >= 0 both signs of b share one
     form; the bracket cancels only where its e^{-pi b^2} factor makes it
     negligible (b > 0) or as in the direct erfcx form (b < 0)."""
+    from scipy.special import erfcx
     ab = np.abs(b)
     return np.exp(e0) * np.maximum(b, 0.0) + np.exp(e0 - np.pi * b * b) \
         * (1.0 / (2.0 * np.pi) - ab / 2.0 * erfcx(SQPI * ab))
@@ -270,11 +271,9 @@ def E_frames(a, u):
 def j0_value(space, ngon, x):
     """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
     for a regular rational x."""
-    cs, xr, n = ngon.cs, vec(x), len(ngon.cs)
-    pairings = [space.inner(xr, c) for c in cs]
-    if 0 in pairings:
+    cs, n, s = ngon.cs, ngon.n, ngon.signs(x)
+    if 0 in s:
         raise ValueError("x is not regular: (x, C_j) = 0")
-    s = [1 if p > 0 else -1 for p in pairings]
-    xf = np.array([float(v) for v in xr]) * math.sqrt(2.0)
+    xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
     return sum(E2(space, cs[j], cs[(j + 1) % n], xf) - s[j] * s[(j + 1) % n]
                for j in range(n)) / 4.0

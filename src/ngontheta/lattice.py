@@ -27,10 +27,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import erfcx, gammaincc, gamma as gamma_fn
 
-from .qspace import NegativePlane, mat_inv, mat_det, rat, vec, _over_lcm
+from .qspace import NegativePlane, _adjugate, _over_lcm, rat, vec
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
@@ -63,10 +61,9 @@ def disc_group(space):
     With d = |det G| the numerators d*mu mod d form the closure of 0 under
     adding the m integer columns of d*G^{-1}, so memory grows like d*m."""
     m = space.dim
-    gi = [[int(v) for v in row] for row in space.gram]
-    d = abs(int(mat_det(gi)))
-    inv = mat_inv(gi)
-    gens = [tuple(int(inv[i][j] * d) % d for i in range(m)) for j in range(m)]
+    det, adj = _adjugate(space._gi)
+    d = abs(det)                          # d G^{-1} = sign(det) adj
+    gens = [tuple(v * (d // det) % d for v in col) for col in zip(*adj)]
     seen = {(0,) * m}
     todo = list(seen)
     while todo:
@@ -83,15 +80,13 @@ def disc_group(space):
 
 def majorant_matrix(space, z0_span):
     """Exact positive-definite matrix M with x^T M x = (x,x)_{z0}:
-    M = G - 2 (G S) (S^T G S)^{-1} (G S)^T for the span S of z0."""
-    m, s = space.dim, [vec(v) for v in z0_span]
-    gs = [[space.inner([int(i == j) for j in range(m)], v) for v in s]
-          for i in range(m)]                                  # G S  (m x k)
-    inv = mat_inv([[space.inner(u, v) for v in s] for u in s])
-    k = len(s)
-    return [[space.gram[i][j] - 2 * sum(gs[i][a] * inv[a][b] * gs[j][b]
-                                        for a in range(k) for b in range(k))
-             for j in range(m)] for i in range(m)]
+    M = G - 2 (G S) (S^T G S)^{-1} (G S)^T for the span S of z0, computed
+    as (det(n) gi - 2 g adj(n) g^T) / (den det(n)) from int_core's g, n."""
+    _, g, n = space.int_core([vec(v) for v in z0_span])
+    (det, adj), k, m = _adjugate(n), len(n), space.dim
+    return [[Fraction(det * space._gi[i][j] - 2 * sum(
+        g[a][i] * adj[a][b] * g[b][j] for a in range(k) for b in range(k)),
+        space._den * det) for j in range(m)] for i in range(m)]
 
 
 @dataclass
@@ -122,6 +117,7 @@ def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     Below safety 1 the window would fall short of the proven bound."""
     if not (math.isfinite(safety) and safety >= 1):
         raise ValueError("safety must be a finite number >= 1")
+    from scipy.linalg import eigh
     z0 = NegativePlane(space, z0_span)
     m0 = _majorant_f(z0)
     kappa = 1.0
@@ -147,6 +143,12 @@ def certify_window(space, walls, z0_span, nmax, safety=1.5):
         z0_span = walls.vertex_planes[0].span
     return window_from_planes(space, z0_span, walls.vertex_planes, nmax,
                               safety=safety)
+
+
+def _check_space(space, walls):
+    """Raise ValueError unless the wall collection lives in `space`."""
+    if space.gram != walls.space.gram:
+        raise ValueError("coset and wall collection live in different spaces")
 
 
 @dataclass
@@ -314,6 +316,7 @@ def _certified_series(coset, walls, nmax, window, safety, den):
     one is certified at `safety`.  A guard-band x with a nonzero kernel and
     Q(x) in (0, nmax] voids the window, which is then re-certified about its
     own base plane at twice its safety, at most RETRIES times."""
+    _check_space(coset.space, walls)
     if window is None:
         window = certify_window(coset.space, walls, None, nmax, safety)
     for attempt in range(RETRIES + 1):
@@ -410,6 +413,7 @@ class _CompletionKernel:
         """The eps and wall terms of the window rows of a batch, the
         window-row index of each (row, edge) pair that passes the rho screen,
         and the pairs' arguments for _rho."""
+        from scipy.special import erfcx
         inside = batch.inside
         signs = _sign_matrix(batch, self.space, self.ngon.cs)[0][inside]
         xf = batch.xf[inside]
@@ -461,6 +465,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
                     w_offset=0):
     """Value of the completed series at tau for one coset, with a tail
     estimate: (value, tail)."""
+    _check_space(coset.space, ngon)
     if window is None:
         window = certify_window(coset.space, ngon, None, nmax)
     batch = _XBatch(coset, window)
@@ -486,6 +491,7 @@ def _completion_sum(batch, scaled, window, n_edges, tau):
 def _tail_estimate(batch, window, n_edges, v):
     """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa},
     with the lattice-point density calibrated from the enumerated ball."""
+    from scipy.special import gammaincc, gamma as gamma_fn
     m = batch.xf.shape[1] if len(batch.xf) else 1
     bf = float(window.B)
     count = max(len(batch.xf), 1)
@@ -546,6 +552,7 @@ def weil_sanity(space, weil=None):
 def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     """Compare the completion vector at tau+1 and -1/tau against the finite
     Weil transform; returns a report dict."""
+    _check_space(space, ngon)
     reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
     window = certify_window(space, ngon, None, nmax)

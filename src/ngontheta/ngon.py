@@ -6,7 +6,7 @@ A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
   (1) (C_j, C_j) < 0
   (2) (C_j, C_j)(C_{j+1}, C_{j+1}) - (C_j, C_{j+1})^2 > 0
   (3) (C_j, C_j)(C_{j-1}, C_{j+1}) - (C_j, C_{j-1})(C_j, C_{j+1}) < 0
-All checks are exact rational arithmetic.
+All checks are integer signs on the collection's Gram, built once per NGon.
 """
 
 import functools
@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
+from .qspace import (NegativePlane, _over_lcm, _dot, rat, vec, vec_add,
+                     vec_scale)
 
 
 def sgn(r):
@@ -46,26 +47,64 @@ class KernelValue:
 
 def check_conditions(space, cs):
     """Return the list of all violated (j, condition) for the 3N inequalities."""
-    n = len(cs)
-    out = []
-    cc = [space.inner(c, c) for c in cs]
-    cross = [space.inner(cs[j], cs[(j + 1) % n]) for j in range(n)]
-    for j in range(n):
-        if not cc[j] < 0:
-            out.append(Violation(j + 1, 1, f"(C_{j+1},C_{j+1}) = {cc[j]} not < 0"))
-    for j in range(n):
-        g = cc[j] * cc[(j + 1) % n] - cross[j] ** 2
+    d, _, n = space.int_core(tuple(vec(c) for c in cs))
+    return _gram_violations(n, d, space._den)
+
+
+def _gram_violations(n, s, den):
+    """check_conditions on the Gram (u_j, u_k) = n_jk / (s_j s_k den), s_j,
+    den > 0, by integer signs; only a violation's message builds a Fraction."""
+    k, out = len(n), ([], [], [])
+    for j in range(k):
+        jm, jp = (j - 1) % k, (j + 1) % k
+        g = n[j][j] * n[jp][jp] - n[j][jp] ** 2
+        t = n[j][j] * n[jm][jp] - n[jm][j] * n[j][jp]
+        if not n[j][j] < 0:
+            cc = Fraction(n[j][j], s[j] ** 2 * den)
+            out[0].append(Violation(j + 1, 1, f"(C_{j+1},C_{j+1}) = {cc} not < 0"))
         if not g > 0:
-            out.append(Violation(j + 1, 2, f"plane Gram determinant {g} not > 0"))
-    for j in range(n):
-        jm, jp = (j - 1) % n, (j + 1) % n
-        t = cc[j] * space.inner(cs[jm], cs[jp]) - cross[jm] * cross[j]
+            g = Fraction(g, (s[j] * s[jp] * den) ** 2)
+            out[1].append(Violation(j + 1, 2, f"plane Gram determinant {g} not > 0"))
         if not t < 0:
-            out.append(Violation(j + 1, 3, f"turning quantity {t} not < 0"))
-    return out
+            t = Fraction(t, s[j] ** 2 * s[jm] * s[jp] * den ** 2)
+            out[2].append(Violation(j + 1, 3, f"turning quantity {t} not < 0"))
+    return out[0] + out[1] + out[2]
 
 
-class NGon:
+def _regular_choice(n, s):
+    """(k, signs of the (v, u_l)) of regular_negative_vector from a Gram as
+    in _gram_violations: v is a positive multiple of a u_1 + b u_2."""
+    for k in range(1, 10001):
+        a, b = (1, 0) if k == 1 else (k * s[1], s[0])
+        if a * a * n[0][0] + 2 * a * b * n[0][1] + b * b * n[1][1] < 0:
+            signs = [sgn(a * p + b * q) for p, q in zip(n[0], n[1])]
+            if all(signs):
+                return k, signs
+    raise RuntimeError("could not find a regular negative vector")
+
+
+def _cyclic_w(s):
+    """-sum_j s_j s_{j+1} over a cycle of signs."""
+    return -sum(s[j - 1] * s[j] for j in range(len(s)))
+
+
+class _Walls:
+    """A wall collection's exact integer core (QuadraticSpace.int_core),
+    built once; validation, w, D(v) and the signs of (x, C_j) read it."""
+
+    def __init__(self, space, cs):
+        self.space, self.cs = space, cs
+        self._d, self._gc, self._gram = space.int_core(cs)
+
+    def signs(self, x):
+        """The signs of (x, C_j) for a rational vector x."""
+        xn = _over_lcm(vec(x))[1]
+        if len(xn) != self.space.dim:
+            raise ValueError("dimension mismatch")
+        return [sgn(_dot(xn, g)) for g in self._gc]
+
+
+class NGon(_Walls):
     """A validated N-gon collection. Immutable."""
 
     def __init__(self, space, cs):
@@ -74,12 +113,12 @@ class NGon:
         cs = tuple(vec(c) for c in cs)
         if len(cs) < 3:
             raise ValueError("need N >= 3 vectors")
-        bad = check_conditions(space, cs)
+        super().__init__(space, cs)
+        bad = _gram_violations(self._gram, self._d, space._den)
         if bad:
             raise NGonValidationError(bad[0])
-        self.space = space
-        self.cs = cs
         self.n = len(cs)
+        self._w = _cyclic_w(_regular_choice(self._gram, self._d)[1])
 
     def __repr__(self):
         return f"NGon(N={self.n}, sig={self.space.sig})"
@@ -89,10 +128,6 @@ class NGon:
         """The n oriented vertex planes [C_j, C_{j+1}], built on first use."""
         return tuple(NegativePlane(self.space, (c, self.cs[(j + 1) % self.n]))
                      for j, c in enumerate(self.cs))
-
-    @functools.cached_property
-    def _w(self):
-        return w_invariant(self)
 
     def kernel(self, signs):
         """eps = w + sum_j s_j s_{j+1} of each row of an integer matrix of
@@ -112,11 +147,9 @@ def regular_negative_vector(space, cs):
     of C_1, C_1 + C_2/k for k = 2, 3, ... that qualifies (exact checks).
     Raises RuntimeError when none does up to k = 10000."""
     cs = tuple(vec(c) for c in cs)
-    for k in range(1, 10001):
-        v = cs[0] if k == 1 else vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
-        if space.inner(v, v) < 0 and all(space.inner(v, c) != 0 for c in cs):
-            return v
-    raise RuntimeError("could not find a regular negative vector")
+    d, _, n = space.int_core(cs)
+    k = _regular_choice(n, d)[0]
+    return cs[0] if k == 1 else vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
 
 
 def default_negative_vector(walls):
@@ -127,24 +160,18 @@ def default_negative_vector(walls):
 
 def w_invariant(ngon, v=None):
     """w = -sum_j sgn(v,C_j) sgn(v,C_{j+1}) for any negative v."""
-    space, cs, n = ngon.space, ngon.cs, ngon.n
     if v is None:
-        v = default_negative_vector(ngon)
-    else:
-        v = vec(v)
-        if not space.inner(v, v) < 0:
-            raise ValueError("w invariant requires a negative vector v")
-    s = [sgn(space.inner(v, c)) for c in cs]
-    return -sum(s[j] * s[(j + 1) % n] for j in range(n))
+        return ngon._w
+    v = vec(v)
+    if not ngon.space.inner(v, v) < 0:
+        raise ValueError("w invariant requires a negative vector v")
+    return _cyclic_w(ngon.signs(v))
 
 
 def epsilon(ngon, x):
     """eps(x) = w + sum_j sgn(x,C_j) sgn(x,C_{j+1}); total function, sgn(0)=0."""
-    space, cs, n = ngon.space, ngon.cs, ngon.n
-    x = vec(x)
-    s = [sgn(space.inner(x, c)) for c in cs]
-    val = w_invariant(ngon) + sum(s[j] * s[(j + 1) % n] for j in range(n))
-    return KernelValue(eps=int(val), regular=all(t != 0 for t in s))
+    s = ngon.signs(x)
+    return KernelValue(eps=int(ngon._w - _cyclic_w(s)), regular=all(s))
 
 
 def vertex_plane(ngon, j):
@@ -179,22 +206,19 @@ def illegal_variant_kernel(space, cs, x, v=None):
     and term_signs[j] the sign (+1 or -1) carried by the smooth pair term
     (C_j, C_{j+1}) in the matching completion.
     """
-    cs = tuple(vec(c) for c in cs)
+    walls = _Walls(space, tuple(vec(c) for c in cs))
     n = len(cs)
-    bad = check_conditions(space, cs)
+    bad = _gram_violations(walls._gram, walls._d, space._den)
     badset = [(b.j, b.condition) for b in bad]
     if badset not in ([(n, 3)], [(1, 3), (n, 3)]):
         raise ValueError(
             "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
             "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
-    if v is None:
-        v = regular_negative_vector(space, cs)
-    sv = [sgn(space.inner(v, c)) for c in cs]
-    w_tilde = sv[n - 1] * sv[0] - sum(sv[j] * sv[j + 1] for j in range(n - 1))
-    x = vec(x)
-    sx = [sgn(space.inner(x, c)) for c in cs]
-    eps_tilde = w_tilde - sx[n - 1] * sx[0] \
-        + sum(sx[j] * sx[j + 1] for j in range(n - 1))
+    sv = walls.signs(v) if v is not None else \
+        _regular_choice(walls._gram, walls._d)[1]
+    w_tilde = _cyclic_w(sv) + 2 * sv[-1] * sv[0]
+    sx = walls.signs(x)
+    eps_tilde = w_tilde - _cyclic_w(sx) - 2 * sx[-1] * sx[0]
     term_signs = [1] * (n - 1) + [-1]
     return int(w_tilde), int(eps_tilde), term_signs
 

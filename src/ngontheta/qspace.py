@@ -3,12 +3,13 @@
 All sign decisions downstream (kernels, polygon conditions) are made with
 exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
-The exact core is integer: `inner` sums over the nonzero Gram numerators and
-builds one Fraction; NegativePlane takes Bareiss minors of an integer Gram.
+The exact core is integer: `inner` sums over the nonzero Gram numerators,
+`int_core` gives collections an integer Gram, NegativePlane Bareiss minors.
 """
 
 from fractions import Fraction
 import math
+import operator
 
 import numpy as np
 
@@ -46,6 +47,11 @@ def _over_lcm(x):
     return d, [int(c.numerator) * (d // c.denominator) for c in x]
 
 
+def _dot(a, b):
+    """One exact pairing of integer rows."""
+    return sum(map(operator.mul, a, b))
+
+
 def vec_primitive(x):
     """Scale a nonzero rational vector by a positive rational so the result
     is an integer vector with content 1."""
@@ -71,43 +77,24 @@ def _leading_minors(a):
     return minors[1:]
 
 
-def mat_inv(rows):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[rat(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
+def _adjugate(a):
+    """(det a, adj a) of a nonsingular square integer matrix: fraction-free
+    (Bareiss) Gauss-Jordan on [a | I] with row swaps ends at [p I | p a^-1],
+    p the last pivot, which is det a up to the sign of the swaps."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev, sign = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
             raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def mat_det(rows):
-    """Exact determinant of a square matrix of Fractions."""
-    n = len(rows)
-    a = [[rat(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        m = [r if i == k else [(m[k][k] * v - r[k] * w) // prev
+                               for v, w in zip(r, m[k])]
+             for i, r in enumerate(m)]
+        prev = m[k][k]
+    return sign * prev, [[sign * v for v in row[n:]] for row in m]
 
 
 def _signature(a):
@@ -151,10 +138,10 @@ class QuadraticSpace:
         self.dim = m
         # integer core: G = gi / den, and (i, j, gi_ij) over the nonzero gi_ij
         self._den = math.lcm(*(v.denominator for row in g for v in row))
-        gi = [[int(v * self._den) for v in row] for row in g]
-        self._terms = tuple((i, j, v) for i, row in enumerate(gi)
+        self._gi = tuple(tuple(int(v * self._den) for v in row) for row in g)
+        self._terms = tuple((i, j, v) for i, row in enumerate(self._gi)
                             for j, v in enumerate(row) if v)
-        self.sig = _signature(gi)
+        self.sig = _signature(self._gi)
         self._gram_f = np.array([[float(v) for v in row] for row in g])
 
     @property
@@ -164,16 +151,26 @@ class QuadraticSpace:
     def __repr__(self):
         return f"QuadraticSpace(dim={self.dim}, sig={self.sig})"
 
-    def _inner_num(self, xn, yn):
-        """x^T G y * den for integer rows xn, yn."""
-        return sum(g * xn[i] * yn[j] for i, j, g in self._terms)
+    def int_core(self, vs):
+        """(d, gr, n) of rational vectors v_a = r_a / d_a: gr_a = den G r_a
+        and n_ab = r_a . gr_b, so (v_a, v_b) = n_ab / (d_a d_b den) and
+        (x, v_a) = (xn . gr_a) / (dx d_a den) for x = xn / dx."""
+        if any(len(v) != self.dim for v in vs):
+            raise ValueError("dimension mismatch")
+        d, rows = zip(*map(_over_lcm, vs)) if vs else ((), ())
+        gr = [[sum(map(operator.mul, g, r)) for g in self._gi] for r in rows]
+        n = []
+        for a, r in enumerate(rows):    # one pairing per entry with a <= b
+            n.append([row[a] for row in n] + [_dot(r, g) for g in gr[a:]])
+        return d, gr, n
 
     def inner(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch")
         dx, xn = _over_lcm(x)
         dy, yn = _over_lcm(y)
-        return Fraction(self._inner_num(xn, yn), dx * dy * self._den)
+        return Fraction(sum(g * xn[i] * yn[j] for i, j, g in self._terms),
+                        dx * dy * self._den)
 
     def q(self, x):
         return self.inner(x, x) / 2
@@ -209,11 +206,8 @@ class NegativePlane:
         self.space = space
         self.span = tuple(vec(s) for s in span)
         k = len(self.span)
-        if any(len(s) != space.dim for s in self.span):
-            raise ValueError("dimension mismatch")
-        nums = [_over_lcm(s)[1] for s in self.span]
-        minors = _leading_minors([[-space._inner_num(a, b) for b in nums]
-                                  for a in nums])
+        minors = _leading_minors([[-v for v in row]
+                                  for row in space.int_core(self.span)[2]])
         if any(v <= 0 for v in minors):
             raise DegeneratePlaneError(
                 "span Gram matrix is not negative definite")

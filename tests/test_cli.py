@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -480,6 +483,30 @@ def test_cli_pinned_output(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *PINNED[name]["argv"])
     assert code == 0
     assert out == PINNED[name]["stdout"]
+
+
+def test_exact_commands_load_no_scipy_special():
+    """In a fresh interpreter, `dodec kernel` imports no scipy module and
+    `sig12 zagier` only scipy.linalg (the eigenvalues of kappa), not
+    scipy.special: the error functions are imported where they are used."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from ngontheta import cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"print(json.dumps([run('dodec', 'kernel', '--data', {DODEC!r},\n"
+        "                       '--x', '1,0,0,0'),\n"
+        "                   run('sig12', 'zagier', '--T', '2', '--nmax', '30')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    res = subprocess.run([sys.executable, "-c", script], env=env, cwd=REPO,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    after_kernel, after_zagier = json.loads(res.stdout)
+    assert after_kernel == []
+    assert "scipy.linalg" in after_zagier
+    assert not [m for m in after_zagier if m.startswith("scipy.special")]
 
 
 def _readme_commands():

@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import QuadraticSpace, NegativePlane, vec_add, vec_scale
 from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
@@ -13,6 +15,10 @@ from ngontheta.dodec import (bar, cycle_table, recipe_step, cyclic_equal,
                              validate_dodec, default_negative_vector,
                              dodec_D_kernel, dodec_P_kernel, dodec_E_kernel,
                              seed_construction, PHI_HAT, dodec_series)
+from ngontheta.ngon import regular_negative_vector
+
+from conftest import (check_dodec_conditions_vec, dodec_D_vec, face_w_vec,
+                      regular_negative_vector_vec)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
                       [0, 0, -2, 0], [0, 0, 0, -2]])
@@ -324,3 +330,94 @@ def test_dodec_window_grows_with_nmax(seed_dodec4):
     w1 = certify_window(SP4, seed_dodec4, z0, 2)
     w2 = certify_window(SP4, seed_dodec4, z0, 4)
     assert w2.B >= 2 * w1.B * Fraction(63, 64)
+
+
+# --- the integer-Gram path against the vector oracles of conftest -----------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+vec4 = st.tuples(small, small, small, small)
+
+
+def _report(check, space, cs):
+    """(face, j, condition, message) of every violation, or the diagnostics
+    and message of the DodecValidationError that the check raised."""
+    try:
+        return [(i, v.j, v.condition, v.message) for i, v in check(space, cs)]
+    except DodecValidationError as e:
+        return ("raised", e.diagnostics, str(e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ts=st.lists(st.fractions(0, 1, max_denominator=40), min_size=12,
+                   max_size=12),
+       move=st.sampled_from(["none", "shift", "perp"]),
+       j=st.integers(2, 11), j2=st.integers(2, 11),
+       scale=st.sampled_from([Fraction(1, 100), Fraction(1, 10), 1, 5]),
+       delta=vec4, xs=st.lists(vec4, min_size=2, max_size=4),
+       wall=st.integers(0, 11))
+def test_gram_path_matches_vector_oracle(space_q3, ts, move, j, j2, scale,
+                                         delta, xs, wall):
+    """Seed dodecahedra at random t, one vector shifted (valid or not), or
+    two vectors made orthogonal to C_0 and to C_0 + C_1/2 (so that the
+    negative vector needs k >= 3): violation reports, face_w, the default
+    negative vector, D, P and the row kernel agree with the projected-vector
+    code, also at x orthogonal to some C_i."""
+    sp = space_q3
+    cs = list(seed_construction(sp, Z0, V0, ts))
+    if move == "shift":
+        cs[j] = vec_add(cs[j], vec_scale(scale, delta))
+    elif move == "perp":
+        assume(j != j2)
+        half = vec_add(cs[0], vec_scale(Fraction(1, 2), cs[1]))
+        assume(sp.inner(half, half) != 0)
+        cs[j] = sp.project_perp(cs[j], cs[0])
+        cs[j2] = sp.project_perp(cs[j2], half)
+    want = _report(check_dodec_conditions_vec, sp, cs)
+    assert _report(check_dodec_conditions, sp, cs) == want
+    if sp.inner(cs[0], cs[0]) < 0 and all(any(c) for c in cs):
+        assert regular_negative_vector(sp, cs) == \
+            regular_negative_vector_vec(sp, cs)
+    if want != []:
+        with pytest.raises(DodecValidationError):
+            validate_dodec(sp, cs)
+        return
+    d = validate_dodec(sp, cs)
+    assert d.face_w == face_w_vec(sp, cs)
+    v = regular_negative_vector_vec(sp, cs)
+    assert default_negative_vector(d) == v
+    dv = dodec_D_vec(sp, cs, d.face_w, v)
+    for x in list(xs) + [sp.project_perp(x, cs[wall]) for x in xs]:
+        dx = dodec_D_vec(sp, cs, d.face_w, x)
+        assert dodec_D_kernel(d, x) == dx
+        assert dodec_P_kernel(d, x) == dx - dv
+        signs = np.array([[(sp.inner(x, c) > 0) - (sp.inner(x, c) < 0)
+                           for c in cs]])
+        assert d.kernel(signs)[0] == 8 * (dx - dv)
+
+
+def test_validate_dodec_pairs_each_collection_vector_once(space_q3,
+                                                          seed_dodec,
+                                                          monkeypatch):
+    """validate_dodec projects no vector and makes 78 exact pairings, one
+    per entry of the upper triangle of the 12 x 12 Gram, and no
+    QuadraticSpace.inner call."""
+    from ngontheta import ngon, qspace
+    calls = {"pair": 0, "inner": 0, "project_perp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    pair = counted("pair", qspace._dot)
+    for mod in (qspace, ngon):
+        monkeypatch.setattr(mod, "_dot", pair)
+    for name in ("inner", "project_perp"):
+        monkeypatch.setattr(QuadraticSpace, name,
+                            counted(name, getattr(QuadraticSpace, name)))
+    d = validate_dodec(space_q3, seed_dodec.cs)
+    assert calls == {"pair": 78, "inner": 0, "project_perp": 0}
+    # the kernels reuse the core: 12 pairings per point, none for D(v)
+    dodec_P_kernel(d, (1, 0, 0, 0))
+    assert calls == {"pair": 90, "inner": 0, "project_perp": 0}

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ngontheta.qspace import (NegativePlane, QuadraticSpace, mat_det,
-                              mat_inv)
+from ngontheta.qspace import NegativePlane, QuadraticSpace
 from ngontheta.errfn import E2
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
@@ -29,7 +28,7 @@ from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              truncated_class_series, butterfly_ngon,
                              recover_ngon, cross, point_to_vector)
 
-from conftest import majorant_exact
+from conftest import majorant_exact, mat_det, mat_inv
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 
@@ -736,3 +735,29 @@ def test_vertex_planes_built_once(monkeypatch, seed_dodec):
     calls.clear()
     dodec_series(coset, dodec, 2)
     assert len(calls) == 1          # the window's z0; vertex planes cached
+
+
+def test_mismatched_spaces_are_rejected(seed_dodec, monkeypatch):
+    """A coset and a wall collection from different spaces raise before any
+    window is certified or used, a window passed in included."""
+    msg = "coset and wall collection live in different spaces"
+    ngon = fundamental_ngon(2)
+    window = certify_window(SPACE_ABC, ngon, None, 6)
+    sp4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0],
+                          [0, 0, 0, -2]])
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a window was certified or enumerated")
+
+    monkeypatch.setattr(lattice, "certify_window", unused)
+    monkeypatch.setattr(lattice, "_XBatch", unused)
+    tau = 0.1 + 0.95j
+    coset = LatticeCoset(SPACE_E)
+    for call in (lambda: holomorphic_series(coset, ngon, 6),
+                 lambda: holomorphic_series(coset, ngon, 6, window=window),
+                 lambda: completion_eval(coset, ngon, tau, 4),
+                 lambda: completion_eval(coset, ngon, tau, 4, window=window),
+                 lambda: modularity_check(SPACE_E, ngon, tau, 4),
+                 lambda: dodec_series(LatticeCoset(sp4), seed_dodec, 4)):
+        with pytest.raises(ValueError, match=msg):
+            call()

@@ -14,7 +14,11 @@ from ngontheta.ngon import (check_conditions, validate, NGonValidationError,
 from ngontheta.sig12 import (SPACE_ABC, butterfly_collection, butterfly_ngon,
                              dart_collection, fundamental_ngon, recover_ngon)
 
-from conftest import random_negative_abc
+from ngontheta.qspace import vec_add, vec_scale
+from ngontheta.sig12 import UHPoint, _signed_crosses, turning_sign
+
+from conftest import (check_conditions_vec, random_negative_abc,
+                      regular_negative_vector_vec)
 
 small_rat = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -249,3 +253,60 @@ def test_abmp_kernel_matches_translated(funddom):
                   for _ in range(3))
         assert abmp_kernel(funddom.space, primed, x) == \
             epsilon(funddom, x).eps
+
+
+def _signs(space, x, cs):
+    return [(space.inner(x, c) > 0) - (space.inner(x, c) < 0) for c in cs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 6), data=st.data())
+def test_gram_path_matches_vector_oracle(n, data):
+    """Random 3- to 6-gon collections in SPACE_ABC: the crosses of random
+    upper-half-plane vertices with their turning signs (about half of them
+    valid), each scaled by a random positive rational, then possibly one
+    vector negated or zeroed, or two made orthogonal to C_1 and to
+    C_1 + C_2/2.  Violation reports (messages included) and the regular
+    negative vector agree with the vector code; on valid collections so do
+    w and eps, also at x orthogonal to some C_j."""
+    sp = SPACE_ABC
+    pts = [UHPoint(*p) for p in data.draw(st.lists(st.tuples(
+        small_rat, st.fractions(Fraction(1, 4), 4, max_denominator=4)),
+        min_size=n, max_size=n, unique=True))]
+    taus = [turning_sign(pts[j - 1], p, pts[(j + 1) % n]) or 1
+            for j, p in enumerate(pts)]
+    scales = data.draw(st.lists(st.fractions(Fraction(1, 7), 3,
+                                             max_denominator=7),
+                                min_size=n, max_size=n))
+    cs = [vec_scale(t, c) for t, c in zip(scales, _signed_crosses(pts, taus))]
+    move, i = data.draw(st.sampled_from(["none", "negate", "zero", "perp"])), \
+        data.draw(st.integers(0, n - 1))
+    half = vec_add(cs[0], vec_scale(Fraction(1, 2), cs[1]))
+    if move == "negate":
+        cs[i] = vec_scale(-1, cs[i])
+    elif move == "zero":
+        cs[i] = (0, 0, 0)
+    elif move == "perp" and n > 3 and sp.inner(cs[0], cs[0]) != 0 \
+            and sp.inner(half, half) != 0:
+        cs[2] = sp.project_perp(cs[2], cs[0])
+        cs[3] = sp.project_perp(cs[3], half)
+    want = check_conditions_vec(sp, cs)
+    assert check_conditions(sp, cs) == want
+    # the oracle then finds its vector within a few k
+    if sp.inner(cs[0], cs[0]) < 0 and all(any(c) for c in cs) and \
+            sp.inner(cs[0], cs[1]) ** 2 != sp.inner(cs[0], cs[0]) \
+            * sp.inner(cs[1], cs[1]):
+        assert regular_negative_vector(sp, cs) == \
+            regular_negative_vector_vec(sp, cs)
+    if want:
+        return
+    ngon = validate(sp, cs)
+    s = _signs(sp, regular_negative_vector_vec(sp, cs), cs)
+    w = -sum(s[j] * s[(j + 1) % n] for j in range(n))
+    assert w_invariant(ngon) == w
+    for x in data.draw(st.lists(st.tuples(small_rat, small_rat, small_rat),
+                                min_size=1, max_size=3)):
+        for y in (x, sp.project_perp(x, cs[data.draw(st.integers(0, n - 1))])):
+            s = _signs(sp, y, cs)
+            assert epsilon(ngon, y) == KernelValue(
+                w + sum(s[j] * s[(j + 1) % n] for j in range(n)), all(s))

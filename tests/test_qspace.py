@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (QuadraticSpace, NegativePlane,
                               DegeneratePlaneError, vec, vec_primitive,
-                              mat_det, mat_inv, _leading_minors)
+                              _adjugate, _leading_minors)
 
-from conftest import inner_dense, majorant_exact, majorant_float
+from conftest import (inner_dense, majorant_exact, majorant_float, mat_det,
+                      mat_inv)
 
 rationals = st.fractions(min_value=-20, max_value=20,
                          max_denominator=6)
@@ -118,15 +119,30 @@ def test_vec_primitive():
     assert vec_primitive((0, Fraction(-1, 2), 0)) == (0, -1, 0)
 
 
-def test_mat_det_inv_exact():
+def test_adjugate_exact():
     m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    d = mat_det(m)
-    inv = mat_inv(m)
+    d, adj = _adjugate(m)
     n = len(m)
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+    prod = [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
-    assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
     assert d == 18
+    with pytest.raises(ValueError):
+        _adjugate([[1, 2], [2, 4]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_adjugate_matches_fraction_inverse(a):
+    """Bareiss Gauss-Jordan against Fraction Gauss-Jordan on random integer
+    matrices, zero pivots (row swaps) and indefinite ones included."""
+    det = mat_det(a)
+    assume(det != 0)
+    d, adj = _adjugate(a)
+    assert d == det
+    assert adj == [[det * v for v in row] for row in mat_inv(a)]
 
 
 mixed = st.one_of(st.integers(-20, 20), rationals)

@@ -16,6 +16,7 @@ quadrature failure.
 """
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -46,7 +47,9 @@ def _parse_tau(s):
     return tau
 
 
+@functools.cache
 def build_parser():
+    """Built once per process; parse_args keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="ngontheta",
         description="Indefinite theta series for geodesic polygons and "

@@ -7,9 +7,10 @@ exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into
 sign-constant cones, and each cone mass is computed with the radial
 integral in closed form and, over the angular variable, fixed
 Gauss-Legendre nodes split at the peak (planar cones, batched).  A solid
-cone's mass is a 1-D integral of planar masses over one wall's normal
-coordinate, on fixed Gauss-Legendre nodes.  Values lie in [-1,1] and tend to
-the product of signs as x grows along a regular direction.
+cone's mass is a 1-D integral over one wall's normal coordinate, on fixed
+Gauss-Legendre nodes, of planar slice masses in closed form (a bivariate
+normal orthant probability by Owen's T function).  Values lie in [-1,1] and
+tend to the product of signs as x grows along a regular direction.
 """
 
 import functools
@@ -57,12 +58,13 @@ def _radial_1(e0, b):
 
 
 @functools.cache
-def _gl_rule():
-    """GL_NODES-point Gauss-Legendre on t in [0, 1], as nodes x = t^2 and
-    weights w(t) dx/dt for integrals over x in [0, 1]."""
-    t, w = np.polynomial.legendre.leggauss(GL_NODES)
-    t = (t + 1.0) / 2.0
-    return t * t, t * w
+def _gl_rule(n):
+    """n-point Gauss-Legendre rule: its nodes s and weights w on [-1, 1],
+    and for integrals over x in [0, 1] the nodes x = t^2, t = (s+1)/2, with
+    weights w(t) dx/dt."""
+    s, w = np.polynomial.legendre.leggauss(n)
+    t = (s + 1.0) / 2.0
+    return s, w, t * t, t * w
 
 
 def cone_mass_2d(u, g1, g2, amp=0.0):
@@ -123,7 +125,7 @@ def _cone_mass_block(u, g1, g2, amp):
     reach = np.arcsin(np.sqrt(np.where(cut, s2, 0.0))) \
         - np.arctan2(np.abs(qa), ba)
     length = np.where(cut, np.minimum(length, reach), length)
-    s, w = _gl_rule()
+    _, _, s, w = _gl_rule(GL_NODES)
     tq, tb = turn * qa, turn * ba
     f = np.empty(length.shape + s.shape)
     for p in range(2):                  # a piece at a time: half the temporaries
@@ -178,11 +180,13 @@ def cone_mass_3d(u, b):
     """Gaussian masses exp(-pi|y-u|^2) of the solid cones {y : b y >= 0}, u
     of shape (K, 3), functional rows b of shape (K, 3, 3).  With n a wall's
     unit normal, the slice at t = (n, y) is a planar cone with apex t p:
-    mass = int_0^inf exp(-pi (t - u_n)^2) cone_mass_2d(u_perp - t p) dt, to
-    a Gaussian factor of e^{-PIECE_CUT}.  The slice mass changes on a scale
-    1/rate where the slice centre crosses a wall (rate |c_j|/|g_j|) or passes
-    the apex (rate |p|): split there, at u_n and WINDOW/rate either side;
-    LINE_NODES Gauss-Legendre nodes a piece, one cone_mass_2d call."""
+    mass = int_0^inf exp(-pi (t - u_n)^2) m(u_perp - t p) dt, m the slice's
+    planar cone mass, to a Gaussian factor of e^{-PIECE_CUT}.  The slice mass
+    changes on a scale 1/rate where the slice centre crosses a wall (rate
+    |c_j|/|g_j|) or passes the apex (rate |p|): split there, at u_n and
+    WINDOW/rate either side; LINE_NODES Gauss-Legendre nodes a piece.  A
+    slice's mass is the orthant probability of its walls' standardized
+    margins (_orthant)."""
     u = np.asarray(u, dtype=float).reshape(-1, 3)
     nb = np.asarray(b, dtype=float).reshape(-1, 3, 3)
     nb = nb / np.linalg.norm(nb, axis=2, keepdims=True)
@@ -199,6 +203,7 @@ def cone_mass_3d(u, b):
     frame = np.stack([e1, np.cross(n, e1)], axis=1)        # basis of n^perp
     # wall j on the slice at t: g_j . s + t c_j >= 0, so p = -g^{-1} c
     g = walls @ frame.transpose(0, 2, 1)
+    gn = np.linalg.norm(g, axis=2)
     c = np.einsum('kjd,kd->kj', walls, n)
     ginv = np.linalg.inv(g)
     p = -np.einsum('kij,kj->ki', ginv, c)
@@ -209,23 +214,43 @@ def cone_mass_3d(u, b):
     with np.errstate(divide='ignore', invalid='ignore'):
         at = np.column_stack([-np.einsum('kjd,kd->kj', g, uperp) / c,
                               np.sum(uperp * p, 1) / np.sum(p * p, 1)])
-        rate = np.column_stack([np.abs(c) / np.linalg.norm(g, axis=2),
-                                np.linalg.norm(p, axis=1)])
+        rate = np.column_stack([np.abs(c) / gn, np.linalg.norm(p, axis=1)])
         knots = np.column_stack([lo, un, hi, at, at - WINDOW / rate,
                                  at + WINDOW / rate])
     knots = np.sort(np.clip(np.nan_to_num(knots, nan=-1.0),
                             lo[:, None], hi[:, None]), axis=1)
-    s, w = np.polynomial.legendre.leggauss(LINE_NODES)
+    s, w, _, _ = _gl_rule(LINE_NODES)
     length = np.diff(knots, axis=1)[:, :, None] / 2.0
     shape = (len(u), (knots.shape[1] - 1) * LINE_NODES)
     t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
     wt = (length * w).reshape(shape)
     k, j = np.nonzero(wt > 0.0)       # slices of the pieces of nonzero length
+    # wall j's margin on the slice at t, in units of the Gaussian's standard
+    # deviation 1/sqrt(2 pi); the walls' correlation is that of g_1, g_2
+    rho = np.sum(g[:, 0] * g[:, 1], axis=1) / (gn[:, 0] * gn[:, 1])
+    h = (np.einsum('kjd,kd->kj', g, uperp)[k] + t[k, j][:, None] * c[k]) \
+        * (math.sqrt(2.0 * math.pi) / gn[k])
     mass = np.zeros(shape)
-    mass[k, j] = cone_mass_2d(uperp[k] - t[k, j][:, None] * p[k],
-                              ginv[k, :, 0], ginv[k, :, 1],
-                              amp=-np.pi * (t[k, j] - un[k]) ** 2)
+    mass[k, j] = np.exp(-np.pi * (t[k, j] - un[k]) ** 2) \
+        * _orthant(h[:, 0], h[:, 1], rho[k])
+    if not np.all(np.isfinite(mass)):
+        raise QuadratureError("3-D cone mass produced a non-finite value")
     return np.sum(mass * wt, axis=1)
+
+
+def _orthant(h, k, rho):
+    """P(X <= h, Y <= k) for standard normals X, Y of correlation rho,
+    |rho| < 1, elementwise, from Owen's T function (Owen 1956).  An exact
+    zero h or k is moved to 1e-300, where Phi2 is continuous, so that the
+    arguments of T stay defined."""
+    from scipy.special import ndtr, owens_t
+    h = np.where(h == 0.0, 1e-300, h)
+    k = np.where(k == 0.0, 1e-300, k)
+    r = np.sqrt(1.0 - rho * rho)
+    with np.errstate(over='ignore'):
+        ah, ak = (k - rho * h) / (h * r), (h - rho * k) / (k * r)
+    return (ndtr(h) + ndtr(k)) / 2.0 - owens_t(h, ah) - owens_t(k, ak) \
+        - 0.5 * ((h < 0.0) != (k < 0.0))
 
 
 def E3(space, c1, c2, c3, x):

@@ -17,7 +17,10 @@ window is re-certified about the same base plane z0 with twice its safety
 factor, at most RETRIES times; after that the series raises
 CertificationError (CLI exit code 3).  N-gons and dodecahedra share this
 path: both carry their vertex planes and an integer sign kernel, and the
-default base plane is the first vertex plane.
+default base plane is the first vertex plane.  enumerate_coset returns the
+one row batch (CosetRows) that the series driver and the completion kernel
+read, and the signs of (x, C_j) come from the wall collection's
+sign_matrix on the batch's integer rows.
 """
 
 import math
@@ -28,13 +31,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .qspace import NegativePlane, _adjugate, _over_lcm, rat, vec
+from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
+                     vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
 PAIR_BLOCK = 8192        # rho pairs pooled per round of cone masses
 RHO_LOG_TOL = -34.0      # skip cone-mass terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
+GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
 
 
 class CertificationError(RuntimeError):
@@ -47,7 +52,7 @@ class LatticeCoset:
     def __init__(self, space, mu=None):
         self.space = space
         m = space.dim
-        if any(v.denominator != 1 for row in space.gram for v in row):
+        if space._den != 1:
             raise ValueError("lattice Gram matrix must be integral")
         self.mu = vec(mu) if mu is not None else vec([0] * m)
         # G mu is integral iff every (e_i, mu) is; a wrong-length mu raises
@@ -153,20 +158,40 @@ def _check_space(space, walls):
 
 @dataclass
 class CosetRows:
-    """Enumerated vectors x = k + mu: int64 k-rows in lexicographic order
-    and the exact integer norms, x^T M x = norms / den."""
-    ks: np.ndarray
+    """The enumerated vectors x = xnum/dmu of a coset mu+L, in lexicographic
+    order: int64 numerators (munum those of mu), the exact norms
+    (x,x)_{z0} = norms/den, the exact window split `inside`
+    ((x,x)_{z0} <= B) and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x).  The integer
+    rows k = x - mu and the floats xf of x and qf of Q(x) derive from
+    them; xf and qf are built on first use."""
+    xnum: np.ndarray
+    dmu: int
+    munum: list
     norms: np.ndarray
     den: int
+    inside: np.ndarray
+    xx_num: np.ndarray
 
     def __len__(self):
-        return len(self.ks)
+        return len(self.xnum)
+
+    @property
+    def ks(self):
+        return (self.xnum - self.munum) // self.dmu
+
+    @cached_property
+    def xf(self):
+        return self.xnum.astype(float) / self.dmu
+
+    @cached_property
+    def qf(self):
+        return self.xx_num.astype(float) / self.dmu ** 2 / 2.0
 
 
 def _fp_enumerate(m_exact, mu, bound):
-    """CosetRows of all integer vectors k with (k+mu)^T M (k+mu) <= bound
-    (exact test).  Float Fincke-Pohst bounds with padding feed an
-    exact integer filter.
+    """int64 rows k, in lexicographic order, that contain every integer
+    vector with (k+mu)^T M (k+mu) <= bound: float Fincke-Pohst bounds with
+    padding, which an exact filter then decides.
 
     The search runs level-wise, coordinate i = m-1 down to 0: every partial
     row (k_{i+1}, ..., k_{m-1}) whose remaining budget is at least -pad gets
@@ -202,47 +227,31 @@ def _fp_enumerate(m_exact, mu, bound):
         y = kk + shift[parent]
         budget = budget[parent] - dvec[i] * y * y
         ks = np.column_stack([kk, ks[parent]])
-    arr = ks.astype(np.int64)
-    arr = arr[np.lexsort(arr.T[::-1])]
-    mask, norms, den = _majorant_leq(arr, mu, m_exact, bound)
-    return CosetRows(arr[mask], norms[mask], den)
+    ks = ks.astype(np.int64)
+    return ks[np.lexsort(ks.T[::-1])]
 
 
-def _absmax(a):
-    """Largest |entry| of an int64 array as a Python int (0 when empty)."""
-    return int(np.max(np.abs(a), initial=0))
-
-
-def _int_dtype(magnitude):
-    """int64 when every value of an integer computation is bounded by
-    `magnitude` < 2^63, else object (Python ints)."""
-    return np.int64 if magnitude < 2 ** 63 else object
-
-
-def _majorant_leq(ks, mu, m_exact, bound):
-    """Exact mask of the integer rows k with x^T M x <= bound, x = k + mu,
-    with the integer norms q and their denominator dm * dmu^2.  With
-    x = xnum/dmu, M = mi/dm and bound = B.num/B.den the mask is the integer
-    comparison q * B.den <= B.num * dm * dmu^2, q = xnum^T mi xnum.  It runs
-    in int64 when a bound on |q| rules out overflow, else on Python ints."""
-    bound = Fraction(bound)
-    dmu, munum = _over_lcm(mu)
+def _majorant_leq(xnum, dmu, m_exact, bound):
+    """Exact mask of the rows x = xnum/dmu with x^T M x <= bound, with the
+    integer norms q = xnum^T mi xnum and their denominator den = dm dmu^2,
+    M = mi/dm: x^T M x <= bound iff q <= floor(bound * den)."""
     dm = math.lcm(*(v.denominator for row in m_exact for v in row))
-    mi = [[int(v * dm) for v in row] for row in m_exact]
-    rhs = bound.numerator * dm * dmu * dmu
-    xmax = _absmax(ks) * dmu + max(abs(v) for v in munum)
-    qmax = sum(abs(v) for row in mi for v in row) * xmax * xmax
-    dtype = _int_dtype(max(qmax * bound.denominator, abs(rhs)))
-    x = ks.astype(dtype) * dmu + np.array(munum, dtype=dtype)
-    q = np.einsum('ij,jk,ik->i', x, np.array(mi, dtype=dtype), x)
-    return (np.asarray(q * bound.denominator <= rhs, dtype=bool), q,
-            dm * dmu * dmu)
+    q = _row_norms(xnum, [[int(v * dm) for v in row] for row in m_exact])
+    den = dm * dmu * dmu
+    return q <= math.floor(Fraction(bound) * den), q, den
 
 
 def enumerate_coset(coset, window, slack=Fraction(1)):
-    """Vectors x in mu+L with (x,x)_{z0} <= slack*B, as CosetRows: integer
-    k-rows plus the exact shift mu, with their exact norms (x,x)_{z0}."""
-    return _fp_enumerate(window.majorant, coset.mu, window.B * slack)
+    """The vectors x in mu+L with (x,x)_{z0} <= slack*B, as CosetRows: their
+    numerators are formed once, filtered exactly and split at B."""
+    bound = window.B * slack
+    dmu, munum = _over_lcm(coset.mu)
+    xnum = _fp_enumerate(window.majorant, coset.mu, bound) * dmu + munum
+    keep, norms, den = _majorant_leq(xnum, dmu, window.majorant, bound)
+    xnum, norms = xnum[keep], norms[keep]
+    return CosetRows(xnum, dmu, munum, norms, den,
+                     inside=norms <= math.floor(window.B * den),
+                     xx_num=_row_norms(xnum, coset.space._gi))
 
 
 @dataclass
@@ -258,61 +267,20 @@ class QExpansion:
         return self.entries.get(rat(n), 0)
 
 
-class _XBatch:
-    """Enumerated coset vectors with cached exact/float data."""
-
-    def __init__(self, coset, window, slack=Fraction(6, 5)):
-        space = coset.space
-        rows = enumerate_coset(coset, window, slack)
-        self.dmu, munum = _over_lcm(coset.mu)
-        self.xnum = rows.ks * self.dmu + munum  # int64 numerators, denom dmu
-        self.xf = self.xnum.astype(float) / self.dmu
-        gi = [[int(v) for v in row] for row in space.gram]
-        # |x^T G x| <= max|x|^2 sum|G| bounds every partial sum
-        dtype = _int_dtype(_absmax(self.xnum) ** 2
-                           * sum(abs(v) for row in gi for v in row))
-        x = self.xnum.astype(dtype)
-        self.xx_num = np.einsum('ij,ij->i', x @ np.array(gi, dtype=dtype), x)
-        self.den2 = self.dmu * self.dmu
-        # exact (x,x)_{z0} <= B for the window split: norms/den <= B
-        self.inside = rows.norms <= math.floor(window.B * rows.den)
-
-    @cached_property
-    def qf(self):
-        """Float Q(x) of every row, built on first use."""
-        return self.xx_num.astype(float) / self.den2 / 2.0
-
-
-def _sign_matrix(batch, space, cs):
-    """Exact signs of (x, C_j) for all rows of the batch, with the integer
-    values dc (x, C_j) dmu they are taken from."""
-    gi = [[int(v) for v in row] for row in space.gram]
-    dc = math.lcm(*(c.denominator for C in cs for c in C))
-    cn = [[int(c * dc) for c in C] for C in cs]
-    # |x G| <= max|x| * max row sum of |G| entrywise, then times the l1 norm
-    # of a C row; this bounds every partial sum of both products
-    dtype = _int_dtype(_absmax(batch.xnum)
-                       * max(sum(abs(v) for v in row) for row in gi)
-                       * max(sum(abs(v) for v in row) for row in cn))
-    vals = (batch.xnum.astype(dtype) @ np.array(gi, dtype=dtype)
-            @ np.array(cn, dtype=dtype).T)
-    return np.sign(vals).astype(np.int64), vals
-
-
 def _exponent_rows(batch, mask, nmax):
     """Indices of the rows in `mask` with 0 <= Q(x) <= nmax (exact).  The
     kernels vanish identically on nonzero vectors of norm <= 0, so only these
     rows can carry coefficients or flags."""
     rows = np.nonzero(mask)[0]
-    q = batch.xx_num[rows]                  # 2 den2 Q(x)
-    top = 2 * batch.den2 * nmax.numerator
+    q = batch.xx_num[rows]                  # 2 dmu^2 Q(x)
+    top = 2 * batch.dmu ** 2 * nmax.numerator
     return rows[(q >= 0) & (q <= top // nmax.denominator)]
 
 
 def _certified_series(coset, walls, nmax, window, safety, den):
     """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a certified window,
     where walls.kernel maps the exact sign matrix of the enumerated x
-    against walls.cs to integer numerators.  Without a window, the default
+    (walls.sign_matrix) to integer numerators.  Without a window, the default
     one is certified at `safety`.  A guard-band x with a nonzero kernel and
     Q(x) in (0, nmax] voids the window, which is then re-certified about its
     own base plane at twice its safety, at most RETRIES times."""
@@ -323,8 +291,8 @@ def _certified_series(coset, walls, nmax, window, safety, den):
         if attempt:
             window = certify_window(coset.space, walls, window.z0.span, nmax,
                                     safety=2 * window.safety)
-        batch = _XBatch(coset, window)
-        signs, _ = _sign_matrix(batch, coset.space, walls.cs)
+        batch = enumerate_coset(coset, window, GUARD)
+        signs = walls.sign_matrix(batch.xnum)
         num = walls.kernel(signs)
         guard = _exponent_rows(batch, (num != 0) & ~batch.inside, nmax)
         if not np.any(batch.xx_num[guard] != 0):
@@ -341,7 +309,7 @@ def _certified_series(coset, walls, nmax, window, safety, den):
     np.add.at(sums, where, num[hits])
     odd = _exponent_rows(batch, ~np.all(signs != 0, axis=1) & batch.inside,
                          nmax)
-    qden = 2 * batch.den2
+    qden = 2 * batch.dmu ** 2
     return QExpansion(
         mu=coset.mu, nmax=nmax, window=window,
         entries={Fraction(int(e), qden): int(c) if den == 1 else
@@ -374,7 +342,6 @@ class _CompletionKernel:
 
     def __init__(self, space, ngon, w_offset=0):
         from .errfn import plane_frame
-        self.space = space
         self.ngon = ngon
         self.w_offset = w_offset
         self.chat = np.array([space.unit_negative(c) for c in ngon.cs])
@@ -415,7 +382,7 @@ class _CompletionKernel:
         and the pairs' arguments for _rho."""
         from scipy.special import erfcx
         inside = batch.inside
-        signs = _sign_matrix(batch, self.space, self.ngon.cs)[0][inside]
+        signs = self.ngon.sign_matrix(batch.xnum[inside])
         xf = batch.xf[inside]
         tmat = scale * (xf @ self.chat_g.T)            # tau_k margins
         qf = batch.qf[inside]
@@ -468,7 +435,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
     _check_space(coset.space, ngon)
     if window is None:
         window = certify_window(coset.space, ngon, None, nmax)
-    batch = _XBatch(coset, window)
+    batch = enumerate_coset(coset, window, GUARD)
     scaled, = _CompletionKernel(coset.space, ngon, w_offset).eval_batches(
         [batch], tau.imag, paper_literal)
     return _completion_sum(batch, scaled, window, ngon.n, tau)
@@ -492,9 +459,9 @@ def _tail_estimate(batch, window, n_edges, v):
     """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa},
     with the lattice-point density calibrated from the enumerated ball."""
     from scipy.special import gammaincc, gamma as gamma_fn
-    m = batch.xf.shape[1] if len(batch.xf) else 1
+    m = batch.xnum.shape[1] if len(batch) else 1
     bf = float(window.B)
-    count = max(len(batch.xf), 1)
+    count = max(len(batch), 1)
     c = count * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
     lam = math.pi * v / window.kappa
     # integral_B^inf t^{m/2-1} e^{-lam t} dt = Gamma(m/2) lam^{-m/2} Q(m/2, lam B)
@@ -520,12 +487,12 @@ def weil_matrices(space):
     tdiag = np.array([cmath.exp(2j * math.pi * float(space.q(mu)))
                       for mu in reps])
     phase = cmath.exp(2j * math.pi * (q - p) / 8.0)
-    # representatives R/den as integer rows: (mu, nu) = (R G R^T)/den^2, whose
-    # float quotient is the correctly rounded float of the exact pairing
+    # representatives R/den as integer rows: (mu, nu) = (R G R^T)/den^2 for
+    # the integer Gram G = space._gi of a lattice, whose float quotient is
+    # the correctly rounded float of the exact pairing
     den = math.lcm(*(c.denominator for mu in reps for c in mu))
     r = np.array([[int(c * den) for c in mu] for mu in reps], dtype=np.int64)
-    gi = np.array([[int(v) for v in row] for row in space.gram], dtype=np.int64)
-    pair = r @ gi @ r.T / (den * den)
+    pair = r @ np.array(space._gi, dtype=np.int64) @ r.T / (den * den)
     s = np.exp(2j * math.pi * S_PAIRING_SIGN * pair)
     s *= phase / math.sqrt(d)
     return reps, tdiag, s
@@ -557,7 +524,8 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     m = space.dim
     window = certify_window(space, ngon, None, nmax)
     kern = _CompletionKernel(space, ngon, w_offset)
-    batches = [_XBatch(LatticeCoset(space, mu), window) for mu in reps]
+    batches = [enumerate_coset(LatticeCoset(space, mu), window, GUARD)
+               for mu in reps]
     scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):

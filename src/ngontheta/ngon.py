@@ -6,7 +6,8 @@ A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
   (1) (C_j, C_j) < 0
   (2) (C_j, C_j)(C_{j+1}, C_{j+1}) - (C_j, C_{j+1})^2 > 0
   (3) (C_j, C_j)(C_{j-1}, C_{j+1}) - (C_j, C_{j-1})(C_j, C_{j+1}) < 0
-All checks are integer signs on the collection's Gram, built once per NGon.
+All checks are integer signs on the collection's Gram, built once per NGon;
+the collection also owns the signs of (x, C_j), one x or a batch of rows.
 """
 
 import functools
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qspace import (NegativePlane, _over_lcm, _dot, rat, vec, vec_add,
-                     vec_scale)
+from .qspace import (NegativePlane, _int_product, _over_lcm, _dot, rat, vec,
+                     vec_add, vec_scale)
 
 
 def sgn(r):
@@ -103,6 +104,11 @@ class _Walls:
             raise ValueError("dimension mismatch")
         return [sgn(_dot(xn, g)) for g in self._gc]
 
+    def sign_matrix(self, xnum):
+        """int64 signs of (x, C_j) for int64 rows xnum, each a positive
+        multiple of its x, from the rows gc_j that signs(x) reads."""
+        return np.sign(_int_product(xnum, self._gc)).astype(np.int64)
+
 
 class NGon(_Walls):
     """A validated N-gon collection. Immutable."""
@@ -146,16 +152,15 @@ def regular_negative_vector(space, cs):
     """Deterministic negative vector v with all (v, C_j) nonzero: the first
     of C_1, C_1 + C_2/k for k = 2, 3, ... that qualifies (exact checks).
     Raises RuntimeError when none does up to k = 10000."""
-    cs = tuple(vec(c) for c in cs)
-    d, _, n = space.int_core(cs)
-    k = _regular_choice(n, d)[0]
-    return cs[0] if k == 1 else vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
+    return default_negative_vector(_Walls(space, tuple(vec(c) for c in cs)))
 
 
 def default_negative_vector(walls):
     """regular_negative_vector for the vectors of a wall collection (an NGon
-    or a DodecData)."""
-    return regular_negative_vector(walls.space, walls.cs)
+    or a DodecData), from its cached integer Gram."""
+    k = _regular_choice(walls._gram, walls._d)[0]
+    c0, c1 = walls.cs[:2]
+    return c0 if k == 1 else vec_add(c0, vec_scale(Fraction(1, k), c1))
 
 
 def w_invariant(ngon, v=None):

@@ -52,6 +52,26 @@ def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
+def _int_product(x, rows):
+    """Exact x @ rows^T of int64 rows x and integer rows r: on int64 when
+    the partial-sum bound max(1, max|x|) max|r|_1 < 2^63, else Python ints."""
+    bound = max(1, int(np.max(np.abs(x), initial=0))) \
+        * max(sum(map(abs, r)) for r in rows)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    return x.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).T
+
+
+def _row_norms(x, mat):
+    """Exact x_i^T mat x_i of int64 rows x_i, symmetric integer mat: on int64
+    when the partial-sum bound max(1, max|x|)^2 sum|mat| < 2^63, else Python
+    ints."""
+    bound = max(1, int(np.max(np.abs(x), initial=0))) ** 2 \
+        * sum(abs(v) for r in mat for v in r)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    x = x.astype(dtype, copy=False)
+    return np.einsum('ij,ij->i', x @ np.array(mat, dtype=dtype), x)
+
+
 def vec_primitive(x):
     """Scale a nonzero rational vector by a positive rational so the result
     is an integer vector with content 1."""

@@ -50,9 +50,6 @@ class UHPoint:
     def norm2(self):
         return self.x * self.x + self.y * self.y
 
-    def as_complex(self):
-        return complex(float(self.x), float(self.y))
-
 
 def point_to_vector(z):
     """X(z) = [1/(2y), -x/y, |z|^2/(2y)], the norm-1 positive vector at z."""

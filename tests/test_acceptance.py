@@ -18,7 +18,7 @@ from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC, recover_ngon,
                              reduced_forms, truncated_class_series)
 from ngontheta.lattice import (LatticeCoset, EnumWindow, certify_window,
                                enumerate_coset, holomorphic_series,
-                               modularity_check, _XBatch, _sign_matrix)
+                               modularity_check, GUARD)
 from ngontheta import jsonio
 
 from conftest import random_negative_abc
@@ -126,8 +126,8 @@ def test_criterion_04_vanishing_on_nonpositive_norms():
     t0 = time.monotonic()
     g = fundamental_ngon(2)
     window = certify_window(SPACE_ABC, g, (E2_ABC, E3_ABC), 50)
-    batch = _XBatch(LatticeCoset(SPACE_ABC), window)
-    signs, _ = _sign_matrix(batch, SPACE_ABC, g.cs)
+    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)
+    signs = g.sign_matrix(batch.xnum)
     prod = np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
     eps = w_invariant(g) + prod
     checked = 0

@@ -429,6 +429,33 @@ def test_cli_errfn_eval_e3(capsys, tmp_path):
     assert out == "E3 = 0.1491077194\n"
 
 
+def test_cli_parser_built_once(capsys, monkeypatch):
+    # main reuses one parser: a second call constructs no ArgumentParser,
+    # an append option does not accumulate across calls, and a usage error
+    # still exits 2
+    import argparse
+    from ngontheta import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argv = ("errfn", "eval", "--space", SPACE, "--c", "0,1,0",
+            "--c", "1/2,0,-1/2", "--x", "0.3,0.1,0.7")
+    first = run(capsys, *argv)
+    n = len(built)
+    assert n > 0 and first[0] == 0 and first[1].startswith("E2 = ")
+    assert run(capsys, *argv) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["errfn", "eval", "--space", SPACE, "--bogus"])
+    assert exc.value.code == 2
+    assert len(built) == n
+
+
 def test_cli_errfn_too_many_vectors(capsys):
     code, _, err = run(capsys, "errfn", "eval", "--space", SPACE,
                        "--c", "0,1,0", "--c", "0,1,0", "--c", "0,1,0",

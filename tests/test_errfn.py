@@ -11,7 +11,7 @@ from scipy.special import erf, erfcx
 from ngontheta.qspace import QuadraticSpace
 from ngontheta.errfn import (E1, E2, E3, FAST_MARGIN, QuadratureError,
                              cone_mass_2d, cone_mass_3d, cone_dist2,
-                             _radial_1, j0_value)
+                             _orthant, _radial_1, j0_value)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
 SQPI = math.sqrt(math.pi)
@@ -398,6 +398,31 @@ def test_cone_mass_3d_octants_partition_space():
     b = sig[:, :, None] * np.array(bs)[:, None]
     mass = cone_mass_3d(np.repeat(u, 8, axis=0), b.reshape(-1, 3, 3))
     assert np.max(np.abs(mass.reshape(1000, 8).sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_orthant_matches_planar_cone_mass():
+    # the closed-form slice mass of cone_mass_3d against cone_mass_2d's
+    # quadrature on the same planar cones {g y >= 0}: margins of the centre
+    # in units of 1/sqrt(2 pi), correlation of the unit wall normals
+    rng = np.random.default_rng(1956)
+    g = rng.normal(size=(2000, 2, 2))
+    u = rng.normal(size=(2000, 2)) * rng.uniform(0.0, 3.0, (2000, 1))
+    gn = np.linalg.norm(g, axis=2)
+    rho = np.sum(g[:, 0] * g[:, 1], axis=1) / (gn[:, 0] * gn[:, 1])
+    h = np.einsum('kjd,kd->kj', g, u) * math.sqrt(2.0 * math.pi) / gn
+    rays = np.linalg.inv(g)
+    want = cone_mass_2d(u, rays[:, :, 0], rays[:, :, 1])
+    # the bound is the quadrature's: at |rho| -> 1 it errs by ~1e-14
+    assert np.max(np.abs(_orthant(h[:, 0], h[:, 1], rho) - want)) <= 1e-13
+    # at an exact zero margin: the closed form at the apex, and continuity
+    # across the wall elsewhere
+    r, k = rng.uniform(-0.99, 0.99, 100), rng.normal(size=100)
+    zero = np.zeros(100)
+    assert np.max(np.abs(_orthant(zero, zero, r)
+                         - (0.25 + np.arcsin(r) / (2.0 * math.pi)))) <= 1e-15
+    for a, b in ((zero, k), (k, zero)):
+        near = _orthant(a + 1e-9 * (a == 0), b + 1e-9 * (b == 0), r)
+        assert np.max(np.abs(_orthant(a, b, r) - near)) <= 1e-8
 
 
 def test_cone_mass_3d_degenerate():

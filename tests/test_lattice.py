@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ngontheta.qspace import NegativePlane, QuadraticSpace
+from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
+                              _over_lcm, _row_norms, vec)
 from ngontheta.errfn import E2
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
-                               enumerate_coset, QExpansion, _XBatch,
+                               enumerate_coset, QExpansion, GUARD,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                _CompletionKernel, CertificationError,
-                               _majorant_leq, _sign_matrix, _fp_enumerate,
-                               CosetRows)
+                               _majorant_leq)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel,
                              default_negative_vector, seed_construction,
@@ -194,7 +194,8 @@ def _fp_enumerate_recursive(m_exact, mu, bound):
         return np.zeros((0, m), dtype=np.int64)
     arr = np.array(cands, dtype=np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
-    return arr[_majorant_leq(arr, mu, m_exact, bound)[0]]
+    dmu, munum = _over_lcm(mu)
+    return arr[_majorant_leq(arr * dmu + munum, dmu, m_exact, bound)[0]]
 
 
 def _random_majorant(data, space_q3):
@@ -233,7 +234,8 @@ def _random_majorant(data, space_q3):
 def test_fp_enumerate_matches_recursion(space_q3, data):
     mat = _random_majorant(data, space_q3)
     m = len(mat)
-    mu = [data.draw(st.fractions(0, 1, max_denominator=4)) % 1
+    # shifts outside [0, 1) too: x = k + mu for any rational mu
+    mu = [data.draw(st.fractions(-2, 2, max_denominator=4))
           for _ in range(m)]
 
     def qform(k):
@@ -256,7 +258,12 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
     else:
         bound = data.draw(st.fractions(0, 12, max_denominator=64))
     assume(how != "row" or bound <= 40)
-    rows = _fp_enumerate(mat, mu, bound)
+    # enumerate_coset reads only mu and the Gram of the coset, and only the
+    # majorant and B of the window
+    rows = enumerate_coset(
+        SimpleNamespace(mu=mu, space=QuadraticSpace(
+            [[int(i == j) for j in range(m)] for i in range(m)])),
+        SimpleNamespace(majorant=mat, B=bound))
     got = rows.ks
     want = _fp_enumerate_recursive(mat, mu, bound)
     assert got.dtype == want.dtype == np.int64
@@ -348,7 +355,7 @@ def test_series_normalization(funddom):
 
 def test_completion_kernel_matches_e2_sum(funddom):
     window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 2)
-    batch = _XBatch(LatticeCoset(SPACE_ABC), window)
+    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)
     kern = _CompletionKernel(SPACE_ABC, funddom)
     v = 0.37
     got = kern.eval_batches([batch], v)[0]
@@ -356,7 +363,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     n = funddom.n
     rows = [i for i in range(len(batch.xf)) if batch.inside[i]][:25]
     for i in rows:
-        q = float(batch.xx_num[i]) / batch.den2 / 2.0
+        q = float(batch.xx_num[i]) / batch.dmu ** 2 / 2.0
         amp = min(2.0 * math.pi * v * max(0.0, -q), 600.0)
         xs = batch.xf[i] * math.sqrt(2.0 * v)
         brute = w + sum(E2(SPACE_ABC, funddom.cs[j],
@@ -367,7 +374,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
 @pytest.fixture(scope="module")
 def funddom_batches(funddom):
     window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 4)
-    return [_XBatch(LatticeCoset(SPACE_ABC, mu), window)
+    return [enumerate_coset(LatticeCoset(SPACE_ABC, mu), window, GUARD)
             for mu in disc_group(SPACE_ABC)]
 
 
@@ -488,8 +495,9 @@ def test_majorant_filter_matches_fraction_filter(data):
         bound = qform(rows[data.draw(st.integers(0, len(rows) - 1))])
     else:
         bound = data.draw(st.fractions(-10, 10 ** 6, max_denominator=50))
-    ks = np.array(rows, dtype=np.int64)
-    got, norms, den = _majorant_leq(ks, mu, mat, bound)
+    dmu, munum = _over_lcm(mu)
+    xnum = np.array(rows, dtype=np.int64) * dmu + munum
+    got, norms, den = _majorant_leq(xnum, dmu, mat, bound)
     assert got.dtype == bool
     assert list(got) == [qform(k) <= bound for k in rows]
     assert [Fraction(int(q), den) for q in norms] == [qform(k) for k in rows]
@@ -508,8 +516,9 @@ def _int_rows(data, m, lim, edge):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_int64_batch_arithmetic_matches_python_ints(data):
-    # rows small, at the largest magnitude the int64 guard admits, or past
-    # it (whose products overflow int64 and must take the object path)
+    # rows small, at the largest magnitude each helper's int64 bound admits,
+    # or past it (whose products overflow int64 and must take the object
+    # path); up to the bound the helpers stay on int64
     m = data.draw(st.integers(2, 4))
     gram = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -521,43 +530,85 @@ def test_int64_batch_arithmetic_matches_python_ints(data):
                      if scale == "big" else
                      st.fractions(-9, 9, max_denominator=12))
            for _ in range(m)] for _ in range(data.draw(st.integers(1, 4)))]
-    assume(any(any(c) for c in cs))
-    dc = math.lcm(*(c.denominator for C in cs for c in C))
-    cn = [[int(c * dc) for c in C] for C in cs]
-    row_g = max(sum(abs(v) for v in row) for row in gram)
-    row_c = max(sum(abs(v) for v in row) for row in cn)
+    # integer wall rows G r_j, C_j = r_j / d_j, as _Walls.sign_matrix reads
+    gc = [[sum(g * r for g, r in zip(row, _over_lcm(c)[1])) for row in gram]
+          for c in cs]
+    assume(any(any(r) for r in gc))
+    row_l1 = max(sum(abs(v) for v in r) for r in gc)
     sum_g = sum(abs(v) for row in gram for v in row)
     sign_lim = {"small": 50, "big": 2 ** 62,
-                "edge": (2 ** 63 - 1) // (row_g * row_c)}[scale]
+                "edge": (2 ** 63 - 1) // row_l1}[scale]
     xx_lim = {"small": 50, "big": 2 ** 40,
               "edge": math.isqrt((2 ** 63 - 1) // sum_g)}[scale]
 
-    space = SimpleNamespace(gram=[[Fraction(v) for v in row] for row in gram])
     rows = _int_rows(data, m, sign_lim, scale == "edge")
-    signs, vals = _sign_matrix(SimpleNamespace(
-        xnum=np.array(rows, dtype=np.int64)), space, cs)
-    want = [[sum(x[i] * gram[i][j] * c[j] for i in range(m) for j in range(m))
-             for c in cn] for x in rows]
-    assert [[int(v) for v in row] for row in vals] == want
-    assert signs.dtype == np.int64
-    assert signs.tolist() == [[(v > 0) - (v < 0) for v in row]
-                              for row in want]
+    vals = _int_product(np.array(rows, dtype=np.int64), gc)
+    assert [[int(v) for v in row] for row in vals] == \
+        [[sum(a * b for a, b in zip(x, g)) for g in gc] for x in rows]
+    if scale != "big":
+        assert vals.dtype == np.int64
 
     rows = _int_rows(data, m, xx_lim, scale == "edge")
-    window = SimpleNamespace(majorant=[[Fraction(int(i == j))
-                                        for j in range(m)] for i in range(m)],
-                             B=Fraction(1))
-    with pytest.MonkeyPatch.context() as mp:
-        # the norms only feed the window split, which is not checked here
-        mp.setattr(lattice, "enumerate_coset",
-                   lambda coset, w, slack: CosetRows(
-                       np.array(rows, dtype=np.int64),
-                       np.zeros(len(rows), dtype=np.int64), 1))
-        batch = _XBatch(SimpleNamespace(space=space, mu=(Fraction(0),) * m),
-                        window)
-    assert [int(v) for v in batch.xx_num] == [
+    norms = _row_norms(np.array(rows, dtype=np.int64), gram)
+    assert [int(v) for v in norms] == [
         sum(x[i] * gram[i][j] * x[j] for i in range(m) for j in range(m))
         for x in rows]
+    if scale != "big":
+        assert norms.dtype == np.int64
+
+    if scale == "edge":
+        # rows that attain each bound: exactly at it on int64, one past it
+        # (every sum overflows int64) on Python ints
+        g = max(gc, key=lambda r: sum(map(abs, r)))
+        for t in (sign_lim, sign_lim + 1):
+            if t >= 2 ** 63:            # not an int64 row
+                continue
+            x = [t * ((v > 0) - (v < 0)) for v in g]
+            assert int(_int_product(np.array([x]), [g])[0, 0]) == t * row_l1
+        absg = [[abs(v) for v in row] for row in gram]
+        for t in (xx_lim, xx_lim + 1):
+            assert int(_row_norms(np.array([[t] * m]), absg)[0]) \
+                == t * t * sum_g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sign_matrix_matches_signs(seed_dodec, data):
+    # a random 3-6-gon in SPACE_ABC or the seed dodecahedron; rows small,
+    # orthogonal to a wall (sign 0), at the largest magnitude the int64
+    # bound of _int_product admits, or one past it (Python ints)
+    if data.draw(st.booleans(), label="dodec"):
+        walls = seed_dodec
+    else:
+        try:
+            walls = recover_ngon(data.draw(st.lists(uhp, min_size=3,
+                                                    max_size=6)))
+        except ValueError:          # OrientationError, or collinear vertices
+            assume(False)
+    m = walls.space.dim
+    lim = (2 ** 63 - 1) // max(sum(abs(v) for v in g) for g in walls._gc)
+    rows = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=m,
+                                       max_size=m), min_size=1, max_size=8))
+    for j in data.draw(st.lists(st.integers(0, len(walls.cs) - 1),
+                                max_size=3), label="orthogonal to C_j"):
+        g = walls._gc[j]
+        rows.append([g[1], -g[0]] + [0] * (m - 2))
+    big = data.draw(st.sampled_from([b for b in (0, lim, lim + 1)
+                                     if b < 2 ** 63]), label="magnitude")
+    if big:
+        rest = st.lists(st.integers(-big, big), min_size=m - 1,
+                        max_size=m - 1)
+        rows.append([data.draw(st.sampled_from([big, -big]))]
+                    + data.draw(rest))
+        # +-big times the signs of a wall row attains the bound there
+        g = walls._gc[data.draw(st.integers(0, len(walls.cs) - 1))]
+        rows.append([big * ((v > 0) - (v < 0)) for v in g])
+    got = walls.sign_matrix(np.array(rows, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [walls.signs(x) for x in rows]
+    assert got.tolist() == [[(v > 0) - (v < 0) for v in
+                             (walls.space.inner(vec(x), c) for c in walls.cs)]
+                            for x in rows]
 
 
 def _row_loop_series(batch, signs, num, den, nmax):
@@ -566,7 +617,7 @@ def _row_loop_series(batch, signs, num, den, nmax):
     regular = np.all(signs != 0, axis=1)
     entries, flags, bad_guard = {}, set(), False
     for i in range(len(num)):
-        qx = Fraction(int(batch.xx_num[i]), 2 * batch.den2)
+        qx = Fraction(int(batch.xx_num[i]), 2 * batch.dmu ** 2)
         if qx < 0 or qx > nmax:
             continue
         if not batch.inside[i]:
@@ -630,8 +681,8 @@ def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
     poly, series, num, den = _series_input(case, funddom, seed_dodec)
     coset = LatticeCoset(poly.space, mu)
     qe = series(coset, nmax)
-    batch = _XBatch(coset, qe.window)
-    signs, _ = _sign_matrix(batch, poly.space, poly.cs)
+    batch = enumerate_coset(coset, qe.window, GUARD)
+    signs = poly.sign_matrix(batch.xnum)
     entries, flags, bad_guard = _row_loop_series(batch, signs, num(signs),
                                                  den, Fraction(nmax))
     assert not bad_guard and entries
@@ -669,8 +720,8 @@ def test_window_split_is_exact(mu):
         return [sum(x[i] * mat[i][j] * x[j] for i in range(3)
                     for j in range(3)) for x in xs]
 
-    window.B = sorted(norms(_XBatch(coset, window)))[10]
-    batch = _XBatch(coset, window)
+    window.B = sorted(norms(enumerate_coset(coset, window, GUARD)))[10]
+    batch = enumerate_coset(coset, window, GUARD)
     got = norms(batch)
     assert got.count(window.B) >= 1
     assert batch.inside.dtype == bool
@@ -680,8 +731,8 @@ def test_window_split_is_exact(mu):
 def test_guard_band_retry_keeps_base_plane(funddom):
     coset = LatticeCoset(SPACE_ABC)
     small = _small_window((E2_ABC, E3_ABC), 1.0)
-    batch = _XBatch(coset, small)
-    signs, _ = _sign_matrix(batch, SPACE_ABC, funddom.cs)
+    batch = enumerate_coset(coset, small, GUARD)
+    signs = funddom.sign_matrix(batch.xnum)
     assert _row_loop_series(batch, signs, _eps_num(funddom, signs), 1,
                             Fraction(6))[2]
     qe = holomorphic_series(coset, funddom, 6, window=small)
@@ -750,7 +801,7 @@ def test_mismatched_spaces_are_rejected(seed_dodec, monkeypatch):
         raise AssertionError("a window was certified or enumerated")
 
     monkeypatch.setattr(lattice, "certify_window", unused)
-    monkeypatch.setattr(lattice, "_XBatch", unused)
+    monkeypatch.setattr(lattice, "enumerate_coset", unused)
     tau = 0.1 + 0.95j
     coset = LatticeCoset(SPACE_E)
     for call in (lambda: holomorphic_series(coset, ngon, 6),

@@ -3,10 +3,11 @@
 E_q(c_1..c_q; x) is the average of sgn(y,c_1)...sgn(y,c_q) against the
 unit-mass Gaussian centered at pr_z(x) on the negative q-plane
 z = span(c_1..c_q).  In orthonormalized plane coordinates the density is
-exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into
-sign-constant cones, and each cone mass is computed with the radial
-integral in closed form and, over the angular variable, fixed
-Gauss-Legendre nodes split at the peak (planar cones, batched).  A solid
+exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into 2^q
+sign-constant cones.  cone_sum, shared by E2/E3 and the N-gon completion's
+rho terms, is the one weighted sum of their masses.  A planar cone's mass
+is computed with the radial integral in closed form and, over the angular
+variable, fixed Gauss-Legendre nodes split at the peak (batched).  A solid
 cone's mass is a 1-D integral over one wall's normal coordinate, on fixed
 Gauss-Legendre nodes, of planar slice masses in closed form (a bivariate
 normal orthant probability by Owen's T function).  Values lie in [-1,1] and
@@ -24,6 +25,7 @@ from .qspace import NegativePlane, vec
 SQPI = math.sqrt(math.pi)
 # beyond this sign-margin the Gaussian tail is < erfc(7.5*sqrt(pi)) ~ 1e-78
 FAST_MARGIN = 7.5
+CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
 GL_NODES = 64            # Gauss-Legendre nodes per monotone piece of a cone
 CONE_BLOCK = 256         # cones per block of node arrays (bounds temporaries)
 # a piece of a cone ends where its Gaussian factor has fallen by e^{-46}
@@ -32,6 +34,8 @@ PIECE_CUT = 46.0
 LINE_NODES = 24          # Gauss-Legendre nodes per piece of a solid cone
 WINDOW = 3.0             # slice distance spanned by a window at a fast change
 SUM_SLACK = 1e-9         # E2/E3 mass sums further out than this are errors
+# SIGNS[:2**q, 3-q:] signs the 2^q cones of a q-frame (q <= 3), + first
+SIGNS = np.array(list(product((1.0, -1.0), repeat=3)))
 
 
 class QuadratureError(RuntimeError):
@@ -138,13 +142,13 @@ def _cone_mass_block(u, g1, g2, amp):
 
 
 def cone_dist2(u, b, rays):
-    """Squared distance from u to the cone {y : b y >= 0} (0 if u lies
-    inside), whose rays are the columns of rays = b^{-1}.  Batched: u of
-    shape (..., d), b and rays of shape (..., d, d).  Used for cheap skip
-    bounds; a slight underestimate is fine there, so we use 0-inside /
-    min-over-rays."""
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Squared distance from u to the nearest ray of the cone {y : b y >= 0}
+    (0 if u lies inside), whose rays are the columns of rays = b^{-1}, for
+    float arrays u of shape (..., d), b and rays of shape (..., d, d).  It
+    is the distance to a planar cone, whose boundary is its rays, but no
+    lower bound for a solid cone, whose nearest point can lie on a facet:
+    E3's octant screen drops cones with real mass (open; the values of
+    perfbench/refs/dodec_E.json carry it)."""
     inside = np.all(np.einsum('...ij,...j->...i', b, u) >= -1e-12, axis=-1)
     rays = rays / np.linalg.norm(rays, axis=-2, keepdims=True)
     proj = np.maximum(np.einsum('...i,...ij->...j', u, rays), 0.0)
@@ -265,32 +269,44 @@ def _E(space, cs, x):
 
 def E_frames(a, u):
     """E2 or E3 for V frames at once: functional rows a of shape (V, q, q)
-    and centres u of shape (V, q) in orthonormal plane coordinates.  The
-    2^q sign cones of the frames that their margins do not decide are
-    screened in one cone_dist2 call and the survivors' masses come from one
-    cone-mass call; a signed sum past 1 + SUM_SLACK raises."""
+    and centres u of shape (V, q) in orthonormal plane coordinates.  A frame
+    whose margins all reach FAST_MARGIN gets its sign product; the others
+    are one cone_sum over their 2^q cones, each weighted by its sign
+    product.  A signed sum past 1 + SUM_SLACK raises."""
     margins = np.einsum('vij,vj->vi', a, u) / np.linalg.norm(a, axis=2)
     out = np.prod(np.sign(margins), axis=1)
     slow = np.flatnonzero(np.min(np.abs(margins), axis=1) < FAST_MARGIN)
     if not slow.size:
         return out
-    sig = np.array(list(product((1.0, -1.0), repeat=a.shape[1])))
-    b = sig[:, :, None] * a[slow, None]
-    uo = np.broadcast_to(u[slow, None], b.shape[:3])
-    rays = np.linalg.inv(b)
-    # skip far-away cones: their mass is below e^{-42} << 1e-11
-    near = math.pi * cone_dist2(uo, b, rays) <= 42.0
-    mass = np.zeros(near.shape)
-    if a.shape[1] == 2:
-        gens = rays[near]
-        mass[near] = cone_mass_2d(uo[near], gens[:, :, 0], gens[:, :, 1])
-    else:
-        mass[near] = cone_mass_3d(uo[near], b[near])
-    total = mass @ np.prod(sig, axis=1)
+    sign = np.prod(SIGNS[:2 ** a.shape[1], 3 - a.shape[1]:], axis=1)
+    total = cone_sum(a, slow, u[slow],
+                     np.broadcast_to(sign, (slow.size, sign.size)))
     if np.any(np.abs(total) > 1.0 + SUM_SLACK):
         raise QuadratureError(f"cone-mass sum {total!r} is outside [-1, 1]")
     out[slow] = np.clip(total, -1.0, 1.0)
     return out
+
+
+def cone_sum(a, f, u, weight, amp=0.0, cut=CONE_CUT):
+    """sum_c weight[k, c] e^{amp_k} mass(cone c of frame a[f_k], centre u_k)
+    per item k: cone c is {y : sigma_c a y >= 0}, sigma_c = SIGNS[c, 3-q:],
+    for frames a of shape (F, q, q), q = 2 or 3.  The (k, c) of nonzero
+    weight pass one cone_dist2 screen (amp_k - pi dist^2 >= -cut) and one
+    cone-mass call; np.bincount adds each item's terms in cone order.  amp
+    applies to planar cones only; E3's callers pass none."""
+    q = a.shape[1]
+    sig = SIGNS[:2 ** q, 3 - q:]
+    k, c = np.nonzero(weight)
+    amp = np.broadcast_to(np.asarray(amp, dtype=float), (len(u),))[k]
+    b = sig[c, :, None] * a[f[k]]
+    rays = np.linalg.inv(a)[f[k]] * sig[c, None, :]
+    keep = amp - math.pi * cone_dist2(u[k], b, rays) >= -cut
+    k, c, b, rays, amp = k[keep], c[keep], b[keep], rays[keep], amp[keep]
+    if q == 2:
+        mass = cone_mass_2d(u[k], rays[:, :, 0], rays[:, :, 1], amp=amp)
+    else:
+        mass = cone_mass_3d(u[k], b)
+    return np.bincount(k, weight[k, c] * mass, minlength=len(u))
 
 
 def j0_value(space, ngon, x):

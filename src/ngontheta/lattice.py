@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errfn import SIGNS, cone_sum, plane_frame
 from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
                      vec)
 
@@ -334,14 +335,13 @@ class _CompletionKernel:
     evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q), on the
     window rows of a list of batches; guard-band rows are not evaluated and
     get 0.  eps and the wall terms e_k are taken batch by batch.  The rho_j
-    are signed Gaussian cone masses on the vertex planes span(C_j, C_{j+1}):
-    the (row, edge) pairs that pass a margin screen are pooled over
-    consecutive batches, about PAIR_BLOCK pairs at a time, which bounds the
-    pooled temporaries; for each sign quadrant one cone_dist2 call screens a
-    pool and one cone_mass_2d call evaluates the pairs that pass."""
+    are Gaussian masses of the sign quadrants of the vertex planes
+    span(C_j, C_{j+1}), weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}): the
+    (row, edge) pairs that pass a margin screen are pooled over consecutive
+    batches, about PAIR_BLOCK pairs at a time, which bounds the pooled
+    temporaries, and each pool is one errfn.cone_sum call."""
 
     def __init__(self, space, ngon, w_offset=0):
-        from .errfn import plane_frame
         self.ngon = ngon
         self.w_offset = w_offset
         self.chat = np.array([space.unit_negative(c) for c in ngon.cs])
@@ -349,7 +349,6 @@ class _CompletionKernel:
         a, proj = zip(*(plane_frame(pl) for pl in ngon.vertex_planes))
         self.edge_proj = np.array(proj)         # (n, 2, m): x -> plane coords
         self.edge_a = np.array(a)               # (n, 2, 2) functional rows
-        self.edge_ainv = np.linalg.inv(self.edge_a)
 
     def eval_batches(self, batches, v, scale_literal=False):
         """One array per batch of e^{amp}-scaled kernel values at Im tau = v:
@@ -363,9 +362,9 @@ class _CompletionKernel:
             if (sum(len(g[2]) for g in group) < PAIR_BLOCK
                     and i + 1 < len(batches)):
                 continue
-            # one _rho call for the pooled pairs of the group
-            rho = self._rho(*(np.concatenate(a)
-                              for a in zip(*(g[3] for g in group))))
+            # one cone_sum call for the pooled pairs of the group
+            pool = (np.concatenate(a) for a in zip(*(g[3] for g in group)))
+            rho = cone_sum(self.edge_a, *pool, cut=-RHO_LOG_TOL)
             start = 0
             for inside, vals, rows, _ in group:
                 o = np.zeros(len(inside))
@@ -379,7 +378,8 @@ class _CompletionKernel:
     def _row_terms(self, batch, v, scale):
         """The eps and wall terms of the window rows of a batch, the
         window-row index of each (row, edge) pair that passes the rho screen,
-        and the pairs' arguments for _rho."""
+        and the pairs' cone_sum arguments: edge, plane centre, quadrant
+        weights and amp."""
         from scipy.special import erfcx
         inside = batch.inside
         signs = self.ngon.sign_matrix(batch.xnum[inside])
@@ -406,26 +406,9 @@ class _CompletionKernel:
         rows, edges = np.nonzero(amp[:, None] - math.pi * teff ** 2
                                  > RHO_LOG_TOL)
         u = scale * np.einsum('pij,pj->pi', self.edge_proj[edges], xf[rows])
-        return vals, rows, (u, signs[rows, edges],
-                            signs[rows, (edges + 1) % self.ngon.n],
-                            amp[rows], edges)
-
-    def _rho(self, u, s1, s2, amp, edges):
-        """Signed cone masses summed over the four sign quadrants, one value
-        per (row, edge) pair: plane centre u, wall signs s1, s2."""
-        from .errfn import cone_mass_2d, cone_dist2
-        total = np.zeros(len(u))
-        for sig in np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
-            g = (sig[0] - s1) * (sig[1] - s2)
-            live = np.nonzero(g)[0]
-            rays = self.edge_ainv[edges[live]] * sig
-            d2 = cone_dist2(u[live], sig[:, None] * self.edge_a[edges[live]],
-                            rays)
-            keep = amp[live] - math.pi * d2 >= RHO_LOG_TOL
-            live, rays = live[keep], rays[keep]
-            total[live] += g[live] * cone_mass_2d(
-                u[live], rays[:, :, 0], rays[:, :, 1], amp=amp[live])
-        return total
+        ends = signs[rows[:, None], (edges[:, None] + [0, 1]) % self.ngon.n]
+        weight = np.prod(SIGNS[:4, 1:] - ends[:, None], axis=2)
+        return vals, rows, (edges, u, weight, amp[rows])
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,

@@ -9,12 +9,13 @@ has Gram diag(2, -2, -2) and fixes the orientation used by the hyperbolic
 cross product.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .qspace import QuadraticSpace, rat, vec, vec_primitive
-from .ngon import validate, sgn, gamma_sample
+from .ngon import validate, sgn
 
 # Gram of (X,Y) = -tr(XY) in [a,b,c] coordinates: (x,x) = 2(4ac - b^2)
 SPACE_ABC = QuadraticSpace([[0, 0, 4], [0, -2, 0], [4, 0, 0]])
@@ -154,44 +155,24 @@ def plane_to_point(p):
     return cm_point(p)
 
 
-def winding_number(ngon, x, min_dist=1e-8, angle_target=1.0):
-    """Winding number of the polygon boundary loop around the CM point of x,
-    by accumulated-angle summation over adaptively refined edge samples."""
-    x = vec(x)
-    space = ngon.space
-    if not space.q(x) > 0:
+def winding_number(ngon, x):
+    """Winding number of the polygon boundary loop around the CM point z_x
+    of a regular x.  Edge j runs along the geodesic C_j^perp between two
+    vertex points, and (x, C_j) != 0 keeps z_x off that geodesic, so in the
+    disc model w = (z - z_x)/(z - conj(z_x)) the edge subtends the principal
+    argument of w_j / w_{j-1}, which lies in (-pi, pi).  An edge that
+    subtends within 1e-9 of pi raises ValueError."""
+    if not ngon.space.q(x) > 0:
         raise ValueError("winding number needs Q(x) > 0")
     if 0 in ngon.signs(x):
         raise ValueError("x is not regular for this collection")
     zx = cm_point(x)
-
-    def edge_point(j, s):
-        pl = gamma_sample(ngon, j, s)
-        p = cross(pl.span[0], pl.span[1])
-        return plane_to_point(p)
-
-    total = 0.0
-    for j in range(1, ngon.n + 1):
-        # refine the s-grid until angle increments are small
-        samples = [(Fraction(0), edge_point(j, Fraction(0)))]
-        stack = [(Fraction(0), samples[0][1], Fraction(1), edge_point(j, 1))]
-        pieces = []
-        while stack:
-            s0, p0, s1, p1 = stack.pop()
-            v0, v1 = p0 - zx, p1 - zx
-            if min(abs(v0), abs(v1)) < min_dist:
-                raise ValueError("loop passes too close to the CM point")
-            dang = math.atan2((v0.conjugate() * v1).imag,
-                              (v0.conjugate() * v1).real)
-            if abs(dang) <= angle_target and (s1 - s0) <= Fraction(1, 8):
-                pieces.append(dang)
-            else:
-                sm = (s0 + s1) / 2
-                pm = edge_point(j, sm)
-                stack.append((sm, pm, s1, p1))
-                stack.append((s0, p0, sm, pm))
-        total += math.fsum(pieces)
-    k = total / (2.0 * math.pi)
+    w = [(z - zx) / (z - zx.conjugate()) for z in
+         (plane_to_point(cross(*pl.span)) for pl in ngon.vertex_planes)]
+    angles = [cmath.phase(w[j] / w[j - 1]) for j in range(ngon.n)]
+    if max(map(abs, angles)) > math.pi - 1e-9:
+        raise ValueError("loop passes too close to the CM point")
+    k = math.fsum(angles) / (2.0 * math.pi)
     if abs(k - round(k)) > 1e-6:
         raise ValueError(f"accumulated angle {k} not within 1e-6 of an integer")
     return int(round(k))

@@ -9,9 +9,10 @@ from scipy.integrate import quad, dblquad
 from scipy.special import erf, erfcx
 
 from ngontheta.qspace import QuadraticSpace
-from ngontheta.errfn import (E1, E2, E3, FAST_MARGIN, QuadratureError,
-                             cone_mass_2d, cone_mass_3d, cone_dist2,
-                             _orthant, _radial_1, j0_value)
+from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN,
+                             QuadratureError, cone_mass_2d, cone_mass_3d,
+                             cone_dist2, cone_sum, _orthant, _radial_1,
+                             j0_value)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
 SQPI = math.sqrt(math.pi)
@@ -453,3 +454,91 @@ def test_signed_sum_outside_unit_interval_raises(monkeypatch):
                 E3(SP4, c1, c2, c3, x)
             with pytest.raises(QuadratureError):
                 E2(SP4, c1, c2, x)
+
+
+def _cone_sum_loop(a, f, u, weight, amp, cut):
+    """cone_sum one (item, cone) at a time, with the sign rows of the cones
+    built here: the same screen, then cone_mass_2d or cone_mass_3d on one
+    cone; also each screened term's margin amp - pi d^2 + cut."""
+    q = a.shape[1]
+    sig = np.array(list(product((1.0, -1.0), repeat=q)))
+    total, margins = np.zeros(len(u)), []
+    for k in range(len(u)):
+        for c in range(2 ** q):
+            if weight[k, c] == 0:
+                continue
+            b = sig[c][:, None] * a[f[k]]
+            rays = np.linalg.inv(a[f[k]]) * sig[c]
+            margin = amp[k] - math.pi * cone_dist2(u[k], b, rays) + cut
+            margins.append(margin)
+            if margin < 0:
+                continue
+            if q == 2:
+                mass = cone_mass_2d(u[k], rays[:, 0], rays[:, 1], amp=amp[k])
+            else:
+                mass = cone_mass_3d(u[k], b)[0]
+            total[k] += weight[k, c] * mass
+    return total, np.array(margins)
+
+
+def _sum_weights(rng, k, q):
+    """Small integer weights, a third of the rows one-hot (so that a term
+    near the screen is the whole sum) and some rows all zero."""
+    weight = rng.integers(-4, 5, (k, 2 ** q)).astype(float)
+    one = rng.random(k) < 1 / 3
+    weight[one] = 0.0
+    weight[one, rng.integers(0, 2 ** q, one.sum())] = 1.0
+    weight[rng.random(k) < 0.05] = 0.0
+    return weight
+
+
+def test_cone_sum_matches_cone_loop():
+    # planar frames with amp up to the kernel's cap and the rho screen, and
+    # solid frames with E3's screen; centres out to where terms straddle
+    # the cut, so that screened-out and kept terms both occur near it
+    rng = np.random.default_rng(1305)
+
+    def centres(amp, cut, q):
+        # half at random, half at a distance where the cone opposite u
+        # (nearest point: the apex) straddles the cut
+        k = len(amp)
+        d2 = np.where(rng.random(k) < 0.5,
+                      rng.uniform(0.0, amp + cut + 10.0),
+                      np.maximum(amp + cut + rng.uniform(-2.0, 2.0, k), 0))
+        u = rng.normal(size=(k, q))
+        return u * np.sqrt(d2 / math.pi)[:, None] \
+            / np.linalg.norm(u, axis=1, keepdims=True)
+
+    a2 = rng.normal(size=(6, 2, 2))
+    f = rng.integers(0, 6, 400)
+    amp = rng.uniform(0.0, AMP_CAP, 400)
+    u = centres(amp, -RHO_LOG_TOL, 2)
+    a3 = np.array([_random_walls(rng) for _ in range(5)])
+    f3 = rng.integers(0, 5, 150)
+    u3 = centres(np.zeros(150), CONE_CUT, 3)
+    for a, f, u, amp, cut in ((a2, f, u, amp, -RHO_LOG_TOL),
+                              (a3, f3, u3, np.zeros(150), CONE_CUT)):
+        weight = _sum_weights(rng, len(u), a.shape[1])
+        want, margins = _cone_sum_loop(a, f, u, weight, amp, cut)
+        got = cone_sum(a, f, u, weight, amp, cut)
+        assert np.array_equal(got, want)
+        assert np.all(got[~weight.any(axis=1)] == 0.0)
+        # terms on both sides of the cut, within 1 of it
+        assert np.sum((margins > -1) & (margins < 0)) >= 3
+        assert np.sum((margins >= 0) & (margins < 1)) >= 3
+    # amp is optional and the cut defaults to E2/E3's
+    weight = _sum_weights(rng, 150, 3)
+    assert np.array_equal(cone_sum(a3, f3, u3, weight),
+                          _cone_sum_loop(a3, f3, u3, weight, np.zeros(150),
+                                         CONE_CUT)[0])
+
+
+def test_cone_sum_empty_pool():
+    for q in (2, 3):
+        a = np.eye(q)[None]
+        got = cone_sum(a, np.zeros(0, dtype=int), np.zeros((0, q)),
+                       np.zeros((0, 2 ** q)))
+        assert got.shape == (0,)
+        zero = cone_sum(a, np.zeros(2, dtype=int), np.zeros((2, q)),
+                        np.zeros((2, 2 ** q)))
+        assert np.array_equal(zero, np.zeros(2))

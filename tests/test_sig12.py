@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ngontheta.ngon import epsilon, w_invariant
+from ngontheta.ngon import epsilon, gamma_sample, w_invariant
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, abc_to_e, e_to_abc, UHPoint,
                              point_to_vector, cross, alpha, turning_sign,
                              OrientationError, recover_ngon, one_sign_term,
@@ -156,6 +156,27 @@ def test_winding_rejects_bad_input(funddom):
         winding_number(funddom, (0, 1, 0))      # Q <= 0
     with pytest.raises(ValueError):
         winding_number(funddom, (1, 1, 1))      # corner: not regular
+
+
+def test_winding_near_an_edge(funddom):
+    # x = p + d C_2 with p orthogonal to the midpoint plane of edge 2: its
+    # CM point lies off the edge's interior by about d, on either side, so
+    # the edge subtends pi - O(d); inside the 1e-9 guard it raises
+    p = cross(*gamma_sample(funddom, 2, Fraction(1, 2)).span)
+    c = funddom.cs[1]
+
+    def near(d):
+        return tuple(a + d * b for a, b in zip(p, c))
+
+    seen = set()
+    for d in (Fraction(1, 10 ** 8), Fraction(-1, 10 ** 8)):
+        k = epsilon(funddom, near(d))
+        assert k.regular
+        assert 4 * winding_number(funddom, near(d)) == k.eps
+        seen.add(k.eps)
+    assert seen == {0, 4}               # one point inside, one outside
+    with pytest.raises(ValueError):
+        winding_number(funddom, near(Fraction(1, 10 ** 10)))
 
 
 def test_fundamental_ngon_needs_t_above_one():

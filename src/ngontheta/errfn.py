@@ -130,14 +130,17 @@ def _cone_mass_block(u, g1, g2, amp):
         - np.arctan2(np.abs(qa), ba)
     length = np.where(cut, np.minimum(length, reach), length)
     _, _, s, w = _gl_rule(GL_NODES)
-    tq, tb = turn * qa, turn * ba
-    f = np.empty(length.shape + s.shape)
+    f = np.zeros(length.shape + s.shape)
     for p in range(2):                  # a piece at a time: half the temporaries
-        x = length[:, p, None] * s
+        # only pieces of nonzero length reach the nodes (a cone that holds
+        # neither u's direction nor its opposite has a split piece of 0)
+        k = np.flatnonzero(length[:, p] > 0.0)
+        x = length[k, p, None] * s
         cx, sx = np.cos(x), np.sin(x)
-        bx = ba[:, p, None] * cx - tq[:, p, None] * sx
-        qx = qa[:, p, None] * cx + tb[:, p, None] * sx
-        f[:, p] = _radial_1(amp[:, None] - np.pi * qx * qx, bx)
+        a, b, t = qa[k, p, None], ba[k, p, None], turn[k, p, None]
+        bx = b * cx - t * a * sx
+        qx = a * cx + t * b * sx
+        f[k, p] = _radial_1(amp[k, None] - np.pi * qx * qx, bx)
     return np.sum((f @ w) * length, axis=1)
 
 

@@ -21,6 +21,13 @@ default base plane is the first vertex plane.  enumerate_coset returns the
 one row batch (CosetRows) that the series driver and the completion kernel
 read, and the signs of (x, C_j) come from the wall collection's
 sign_matrix on the batch's integer rows.
+
+The completion kernel returns each window row's term at its final weight,
+kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
+term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
+and single rho cone masses by their distance from the Gaussian centre.
+The kernel is even in x, so theta_{-mu} = theta_mu, and modularity_check
+evaluates one coset of each +-mu pair.
 """
 
 import math
@@ -32,13 +39,14 @@ from functools import cached_property
 import numpy as np
 
 from .errfn import SIGNS, cone_sum, plane_frame
+from .ngon import w_invariant
 from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
                      vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 CHUNK = 1024             # fixed accumulation chunk size
 PAIR_BLOCK = 8192        # rho pairs pooled per round of cone masses
-RHO_LOG_TOL = -34.0      # skip cone-mass terms below e^{RHO_LOG_TOL}
+RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
 GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
 
@@ -332,10 +340,14 @@ def holomorphic_series(coset, ngon, nmax, window=None, normalized=False,
 class _CompletionKernel:
     """Per-polygon cached data for the stable completion kernel
        kernel(x) = eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k + sum_j rho_j,
-    evaluated pre-multiplied by e^{amp}, amp = 2 pi v max(0,-Q), on the
-    window rows of a list of batches; guard-band rows are not evaluated and
-    get 0.  eps and the wall terms e_k are taken batch by batch.  The rho_j
-    are Gaussian masses of the sign quadrants of the vertex planes
+    evaluated at its final weight: multiplied by e^{amp}, amp = -2 pi v Q
+    (capped at AMP_CAP), so that each row's value is its term of the
+    completed series up to the phase e^{2 pi i Re(tau) Q}.  Every term is
+    then screened by what it adds to the sum.  A window row whose bound
+    (|w| + |w_offset| + N) e^{amp} on |kernel| e^{amp} (each E2 lies in
+    [-1, 1]) is below e^{RHO_LOG_TOL} is skipped and gets 0, as guard-band
+    rows do.  eps and the wall terms e_k are taken batch by batch.  The
+    rho_j are Gaussian masses of the sign quadrants of the vertex planes
     span(C_j, C_{j+1}), weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}): the
     (row, edge) pairs that pass a margin screen are pooled over consecutive
     batches, about PAIR_BLOCK pairs at a time, which bounds the pooled
@@ -344,6 +356,8 @@ class _CompletionKernel:
     def __init__(self, space, ngon, w_offset=0):
         self.ngon = ngon
         self.w_offset = w_offset
+        self.log_bound = math.log(abs(w_invariant(ngon)) + abs(w_offset)
+                                  + ngon.n)
         self.chat = np.array([space.unit_negative(c) for c in ngon.cs])
         self.chat_g = self.chat @ space.gram_f  # rows: (chat_k, .)
         a, proj = zip(*(plane_frame(pl) for pl in ngon.vertex_planes))
@@ -351,24 +365,25 @@ class _CompletionKernel:
         self.edge_a = np.array(a)               # (n, 2, 2) functional rows
 
     def eval_batches(self, batches, v, scale_literal=False):
-        """One array per batch of e^{amp}-scaled kernel values at Im tau = v:
-        window rows carry the kernel, guard-band rows 0."""
+        """One array per batch of kernel values times e^{-2 pi v Q} at
+        Im tau = v: evaluated window rows carry their term, skipped window
+        rows and guard-band rows 0."""
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
         scale = math.sqrt(2.0) if scale_literal else math.sqrt(2.0 * v)
         out, group = [], []
         for i, batch in enumerate(batches):
-            group.append((batch.inside, *self._row_terms(batch, v, scale)))
-            if (sum(len(g[2]) for g in group) < PAIR_BLOCK
+            group.append((len(batch), *self._row_terms(batch, v, scale)))
+            if (sum(len(g[3]) for g in group) < PAIR_BLOCK
                     and i + 1 < len(batches)):
                 continue
             # one cone_sum call for the pooled pairs of the group
-            pool = (np.concatenate(a) for a in zip(*(g[3] for g in group)))
+            pool = (np.concatenate(a) for a in zip(*(g[4] for g in group)))
             rho = cone_sum(self.edge_a, *pool, cut=-RHO_LOG_TOL)
             start = 0
-            for inside, vals, rows, _ in group:
-                o = np.zeros(len(inside))
-                o[inside] = vals + np.bincount(
+            for size, live, vals, rows, _ in group:
+                o = np.zeros(size)
+                o[live] = vals + np.bincount(
                     rows, rho[start:start + len(rows)], minlength=len(vals))
                 start += len(rows)
                 out.append(o)
@@ -376,17 +391,18 @@ class _CompletionKernel:
         return out
 
     def _row_terms(self, batch, v, scale):
-        """The eps and wall terms of the window rows of a batch, the
-        window-row index of each (row, edge) pair that passes the rho screen,
-        and the pairs' cone_sum arguments: edge, plane centre, quadrant
-        weights and amp."""
+        """The indices `live` of the window rows that pass the row bound,
+        their eps and wall terms, the live-row index of each (row, edge)
+        pair that passes the rho screen, and the pairs' cone_sum arguments:
+        edge, plane centre, quadrant weights and amp."""
         from scipy.special import erfcx
-        inside = batch.inside
-        signs = self.ngon.sign_matrix(batch.xnum[inside])
-        xf = batch.xf[inside]
+        live = np.flatnonzero(batch.inside)
+        amp = np.minimum(-2.0 * math.pi * v * batch.qf[live], AMP_CAP)
+        keep = amp + self.log_bound >= RHO_LOG_TOL
+        live, amp = live[keep], amp[keep]
+        signs = self.ngon.sign_matrix(batch.xnum[live])
+        xf = batch.xf[live]
         tmat = scale * (xf @ self.chat_g.T)            # tau_k margins
-        qf = batch.qf[inside]
-        amp = np.minimum(2.0 * math.pi * v * np.maximum(0.0, -qf), AMP_CAP)
         vals = (self.ngon.kernel(signs) + self.w_offset).astype(float) \
             * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
@@ -408,7 +424,7 @@ class _CompletionKernel:
         u = scale * np.einsum('pij,pj->pi', self.edge_proj[edges], xf[rows])
         ends = signs[rows[:, None], (edges[:, None] + [0, 1]) % self.ngon.n]
         weight = np.prod(SIGNS[:4, 1:] - ends[:, None], axis=2)
-        return vals, rows, (edges, u, weight, amp[rows])
+        return live, vals, rows, (edges, u, weight, amp[rows])
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
@@ -425,17 +441,16 @@ def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
 
 
 def _completion_sum(batch, scaled, window, n_edges, tau):
-    """(value, tail) at tau of one coset from the kernel values `scaled` of
-    its batch at v = Im tau, which depend on tau only through v."""
-    v = tau.imag
-    phase = np.exp(2j * math.pi * tau.real * batch.qf
-                   - 2.0 * math.pi * v * np.maximum(batch.qf, 0.0))
-    terms = np.where(batch.inside, scaled * phase, 0.0)
+    """(value, tail) at tau of one coset from the terms `scaled` of its
+    batch at v = Im tau (eval_batches: kernel times e^{-2 pi v Q}, 0 on the
+    rows it skips), which depend on tau only through v: each is multiplied
+    by its phase e^{2 pi i Re(tau) Q}."""
+    terms = scaled * np.exp(2j * math.pi * tau.real * batch.qf)
     # fixed chunk-order accumulation
     total = complex(0.0)
     for start in range(0, len(terms), CHUNK):
         total += complex(np.sum(terms[start:start + CHUNK]))
-    return total, _tail_estimate(batch, window, n_edges, v)
+    return total, _tail_estimate(batch, window, n_edges, tau.imag)
 
 
 def _tail_estimate(batch, window, n_edges, v):
@@ -481,6 +496,13 @@ def weil_matrices(space):
     return reps, tdiag, s
 
 
+def negation_index(reps):
+    """For each representative mu of disc_group (entries in [0,1)), the
+    index of -mu among them."""
+    index = {mu: i for i, mu in enumerate(reps)}
+    return [index[tuple(-c % 1 for c in mu)] for mu in reps]
+
+
 def weil_sanity(space, weil=None):
     """Return (unitarity defect, S^2-composition defect); both should be ~0.
     `weil` may pass the (reps, T, S) that weil_matrices(space) returned."""
@@ -489,10 +511,7 @@ def weil_sanity(space, weil=None):
     uni = float(np.max(np.abs(s @ s.conj().T - np.eye(d))))
     # S^2 = phase^2 * permutation mu -> -mu
     perm = np.zeros((d, d))
-    index = {mu: i for i, mu in enumerate(reps)}
-    for i, mu in enumerate(reps):
-        neg = tuple((-c) % 1 for c in mu)
-        perm[index[neg], i] = 1.0
+    perm[negation_index(reps), np.arange(d)] = 1.0
     p, q = space.sig
     ph2 = cmath.exp(2j * math.pi * (q - p) / 4.0)
     comp = float(np.max(np.abs(s @ s - ph2 * perm)))
@@ -501,14 +520,21 @@ def weil_sanity(space, weil=None):
 
 def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     """Compare the completion vector at tau+1 and -1/tau against the finite
-    Weil transform; returns a report dict."""
+    Weil transform; returns a report dict.  The completion kernel is even
+    (eps, the wall terms and the rho masses are invariant under x -> -x,
+    and so is the window), so theta_{-mu} = theta_mu: only the cosets mu_i
+    with i <= index(-mu_i) are enumerated and evaluated, and each value
+    fills both entries of its +-mu pair."""
     _check_space(space, ngon)
     reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
     window = certify_window(space, ngon, None, nmax)
     kern = _CompletionKernel(space, ngon, w_offset)
-    batches = [enumerate_coset(LatticeCoset(space, mu), window, GUARD)
-               for mu in reps]
+    neg = negation_index(reps)
+    own = [i for i, j in enumerate(neg) if i <= j]
+    pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
+    batches = [enumerate_coset(LatticeCoset(space, reps[i]), window, GUARD)
+               for i in own]
     scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):
@@ -516,7 +542,7 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
             scaled[t.imag] = kern.eval_batches(batches, t.imag, paper_literal)
         vals, tails = zip(*(_completion_sum(b, k, window, ngon.n, t)
                             for b, k in zip(batches, scaled[t.imag])))
-        return np.array(vals), max(tails)
+        return np.array(vals)[pair], max(tails)
 
     base, tail0 = theta_vec(tau)
     shifted, tail1 = theta_vec(tau + 1)

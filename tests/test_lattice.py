@@ -16,8 +16,8 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                enumerate_coset, QExpansion, GUARD,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
-                               _CompletionKernel, CertificationError,
-                               _majorant_leq)
+                               negation_index, _CompletionKernel,
+                               CertificationError, _majorant_leq)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel,
                              default_negative_vector, seed_construction,
@@ -354,6 +354,8 @@ def test_series_normalization(funddom):
 
 
 def test_completion_kernel_matches_e2_sum(funddom):
+    # eval_batches returns each row's term at its final weight:
+    # (w + sum_j E2) * e^{amp} with amp = -2 pi v Q, capped at 600
     window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 2)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)
     kern = _CompletionKernel(SPACE_ABC, funddom)
@@ -364,7 +366,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     rows = [i for i in range(len(batch.xf)) if batch.inside[i]][:25]
     for i in rows:
         q = float(batch.xx_num[i]) / batch.dmu ** 2 / 2.0
-        amp = min(2.0 * math.pi * v * max(0.0, -q), 600.0)
+        amp = min(-2.0 * math.pi * v * q, 600.0)
         xs = batch.xf[i] * math.sqrt(2.0 * v)
         brute = w + sum(E2(SPACE_ABC, funddom.cs[j],
                            funddom.cs[(j + 1) % n], xs) for j in range(n))
@@ -401,6 +403,82 @@ def test_eval_batches_guard_rows_are_zero(funddom, funddom_batches):
                           kern.eval_batches(funddom_batches, 0.8)):
         assert np.any(~batch.inside) and np.any(got[batch.inside] != 0)
         assert np.all(got[~batch.inside] == 0)
+
+
+def test_row_screen_skips_only_bounded_rows(funddom, funddom_batches):
+    # a window row is skipped exactly when (|w| + |w_offset| + N) e^{amp},
+    # a bound on its completed term, is below e^{RHO_LOG_TOL}; a skipped row
+    # gets 0, and every other window row keeps the value it has when no row
+    # is skipped
+    kern = _CompletionKernel(SPACE_ABC, funddom, w_offset=-3)
+    full = _CompletionKernel(SPACE_ABC, funddom, w_offset=-3)
+    full.log_bound = math.inf                  # skips no row
+    bound = abs(w_invariant(funddom)) + 3 + funddom.n
+    skipped = 0
+    for v in (0.37, 1.3):
+        got = kern.eval_batches(funddom_batches, v)
+        want = full.eval_batches(funddom_batches, v)
+        for batch, g, f in zip(funddom_batches, got, want):
+            live = np.zeros(len(batch), dtype=bool)
+            live[kern._row_terms(batch, v, math.sqrt(2.0 * v))[0]] = True
+            amp = np.minimum(-2.0 * math.pi * v * batch.qf, lattice.AMP_CAP)
+            small = bound * np.exp(amp) < math.exp(lattice.RHO_LOG_TOL)
+            assert np.array_equal(live, batch.inside & ~small)
+            skip = batch.inside & small
+            skipped += np.count_nonzero(skip)
+            assert np.all(g[skip] == 0)
+            assert np.all(np.abs(f[skip]) <= bound * np.exp(amp[skip]))
+            assert np.array_equal(g[live], f[live])
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("tau", [complex(0.1234, 0.95), complex(-0.4, 0.8),
+                                 complex(0.3, 1.25)])
+def test_screen_tolerance_moves_theta_little(funddom, monkeypatch, tau):
+    # the terms that RHO_LOG_TOL drops (whole rows and rho cones) add up to
+    # at most 5e-16 of theta at nmax 6
+    got = modularity_check(SPACE_ABC, funddom, tau, 6)["theta"]
+    monkeypatch.setattr(lattice, "RHO_LOG_TOL", -60.0)
+    ref = modularity_check(SPACE_ABC, funddom, tau, 6)["theta"]
+    assert np.max(np.abs(got - ref)) <= 5e-16
+
+
+PARITY_TAUS = (complex(0.1234, 0.95), complex(-0.31, 1.1))
+
+
+@pytest.fixture(scope="module")
+def coset_completions(funddom):
+    """completion_eval of each funddom coset at nmax 6, per tau of
+    PARITY_TAUS, in disc_group order."""
+    reps = disc_group(SPACE_ABC)
+    window = certify_window(SPACE_ABC, funddom, None, 6)
+    return reps, {tau: np.array([
+        completion_eval(LatticeCoset(SPACE_ABC, mu), funddom, tau, 6,
+                        window=window)[0] for mu in reps])
+        for tau in PARITY_TAUS}
+
+
+def test_completion_parity_under_negation(coset_completions):
+    # the completion kernel is even, so theta_{-mu} = theta_mu
+    reps, vals = coset_completions
+    neg = negation_index(reps)
+    assert len(reps) == 32 and sorted(neg) == list(range(32))
+    for i, j in enumerate(neg):
+        assert neg[j] == i
+        assert all((a + b) % 1 == 0 for a, b in zip(reps[i], reps[j]))
+    assert sum(i < j for i, j in enumerate(neg)) == 12
+    for theta in vals.values():
+        assert np.max(np.abs(theta - theta[neg])) <= 1e-15
+
+
+def test_modularity_theta_matches_completion_eval(funddom, coset_completions):
+    # modularity_check evaluates one coset of each +-mu pair and copies its
+    # value to the other; both halves match completion_eval per coset
+    _, vals = coset_completions
+    for tau, theta in vals.items():
+        got = modularity_check(SPACE_ABC, funddom, tau, 6)["theta"]
+        assert got.shape == theta.shape
+        assert np.max(np.abs(got - theta)) <= 1e-15
 
 
 def test_completion_approaches_holomorphic_part(funddom):

@@ -259,6 +259,14 @@ def _signs(space, x, cs):
     return [(space.inner(x, c) > 0) - (space.inner(x, c) < 0) for c in cs]
 
 
+def _outcome(f, *args):
+    """f(*args), or the message of the RuntimeError it raises."""
+    try:
+        return f(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(3, 6), data=st.data())
 def test_gram_path_matches_vector_oracle(n, data):
@@ -292,12 +300,14 @@ def test_gram_path_matches_vector_oracle(n, data):
         cs[3] = sp.project_perp(cs[3], half)
     want = check_conditions_vec(sp, cs)
     assert check_conditions(sp, cs) == want
-    # the oracle then finds its vector within a few k
+    # both search the same k <= 10000; where no C_1 + C_2/k qualifies (a
+    # C_3 made orthogonal to C_1 can be orthogonal to C_2 as well, and then
+    # to every candidate) both raise the same RuntimeError
     if sp.inner(cs[0], cs[0]) < 0 and all(any(c) for c in cs) and \
             sp.inner(cs[0], cs[1]) ** 2 != sp.inner(cs[0], cs[0]) \
             * sp.inner(cs[1], cs[1]):
-        assert regular_negative_vector(sp, cs) == \
-            regular_negative_vector_vec(sp, cs)
+        assert _outcome(regular_negative_vector, sp, cs) == \
+            _outcome(regular_negative_vector_vec, sp, cs)
     if want:
         return
     ngon = validate(sp, cs)

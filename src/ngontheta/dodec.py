@@ -182,15 +182,6 @@ class DodecData(_Walls):
         return (np.prod(signs[:, tri], axis=2).sum(axis=1)
                 + signs @ np.array(self.face_w, dtype=np.int64) - self._dv8)
 
-    @functools.cached_property
-    def e_frames(self):
-        """Float data of E: the vertex 3-planes' stacked errfn.plane_frame,
-        and the unit normals C_i/|(C_i,C_i)|^{1/2} times the Gram matrix."""
-        from .errfn import plane_frame
-        a, m = zip(*(plane_frame(p) for p in self.vertex_planes))
-        normals = [self.space.unit_negative(c) for c in self.cs]
-        return np.array(a), np.array(m), np.array(normals) @ self.space.gram_f
-
 
 def validate_dodec(space, cs):
     """Return a DodecData or raise DodecValidationError naming, per face,
@@ -224,7 +215,7 @@ def dodec_E_kernel(dodec, x):
     All 20 vertex terms are one E_frames batch."""
     from scipy.special import erf
     from .errfn import E_frames, SQPI
-    a, m, normals = dodec.e_frames
+    a, m, normals = dodec.frames
     xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
     e1 = erf(SQPI * (normals @ xf))
     return float((np.sum(E_frames(a, m @ xf)) + e1 @ dodec.face_w) / 8.0)

@@ -161,17 +161,6 @@ def cone_dist2(u, b, rays):
     return np.where(inside, 0.0, best)[()]
 
 
-def plane_frame(plane):
-    """The functional rows a_k of the plane's spanning vectors c_k and the
-    map m that takes x (as floats) to the centre u = m x, the orthonormal
-    coordinates of pr_z(x)."""
-    gf = plane.space.gram_f
-    # (y, c) for y = sum t_i u_i equals t . a_i, with a_i[k] = (u_k, c)
-    a = [plane.ortho @ gf @ np.array([float(v) for v in c])
-         for c in plane.span]
-    return np.array(a), -(plane.ortho @ gf)
-
-
 def E2(space, c1, c2, x):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2) over span(c1,c2); the sign of
     the ratio for exactly proportional c1, c2."""
@@ -266,7 +255,7 @@ def E3(space, c1, c2, c3, x):
 
 
 def _E(space, cs, x):
-    a, m = plane_frame(NegativePlane(space, cs))
+    a, m = NegativePlane(space, cs).frame
     return float(E_frames(a[None], (m @ np.asarray(x, dtype=float))[None])[0])
 
 
@@ -314,10 +303,11 @@ def cone_sum(a, f, u, weight, amp=0.0, cut=CONE_CUT):
 
 def j0_value(space, ngon, x):
     """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
-    for a regular rational x."""
-    cs, n, s = ngon.cs, ngon.n, ngon.signs(x)
+    for a regular rational x, all N terms in one E_frames batch."""
+    n, s = ngon.n, ngon.signs(x)
     if 0 in s:
         raise ValueError("x is not regular: (x, C_j) = 0")
     xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
-    return sum(E2(space, cs[j], cs[(j + 1) % n], xf) - s[j] * s[(j + 1) % n]
-               for j in range(n)) / 4.0
+    a, m, _ = ngon.frames
+    return sum(float(e) - s[j] * s[(j + 1) % n]
+               for j, e in enumerate(E_frames(a, m @ xf))) / 4.0

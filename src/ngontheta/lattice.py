@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errfn import SIGNS, cone_sum, plane_frame
+from .errfn import SIGNS, cone_sum
 from .ngon import w_invariant
 from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
                      vec)
@@ -118,10 +118,9 @@ class EnumWindow:
 
 
 def _majorant_f(plane):
-    """Float matrix of (x,x)_z from the orthonormal basis U of the plane:
-    G + 2 (U G)^T (U G)."""
-    ug = plane.ortho @ plane.space.gram_f
-    return plane.space.gram_f + 2.0 * ug.T @ ug
+    """Float matrix of (x,x)_z from the plane's centre map m: G + 2 m^T m."""
+    m = plane.frame[1]
+    return plane.space.gram_f + 2.0 * m.T @ m
 
 
 def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
@@ -338,7 +337,7 @@ def holomorphic_series(coset, ngon, nmax, window=None, normalized=False,
 
 
 class _CompletionKernel:
-    """Per-polygon cached data for the stable completion kernel
+    """The stable completion kernel of an N-gon
        kernel(x) = eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k + sum_j rho_j,
     evaluated at its final weight: multiplied by e^{amp}, amp = -2 pi v Q
     (capped at AMP_CAP), so that each row's value is its term of the
@@ -351,18 +350,13 @@ class _CompletionKernel:
     span(C_j, C_{j+1}), weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}): the
     (row, edge) pairs that pass a margin screen are pooled over consecutive
     batches, about PAIR_BLOCK pairs at a time, which bounds the pooled
-    temporaries, and each pool is one errfn.cone_sum call."""
+    temporaries, and each pool is one errfn.cone_sum call on ngon.frames."""
 
-    def __init__(self, space, ngon, w_offset=0):
+    def __init__(self, ngon, w_offset=0):
         self.ngon = ngon
         self.w_offset = w_offset
         self.log_bound = math.log(abs(w_invariant(ngon)) + abs(w_offset)
                                   + ngon.n)
-        self.chat = np.array([space.unit_negative(c) for c in ngon.cs])
-        self.chat_g = self.chat @ space.gram_f  # rows: (chat_k, .)
-        a, proj = zip(*(plane_frame(pl) for pl in ngon.vertex_planes))
-        self.edge_proj = np.array(proj)         # (n, 2, m): x -> plane coords
-        self.edge_a = np.array(a)               # (n, 2, 2) functional rows
 
     def eval_batches(self, batches, v, scale_literal=False):
         """One array per batch of kernel values times e^{-2 pi v Q} at
@@ -379,7 +373,7 @@ class _CompletionKernel:
                 continue
             # one cone_sum call for the pooled pairs of the group
             pool = (np.concatenate(a) for a in zip(*(g[4] for g in group)))
-            rho = cone_sum(self.edge_a, *pool, cut=-RHO_LOG_TOL)
+            rho = cone_sum(self.ngon.frames[0], *pool, cut=-RHO_LOG_TOL)
             start = 0
             for size, live, vals, rows, _ in group:
                 o = np.zeros(size)
@@ -400,9 +394,10 @@ class _CompletionKernel:
         amp = np.minimum(-2.0 * math.pi * v * batch.qf[live], AMP_CAP)
         keep = amp + self.log_bound >= RHO_LOG_TOL
         live, amp = live[keep], amp[keep]
+        _, proj, chat_g = self.ngon.frames
         signs = self.ngon.sign_matrix(batch.xnum[live])
         xf = batch.xf[live]
-        tmat = scale * (xf @ self.chat_g.T)            # tau_k margins
+        tmat = scale * (xf @ chat_g.T)                 # tau_k margins
         vals = (self.ngon.kernel(signs) + self.w_offset).astype(float) \
             * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
@@ -421,7 +416,7 @@ class _CompletionKernel:
         teff = np.maximum(eff, np.roll(eff, -1, axis=1))
         rows, edges = np.nonzero(amp[:, None] - math.pi * teff ** 2
                                  > RHO_LOG_TOL)
-        u = scale * np.einsum('pij,pj->pi', self.edge_proj[edges], xf[rows])
+        u = scale * np.einsum('pij,pj->pi', proj[edges], xf[rows])
         ends = signs[rows[:, None], (edges[:, None] + [0, 1]) % self.ngon.n]
         weight = np.prod(SIGNS[:4, 1:] - ends[:, None], axis=2)
         return live, vals, rows, (edges, u, weight, amp[rows])
@@ -435,7 +430,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
     if window is None:
         window = certify_window(coset.space, ngon, None, nmax)
     batch = enumerate_coset(coset, window, GUARD)
-    scaled, = _CompletionKernel(coset.space, ngon, w_offset).eval_batches(
+    scaled, = _CompletionKernel(ngon, w_offset).eval_batches(
         [batch], tau.imag, paper_literal)
     return _completion_sum(batch, scaled, window, ngon.n, tau)
 
@@ -529,7 +524,7 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
     reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
     window = certify_window(space, ngon, None, nmax)
-    kern = _CompletionKernel(space, ngon, w_offset)
+    kern = _CompletionKernel(ngon, w_offset)
     neg = negation_index(reps)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))

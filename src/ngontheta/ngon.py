@@ -109,6 +109,16 @@ class _Walls:
         multiple of its x, from the rows gc_j that signs(x) reads."""
         return np.sign(_int_product(xnum, self._gc)).astype(np.int64)
 
+    @functools.cached_property
+    def frames(self):
+        """Float data of the completions, built on first use: the stacked
+        NegativePlane.frame (a, m) of the vertex planes, shapes (V, q, q)
+        and (V, q, dim), and the rows (C_j/|(C_j,C_j)|^{1/2}, .) of the unit
+        normals, shape (N, dim)."""
+        a, m = zip(*(p.frame for p in self.vertex_planes))
+        normals = [self.space.unit_negative(c) for c in self.cs]
+        return np.array(a), np.array(m), np.array(normals) @ self.space.gram_f
+
 
 class NGon(_Walls):
     """A validated N-gon collection. Immutable."""

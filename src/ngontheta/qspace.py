@@ -8,6 +8,7 @@ The exact core is integer: `inner` sums over the nonzero Gram numerators,
 """
 
 from fractions import Fraction
+import functools
 import math
 import operator
 
@@ -251,6 +252,16 @@ class NegativePlane:
     def q(self):
         return len(self.span)
 
+    @functools.cached_property
+    def frame(self):
+        """(a, m): the functional rows a_i[k] = (u_k, c_i) of the spanning
+        vectors c_i, so (y, c_i) = t . a_i for y = sum_k t_k u_k, and the map
+        m that takes x (as floats) to u = m x, the orthonormal coordinates
+        of pr_z(x)."""
+        ug = self.ortho @ self.space.gram_f
+        return np.array([ug @ np.array([float(v) for v in c])
+                         for c in self.span]), -ug
+
     def coords(self, xf):
         """Coordinates of pr_z(x) in the orthonormalized basis (x as floats)."""
-        return -(self.ortho @ self.space.gram_f @ np.asarray(xf, dtype=float))
+        return self.frame[1] @ np.asarray(xf, dtype=float)

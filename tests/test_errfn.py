@@ -302,6 +302,34 @@ def test_j0_smooth_kernel(funddom):
         j0_value(funddom.space, funddom, (1, 0, 1))  # on a wall
 
 
+def _j0_per_edge(space, ngon, x):
+    """Oracle: j0 as one E2 call (one NegativePlane) per vertex plane."""
+    cs, n, s = ngon.cs, ngon.n, ngon.signs(x)
+    xf = np.array([float(v) for v in x]) * math.sqrt(2.0)
+    return sum(E2(space, cs[j], cs[(j + 1) % n], xf) - s[j] * s[(j + 1) % n]
+               for j in range(n)) / 4.0
+
+
+def test_j0_value_matches_per_edge_sum_bitwise(funddom):
+    # one E_frames batch on ngon.frames gives the per-edge sum bit for bit,
+    # on points near the walls (cone-mass path) and far from them
+    from ngontheta.sig12 import butterfly_ngon
+    rng = random.Random(20)
+    slow = 0
+    for ngon in (funddom, butterfly_ngon()):
+        checked = 0
+        while checked < 25:
+            x = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                      for _ in range(3))
+            if 0 in ngon.signs(x):
+                continue
+            checked += 1
+            want = _j0_per_edge(ngon.space, ngon, x)
+            assert j0_value(ngon.space, ngon, x) == want, x
+            slow += want != 0.0
+    assert slow >= 10
+
+
 def _spherical_triangle_mass(u, v, epsabs, epsrel):
     """Gaussian mass of the solid cone spanned by the unit columns of v, by
     adaptive quadrature over the spherical triangle."""

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,7 +359,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     # (w + sum_j E2) * e^{amp} with amp = -2 pi v Q, capped at 600
     window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 2)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)
-    kern = _CompletionKernel(SPACE_ABC, funddom)
+    kern = _CompletionKernel(funddom)
     v = 0.37
     got = kern.eval_batches([batch], v)[0]
     w = w_invariant(funddom)
@@ -387,7 +388,7 @@ def test_eval_batches_matches_per_coset(funddom, funddom_batches, monkeypatch,
     # pooling the rho pairs of all 32 cosets changes no bit of any value;
     # a small PAIR_BLOCK puts pool boundaries between many cosets
     monkeypatch.setattr(lattice, "PAIR_BLOCK", pair_block)
-    kern = _CompletionKernel(SPACE_ABC, funddom, w_offset=4)
+    kern = _CompletionKernel(funddom, w_offset=4)
     for v in (0.37, 1.3):
         pooled = kern.eval_batches(funddom_batches, v, literal)
         assert len(pooled) == len(funddom_batches)
@@ -398,7 +399,7 @@ def test_eval_batches_matches_per_coset(funddom, funddom_batches, monkeypatch,
 
 
 def test_eval_batches_guard_rows_are_zero(funddom, funddom_batches):
-    kern = _CompletionKernel(SPACE_ABC, funddom)
+    kern = _CompletionKernel(funddom)
     for batch, got in zip(funddom_batches,
                           kern.eval_batches(funddom_batches, 0.8)):
         assert np.any(~batch.inside) and np.any(got[batch.inside] != 0)
@@ -410,8 +411,8 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batches):
     # a bound on its completed term, is below e^{RHO_LOG_TOL}; a skipped row
     # gets 0, and every other window row keeps the value it has when no row
     # is skipped
-    kern = _CompletionKernel(SPACE_ABC, funddom, w_offset=-3)
-    full = _CompletionKernel(SPACE_ABC, funddom, w_offset=-3)
+    kern = _CompletionKernel(funddom, w_offset=-3)
+    full = _CompletionKernel(funddom, w_offset=-3)
     full.log_bound = math.inf                  # skips no row
     bound = abs(w_invariant(funddom)) + 3 + funddom.n
     skipped = 0
@@ -864,6 +865,47 @@ def test_vertex_planes_built_once(monkeypatch, seed_dodec):
     calls.clear()
     dodec_series(coset, dodec, 2)
     assert len(calls) == 1          # the window's z0; vertex planes cached
+
+
+def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):
+    # _Walls.frames is built once per collection, by whichever of E2, E3,
+    # j0 and the completion reads it first, and stacks the vertex planes'
+    # NegativePlane.frame, which equals its defining products
+    from ngontheta.errfn import j0_value
+    from ngontheta.dodec import dodec_E_kernel
+    from ngontheta.ngon import _Walls, validate
+    built = []
+    prop = _Walls.__dict__["frames"]
+
+    def counted(self):
+        built.append(self)
+        return prop.func(self)
+
+    counting = cached_property(counted)
+    counting.__set_name__(_Walls, "frames")
+    monkeypatch.setattr(_Walls, "frames", counting)
+    ngon = validate(SPACE_ABC, fundamental_ngon(2).cs)
+    dodec = validate_dodec(seed_dodec.space, seed_dodec.cs)
+    tau = complex(0.1, 0.95)
+    modularity_check(SPACE_ABC, ngon, tau, 2)
+    completion_eval(LatticeCoset(SPACE_ABC), ngon, tau, 2)
+    j0_value(SPACE_ABC, ngon, (1, 0, 2))
+    for x in ((1, 0, 0, 0), (Fraction(1, 2), 1, 0, 0)):
+        dodec_E_kernel(dodec, x)
+    assert built == [ngon, dodec]
+    for walls in (ngon, dodec):
+        space = walls.space
+        gf = space.gram_f
+        a, m, normals = walls.frames
+        for pl, ap, mp in zip(walls.vertex_planes, a, m, strict=True):
+            assert pl.frame[0] is pl.frame[0]
+            assert np.array_equal(ap, pl.frame[0])
+            assert np.array_equal(mp, pl.frame[1])
+            assert np.array_equal(mp, -(pl.ortho @ gf))
+            assert np.array_equal(ap, [pl.ortho @ gf @ [float(v) for v in c]
+                                       for c in pl.span])
+        assert np.array_equal(normals, np.array(
+            [space.unit_negative(c) for c in walls.cs]) @ gf)
 
 
 def test_mismatched_spaces_are_rejected(seed_dodec, monkeypatch):

@@ -44,7 +44,6 @@ from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
                      vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
-CHUNK = 1024             # fixed accumulation chunk size
 PAIR_BLOCK = 8192        # rho pairs pooled per round of cone masses
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
@@ -441,11 +440,8 @@ def _completion_sum(batch, scaled, window, n_edges, tau):
     rows it skips), which depend on tau only through v: each is multiplied
     by its phase e^{2 pi i Re(tau) Q}."""
     terms = scaled * np.exp(2j * math.pi * tau.real * batch.qf)
-    # fixed chunk-order accumulation
-    total = complex(0.0)
-    for start in range(0, len(terms), CHUNK):
-        total += complex(np.sum(terms[start:start + CHUNK]))
-    return total, _tail_estimate(batch, window, n_edges, tau.imag)
+    return complex(np.sum(terms)), _tail_estimate(batch, window, n_edges,
+                                                  tau.imag)
 
 
 def _tail_estimate(batch, window, n_edges, v):

@@ -166,16 +166,13 @@ def _check_space(space, walls):
 @dataclass
 class CosetRows:
     """The enumerated vectors x = xnum/dmu of a coset mu+L, in lexicographic
-    order: int64 numerators (munum those of mu), the exact norms
-    (x,x)_{z0} = norms/den, the exact window split `inside`
-    ((x,x)_{z0} <= B) and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x).  The integer
-    rows k = x - mu and the floats xf of x and qf of Q(x) derive from
-    them; xf and qf are built on first use."""
+    order: int64 numerators (munum those of mu), the exact window split
+    `inside` ((x,x)_{z0} <= B) and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x).
+    The integer rows k = x - mu and the floats xf of x and qf of Q(x)
+    derive from them; xf and qf are built on first use."""
     xnum: np.ndarray
     dmu: int
     munum: list
-    norms: np.ndarray
-    den: int
     inside: np.ndarray
     xx_num: np.ndarray
 
@@ -255,9 +252,9 @@ def enumerate_coset(coset, window, slack=Fraction(1)):
     dmu, munum = _over_lcm(coset.mu)
     xnum = _fp_enumerate(window.majorant, coset.mu, bound) * dmu + munum
     keep, norms, den = _majorant_leq(xnum, dmu, window.majorant, bound)
-    xnum, norms = xnum[keep], norms[keep]
-    return CosetRows(xnum, dmu, munum, norms, den,
-                     inside=norms <= math.floor(window.B * den),
+    xnum = xnum[keep]
+    return CosetRows(xnum, dmu, munum,
+                     inside=norms[keep] <= math.floor(window.B * den),
                      xx_num=_row_norms(xnum, coset.space._gi))
 
 

@@ -260,18 +260,19 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
         bound = data.draw(st.fractions(0, 12, max_denominator=64))
     assume(how != "row" or bound <= 40)
     # enumerate_coset reads only mu and the Gram of the coset, and only the
-    # majorant and B of the window
+    # majorant and B of the window; it enumerates up to slack * B = bound
+    # and splits the rows at B
     rows = enumerate_coset(
         SimpleNamespace(mu=mu, space=QuadraticSpace(
             [[int(i == j) for j in range(m)] for i in range(m)])),
-        SimpleNamespace(majorant=mat, B=bound))
+        SimpleNamespace(majorant=mat, B=bound / 2), slack=Fraction(2))
     got = rows.ks
     want = _fp_enumerate_recursive(mat, mu, bound)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and got.shape[1] == m
     assert np.array_equal(got, want)
-    assert [Fraction(int(q), rows.den) for q in rows.norms] == \
-        [qform(k) for k in got.tolist()]
+    assert rows.inside.tolist() == [qform(k) <= bound / 2
+                                    for k in got.tolist()]
     if how == "row":
         assert len(got)
 

@@ -10,12 +10,13 @@ Subcommands:
                                   dodecahedral collections
   errfn eval                      generalized error function values
 
-Exit codes: 0 success; 1 malformed input (bad JSON, missing file, a vector
-argument of the wrong length); 2 validation failure; 3 certification or
-quadrature failure.
+Exit codes: 0 success; 1 malformed input (bad JSON, missing file, a field
+or vector argument of the wrong shape, a non-finite tau); 2 validation
+failure; 3 certification or quadrature failure.
 """
 
 import argparse
+import cmath
 import functools
 import sys
 
@@ -42,6 +43,8 @@ def _parse_tau(s):
         tau = complex(s.replace("i", "j"))
     except ValueError:
         raise InputError(f"bad tau {s!r}; expected a+bi") from None
+    if not cmath.isfinite(tau):
+        raise InputError(f"bad tau {s!r}; both parts must be finite")
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
     return tau

@@ -113,11 +113,23 @@ class DodecValidationError(ValueError):
 
 def check_dodec_conditions(space, cs):
     """All violated (face, Violation) pairs of the per-face 5-gon conditions
-    on the projected tuples R(i); integer signs on the collection's Gram."""
-    cs = tuple(vec(c) for c in cs)
-    d, _, n = space.int_core(cs)
+    on the projected tuples R(i) of a collection that passes DodecData's
+    structural checks (which raise); integer signs on the collection's
+    Gram."""
+    d, _, n = space.int_core(_dodec_vectors(space, cs))
     return [(i, v) for i, f in enumerate(_face_grams(space, d, n, cycle_table()))
             for v in _gram_violations(*f)]
+
+
+def _dodec_vectors(space, cs):
+    """cs as exact vectors, or ValueError unless space has signature (p, 3)
+    and there are 12 of them."""
+    if space.sig[1] != 3:
+        raise ValueError("dodecahedral collections live in signature (p, 3)")
+    cs = tuple(vec(c) for c in cs)
+    if len(cs) != 12:
+        raise ValueError("need exactly 12 vectors indexed by Z/12Z")
+    return cs
 
 
 def _face_grams(space, d, n, comb):
@@ -139,12 +151,7 @@ class DodecData(_Walls):
     """A validated dodecahedral collection.  Immutable."""
 
     def __init__(self, space, cs):
-        if space.sig[1] != 3:
-            raise ValueError("dodecahedral collections live in signature (p, 3)")
-        cs = tuple(vec(c) for c in cs)
-        if len(cs) != 12:
-            raise ValueError("need exactly 12 vectors indexed by Z/12Z")
-        super().__init__(space, cs)
+        super().__init__(space, _dodec_vectors(space, cs))
         self.comb = cycle_table()
         faces = _face_grams(space, self._d, self._gram, self.comb)
         bad = [(i, v) for i, f in enumerate(faces) for v in _gram_violations(*f)]

@@ -123,7 +123,7 @@ def _cone_mass_block(u, g1, g2, amp):
     # side (b > 0) stop where pi q^2 has grown by PIECE_CUT, i.e. where
     # sin^2 of that angle reaches s2 (past a right angle the integrand is
     # below e^{-pi b^2} < e^{-PIECE_CUT} of its start value anyway)
-    with np.errstate(divide='ignore'):
+    with np.errstate(divide='ignore', over='ignore'):     # r near 0: s2 inf
         s2 = (qa * qa + PIECE_CUT / np.pi) / (r * r)[:, None]
     cut = (s2 < 1.0) & (ba > 0)
     reach = np.arcsin(np.sqrt(np.where(cut, s2, 0.0))) \

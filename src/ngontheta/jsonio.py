@@ -62,6 +62,14 @@ def _field(obj, key, path):
     return obj[key]
 
 
+def _array(obj, key, path):
+    """The field `key` of obj, which must be a JSON array."""
+    v = _field(obj, key, path)
+    if not isinstance(v, list):
+        raise InputError(f"{path}: field {key!r} must be an array, got {v!r}")
+    return v
+
+
 def space_from_json(obj, path="<input>"):
     gram = _field(obj, "gram", path)
     try:
@@ -79,7 +87,7 @@ def load_ngon_file(path):
     """{"schema_version": 1, "space": {"gram": ...}, "cs": [[rat, ...], ...]}"""
     obj = load_json(path)
     space = space_from_json(_field(obj, "space", path), path)
-    cs = [parse_vector(c) for c in _field(obj, "cs", path)]
+    cs = [parse_vector(c) for c in _array(obj, "cs", path)]
     return space, cs
 
 
@@ -97,7 +105,9 @@ def load_lattice_file(path):
 def load_points_file(path):
     """{"schema_version": 1, "points": [["x", "y"], ...]} upper-half-plane."""
     obj = load_json(path)
-    pts = _field(obj, "points", path)
+    pts = _array(obj, "points", path)
+    if not all(isinstance(p, list) and len(p) == 2 for p in pts):
+        raise InputError(f"{path}: field 'points' must hold [x, y] pairs")
     return [(parse_rational(p[0]), parse_rational(p[1])) for p in pts]
 
 
@@ -108,10 +118,10 @@ def load_dodec_file(path):
     obj = load_json(path)
     space = space_from_json(_field(obj, "space", path), path)
     if "cs" in obj:
-        cs = [parse_vector(c) for c in obj["cs"]]
+        cs = [parse_vector(c) for c in _array(obj, "cs", path)]
     elif "seed" in obj:
         seed = obj["seed"]
-        basis = [parse_vector(b) for b in _field(seed, "z0_basis", path)]
+        basis = [parse_vector(b) for b in _array(seed, "z0_basis", path)]
         v0 = parse_vector(_field(seed, "v0", path))
         traw = seed.get("t", 0)
         t = [parse_rational(u) for u in traw] if isinstance(traw, list) \

@@ -129,6 +129,8 @@ def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     Below safety 1 the window would fall short of the proven bound."""
     if not (math.isfinite(safety) and safety >= 1):
         raise ValueError("safety must be a finite number >= 1")
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     from scipy.linalg import eigh
     z0 = NegativePlane(space, z0_span)
     m0 = _majorant_f(z0)
@@ -451,7 +453,12 @@ def _tail_estimate(batch, window, n_edges, v):
     c = count * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
     lam = math.pi * v / window.kappa
     # integral_B^inf t^{m/2-1} e^{-lam t} dt = Gamma(m/2) lam^{-m/2} Q(m/2, lam B)
-    integral = gamma_fn(m / 2.0) * lam ** (-m / 2.0) * gammaincc(m / 2.0, lam * bf)
+    try:
+        integral = gamma_fn(m / 2.0) * lam ** (-m / 2.0) \
+            * gammaincc(m / 2.0, lam * bf)
+    except OverflowError:
+        raise CertificationError(
+            f"tail estimate overflows at Im tau = {v!r}") from None
     return 4.0 * (2 * n_edges) * c * integral
 
 

@@ -47,9 +47,21 @@ class KernelValue:
 
 
 def check_conditions(space, cs):
-    """Return the list of all violated (j, condition) for the 3N inequalities."""
-    d, _, n = space.int_core(tuple(vec(c) for c in cs))
+    """Return the list of all violated (j, condition) for the 3N inequalities
+    of a collection that passes NGon's structural checks (which raise)."""
+    d, _, n = space.int_core(_ngon_vectors(space, cs))
     return _gram_violations(n, d, space._den)
+
+
+def _ngon_vectors(space, cs):
+    """cs as exact vectors, or ValueError unless space has signature (p, 2)
+    and there are N >= 3 of them."""
+    if space.sig[1] != 2:
+        raise ValueError("N-gon collections live in signature (p, 2)")
+    cs = tuple(vec(c) for c in cs)
+    if len(cs) < 3:
+        raise ValueError("need N >= 3 vectors")
+    return cs
 
 
 def _gram_violations(n, s, den):
@@ -124,16 +136,11 @@ class NGon(_Walls):
     """A validated N-gon collection. Immutable."""
 
     def __init__(self, space, cs):
-        if space.sig[1] != 2:
-            raise ValueError("N-gon collections live in signature (p, 2)")
-        cs = tuple(vec(c) for c in cs)
-        if len(cs) < 3:
-            raise ValueError("need N >= 3 vectors")
-        super().__init__(space, cs)
+        super().__init__(space, _ngon_vectors(space, cs))
         bad = _gram_violations(self._gram, self._d, space._den)
         if bad:
             raise NGonValidationError(bad[0])
-        self.n = len(cs)
+        self.n = len(self.cs)
         self._w = _cyclic_w(_regular_choice(self._gram, self._d)[1])
 
     def __repr__(self):

@@ -499,6 +499,104 @@ def test_cli_lattice_file_wrong_length_mu_is_input_error(capsys, tmp_path):
                    "the space has dimension 3\n")
 
 
+def _seed_doc(n):
+    """The committed seed dodecahedron with its first n vectors written out
+    as "cs"."""
+    from ngontheta.dodec import seed_construction
+    doc = json.loads(open(DODEC).read())
+    seed = doc.pop("seed")
+    cs = seed_construction(
+        jsonio.space_from_json(doc["space"]),
+        [parse_vector(b) for b in seed["z0_basis"]], parse_vector(seed["v0"]),
+        [parse_rational(t) for t in seed["t"]])
+    doc["cs"] = [jsonio.vector_to_json(c) for c in cs[:n]]
+    return doc
+
+
+def _malformed_files():
+    funddom = json.loads(open(FUNDDOM).read())
+    neg = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]
+    return {
+        # signature (0, 3): no N-gon
+        "negdef.json": {"schema_version": 1, "space": {"gram": neg},
+                        "cs": [["-2", "-2", "-2"], ["-2", "-2", "0"],
+                               ["2", "2", "1"]]},
+        "two.json": {**funddom, "cs": funddom["cs"][:2]},
+        "ngon_cs5.json": {**funddom, "cs": 5},
+        "dodec11.json": _seed_doc(11),
+        "dodec_cs5.json": {**_seed_doc(0), "cs": 5},
+        "points5.json": {"schema_version": 1, "points": 5},
+        "points1.json": {"schema_version": 1,
+                         "points": [["0", "1"], ["1"], ["1", "2"]]},
+    }
+
+
+THETA = ["--lattice", LATTICE, "--ngon", FUNDDOM]
+NOT_NGON = "validation error: N-gon collections live in signature (p, 2)"
+NOT_12 = "validation error: need exactly 12 vectors indexed by Z/12Z"
+TAIL = "numerical certification error: tail estimate overflows"
+MALFORMED = {
+    "ngon-validate-signature": (["ngon", "validate", "--ngon", "negdef.json"],
+                                2, NOT_NGON),
+    "ngon-w-signature": (["ngon", "w", "--ngon", "negdef.json"], 2, NOT_NGON),
+    "ngon-validate-count": (["ngon", "validate", "--ngon", "two.json"], 2,
+                            "validation error: need N >= 3 vectors"),
+    "dodec-validate-signature": (["dodec", "validate", "--data", FUNDDOM],
+                                 2, "validation error: dodecahedral "
+                                    "collections live in signature (p, 3)"),
+    "dodec-validate-count": (["dodec", "validate", "--data", "dodec11.json"],
+                             2, NOT_12),
+    "dodec-kernel-count": (["dodec", "kernel", "--data", "dodec11.json",
+                            "--x", "1,0,0,0"], 2, NOT_12),
+    "ngon-cs-not-array": (["ngon", "validate", "--ngon", "ngon_cs5.json"], 1,
+                          "ngon_cs5.json: field 'cs' must be an array"),
+    "dodec-cs-not-array": (["dodec", "validate", "--data", "dodec_cs5.json"],
+                           1, "dodec_cs5.json: field 'cs' must be an array"),
+    "points-not-array": (["sig12", "recover", "--points", "points5.json"], 1,
+                         "points5.json: field 'points' must be an array"),
+    "points-one-coordinate": (["sig12", "recover", "--points", "points1.json"],
+                              1, "points1.json: field 'points' must hold "
+                                 "[x, y] pairs"),
+    "modularity-nmax-negative": (["theta", "modularity", *THETA, "--nmax",
+                                  "-1", "--tau", "i"], 2,
+                                 "validation error: nmax must be >= 0"),
+    "complete-tau-nan": (["theta", "complete", *THETA, "--nmax", "2",
+                          "--tau", "nan+1i"], 1,
+                         "error: bad tau 'nan+1i'; both parts must be finite"),
+    "complete-tau-tiny": (["theta", "complete", *THETA, "--nmax", "2",
+                           "--tau", "0+1e-320i"], 3, TAIL),
+    "modularity-tau-tiny": (["theta", "modularity", *THETA, "--nmax", "2",
+                             "--tau", "0+1e-320i"], 3, TAIL),
+    # the smallest Im tau tried whose tail estimate stays finite
+    "complete-tau-small": (["theta", "complete", *THETA, "--nmax", "2",
+                            "--tau", "0+1e-200i"], 0, ""),
+}
+
+
+def _no_nan(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_input(capsys, tmp_path, monkeypatch, name):
+    """Each malformed input gets its documented exit code and one stderr
+    line, never a traceback; an exit-0 output is JSON without NaN or
+    Infinity."""
+    monkeypatch.chdir(tmp_path)
+    for file, doc in _malformed_files().items():
+        (tmp_path / file).write_text(json.dumps(doc))
+    argv, want, message = MALFORMED[name]
+    code, out, err = run(capsys, *argv)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_no_nan)
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert code == want
+    assert message in err
+
+
 PINNED = json.loads((REPO / "tests" / "pinned_cli_outputs.json").read_text())
 
 

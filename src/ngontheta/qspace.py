@@ -234,9 +234,9 @@ class NegativePlane:
                 "span Gram matrix is not negative definite")
         # modified Gram-Schmidt w.r.t. the negated form
         gf = space.gram_f
+        self._span_f = np.array([[float(c) for c in s] for s in self.span])
         basis = []
-        for s in self.span:
-            v = np.array([float(c) for c in s])
+        for v in self._span_f:
             for u in basis:
                 v = v - (-(v @ gf @ u)) * u
             nrm2 = -(v @ gf @ v)
@@ -259,8 +259,7 @@ class NegativePlane:
         m that takes x (as floats) to u = m x, the orthonormal coordinates
         of pr_z(x)."""
         ug = self.ortho @ self.space.gram_f
-        return np.array([ug @ np.array([float(v) for v in c])
-                         for c in self.span]), -ug
+        return np.array([ug @ c for c in self._span_f]), -ug
 
     def coords(self, xf):
         """Coordinates of pr_z(x) in the orthonormalized basis (x as floats)."""

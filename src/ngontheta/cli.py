@@ -11,8 +11,8 @@ Subcommands:
   errfn eval                      generalized error function values
 
 Exit codes: 0 success; 1 malformed input (bad JSON, missing file, a field
-or vector argument of the wrong shape, a non-finite tau); 2 validation
-failure; 3 certification or quadrature failure.
+or vector argument of the wrong shape, a non-finite tau or |tau| > TAU_MAX); 2
+validation failure; 3 certification or quadrature failure.
 """
 
 import argparse
@@ -24,6 +24,8 @@ from . import jsonio
 from .jsonio import InputError, parse_rational, rat_to_str
 from .ngon import (NGonValidationError, validate, epsilon, w_invariant,
                    check_conditions)
+
+TAU_MAX = 1e50  # beyond it Im(-1/tau) can underflow or floats overflow
 
 
 def _parse_vector_arg(s, flag, dim):
@@ -45,6 +47,8 @@ def _parse_tau(s):
         raise InputError(f"bad tau {s!r}; expected a+bi") from None
     if not cmath.isfinite(tau):
         raise InputError(f"bad tau {s!r}; both parts must be finite")
+    if abs(tau) > TAU_MAX:
+        raise InputError(f"--tau {s!r}: |tau| must be at most {TAU_MAX:g}")
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half plane")
     return tau
@@ -87,9 +91,6 @@ def build_parser():
             sp.add_argument("--safety", type=float, default=1.5)
         else:
             sp.add_argument("--tau", required=True, metavar="A+BI")
-            sp.add_argument("--paper-literal", action="store_true",
-                            help="scale completion arguments by sqrt(2) "
-                                 "instead of sqrt(2v)")
 
     sig12 = sub.add_parser("sig12", help="signature-(1,2) utilities")
     sig_sub = sig12.add_subparsers(dest="action", required=True)
@@ -182,16 +183,14 @@ def cmd_theta(args):
         _emit_series(qe, args)
     elif args.action == "complete":
         tau = _parse_tau(args.tau)
-        value, tail = completion_eval(coset, ngon, tau, nmax,
-                                      paper_literal=args.paper_literal)
+        value, tail = completion_eval(coset, ngon, tau, nmax)
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "tau": [tau.real, tau.imag],
                           "value": [value.real, value.imag],
                           "tail": tail}, args.out)
     else:
         tau = _parse_tau(args.tau)
-        rep = modularity_check(lat_space, ngon, tau, nmax,
-                               paper_literal=args.paper_literal)
+        rep = modularity_check(lat_space, ngon, tau, nmax)
         jsonio.dump_json({
             "schema_version": jsonio.SCHEMA_VERSION,
             "t_defect": rep["t_defect"],

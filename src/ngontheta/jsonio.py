@@ -70,6 +70,16 @@ def _array(obj, key, path):
     return v
 
 
+def _vectors(obj, key, path, dim):
+    """The field `key` of obj: an array of rational vectors of dim entries."""
+    vs = _array(obj, key, path)
+    for v in vs:
+        if not isinstance(v, list) or len(v) != dim:
+            raise InputError(f"{path}: field {key!r} must hold vectors of "
+                             f"{dim} entries, got {v!r}")
+    return [parse_vector(v) for v in vs]
+
+
 def space_from_json(obj, path="<input>"):
     gram = _field(obj, "gram", path)
     try:
@@ -87,8 +97,7 @@ def load_ngon_file(path):
     """{"schema_version": 1, "space": {"gram": ...}, "cs": [[rat, ...], ...]}"""
     obj = load_json(path)
     space = space_from_json(_field(obj, "space", path), path)
-    cs = [parse_vector(c) for c in _array(obj, "cs", path)]
-    return space, cs
+    return space, _vectors(obj, "cs", path, space.dim)
 
 
 def load_lattice_file(path):
@@ -118,10 +127,10 @@ def load_dodec_file(path):
     obj = load_json(path)
     space = space_from_json(_field(obj, "space", path), path)
     if "cs" in obj:
-        cs = [parse_vector(c) for c in _array(obj, "cs", path)]
+        cs = _vectors(obj, "cs", path, space.dim)
     elif "seed" in obj:
         seed = obj["seed"]
-        basis = [parse_vector(b) for b in _array(seed, "z0_basis", path)]
+        basis = _vectors(seed, "z0_basis", path, space.dim)
         v0 = parse_vector(_field(seed, "v0", path))
         traw = seed.get("t", 0)
         t = [parse_rational(u) for u in traw] if isinstance(traw, list) \

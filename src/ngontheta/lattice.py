@@ -20,7 +20,10 @@ path: both carry their vertex planes and an integer sign kernel, and the
 default base plane is the first vertex plane.  enumerate_coset returns the
 one row batch (CosetRows) that the series driver and the completion kernel
 read, and the signs of (x, C_j) come from the wall collection's
-sign_matrix on the batch's integer rows.
+sign_matrix on the batch's integer rows.  The kernels vanish on nonzero
+vectors of norm <= 0, so a series batch holds only the window's rows with
+0 <= Q(x) <= nmax; the completion kernel does not, and its batches hold
+the whole window.
 
 The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
@@ -132,7 +135,9 @@ def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     from scipy.linalg import eigh
-    z0 = NegativePlane(space, z0_span)
+    span = tuple(map(vec, z0_span))
+    z0 = next((p for p in planes if p.span == span), None) \
+        or NegativePlane(space, span)
     m0 = _majorant_f(z0)
     kappa = 1.0
     for pl in planes:
@@ -194,10 +199,11 @@ class CosetRows:
         return self.xx_num.astype(float) / self.dmu ** 2 / 2.0
 
 
-def _fp_enumerate(m_exact, mu, bound):
+def _fp_enumerate(m_exact, mu, bound, band=None):
     """int64 rows k, in lexicographic order, that contain every integer
     vector with (k+mu)^T M (k+mu) <= bound: float Fincke-Pohst bounds with
-    padding, which an exact filter then decides.
+    padding, which an exact filter then decides; with band = (float Gram,
+    qmax), only those with 0 <= Q <= qmax.
 
     The search runs level-wise, coordinate i = m-1 down to 0: every partial
     row (k_{i+1}, ..., k_{m-1}) whose remaining budget is at least -pad gets
@@ -226,15 +232,49 @@ def _fp_enumerate(m_exact, mu, bound):
         t = np.sqrt((budget + pad) / dvec[i])
         lo = np.ceil(-t - shift - 1e-9)
         hi = np.floor(t - shift + 1e-9)
+        src = np.arange(len(ks))
+        if i == 0 and band is not None:
+            src, lo, hi = _band_cut(ks + muf[1:], muf[0], lo, hi, *band)
         count = np.maximum(hi - lo + 1, 0).astype(np.int64)
-        parent = np.repeat(np.arange(len(ks)), count)
-        start = np.cumsum(count) - count
-        kk = lo[parent] + (np.arange(len(parent)) - start[parent])
+        parent = np.repeat(src, count)
+        kk = np.repeat(lo + count - np.cumsum(count), count) \
+            + np.arange(len(parent))
         y = kk + shift[parent]
         budget = budget[parent] - dvec[i] * y * y
         ks = np.column_stack([kk, ks[parent]])
     ks = ks.astype(np.int64)
     return ks[np.lexsort(ks.T[::-1])]
+
+
+def _band_cut(xr, mu0, lo, hi, gram, qmax):
+    """(row, lo, hi) of the pieces of the ranges lo <= k_0 <= hi of the
+    partial rows xr = (x_1, ..., x_{m-1}) with 0 <= Q(x) <= qmax, rounded
+    outward.  Q = a y^2 + b y + c in y = k_0 + mu_0: one piece if a = 0,
+    else two, yv + [-r1, -r0] and yv + [r0, r1] about the vertex yv."""
+    a, b = gram[0, 0] / 2, xr @ gram[0, 1:]
+    c = (xr @ gram[1:, 1:] * xr).sum(1) / 2
+    # a band padding far above the float error of c and of Q(yv)
+    pq = 1e-7 * (1.0 + (abs(xr) @ abs(gram[1:, 1:]) * abs(xr)).sum(1))
+    rows = np.arange(len(xr))
+    if a == 0:     # where b = 0 too, a tiny slope keeps every y or none
+        y = (np.array([-pq, qmax + pq]) - c) / np.where(b == 0, 1e-200, b)
+        return rows, *_outward(y.min(0) - mu0, y.max(0) - mu0, lo, hi)
+    yv = -b / (2 * a)
+    pq += 1e-7 * abs(a) * yv * yv
+    qv = math.copysign(1.0, a) * c - abs(a) * yv * yv     # sgn(a) Q(yv)
+    tlo, thi = (-pq, qmax + pq) if a > 0 else (-qmax - pq, pq)
+    r1, r0 = (np.sqrt(np.maximum(t - qv, 0.0) / abs(a)) for t in (thi, tlo))
+    kc, top = yv - mu0, np.where(thi < qv, lo - 1, hi)
+    lo1, hi1 = _outward(kc - r1, kc - r0, lo, top)
+    # the second piece starts past the first: no k_0 is emitted twice
+    lo2, hi2 = _outward(kc + r0, kc + r1, np.maximum(lo, hi1 + 1), top)
+    return np.tile(rows, 2), np.append(lo1, lo2), np.append(hi1, hi2)
+
+
+def _outward(ylo, yhi, lo, hi):
+    """The integer ranges [lo, hi] cut to [ylo, yhi], rounded outward."""
+    return (np.maximum(lo, np.ceil(ylo - 1e-9 * (1.0 + abs(ylo)))),
+            np.minimum(hi, np.floor(yhi + 1e-9 * (1.0 + abs(yhi)))))
 
 
 def _majorant_leq(xnum, dmu, m_exact, bound):
@@ -247,17 +287,21 @@ def _majorant_leq(xnum, dmu, m_exact, bound):
     return q <= math.floor(Fraction(bound) * den), q, den
 
 
-def enumerate_coset(coset, window, slack=Fraction(1)):
+def enumerate_coset(coset, window, slack=Fraction(1), qmax=None):
     """The vectors x in mu+L with (x,x)_{z0} <= slack*B, as CosetRows: their
-    numerators are formed once, filtered exactly and split at B."""
+    numerators are formed once, filtered exactly and split at B.  With a
+    qmax, only those with 0 <= Q(x) <= qmax, in the same order."""
     bound = window.B * slack
     dmu, munum = _over_lcm(coset.mu)
-    xnum = _fp_enumerate(window.majorant, coset.mu, bound) * dmu + munum
+    band = None if qmax is None else (coset.space.gram_f, float(qmax))
+    xnum = _fp_enumerate(window.majorant, coset.mu, bound, band) * dmu + munum
     keep, norms, den = _majorant_leq(xnum, dmu, window.majorant, bound)
-    xnum = xnum[keep]
-    return CosetRows(xnum, dmu, munum,
+    xx_num = _row_norms(xnum, coset.space._gi)       # 2 dmu^2 Q(x)
+    if qmax is not None:
+        keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * dmu**2 * rat(qmax)))
+    return CosetRows(xnum[keep], dmu, munum,
                      inside=norms[keep] <= math.floor(window.B * den),
-                     xx_num=_row_norms(xnum, coset.space._gi))
+                     xx_num=xx_num[keep])
 
 
 @dataclass
@@ -271,16 +315,6 @@ class QExpansion:
 
     def coeff(self, n):
         return self.entries.get(rat(n), 0)
-
-
-def _exponent_rows(batch, mask, nmax):
-    """Indices of the rows in `mask` with 0 <= Q(x) <= nmax (exact).  The
-    kernels vanish identically on nonzero vectors of norm <= 0, so only these
-    rows can carry coefficients or flags."""
-    rows = np.nonzero(mask)[0]
-    q = batch.xx_num[rows]                  # 2 dmu^2 Q(x)
-    top = 2 * batch.dmu ** 2 * nmax.numerator
-    return rows[(q >= 0) & (q <= top // nmax.denominator)]
 
 
 def _certified_series(coset, walls, nmax, window, safety, den):
@@ -297,11 +331,10 @@ def _certified_series(coset, walls, nmax, window, safety, den):
         if attempt:
             window = certify_window(coset.space, walls, window.z0.span, nmax,
                                     safety=2 * window.safety)
-        batch = enumerate_coset(coset, window, GUARD)
+        batch = enumerate_coset(coset, window, GUARD, qmax=nmax)
         signs = walls.sign_matrix(batch.xnum)
         num = walls.kernel(signs)
-        guard = _exponent_rows(batch, (num != 0) & ~batch.inside, nmax)
-        if not np.any(batch.xx_num[guard] != 0):
+        if not np.any(batch.xx_num[(num != 0) & ~batch.inside] != 0):
             break
     else:
         raise CertificationError(
@@ -309,12 +342,11 @@ def _certified_series(coset, walls, nmax, window, safety, den):
             f"retried up to safety={window.safety}")
     # one Fraction per distinct exponent; exponents whose terms cancel keep
     # a zero entry
-    hits = _exponent_rows(batch, (num != 0) & batch.inside, nmax)
+    hits = (num != 0) & batch.inside
     exps, where = np.unique(batch.xx_num[hits], return_inverse=True)
     sums = np.zeros(len(exps), dtype=np.int64)
     np.add.at(sums, where, num[hits])
-    odd = _exponent_rows(batch, ~np.all(signs != 0, axis=1) & batch.inside,
-                         nmax)
+    odd = ~np.all(signs != 0, axis=1) & batch.inside
     qden = 2 * batch.dmu ** 2
     return QExpansion(
         mu=coset.mu, nmax=nmax, window=window,
@@ -356,13 +388,13 @@ class _CompletionKernel:
         self.log_bound = math.log(abs(w_invariant(ngon)) + abs(w_offset)
                                   + ngon.n)
 
-    def eval_batches(self, batches, v, scale_literal=False):
+    def eval_batches(self, batches, v):
         """One array per batch of kernel values times e^{-2 pi v Q} at
         Im tau = v: evaluated window rows carry their term, skipped window
         rows and guard-band rows 0."""
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        scale = math.sqrt(2.0) if scale_literal else math.sqrt(2.0 * v)
+        scale = math.sqrt(2.0 * v)
         out, group = [], []
         for i, batch in enumerate(batches):
             group.append((len(batch), *self._row_terms(batch, v, scale)))
@@ -420,16 +452,14 @@ class _CompletionKernel:
         return live, vals, rows, (edges, u, weight, amp[rows])
 
 
-def completion_eval(coset, ngon, tau, nmax, window=None, paper_literal=False,
-                    w_offset=0):
+def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
     """Value of the completed series at tau for one coset, with a tail
     estimate: (value, tail)."""
     _check_space(coset.space, ngon)
     if window is None:
         window = certify_window(coset.space, ngon, None, nmax)
     batch = enumerate_coset(coset, window, GUARD)
-    scaled, = _CompletionKernel(ngon, w_offset).eval_batches(
-        [batch], tau.imag, paper_literal)
+    scaled, = _CompletionKernel(ngon, w_offset).eval_batches([batch], tau.imag)
     return _completion_sum(batch, scaled, window, ngon.n, tau)
 
 
@@ -513,7 +543,7 @@ def weil_sanity(space, weil=None):
     return uni, comp
 
 
-def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
+def modularity_check(space, ngon, tau, nmax, w_offset=0):
     """Compare the completion vector at tau+1 and -1/tau against the finite
     Weil transform; returns a report dict.  The completion kernel is even
     (eps, the wall terms and the rho masses are invariant under x -> -x,
@@ -534,7 +564,7 @@ def modularity_check(space, ngon, tau, nmax, paper_literal=False, w_offset=0):
 
     def theta_vec(t):
         if t.imag not in scaled:
-            scaled[t.imag] = kern.eval_batches(batches, t.imag, paper_literal)
+            scaled[t.imag] = kern.eval_batches(batches, t.imag)
         vals, tails = zip(*(_completion_sum(b, k, window, ngon.n, t)
                             for b, k in zip(batches, scaled[t.imag])))
         return np.array(vals)[pair], max(tails)

@@ -163,11 +163,7 @@ class QuadraticSpace:
         self._terms = tuple((i, j, v) for i, row in enumerate(self._gi)
                             for j, v in enumerate(row) if v)
         self.sig = _signature(self._gi)
-        self._gram_f = np.array([[float(v) for v in row] for row in g])
-
-    @property
-    def gram_f(self):
-        return self._gram_f
+        self.gram_f = np.array([[float(v) for v in row] for row in g])
 
     def __repr__(self):
         return f"QuadraticSpace(dim={self.dim}, sig={self.sig})"
@@ -247,10 +243,6 @@ class NegativePlane:
         renorm = self.ortho @ gf @ self.ortho.T + np.eye(k)
         if np.max(np.abs(renorm)) > 1e-9:
             raise DegeneratePlaneError("orthonormalized Gram check failed")
-
-    @property
-    def q(self):
-        return len(self.span)
 
     @functools.cached_property
     def frame(self):

@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -503,7 +504,7 @@ def _seed_doc(n):
     """The committed seed dodecahedron with its first n vectors written out
     as "cs"."""
     from ngontheta.dodec import seed_construction
-    doc = json.loads(open(DODEC).read())
+    doc = json.loads(Path(DODEC).read_text())
     seed = doc.pop("seed")
     cs = seed_construction(
         jsonio.space_from_json(doc["space"]),
@@ -514,8 +515,10 @@ def _seed_doc(n):
 
 
 def _malformed_files():
-    funddom = json.loads(open(FUNDDOM).read())
+    funddom = json.loads(Path(FUNDDOM).read_text())
     neg = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]
+    dodec12 = _seed_doc(12)
+    cs12 = dodec12["cs"]
     return {
         # signature (0, 3): no N-gon
         "negdef.json": {"schema_version": 1, "space": {"gram": neg},
@@ -523,6 +526,11 @@ def _malformed_files():
                                ["2", "2", "1"]]},
         "two.json": {**funddom, "cs": funddom["cs"][:2]},
         "ngon_cs5.json": {**funddom, "cs": 5},
+        "ngon_cs_entry5.json": {**funddom, "cs": [5]},
+        "ngon_cs_short.json": {**funddom,
+                               "cs": [funddom["cs"][0][:2]] + funddom["cs"][1:]},
+        "dodec_cs_long.json": {**dodec12,
+                               "cs": [cs12[0] + ["0"]] + cs12[1:]},
         "dodec11.json": _seed_doc(11),
         "dodec_cs5.json": {**_seed_doc(0), "cs": 5},
         "points5.json": {"schema_version": 1, "points": 5},
@@ -552,6 +560,18 @@ MALFORMED = {
                           "ngon_cs5.json: field 'cs' must be an array"),
     "dodec-cs-not-array": (["dodec", "validate", "--data", "dodec_cs5.json"],
                            1, "dodec_cs5.json: field 'cs' must be an array"),
+    "ngon-cs-entry-not-array": (["ngon", "validate", "--ngon",
+                                 "ngon_cs_entry5.json"], 1,
+                                "ngon_cs_entry5.json: field 'cs' must hold "
+                                "vectors of 3 entries, got 5"),
+    "ngon-cs-wrong-length": (["ngon", "eps", "--ngon", "ngon_cs_short.json",
+                              "--x", "1,0,0"], 1,
+                             "ngon_cs_short.json: field 'cs' must hold "
+                             "vectors of 3 entries, got ['"),
+    "dodec-cs-wrong-length": (["dodec", "series", "--data",
+                               "dodec_cs_long.json", "--nmax", "2"], 1,
+                              "dodec_cs_long.json: field 'cs' must hold "
+                              "vectors of 4 entries, got ['"),
     "points-not-array": (["sig12", "recover", "--points", "points5.json"], 1,
                          "points5.json: field 'points' must be an array"),
     "points-one-coordinate": (["sig12", "recover", "--points", "points1.json"],
@@ -570,6 +590,26 @@ MALFORMED = {
     # the smallest Im tau tried whose tail estimate stays finite
     "complete-tau-small": (["theta", "complete", *THETA, "--nmax", "2",
                             "--tau", "0+1e-200i"], 0, ""),
+    # |tau| is capped at cli.TAU_MAX = 1e50; at the cap the value is the
+    # x = 0 term
+    "complete-tau-cap": (["theta", "complete", *THETA, "--nmax", "2",
+                          "--tau", "0+1e50i"], 0, ""),
+    "complete-tau-huge": (["theta", "complete", *THETA, "--nmax", "2",
+                           "--tau", "0+1e308i"], 1, "error: --tau '0+1e308i': "
+                          "|tau| must be at most 1e+50"),
+    "modularity-tau-huge": (["theta", "modularity", *THETA, "--nmax", "2",
+                             "--tau", "0+5e306i"], 1,
+                            "error: --tau '0+5e306i': |tau| must be"),
+    "modularity-tau-huge-real": (["theta", "modularity", *THETA, "--nmax",
+                                  "2", "--tau", "1e300+1i"], 1,
+                                 "error: --tau '1e300+1i': |tau| must be"),
+    # Im(-1/tau) = 1e-200/|tau|^2 underflowed to 0 (exit 2) beyond the cap;
+    # at the cap it is 1e-300, whose tail estimate overflows
+    "modularity-tau-underflow": (["theta", "modularity", *THETA, "--nmax",
+                                  "2", "--tau=1e60+1e-200i"], 1,
+                                 "error: --tau '1e60+1e-200i': |tau| must"),
+    "modularity-tau-cap-tail": (["theta", "modularity", *THETA, "--nmax",
+                                 "2", "--tau=1e50+1e-200i"], 3, TAIL),
 }
 
 
@@ -577,11 +617,12 @@ def _no_nan(name):
     raise ValueError(f"{name} is not JSON")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_cli_malformed_input(capsys, tmp_path, monkeypatch, name):
     """Each malformed input gets its documented exit code and one stderr
-    line, never a traceback; an exit-0 output is JSON without NaN or
-    Infinity."""
+    line, never a traceback or a warning; an exit-0 output is JSON without
+    NaN or Infinity."""
     monkeypatch.chdir(tmp_path)
     for file, doc in _malformed_files().items():
         (tmp_path / file).write_text(json.dumps(doc))

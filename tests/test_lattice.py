@@ -277,6 +277,73 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
         assert len(got)
 
 
+def _band_bases():
+    """(space, z0 span, sign of G_00) of SPACE_E (G_00 = 2), SPACE_E with its
+    first two coordinates swapped (-2), SPACE_ABC (0), and two seeded random
+    unimodular changes of basis of each."""
+    rng = random.Random(16)
+    out = []
+    for space, span in ((SPACE_E, Z0_E), (SPACE_ABC, (E2_ABC, E3_ABC))):
+        changes = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+        if space is SPACE_E:
+            changes.append([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        for _ in range(2):
+            u = [[int(i == j) for j in range(3)] for i in range(3)]
+            for _ in range(5):              # column i += c column j
+                i, j = rng.sample(range(3), 2)
+                c = rng.choice([-2, -1, 1, 2])
+                for row in u:
+                    row[i] += c * row[j]
+            changes.append(u)
+        for u in changes:                  # x = u x' in the new basis
+            g = [[sum(u[k][i] * space.gram[k][l] * u[l][j]
+                      for k in range(3) for l in range(3))
+                  for j in range(3)] for i in range(3)]
+            ui = mat_inv(u)
+            out.append((QuadraticSpace(g),
+                        [[sum(ui[i][k] * v[k] for k in range(3))
+                          for i in range(3)] for v in span],
+                        (g[0][0] > 0) - (g[0][0] < 0)))
+    return out
+
+
+def test_band_enumeration_matches_filtered_full_enumeration():
+    # the band batch of enumerate_coset(..., qmax) must hold exactly the rows
+    # of the full batch with 0 <= Q(x) <= qmax, in the same order, with the
+    # same window split and norms; isotropic rows of cosets mu != 0 and
+    # rows on Q = qmax test both edges of the band
+    signs, on_zero, on_top = set(), 0, 0
+    band_rows = full_rows = raw_rows = 0
+    for space, span, sign in _band_bases():
+        signs.add(sign)
+        window = EnumWindow(z0=NegativePlane(space, span), B=Fraction(40),
+                            kappa=1.0, safety=1.0, nmax=Fraction(1))
+        reps = disc_group(space)
+        for mu in reps[:6] + [tuple(c + 2 for c in reps[-1])]:
+            coset = LatticeCoset(space, mu)
+            full = enumerate_coset(coset, window, GUARD)
+            qs = [Fraction(int(v), 2 * full.dmu ** 2) for v in full.xx_num]
+            pos = sorted(q for q in qs if q > 0)
+            for qmax in (Fraction(0), pos[len(pos) // 3], pos[-1]):
+                keep = np.array([0 <= q <= qmax for q in qs], dtype=bool)
+                band = enumerate_coset(coset, window, GUARD, qmax=qmax)
+                raw_rows += len(lattice._fp_enumerate(
+                    window.majorant, mu, window.B * GUARD,
+                    (space.gram_f, float(qmax))))
+                assert np.array_equal(band.xnum, full.xnum[keep])
+                assert np.array_equal(band.inside, full.inside[keep])
+                assert np.array_equal(band.xx_num, full.xx_num[keep])
+                on_zero += sum(q == 0 for q in qs) if any(mu) else 0
+                on_top += sum(q == qmax for q in qs) if qmax else 0
+                band_rows += len(band)
+                full_rows += len(full)
+    assert signs == {-1, 0, 1}
+    assert on_zero and on_top
+    assert band_rows < full_rows / 2
+    # the float cut itself is tight: it emits few rows the exact test drops
+    assert raw_rows <= 1.01 * band_rows
+
+
 def test_window_scales_with_nmax(funddom):
     w1 = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 5)
     w2 = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 10)
@@ -383,18 +450,17 @@ def funddom_batches(funddom):
 
 
 @pytest.mark.parametrize("pair_block", [lattice.PAIR_BLOCK, 300])
-@pytest.mark.parametrize("literal", [False, True])
 def test_eval_batches_matches_per_coset(funddom, funddom_batches, monkeypatch,
-                                        pair_block, literal):
+                                        pair_block):
     # pooling the rho pairs of all 32 cosets changes no bit of any value;
     # a small PAIR_BLOCK puts pool boundaries between many cosets
     monkeypatch.setattr(lattice, "PAIR_BLOCK", pair_block)
     kern = _CompletionKernel(funddom, w_offset=4)
     for v in (0.37, 1.3):
-        pooled = kern.eval_batches(funddom_batches, v, literal)
+        pooled = kern.eval_batches(funddom_batches, v)
         assert len(pooled) == len(funddom_batches)
         for batch, got in zip(funddom_batches, pooled):
-            want = kern.eval_batches([batch], v, literal)[0]
+            want = kern.eval_batches([batch], v)[0]
             assert got.shape == want.shape == (len(batch.inside),)
             assert np.array_equal(got, want)
 
@@ -859,13 +925,13 @@ def test_vertex_planes_built_once(monkeypatch, seed_dodec):
 
     monkeypatch.setattr(NegativePlane, "__init__", counted)
     modularity_check(SPACE_ABC, fundamental_ngon(2), complex(0.1, 0.95), 4)
-    assert len(calls) == 5          # 4 vertex planes and the window's z0
+    assert len(calls) == 4          # the 4 vertex planes; z0 is the first
     dodec = validate_dodec(seed_dodec.space, seed_dodec.cs)
     coset = LatticeCoset(dodec.space)
     dodec_series(coset, dodec, 2)
     calls.clear()
     dodec_series(coset, dodec, 2)
-    assert len(calls) == 1          # the window's z0; vertex planes cached
+    assert not calls                # vertex planes cached, z0 among them
 
 
 def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):

@@ -7,10 +7,12 @@ exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into 2^q
 sign-constant cones.  cone_sum, shared by E2/E3 and the N-gon completion's
 rho terms, is the one weighted sum of their masses.  A planar cone's mass
 is computed with the radial integral in closed form and, over the angular
-variable, fixed Gauss-Legendre nodes split at the peak (batched).  A solid
-cone's mass is a 1-D integral over one wall's normal coordinate, on fixed
-Gauss-Legendre nodes, of planar slice masses in closed form (a bivariate
-normal orthant probability by Owen's T function).  Values lie in [-1,1] and
+variable, fixed Gauss-Legendre nodes split at the peak (batched); a piece
+on the far side of the centre, where the integrand has no Gaussian factor
+in the angle, takes a shorter rule.  A solid cone's mass is a 1-D
+integral over one wall's normal coordinate, on fixed Gauss-Legendre
+nodes, of planar slice masses in closed form (a bivariate normal orthant
+probability by Owen's T function).  Values lie in [-1,1] and
 tend to the product of signs as x grows along a regular direction.
 """
 
@@ -27,6 +29,7 @@ SQPI = math.sqrt(math.pi)
 FAST_MARGIN = 7.5
 CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
 GL_NODES = 64            # Gauss-Legendre nodes per monotone piece of a cone
+FAR_NODES = 24           # nodes per piece on the far side of the centre u
 CONE_BLOCK = 256         # cones per block of node arrays (bounds temporaries)
 # a piece of a cone ends where its Gaussian factor has fallen by e^{-46}
 # (~1e-20) from the piece's peak; the dropped remainder is smaller still
@@ -93,7 +96,14 @@ def _cone_mass_block(u, g1, g2, amp):
     on the angle from u: it peaks in the direction of u and bottoms out
     opposite it.  Each cone is split there into two monotone pieces; each
     piece is integrated from its peak end outward, with the angle offset
-    x = L t^2 and fixed Gauss-Legendre nodes in t."""
+    x = L t^2 and fixed Gauss-Legendre nodes in t: GL_NODES of them on a
+    piece that starts on u's side, where a Gaussian factor in the angle
+    sets the length (PIECE_CUT), and FAR_NODES on a far-side piece (b <= 0
+    all along), whose integrand is e^{amp - pi |u|^2} times a slowly
+    varying erfcx term.  A cone whose rays both lie a right angle or more
+    from u, such as the completion's rho quadrant opposite u when it is not
+    obtuse, has only far-side pieces."""
+    from scipy.special import erfcx
     th1 = np.arctan2(g1[:, 1], g1[:, 0])
     th2 = np.arctan2(g2[:, 1], g2[:, 0])
     dth = np.mod(th2 - th1, 2.0 * np.pi)
@@ -119,29 +129,38 @@ def _cone_mass_block(u, g1, g2, amp):
     ba = np.where(start, b[:, :2], b[:, 1:])
     qa = np.where(start, q[:, :2], q[:, 1:])
     turn = np.where(start, 1.0, -1.0)
-    # along a piece the angle from u grows; on pieces that start on u's
-    # side (b > 0) stop where pi q^2 has grown by PIECE_CUT, i.e. where
+    # along a piece the angle from u grows from psi; on pieces that start on
+    # u's side (b > 0) stop where pi q^2 has grown by PIECE_CUT, i.e. where
     # sin^2 of that angle reaches s2 (past a right angle the integrand is
     # below e^{-pi b^2} < e^{-PIECE_CUT} of its start value anyway)
+    psi = np.arctan2(np.abs(qa), ba)
     with np.errstate(divide='ignore', over='ignore'):     # r near 0: s2 inf
         s2 = (qa * qa + PIECE_CUT / np.pi) / (r * r)[:, None]
     cut = (s2 < 1.0) & (ba > 0)
-    reach = np.arcsin(np.sqrt(np.where(cut, s2, 0.0))) \
-        - np.arctan2(np.abs(qa), ba)
+    reach = np.arcsin(np.sqrt(np.where(cut, s2, 0.0))) - psi
     length = np.where(cut, np.minimum(length, reach), length)
+    # only pieces of nonzero length reach the nodes (a cone that holds
+    # neither u's direction nor its opposite has a split piece of 0)
+    live, far = length > 0.0, ba <= 0.0
+    mass = np.zeros(length.shape)
+    k, p = np.nonzero(live & ~far)
     _, _, s, w = _gl_rule(GL_NODES)
-    f = np.zeros(length.shape + s.shape)
-    for p in range(2):                  # a piece at a time: half the temporaries
-        # only pieces of nonzero length reach the nodes (a cone that holds
-        # neither u's direction nor its opposite has a split piece of 0)
-        k = np.flatnonzero(length[:, p] > 0.0)
-        x = length[k, p, None] * s
-        cx, sx = np.cos(x), np.sin(x)
-        a, b, t = qa[k, p, None], ba[k, p, None], turn[k, p, None]
-        bx = b * cx - t * a * sx
-        qx = a * cx + t * b * sx
-        f[k, p] = _radial_1(amp[k, None] - np.pi * qx * qx, bx)
-    return np.sum((f @ w) * length, axis=1)
+    x = length[k, p, None] * s
+    cx, sx = np.cos(x), np.sin(x)
+    a, b, t = qa[k, p, None], ba[k, p, None], turn[k, p, None]
+    bx = b * cx - t * a * sx
+    qx = a * cx + t * b * sx
+    f = _radial_1(amp[k, None] - np.pi * qx * qx, bx)
+    mass[k, p] = np.sum(f * w, axis=1) * length[k, p]
+    # far-side pieces (b <= 0 all along): _radial_1's first term is 0 and
+    # its second e^{amp - pi r^2} (1/(2 pi) - |b|/2 erfcx(sqrt(pi) |b|)),
+    # b = r cos(angle from u), has no Gaussian factor in the angle
+    k, p = np.nonzero(live & far)
+    _, _, s, w = _gl_rule(FAR_NODES)
+    ab = np.abs(r[k, None] * np.cos(psi[k, p, None] + length[k, p, None] * s))
+    mass[k, p] = np.exp(amp[k] - np.pi * r[k] * r[k]) * length[k, p] * (
+        1.0 / (2.0 * np.pi) - np.sum(ab * erfcx(SQPI * ab) * w, axis=1) / 2.0)
+    return mass[:, 0] + mass[:, 1]
 
 
 def cone_dist2(u, b, rays):
@@ -301,7 +320,7 @@ def cone_sum(a, f, u, weight, amp=0.0, cut=CONE_CUT):
     return np.bincount(k, weight[k, c] * mass, minlength=len(u))
 
 
-def j0_value(space, ngon, x):
+def j0_value(ngon, x):
     """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
     for a regular rational x, all N terms in one E_frames batch."""
     n, s = ngon.n, ngon.signs(x)

@@ -70,6 +70,15 @@ def _array(obj, key, path):
     return v
 
 
+def _vector(obj, key, path, dim):
+    """The field `key` of obj: one rational vector of dim entries."""
+    v = _array(obj, key, path)
+    if len(v) != dim:
+        raise InputError(f"{path}: {key} has {len(v)} entries; the space has "
+                         f"dimension {dim}")
+    return parse_vector(v)
+
+
 def _vectors(obj, key, path, dim):
     """The field `key` of obj: an array of rational vectors of dim entries."""
     vs = _array(obj, key, path)
@@ -104,11 +113,7 @@ def load_lattice_file(path):
     """{"schema_version": 1, "gram": ..., "mu": [rat, ...] (optional)}"""
     obj = load_json(path)
     space = space_from_json(obj, path)
-    mu = parse_vector(obj["mu"]) if "mu" in obj else None
-    if mu is not None and len(mu) != space.dim:
-        raise InputError(f"{path}: mu has {len(mu)} entries; the space has "
-                         f"dimension {space.dim}")
-    return space, mu
+    return space, _vector(obj, "mu", path, space.dim) if "mu" in obj else None
 
 
 def load_points_file(path):
@@ -131,7 +136,7 @@ def load_dodec_file(path):
     elif "seed" in obj:
         seed = obj["seed"]
         basis = _vectors(seed, "z0_basis", path, space.dim)
-        v0 = parse_vector(_field(seed, "v0", path))
+        v0 = _vector(seed, "v0", path, space.dim)
         traw = seed.get("t", 0)
         t = [parse_rational(u) for u in traw] if isinstance(traw, list) \
             else parse_rational(traw)

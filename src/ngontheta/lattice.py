@@ -28,7 +28,8 @@ the whole window.
 The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
 term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
-and single rho cone masses by their distance from the Gaussian centre.
+single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
+rho cone masses by their distance from the Gaussian centre.
 The kernel is even in x, so theta_{-mu} = theta_mu, and modularity_check
 evaluates one coset of each +-mu pair.
 """
@@ -375,9 +376,11 @@ class _CompletionKernel:
     then screened by what it adds to the sum.  A window row whose bound
     (|w| + |w_offset| + N) e^{amp} on |kernel| e^{amp} (each E2 lies in
     [-1, 1]) is below e^{RHO_LOG_TOL} is skipped and gets 0, as guard-band
-    rows do.  eps and the wall terms e_k are taken batch by batch.  The
-    rho_j are Gaussian masses of the sign quadrants of the vertex planes
-    span(C_j, C_{j+1}), weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}): the
+    rows do.  eps and the wall terms e_k are taken batch by batch; a wall
+    term lies within 2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated
+    only where that bound reaches e^{RHO_LOG_TOL}.  The rho_j are Gaussian
+    masses of the sign quadrants of the vertex planes span(C_j, C_{j+1}),
+    weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}): the
     (row, edge) pairs that pass a margin screen are pooled over consecutive
     batches, about PAIR_BLOCK pairs at a time, which bounds the pooled
     temporaries, and each pool is one errfn.cone_sum call on ngon.frames."""
@@ -431,20 +434,22 @@ class _CompletionKernel:
         vals = (self.ngon.kernel(signs) + self.w_offset).astype(float) \
             * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
+        # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
+        # those that can reach e^{RHO_LOG_TOL} are evaluated
         coef = np.roll(signs, 1, axis=1) + np.roll(signs, -1, axis=1)
         with np.errstate(over='ignore'):
-            ek = np.where(
-                signs != 0,
-                -signs * erfcx(math.sqrt(math.pi) * np.abs(tmat))
-                * np.exp(np.minimum(amp[:, None] - math.pi * tmat ** 2, AMP_CAP)),
-                0.0)
+            lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
+                            amp[:, None])
+        r, k = np.nonzero((signs != 0) & (lead >= RHO_LOG_TOL))
+        ek = np.zeros(tmat.shape)
+        ek[r, k] = -signs[r, k] * erfcx(math.sqrt(math.pi) * np.abs(tmat[r, k])) \
+            * np.exp(np.minimum(lead[r, k], AMP_CAP))
         vals += np.sum(coef * ek, axis=1)
         # rho terms: signed Gaussian cone masses.  A cone with nonzero weight
         # flips every wall carrying a nonzero sign, so its distance from the
-        # Gaussian center is at least the larger signed-wall margin.
-        eff = np.where(signs != 0, np.abs(tmat), 0.0)
-        teff = np.maximum(eff, np.roll(eff, -1, axis=1))
-        rows, edges = np.nonzero(amp[:, None] - math.pi * teff ** 2
+        # Gaussian center is at least the larger signed-wall margin: its
+        # term is below e^{lead} of both walls (lead = amp on a zero sign).
+        rows, edges = np.nonzero(np.minimum(lead, np.roll(lead, -1, axis=1))
                                  > RHO_LOG_TOL)
         u = scale * np.einsum('pij,pj->pi', proj[edges], xf[rows])
         ends = signs[rows[:, None], (edges[:, None] + [0, 1]) % self.ngon.n]

@@ -516,6 +516,9 @@ def _seed_doc(n):
 
 def _malformed_files():
     funddom = json.loads(Path(FUNDDOM).read_text())
+    lattice = json.loads(Path(LATTICE).read_text())
+    seed = json.loads(Path(DODEC).read_text())
+    seed["seed"]["v0"] = seed["seed"]["v0"][:3]
     neg = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]
     dodec12 = _seed_doc(12)
     cs12 = dodec12["cs"]
@@ -533,6 +536,8 @@ def _malformed_files():
                                "cs": [cs12[0] + ["0"]] + cs12[1:]},
         "dodec11.json": _seed_doc(11),
         "dodec_cs5.json": {**_seed_doc(0), "cs": 5},
+        "dodec_v0_short.json": seed,
+        "lattice_mu5.json": {**lattice, "mu": 5},
         "points5.json": {"schema_version": 1, "points": 5},
         "points1.json": {"schema_version": 1,
                          "points": [["0", "1"], ["1"], ["1", "2"]]},
@@ -572,6 +577,15 @@ MALFORMED = {
                                "dodec_cs_long.json", "--nmax", "2"], 1,
                               "dodec_cs_long.json: field 'cs' must hold "
                               "vectors of 4 entries, got ['"),
+    "dodec-v0-wrong-length": (["dodec", "validate", "--data",
+                               "dodec_v0_short.json"], 1,
+                              "dodec_v0_short.json: v0 has 3 entries; the "
+                              "space has dimension 4"),
+    "lattice-mu-not-array": (["theta", "series", "--lattice",
+                              "lattice_mu5.json", "--ngon", FUNDDOM,
+                              "--nmax", "2"], 1,
+                             "lattice_mu5.json: field 'mu' must be an array, "
+                             "got 5"),
     "points-not-array": (["sig12", "recover", "--points", "points5.json"], 1,
                          "points5.json: field 'points' must be an array"),
     "points-one-coordinate": (["sig12", "recover", "--points", "points1.json"],

@@ -259,6 +259,53 @@ def test_cone_mass_batched_vs_quadrature():
     assert cone_mass_2d(u[7], g1[7], g2[7], amp=amp[7]) == got[7]
 
 
+def test_far_side_cone_mass_vs_quadrature(monkeypatch):
+    # the rho terms' cones with both signs nonzero: the quadrant of a random
+    # frame opposite the centre u, amp across [0, AMP_CAP], centres out to
+    # where the rho screen still admits the cone.  Most of their pieces lie
+    # on the far side of u (b <= 0 all along) and skip _radial_1; a batch
+    # that mixes them with cones holding u gives each cone's single value
+    import ngontheta.errfn as errfn
+    rng = np.random.default_rng(1705)
+    k = 400
+    a = rng.normal(size=(k, 2, 2))
+    amp = rng.uniform(0.0, AMP_CAP, k)
+    u = rng.normal(size=(k, 2))
+    u *= np.sqrt(rng.uniform(0.0, (amp - RHO_LOG_TOL) / math.pi)
+                 / np.sum(u * u, axis=1))[:, None]
+    sig = -np.sign(np.einsum('kij,kj->ki', a, u))
+    rays = np.linalg.inv(a) * sig[:, None, :]
+    keep = amp - math.pi * cone_dist2(u, sig[:, :, None] * a, rays) \
+        >= RHO_LOG_TOL
+    assert keep.sum() >= 300
+    u, g1, g2, amp = u[keep], rays[keep, :, 0], rays[keep, :, 1], amp[keep]
+    near = []
+    radial = errfn._radial_1
+
+    def counted(e0, b):
+        near.append(len(b))
+        return radial(e0, b)
+
+    monkeypatch.setattr(errfn, "_radial_1", counted)
+    got = cone_mass_2d(u, g1, g2, amp=amp)
+    # -u lies inside each cone, so each has two pieces of nonzero length;
+    # an obtuse one can have a ray within a right angle of u
+    assert sum(near) < len(u)
+    for i in range(len(u)):
+        want = _cone_mass_2d_quad(u[i], g1[i], g2[i], amp=amp[i])
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), \
+            (u[i], g1[i], g2[i], amp[i], got[i], want)
+    # mixed with the quadrants that hold u (u's side), bit for bit
+    mix = np.arange(len(u)) % 2 == 0
+    g1 = np.where(mix[:, None], -g1, g1)
+    g2 = np.where(mix[:, None], -g2, g2)
+    near.clear()
+    got = cone_mass_2d(u, g1, g2, amp=amp)
+    assert sum(near) >= np.count_nonzero(mix) and sum(near) < 2 * len(u)
+    assert [cone_mass_2d(u[i], g1[i], g2[i], amp=amp[i])
+            for i in range(len(u))] == list(got)
+
+
 def test_cone_mass_full_plane():
     # four quadrant cones tile the plane: masses sum to 1
     u = np.array([0.3, -0.2])
@@ -296,10 +343,10 @@ def test_e1_continuity_across_wall():
 
 def test_j0_smooth_kernel(funddom):
     # j0 = (1/4) sum (E2 - sign product) vanishes far from all walls
-    val = j0_value(funddom.space, funddom, (20, 1, 21))
+    val = j0_value(funddom, (20, 1, 21))
     assert abs(val) < 1e-6
     with pytest.raises(ValueError):
-        j0_value(funddom.space, funddom, (1, 0, 1))  # on a wall
+        j0_value(funddom, (1, 0, 1))  # on a wall
 
 
 def _j0_per_edge(space, ngon, x):
@@ -325,7 +372,7 @@ def test_j0_value_matches_per_edge_sum_bitwise(funddom):
                 continue
             checked += 1
             want = _j0_per_edge(ngon.space, ngon, x)
-            assert j0_value(ngon.space, ngon, x) == want, x
+            assert j0_value(ngon, x) == want, x
             slow += want != 0.0
     assert slow >= 10
 

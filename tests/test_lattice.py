@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
                               _over_lcm, _row_norms, vec)
-from ngontheta.errfn import E2
+from ngontheta.errfn import E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
                                enumerate_coset, QExpansion, GUARD,
@@ -500,6 +500,54 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batches):
     assert skipped > 0
 
 
+def _unscreened_wall_eval(kern, batch, v):
+    """eval_batches([batch], v) with every wall term evaluated: the same
+    live rows and rho terms, eps and the wall terms
+    (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} in full.  Also,
+    per row, the number of wall terms that the kernel's screen drops and
+    the sum of the magnitudes of the row's terms (its rounding scale)."""
+    from scipy.special import erfcx
+    ngon, scale = kern.ngon, math.sqrt(2.0 * v)
+    live, _, rows, args = kern._row_terms(batch, v, scale)
+    amp = np.minimum(-2.0 * math.pi * v * batch.qf[live], lattice.AMP_CAP)
+    signs = ngon.sign_matrix(batch.xnum[live])
+    t = scale * (batch.xf[live] @ ngon.frames[2].T)
+    lead = amp[:, None] - math.pi * t ** 2
+    coef = np.roll(signs, 1, axis=1) + np.roll(signs, -1, axis=1)
+    walls = coef * np.where(signs != 0, -signs * erfcx(math.sqrt(math.pi)
+                                                       * np.abs(t))
+                            * np.exp(np.minimum(lead, lattice.AMP_CAP)), 0.0)
+    eps = (ngon.kernel(signs) + kern.w_offset) * np.exp(amp)
+    rho = np.bincount(rows, cone_sum(ngon.frames[0], *args,
+                                     cut=-lattice.RHO_LOG_TOL),
+                      minlength=len(live))
+    out, dropped, size = np.zeros(len(batch)), np.zeros(len(batch)), \
+        np.zeros(len(batch))
+    out[live] = eps + np.sum(walls, axis=1) + rho
+    dropped[live] = np.sum((signs != 0) & (lead < lattice.RHO_LOG_TOL), 1)
+    size[live] = np.abs(eps) + np.sum(np.abs(walls), axis=1) + np.abs(rho)
+    return out, dropped, size
+
+
+def test_wall_term_screen_bound(funddom, funddom_batches):
+    # a wall term lies within 2 e^{amp - pi tau_k^2}, and the kernel skips
+    # it below e^{RHO_LOG_TOL}: a row moves by at most 2N e^{RHO_LOG_TOL},
+    # and by rounding, from its value with every wall term evaluated; a row
+    # with no term skipped keeps its value bit for bit
+    kern = _CompletionKernel(funddom, w_offset=2)
+    n = funddom.n
+    dropped = 0
+    for v in (0.37, 1.3):
+        for batch, got in zip(funddom_batches,
+                              kern.eval_batches(funddom_batches, v)):
+            want, drop, size = _unscreened_wall_eval(kern, batch, v)
+            dropped += drop.sum()
+            assert np.array_equal(got[drop == 0], want[drop == 0])
+            assert np.all(np.abs(got - want) <= 2 * n * math.exp(
+                lattice.RHO_LOG_TOL) + n * np.finfo(float).eps * size)
+    assert dropped > 1000
+
+
 @pytest.mark.parametrize("tau", [complex(0.1234, 0.95), complex(-0.4, 0.8),
                                  complex(0.3, 1.25)])
 def test_screen_tolerance_moves_theta_little(funddom, monkeypatch, tau):
@@ -956,7 +1004,7 @@ def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):
     tau = complex(0.1, 0.95)
     modularity_check(SPACE_ABC, ngon, tau, 2)
     completion_eval(LatticeCoset(SPACE_ABC), ngon, tau, 2)
-    j0_value(SPACE_ABC, ngon, (1, 0, 2))
+    j0_value(ngon, (1, 0, 2))
     for x in ((1, 0, 0, 0), (Fraction(1, 2), 1, 0, 0)):
         dodec_E_kernel(dodec, x)
     assert built == [ngon, dodec]

@@ -16,9 +16,10 @@ kernel.  That exact check is what makes a series exact.  When it fails, the
 window is re-certified about the same base plane z0 with twice its safety
 factor, at most RETRIES times; after that the series raises
 CertificationError (CLI exit code 3).  N-gons and dodecahedra share this
-path: both carry their vertex planes and an integer sign kernel, and the
-default base plane is the first vertex plane.  enumerate_coset returns the
-one row batch (CosetRows) that the series driver and the completion kernel
+path: both carry their vertex planes and an integer sign kernel.  Series
+take the first vertex plane as base plane, completions minimax_plane,
+whose lower kappa shrinks their windows.  enumerate_coset returns the one
+row batch (CosetRows) that the series driver and the completion kernel
 read, and the signs of (x, C_j) come from the wall collection's
 sign_matrix on the batch's integer rows.  The kernels vanish on nonzero
 vectors of norm <= 0, so a series batch holds only the window's rows with
@@ -30,8 +31,8 @@ kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
 term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
 rho cone masses by their distance from the Gaussian centre.
-The kernel is even in x, so theta_{-mu} = theta_mu, and modularity_check
-evaluates one coset of each +-mu pair.
+The kernel is even in x: modularity_check evaluates one coset of each
++-mu pair (theta_{-mu} = theta_mu), and CosetRows.folded one x of each +-x.
 """
 
 import math
@@ -52,6 +53,7 @@ PAIR_BLOCK = 8192        # rho pairs pooled per round of cone masses
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
 GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
+BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
 
 
 class CertificationError(RuntimeError):
@@ -126,42 +128,75 @@ def _majorant_f(plane):
     return plane.space.gram_f + 2.0 * m.T @ m
 
 
-def window_from_planes(space, z0_span, planes, nmax, safety=1.5):
-    """Comparability window: kappa = safety * max over the given
-    planes of the largest generalized eigenvalue of M_{z0} against M_z, in
-    floating point (the guard band, not kappa, makes the series exact).
-    Below safety 1 the window would fall short of the proven bound."""
+def _kappas(m0, mats):
+    """lambda_max(M_0, M_j) of float majorants, M_j stacked: 1 over the least
+    eigenvalue of L^{-1} M_j L^{-T}, M_0 = L L^T (one batched eigvalsh)."""
+    li = np.linalg.inv(np.linalg.cholesky(m0))
+    return 1.0 / np.linalg.eigvalsh(li @ mats @ li.T, UPLO="U")[:, 0]
+
+
+def minimax_plane(planes):
+    """A base plane z0 with small kappa = max_j lambda_max(M_{z0}, M_{z_j})
+    over negative q-planes z_j: BASE_STEPS Badoiu-Clarkson steps on their
+    majorants (Arnaudon-Nielsen 2013), then the centre's negative eigenspace
+    in reduced echelon form, rounded to denominators <= 64.  The first
+    plane is kept if that plane is degenerate or its kappa is not lower."""
+    space, q = planes[0].space, len(planes[0].span)
+    mats = np.array([_majorant_f(p) for p in planes])
+    try:
+        # the centre F F^T, as F^{-1}; step k goes 1/(k+2) of the geodesic
+        # F (F^{-1} B F^{-T})^t F^T toward the farthest majorant B
+        fi = np.linalg.inv(np.linalg.cholesky(mats[0]))
+        for k in range(BASE_STEPS):
+            w, u = np.linalg.eigh(fi @ mats @ fi.T, UPLO="U")
+            j = np.argmin(w[:, 0])
+            fi = (u[j] * w[j] ** (-0.5 / (k + 2))) @ u[j].T @ fi
+        # G^{-1} F F^T is -1 on z: F^{-1} G F^{-T} y = -y for y = F^T v
+        v = (fi.T @ np.linalg.eigh(fi @ space.gram_f @ fi.T)[1]).T[:q]
+        for i in range(len(v)):                 # reduced echelon form
+            v[i] /= v[i, (j := np.argmax(np.abs(v[i])))]
+            v -= np.outer((np.arange(len(v)) != i) * v[:, j], v[i])
+        plane = NegativePlane(space, [[Fraction(x).limit_denominator(64)
+                                       for x in row] for row in v])
+    except (ValueError, np.linalg.LinAlgError):     # degenerate or not finite
+        return planes[0]
+    kappa = [np.max(_kappas(m, mats)) for m in (_majorant_f(plane), mats[0])]
+    return plane if kappa[0] < kappa[1] else planes[0]
+
+
+def window_from_planes(space, z0, planes, nmax, safety=1.5):
+    """Comparability window about z0 (a NegativePlane, or the span of one):
+    kappa = safety * max over the given planes of the largest generalized
+    eigenvalue of M_{z0} against M_z, in floating point by _kappas (the
+    guard band, not kappa, makes the series exact).  Below safety 1 the
+    window would fall short of the proven bound."""
     if not (math.isfinite(safety) and safety >= 1):
         raise ValueError("safety must be a finite number >= 1")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    from scipy.linalg import eigh
-    span = tuple(map(vec, z0_span))
-    z0 = next((p for p in planes if p.span == span), None) \
-        or NegativePlane(space, span)
-    m0 = _majorant_f(z0)
-    kappa = 1.0
-    for pl in planes:
-        ev = eigh(m0, _majorant_f(pl), eigvals_only=True)
-        kappa = max(kappa, float(np.max(ev)))
-    kappa *= safety
+    if not isinstance(z0, NegativePlane):
+        span = tuple(map(vec, z0))
+        z0 = next((p for p in planes if p.span == span), None) \
+            or NegativePlane(space, span)
+    ev = _kappas(_majorant_f(z0), np.array([_majorant_f(p) for p in planes]))
+    kappa = max(1.0, float(np.max(ev))) * safety
     b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
     return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety, nmax=rat(nmax))
 
 
-def certify_window(space, walls, z0_span, nmax, safety=1.5):
+def certify_window(space, walls, z0, nmax, safety=1.5):
     """Window for the kernel of an NGon or a DodecData from its vertex
-    planes, about the base plane z0_span (None: the first vertex plane).
-    An N-gon edge plane [C_j, (s-1) C_{j-1} + s C_{j+1}] lies on the
-    geodesic between two vertex planes [C_j, C_{j+1}] inside the totally
-    geodesic H^2 of span(C_{j-1}, C_j, C_{j+1}); a dodecahedral edge plane
-    [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two vertex
-    3-planes inside the H^3 of span(C_i, C_j, C_a, C_b).  By convexity of
-    log lambda_max neither can raise kappa above its value at the
-    vertices."""
-    if z0_span is None:
-        z0_span = walls.vertex_planes[0].span
-    return window_from_planes(space, z0_span, walls.vertex_planes, nmax,
+    planes, about the base plane z0, a NegativePlane or its span (None: the
+    first vertex plane).  An N-gon edge plane [C_j, (s-1) C_{j-1} + s C_{j+1}]
+    lies on the geodesic between two vertex planes [C_j, C_{j+1}] inside the
+    totally geodesic H^2 of span(C_{j-1}, C_j, C_{j+1}); a dodecahedral edge
+    plane [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two
+    vertex 3-planes inside the H^3 of span(C_i, C_j, C_a, C_b).  By
+    convexity of log lambda_max neither can raise kappa above its value at
+    the vertices."""
+    if z0 is None:
+        z0 = walls.vertex_planes[0]
+    return window_from_planes(space, z0, walls.vertex_planes, nmax,
                               safety=safety)
 
 
@@ -176,16 +211,28 @@ class CosetRows:
     """The enumerated vectors x = xnum/dmu of a coset mu+L, in lexicographic
     order: int64 numerators (munum those of mu), the exact window split
     `inside` ((x,x)_{z0} <= B) and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x).
-    The integer rows k = x - mu and the floats xf of x and qf of Q(x)
-    derive from them; xf and qf are built on first use."""
+    The integer rows k = x - mu and the floats xf of x and qf of Q(x),
+    built on first use, derive from them.  A row stands for `mult` vectors."""
     xnum: np.ndarray
     dmu: int
     munum: list
     inside: np.ndarray
     xx_num: np.ndarray
+    mult: np.ndarray | int = 1
 
     def __len__(self):
         return len(self.xnum)
+
+    def folded(self):
+        """For an even kernel: when 2 mu is in L, x = 0 (mult 1) and the rows
+        whose first nonzero numerator is positive (mult 2, for +-x)."""
+        if any(2 * v % self.dmu for v in self.munum):
+            return self
+        lead = self.xnum[np.arange(len(self)), np.argmax(self.xnum != 0, 1)]
+        keep = lead >= 0
+        return CosetRows(self.xnum[keep], self.dmu, self.munum,
+                         self.inside[keep], self.xx_num[keep],
+                         mult=np.where(lead[keep] > 0, 2, 1))
 
     @property
     def ks(self):
@@ -459,11 +506,12 @@ class _CompletionKernel:
 
 def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
     """Value of the completed series at tau for one coset, with a tail
-    estimate: (value, tail)."""
+    estimate: (value, tail).  The default window is about minimax_plane."""
     _check_space(coset.space, ngon)
     if window is None:
-        window = certify_window(coset.space, ngon, None, nmax)
-    batch = enumerate_coset(coset, window, GUARD)
+        window = certify_window(coset.space, ngon,
+                                minimax_plane(ngon.vertex_planes), nmax)
+    batch = enumerate_coset(coset, window, GUARD).folded()
     scaled, = _CompletionKernel(ngon, w_offset).eval_batches([batch], tau.imag)
     return _completion_sum(batch, scaled, window, ngon.n, tau)
 
@@ -472,19 +520,19 @@ def _completion_sum(batch, scaled, window, n_edges, tau):
     """(value, tail) at tau of one coset from the terms `scaled` of its
     batch at v = Im tau (eval_batches: kernel times e^{-2 pi v Q}, 0 on the
     rows it skips), which depend on tau only through v: each is multiplied
-    by its phase e^{2 pi i Re(tau) Q}."""
-    terms = scaled * np.exp(2j * math.pi * tau.real * batch.qf)
+    by its phase e^{2 pi i Re(tau) Q} and by its row's multiplicity."""
+    terms = batch.mult * scaled * np.exp(2j * math.pi * tau.real * batch.qf)
     return complex(np.sum(terms)), _tail_estimate(batch, window, n_edges,
                                                   tau.imag)
 
 
 def _tail_estimate(batch, window, n_edges, v):
     """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa},
-    with the lattice-point density calibrated from the enumerated ball."""
+    the lattice-point density calibrated from the vectors the batch holds."""
     from scipy.special import gammaincc, gamma as gamma_fn
-    m = batch.xnum.shape[1] if len(batch) else 1
+    m = window.z0.space.dim
     bf = float(window.B)
-    count = max(len(batch), 1)
+    count = max(int(np.sum(np.broadcast_to(batch.mult, len(batch)))), 1)
     c = count * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
     lam = math.pi * v / window.kappa
     # integral_B^inf t^{m/2-1} e^{-lam t} dt = Gamma(m/2) lam^{-m/2} Q(m/2, lam B)
@@ -553,18 +601,20 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     Weil transform; returns a report dict.  The completion kernel is even
     (eps, the wall terms and the rho masses are invariant under x -> -x,
     and so is the window), so theta_{-mu} = theta_mu: only the cosets mu_i
-    with i <= index(-mu_i) are enumerated and evaluated, and each value
-    fills both entries of its +-mu pair."""
+    with i <= index(-mu_i) are enumerated and evaluated, folded and about
+    completion_eval's window, and each value fills both entries of its +-mu
+    pair."""
     _check_space(space, ngon)
     reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
-    window = certify_window(space, ngon, None, nmax)
+    window = certify_window(space, ngon, minimax_plane(ngon.vertex_planes),
+                            nmax)
     kern = _CompletionKernel(ngon, w_offset)
     neg = negation_index(reps)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
-    batches = [enumerate_coset(LatticeCoset(space, reps[i]), window, GUARD)
-               for i in own]
+    batches = [enumerate_coset(LatticeCoset(space, reps[i]), window,
+                               GUARD).folded() for i in own]
     scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):

@@ -666,9 +666,9 @@ def test_cli_pinned_output(capsys, monkeypatch, name):
 
 
 def test_exact_commands_load_no_scipy_special():
-    """In a fresh interpreter, `dodec kernel` imports no scipy module and
-    `sig12 zagier` only scipy.linalg (the eigenvalues of kappa), not
-    scipy.special: the error functions are imported where they are used."""
+    """In a fresh interpreter, neither `dodec kernel` nor `sig12 zagier`
+    imports any scipy module: kappa's eigenvalues come from numpy, and the
+    error functions are imported where they are used."""
     script = (
         "import contextlib, io, json, sys\n"
         "from ngontheta import cli\n"
@@ -685,8 +685,7 @@ def test_exact_commands_load_no_scipy_special():
     assert res.returncode == 0, res.stderr
     after_kernel, after_zagier = json.loads(res.stdout)
     assert after_kernel == []
-    assert "scipy.linalg" in after_zagier
-    assert not [m for m in after_zagier if m.startswith("scipy.special")]
+    assert after_zagier == []
 
 
 def _readme_commands():

@@ -18,12 +18,14 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                negation_index, _CompletionKernel,
-                               CertificationError, _majorant_leq)
+                               CertificationError, _majorant_leq,
+                               minimax_plane, _kappas, _majorant_f,
+                               _tail_estimate)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel,
                              default_negative_vector, seed_construction,
                              validate_dodec)
-from ngontheta.ngon import w_invariant, vertex_plane, gamma_sample
+from ngontheta.ngon import w_invariant, vertex_plane, gamma_sample, validate
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
                              truncated_class_series, butterfly_ngon,
@@ -562,12 +564,18 @@ def test_screen_tolerance_moves_theta_little(funddom, monkeypatch, tau):
 PARITY_TAUS = (complex(0.1234, 0.95), complex(-0.31, 1.1))
 
 
+def completion_window(walls, nmax):
+    """The window completion_eval and modularity_check certify by default."""
+    return certify_window(walls.space, walls,
+                          minimax_plane(walls.vertex_planes), nmax)
+
+
 @pytest.fixture(scope="module")
 def coset_completions(funddom):
     """completion_eval of each funddom coset at nmax 6, per tau of
-    PARITY_TAUS, in disc_group order."""
+    PARITY_TAUS, in disc_group order, in modularity_check's window."""
     reps = disc_group(SPACE_ABC)
-    window = certify_window(SPACE_ABC, funddom, None, 6)
+    window = completion_window(funddom, 6)
     return reps, {tau: np.array([
         completion_eval(LatticeCoset(SPACE_ABC, mu), funddom, tau, 6,
                         window=window)[0] for mu in reps])
@@ -595,6 +603,115 @@ def test_modularity_theta_matches_completion_eval(funddom, coset_completions):
         got = modularity_check(SPACE_ABC, funddom, tau, 6)["theta"]
         assert got.shape == theta.shape
         assert np.max(np.abs(got - theta)) <= 1e-15
+
+
+def _product_4gon():
+    """The (2,2) product 4-gon: intervals (c_1, d_1) = ((1/2, 1), (-1/3, 1))
+    in diag(6, -2) and (c_2, d_2) = ((1, 1), (-1/2, 1)) in diag(2, -6),
+    C = (c_1+0, 0+c_2, -d_1+0, 0-d_2); eps = (sgn(x,c_1) - sgn(x,d_1))
+    (sgn(x,c_2) - sgn(x,d_2)) and w = 0."""
+    space = QuadraticSpace([[6, 0, 0, 0], [0, -2, 0, 0], [0, 0, 2, 0],
+                            [0, 0, 0, -6]])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return validate(space, ((half, 1, 0, 0), (0, 0, 1, 1), (third, -1, 0, 0),
+                            (0, 0, half, -1)))
+
+
+def _plane_kappa(planes, plane):
+    mats = np.array([_majorant_f(p) for p in planes])
+    return float(np.max(_kappas(_majorant_f(plane), mats)))
+
+
+@pytest.mark.parametrize("name, ratio", [("funddom", 0.45), ("product", 0.2),
+                                         ("butterfly", 1.0)])
+def test_minimax_plane_lowers_kappa(name, ratio):
+    walls = {"funddom": fundamental_ngon(2), "product": _product_4gon(),
+             "butterfly": butterfly_ngon()}[name]
+    planes = walls.vertex_planes
+    z0 = minimax_plane(planes)
+    assert minimax_plane(planes).span == z0.span          # deterministic
+    first = _plane_kappa(planes, planes[0])
+    assert _plane_kappa(planes, z0) <= ratio * first
+    # the window's kappa is the same routine's, times the safety
+    window = completion_window(walls, 6)
+    assert window.z0 is not planes[0]
+    assert window.kappa == 1.5 * _plane_kappa(planes, window.z0)
+    assert certify_window(walls.space, walls, None, 6).kappa \
+        == 1.5 * first
+
+
+def test_completion_window_invariance(funddom):
+    # the completion does not depend on the base plane beyond the tails:
+    # about the first vertex plane and about minimax_plane, every coset's
+    # value agrees within the sum of both tails
+    tau = complex(0.1234, 0.95)
+    windows = (certify_window(SPACE_ABC, funddom, None, 6),
+               completion_window(funddom, 6))
+    assert windows[1].kappa < 0.45 * windows[0].kappa
+    for mu in disc_group(SPACE_ABC):
+        coset = LatticeCoset(SPACE_ABC, mu)
+        (a, ta), (b, tb) = (completion_eval(coset, funddom, tau, 6, window=w)
+                            for w in windows)
+        assert abs(a - b) <= ta + tb + 1e-15, mu
+        assert tb < ta
+
+
+def test_folded_batch_matches_full_sum(funddom):
+    # a coset with 2 mu in L is evaluated on x = 0 and one row of each +-x
+    # pair, counted twice; its value is the full batch's sum up to rounding,
+    # and its count (for the tail) is the full enumeration's
+    window = completion_window(funddom, 6)
+    kern = _CompletionKernel(funddom, w_offset=1)
+    tau = complex(-0.31, 1.1)
+    folded = 0
+    for mu in disc_group(SPACE_ABC):
+        if any((2 * c).denominator != 1 for c in mu):
+            continue
+        folded += 1
+        full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window, GUARD)
+        half = full.folded()
+        assert np.sum(half.mult) == len(full)
+        assert 2 * len(half) - len(full) == int(not any(mu))    # x = 0 in L
+        assert np.array_equal(half.mult == 1, np.all(half.xnum == 0, axis=1))
+        scaled, = kern.eval_batches([full], tau.imag)
+        terms = scaled * np.exp(2j * math.pi * tau.real * full.qf)
+        got, tail = completion_eval(LatticeCoset(SPACE_ABC, mu), funddom,
+                                    tau, 6, w_offset=1)
+        assert abs(got - np.sum(terms)) <= len(full) * np.finfo(float).eps \
+            * np.sum(np.abs(terms)), mu
+        assert tail == _tail_estimate(full, window, funddom.n, 1.1)
+    assert folded == 8
+
+
+def test_tail_estimate_of_an_empty_batch(funddom):
+    # the dimension of the tail's density comes from the window's space,
+    # not from the width of the batch's rows: an empty batch counts as one
+    # vector in dimension 3, like the lone x = 0 of mu = 0
+    tau = complex(0.1234, 0.95)
+    window = completion_window(funddom, 0)
+    empty = LatticeCoset(SPACE_ABC, (0, 0, Fraction(1, 4)))
+    assert len(enumerate_coset(empty, window, GUARD)) == 0
+    assert len(enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)) == 1
+    assert completion_eval(empty, funddom, tau, 0)[1] \
+        == completion_eval(LatticeCoset(SPACE_ABC), funddom, tau, 0)[1]
+
+
+def test_product_modularity_at_m4():
+    # the (2,2) product 4-gon, 144 cosets: the completion is modular to
+    # rounding, its theta is not identically zero (every coset's series
+    # vanishing would pass the defects trivially), a wrong w breaks S, and
+    # the minimax window keeps the check fast
+    ngon = _product_4gon()
+    tau = complex(0.1234, 0.95)
+    start = time.perf_counter()
+    report = modularity_check(ngon.space, ngon, tau, 6)
+    elapsed = time.perf_counter() - start
+    assert len(report["theta"]) == 144
+    assert report["t_defect"] <= 1e-12 and report["s_defect"] <= 1e-12
+    assert np.max(np.abs(report["theta"])) >= 0.05
+    assert modularity_check(ngon.space, ngon, tau, 6,
+                            w_offset=4)["s_defect"] >= 1e3
+    assert elapsed < 5.0
 
 
 def test_completion_approaches_holomorphic_part(funddom):
@@ -973,7 +1090,7 @@ def test_vertex_planes_built_once(monkeypatch, seed_dodec):
 
     monkeypatch.setattr(NegativePlane, "__init__", counted)
     modularity_check(SPACE_ABC, fundamental_ngon(2), complex(0.1, 0.95), 4)
-    assert len(calls) == 4          # the 4 vertex planes; z0 is the first
+    assert len(calls) == 5          # the 4 vertex planes and the base plane
     dodec = validate_dodec(seed_dodec.space, seed_dodec.cs)
     coset = LatticeCoset(dodec.space)
     dodec_series(coset, dodec, 2)

@@ -9,7 +9,9 @@ respect to the outward normal.  The collection C_0..C_11 of negative
 vectors satisfies the dodecahedron conditions when, for every face i, the
 projected 5-tuple R(i) = (P_i C_j)_{j in F(i)} satisfies the 5-gon
 conditions inside V_i = C_i^perp.  Validation, w(R(i)), D(v) and the signs
-of (x, C_i) read the collection's 12 x 12 integer Gram, built once.
+of (x, C_i) read the collection's 12 x 12 integer Gram, built once.  8 D,
+8 P and the vertex 3-planes are the shared cell code of ngon._Walls on the
+20 vertex triples, with face weights w(R(i)).
 """
 
 import functools
@@ -19,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qspace import NegativePlane, rat, vec, vec_add, vec_scale
-from .ngon import (_Walls, _cyclic_w, _gram_violations, _regular_choice,
-                   default_negative_vector)  # noqa: F401 (re-exported)
+from .qspace import rat, vec, vec_add, vec_scale
+from .ngon import _Walls, _cyclic_w, _gram_violations, _regular_choice
 
 
 def bar(a):
@@ -67,12 +68,11 @@ def cycle_table():
     """The fixed face-cycle table with its 20 vertex triples; all structural
     invariants are checked when it is first built (once per process)."""
     cycles = dict(_TOP_CYCLES)
-    for a in range(6):
-        cycles[bar(a)] = tuple(bar(x) for x in reversed(cycles[a]))
+    for a in range(6, 12):              # keys in the order 0..11
+        cycles[a] = tuple(bar(x) for x in reversed(cycles[bar(a)]))
     seen = {}
     verts = []
-    for i in range(12):
-        cyc = cycles[i]
+    for i, cyc in cycles.items():
         for k in range(5):
             tri = (i, cyc[k], cyc[(k + 1) % 5])
             key = frozenset(tri)
@@ -137,14 +137,14 @@ def _face_grams(space, d, n, comb):
     (C_a, C_b) = n_ab / (d_a d_b den) and n_ii < 0, (P_i C_j, P_i C_k) =
     (n_ij n_ik - n_ii n_jk) / (d_j d_k den |n_ii|).  Raises
     DodecValidationError at the first i with (C_i, C_i) >= 0."""
-    for i in range(12):
+    for i in comb.cycles:
         if n[i][i] >= 0:
             cc = Fraction(n[i][i], d[i] ** 2 * space._den)
             raise DodecValidationError([(i, f"(C_{i}, C_{i}) = {cc} not < 0")])
-    return [([[n[i][j] * n[i][k] - n[i][i] * n[j][k] for k in comb.cycles[i]]
-              for j in comb.cycles[i]],
-             [d[j] for j in comb.cycles[i]], -space._den * n[i][i])
-            for i in range(12)]
+    return [([[n[i][j] * n[i][k] - n[i][i] * n[j][k] for k in cyc]
+              for j in cyc],
+             [d[j] for j in cyc], -space._den * n[i][i])
+            for i, cyc in comb.cycles.items()]
 
 
 class DodecData(_Walls):
@@ -159,35 +159,11 @@ class DodecData(_Walls):
             raise DodecValidationError(bad)
         # w(R(i)) = -sum_l sgn((v_i, R(i)_l)) sgn((v_i, R(i)_{l+1})) for the
         # regular negative v_i in V_i that regular_negative_vector picks
-        self.face_w = tuple(_cyclic_w(_regular_choice(m, s)[1])
-                            for m, s, _ in faces)
-        # 8 D(v) of the default negative vector v
-        self._dv8 = self._d8(_regular_choice(self._gram, self._d)[1])
+        self._set_cell(self.comb.vertices, [_cyclic_w(_regular_choice(m, s)[1])
+                                            for m, s, _ in faces])
 
     def __repr__(self):
         return f"DodecData(sig={self.space.sig})"
-
-    def _d8(self, s):
-        """8 D from the signs s_i of (x, C_i)."""
-        return (sum(s[i] * s[u] * s[v] for i, u, v in self.comb.vertices)
-                + sum(w * t for w, t in zip(self.face_w, s)))
-
-    def vertex_vectors(self, tri):
-        return tuple(self.cs[a] for a in tri)
-
-    @functools.cached_property
-    def vertex_planes(self):
-        """The 20 vertex 3-planes [C_i, C_u, C_v], in the order of
-        comb.vertices, built on first use."""
-        return tuple(NegativePlane(self.space, self.vertex_vectors(tri))
-                     for tri in self.comb.vertices)
-
-    def kernel(self, signs):
-        """8 P = sum_nu sgn(x;nu) + sum_i w(R(i)) sgn((x,C_i)) - 8 D(v) of
-        each row of an integer matrix of the signs of (x, C_i)."""
-        tri = np.array(self.comb.vertices)
-        return (np.prod(signs[:, tri], axis=2).sum(axis=1)
-                + signs @ np.array(self.face_w, dtype=np.int64) - self._dv8)
 
 
 def validate_dodec(space, cs):
@@ -201,19 +177,12 @@ def dodec_D_kernel(dodec, x):
     sgn(x;nu) is the product of the three signs of the vertex triple.  The
     sign is fixed so that D is the pointwise limit of the smooth kernel E
     along regular rays, which the completed series requires."""
-    return Fraction(dodec._d8(dodec.signs(x)), 8)
+    return Fraction(int(dodec.level(dodec.signs(x))), 8)
 
 
 def dodec_P_kernel(dodec, x, v=None):
     """P(x) = D(x) - D(v) for a (deterministic by default) negative v."""
-    if v is None:
-        dv = dodec._dv8
-    else:
-        v = vec(v)
-        if not dodec.space.inner(v, v) < 0:
-            raise ValueError("P kernel requires a negative vector v")
-        dv = dodec._d8(dodec.signs(v))
-    return Fraction(dodec._d8(dodec.signs(x)) - dv, 8)
+    return Fraction(int(dodec.level(dodec.signs(x))) - dodec.level_at(v), 8)
 
 
 def dodec_E_kernel(dodec, x):

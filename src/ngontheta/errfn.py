@@ -323,10 +323,11 @@ def cone_sum(a, f, u, weight, amp=0.0, cut=CONE_CUT):
 def j0_value(ngon, x):
     """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
     for a regular rational x, all N terms in one E_frames batch."""
-    n, s = ngon.n, ngon.signs(x)
+    s = ngon.signs(x)
     if 0 in s:
         raise ValueError("x is not regular: (x, C_j) = 0")
     xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
     a, m, _ = ngon.frames
-    return sum(float(e) - s[j] * s[(j + 1) % n]
-               for j, e in enumerate(E_frames(a, m @ xf))) / 4.0
+    prods = np.prod(np.array(s)[ngon.vertices], axis=1)
+    return sum(float(e) - int(p)
+               for e, p in zip(E_frames(a, m @ xf), prods)) / 4.0

@@ -16,7 +16,7 @@ kernel.  That exact check is what makes a series exact.  When it fails, the
 window is re-certified about the same base plane z0 with twice its safety
 factor, at most RETRIES times; after that the series raises
 CertificationError (CLI exit code 3).  N-gons and dodecahedra share this
-path: both carry their vertex planes and an integer sign kernel.  Series
+path: their vertex tables give the vertex planes and sign kernels.  Series
 take the first vertex plane as base plane, completions minimax_plane,
 whose lower kappa shrinks their windows.  enumerate_coset returns the one
 row batch (CosetRows) that the series driver and the completion kernel
@@ -335,11 +335,11 @@ def _majorant_leq(xnum, dmu, m_exact, bound):
     return q <= math.floor(Fraction(bound) * den), q, den
 
 
-def enumerate_coset(coset, window, slack=Fraction(1), qmax=None):
-    """The vectors x in mu+L with (x,x)_{z0} <= slack*B, as CosetRows: their
+def enumerate_coset(coset, window, qmax=None):
+    """The vectors x in mu+L with (x,x)_{z0} <= GUARD*B, as CosetRows: their
     numerators are formed once, filtered exactly and split at B.  With a
     qmax, only those with 0 <= Q(x) <= qmax, in the same order."""
-    bound = window.B * slack
+    bound = window.B * GUARD
     dmu, munum = _over_lcm(coset.mu)
     band = None if qmax is None else (coset.space.gram_f, float(qmax))
     xnum = _fp_enumerate(window.majorant, coset.mu, bound, band) * dmu + munum
@@ -379,7 +379,7 @@ def _certified_series(coset, walls, nmax, window, safety, den):
         if attempt:
             window = certify_window(coset.space, walls, window.z0.span, nmax,
                                     safety=2 * window.safety)
-        batch = enumerate_coset(coset, window, GUARD, qmax=nmax)
+        batch = enumerate_coset(coset, window, qmax=nmax)
         signs = walls.sign_matrix(batch.xnum)
         num = walls.kernel(signs)
         if not np.any(batch.xx_num[(num != 0) & ~batch.inside] != 0):
@@ -427,7 +427,8 @@ class _CompletionKernel:
     term lies within 2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated
     only where that bound reaches e^{RHO_LOG_TOL}.  The rho_j are Gaussian
     masses of the sign quadrants of the vertex planes span(C_j, C_{j+1}),
-    weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}): the
+    weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}); the wall adjacency, the
+    quadrant ends and the pair screen read ngon.vertices.  The
     (row, edge) pairs that pass a margin screen are pooled over consecutive
     batches, about PAIR_BLOCK pairs at a time, which bounds the pooled
     temporaries, and each pool is one errfn.cone_sum call on ngon.frames."""
@@ -437,6 +438,9 @@ class _CompletionKernel:
         self.w_offset = w_offset
         self.log_bound = math.log(abs(w_invariant(ngon)) + abs(w_offset)
                                   + ngon.n)
+        a, b = ngon.vertices.T
+        self.adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
+        self.adj[a, b] = self.adj[b, a] = 1
 
     def eval_batches(self, batches, v):
         """One array per batch of kernel values times e^{-2 pi v Q} at
@@ -483,7 +487,7 @@ class _CompletionKernel:
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
         # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
         # those that can reach e^{RHO_LOG_TOL} are evaluated
-        coef = np.roll(signs, 1, axis=1) + np.roll(signs, -1, axis=1)
+        coef = signs @ self.adj
         with np.errstate(over='ignore'):
             lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
                             amp[:, None])
@@ -496,10 +500,10 @@ class _CompletionKernel:
         # flips every wall carrying a nonzero sign, so its distance from the
         # Gaussian center is at least the larger signed-wall margin: its
         # term is below e^{lead} of both walls (lead = amp on a zero sign).
-        rows, edges = np.nonzero(np.minimum(lead, np.roll(lead, -1, axis=1))
+        rows, edges = np.nonzero(lead[:, self.ngon.vertices].min(axis=2)
                                  > RHO_LOG_TOL)
         u = scale * np.einsum('pij,pj->pi', proj[edges], xf[rows])
-        ends = signs[rows[:, None], (edges[:, None] + [0, 1]) % self.ngon.n]
+        ends = signs[rows[:, None], self.ngon.vertices[edges]]
         weight = np.prod(SIGNS[:4, 1:] - ends[:, None], axis=2)
         return live, vals, rows, (edges, u, weight, amp[rows])
 
@@ -511,7 +515,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
     if window is None:
         window = certify_window(coset.space, ngon,
                                 minimax_plane(ngon.vertex_planes), nmax)
-    batch = enumerate_coset(coset, window, GUARD).folded()
+    batch = enumerate_coset(coset, window).folded()
     scaled, = _CompletionKernel(ngon, w_offset).eval_batches([batch], tau.imag)
     return _completion_sum(batch, scaled, window, ngon.n, tau)
 
@@ -613,8 +617,8 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     neg = negation_index(reps)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
-    batches = [enumerate_coset(LatticeCoset(space, reps[i]), window,
-                               GUARD).folded() for i in own]
+    batches = [enumerate_coset(LatticeCoset(space, reps[i]), window).folded()
+               for i in own]
     scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
 
     def theta_vec(t):

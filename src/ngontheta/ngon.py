@@ -8,6 +8,8 @@ A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
   (3) (C_j, C_j)(C_{j-1}, C_{j+1}) - (C_j, C_{j-1})(C_j, C_{j+1}) < 0
 All checks are integer signs on the collection's Gram, built once per NGon;
 the collection also owns the signs of (x, C_j), one x or a batch of rows.
+Its vertices are the pairs (j, j+1 mod N) and its face weights 0: level,
+kernel and vertex planes are _Walls', which dodecahedra share.
 """
 
 import functools
@@ -103,11 +105,19 @@ def _cyclic_w(s):
 
 class _Walls:
     """A wall collection's exact integer core (QuadraticSpace.int_core),
-    built once; validation, w, D(v) and the signs of (x, C_j) read it."""
+    built once; validation, w, D(v) and the signs of (x, C_j) read it.  A
+    cell (NGon, DodecData) adds its vertex table and face weights."""
 
     def __init__(self, space, cs):
         self.space, self.cs = space, cs
         self._d, self._gc, self._gram = space.int_core(cs)
+
+    def _set_cell(self, vertices, face_w):
+        """Fix the cell's vertices and face weights and cache the level of
+        the default negative vector v (regular_negative_vector)."""
+        self.vertices, self.face_w = np.array(vertices), tuple(face_w)
+        self._level_v = int(self.level(_regular_choice(self._gram,
+                                                       self._d)[1]))
 
     def signs(self, x):
         """The signs of (x, C_j) for a rational vector x."""
@@ -120,6 +130,36 @@ class _Walls:
         """int64 signs of (x, C_j) for int64 rows xnum, each a positive
         multiple of its x, from the rows gc_j that signs(x) reads."""
         return np.sign(_int_product(xnum, self._gc)).astype(np.int64)
+
+    def level(self, s):
+        """sum over the vertices of the product of their signs, plus
+        face_w . s, for the signs s of (x, C_j) in the last axis: minus the
+        w-sum of an N-gon, 8 D of a dodecahedron."""
+        s = np.asarray(s)
+        return np.prod(s[..., self.vertices], axis=-1).sum(axis=-1) \
+            + s @ self.face_w
+
+    def level_at(self, v=None):
+        """The level of a negative vector v (None: the default v)."""
+        if v is None:
+            return self._level_v
+        v = vec(v)
+        if not self.space.inner(v, v) < 0:
+            raise ValueError("v must be a negative vector")
+        return int(self.level(self.signs(v)))
+
+    def kernel(self, signs):
+        """level(x) - level(v) of each row of an integer matrix of the signs
+        of (x, C_j), v the default negative vector: eps of an N-gon, 8 P of
+        a dodecahedron."""
+        return self.level(signs) - self._level_v
+
+    @functools.cached_property
+    def vertex_planes(self):
+        """The oriented vertex planes [C_a, C_b, ...], one per vertex in
+        the order of `vertices`, built on first use."""
+        return tuple(NegativePlane(self.space, [self.cs[a] for a in tri])
+                     for tri in self.vertices)
 
     @functools.cached_property
     def frames(self):
@@ -141,22 +181,11 @@ class NGon(_Walls):
         if bad:
             raise NGonValidationError(bad[0])
         self.n = len(self.cs)
-        self._w = _cyclic_w(_regular_choice(self._gram, self._d)[1])
+        self._set_cell([(j, (j + 1) % self.n) for j in range(self.n)],
+                       (0,) * self.n)
 
     def __repr__(self):
         return f"NGon(N={self.n}, sig={self.space.sig})"
-
-    @functools.cached_property
-    def vertex_planes(self):
-        """The n oriented vertex planes [C_j, C_{j+1}], built on first use."""
-        return tuple(NegativePlane(self.space, (c, self.cs[(j + 1) % self.n]))
-                     for j, c in enumerate(self.cs))
-
-    def kernel(self, signs):
-        """eps = w + sum_j s_j s_{j+1} of each row of an integer matrix of
-        the signs s_j of (x, C_j)."""
-        return self._w + np.einsum('ij,ij->i', signs,
-                                   np.roll(signs, -1, axis=1))
 
 
 def validate(space, cs):
@@ -169,12 +198,7 @@ def regular_negative_vector(space, cs):
     """Deterministic negative vector v with all (v, C_j) nonzero: the first
     of C_1, C_1 + C_2/k for k = 2, 3, ... that qualifies (exact checks).
     Raises RuntimeError when none does up to k = 10000."""
-    return default_negative_vector(_Walls(space, tuple(vec(c) for c in cs)))
-
-
-def default_negative_vector(walls):
-    """regular_negative_vector for the vectors of a wall collection (an NGon
-    or a DodecData), from its cached integer Gram."""
+    walls = _Walls(space, tuple(vec(c) for c in cs))
     k = _regular_choice(walls._gram, walls._d)[0]
     c0, c1 = walls.cs[:2]
     return c0 if k == 1 else vec_add(c0, vec_scale(Fraction(1, k), c1))
@@ -182,18 +206,13 @@ def default_negative_vector(walls):
 
 def w_invariant(ngon, v=None):
     """w = -sum_j sgn(v,C_j) sgn(v,C_{j+1}) for any negative v."""
-    if v is None:
-        return ngon._w
-    v = vec(v)
-    if not ngon.space.inner(v, v) < 0:
-        raise ValueError("w invariant requires a negative vector v")
-    return _cyclic_w(ngon.signs(v))
+    return -ngon.level_at(v)
 
 
 def epsilon(ngon, x):
     """eps(x) = w + sum_j sgn(x,C_j) sgn(x,C_{j+1}); total function, sgn(0)=0."""
     s = ngon.signs(x)
-    return KernelValue(eps=int(ngon._w - _cyclic_w(s)), regular=all(s))
+    return KernelValue(eps=int(ngon.kernel(s)), regular=all(s))
 
 
 def vertex_plane(ngon, j):

@@ -18,7 +18,7 @@ from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC, recover_ngon,
                              reduced_forms, truncated_class_series)
 from ngontheta.lattice import (LatticeCoset, EnumWindow, certify_window,
                                enumerate_coset, holomorphic_series,
-                               modularity_check, GUARD)
+                               modularity_check)
 from ngontheta import jsonio
 
 from conftest import random_negative_abc
@@ -126,7 +126,7 @@ def test_criterion_04_vanishing_on_nonpositive_norms():
     t0 = time.monotonic()
     g = fundamental_ngon(2)
     window = certify_window(SPACE_ABC, g, (E2_ABC, E3_ABC), 50)
-    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)
+    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     signs = g.sign_matrix(batch.xnum)
     prod = np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
     eps = w_invariant(g) + prod
@@ -264,8 +264,8 @@ def test_criterion_08_enumeration_certification():
     window = EnumWindow(z0=NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)),
                         B=Fraction(4), kappa=1.0, safety=1.0,
                         nmax=Fraction(1))
-    ks = enumerate_coset(LatticeCoset(SPACE_ABC), window).ks
-    got = sorted(tuple(int(v) for v in row) for row in ks)
+    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
+    got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
     assert got == sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
                           (0, -1, 0), (0, 0, 1), (0, 0, -1)])
     elapsed = time.monotonic() - t0

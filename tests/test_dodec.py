@@ -12,7 +12,7 @@ from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
 from ngontheta import lattice
 from ngontheta.dodec import (bar, cycle_table, recipe_step, cyclic_equal,
                              check_dodec_conditions, DodecValidationError,
-                             validate_dodec, default_negative_vector,
+                             validate_dodec,
                              dodec_D_kernel, dodec_P_kernel, dodec_E_kernel,
                              seed_construction, PHI_HAT, dodec_series)
 from ngontheta.ngon import regular_negative_vector
@@ -156,7 +156,7 @@ def test_d_kernel_vanishes_on_negative_vectors(seed_dodec):
 
 def test_p_kernel_properties(seed_dodec):
     rng = random.Random(35)
-    v0 = default_negative_vector(seed_dodec)
+    v0 = regular_negative_vector(seed_dodec.space, seed_dodec.cs)
     assert seed_dodec.space.inner(v0, v0) < 0
     assert dodec_P_kernel(seed_dodec, v0) == 0
     with pytest.raises(ValueError):
@@ -257,11 +257,11 @@ def test_vertex_kappa_bounds_edge_samples():
         dodec = validate_dodec(space, seed_construction(space, Z0, V0, ts))
         assert len(_dodec_edges(dodec.comb)) == 30
         planes = _edge_planes(dodec)
-        tri = rng.choice(dodec.comb.vertices)
+        vertex_plane = rng.choice(dodec.vertex_planes)
         # a 3-plane tilted towards the positive axis by |r|^2 <= 3/16
         r = [Fraction(rng.randint(-4, 4), 16) for _ in range(3)]
         tilted = tuple((r[k],) + Z0[k][1:] for k in range(3))
-        for z0 in (dodec.vertex_vectors(tri), tilted):
+        for z0 in (vertex_plane.span, tilted):
             vertex = certify_window(space, dodec, z0, 1, safety=1.0).kappa
             edge = window_from_planes(space, z0, planes, 1,
                                       safety=1.0).kappa
@@ -270,7 +270,7 @@ def test_vertex_kappa_bounds_edge_samples():
 
 def test_vertex_planes_are_negative(seed_dodec):
     for tri in seed_dodec.comb.vertices:
-        NegativePlane(seed_dodec.space, seed_dodec.vertex_vectors(tri))
+        NegativePlane(seed_dodec.space, [seed_dodec.cs[a] for a in tri])
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +317,7 @@ def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
         return small(z0_span, safety)
 
     monkeypatch.setattr(lattice, "certify_window", always_small)
-    z0 = seed_dodec4.vertex_vectors(seed_dodec4.comb.vertices[0])
+    z0 = seed_dodec4.vertex_planes[0].span
     mu = (Fraction(1, 4), 0, 0, 0)
     with pytest.raises(CertificationError):
         dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 2,
@@ -326,7 +326,7 @@ def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
 
 
 def test_dodec_window_grows_with_nmax(seed_dodec4):
-    z0 = seed_dodec4.vertex_vectors(seed_dodec4.comb.vertices[0])
+    z0 = seed_dodec4.vertex_planes[0].span
     w1 = certify_window(SP4, seed_dodec4, z0, 2)
     w2 = certify_window(SP4, seed_dodec4, z0, 4)
     assert w2.B >= 2 * w1.B * Fraction(63, 64)
@@ -384,7 +384,7 @@ def test_gram_path_matches_vector_oracle(space_q3, ts, move, j, j2, scale,
     d = validate_dodec(sp, cs)
     assert d.face_w == face_w_vec(sp, cs)
     v = regular_negative_vector_vec(sp, cs)
-    assert default_negative_vector(d) == v
+    assert regular_negative_vector(d.space, d.cs) == v
     dv = dodec_D_vec(sp, cs, d.face_w, v)
     for x in list(xs) + [sp.project_perp(x, cs[wall]) for x in xs]:
         dx = dodec_D_vec(sp, cs, d.face_w, x)

@@ -12,7 +12,7 @@ from ngontheta.qspace import QuadraticSpace
 from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN,
                              QuadratureError, cone_mass_2d, cone_mass_3d,
                              cone_dist2, cone_sum, _orthant, _radial_1,
-                             j0_value)
+                             j0_value, E_frames)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
 SQPI = math.sqrt(math.pi)
@@ -375,6 +375,53 @@ def test_j0_value_matches_per_edge_sum_bitwise(funddom):
             assert j0_value(ngon, x) == want, x
             slow += want != 0.0
     assert slow >= 10
+
+
+def _vigneras_residual(f, ginv, x, h):
+    """x . grad f - tr(G^{-1} hess f) / (4 pi) at x, by central differences
+    of step h in the coordinates of x."""
+    e = np.eye(len(x)) * h
+    f0 = f(x)
+    grad = np.array([f(x + d) - f(x - d) for d in e]) / (2 * h)
+    hess = np.empty((len(x), len(x)))
+    for i in range(len(x)):
+        hess[i, i] = (f(x + e[i]) - 2 * f0 + f(x - e[i])) / (h * h)
+        for j in range(i):
+            hess[i, j] = hess[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j])
+                - f(x - e[i] + e[j]) + f(x - e[i] - e[j])) / (4 * h * h)
+    return x @ grad - np.sum(ginv * hess) / (4 * math.pi)
+
+
+def _max_vigneras_residual(kernel, scale, ginv, seed=7, h=2e-3):
+    """The largest |residual| of f(x) = kernel(scale x) over 20 seeded points
+    in [-1, 1]^3, Richardson-extrapolated from steps h and h/2."""
+    def f(x):
+        return kernel(scale * x)
+    xs = np.random.default_rng(seed).uniform(-1.0, 1.0, (20, 3))
+    return max(abs(4 * _vigneras_residual(f, ginv, x, h / 2)
+                   - _vigneras_residual(f, ginv, x, h)) / 3 for x in xs)
+
+
+@pytest.mark.parametrize("kernel", ["E1 wall", "E2 vertex sum"])
+def test_vigneras_local_modularity(funddom, kernel):
+    # the smooth kernels f(x) = K(sqrt(2) x) solve Vigneras' equation
+    # x . grad f - tr(G^{-1} hess f) / (4 pi) = 0, which makes their theta
+    # series modular of weight m/2: E1 of one funddom wall, and the sum of
+    # E2 over the vertex planes (the smooth form of the completion kernel,
+    # tied to it by test_completion_kernel_matches_e2_sum).  Without the
+    # sqrt(2) the residual is of order 1.
+    space = funddom.space
+    a, m, _ = funddom.frames
+    if kernel == "E1 wall":
+        def k(y):
+            return E1(space, funddom.cs[0], y)
+    else:
+        def k(y):
+            return float(np.sum(E_frames(a, m @ y)))
+    ginv = np.linalg.inv(space.gram_f)
+    assert _max_vigneras_residual(k, math.sqrt(2.0), ginv) <= 1e-8
+    assert _max_vigneras_residual(k, 1.0, ginv) > 0.1
 
 
 def _spherical_triangle_mass(u, v, epsabs, epsrel):

@@ -22,10 +22,10 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                minimax_plane, _kappas, _majorant_f,
                                _tail_estimate)
 from ngontheta import lattice
-from ngontheta.dodec import (dodec_series, dodec_D_kernel,
-                             default_negative_vector, seed_construction,
+from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
                              validate_dodec)
-from ngontheta.ngon import w_invariant, vertex_plane, gamma_sample, validate
+from ngontheta.ngon import (w_invariant, vertex_plane, gamma_sample, validate,
+                            regular_negative_vector)
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
                              truncated_class_series, butterfly_ngon,
@@ -128,14 +128,14 @@ def test_enumeration_small_ball(space_e):
     # origin and the six unit vectors
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(2),
                         kappa=1.0, safety=1.0, nmax=Fraction(1))
-    ks = enumerate_coset(LatticeCoset(space_e), window).ks
-    got = sorted(tuple(int(v) for v in row) for row in ks)
+    batch = enumerate_coset(LatticeCoset(space_e), window)
+    got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
     want = sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                    (0, 0, 1), (0, 0, -1)])
     assert got == want
     # B = 4 additionally admits the twelve two-coordinate vectors
     window.B = Fraction(4)
-    assert len(enumerate_coset(LatticeCoset(space_e), window)) == 19
+    assert enumerate_coset(LatticeCoset(space_e), window).inside.sum() == 19
 
 
 def test_lattice_coset_rejects_wrong_length_mu(space_e):
@@ -150,9 +150,9 @@ def test_lattice_coset_rejects_wrong_length_mu(space_e):
 def test_enumeration_shifted_coset(space_e):
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(1, 2),
                         kappa=1.0, safety=1.0, nmax=Fraction(1))
-    ks = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)),
-                         window).ks
-    got = sorted(tuple(int(v) for v in row) for row in ks)
+    batch = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)),
+                            window)
+    got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
     assert got == [(-1, 0, 0), (0, 0, 0)]   # x = k + mu = (-1/2,0,0), (1/2,0,0)
 
 
@@ -262,18 +262,18 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
         bound = data.draw(st.fractions(0, 12, max_denominator=64))
     assume(how != "row" or bound <= 40)
     # enumerate_coset reads only mu and the Gram of the coset, and only the
-    # majorant and B of the window; it enumerates up to slack * B = bound
+    # majorant and B of the window; it enumerates up to GUARD * B = bound
     # and splits the rows at B
     rows = enumerate_coset(
         SimpleNamespace(mu=mu, space=QuadraticSpace(
             [[int(i == j) for j in range(m)] for i in range(m)])),
-        SimpleNamespace(majorant=mat, B=bound / 2), slack=Fraction(2))
+        SimpleNamespace(majorant=mat, B=bound / GUARD))
     got = rows.ks
     want = _fp_enumerate_recursive(mat, mu, bound)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and got.shape[1] == m
     assert np.array_equal(got, want)
-    assert rows.inside.tolist() == [qform(k) <= bound / 2
+    assert rows.inside.tolist() == [qform(k) <= bound / GUARD
                                     for k in got.tolist()]
     if how == "row":
         assert len(got)
@@ -323,12 +323,12 @@ def test_band_enumeration_matches_filtered_full_enumeration():
         reps = disc_group(space)
         for mu in reps[:6] + [tuple(c + 2 for c in reps[-1])]:
             coset = LatticeCoset(space, mu)
-            full = enumerate_coset(coset, window, GUARD)
+            full = enumerate_coset(coset, window)
             qs = [Fraction(int(v), 2 * full.dmu ** 2) for v in full.xx_num]
             pos = sorted(q for q in qs if q > 0)
             for qmax in (Fraction(0), pos[len(pos) // 3], pos[-1]):
                 keep = np.array([0 <= q <= qmax for q in qs], dtype=bool)
-                band = enumerate_coset(coset, window, GUARD, qmax=qmax)
+                band = enumerate_coset(coset, window, qmax=qmax)
                 raw_rows += len(lattice._fp_enumerate(
                     window.majorant, mu, window.B * GUARD,
                     (space.gram_f, float(qmax))))
@@ -428,7 +428,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     # eval_batches returns each row's term at its final weight:
     # (w + sum_j E2) * e^{amp} with amp = -2 pi v Q, capped at 600
     window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 2)
-    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)
+    batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     kern = _CompletionKernel(funddom)
     v = 0.37
     got = kern.eval_batches([batch], v)[0]
@@ -447,7 +447,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
 @pytest.fixture(scope="module")
 def funddom_batches(funddom):
     window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 4)
-    return [enumerate_coset(LatticeCoset(SPACE_ABC, mu), window, GUARD)
+    return [enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
             for mu in disc_group(SPACE_ABC)]
 
 
@@ -668,7 +668,7 @@ def test_folded_batch_matches_full_sum(funddom):
         if any((2 * c).denominator != 1 for c in mu):
             continue
         folded += 1
-        full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window, GUARD)
+        full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
         half = full.folded()
         assert np.sum(half.mult) == len(full)
         assert 2 * len(half) - len(full) == int(not any(mu))    # x = 0 in L
@@ -690,8 +690,8 @@ def test_tail_estimate_of_an_empty_batch(funddom):
     tau = complex(0.1234, 0.95)
     window = completion_window(funddom, 0)
     empty = LatticeCoset(SPACE_ABC, (0, 0, Fraction(1, 4)))
-    assert len(enumerate_coset(empty, window, GUARD)) == 0
-    assert len(enumerate_coset(LatticeCoset(SPACE_ABC), window, GUARD)) == 1
+    assert len(enumerate_coset(empty, window)) == 0
+    assert len(enumerate_coset(LatticeCoset(SPACE_ABC), window)) == 1
     assert completion_eval(empty, funddom, tau, 0)[1] \
         == completion_eval(LatticeCoset(SPACE_ABC), funddom, tau, 0)[1]
 
@@ -951,7 +951,8 @@ def _p8_num(dodec, signs):
     trip = np.zeros(len(signs), dtype=np.int64)
     for (i, u, v) in dodec.comb.vertices:
         trip += signs[:, i] * signs[:, u] * signs[:, v]
-    dv = 8 * dodec_D_kernel(dodec, default_negative_vector(dodec))
+    dv = 8 * dodec_D_kernel(dodec,
+                            regular_negative_vector(dodec.space, dodec.cs))
     return trip + signs @ np.array(dodec.face_w) - int(dv)
 
 
@@ -992,7 +993,7 @@ def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
     poly, series, num, den = _series_input(case, funddom, seed_dodec)
     coset = LatticeCoset(poly.space, mu)
     qe = series(coset, nmax)
-    batch = enumerate_coset(coset, qe.window, GUARD)
+    batch = enumerate_coset(coset, qe.window)
     signs = poly.sign_matrix(batch.xnum)
     entries, flags, bad_guard = _row_loop_series(batch, signs, num(signs),
                                                  den, Fraction(nmax))
@@ -1031,8 +1032,8 @@ def test_window_split_is_exact(mu):
         return [sum(x[i] * mat[i][j] * x[j] for i in range(3)
                     for j in range(3)) for x in xs]
 
-    window.B = sorted(norms(enumerate_coset(coset, window, GUARD)))[10]
-    batch = enumerate_coset(coset, window, GUARD)
+    window.B = sorted(norms(enumerate_coset(coset, window)))[10]
+    batch = enumerate_coset(coset, window)
     got = norms(batch)
     assert got.count(window.B) >= 1
     assert batch.inside.dtype == bool
@@ -1042,7 +1043,7 @@ def test_window_split_is_exact(mu):
 def test_guard_band_retry_keeps_base_plane(funddom):
     coset = LatticeCoset(SPACE_ABC)
     small = _small_window((E2_ABC, E3_ABC), 1.0)
-    batch = enumerate_coset(coset, small, GUARD)
+    batch = enumerate_coset(coset, small)
     signs = funddom.sign_matrix(batch.xnum)
     assert _row_loop_series(batch, signs, _eps_num(funddom, signs), 1,
                             Fraction(6))[2]

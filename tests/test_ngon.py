@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ngontheta.ngon import (check_conditions, validate, NGonValidationError,
                             Violation, KernelValue, w_invariant, epsilon,
-                            default_negative_vector, vertex_plane,
-                            regular_negative_vector,
+                            vertex_plane, regular_negative_vector,
                             gamma_sample, illegal_variant_kernel, from_abmp,
                             to_abmp, abmp_kernel, _abmp_sign)
 from ngontheta.sig12 import (SPACE_ABC, butterfly_collection, butterfly_ngon,
@@ -166,7 +165,7 @@ def test_kernel_multiple_of_four_when_regular(x):
 
 def test_default_negative_vector_is_regular(funddom, funddom_e):
     for g in (funddom, funddom_e):
-        v = default_negative_vector(g)
+        v = regular_negative_vector(g.space, g.cs)
         assert g.space.inner(v, v) < 0
         assert all(g.space.inner(v, c) != 0 for c in g.cs)
 

@@ -532,11 +532,13 @@ def _completion_sum(batch, scaled, window, n_edges, tau):
 
 def _tail_estimate(batch, window, n_edges, v):
     """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa},
-    the lattice-point density calibrated from the vectors the batch holds."""
+    the lattice-point density calibrated from the vectors the batch holds
+    inside the window, (x,x)_{z0} <= B."""
     from scipy.special import gammaincc, gamma as gamma_fn
     m = window.z0.space.dim
     bf = float(window.B)
-    count = max(int(np.sum(np.broadcast_to(batch.mult, len(batch)))), 1)
+    mult = np.broadcast_to(batch.mult, len(batch))
+    count = max(int(np.sum(mult[batch.inside])), 1)
     c = count * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
     lam = math.pi * v / window.kappa
     # integral_B^inf t^{m/2-1} e^{-lam t} dt = Gamma(m/2) lam^{-m/2} Q(m/2, lam B)

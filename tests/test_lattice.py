@@ -20,7 +20,7 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                negation_index, _CompletionKernel,
                                CertificationError, _majorant_leq,
                                minimax_plane, _kappas, _majorant_f,
-                               _tail_estimate)
+                               _tail_estimate, CosetRows)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
                              validate_dodec)
@@ -681,6 +681,29 @@ def test_folded_batch_matches_full_sum(funddom):
             * np.sum(np.abs(terms)), mu
         assert tail == _tail_estimate(full, window, funddom.n, 1.1)
     assert folded == 8
+
+
+def _window_rows(batch):
+    """The batch without its guard-band rows."""
+    keep = batch.inside
+    mult = batch.mult[keep] if np.ndim(batch.mult) else batch.mult
+    return CosetRows(batch.xnum[keep], batch.dmu, batch.munum, keep[keep],
+                     batch.xx_num[keep], mult=mult)
+
+
+def test_tail_estimate_counts_window_rows_only(funddom):
+    # the density is calibrated against B^{m/2}, so only rows with
+    # (x,x)_{z0} <= B may count: the guard band up to GUARD * B leaves every
+    # tail unchanged, on full and on folded batches
+    window = completion_window(funddom, 6)
+    guard_rows = 0
+    for mu in disc_group(SPACE_ABC):
+        full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
+        guard_rows += int(np.sum(~full.inside))
+        for batch in (full, full.folded()):
+            assert _tail_estimate(batch, window, funddom.n, 0.95) \
+                == _tail_estimate(_window_rows(batch), window, funddom.n, 0.95)
+    assert guard_rows > 0
 
 
 def test_tail_estimate_of_an_empty_batch(funddom):

@@ -11,8 +11,9 @@ Subcommands:
   errfn eval                      generalized error function values
 
 Exit codes: 0 success; 1 malformed input (bad JSON, missing file, a field
-or vector argument of the wrong shape, a non-finite tau or |tau| > TAU_MAX); 2
-validation failure; 3 certification or quadrature failure.
+or vector argument of the wrong shape, a non-finite tau or |tau| > TAU_MAX,
+an errfn --x entry above X_MAX in absolute value); 2 validation failure;
+3 certification or quadrature failure.
 """
 
 import argparse
@@ -26,6 +27,7 @@ from .ngon import (NGonValidationError, validate, epsilon, w_invariant,
                    check_conditions)
 
 TAU_MAX = 1e50  # beyond it Im(-1/tau) can underflow or floats overflow
+X_MAX = 1e50    # cap on errfn eval --x entries; near 1e308 (x, c) overflows
 
 
 def _parse_vector_arg(s, flag, dim):
@@ -277,7 +279,11 @@ def cmd_errfn(args):
     from .errfn import E1, E2, E3
     space = jsonio.space_from_json(jsonio.load_json(args.space), args.space)
     cs = [_parse_vector_arg(c, "--c", space.dim) for c in args.c]
-    x = [float(t) for t in _parse_vector_arg(args.x, "--x", space.dim)]
+    x = _parse_vector_arg(args.x, "--x", space.dim)
+    if any(abs(t) > X_MAX for t in x):
+        raise InputError(f"--x {args.x!r}: entries must be at most "
+                         f"{X_MAX:g} in absolute value")
+    x = [float(t) for t in x]
     fn = {1: E1, 2: E2, 3: E3}.get(len(cs))
     if fn is None:
         raise InputError("errfn eval takes 1, 2, or 3 --c vectors")

@@ -30,7 +30,8 @@ The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
 term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
-rho cone masses by their distance from the Gaussian centre.
+rho cone masses by their distance from the Gaussian centre.  The rho masses
+of all cosets at one Im tau are one cone_sum call.
 The kernel is even in x: modularity_check evaluates one coset of each
 +-mu pair (theta_{-mu} = theta_mu), and CosetRows.folded one x of each +-x.
 """
@@ -49,7 +50,6 @@ from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
                      vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
-PAIR_BLOCK = 8192        # rho pairs pooled per round of cone masses
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
 GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
@@ -114,7 +114,6 @@ class EnumWindow:
     B: Fraction
     kappa: float
     safety: float
-    nmax: Fraction
 
     @cached_property
     def majorant(self):
@@ -164,8 +163,8 @@ def minimax_plane(planes):
     return plane if kappa[0] < kappa[1] else planes[0]
 
 
-def window_from_planes(space, z0, planes, nmax, safety=1.5):
-    """Comparability window about z0 (a NegativePlane, or the span of one):
+def window_from_planes(z0, planes, nmax, safety=1.5):
+    """Comparability window about the NegativePlane z0:
     kappa = safety * max over the given planes of the largest generalized
     eigenvalue of M_{z0} against M_z, in floating point by _kappas (the
     guard band, not kappa, makes the series exact).  Below safety 1 the
@@ -174,30 +173,25 @@ def window_from_planes(space, z0, planes, nmax, safety=1.5):
         raise ValueError("safety must be a finite number >= 1")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if not isinstance(z0, NegativePlane):
-        span = tuple(map(vec, z0))
-        z0 = next((p for p in planes if p.span == span), None) \
-            or NegativePlane(space, span)
     ev = _kappas(_majorant_f(z0), np.array([_majorant_f(p) for p in planes]))
     kappa = max(1.0, float(np.max(ev))) * safety
     b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
-    return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety, nmax=rat(nmax))
+    return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety)
 
 
-def certify_window(space, walls, z0, nmax, safety=1.5):
+def certify_window(walls, z0, nmax, safety=1.5):
     """Window for the kernel of an NGon or a DodecData from its vertex
-    planes, about the base plane z0, a NegativePlane or its span (None: the
-    first vertex plane).  An N-gon edge plane [C_j, (s-1) C_{j-1} + s C_{j+1}]
-    lies on the geodesic between two vertex planes [C_j, C_{j+1}] inside the
-    totally geodesic H^2 of span(C_{j-1}, C_j, C_{j+1}); a dodecahedral edge
-    plane [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two
-    vertex 3-planes inside the H^3 of span(C_i, C_j, C_a, C_b).  By
-    convexity of log lambda_max neither can raise kappa above its value at
-    the vertices."""
+    planes, about the NegativePlane z0 (None: the first vertex plane).  An
+    N-gon edge plane [C_j, (s-1) C_{j-1} + s C_{j+1}] lies on the geodesic
+    between two vertex planes [C_j, C_{j+1}] inside the totally geodesic H^2
+    of span(C_{j-1}, C_j, C_{j+1}); a dodecahedral edge plane
+    [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two vertex
+    3-planes inside the H^3 of span(C_i, C_j, C_a, C_b).  By convexity of
+    log lambda_max neither can raise kappa above its value at the
+    vertices."""
     if z0 is None:
         z0 = walls.vertex_planes[0]
-    return window_from_planes(space, z0, walls.vertex_planes, nmax,
-                              safety=safety)
+    return window_from_planes(z0, walls.vertex_planes, nmax, safety=safety)
 
 
 def _check_space(space, walls):
@@ -374,11 +368,10 @@ def _certified_series(coset, walls, nmax, window, safety, den):
     own base plane at twice its safety, at most RETRIES times."""
     _check_space(coset.space, walls)
     if window is None:
-        window = certify_window(coset.space, walls, None, nmax, safety)
+        window = certify_window(walls, None, nmax, safety)
     for attempt in range(RETRIES + 1):
         if attempt:
-            window = certify_window(coset.space, walls, window.z0.span, nmax,
-                                    safety=2 * window.safety)
+            window = certify_window(walls, window.z0, nmax, 2 * window.safety)
         batch = enumerate_coset(coset, window, qmax=nmax)
         signs = walls.sign_matrix(batch.xnum)
         num = walls.kernel(signs)
@@ -429,9 +422,8 @@ class _CompletionKernel:
     masses of the sign quadrants of the vertex planes span(C_j, C_{j+1}),
     weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}); the wall adjacency, the
     quadrant ends and the pair screen read ngon.vertices.  The
-    (row, edge) pairs that pass a margin screen are pooled over consecutive
-    batches, about PAIR_BLOCK pairs at a time, which bounds the pooled
-    temporaries, and each pool is one errfn.cone_sum call on ngon.frames."""
+    (row, edge) pairs of all batches that pass a margin screen go to one
+    errfn.cone_sum call on ngon.frames."""
 
     def __init__(self, ngon, w_offset=0):
         self.ngon = ngon
@@ -443,29 +435,23 @@ class _CompletionKernel:
         self.adj[a, b] = self.adj[b, a] = 1
 
     def eval_batches(self, batches, v):
-        """One array per batch of kernel values times e^{-2 pi v Q} at
-        Im tau = v: evaluated window rows carry their term, skipped window
-        rows and guard-band rows 0."""
+        """One array per batch (at least one) of kernel values times
+        e^{-2 pi v Q} at Im tau = v: evaluated window rows carry their term,
+        skipped window rows and guard-band rows 0."""
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
         scale = math.sqrt(2.0 * v)
-        out, group = [], []
-        for i, batch in enumerate(batches):
-            group.append((len(batch), *self._row_terms(batch, v, scale)))
-            if (sum(len(g[3]) for g in group) < PAIR_BLOCK
-                    and i + 1 < len(batches)):
-                continue
-            # one cone_sum call for the pooled pairs of the group
-            pool = (np.concatenate(a) for a in zip(*(g[4] for g in group)))
-            rho = cone_sum(self.ngon.frames[0], *pool, cut=-RHO_LOG_TOL)
-            start = 0
-            for size, live, vals, rows, _ in group:
-                o = np.zeros(size)
-                o[live] = vals + np.bincount(
-                    rows, rho[start:start + len(rows)], minlength=len(vals))
-                start += len(rows)
-                out.append(o)
-            group = []
+        terms = [self._row_terms(batch, v, scale) for batch in batches]
+        # one cone_sum call for the rho pairs of every batch
+        pairs = (np.concatenate(a) for a in zip(*(t[3] for t in terms)))
+        rho = cone_sum(self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL)
+        out, start = [], 0
+        for batch, (live, vals, rows, _) in zip(batches, terms):
+            o = np.zeros(len(batch))
+            o[live] = vals + np.bincount(
+                rows, rho[start:start + len(rows)], minlength=len(vals))
+            start += len(rows)
+            out.append(o)
         return out
 
     def _row_terms(self, batch, v, scale):
@@ -513,8 +499,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
     estimate: (value, tail).  The default window is about minimax_plane."""
     _check_space(coset.space, ngon)
     if window is None:
-        window = certify_window(coset.space, ngon,
-                                minimax_plane(ngon.vertex_planes), nmax)
+        window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     batch = enumerate_coset(coset, window).folded()
     scaled, = _CompletionKernel(ngon, w_offset).eval_batches([batch], tau.imag)
     return _completion_sum(batch, scaled, window, ngon.n, tau)
@@ -613,8 +598,7 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     _check_space(space, ngon)
     reps, tdiag, smat = weil = weil_matrices(space)
     m = space.dim
-    window = certify_window(space, ngon, minimax_plane(ngon.vertex_planes),
-                            nmax)
+    window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     kern = _CompletionKernel(ngon, w_offset)
     neg = negation_index(reps)
     own = [i for i, j in enumerate(neg) if i <= j]

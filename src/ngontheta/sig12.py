@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qspace import QuadraticSpace, rat, vec, vec_primitive
+from .qspace import NegativePlane, QuadraticSpace, rat, vec, vec_primitive
 from .ngon import validate, sgn
 
 # Gram of (X,Y) = -tr(XY) in [a,b,c] coordinates: (x,x) = 2(4ac - b^2)
@@ -257,7 +257,7 @@ def truncated_class_series(t, nmax, safety=1.5):
     from .lattice import LatticeCoset, holomorphic_series, certify_window
     ngon = fundamental_ngon(t)
     coset = LatticeCoset(SPACE_ABC)
-    window = certify_window(SPACE_ABC, ngon, (E2_ABC, E3_ABC), nmax,
-                            safety=safety)
+    window = certify_window(ngon, NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)),
+                            nmax, safety=safety)
     return holomorphic_series(coset, ngon, nmax, window=window,
                               normalized=True)

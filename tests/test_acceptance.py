@@ -125,7 +125,7 @@ def test_criterion_03_linking_law():
 def test_criterion_04_vanishing_on_nonpositive_norms():
     t0 = time.monotonic()
     g = fundamental_ngon(2)
-    window = certify_window(SPACE_ABC, g, (E2_ABC, E3_ABC), 50)
+    window = certify_window(g, NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)), 50)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     signs = g.sign_matrix(batch.xnum)
     prod = np.einsum('ij,ij->i', signs, np.roll(signs, -1, axis=1))
@@ -262,8 +262,7 @@ def test_criterion_08_enumeration_certification():
     assert d1.entries == d2.entries and d1.flags == d2.flags
     # the B = 4 window about the base plane holds exactly 7 vectors
     window = EnumWindow(z0=NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)),
-                        B=Fraction(4), kappa=1.0, safety=1.0,
-                        nmax=Fraction(1))
+                        B=Fraction(4), kappa=1.0, safety=1.0)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
     assert got == sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),

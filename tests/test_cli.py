@@ -624,6 +624,14 @@ MALFORMED = {
                                  "error: --tau '1e60+1e-200i': |tau| must"),
     "modularity-tau-cap-tail": (["theta", "modularity", *THETA, "--nmax",
                                  "2", "--tau=1e50+1e-200i"], 3, TAIL),
+    # an --x entry beyond cli.X_MAX = 1e50: 1e400 overflowed float(), 1e308
+    # the inner products (E1 = nan)
+    "errfn-x-overflow": (["errfn", "eval", "--space", SPACE, "--c", "0,1,0",
+                          "--x", "1e400,0,0"], 1,
+                         "error: --x '1e400,0,0': entries must be at most"),
+    "errfn-x-huge": (["errfn", "eval", "--space", SPACE, "--c", "0,1,0",
+                      "--x", "1e308,0,0"], 1,
+                     "error: --x '1e308,0,0': entries must be at most"),
 }
 
 

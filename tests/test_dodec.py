@@ -261,10 +261,9 @@ def test_vertex_kappa_bounds_edge_samples():
         # a 3-plane tilted towards the positive axis by |r|^2 <= 3/16
         r = [Fraction(rng.randint(-4, 4), 16) for _ in range(3)]
         tilted = tuple((r[k],) + Z0[k][1:] for k in range(3))
-        for z0 in (vertex_plane.span, tilted):
-            vertex = certify_window(space, dodec, z0, 1, safety=1.0).kappa
-            edge = window_from_planes(space, z0, planes, 1,
-                                      safety=1.0).kappa
+        for z0 in (vertex_plane, NegativePlane(space, tilted)):
+            vertex = certify_window(dodec, z0, 1, safety=1.0).kappa
+            edge = window_from_planes(z0, planes, 1, safety=1.0).kappa
             assert vertex >= edge * (1 - 1e-12), (vertex, edge)
 
 
@@ -308,16 +307,15 @@ def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
     # has (x,x)_{z0} ~ 2.30 and falls in the guard band (2, 12/5]
     calls = []
 
-    def small(z0_span, safety):
-        return EnumWindow(z0=NegativePlane(SP4, z0_span), B=Fraction(2),
-                          kappa=1.0, safety=safety, nmax=Fraction(2))
+    def small(z0, safety):
+        return EnumWindow(z0=z0, B=Fraction(2), kappa=1.0, safety=safety)
 
-    def always_small(space, dodec, z0_span, nmax, safety=1.5):
-        calls.append((z0_span, safety))
-        return small(z0_span, safety)
+    def always_small(dodec, z0, nmax, safety=1.5):
+        calls.append((z0, safety))
+        return small(z0, safety)
 
     monkeypatch.setattr(lattice, "certify_window", always_small)
-    z0 = seed_dodec4.vertex_planes[0].span
+    z0 = seed_dodec4.vertex_planes[0]
     mu = (Fraction(1, 4), 0, 0, 0)
     with pytest.raises(CertificationError):
         dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 2,
@@ -326,9 +324,9 @@ def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
 
 
 def test_dodec_window_grows_with_nmax(seed_dodec4):
-    z0 = seed_dodec4.vertex_planes[0].span
-    w1 = certify_window(SP4, seed_dodec4, z0, 2)
-    w2 = certify_window(SP4, seed_dodec4, z0, 4)
+    z0 = seed_dodec4.vertex_planes[0]
+    w1 = certify_window(seed_dodec4, z0, 2)
+    w2 = certify_window(seed_dodec4, z0, 4)
     assert w2.B >= 2 * w1.B * Fraction(63, 64)
 
 

@@ -34,6 +34,7 @@ from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
 from conftest import majorant_exact, mat_det, mat_inv
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
+Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
 
 
 def test_disc_group_sizes(space_e, space_abc):
@@ -127,7 +128,7 @@ def test_enumeration_small_ball(space_e):
     # (x,x)_{z0} = 2|x|^2 on the diagonal lattice: B = 2 gives exactly the
     # origin and the six unit vectors
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(2),
-                        kappa=1.0, safety=1.0, nmax=Fraction(1))
+                        kappa=1.0, safety=1.0)
     batch = enumerate_coset(LatticeCoset(space_e), window)
     got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
     want = sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
@@ -149,7 +150,7 @@ def test_lattice_coset_rejects_wrong_length_mu(space_e):
 
 def test_enumeration_shifted_coset(space_e):
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(1, 2),
-                        kappa=1.0, safety=1.0, nmax=Fraction(1))
+                        kappa=1.0, safety=1.0)
     batch = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)),
                             window)
     got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
@@ -319,7 +320,7 @@ def test_band_enumeration_matches_filtered_full_enumeration():
     for space, span, sign in _band_bases():
         signs.add(sign)
         window = EnumWindow(z0=NegativePlane(space, span), B=Fraction(40),
-                            kappa=1.0, safety=1.0, nmax=Fraction(1))
+                            kappa=1.0, safety=1.0)
         reps = disc_group(space)
         for mu in reps[:6] + [tuple(c + 2 for c in reps[-1])]:
             coset = LatticeCoset(space, mu)
@@ -347,18 +348,18 @@ def test_band_enumeration_matches_filtered_full_enumeration():
 
 
 def test_window_scales_with_nmax(funddom):
-    w1 = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 5)
-    w2 = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 10)
+    w1 = certify_window(funddom, Z0_ABC, 5)
+    w2 = certify_window(funddom, Z0_ABC, 10)
     assert w2.B >= 2 * w1.B * Fraction(63, 64)
     assert w1.kappa == w2.kappa
 
 
-def _edge_kappa(space, ngon, z0_span, samples=64):
+def _edge_kappa(ngon, z0, samples=64):
     """Oracle: the float kappa over `samples` interior planes per boundary
     edge, [C_j, (s-1) C_{j-1} + s C_{j+1}], s = i/(samples+1)."""
     planes = [gamma_sample(ngon, j, Fraction(i, samples + 1))
               for j in range(1, ngon.n + 1) for i in range(1, samples + 1)]
-    return window_from_planes(space, z0_span, planes, 1, safety=1.0).kappa
+    return window_from_planes(z0, planes, 1, safety=1.0).kappa
 
 
 uhp = st.tuples(st.fractions(-3, 3, max_denominator=4),
@@ -376,17 +377,16 @@ def test_vertex_kappa_bounds_edge_samples(points, data):
         assume(False)
     if data.draw(st.booleans(), label="vertex z0"):
         j = data.draw(st.integers(1, ngon.n), label="vertex")
-        z0_span = vertex_plane(ngon, j).span
+        z0 = vertex_plane(ngon, j)
     else:
         # x(p)^perp is a negative plane; cross(x(p), x(q)) lies in it
         p, q1, q2 = (point_to_vector(data.draw(uhp)) for _ in range(3))
-        z0_span = (cross(p, q1), cross(p, q2))
         try:
-            NegativePlane(SPACE_ABC, z0_span)
+            z0 = NegativePlane(SPACE_ABC, (cross(p, q1), cross(p, q2)))
         except ValueError:          # p, q1, q2 on one geodesic
             assume(False)
-    vertex = certify_window(SPACE_ABC, ngon, z0_span, 1, safety=1.0).kappa
-    edge = _edge_kappa(SPACE_ABC, ngon, z0_span)
+    vertex = certify_window(ngon, z0, 1, safety=1.0).kappa
+    edge = _edge_kappa(ngon, z0)
     assert vertex >= edge * (1 - 1e-12), (vertex, edge)
 
 
@@ -415,7 +415,7 @@ def test_series_safety_invariance():
 
 def test_series_normalization(funddom):
     coset = LatticeCoset(SPACE_ABC)
-    window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 10)
+    window = certify_window(funddom, Z0_ABC, 10)
     raw = holomorphic_series(coset, funddom, 10, window=window)
     norm = holomorphic_series(coset, funddom, 10, window=window,
                               normalized=True)
@@ -427,7 +427,7 @@ def test_series_normalization(funddom):
 def test_completion_kernel_matches_e2_sum(funddom):
     # eval_batches returns each row's term at its final weight:
     # (w + sum_j E2) * e^{amp} with amp = -2 pi v Q, capped at 600
-    window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 2)
+    window = certify_window(funddom, Z0_ABC, 2)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     kern = _CompletionKernel(funddom)
     v = 0.37
@@ -446,25 +446,34 @@ def test_completion_kernel_matches_e2_sum(funddom):
 
 @pytest.fixture(scope="module")
 def funddom_batches(funddom):
-    window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 4)
+    window = certify_window(funddom, Z0_ABC, 4)
     return [enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
             for mu in disc_group(SPACE_ABC)]
 
 
-@pytest.mark.parametrize("pair_block", [lattice.PAIR_BLOCK, 300])
-def test_eval_batches_matches_per_coset(funddom, funddom_batches, monkeypatch,
-                                        pair_block):
-    # pooling the rho pairs of all 32 cosets changes no bit of any value;
-    # a small PAIR_BLOCK puts pool boundaries between many cosets
-    monkeypatch.setattr(lattice, "PAIR_BLOCK", pair_block)
+def test_eval_batches_matches_per_coset(funddom, funddom_batches,
+                                        monkeypatch):
+    # one cone_sum call per eval_batches call, over the rho pairs of all 32
+    # cosets, changes no bit of any value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return cone_sum(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "cone_sum", counted)
     kern = _CompletionKernel(funddom, w_offset=4)
     for v in (0.37, 1.3):
-        pooled = kern.eval_batches(funddom_batches, v)
-        assert len(pooled) == len(funddom_batches)
-        for batch, got in zip(funddom_batches, pooled):
+        calls.clear()
+        joint = kern.eval_batches(funddom_batches, v)
+        assert len(calls) == 1 and calls[0] > 0
+        assert len(joint) == len(funddom_batches)
+        for batch, got in zip(funddom_batches, joint):
             want = kern.eval_batches([batch], v)[0]
             assert got.shape == want.shape == (len(batch.inside),)
             assert np.array_equal(got, want)
+        assert len(calls) == 1 + len(funddom_batches)
+        assert calls[0] == sum(calls[1:])
 
 
 def test_eval_batches_guard_rows_are_zero(funddom, funddom_batches):
@@ -566,8 +575,7 @@ PARITY_TAUS = (complex(0.1234, 0.95), complex(-0.31, 1.1))
 
 def completion_window(walls, nmax):
     """The window completion_eval and modularity_check certify by default."""
-    return certify_window(walls.space, walls,
-                          minimax_plane(walls.vertex_planes), nmax)
+    return certify_window(walls, minimax_plane(walls.vertex_planes), nmax)
 
 
 @pytest.fixture(scope="module")
@@ -636,8 +644,7 @@ def test_minimax_plane_lowers_kappa(name, ratio):
     window = completion_window(walls, 6)
     assert window.z0 is not planes[0]
     assert window.kappa == 1.5 * _plane_kappa(planes, window.z0)
-    assert certify_window(walls.space, walls, None, 6).kappa \
-        == 1.5 * first
+    assert certify_window(walls, None, 6).kappa == 1.5 * first
 
 
 def test_completion_window_invariance(funddom):
@@ -645,7 +652,7 @@ def test_completion_window_invariance(funddom):
     # about the first vertex plane and about minimax_plane, every coset's
     # value agrees within the sum of both tails
     tau = complex(0.1234, 0.95)
-    windows = (certify_window(SPACE_ABC, funddom, None, 6),
+    windows = (certify_window(funddom, None, 6),
                completion_window(funddom, 6))
     assert windows[1].kappa < 0.45 * windows[0].kappa
     for mu in disc_group(SPACE_ABC):
@@ -737,12 +744,75 @@ def test_product_modularity_at_m4():
     assert elapsed < 5.0
 
 
+# SPACE_ABC + <2>: the funddom walls padded by a zero coordinate, and the
+# same space under a fixed unimodular change of basis x = U x'
+SPLIT_GRAM = [[0, 0, 4, 0], [0, -2, 0, 0], [4, 0, 0, 0], [0, 0, 0, 2]]
+SPLIT_U = [[1, 1, 0, 0], [1, 2, 0, 1], [0, 1, 1, 2], [1, 1, 1, 2]]
+
+
+def _split_ngon(funddom, u):
+    """The padded funddom walls in the basis x = u x': Gram u^T G u and
+    walls u^{-1} c, so that (u x', u^{-1} c)' = (x', c)."""
+    gram = [[sum(u[k][i] * SPLIT_GRAM[k][l] * u[l][j] for k in range(4)
+                 for l in range(4)) for j in range(4)] for i in range(4)]
+    ui = mat_inv(u)
+    cs = [[sum(ui[i][k] * c[k] for k in range(4)) for i in range(4)]
+          for c in (tuple(c) + (0,) for c in funddom.cs)]
+    return validate(QuadraticSpace(gram), cs)
+
+
+def _assert_same_series(got, want):
+    # cancelled exponents keep a zero entry, so compare over the union
+    for n in set(got.entries) | set(want.entries):
+        assert got.coeff(n) == want.coeff(n), n
+
+
+def test_split_space_series_factorises(funddom):
+    # theta_{(mu, m)} of L_3 + <2> is theta_mu of L_3 times the definite
+    # theta sum_{y in m + Z} q^{y^2}, m in {0, 1/2}, on all 64 cosets
+    nmax = 12
+    ngon = _split_ngon(funddom, np.eye(4, dtype=int).tolist())
+    reps = disc_group(ngon.space)
+    assert len(reps) == 64
+    base = {mu: holomorphic_series(LatticeCoset(SPACE_ABC, mu), funddom, nmax)
+            for mu in disc_group(SPACE_ABC)}
+    nonzero = 0
+    for mu in reps:
+        want = QExpansion(mu=mu, entries={}, nmax=Fraction(nmax))
+        r = math.isqrt(nmax) + 1
+        for n3, c in base[mu[:3]].entries.items():
+            for n in (n3 + (mu[3] + k) ** 2 for k in range(-r, r + 1)):
+                if n <= nmax:
+                    want.entries[n] = want.entries.get(n, 0) + c
+        got = holomorphic_series(LatticeCoset(ngon.space, mu), ngon, nmax)
+        _assert_same_series(got, want)
+        nonzero += sum(c != 0 for c in got.entries.values())
+    assert nonzero >= 500
+
+
+def test_split_space_series_basis_invariant(funddom):
+    # x' in mu' + Z^4 is x = U x' in U mu' + Z^4: theta'_{mu'} = theta_{U mu'}
+    nmax = 8
+    assert abs(mat_det(SPLIT_U)) == 1
+    ngon = _split_ngon(funddom, np.eye(4, dtype=int).tolist())
+    moved = _split_ngon(funddom, SPLIT_U)
+    nonzero = 0
+    for mu in disc_group(moved.space):
+        orig = tuple(sum(SPLIT_U[i][k] * mu[k] for k in range(4)) % 1
+                     for i in range(4))
+        got = holomorphic_series(LatticeCoset(moved.space, mu), moved, nmax)
+        want = holomorphic_series(LatticeCoset(ngon.space, orig), ngon, nmax)
+        _assert_same_series(got, want)
+        nonzero += sum(c != 0 for c in got.entries.values())
+    assert nonzero >= 300
+
+
 def test_completion_approaches_holomorphic_part(funddom):
     # as v grows the completion tends to the holomorphic series plus the
     # v-independent x = 0 term (the Gaussian wall masses at the origin)
     coset = LatticeCoset(SPACE_ABC)
     nmax = 6
-    window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), nmax)
+    window = certify_window(funddom, Z0_ABC, nmax)
     tau = complex(0.3, 5.0)
     val, tail = completion_eval(coset, funddom, tau, nmax, window=window)
     series = holomorphic_series(coset, funddom, nmax, window=window)
@@ -786,7 +856,7 @@ def test_modularity_small(funddom):
 
 def test_thread_count_determinism(funddom, monkeypatch):
     coset = LatticeCoset(SPACE_ABC)
-    window = certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 8)
+    window = certify_window(funddom, Z0_ABC, 8)
     tau = complex(0.21, 0.9)
     vals = []
     for nt in ("1", "2", "8"):
@@ -1031,11 +1101,10 @@ def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
         assert qe.entries[cancelled] == 0
 
 
-def _small_window(z0_span, safety):
+def _small_window(z0, safety):
     # B = 9 about (E2, E3): the eps-supported x = (1, 1, 1) with Q = 3 has
     # (x,x)_{z0} = 10 and falls in the guard band (9, 54/5]
-    return EnumWindow(z0=NegativePlane(SPACE_ABC, z0_span), B=Fraction(9),
-                      kappa=1.0, safety=safety, nmax=Fraction(6))
+    return EnumWindow(z0=z0, B=Fraction(9), kappa=1.0, safety=safety)
 
 
 @pytest.mark.parametrize("mu", [None, (Fraction(1, 2), 0, 0),
@@ -1046,8 +1115,7 @@ def test_window_split_is_exact(mu):
     # norm of an enumerated row so that some rows lie on the boundary
     coset = LatticeCoset(SPACE_ABC, mu)
     z0 = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
-    window = EnumWindow(z0=z0, B=Fraction(9), kappa=1.0, safety=1.0,
-                        nmax=Fraction(1))
+    window = EnumWindow(z0=z0, B=Fraction(9), kappa=1.0, safety=1.0)
     mat = window.majorant
 
     def norms(batch):
@@ -1065,7 +1133,7 @@ def test_window_split_is_exact(mu):
 
 def test_guard_band_retry_keeps_base_plane(funddom):
     coset = LatticeCoset(SPACE_ABC)
-    small = _small_window((E2_ABC, E3_ABC), 1.0)
+    small = _small_window(Z0_ABC, 1.0)
     batch = enumerate_coset(coset, small)
     signs = funddom.sign_matrix(batch.xnum)
     assert _row_loop_series(batch, signs, _eps_num(funddom, signs), 1,
@@ -1073,24 +1141,24 @@ def test_guard_band_retry_keeps_base_plane(funddom):
     qe = holomorphic_series(coset, funddom, 6, window=small)
     want = holomorphic_series(
         coset, funddom, 6,
-        window=certify_window(SPACE_ABC, funddom, (E2_ABC, E3_ABC), 6))
+        window=certify_window(funddom, Z0_ABC, 6))
     assert qe.entries == want.entries and qe.flags == want.flags
-    assert qe.window.z0.span == (E2_ABC, E3_ABC)
+    assert qe.window.z0 is Z0_ABC
     assert qe.window.safety == 2 * small.safety
 
 
 def test_guard_band_retries_exhausted(funddom, monkeypatch):
     calls = []
 
-    def always_small(space, ngon, z0_span, nmax, safety=1.5):
-        calls.append((z0_span, safety))
-        return _small_window(z0_span, safety)
+    def always_small(ngon, z0, nmax, safety=1.5):
+        calls.append((z0, safety))
+        return _small_window(z0, safety)
 
     monkeypatch.setattr(lattice, "certify_window", always_small)
     with pytest.raises(CertificationError):
         holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 6,
-                           window=_small_window((E2_ABC, E3_ABC), 1.0))
-    assert calls == [((E2_ABC, E3_ABC), s) for s in (2.0, 4.0, 8.0)]
+                           window=_small_window(Z0_ABC, 1.0))
+    assert calls == [(Z0_ABC, s) for s in (2.0, 4.0, 8.0)]
 
 
 @pytest.mark.parametrize("safety", [0, -1, float("nan"), 0.5])
@@ -1169,7 +1237,7 @@ def test_mismatched_spaces_are_rejected(seed_dodec, monkeypatch):
     window is certified or used, a window passed in included."""
     msg = "coset and wall collection live in different spaces"
     ngon = fundamental_ngon(2)
-    window = certify_window(SPACE_ABC, ngon, None, 6)
+    window = certify_window(ngon, None, 6)
     sp4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0],
                           [0, 0, 0, -2]])
 

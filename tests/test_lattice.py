@@ -451,10 +451,13 @@ def funddom_batches(funddom):
             for mu in disc_group(SPACE_ABC)]
 
 
+@pytest.mark.parametrize("pair_block", [8192, 300])
 def test_eval_batches_matches_per_coset(funddom, funddom_batches,
-                                        monkeypatch):
-    # one cone_sum call per eval_batches call, over the rho pairs of all 32
-    # cosets, changes no bit of any value
+                                        monkeypatch, pair_block):
+    # one cone_sum call per eval_batches call, over the rho pairs of all the
+    # batches it is given, changes no bit of any value: the call over all 32
+    # cosets, one call per coset and one call per group of consecutive
+    # cosets holding about pair_block rho pairs all agree
     calls = []
 
     def counted(*args, **kwargs):
@@ -473,7 +476,22 @@ def test_eval_batches_matches_per_coset(funddom, funddom_batches,
             assert got.shape == want.shape == (len(batch.inside),)
             assert np.array_equal(got, want)
         assert len(calls) == 1 + len(funddom_batches)
-        assert calls[0] == sum(calls[1:])
+        pairs = calls[1:]
+        assert calls[0] == sum(pairs)
+
+        groups, start, held = [], 0, 0
+        for i, n in enumerate(pairs):
+            held += n
+            if held >= pair_block or i == len(pairs) - 1:
+                groups.append((start, i + 1))
+                start, held = i + 1, 0
+        calls.clear()
+        grouped = [out for lo, hi in groups
+                   for out in kern.eval_batches(funddom_batches[lo:hi], v)]
+        assert len(calls) == len(groups)
+        assert len(grouped) == len(joint)
+        for got, want in zip(grouped, joint):
+            assert np.array_equal(got, want)
 
 
 def test_eval_batches_guard_rows_are_zero(funddom, funddom_batches):

@@ -121,10 +121,11 @@ class EnumWindow:
         return majorant_matrix(self.z0.space, self.z0.span)
 
 
-def _majorant_f(plane):
-    """Float matrix of (x,x)_z from the plane's centre map m: G + 2 m^T m."""
-    m = plane.frame[1]
-    return plane.space.gram_f + 2.0 * m.T @ m
+def _majorants(planes):
+    """Float matrices of (x,x)_z of the planes, stacked, from their centre
+    maps m: G + 2 m^T m, one batched product."""
+    m = np.array([p.frame[1] for p in planes])
+    return planes[0].space.gram_f + 2.0 * m.transpose(0, 2, 1) @ m
 
 
 def _kappas(m0, mats):
@@ -141,7 +142,7 @@ def minimax_plane(planes):
     in reduced echelon form, rounded to denominators <= 64.  The first
     plane is kept if that plane is degenerate or its kappa is not lower."""
     space, q = planes[0].space, len(planes[0].span)
-    mats = np.array([_majorant_f(p) for p in planes])
+    mats = _majorants(planes)
     try:
         # the centre F F^T, as F^{-1}; step k goes 1/(k+2) of the geodesic
         # F (F^{-1} B F^{-T})^t F^T toward the farthest majorant B
@@ -159,7 +160,7 @@ def minimax_plane(planes):
                                        for x in row] for row in v])
     except (ValueError, np.linalg.LinAlgError):     # degenerate or not finite
         return planes[0]
-    kappa = [np.max(_kappas(m, mats)) for m in (_majorant_f(plane), mats[0])]
+    kappa = [np.max(_kappas(m, mats)) for m in _majorants([plane, planes[0]])]
     return plane if kappa[0] < kappa[1] else planes[0]
 
 
@@ -173,7 +174,7 @@ def window_from_planes(z0, planes, nmax, safety=1.5):
         raise ValueError("safety must be a finite number >= 1")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    ev = _kappas(_majorant_f(z0), np.array([_majorant_f(p) for p in planes]))
+    ev = _kappas(_majorants([z0])[0], _majorants(planes))
     kappa = max(1.0, float(np.max(ev))) * safety
     b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
     return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety)

@@ -9,17 +9,20 @@ A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
 All checks are integer signs on the collection's Gram, built once per NGon;
 the collection also owns the signs of (x, C_j), one x or a batch of rows.
 Its vertices are the pairs (j, j+1 mod N) and its face weights 0: level,
-kernel and vertex planes are _Walls', which dodecahedra share.
+kernel and vertex planes (one negative_planes batch) are _Walls', shared
+with dodecahedra.
 """
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .qspace import (NegativePlane, _int_product, _over_lcm, _dot, rat, vec,
-                     vec_add, vec_scale)
+from .qspace import (NegativePlane, _int_product, _over_lcm, _dot,
+                     negative_planes, rat, vec, vec_add, vec_scale)
 
 
 def sgn(r):
@@ -116,6 +119,7 @@ class _Walls:
         """Fix the cell's vertices and face weights and cache the level of
         the default negative vector v (regular_negative_vector)."""
         self.vertices, self.face_w = np.array(vertices), tuple(face_w)
+        self._vertex_signs = [operator.itemgetter(*v) for v in vertices]
         self._level_v = int(self.level(_regular_choice(self._gram,
                                                        self._d)[1]))
 
@@ -135,9 +139,12 @@ class _Walls:
         """sum over the vertices of the product of their signs, plus
         face_w . s, for the signs s of (x, C_j) in the last axis: minus the
         w-sum of an N-gon, 8 D of a dodecahedron."""
+        if getattr(s, "ndim", 1) == 1:      # one sign vector: Python ints
+            return sum(math.prod(g(s)) for g in self._vertex_signs) \
+                + sum(map(operator.mul, s, self.face_w))
         s = np.asarray(s)
-        return np.prod(s[..., self.vertices], axis=-1).sum(axis=-1) \
-            + s @ self.face_w
+        lv = np.prod(s[..., self.vertices], axis=-1).sum(axis=-1)
+        return lv + s @ self.face_w if any(self.face_w) else lv
 
     def level_at(self, v=None):
         """The level of a negative vector v (None: the default v)."""
@@ -157,9 +164,10 @@ class _Walls:
     @functools.cached_property
     def vertex_planes(self):
         """The oriented vertex planes [C_a, C_b, ...], one per vertex in
-        the order of `vertices`, built on first use."""
-        return tuple(NegativePlane(self.space, [self.cs[a] for a in tri])
-                     for tri in self.vertices)
+        the order of `vertices`: one negative_planes batch on the
+        collection's integer Gram, built on first use."""
+        return negative_planes(self.space, self.cs, self.vertices.tolist(),
+                               self._gram)
 
     @functools.cached_property
     def frames(self):

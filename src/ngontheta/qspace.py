@@ -4,11 +4,11 @@ All sign decisions downstream (kernels, polygon conditions) are made with
 exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
 The exact core is integer: `inner` sums over the nonzero Gram numerators,
-`int_core` gives collections an integer Gram, NegativePlane Bareiss minors.
+`int_core` gives collections an integer Gram, and negative_planes a batch of
+planes Bareiss minors on that Gram and one batched orthonormalization.
 """
 
 from fractions import Fraction
-import functools
 import math
 import operator
 
@@ -212,47 +212,58 @@ class DegeneratePlaneError(ValueError):
 
 
 class NegativePlane:
-    """Oriented negative q-plane given by an ordered exact spanning basis.
-
-    Negative definiteness is checked exactly: the leading principal minors
-    of the negated span Gram, scaled to integers, must all be positive; the
-    cached orthonormalization satisfies (u_i, u_j) = -delta_ij.
-    """
+    """Oriented negative q-plane given by an ordered exact spanning basis:
+    the one-plane batch of negative_planes.  Negative definiteness is checked
+    exactly: the leading principal minors of the negated span Gram, scaled
+    to integers, must all be positive; `ortho` satisfies (u_i, u_j) =
+    -delta_ij."""
 
     def __init__(self, space, span):
-        self.space = space
-        self.span = tuple(vec(s) for s in span)
-        k = len(self.span)
-        minors = _leading_minors([[-v for v in row]
-                                  for row in space.int_core(self.span)[2]])
-        if any(v <= 0 for v in minors):
-            raise DegeneratePlaneError(
-                "span Gram matrix is not negative definite")
-        # modified Gram-Schmidt w.r.t. the negated form
-        gf = space.gram_f
-        self._span_f = np.array([[float(c) for c in s] for s in self.span])
-        basis = []
-        for v in self._span_f:
-            for u in basis:
-                v = v - (-(v @ gf @ u)) * u
-            nrm2 = -(v @ gf @ v)
-            if nrm2 < PIVOT_TOL:
-                raise DegeneratePlaneError("orthonormalization pivot failure")
-            basis.append(v / math.sqrt(nrm2))
-        self.ortho = np.array(basis)
-        renorm = self.ortho @ gf @ self.ortho.T + np.eye(k)
-        if np.max(np.abs(renorm)) > 1e-9:
-            raise DegeneratePlaneError("orthonormalized Gram check failed")
-
-    @functools.cached_property
-    def frame(self):
-        """(a, m): the functional rows a_i[k] = (u_k, c_i) of the spanning
-        vectors c_i, so (y, c_i) = t . a_i for y = sum_k t_k u_k, and the map
-        m that takes x (as floats) to u = m x, the orthonormal coordinates
-        of pr_z(x)."""
-        ug = self.ortho @ self.space.gram_f
-        return np.array([ug @ c for c in self._span_f]), -ug
+        span = tuple(vec(s) for s in span)
+        vars(self).update(vars(
+            negative_planes(space, span, [range(len(span))])[0]))
 
     def coords(self, xf):
         """Coordinates of pr_z(x) in the orthonormalized basis (x as floats)."""
         return self.frame[1] @ np.asarray(xf, dtype=float)
+
+
+def negative_planes(space, cs, tuples, gram=None):
+    """The NegativePlanes spanned by cs[t] for V index tuples t of one length
+    q, in one pass; cs are exact vectors and gram their int_core Gram (None:
+    computed here).  Its principal submatrix on t is a positive diagonal
+    congruence of plane t's span Gram, so its Bareiss minors decide negative
+    definiteness exactly.  Modified Gram-Schmidt w.r.t. the negated form, the
+    pivot and renorm checks and the frames run on all V planes at once; each
+    stacked product has one plane's shapes, so a plane's floats do not
+    depend on its batch.  A plane's frame (a, m) holds the rows a_i[k] =
+    (u_k, c_i), so (y, c_i) = t . a_i for y = sum_k t_k u_k, and the map m
+    taking x (as floats) to the orthonormal coordinates u = m x of pr_z(x)."""
+    if gram is None:
+        gram = space.int_core(cs)[2]
+    tuples = [tuple(t) for t in tuples]
+    if any(v <= 0 for t in tuples for v in _leading_minors(
+            [[-gram[a][b] for b in t] for a in t])):
+        raise DegeneratePlaneError("span Gram matrix is not negative definite")
+    gf = space.gram_f
+    sf = np.array([[float(c) for c in v] for v in cs])[np.array(tuples, int)]
+    basis = []
+    for k in range(sf.shape[1]):    # rows (V, 1, dim): one plane's gemv, dot
+        v = sf[:, k:k + 1]
+        for u in basis:
+            v = v - (-(v @ gf @ u.transpose(0, 2, 1))) * u
+        nrm2 = -(v @ gf @ v.transpose(0, 2, 1))
+        if np.any(nrm2 < PIVOT_TOL):
+            raise DegeneratePlaneError("orthonormalization pivot failure")
+        basis.append(v / np.sqrt(nrm2))
+    ortho = np.concatenate(basis, axis=1)
+    renorm = ortho @ gf @ ortho.transpose(0, 2, 1) + np.eye(len(basis))
+    if np.any(np.max(np.abs(renorm), axis=(1, 2)) > 1e-9):
+        raise DegeneratePlaneError("orthonormalized Gram check failed")
+    ug = ortho @ gf
+    a = (ug[:, None] @ sf[..., None])[..., 0]
+    planes = tuple(object.__new__(NegativePlane) for _ in tuples)
+    for p, t, o, fa, fm in zip(planes, tuples, ortho, a, -ug):
+        vars(p).update(space=space, span=tuple(cs[i] for i in t), ortho=o,
+                       frame=(fa, fm))
+    return planes

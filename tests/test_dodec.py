@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,9 +17,10 @@ from ngontheta.dodec import (bar, cycle_table, recipe_step, cyclic_equal,
                              dodec_D_kernel, dodec_P_kernel, dodec_E_kernel,
                              seed_construction, PHI_HAT, dodec_series)
 from ngontheta.ngon import regular_negative_vector
+from ngontheta.cli import main
 
-from conftest import (check_dodec_conditions_vec, dodec_D_vec, face_w_vec,
-                      regular_negative_vector_vec)
+from conftest import (EXAMPLES, REPO, check_dodec_conditions_vec,
+                      dodec_D_vec, face_w_vec, regular_negative_vector_vec)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
                       [0, 0, -2, 0], [0, 0, 0, -2]])
@@ -419,3 +421,29 @@ def test_validate_dodec_pairs_each_collection_vector_once(space_q3,
     # the kernels reuse the core: 12 pairings per point, none for D(v)
     dodec_P_kernel(d, (1, 0, 0, 0))
     assert calls == {"pair": 90, "inner": 0, "project_perp": 0}
+
+
+# |E - E_ref| allowed against the recorded dodec_E references, as in the
+# benchmark's own check
+E_REF_TOL = 1e-9
+
+
+def test_perfbench_refs_reproduce(capsys, seed_dodec):
+    """Every `dodec series` reference that the benchmark compares byte for
+    byte (16 cosets, nmax 2..8) and every recorded dodec_E_kernel value,
+    re-run on the seed: a kappa moved by one ulp can move B, and with it
+    the flags."""
+    refs = REPO / "perfbench" / "refs"
+    data = str(EXAMPLES / "dodec_seed.json")
+    series = json.loads((refs / "dodec_series.json").read_text())
+    assert len(series) == 112
+    for key, want in series.items():
+        mu, nmax = key.split("|")
+        assert main(["dodec", "series", "--data", data, "--mu", mu,
+                     "--nmax", nmax]) == 0
+        assert capsys.readouterr().out == want, key
+    values = json.loads((refs / "dodec_E.json").read_text())
+    assert len(values) == 40
+    for key, want in values.items():
+        x = tuple(Fraction(v) for v in key.split(","))
+        assert abs(dodec_E_kernel(seed_dodec, x) - want) <= E_REF_TOL, key

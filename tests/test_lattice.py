@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
+                              DegeneratePlaneError, negative_planes,
                               _over_lcm, _row_norms, vec)
 from ngontheta.errfn import E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
@@ -19,7 +20,7 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                modularity_check, weil_matrices, weil_sanity,
                                negation_index, _CompletionKernel,
                                CertificationError, _majorant_leq,
-                               minimax_plane, _kappas, _majorant_f,
+                               minimax_plane, _kappas, _majorants,
                                _tail_estimate, CosetRows)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
@@ -644,8 +645,7 @@ def _product_4gon():
 
 
 def _plane_kappa(planes, plane):
-    mats = np.array([_majorant_f(p) for p in planes])
-    return float(np.max(_kappas(_majorant_f(plane), mats)))
+    return float(np.max(_kappas(_majorants([plane])[0], _majorants(planes))))
 
 
 @pytest.mark.parametrize("name, ratio", [("funddom", 0.45), ("product", 0.2),
@@ -1191,22 +1191,64 @@ def test_safety_below_one_is_rejected(funddom, seed_dodec, safety):
 
 
 def test_vertex_planes_built_once(monkeypatch, seed_dodec):
-    calls = []
-    init = NegativePlane.__init__
+    # every plane is built in a negative_planes batch: funddom's
+    # modularity_check builds one batch of its 4 vertex planes and the
+    # one-plane batch of its base plane, and a second dodec_series on the
+    # same DodecData builds nothing (vertex planes cached, z0 among them)
+    from ngontheta import ngon, qspace
+    batches = []
+    build = qspace.negative_planes
 
-    def counted(self, *args):
-        calls.append(args)
-        init(self, *args)
+    def counted(space, cs, tuples, gram=None):
+        batches.append(len(tuples))
+        return build(space, cs, tuples, gram)
 
-    monkeypatch.setattr(NegativePlane, "__init__", counted)
+    for mod in (qspace, ngon):
+        monkeypatch.setattr(mod, "negative_planes", counted)
     modularity_check(SPACE_ABC, fundamental_ngon(2), complex(0.1, 0.95), 4)
-    assert len(calls) == 5          # the 4 vertex planes and the base plane
+    assert batches == [4, 1]        # the vertex planes, then the base plane
     dodec = validate_dodec(seed_dodec.space, seed_dodec.cs)
     coset = LatticeCoset(dodec.space)
     dodec_series(coset, dodec, 2)
-    calls.clear()
+    assert batches[2:] == [20]
+    batches.clear()
     dodec_series(coset, dodec, 2)
-    assert not calls                # vertex planes cached, z0 among them
+    assert not batches
+
+
+def _cell(name, funddom, seed_dodec):
+    if name == "padded":
+        return _split_ngon(funddom, np.eye(4, dtype=int).tolist())
+    return {"funddom": funddom, "butterfly": butterfly_ngon(),
+            "product": _product_4gon(), "dodec": seed_dodec}[name]
+
+
+@pytest.mark.parametrize("name", ["funddom", "butterfly", "product", "padded",
+                                  "dodec"])
+def test_negative_planes_batch(name, funddom, seed_dodec):
+    # one batch on the collection's Gram builds every vertex plane: each
+    # is orthonormal w.r.t. the negated form, and its frame is the frame of
+    # the same plane built alone
+    walls = _cell(name, funddom, seed_dodec)
+    space, tuples = walls.space, walls.vertices.tolist()
+    q = len(tuples[0])
+    planes = negative_planes(space, walls.cs, tuples, walls._gram)
+    assert [pl.span for pl in planes] == \
+        [pl.span for pl in walls.vertex_planes]
+    for t, pl in zip(tuples, planes, strict=True):
+        assert pl.span == tuple(walls.cs[a] for a in t)
+        u = pl.ortho
+        assert np.max(np.abs(u @ space.gram_f @ u.T + np.eye(q))) <= 1e-12
+        alone = NegativePlane(space, pl.span)
+        for got, want in zip(pl.frame, alone.frame, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-15
+    # one span that is not negative definite voids the batch, by the exact
+    # minors (a repeated vector's Gram is singular), with or without gram
+    bad = tuples[:1] + [[0] * q] + tuples[1:]
+    for gram in (walls._gram, None):
+        with pytest.raises(DegeneratePlaneError,
+                           match="not negative definite"):
+            negative_planes(space, walls.cs, bad, gram)
 
 
 def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +182,28 @@ def test_regular_negative_vector_capped(space_e):
     cs = ((0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 1, 0))
     assert regular_negative_vector(space_e, cs) == (0, Fraction(3, 2),
                                                     Fraction(1, 2))
+
+
+@pytest.mark.parametrize("cell", ["funddom", "dodec"])
+def test_level_matches_numpy_form(cell, funddom, seed_dodec):
+    # level on one sign vector (Python) and on a matrix (numpy, face_w . s
+    # skipped when face_w is all zero) equals the numpy form on every row
+    walls = {"funddom": funddom, "dodec": seed_dodec}[cell]
+    rng = np.random.default_rng(11)
+    signs = rng.integers(-1, 2, size=(300, len(walls.cs)))
+    signs[0] = 0
+
+    def numpy_form(s):
+        return np.prod(s[..., walls.vertices], axis=-1).sum(axis=-1) \
+            + s @ walls.face_w
+
+    want = numpy_form(signs)
+    assert np.array_equal(walls.level(signs), want)
+    assert np.array_equal(walls.kernel(signs), want - walls.level_at())
+    for row, w in zip(signs, want):
+        for s in (row.tolist(), tuple(row.tolist()), row):
+            assert walls.level(s) == w
+        assert type(walls.level(row.tolist())) is int
 
 
 def test_vertex_plane_and_edge_samples(funddom):

@@ -18,22 +18,21 @@ factor, at most RETRIES times; after that the series raises
 CertificationError (CLI exit code 3).  N-gons and dodecahedra share this
 path: their vertex tables give the vertex planes and sign kernels.  Series
 take the first vertex plane as base plane, completions minimax_plane,
-whose lower kappa shrinks their windows.  enumerate_coset returns the one
-row batch (CosetRows) that the series driver and the completion kernel
-read, and the signs of (x, C_j) come from the wall collection's
-sign_matrix on the batch's integer rows.  The kernels vanish on nonzero
-vectors of norm <= 0, so a series batch holds only the window's rows with
-0 <= Q(x) <= nmax; the completion kernel does not, and its batches hold
-the whole window.
+whose lower kappa shrinks their windows.  enumerate_cosets returns one
+row batch (CosetRows) of any number of cosets, enumerate_coset that of
+one, and the signs of (x, C_j) come from the wall collection's sign_matrix
+on the batch's integer rows.  The kernels vanish on nonzero vectors of
+norm <= 0, so a series batch holds only the window's rows with
+0 <= Q(x) <= nmax; a completion batch holds the whole window.
 
 The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
 term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
-rho cone masses by their distance from the Gaussian centre.  The rho masses
-of all cosets at one Im tau are one cone_sum call.
-The kernel is even in x: modularity_check evaluates one coset of each
-+-mu pair (theta_{-mu} = theta_mu), and CosetRows.folded one x of each +-x.
+rho cone masses by their distance from the Gaussian centre.
+modularity_check evaluates its cosets as one batch, in one cone_sum call
+per Im tau.  The kernel is even in x: it takes one coset of each +-mu pair
+(theta_{-mu} = theta_mu), and CosetRows.folded one x of each +-x.
 """
 
 import math
@@ -79,6 +78,8 @@ def disc_group(space):
     """Sorted coset representatives of L∨/L, each with entries in [0,1).
     With d = |det G| the numerators d*mu mod d form the closure of 0 under
     adding the m integer columns of d*G^{-1}, so memory grows like d*m."""
+    if space._den != 1:
+        raise ValueError("lattice Gram matrix must be integral")
     m = space.dim
     det, adj = _adjugate(space._gi)
     d = abs(det)                          # d G^{-1} = sign(det) adj
@@ -203,35 +204,36 @@ def _check_space(space, walls):
 
 @dataclass
 class CosetRows:
-    """The enumerated vectors x = xnum/dmu of a coset mu+L, in lexicographic
-    order: int64 numerators (munum those of mu), the exact window split
-    `inside` ((x,x)_{z0} <= B) and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x).
-    The integer rows k = x - mu and the floats xf of x and qf of Q(x),
-    built on first use, derive from them.  A row stands for `mult` vectors."""
+    """Vectors x = xnum/dmu of cosets mu+L, sorted by the index `coset` and
+    then lexicographically: int64 numerators over one denominator (munum:
+    a row per coset, its mu), the exact split `inside`, (x,x)_{z0} <= B, and
+    xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x); the rows k = x - mu and the floats
+    xf of x and qf of Q(x) derive from them.  A row stands for `mult` x."""
     xnum: np.ndarray
     dmu: int
-    munum: list
+    munum: np.ndarray
     inside: np.ndarray
     xx_num: np.ndarray
+    coset: np.ndarray
     mult: np.ndarray | int = 1
 
     def __len__(self):
         return len(self.xnum)
 
     def folded(self):
-        """For an even kernel: when 2 mu is in L, x = 0 (mult 1) and the rows
-        whose first nonzero numerator is positive (mult 2, for +-x)."""
-        if any(2 * v % self.dmu for v in self.munum):
-            return self
+        """For an even kernel: in each coset with 2 mu in L, x = 0 (mult 1)
+        and the rows whose first nonzero numerator is positive (mult 2)."""
+        half = ~np.any(2 * self.munum % self.dmu, axis=1)[self.coset]
         lead = self.xnum[np.arange(len(self)), np.argmax(self.xnum != 0, 1)]
-        keep = lead >= 0
+        keep = ~half | (lead >= 0)
         return CosetRows(self.xnum[keep], self.dmu, self.munum,
                          self.inside[keep], self.xx_num[keep],
-                         mult=np.where(lead[keep] > 0, 2, 1))
+                         self.coset[keep],
+                         mult=np.where(half[keep] & (lead[keep] > 0), 2, 1))
 
     @property
     def ks(self):
-        return (self.xnum - self.munum) // self.dmu
+        return (self.xnum - self.munum[self.coset]) // self.dmu
 
     @cached_property
     def xf(self):
@@ -242,76 +244,76 @@ class CosetRows:
         return self.xx_num.astype(float) / self.dmu ** 2 / 2.0
 
 
-def _fp_enumerate(m_exact, mu, bound, band=None):
-    """int64 rows k, in lexicographic order, that contain every integer
-    vector with (k+mu)^T M (k+mu) <= bound: float Fincke-Pohst bounds with
-    padding, which an exact filter then decides; with band = (float Gram,
-    qmax), only those with 0 <= Q <= qmax.
-
-    The search runs level-wise, coordinate i = m-1 down to 0: every partial
-    row (k_{i+1}, ..., k_{m-1}) whose remaining budget is at least -pad gets
-    one child per integer k_i in its padded interval, all rows of a level at
-    once; the children of the last level are all kept, so the exact filter
-    alone decides the boundary."""
+def _fp_enumerate(m_exact, mus, bound, band=None):
+    """Coset index c and int64 rows k, sorted by c and then lexicographically,
+    that contain every integer vector with (k+mu_c)^T M (k+mu_c) <= bound,
+    mu_c in mus: float Fincke-Pohst bounds with padding, which an exact
+    filter then decides; with band = (float Gram, qmax), only those with
+    0 <= Q <= qmax.  The search runs level-wise, coordinate i = 0 up to m-1,
+    all cosets at once: each partial row (k_0, ..., k_{i-1}) whose budget is
+    at least -pad gets its children k_i in its padded interval in increasing
+    order, so the rows are born sorted.  The last level's children are all
+    kept, so the exact filter alone decides the boundary."""
     m = len(m_exact)
-    mf = np.array([[float(v) for v in row] for row in m_exact])
-    muf = np.array([float(v) for v in mu])
+    muf = np.array([[float(v) for v in mu] for mu in mus])
     bf = float(bound)
-    # LDL^T: q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2, i eliminated upward
-    a = mf.copy()
-    dvec = np.empty(m)
-    lmat = np.zeros((m, m))
-    for i in range(m):
-        dvec[i] = a[i, i]
-        lmat[i, i + 1:] = a[i, i + 1:] / a[i, i]
-        a[i + 1:, i + 1:] -= np.outer(a[i, i + 1:], a[i, i + 1:]) / a[i, i]
-    pad = 1e-7 * (1.0 + abs(bf))
-    ks = np.zeros((1, 0))             # float k_{i+1..m-1} of each partial row
-    budget = np.array([bf])
+    # q(x) = sum_i d_i (x_i + sum_{j<i} l_ij x_j)^2, i eliminated downward
+    a = np.array([[float(v) for v in row] for row in m_exact])
+    dvec, lmat = np.empty(m), np.zeros((m, m))
     for i in range(m - 1, -1, -1):
+        dvec[i] = a[i, i]
+        lmat[i, :i] = a[i, :i] / a[i, i]
+        a[:i, :i] -= np.outer(a[i, :i], a[i, :i]) / a[i, i]
+    pad = 1e-7 * (1.0 + abs(bf))
+    c = np.arange(len(muf))           # coset of each partial row
+    ks = np.zeros((len(muf), 0))      # float k_{0..i-1} of each partial row
+    budget = np.full(len(muf), bf)
+    for i in range(m):
         live = budget >= -pad
-        ks, budget = ks[live], budget[live]
-        shift = muf[i] + (ks + muf[i + 1:]) @ lmat[i, i + 1:]
+        c, ks, budget = c[live], ks[live], budget[live]
+        off = muf[:, i] + muf[:, :i] @ lmat[i, :i]      # once per coset
+        shift = ks @ lmat[i, :i] + off[c]
         t = np.sqrt((budget + pad) / dvec[i])
         lo = np.ceil(-t - shift - 1e-9)
         hi = np.floor(t - shift + 1e-9)
         src = np.arange(len(ks))
-        if i == 0 and band is not None:
-            src, lo, hi = _band_cut(ks + muf[1:], muf[0], lo, hi, *band)
+        if i == m - 1 and band is not None:
+            src, lo, hi = _band_cut(ks + muf[c, :-1], muf[c, -1], lo, hi,
+                                    *band)
         count = np.maximum(hi - lo + 1, 0).astype(np.int64)
         parent = np.repeat(src, count)
         kk = np.repeat(lo + count - np.cumsum(count), count) \
             + np.arange(len(parent))
         y = kk + shift[parent]
         budget = budget[parent] - dvec[i] * y * y
-        ks = np.column_stack([kk, ks[parent]])
-    ks = ks.astype(np.int64)
-    return ks[np.lexsort(ks.T[::-1])]
+        c, ks = c[parent], np.column_stack([ks[parent], kk])
+    return c, ks.astype(np.int64)
 
 
-def _band_cut(xr, mu0, lo, hi, gram, qmax):
-    """(row, lo, hi) of the pieces of the ranges lo <= k_0 <= hi of the
-    partial rows xr = (x_1, ..., x_{m-1}) with 0 <= Q(x) <= qmax, rounded
-    outward.  Q = a y^2 + b y + c in y = k_0 + mu_0: one piece if a = 0,
-    else two, yv + [-r1, -r0] and yv + [r0, r1] about the vertex yv."""
-    a, b = gram[0, 0] / 2, xr @ gram[0, 1:]
-    c = (xr @ gram[1:, 1:] * xr).sum(1) / 2
+def _band_cut(xr, mu_last, lo, hi, gram, qmax):
+    """(row, lo, hi) of the pieces, each row's in increasing order, of the
+    ranges lo <= k_{m-1} <= hi of the partial rows xr = (x_0, ..., x_{m-2})
+    with 0 <= Q(x) <= qmax, rounded outward.  Q = a y^2 + b y + c in
+    y = k_{m-1} + mu_last: one piece if a = 0, else two, yv + [-r1, -r0]
+    and yv + [r0, r1] about the vertex yv."""
+    a, b = gram[-1, -1] / 2, xr @ gram[:-1, -1]
+    c = (xr @ gram[:-1, :-1] * xr).sum(1) / 2
     # a band padding far above the float error of c and of Q(yv)
-    pq = 1e-7 * (1.0 + (abs(xr) @ abs(gram[1:, 1:]) * abs(xr)).sum(1))
+    pq = 1e-7 * (1.0 + (abs(xr) @ abs(gram[:-1, :-1]) * abs(xr)).sum(1))
     rows = np.arange(len(xr))
     if a == 0:     # where b = 0 too, a tiny slope keeps every y or none
         y = (np.array([-pq, qmax + pq]) - c) / np.where(b == 0, 1e-200, b)
-        return rows, *_outward(y.min(0) - mu0, y.max(0) - mu0, lo, hi)
+        return rows, *_outward(y.min(0) - mu_last, y.max(0) - mu_last, lo, hi)
     yv = -b / (2 * a)
     pq += 1e-7 * abs(a) * yv * yv
     qv = math.copysign(1.0, a) * c - abs(a) * yv * yv     # sgn(a) Q(yv)
     tlo, thi = (-pq, qmax + pq) if a > 0 else (-qmax - pq, pq)
     r1, r0 = (np.sqrt(np.maximum(t - qv, 0.0) / abs(a)) for t in (thi, tlo))
-    kc, top = yv - mu0, np.where(thi < qv, lo - 1, hi)
+    kc, top = yv - mu_last, np.where(thi < qv, lo - 1, hi)
     lo1, hi1 = _outward(kc - r1, kc - r0, lo, top)
-    # the second piece starts past the first: no k_0 is emitted twice
+    # the second piece starts past the first: no k is emitted twice
     lo2, hi2 = _outward(kc + r0, kc + r1, np.maximum(lo, hi1 + 1), top)
-    return np.tile(rows, 2), np.append(lo1, lo2), np.append(hi1, hi2)
+    return rows.repeat(2), np.ravel((lo1, lo2), 'F'), np.ravel((hi1, hi2), 'F')
 
 
 def _outward(ylo, yhi, lo, hi):
@@ -330,21 +332,34 @@ def _majorant_leq(xnum, dmu, m_exact, bound):
     return q <= math.floor(Fraction(bound) * den), q, den
 
 
-def enumerate_coset(coset, window, qmax=None):
-    """The vectors x in mu+L with (x,x)_{z0} <= GUARD*B, as CosetRows: their
-    numerators are formed once, filtered exactly and split at B.  With a
-    qmax, only those with 0 <= Q(x) <= qmax, in the same order."""
+def _numerators(mus):
+    """(d, int64 rows) with mus = rows/d, d the lcm of all denominators."""
+    d, flat = _over_lcm([c for mu in mus for c in mu])
+    return d, np.array(flat, dtype=np.int64).reshape(len(mus), -1)
+
+
+def enumerate_cosets(space, mus, window, qmax=None):
+    """The vectors x in mu+L, for each mu of mus (in L∨), with
+    (x,x)_{z0} <= GUARD*B, as one CosetRows over the lcm of the mus'
+    denominators, formed once, filtered exactly and split at B.  With a
+    qmax, only those with 0 <= Q(x) <= qmax."""
     bound = window.B * GUARD
-    dmu, munum = _over_lcm(coset.mu)
-    band = None if qmax is None else (coset.space.gram_f, float(qmax))
-    xnum = _fp_enumerate(window.majorant, coset.mu, bound, band) * dmu + munum
-    keep, norms, den = _majorant_leq(xnum, dmu, window.majorant, bound)
-    xx_num = _row_norms(xnum, coset.space._gi)       # 2 dmu^2 Q(x)
+    d, munum = _numerators(mus)
+    band = None if qmax is None else (space.gram_f, float(qmax))
+    c, ks = _fp_enumerate(window.majorant, mus, bound, band)
+    xnum = ks * d + munum[c]
+    keep, norms, den = _majorant_leq(xnum, d, window.majorant, bound)
+    xx_num = _row_norms(xnum, space._gi)           # 2 d^2 Q(x)
     if qmax is not None:
-        keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * dmu**2 * rat(qmax)))
-    return CosetRows(xnum[keep], dmu, munum,
+        keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * d**2 * rat(qmax)))
+    return CosetRows(xnum[keep], d, munum,
                      inside=norms[keep] <= math.floor(window.B * den),
-                     xx_num=xx_num[keep])
+                     xx_num=xx_num[keep], coset=c[keep])
+
+
+def enumerate_coset(coset, window, qmax=None):
+    """enumerate_cosets of one coset, over its own denominator."""
+    return enumerate_cosets(coset.space, [coset.mu], window, qmax)
 
 
 @dataclass
@@ -411,20 +426,18 @@ def holomorphic_series(coset, ngon, nmax, window=None, normalized=False,
 class _CompletionKernel:
     """The stable completion kernel of an N-gon
        kernel(x) = eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k + sum_j rho_j,
-    evaluated at its final weight: multiplied by e^{amp}, amp = -2 pi v Q
-    (capped at AMP_CAP), so that each row's value is its term of the
-    completed series up to the phase e^{2 pi i Re(tau) Q}.  Every term is
-    then screened by what it adds to the sum.  A window row whose bound
-    (|w| + |w_offset| + N) e^{amp} on |kernel| e^{amp} (each E2 lies in
-    [-1, 1]) is below e^{RHO_LOG_TOL} is skipped and gets 0, as guard-band
-    rows do.  eps and the wall terms e_k are taken batch by batch; a wall
-    term lies within 2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated
-    only where that bound reaches e^{RHO_LOG_TOL}.  The rho_j are Gaussian
-    masses of the sign quadrants of the vertex planes span(C_j, C_{j+1}),
-    weighted (sigma_1 - s_j)(sigma_2 - s_{j+1}); the wall adjacency, the
-    quadrant ends and the pair screen read ngon.vertices.  The
-    (row, edge) pairs of all batches that pass a margin screen go to one
-    errfn.cone_sum call on ngon.frames."""
+    evaluated at its final weight: times e^{amp}, amp = -2 pi v Q (capped at
+    AMP_CAP), so that each row's value is its term of the completed series
+    up to the phase e^{2 pi i Re(tau) Q}, and screened by what each term
+    adds to the sum.  A window row whose bound (|w| + |w_offset| + N) e^{amp}
+    on |kernel| e^{amp} (each E2 lies in [-1, 1]) is below e^{RHO_LOG_TOL}
+    gets 0, as guard-band rows do.  A wall term lies within
+    2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated only where that
+    bound reaches e^{RHO_LOG_TOL}.  The rho_j are Gaussian masses of the sign
+    quadrants of the vertex planes span(C_j, C_{j+1}), weighted
+    (sigma_1 - s_j)(sigma_2 - s_{j+1}); the wall adjacency, the quadrant
+    ends and the pair screen read ngon.vertices.  The (row, edge) pairs of a
+    batch that pass a margin screen go to one errfn.cone_sum call."""
 
     def __init__(self, ngon, w_offset=0):
         self.ngon = ngon
@@ -435,24 +448,16 @@ class _CompletionKernel:
         self.adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
         self.adj[a, b] = self.adj[b, a] = 1
 
-    def eval_batches(self, batches, v):
-        """One array per batch (at least one) of kernel values times
-        e^{-2 pi v Q} at Im tau = v: evaluated window rows carry their term,
-        skipped window rows and guard-band rows 0."""
+    def eval(self, batch, v):
+        """Kernel values times e^{-2 pi v Q} of the batch's rows at Im tau = v,
+        0 on skipped window rows and on guard-band rows."""
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        scale = math.sqrt(2.0 * v)
-        terms = [self._row_terms(batch, v, scale) for batch in batches]
-        # one cone_sum call for the rho pairs of every batch
-        pairs = (np.concatenate(a) for a in zip(*(t[3] for t in terms)))
-        rho = cone_sum(self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL)
-        out, start = [], 0
-        for batch, (live, vals, rows, _) in zip(batches, terms):
-            o = np.zeros(len(batch))
-            o[live] = vals + np.bincount(
-                rows, rho[start:start + len(rows)], minlength=len(vals))
-            start += len(rows)
-            out.append(o)
+        live, vals, rows, pairs = self._row_terms(batch, v, math.sqrt(2.0 * v))
+        out = np.zeros(len(batch))
+        out[live] = vals + np.bincount(
+            rows, cone_sum(self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL),
+            minlength=len(vals))
         return out
 
     def _row_terms(self, batch, v, scale):
@@ -502,30 +507,30 @@ def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
     if window is None:
         window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     batch = enumerate_coset(coset, window).folded()
-    scaled, = _CompletionKernel(ngon, w_offset).eval_batches([batch], tau.imag)
-    return _completion_sum(batch, scaled, window, ngon.n, tau)
+    scaled = _CompletionKernel(ngon, w_offset).eval(batch, tau.imag)
+    return complex(_completion_sum(batch, scaled, tau)[0]), \
+        _tail_estimate(batch, window, ngon.n, tau.imag)[0]
 
 
-def _completion_sum(batch, scaled, window, n_edges, tau):
-    """(value, tail) at tau of one coset from the terms `scaled` of its
-    batch at v = Im tau (eval_batches: kernel times e^{-2 pi v Q}, 0 on the
-    rows it skips), which depend on tau only through v: each is multiplied
-    by its phase e^{2 pi i Re(tau) Q} and by its row's multiplicity."""
+def _completion_sum(batch, scaled, tau):
+    """Each coset's value at tau: the terms `scaled` of the batch at
+    v = Im tau (_CompletionKernel.eval) times their phases e^{2 pi i Re(tau) Q}
+    and multiplicities, summed over the coset's contiguous rows alone."""
     terms = batch.mult * scaled * np.exp(2j * math.pi * tau.real * batch.qf)
-    return complex(np.sum(terms)), _tail_estimate(batch, window, n_edges,
-                                                  tau.imag)
+    ends = np.searchsorted(batch.coset, np.arange(len(batch.munum) + 1))
+    return np.array([np.sum(terms[a:b]) for a, b in zip(ends, ends[1:])])
 
 
 def _tail_estimate(batch, window, n_edges, v):
-    """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa},
-    the lattice-point density calibrated from the vectors the batch holds
-    inside the window, (x,x)_{z0} <= B."""
+    """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa}
+    per coset, the lattice-point density calibrated from the (at least one)
+    vectors the batch holds of it inside the window, (x,x)_{z0} <= B."""
     from scipy.special import gammaincc, gamma as gamma_fn
     m = window.z0.space.dim
     bf = float(window.B)
-    mult = np.broadcast_to(batch.mult, len(batch))
-    count = max(int(np.sum(mult[batch.inside])), 1)
-    c = count * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
+    count = np.bincount(batch.coset, batch.inside * batch.mult,
+                        len(batch.munum))
+    c = np.maximum(count, 1) * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
     lam = math.pi * v / window.kappa
     # integral_B^inf t^{m/2-1} e^{-lam t} dt = Gamma(m/2) lam^{-m/2} Q(m/2, lam B)
     try:
@@ -558,8 +563,7 @@ def weil_matrices(space):
     # representatives R/den as integer rows: (mu, nu) = (R G R^T)/den^2 for
     # the integer Gram G = space._gi of a lattice, whose float quotient is
     # the correctly rounded float of the exact pairing
-    den = math.lcm(*(c.denominator for mu in reps for c in mu))
-    r = np.array([[int(c * den) for c in mu] for mu in reps], dtype=np.int64)
+    den, r = _numerators(reps)
     pair = r @ np.array(space._gi, dtype=np.int64) @ r.T / (den * den)
     s = np.exp(2j * math.pi * S_PAIRING_SIGN * pair)
     s *= phase / math.sqrt(d)
@@ -567,21 +571,21 @@ def weil_matrices(space):
 
 
 def negation_index(reps):
-    """For each representative mu of disc_group (entries in [0,1)), the
-    index of -mu among them."""
-    index = {mu: i for i, mu in enumerate(reps)}
-    return [index[tuple(-c % 1 for c in mu)] for mu in reps]
+    """For each disc_group rep mu, the index of -mu, by integer numerators."""
+    den, r = _numerators(reps)
+    index = {row: i for i, row in enumerate(map(tuple, r.tolist()))}
+    return [index[row] for row in map(tuple, (-r % den).tolist())]
 
 
 def weil_sanity(space, weil=None):
     """Return (unitarity defect, S^2-composition defect); both should be ~0.
-    `weil` may pass the (reps, T, S) that weil_matrices(space) returned."""
-    reps, _, s = weil or weil_matrices(space)
+    `weil` may pass weil_matrices(space), or it and negation_index(reps)."""
+    reps, _, s, *neg = weil or weil_matrices(space)
     d = len(reps)
     uni = float(np.max(np.abs(s @ s.conj().T - np.eye(d))))
     # S^2 = phase^2 * permutation mu -> -mu
     perm = np.zeros((d, d))
-    perm[negation_index(reps), np.arange(d)] = 1.0
+    perm[neg[0] if neg else negation_index(reps), np.arange(d)] = 1.0
     p, q = space.sig
     ph2 = cmath.exp(2j * math.pi * (q - p) / 4.0)
     comp = float(np.max(np.abs(s @ s - ph2 * perm)))
@@ -592,36 +596,32 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     """Compare the completion vector at tau+1 and -1/tau against the finite
     Weil transform; returns a report dict.  The completion kernel is even
     (eps, the wall terms and the rho masses are invariant under x -> -x,
-    and so is the window), so theta_{-mu} = theta_mu: only the cosets mu_i
-    with i <= index(-mu_i) are enumerated and evaluated, folded and about
-    completion_eval's window, and each value fills both entries of its +-mu
-    pair."""
+    and so is the window), so theta_{-mu} = theta_mu: the cosets mu_i with
+    i <= index(-mu_i) are one folded batch about completion_eval's window,
+    evaluated once per Im tau; each value fills both entries of its pair."""
     _check_space(space, ngon)
     reps, tdiag, smat = weil = weil_matrices(space)
-    m = space.dim
+    neg = negation_index(reps)
     window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     kern = _CompletionKernel(ngon, w_offset)
-    neg = negation_index(reps)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
-    batches = [enumerate_coset(LatticeCoset(space, reps[i]), window).folded()
-               for i in own]
-    scaled = {}     # Im tau -> kernel values per coset; tau, tau+1 share them
+    batch = enumerate_cosets(space, [reps[i] for i in own], window).folded()
+    scaled = {}     # Im tau -> kernel values; tau, tau+1 share them
 
     def theta_vec(t):
         if t.imag not in scaled:
-            scaled[t.imag] = kern.eval_batches(batches, t.imag)
-        vals, tails = zip(*(_completion_sum(b, k, window, ngon.n, t)
-                            for b, k in zip(batches, scaled[t.imag])))
-        return np.array(vals)[pair], max(tails)
+            scaled[t.imag] = kern.eval(batch, t.imag)
+        return _completion_sum(batch, scaled[t.imag], t)[pair], \
+            np.max(_tail_estimate(batch, window, ngon.n, t.imag))
 
     base, tail0 = theta_vec(tau)
     shifted, tail1 = theta_vec(tau + 1)
     t_defect = float(np.max(np.abs(shifted - tdiag * base)))
     inverted, tail2 = theta_vec(-1 / tau)
-    auto = tau ** (m / 2.0)
+    auto = tau ** (space.dim / 2.0)
     s_defect = float(np.max(np.abs(inverted - auto * (smat @ base))))
-    uni, comp = weil_sanity(space, weil)
+    uni, comp = weil_sanity(space, weil + (neg,))
     return {
         "t_defect": t_defect,
         "s_defect": s_defect,

@@ -15,13 +15,14 @@ from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
 from ngontheta.errfn import E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
-                               enumerate_coset, QExpansion, GUARD,
+                               enumerate_coset, enumerate_cosets,
+                               QExpansion, GUARD,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                negation_index, _CompletionKernel,
                                CertificationError, _majorant_leq,
                                minimax_plane, _kappas, _majorants,
-                               _tail_estimate, CosetRows)
+                               _tail_estimate, _completion_sum, CosetRows)
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
                              validate_dodec)
@@ -282,15 +283,16 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
 
 
 def _band_bases():
-    """(space, z0 span, sign of G_00) of SPACE_E (G_00 = 2), SPACE_E with its
-    first two coordinates swapped (-2), SPACE_ABC (0), and two seeded random
-    unimodular changes of basis of each."""
+    """(space, z0 span, sign of G_22) of SPACE_E (G_22 = -2), SPACE_E with
+    its first and last coordinates swapped (2), SPACE_ABC (0), and two
+    seeded random unimodular changes of basis of each; the band cuts the
+    last coordinate."""
     rng = random.Random(16)
     out = []
     for space, span in ((SPACE_E, Z0_E), (SPACE_ABC, (E2_ABC, E3_ABC))):
         changes = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
         if space is SPACE_E:
-            changes.append([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+            changes.append([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
         for _ in range(2):
             u = [[int(i == j) for j in range(3)] for i in range(3)]
             for _ in range(5):              # column i += c column j
@@ -307,7 +309,7 @@ def _band_bases():
             out.append((QuadraticSpace(g),
                         [[sum(ui[i][k] * v[k] for k in range(3))
                           for i in range(3)] for v in span],
-                        (g[0][0] > 0) - (g[0][0] < 0)))
+                        (g[2][2] > 0) - (g[2][2] < 0)))
     return out
 
 
@@ -332,8 +334,8 @@ def test_band_enumeration_matches_filtered_full_enumeration():
                 keep = np.array([0 <= q <= qmax for q in qs], dtype=bool)
                 band = enumerate_coset(coset, window, qmax=qmax)
                 raw_rows += len(lattice._fp_enumerate(
-                    window.majorant, mu, window.B * GUARD,
-                    (space.gram_f, float(qmax))))
+                    window.majorant, [mu], window.B * GUARD,
+                    (space.gram_f, float(qmax)))[1])
                 assert np.array_equal(band.xnum, full.xnum[keep])
                 assert np.array_equal(band.inside, full.inside[keep])
                 assert np.array_equal(band.xx_num, full.xx_num[keep])
@@ -426,13 +428,13 @@ def test_series_normalization(funddom):
 
 
 def test_completion_kernel_matches_e2_sum(funddom):
-    # eval_batches returns each row's term at its final weight:
+    # eval returns each row's term at its final weight:
     # (w + sum_j E2) * e^{amp} with amp = -2 pi v Q, capped at 600
     window = certify_window(funddom, Z0_ABC, 2)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     kern = _CompletionKernel(funddom)
     v = 0.37
-    got = kern.eval_batches([batch], v)[0]
+    got = kern.eval(batch, v)
     w = w_invariant(funddom)
     n = funddom.n
     rows = [i for i in range(len(batch.xf)) if batch.inside[i]][:25]
@@ -446,19 +448,25 @@ def test_completion_kernel_matches_e2_sum(funddom):
 
 
 @pytest.fixture(scope="module")
-def funddom_batches(funddom):
-    window = certify_window(funddom, Z0_ABC, 4)
-    return [enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
-            for mu in disc_group(SPACE_ABC)]
+def funddom_window(funddom):
+    return certify_window(funddom, Z0_ABC, 4)
+
+
+@pytest.fixture(scope="module")
+def funddom_batch(funddom_window):
+    """All 32 funddom cosets, as one batch."""
+    return enumerate_cosets(SPACE_ABC, disc_group(SPACE_ABC), funddom_window)
 
 
 @pytest.mark.parametrize("pair_block", [8192, 300])
-def test_eval_batches_matches_per_coset(funddom, funddom_batches,
-                                        monkeypatch, pair_block):
-    # one cone_sum call per eval_batches call, over the rho pairs of all the
-    # batches it is given, changes no bit of any value: the call over all 32
-    # cosets, one call per coset and one call per group of consecutive
-    # cosets holding about pair_block rho pairs all agree
+def test_eval_batches_matches_per_coset(funddom, funddom_window,
+                                        funddom_batch, monkeypatch,
+                                        pair_block):
+    # one eval call makes one cone_sum call, over the rho pairs of every
+    # coset of its batch, and changes no bit of any value: the batch of all
+    # 32 cosets, each coset's own batch and the batches of groups of
+    # consecutive cosets holding about pair_block rho pairs (each over the
+    # lcm of its own cosets' denominators) all agree
     calls = []
 
     def counted(*args, **kwargs):
@@ -467,16 +475,20 @@ def test_eval_batches_matches_per_coset(funddom, funddom_batches,
 
     monkeypatch.setattr(lattice, "cone_sum", counted)
     kern = _CompletionKernel(funddom, w_offset=4)
+    reps = disc_group(SPACE_ABC)
+    alone = [enumerate_coset(LatticeCoset(SPACE_ABC, mu), funddom_window)
+             for mu in reps]
+    assert len({b.dmu for b in alone}) > 1
     for v in (0.37, 1.3):
         calls.clear()
-        joint = kern.eval_batches(funddom_batches, v)
+        joint = kern.eval(funddom_batch, v)
         assert len(calls) == 1 and calls[0] > 0
-        assert len(joint) == len(funddom_batches)
-        for batch, got in zip(funddom_batches, joint):
-            want = kern.eval_batches([batch], v)[0]
-            assert got.shape == want.shape == (len(batch.inside),)
-            assert np.array_equal(got, want)
-        assert len(calls) == 1 + len(funddom_batches)
+        assert joint.shape == (len(funddom_batch),)
+        for i, batch in enumerate(alone):
+            want = kern.eval(batch, v)
+            assert want.shape == (len(batch.inside),)
+            assert np.array_equal(joint[funddom_batch.coset == i], want)
+        assert len(calls) == 1 + len(reps)
         pairs = calls[1:]
         assert calls[0] == sum(pairs)
 
@@ -487,23 +499,24 @@ def test_eval_batches_matches_per_coset(funddom, funddom_batches,
                 groups.append((start, i + 1))
                 start, held = i + 1, 0
         calls.clear()
-        grouped = [out for lo, hi in groups
-                   for out in kern.eval_batches(funddom_batches[lo:hi], v)]
+        grouped = [kern.eval(enumerate_cosets(SPACE_ABC, reps[lo:hi],
+                                              funddom_window), v)
+                   for lo, hi in groups]
         assert len(calls) == len(groups)
-        assert len(grouped) == len(joint)
-        for got, want in zip(grouped, joint):
-            assert np.array_equal(got, want)
+        assert np.array_equal(np.concatenate(grouped), joint)
 
 
-def test_eval_batches_guard_rows_are_zero(funddom, funddom_batches):
+def test_eval_batches_guard_rows_are_zero(funddom, funddom_batch):
     kern = _CompletionKernel(funddom)
-    for batch, got in zip(funddom_batches,
-                          kern.eval_batches(funddom_batches, 0.8)):
-        assert np.any(~batch.inside) and np.any(got[batch.inside] != 0)
-        assert np.all(got[~batch.inside] == 0)
+    got = kern.eval(funddom_batch, 0.8)
+    inside = funddom_batch.inside
+    for i in range(32):
+        rows = funddom_batch.coset == i
+        assert np.any(rows & ~inside) and np.any(got[rows & inside] != 0)
+    assert np.all(got[~inside] == 0)
 
 
-def test_row_screen_skips_only_bounded_rows(funddom, funddom_batches):
+def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
     # a window row is skipped exactly when (|w| + |w_offset| + N) e^{amp},
     # a bound on its completed term, is below e^{RHO_LOG_TOL}; a skipped row
     # gets 0, and every other window row keeps the value it has when no row
@@ -512,26 +525,26 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batches):
     full = _CompletionKernel(funddom, w_offset=-3)
     full.log_bound = math.inf                  # skips no row
     bound = abs(w_invariant(funddom)) + 3 + funddom.n
+    batch = funddom_batch
     skipped = 0
     for v in (0.37, 1.3):
-        got = kern.eval_batches(funddom_batches, v)
-        want = full.eval_batches(funddom_batches, v)
-        for batch, g, f in zip(funddom_batches, got, want):
-            live = np.zeros(len(batch), dtype=bool)
-            live[kern._row_terms(batch, v, math.sqrt(2.0 * v))[0]] = True
-            amp = np.minimum(-2.0 * math.pi * v * batch.qf, lattice.AMP_CAP)
-            small = bound * np.exp(amp) < math.exp(lattice.RHO_LOG_TOL)
-            assert np.array_equal(live, batch.inside & ~small)
-            skip = batch.inside & small
-            skipped += np.count_nonzero(skip)
-            assert np.all(g[skip] == 0)
-            assert np.all(np.abs(f[skip]) <= bound * np.exp(amp[skip]))
-            assert np.array_equal(g[live], f[live])
+        g = kern.eval(batch, v)
+        f = full.eval(batch, v)
+        live = np.zeros(len(batch), dtype=bool)
+        live[kern._row_terms(batch, v, math.sqrt(2.0 * v))[0]] = True
+        amp = np.minimum(-2.0 * math.pi * v * batch.qf, lattice.AMP_CAP)
+        small = bound * np.exp(amp) < math.exp(lattice.RHO_LOG_TOL)
+        assert np.array_equal(live, batch.inside & ~small)
+        skip = batch.inside & small
+        skipped += np.count_nonzero(skip)
+        assert np.all(g[skip] == 0)
+        assert np.all(np.abs(f[skip]) <= bound * np.exp(amp[skip]))
+        assert np.array_equal(g[live], f[live])
     assert skipped > 0
 
 
 def _unscreened_wall_eval(kern, batch, v):
-    """eval_batches([batch], v) with every wall term evaluated: the same
+    """kern.eval(batch, v) with every wall term evaluated: the same
     live rows and rho terms, eps and the wall terms
     (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} in full.  Also,
     per row, the number of wall terms that the kernel's screen drops and
@@ -559,7 +572,7 @@ def _unscreened_wall_eval(kern, batch, v):
     return out, dropped, size
 
 
-def test_wall_term_screen_bound(funddom, funddom_batches):
+def test_wall_term_screen_bound(funddom, funddom_batch):
     # a wall term lies within 2 e^{amp - pi tau_k^2}, and the kernel skips
     # it below e^{RHO_LOG_TOL}: a row moves by at most 2N e^{RHO_LOG_TOL},
     # and by rounding, from its value with every wall term evaluated; a row
@@ -568,13 +581,12 @@ def test_wall_term_screen_bound(funddom, funddom_batches):
     n = funddom.n
     dropped = 0
     for v in (0.37, 1.3):
-        for batch, got in zip(funddom_batches,
-                              kern.eval_batches(funddom_batches, v)):
-            want, drop, size = _unscreened_wall_eval(kern, batch, v)
-            dropped += drop.sum()
-            assert np.array_equal(got[drop == 0], want[drop == 0])
-            assert np.all(np.abs(got - want) <= 2 * n * math.exp(
-                lattice.RHO_LOG_TOL) + n * np.finfo(float).eps * size)
+        got = kern.eval(funddom_batch, v)
+        want, drop, size = _unscreened_wall_eval(kern, funddom_batch, v)
+        dropped += drop.sum()
+        assert np.array_equal(got[drop == 0], want[drop == 0])
+        assert np.all(np.abs(got - want) <= 2 * n * math.exp(
+            lattice.RHO_LOG_TOL) + n * np.finfo(float).eps * size)
     assert dropped > 1000
 
 
@@ -698,13 +710,13 @@ def test_folded_batch_matches_full_sum(funddom):
         assert np.sum(half.mult) == len(full)
         assert 2 * len(half) - len(full) == int(not any(mu))    # x = 0 in L
         assert np.array_equal(half.mult == 1, np.all(half.xnum == 0, axis=1))
-        scaled, = kern.eval_batches([full], tau.imag)
+        scaled = kern.eval(full, tau.imag)
         terms = scaled * np.exp(2j * math.pi * tau.real * full.qf)
         got, tail = completion_eval(LatticeCoset(SPACE_ABC, mu), funddom,
                                     tau, 6, w_offset=1)
         assert abs(got - np.sum(terms)) <= len(full) * np.finfo(float).eps \
             * np.sum(np.abs(terms)), mu
-        assert tail == _tail_estimate(full, window, funddom.n, 1.1)
+        assert tail == _tail_estimate(full, window, funddom.n, 1.1)[0]
     assert folded == 8
 
 
@@ -713,7 +725,7 @@ def _window_rows(batch):
     keep = batch.inside
     mult = batch.mult[keep] if np.ndim(batch.mult) else batch.mult
     return CosetRows(batch.xnum[keep], batch.dmu, batch.munum, keep[keep],
-                     batch.xx_num[keep], mult=mult)
+                     batch.xx_num[keep], batch.coset[keep], mult=mult)
 
 
 def test_tail_estimate_counts_window_rows_only(funddom):
@@ -726,8 +738,9 @@ def test_tail_estimate_counts_window_rows_only(funddom):
         full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
         guard_rows += int(np.sum(~full.inside))
         for batch in (full, full.folded()):
-            assert _tail_estimate(batch, window, funddom.n, 0.95) \
-                == _tail_estimate(_window_rows(batch), window, funddom.n, 0.95)
+            assert np.array_equal(
+                _tail_estimate(batch, window, funddom.n, 0.95),
+                _tail_estimate(_window_rows(batch), window, funddom.n, 0.95))
     assert guard_rows > 0
 
 
@@ -823,6 +836,124 @@ def test_split_space_series_basis_invariant(funddom):
         _assert_same_series(got, want)
         nonzero += sum(c != 0 for c in got.entries.values())
     assert nonzero >= 300
+
+
+def _tilted_polygon(funddom):
+    """funddom padded into SPACE_ABC + <2> and tilted off the split,
+    C_j + t_j e_4 with t = (1/3, -1/4, 1/5, -1/2): a (2,2) polygon with
+    w = 0 that is no product."""
+    ts = (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5), Fraction(-1, 2))
+    return validate(QuadraticSpace(SPLIT_GRAM),
+                    [tuple(c) + (t,) for c, t in zip(funddom.cs, ts)])
+
+
+def test_tilted_polygon_modularity_at_m4(funddom):
+    # the tilted polygon, 64 cosets: modular to rounding, theta not
+    # identically zero, a wrong w breaks S, and the check stays fast
+    ngon = _tilted_polygon(funddom)
+    assert w_invariant(ngon) == 0
+    tau = complex(0.1234, 0.95)
+    start = time.perf_counter()
+    report = modularity_check(ngon.space, ngon, tau, 6)
+    elapsed = time.perf_counter() - start
+    assert len(report["theta"]) == 64
+    assert report["t_defect"] <= 1e-12 and report["s_defect"] <= 1e-12
+    assert np.max(np.abs(report["theta"])) >= 0.05
+    assert modularity_check(ngon.space, ngon, tau, 6,
+                            w_offset=4)["s_defect"] >= 1e3
+    assert elapsed < 5.0
+
+
+def _batch_case(name, funddom, seed_dodec):
+    """(space, cosets, window) of a batch of all cosets: funddom, the (2,2)
+    product, funddom padded into SPACE_ABC + <2>, the seed dodecahedron,
+    and funddom in a window so small that most cosets hold no row."""
+    if name == "dodec":
+        return seed_dodec.space, certify_window(seed_dodec, None, 3)
+    walls = {"funddom": funddom, "empty": funddom,
+             "product": _product_4gon(),
+             "split": _split_ngon(funddom, np.eye(4, dtype=int).tolist())}[
+                 name]
+    window = completion_window(walls, 1 if name in ("product", "split")
+                               else 6)
+    if name == "empty":
+        window.B = Fraction(1, 2)
+    return walls.space, window
+
+
+@pytest.mark.parametrize("qmax", [None, 2])
+@pytest.mark.parametrize("name, cosets", [
+    ("funddom", 32), ("product", 144), ("split", 64), ("dodec", 16),
+    ("empty", 32)])
+def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
+                                            cosets, qmax):
+    # each coset's contiguous rows of one batch over the lcm of all the
+    # cosets' denominators are that coset enumerated alone, the same
+    # rationals in the same order, with the same window split, floats and,
+    # folded, multiplicities
+    space, window = _batch_case(name, funddom, seed_dodec)
+    reps = disc_group(space)
+    assert len(reps) == cosets
+    batch = enumerate_cosets(space, reps, window, qmax)
+    half = batch.folded()
+    assert np.all(np.diff(batch.coset) >= 0) and len(batch.munum) == cosets
+    sizes = []
+    for i, mu in enumerate(reps):
+        alone = enumerate_coset(LatticeCoset(space, mu), window, qmax)
+        s = batch.dmu // alone.dmu
+        assert s * alone.dmu == batch.dmu
+        rows = batch.coset == i
+        assert np.array_equal(batch.xnum[rows], alone.xnum * s)
+        assert np.array_equal(batch.inside[rows], alone.inside)
+        assert np.array_equal(batch.xx_num[rows], alone.xx_num * s * s)
+        assert np.array_equal(batch.ks[rows], alone.ks)
+        assert np.array_equal(batch.xf[rows], alone.xf)
+        assert np.array_equal(batch.qf[rows], alone.qf)
+        folded = alone.folded()
+        rows = half.coset == i
+        assert np.array_equal(half.xnum[rows], folded.xnum * s)
+        assert np.array_equal(half.mult[rows],
+                              np.broadcast_to(folded.mult, len(folded)))
+        sizes.append(len(alone))
+    assert sum(sizes) == len(batch) and max(sizes) > 0
+    if name != "empty":
+        assert min(sizes) > 0 or qmax is not None
+        return
+    # a coset with no row is worth 0, and its tail counts one vector, like
+    # the lone x = 0 of mu = 0
+    empty = [i for i, n in enumerate(sizes) if n == 0]
+    assert sizes[0] == 1 and len(empty) >= 10 and len(empty) < cosets - 5
+    tau = complex(0.1234, 0.95)
+    vals = _completion_sum(half, _CompletionKernel(funddom).eval(
+        half, tau.imag), tau)
+    tails = _tail_estimate(half, window, funddom.n, tau.imag)
+    assert np.all(vals[empty] == 0) and np.any(vals != 0)
+    assert np.all(tails[empty] == tails[0])
+
+
+def test_modularity_check_is_one_batch(funddom, monkeypatch):
+    # one enumeration, one negation index, and one _row_terms and one
+    # cone_sum call per Im tau (tau and tau + 1 share theirs)
+    calls = {"enum": 0, "neg": 0, "rows": 0, "cone": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    want = modularity_check(SPACE_ABC, funddom, complex(0.1234, 0.95), 6)
+    monkeypatch.setattr(lattice, "_fp_enumerate",
+                        counting("enum", lattice._fp_enumerate))
+    monkeypatch.setattr(lattice, "negation_index",
+                        counting("neg", lattice.negation_index))
+    monkeypatch.setattr(lattice, "cone_sum", counting("cone", cone_sum))
+    monkeypatch.setattr(_CompletionKernel, "_row_terms", counting(
+        "rows", _CompletionKernel._row_terms))
+    got = modularity_check(SPACE_ABC, funddom, complex(0.1234, 0.95), 6)
+    assert calls == {"enum": 1, "neg": 1, "rows": 2, "cone": 2}
+    assert np.array_equal(got["theta"], want["theta"])
+    assert got["s_defect"] == want["s_defect"]
 
 
 def test_completion_approaches_holomorphic_part(funddom):
@@ -1306,6 +1437,7 @@ def test_mismatched_spaces_are_rejected(seed_dodec, monkeypatch):
 
     monkeypatch.setattr(lattice, "certify_window", unused)
     monkeypatch.setattr(lattice, "enumerate_coset", unused)
+    monkeypatch.setattr(lattice, "enumerate_cosets", unused)
     tau = 0.1 + 0.95j
     coset = LatticeCoset(SPACE_E)
     for call in (lambda: holomorphic_series(coset, ngon, 6),

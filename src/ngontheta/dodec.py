@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qspace import rat, vec, vec_add, vec_scale
+from .qspace import _dot, _over_lcm, rat, vec
 from .ngon import _Walls, _cyclic_w, _gram_violations, _regular_choice
 
 
@@ -214,27 +214,32 @@ _SEED_TOP = (
     (0, -1, PHI_HAT),
     (-PHI_HAT, 0, 1),
 )
+# all 12 normals as integer rows over PHI_HAT.denominator; the normal of
+# face bar(a) = 11 - a is minus that of face a
+_SEED_NUM = [[int(c * PHI_HAT.denominator) for c in row] for row in _SEED_TOP]
+_SEED_NUM += [[-c for c in row] for row in reversed(_SEED_NUM)]
 
 
 def seed_construction(space, z0_basis, v0, t=0):
     """C_t = C_0 + t * v0: the regular-dodecahedron normals embedded into the
     negative 3-plane spanned by z0_basis (an exact orthogonal basis with equal
     norms), displaced along the positive vector v0 by the 12 rationals t
-    (a scalar t is broadcast)."""
+    (a scalar t is broadcast).  The frame is checked on its int_core Gram,
+    and each C_t is formed from integer numerators over one denominator."""
     basis = [vec(b) for b in z0_basis]
     if len(basis) != 3:
         raise ValueError("z0 basis must consist of 3 vectors")
-    norms = [space.inner(b, b) for b in basis]
-    if any(n >= 0 for n in norms) or len(set(norms)) != 1:
-        raise ValueError("z0 basis vectors must have equal negative norms")
-    for a in range(3):
-        for b in range(a):
-            if space.inner(basis[a], basis[b]) != 0:
-                raise ValueError("z0 basis must be orthogonal")
     v0 = vec(v0)
-    if not space.inner(v0, v0) > 0:
+    d, _, n = space.int_core(basis + [v0])
+    # (b_a, b_a) = n_aa / (d_a^2 den): equal iff n_aa d_b^2 = n_bb d_a^2
+    if any(n[a][a] >= 0 or n[a][a] * d[0] ** 2 != n[0][0] * d[a] ** 2
+           for a in range(3)):
+        raise ValueError("z0 basis vectors must have equal negative norms")
+    if n[0][1] or n[0][2] or n[1][2]:
+        raise ValueError("z0 basis must be orthogonal")
+    if not n[3][3] > 0:
         raise ValueError("v0 must be a positive vector")
-    if any(space.inner(v0, b) != 0 for b in basis):
+    if any(n[3][:3]):
         raise ValueError("v0 must be orthogonal to the z0 plane")
     try:
         ts = [rat(t)] * 12
@@ -242,15 +247,19 @@ def seed_construction(space, z0_basis, v0, t=0):
         ts = [rat(u) for u in t]
     if len(ts) != 12:
         raise ValueError("t must be a scalar or 12 rationals")
-    coords = list(_SEED_TOP) + [None] * 6
-    for a in range(6):
-        coords[bar(a)] = tuple(-u for u in coords[a])
-    cs = []
-    for a in range(12):
-        c = tuple(sum(coords[a][k] * basis[k][d] for k in range(3))
-                  for d in range(space.dim))
-        cs.append(vec_add(c, vec_scale(ts[a], v0)))
-    return tuple(cs)
+    # C_a = (_SEED_NUM[a] . (bn_0, bn_1, bn_2)) / (PHI_HAT.den db)
+    #       + tn_a vn / (dt dv), all over den
+    db, bn = _over_lcm([c for b in basis for c in b])
+    dv, vn = _over_lcm(v0)
+    dt, tn = _over_lcm(ts)
+    sb = PHI_HAT.denominator * db
+    den = math.lcm(sb, dt * dv)
+    fb, fv = den // sb, den // (dt * dv)
+    m = space.dim
+    cols = list(zip(bn[:m], bn[m:2 * m], bn[2 * m:]))   # (b_0, b_1, b_2)_i
+    return tuple(tuple(Fraction(fb * _dot(r, b) + fv * t * v, den)
+                       for b, v in zip(cols, vn))
+                 for r, t in zip(_SEED_NUM, tn))
 
 
 # --- q-expansion ------------------------------------------------------------

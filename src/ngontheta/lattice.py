@@ -31,8 +31,8 @@ term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
 rho cone masses by their distance from the Gaussian centre.
 modularity_check evaluates its cosets as one batch, in one cone_sum call
-per Im tau.  The kernel is even in x: it takes one coset of each +-mu pair
-(theta_{-mu} = theta_mu), and CosetRows.folded one x of each +-x.
+per Im tau.  N-gon kernels are even in x: series and completions take one
+x of each +-x pair (mult 2), modularity_check one coset of each +-mu pair.
 """
 
 import math
@@ -220,17 +220,6 @@ class CosetRows:
     def __len__(self):
         return len(self.xnum)
 
-    def folded(self):
-        """For an even kernel: in each coset with 2 mu in L, x = 0 (mult 1)
-        and the rows whose first nonzero numerator is positive (mult 2)."""
-        half = ~np.any(2 * self.munum % self.dmu, axis=1)[self.coset]
-        lead = self.xnum[np.arange(len(self)), np.argmax(self.xnum != 0, 1)]
-        keep = ~half | (lead >= 0)
-        return CosetRows(self.xnum[keep], self.dmu, self.munum,
-                         self.inside[keep], self.xx_num[keep],
-                         self.coset[keep],
-                         mult=np.where(half[keep] & (lead[keep] > 0), 2, 1))
-
     @property
     def ks(self):
         return (self.xnum - self.munum[self.coset]) // self.dmu
@@ -244,16 +233,18 @@ class CosetRows:
         return self.xx_num.astype(float) / self.dmu ** 2 / 2.0
 
 
-def _fp_enumerate(m_exact, mus, bound, band=None):
+def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
     """Coset index c and int64 rows k, sorted by c and then lexicographically,
     that contain every integer vector with (k+mu_c)^T M (k+mu_c) <= bound,
     mu_c in mus: float Fincke-Pohst bounds with padding, which an exact
     filter then decides; with band = (float Gram, qmax), only those with
-    0 <= Q <= qmax.  The search runs level-wise, coordinate i = 0 up to m-1,
-    all cosets at once: each partial row (k_0, ..., k_{i-1}) whose budget is
-    at least -pad gets its children k_i in its padded interval in increasing
-    order, so the rows are born sorted.  The last level's children are all
-    kept, so the exact filter alone decides the boundary."""
+    0 <= Q <= qmax; where fold[c], only x = 0 and the x whose first nonzero
+    coordinate is positive.  The search runs level-wise, coordinate i = 0
+    up to m-1, all cosets at once: each partial row (k_0, ..., k_{i-1})
+    whose budget is at least -pad gets its children k_i in its padded
+    interval in increasing order, so the rows are born sorted.  The last
+    level's children are all kept, so the exact filter alone decides the
+    boundary."""
     m = len(m_exact)
     muf = np.array([[float(v) for v in mu] for mu in mus])
     bf = float(bound)
@@ -276,6 +267,9 @@ def _fp_enumerate(m_exact, mus, bound, band=None):
         t = np.sqrt((budget + pad) / dvec[i])
         lo = np.ceil(-t - shift - 1e-9)
         hi = np.floor(t - shift + 1e-9)
+        if fold is not None:     # x_i >= 0 while a folded row's x is all 0
+            fold = fold[live]
+            lo = np.where(fold, np.maximum(lo, np.ceil(-muf[c, i])), lo)
         src = np.arange(len(ks))
         if i == m - 1 and band is not None:
             src, lo, hi = _band_cut(ks + muf[c, :-1], muf[c, -1], lo, hi,
@@ -287,6 +281,7 @@ def _fp_enumerate(m_exact, mus, bound, band=None):
         y = kk + shift[parent]
         budget = budget[parent] - dvec[i] * y * y
         c, ks = c[parent], np.column_stack([ks[parent], kk])
+        fold = None if fold is None else fold[parent] & (kk == -muf[c, i])
     return c, ks.astype(np.int64)
 
 
@@ -338,28 +333,31 @@ def _numerators(mus):
     return d, np.array(flat, dtype=np.int64).reshape(len(mus), -1)
 
 
-def enumerate_cosets(space, mus, window, qmax=None):
+def enumerate_cosets(space, mus, window, qmax=None, even=False):
     """The vectors x in mu+L, for each mu of mus (in L∨), with
     (x,x)_{z0} <= GUARD*B, as one CosetRows over the lcm of the mus'
     denominators, formed once, filtered exactly and split at B.  With a
-    qmax, only those with 0 <= Q(x) <= qmax."""
+    qmax, only those with 0 <= Q(x) <= qmax.  For an even kernel, a coset
+    with 2 mu in L holds x = 0 and one x of each +-x pair, at mult 2."""
     bound = window.B * GUARD
     d, munum = _numerators(mus)
     band = None if qmax is None else (space.gram_f, float(qmax))
-    c, ks = _fp_enumerate(window.majorant, mus, bound, band)
+    fold = ~np.any(2 * munum % d, axis=1) if even else None    # 2 mu in L
+    c, ks = _fp_enumerate(window.majorant, mus, bound, band, fold)
     xnum = ks * d + munum[c]
     keep, norms, den = _majorant_leq(xnum, d, window.majorant, bound)
     xx_num = _row_norms(xnum, space._gi)           # 2 d^2 Q(x)
     if qmax is not None:
         keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * d**2 * rat(qmax)))
+    mult = np.where(fold[c] & np.any(xnum, axis=1), 2, 1)[keep] if even else 1
     return CosetRows(xnum[keep], d, munum,
                      inside=norms[keep] <= math.floor(window.B * den),
-                     xx_num=xx_num[keep], coset=c[keep])
+                     xx_num=xx_num[keep], coset=c[keep], mult=mult)
 
 
-def enumerate_coset(coset, window, qmax=None):
+def enumerate_coset(coset, window, qmax=None, even=False):
     """enumerate_cosets of one coset, over its own denominator."""
-    return enumerate_cosets(coset.space, [coset.mu], window, qmax)
+    return enumerate_cosets(coset.space, [coset.mu], window, qmax, even)
 
 
 @dataclass
@@ -378,19 +376,21 @@ class QExpansion:
 def _certified_series(coset, walls, nmax, window, safety, den):
     """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a certified window,
     where walls.kernel maps the exact sign matrix of the enumerated x
-    (walls.sign_matrix) to integer numerators.  Without a window, the default
-    one is certified at `safety`.  A guard-band x with a nonzero kernel and
-    Q(x) in (0, nmax] voids the window, which is then re-certified about its
-    own base plane at twice its safety, at most RETRIES times."""
+    (walls.sign_matrix) to integer numerators, times the rows' mult if the
+    level is even (NGon).  Without a window, the default one is certified
+    at `safety`.  A guard-band x with a nonzero kernel and Q(x) in
+    (0, nmax] voids the window, which is then re-certified about its own
+    base plane at twice its safety, at most RETRIES times."""
     _check_space(coset.space, walls)
     if window is None:
         window = certify_window(walls, None, nmax, safety)
+    even = walls.vertices.shape[1] % 2 == 0 and not any(walls.face_w)
     for attempt in range(RETRIES + 1):
         if attempt:
             window = certify_window(walls, window.z0, nmax, 2 * window.safety)
-        batch = enumerate_coset(coset, window, qmax=nmax)
+        batch = enumerate_coset(coset, window, qmax=nmax, even=even)
         signs = walls.sign_matrix(batch.xnum)
-        num = walls.kernel(signs)
+        num = walls.kernel(signs) * batch.mult
         if not np.any(batch.xx_num[(num != 0) & ~batch.inside] != 0):
             break
     else:
@@ -506,7 +506,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
     _check_space(coset.space, ngon)
     if window is None:
         window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
-    batch = enumerate_coset(coset, window).folded()
+    batch = enumerate_coset(coset, window, even=True)
     scaled = _CompletionKernel(ngon, w_offset).eval(batch, tau.imag)
     return complex(_completion_sum(batch, scaled, tau)[0]), \
         _tail_estimate(batch, window, ngon.n, tau.imag)[0]
@@ -597,7 +597,7 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     Weil transform; returns a report dict.  The completion kernel is even
     (eps, the wall terms and the rho masses are invariant under x -> -x,
     and so is the window), so theta_{-mu} = theta_mu: the cosets mu_i with
-    i <= index(-mu_i) are one folded batch about completion_eval's window,
+    i <= index(-mu_i) are one even batch about completion_eval's window,
     evaluated once per Im tau; each value fills both entries of its pair."""
     _check_space(space, ngon)
     reps, tdiag, smat = weil = weil_matrices(space)
@@ -606,7 +606,7 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     kern = _CompletionKernel(ngon, w_offset)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
-    batch = enumerate_cosets(space, [reps[i] for i in own], window).folded()
+    batch = enumerate_cosets(space, [reps[i] for i in own], window, even=True)
     scaled = {}     # Im tau -> kernel values; tau, tau+1 share them
 
     def theta_vec(t):

@@ -27,7 +27,7 @@ from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
                              validate_dodec)
 from ngontheta.ngon import (w_invariant, vertex_plane, gamma_sample, validate,
-                            regular_negative_vector)
+                            regular_negative_vector, epsilon)
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
                              truncated_class_series, butterfly_ngon,
@@ -280,6 +280,44 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
                                     for k in got.tolist()]
     if how == "row":
         assert len(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_even_enumeration_folds_pm_pairs(space_q3, data):
+    # for an even kernel, a coset with 2 mu in L is enumerated as x = 0 and
+    # the rows whose first nonzero coordinate is positive, at mult 2 but for
+    # x = 0: the unfolded batch filtered to those rows, in the same order,
+    # with the same split and norms; other cosets are unfolded, at mult 1
+    mat = _random_majorant(data, space_q3)
+    m = len(mat)
+    halves = st.lists(st.sampled_from([0, Fraction(1, 2), Fraction(3, 2)]),
+                      min_size=m, max_size=m)
+    others = st.lists(st.fractions(-2, 2, max_denominator=4), min_size=m,
+                      max_size=m)
+    mus = data.draw(st.lists(st.one_of(halves, others), min_size=1,
+                             max_size=4), label="mus")
+    diag = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=m,
+                              max_size=m), label="gram")
+    space = QuadraticSpace([[diag[i] * int(i == j) for j in range(m)]
+                            for i in range(m)])
+    qmax = data.draw(st.one_of(st.none(), st.fractions(0, 6,
+                                                       max_denominator=8)))
+    window = SimpleNamespace(majorant=mat, B=data.draw(
+        st.fractions(0, 10, max_denominator=16), label="B"))
+    full = enumerate_cosets(space, mus, window, qmax)
+    half = enumerate_cosets(space, mus, window, qmax, even=True)
+    fold = np.array([all((2 * c).denominator == 1 for c in mu) for mu in mus])
+    lead = full.xnum[np.arange(len(full)), np.argmax(full.xnum != 0, 1)]
+    keep = ~fold[full.coset] | (lead >= 0)
+    for name in ("xnum", "inside", "xx_num", "coset"):
+        assert np.array_equal(getattr(half, name), getattr(full, name)[keep])
+    nonzero = np.any(half.xnum != 0, axis=1)
+    assert np.array_equal(half.mult, np.where(fold[half.coset] & nonzero,
+                                              2, 1))
+    # every x of the full batch is counted once
+    assert np.array_equal(np.bincount(half.coset, half.mult, len(mus)),
+                          np.bincount(full.coset, minlength=len(mus)))
 
 
 def _band_bases():
@@ -694,9 +732,10 @@ def test_completion_window_invariance(funddom):
 
 
 def test_folded_batch_matches_full_sum(funddom):
-    # a coset with 2 mu in L is evaluated on x = 0 and one row of each +-x
-    # pair, counted twice; its value is the full batch's sum up to rounding,
-    # and its count (for the tail) is the full enumeration's
+    # a coset with 2 mu in L is enumerated for an even kernel as x = 0 and
+    # one row of each +-x pair, counted twice; its value is the full batch's
+    # sum up to rounding, and its count (for the tail) is the full
+    # enumeration's
     window = completion_window(funddom, 6)
     kern = _CompletionKernel(funddom, w_offset=1)
     tau = complex(-0.31, 1.1)
@@ -706,7 +745,7 @@ def test_folded_batch_matches_full_sum(funddom):
             continue
         folded += 1
         full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
-        half = full.folded()
+        half = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window, even=True)
         assert np.sum(half.mult) == len(full)
         assert 2 * len(half) - len(full) == int(not any(mu))    # x = 0 in L
         assert np.array_equal(half.mult == 1, np.all(half.xnum == 0, axis=1))
@@ -731,13 +770,14 @@ def _window_rows(batch):
 def test_tail_estimate_counts_window_rows_only(funddom):
     # the density is calibrated against B^{m/2}, so only rows with
     # (x,x)_{z0} <= B may count: the guard band up to GUARD * B leaves every
-    # tail unchanged, on full and on folded batches
+    # tail unchanged, on full and on even (folded) batches
     window = completion_window(funddom, 6)
     guard_rows = 0
     for mu in disc_group(SPACE_ABC):
         full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
         guard_rows += int(np.sum(~full.inside))
-        for batch in (full, full.folded()):
+        for batch in (full, enumerate_coset(LatticeCoset(SPACE_ABC, mu),
+                                            window, even=True)):
             assert np.array_equal(
                 _tail_estimate(batch, window, funddom.n, 0.95),
                 _tail_estimate(_window_rows(batch), window, funddom.n, 0.95))
@@ -847,6 +887,29 @@ def _tilted_polygon(funddom):
                     [tuple(c) + (t,) for c, t in zip(funddom.cs, ts)])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eps_vanishes_on_nonpositive_vectors_at_m4(funddom, data):
+    # the band-limited series at m = 4 keep only 0 <= Q(x): eps must vanish
+    # on every x != 0 with (x, x) <= 0 of the tilted (2,2) polygon and the
+    # product 4-gon; isotropic x = (y,y) e - 2 (e,y) y from an isotropic e
+    tilted = data.draw(st.booleans(), label="tilted")
+    ngon = _tilted_polygon(funddom) if tilted else _product_4gon()
+    space = ngon.space
+    y = tuple(data.draw(st.lists(st.fractions(-6, 6, max_denominator=5),
+                                 min_size=4, max_size=4), label="y"))
+    if data.draw(st.booleans(), label="isotropic"):
+        e = (1, 0, 0, 0) if tilted else (1, 1, 1, 1)
+        assert space.inner(e, e) == 0
+        x = tuple(space.inner(y, y) * a - 2 * space.inner(e, y) * b
+                  for a, b in zip(e, y))
+        assert space.inner(x, x) == 0
+    else:
+        x = y
+    assume(any(x) and space.inner(x, x) <= 0)
+    assert epsilon(ngon, x).eps == 0
+
+
 def test_tilted_polygon_modularity_at_m4(funddom):
     # the tilted polygon, 64 cosets: modular to rounding, theta not
     # identically zero, a wrong w breaks S, and the check stays fast
@@ -890,12 +953,12 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
     # each coset's contiguous rows of one batch over the lcm of all the
     # cosets' denominators are that coset enumerated alone, the same
     # rationals in the same order, with the same window split, floats and,
-    # folded, multiplicities
+    # enumerated for an even kernel, multiplicities
     space, window = _batch_case(name, funddom, seed_dodec)
     reps = disc_group(space)
     assert len(reps) == cosets
     batch = enumerate_cosets(space, reps, window, qmax)
-    half = batch.folded()
+    half = enumerate_cosets(space, reps, window, qmax, even=True)
     assert np.all(np.diff(batch.coset) >= 0) and len(batch.munum) == cosets
     sizes = []
     for i, mu in enumerate(reps):
@@ -909,7 +972,8 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
         assert np.array_equal(batch.ks[rows], alone.ks)
         assert np.array_equal(batch.xf[rows], alone.xf)
         assert np.array_equal(batch.qf[rows], alone.qf)
-        folded = alone.folded()
+        folded = enumerate_coset(LatticeCoset(space, mu), window, qmax,
+                                 even=True)
         rows = half.coset == i
         assert np.array_equal(half.xnum[rows], folded.xnum * s)
         assert np.array_equal(half.mult[rows],
@@ -1248,6 +1312,45 @@ def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
     if cancelled is not None:
         # an exponent whose kernel-supported terms cancel keeps its entry
         assert qe.entries[cancelled] == 0
+
+
+def test_series_fold_matches_unfolded_sum(funddom, seed_dodec, monkeypatch):
+    # an N-gon series enumerates x = 0 and one x of each +-x pair of a coset
+    # with 2 mu in L, weighting eps by mult: its entries and flags are those
+    # of the unfolded batch summed row by row.  A dodecahedral series (odd
+    # level) enumerates every x, at mult 1
+    batches = []
+    enum = lattice.enumerate_coset
+
+    def spy(*args, **kwargs):
+        batches.append(enum(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(lattice, "enumerate_coset", spy)
+    nmax, cases = Fraction(12), 0
+    for ngon in (funddom, butterfly_ngon()):
+        for mu in disc_group(SPACE_ABC):
+            if any((2 * c).denominator != 1 for c in mu):
+                continue
+            cases += 1
+            coset = LatticeCoset(SPACE_ABC, mu)
+            qe = holomorphic_series(coset, ngon, nmax)
+            half, full = batches[-1], enum(coset, qe.window, qmax=nmax)
+            assert np.sum(half.mult) == len(full)
+            assert 2 * len(half) - len(full) == int(not any(mu))
+            signs = ngon.sign_matrix(full.xnum)
+            entries, flags, bad_guard = _row_loop_series(
+                full, signs, ngon.kernel(signs), 1, nmax)
+            assert not bad_guard
+            assert list(qe.entries.items()) == list(entries.items()), mu
+            assert qe.flags == flags, mu
+    assert cases == 16
+    batches.clear()
+    coset = LatticeCoset(seed_dodec.space, (Fraction(1, 2), 0, 0, 0))
+    qe = dodec_series(coset, seed_dodec, 2)
+    assert batches and all(np.all(b.mult == 1) for b in batches)
+    assert np.array_equal(batches[-1].xnum,
+                          enum(coset, qe.window, qmax=2).xnum)
 
 
 def _small_window(z0, safety):

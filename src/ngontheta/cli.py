@@ -5,7 +5,8 @@ Subcommands:
   theta series | complete | modularity
                                   q-expansions, completed values, transforms
   sig12 recover | winding | zagier
-                                  signature-(1,2) geometry utilities
+                                  signature-(1,2) geometry utilities; winding
+                                  takes any N-gon file in signature (p, 2)
   dodec validate | kernel | series
                                   dodecahedral collections
   errfn eval                      generalized error function values
@@ -24,7 +25,7 @@ import sys
 from . import jsonio
 from .jsonio import InputError, parse_rational, rat_to_str
 from .ngon import (NGonValidationError, validate, epsilon, w_invariant,
-                   check_conditions)
+                   check_conditions, linking_number)
 
 TAU_MAX = 1e50  # beyond it Im(-1/tau) can underflow or floats overflow
 X_MAX = 1e50    # cap on errfn eval --x entries; near 1e308 (x, c) overflows
@@ -101,7 +102,7 @@ def build_parser():
     sp.add_argument("--out", metavar="FILE")
     sp = sig_sub.add_parser("winding")
     sp.add_argument("--ngon", required=True, metavar="FILE")
-    sp.add_argument("--x", required=True, metavar="RAT,RAT,RAT")
+    sp.add_argument("--x", required=True, metavar="RAT,RAT,...")
     sp.add_argument("--out", metavar="FILE")
     sp = sig_sub.add_parser("zagier")
     sp.add_argument("--T", required=True, dest="t")
@@ -215,8 +216,7 @@ def _emit_series(qe, args):
 
 
 def cmd_sig12(args):
-    from .sig12 import (SPACE_ABC, recover_ngon, winding_number,
-                        truncated_class_series)
+    from .sig12 import SPACE_ABC, recover_ngon, truncated_class_series
     if args.action == "recover":
         pts = jsonio.load_points_file(args.points)
         ngon = recover_ngon(pts)
@@ -229,9 +229,9 @@ def cmd_sig12(args):
     elif args.action == "winding":
         space, ngon = _load_ngon(args.ngon)
         x = _parse_vector_arg(args.x, "--x", space.dim)
-        k = winding_number(ngon, x)
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "winding": k, "eps": epsilon(ngon, x).eps},
+                          "winding": linking_number(ngon, x),
+                          "eps": epsilon(ngon, x).eps},
                          args.out)
     else:
         qe = truncated_class_series(parse_rational(args.t),

@@ -1,13 +1,13 @@
 """Geodesic N-gon data: exact validation, the sign kernel, the w invariant,
-vertex planes, boundary-edge sampling, and the alternating-sign translation
-used by the two-sign-convention dictionary.
+the linking number, vertex planes, boundary-edge sampling, and the
+alternating-sign translation used by the two-sign-convention dictionary.
 
 A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
   (1) (C_j, C_j) < 0
   (2) (C_j, C_j)(C_{j+1}, C_{j+1}) - (C_j, C_{j+1})^2 > 0
   (3) (C_j, C_j)(C_{j-1}, C_{j+1}) - (C_j, C_{j-1})(C_j, C_{j+1}) < 0
 All checks are integer signs on the collection's Gram, built once per NGon;
-the collection also owns the signs of (x, C_j), one x or a batch of rows.
+the collection also owns the pairings (x, C_j) and their signs.
 Its vertices are the pairs (j, j+1 mod N) and its face weights 0: level,
 kernel and vertex planes (one negative_planes batch) are _Walls', shared
 with dodecahedra.
@@ -123,12 +123,24 @@ class _Walls:
         self._level_v = int(self.level(_regular_choice(self._gram,
                                                        self._d)[1]))
 
-    def signs(self, x):
-        """The signs of (x, C_j) for a rational vector x."""
+    def pairings(self, x):
+        """The integers (x', C'_j) den, x' and C'_j the numerators of x and
+        C_j over their lcm denominators: positive multiples of (x, C_j)."""
         xn = _over_lcm(vec(x))[1]
         if len(xn) != self.space.dim:
             raise ValueError("dimension mismatch")
-        return [sgn(_dot(xn, g)) for g in self._gc]
+        return [_dot(xn, g) for g in self._gc]
+
+    def signs(self, x):
+        """The signs of (x, C_j) for a rational vector x."""
+        return [sgn(p) for p in self.pairings(x)]
+
+    def negative_signs(self, v):
+        """signs(v), or ValueError unless v is a negative vector."""
+        v = vec(v)
+        if not self.space.inner(v, v) < 0:
+            raise ValueError("v must be a negative vector")
+        return self.signs(v)
 
     def sign_matrix(self, xnum):
         """int64 signs of (x, C_j) for int64 rows xnum, each a positive
@@ -150,10 +162,7 @@ class _Walls:
         """The level of a negative vector v (None: the default v)."""
         if v is None:
             return self._level_v
-        v = vec(v)
-        if not self.space.inner(v, v) < 0:
-            raise ValueError("v must be a negative vector")
-        return int(self.level(self.signs(v)))
+        return int(self.level(self.negative_signs(v)))
 
     def kernel(self, signs):
         """level(x) - level(v) of each row of an integer matrix of the signs
@@ -223,6 +232,38 @@ def epsilon(ngon, x):
     return KernelValue(eps=int(ngon.kernel(s)), regular=all(s))
 
 
+def linking_number(ngon, x):
+    """The linking number of the boundary loop with D_x = {z : z perp x}, for
+    a regular x with Q(x) > 0 in any signature (p, 2); eps(x) = 4 link.
+    pr_z x has coordinates a = (a_1, a_2) in the frame pr_z C_1, pr_z C_2 of
+    a negative plane z, and link is the winding of a about 0, counterclockwise
+    positive, as z runs [C_1, C_2] -> [C_2, C_3] -> ... -> [C_N, C_1].  At
+    vertex plane j, a_j = M_j^-1 r_j with M_j = ((C_a, C_b)), a in {j, j+1},
+    b in {1, 2}, and r_j = ((x, C_j), (x, C_{j+1})).  On edge j, the planes
+    [C_{j+1}, (s-1) C_j + s C_{j+2}] for s in [0, 1], a is a positive multiple
+    of an affine segment that (x, C_{j+1}) != 0 keeps off 0, so the edge
+    turns by less than pi; det M never vanishes there (span(C_1, C_2) is
+    negative, z^perp positive), so det M_j = det M_1 > 0.  Hence link is the
+    winding of the integer polygon adj(M_j) r_j = det M_j a_j, from _gram
+    and pairings(x), counted by signed crossings of the positive a_1 axis:
+    exact, with no sampling and no near-edge guard."""
+    if not ngon.space.q(x) > 0:
+        raise ValueError("linking number needs Q(x) > 0")
+    r = ngon.pairings(x)
+    if not all(r):
+        raise ValueError("x is not regular for this collection")
+    pts = []
+    for j, k in ngon.vertices.tolist():
+        (a, b), (c, d) = ngon._gram[j][:2], ngon._gram[k][:2]
+        pts.append((d * r[j] - b * r[k], a * r[k] - c * r[j]))
+    link = 0
+    for (u0, v0), (u1, v1) in zip(pts, pts[1:] + pts[:1]):
+        c = u0 * v1 - u1 * v0       # > 0: 0 lies left of the edge
+        if (v0 > 0) != (v1 > 0) and (c > 0) == (v1 > 0):
+            link += sgn(c)          # crossed the positive a_1 axis
+    return link
+
+
 def vertex_plane(ngon, j):
     """Oriented negative plane [C_j, C_{j+1}], 1-based j."""
     if not 1 <= j <= ngon.n:
@@ -249,7 +290,8 @@ def illegal_variant_kernel(space, cs, x, v=None):
     condition (3) fails exactly at the two indices touching that pair (j=1
     and j=N; a single violation is impossible, since the third conditions
     2-color the vertex planes around a cycle).  Returns
-    (w_tilde, eps_tilde(x), term signs) with
+    (w_tilde, eps_tilde(x), term signs) with, for a negative v (ValueError
+    otherwise; None: the default v of regular_negative_vector),
       w_tilde = sgn(v,C_N)sgn(v,C_1) - sum_{j<N} sgn(v,C_j)sgn(v,C_{j+1})
       eps_tilde(x) = w_tilde - sgn(x,C_N)sgn(x,C_1) + sum_{j<N} sgn(x,C_j)sgn(x,C_{j+1})
     and term_signs[j] the sign (+1 or -1) carried by the smooth pair term
@@ -263,7 +305,7 @@ def illegal_variant_kernel(space, cs, x, v=None):
         raise ValueError(
             "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
             "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
-    sv = walls.signs(v) if v is not None else \
+    sv = walls.negative_signs(v) if v is not None else \
         _regular_choice(walls._gram, walls._d)[1]
     w_tilde = _cyclic_w(sv) + 2 * sv[-1] * sv[0]
     sx = walls.signs(x)

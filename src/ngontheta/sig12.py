@@ -6,10 +6,9 @@ Q([a,b,c]) = 4ac - b^2 and positive vectors of norm n correspond to CM
 points of discriminant -n in the upper half plane.  The orthogonal basis
   e1 = [1/2, 0, 1/2],  e2 = [0, 1, 0],  e3 = [1/2, 0, -1/2]
 has Gram diag(2, -2, -2) and fixes the orientation used by the hyperbolic
-cross product.
+cross product.  `sig12 winding` prints ngon.linking_number, for any (p, 2).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,52 +129,6 @@ def one_sign_term(zs, j):
     tau = turning_sign(pts[(i - 1) % n], pts[i], pts[(i + 1) % n])
     return tau * sgn(pts[i].norm2 - pts[(i - 1) % n].norm2) \
         * sgn(pts[(i + 1) % n].norm2 - pts[i].norm2)
-
-
-def cm_point(x):
-    """CM point in the upper half plane of a positive vector [a,b,c]."""
-    a, b, c = vec(x)
-    d = 4 * a * c - b * b
-    if not d > 0:
-        raise ValueError("CM point needs Q(x) > 0")
-    af, bf = float(a), float(b)
-    # a != 0 is automatic for Q > 0; sign chosen to land in Im > 0
-    return complex(-bf / (2 * af), math.sqrt(float(d)) / (2 * abs(af)))
-
-
-def plane_to_point(p):
-    """Upper-half-plane point of a norm-positive vector orthogonal to a
-    negative plane; p given in [a,b,c] coordinates."""
-    p = vec(p)
-    marker = p[0] + p[2]      # (p, e1)/2
-    if marker < 0:
-        p = tuple(-t for t in p)
-    elif marker == 0:
-        raise ValueError("vector lies on the light cone boundary marker")
-    return cm_point(p)
-
-
-def winding_number(ngon, x):
-    """Winding number of the polygon boundary loop around the CM point z_x
-    of a regular x.  Edge j runs along the geodesic C_j^perp between two
-    vertex points, and (x, C_j) != 0 keeps z_x off that geodesic, so in the
-    disc model w = (z - z_x)/(z - conj(z_x)) the edge subtends the principal
-    argument of w_j / w_{j-1}, which lies in (-pi, pi).  An edge that
-    subtends within 1e-9 of pi raises ValueError."""
-    if not ngon.space.q(x) > 0:
-        raise ValueError("winding number needs Q(x) > 0")
-    if 0 in ngon.signs(x):
-        raise ValueError("x is not regular for this collection")
-    zx = cm_point(x)
-    w = [(z - zx) / (z - zx.conjugate()) for z in
-         (plane_to_point(cross(*pl.span)) for pl in ngon.vertex_planes)]
-    angles = [cmath.phase(w[j] / w[j - 1]) for j in range(ngon.n)]
-    if max(map(abs, angles)) > math.pi - 1e-9:
-        raise ValueError("loop passes too close to the CM point")
-    k = math.fsum(angles) / (2.0 * math.pi)
-    if abs(k - round(k)) > 1e-6:
-        raise ValueError(f"accumulated angle {k} not within 1e-6 of an integer")
-    return int(round(k))
 
 
 def fundamental_ngon(t):

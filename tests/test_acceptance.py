@@ -12,9 +12,9 @@ from scipy.integrate import quad
 
 from ngontheta.qspace import QuadraticSpace, NegativePlane
 from ngontheta.errfn import E1, E2, E3
-from ngontheta.ngon import validate, epsilon, w_invariant
+from ngontheta.ngon import validate, epsilon, w_invariant, linking_number
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC, recover_ngon,
-                             winding_number, fundamental_ngon, butterfly_ngon,
+                             fundamental_ngon, butterfly_ngon,
                              reduced_forms, truncated_class_series)
 from ngontheta.lattice import (LatticeCoset, EnumWindow, certify_window,
                                enumerate_coset, holomorphic_series,
@@ -115,11 +115,11 @@ def test_criterion_03_linking_law():
             if SPACE_ABC.q(x) <= 0 or \
                     any(SPACE_ABC.inner(x, c) == 0 for c in g.cs):
                 continue
-            assert epsilon(g, x).eps == 4 * winding_number(g, x), (g, x)
+            assert epsilon(g, x).eps == 4 * linking_number(g, x), (g, x)
             done += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, elapsed
-    _report(3, "eps(x) = 4 * winding number on 5 polygons x 50 points")
+    _report(3, "eps(x) = 4 * linking number on 5 polygons x 50 points")
 
 
 def test_criterion_04_vanishing_on_nonpositive_norms():

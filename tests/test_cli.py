@@ -291,13 +291,29 @@ def test_cli_sig12_recover_orientation_error(capsys, tmp_path):
     assert "reverse" in err
 
 
-def test_cli_sig12_winding(capsys):
-    code, out, _ = run(capsys, "sig12", "winding", "--ngon", FUNDDOM,
-                       "--x", "1,0,2")
+@pytest.mark.parametrize("coords", ["abc", "e", "padded"])
+def test_cli_sig12_winding(capsys, tmp_path, coords):
+    # funddom as stored ([a,b,c] coordinates), written in SPACE_E
+    # coordinates, and padded into SPACE_ABC + <2>, at the image of (1,0,2)
+    from ngontheta.qspace import QuadraticSpace
+    from ngontheta.sig12 import SPACE_E, abc_to_e
+    path, x = FUNDDOM, (1, 0, 2)
+    if coords != "abc":
+        space, cs = jsonio.load_ngon_file(FUNDDOM)
+        if coords == "e":
+            space, cs, x = SPACE_E, [abc_to_e(c) for c in cs], abc_to_e(x)
+        else:
+            space = QuadraticSpace([[0, 0, 4, 0], [0, -2, 0, 0],
+                                    [4, 0, 0, 0], [0, 0, 0, 2]])
+            cs, x = [c + (0,) for c in cs], x + (0,)
+        path = tmp_path / "funddom.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "space": jsonio.space_to_json(space),
+            "cs": [jsonio.vector_to_json(c) for c in cs]}))
+    code, out, _ = run(capsys, "sig12", "winding", "--ngon", str(path),
+                       "--x", ",".join(map(rat_to_str, x)))
     assert code == 0
-    obj = json.loads(out)
-    assert obj["winding"] == 1
-    assert obj["eps"] == 4
+    assert json.loads(out) == {"schema_version": 1, "winding": 1, "eps": 4}
 
 
 def test_cli_sig12_zagier(capsys, tmp_path):

@@ -27,11 +27,11 @@ from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
                              validate_dodec)
 from ngontheta.ngon import (w_invariant, vertex_plane, gamma_sample, validate,
-                            regular_negative_vector, epsilon)
+                            regular_negative_vector, epsilon, linking_number)
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, reduced_forms,
                              truncated_class_series, butterfly_ngon,
-                             recover_ngon, cross, point_to_vector)
+                             recover_ngon, cross, point_to_vector, abc_to_e)
 
 from conftest import majorant_exact, mat_det, mat_inv
 
@@ -908,6 +908,53 @@ def test_eps_vanishes_on_nonpositive_vectors_at_m4(funddom, data):
         x = y
     assume(any(x) and space.inner(x, x) <= 0)
     assert epsilon(ngon, x).eps == 0
+
+
+def _linking_cell(name, funddom):
+    """funddom, the butterfly, a recovered square, funddom in SPACE_E
+    coordinates and padded into SPACE_ABC + <2>, the tilted (2,2) polygon
+    and the (2,2) product 4-gon."""
+    if name == "square":
+        return recover_ngon([(-1, 1), (1, 1), (Fraction(3, 2), 3),
+                             (Fraction(-3, 2), 3)])
+    if name == "funddom_e":
+        return validate(SPACE_E, [abc_to_e(c) for c in funddom.cs])
+    if name == "padded":
+        return _split_ngon(funddom, np.eye(4, dtype=int).tolist())
+    if name == "tilted":
+        return _tilted_polygon(funddom)
+    return {"funddom": funddom, "butterfly": butterfly_ngon(),
+            "product": _product_4gon()}[name]
+
+
+@pytest.mark.parametrize("name", ["funddom", "butterfly", "square",
+                                  "funddom_e", "padded", "tilted", "product"])
+def test_eps_is_four_linking_numbers(name, funddom):
+    # the paper's coefficient theorem as an exact oracle: eps(x) = 4 link(x)
+    # at every regular x with Q(x) > 0, in signature (1,2) and (2,2); each
+    # polygon draws eps = 0 and eps != 0, and a point on the wall C_1 raises
+    ngon = _linking_cell(name, funddom)
+    space, seen, g = ngon.space, {}, ngon._gram
+    # det M_j > 0 at every vertex, as linking_number's docstring argues
+    assert all(g[j][0] * g[k][1] - g[j][1] * g[k][0] > 0
+               for j, k in ngon.vertices.tolist())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(Fraction, st.integers(-24, 24),
+                              st.integers(1, 4)),
+                    min_size=space.dim, max_size=space.dim))
+    def check(x):
+        assume(space.q(x) > 0 and all(ngon.signs(x)))
+        eps = epsilon(ngon, x).eps
+        assert eps == 4 * linking_number(ngon, x), x
+        seen[eps != 0] = x
+
+    check()
+    assert sorted(seen) == [False, True]
+    x = space.project_perp(seen[True], ngon.cs[0])      # on the wall C_1
+    assert space.q(x) > 0 and not epsilon(ngon, x).regular
+    with pytest.raises(ValueError, match="not regular"):
+        linking_number(ngon, x)
 
 
 def test_tilted_polygon_modularity_at_m4(funddom):

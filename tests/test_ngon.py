@@ -246,6 +246,9 @@ def test_illegal_variant_kernel_w_independent_of_v(space_abc):
             continue
         w, _, _ = illegal_variant_kernel(space_abc, d, (1, -1, 3), v=v)
         assert w == 2
+    for v in ((0, 0, 0), (1, 0, 2)):    # zero, positive: no w~ from them
+        with pytest.raises(ValueError, match="v must be a negative vector"):
+            illegal_variant_kernel(space_abc, d, (1, -1, 3), v=v)
 
 
 def test_illegal_variant_kernel_rejects_other_patterns(space_abc, funddom):

@@ -1,15 +1,14 @@
-import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from ngontheta.ngon import epsilon, gamma_sample, w_invariant
+from ngontheta.ngon import (epsilon, gamma_sample, linking_number,
+                            vertex_plane, w_invariant)
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, abc_to_e, e_to_abc, UHPoint,
                              point_to_vector, cross, alpha, turning_sign,
                              OrientationError, recover_ngon, one_sign_term,
-                             cm_point, plane_to_point, winding_number,
                              fundamental_ngon, butterfly_ngon, reduced_forms,
                              truncated_class_series)
 
@@ -105,37 +104,11 @@ def test_one_sign_terms_sum_to_minus_w():
         assert total == -w_invariant(g)
 
 
-def test_cm_point_values():
-    assert cm_point((1, 0, 1)) == complex(0.0, 1.0)
-    z = cm_point((1, 2, 2))
-    assert abs(z - complex(-1.0, 1.0)) < 1e-12
-    with pytest.raises(ValueError):
-        cm_point((0, 1, 0))
-
-
-def test_cm_point_vector_round_trip():
-    # when the CM point is rational, point_to_vector recovers the ray
-    for x in ((1, 0, 1), (1, 2, 2), (2, 0, 2), (1, -2, 5)):
-        a, b, c = x
-        d = 4 * a * c - b * b
-        r = math.isqrt(d)
-        assert r * r == d
-        z = cm_point(x)
-        y = point_to_vector((Fraction(round(2 * z.real * 2), 4),
-                             Fraction(r, 2 * abs(a))))
-        lam = Fraction(x[0]) / Fraction(y[0])
-        assert all(Fraction(xi) == lam * yi for xi, yi in zip(x, y))
-
-
-def test_plane_to_point_matches_vertices(funddom):
-    from ngontheta.ngon import vertex_plane
-    # vertex 3 of the t=2 domain is the corner rho at x=-1/2 on the unit circle
-    pl = vertex_plane(funddom, 3)
-    p = cross(pl.span[0], pl.span[1])
-    z = plane_to_point(p)
-    assert abs(z - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
-    with pytest.raises(ValueError):
-        plane_to_point((0, 1, 0))  # orthogonal marker vanishes
+def test_vertex_plane_cross_is_rho(funddom):
+    # vertex 3 of the t=2 domain is the corner rho at x=-1/2 on the unit
+    # circle: the cross of its plane spans the ray of X(rho) = [1,1,1]/sqrt 3
+    p = cross(*vertex_plane(funddom, 3).span)
+    assert p[0] > 0 and p == (p[0],) * 3
 
 
 def test_winding_matches_quarter_kernel(funddom):
@@ -148,20 +121,20 @@ def test_winding_matches_quarter_kernel(funddom):
     for g, x in cases:
         k = epsilon(g, x)
         assert k.regular
-        assert 4 * winding_number(g, x) == k.eps, (x, k)
+        assert 4 * linking_number(g, x) == k.eps, (x, k)
 
 
 def test_winding_rejects_bad_input(funddom):
-    with pytest.raises(ValueError):
-        winding_number(funddom, (0, 1, 0))      # Q <= 0
-    with pytest.raises(ValueError):
-        winding_number(funddom, (1, 1, 1))      # corner: not regular
+    with pytest.raises(ValueError, match="Q"):
+        linking_number(funddom, (0, 1, 0))      # Q <= 0
+    with pytest.raises(ValueError, match="not regular"):
+        linking_number(funddom, (1, 1, 1))      # corner: not regular
 
 
 def test_winding_near_an_edge(funddom):
-    # x = p + d C_2 with p orthogonal to the midpoint plane of edge 2: its
-    # CM point lies off the edge's interior by about d, on either side, so
-    # the edge subtends pi - O(d); inside the 1e-9 guard it raises
+    # x = p + d C_2 with p orthogonal to the midpoint plane of edge 2: D_x
+    # passes within about d of the edge's interior, on either side, and the
+    # integer link stays exact however small d is
     p = cross(*gamma_sample(funddom, 2, Fraction(1, 2)).span)
     c = funddom.cs[1]
 
@@ -169,14 +142,13 @@ def test_winding_near_an_edge(funddom):
         return tuple(a + d * b for a, b in zip(p, c))
 
     seen = set()
-    for d in (Fraction(1, 10 ** 8), Fraction(-1, 10 ** 8)):
+    for d in (Fraction(1, 10 ** 8), Fraction(-1, 10 ** 8),
+              Fraction(1, 10 ** 10), Fraction(-1, 10 ** 40)):
         k = epsilon(funddom, near(d))
         assert k.regular
-        assert 4 * winding_number(funddom, near(d)) == k.eps
-        seen.add(k.eps)
-    assert seen == {0, 4}               # one point inside, one outside
-    with pytest.raises(ValueError):
-        winding_number(funddom, near(Fraction(1, 10 ** 10)))
+        assert 4 * linking_number(funddom, near(d)) == k.eps
+        seen.add((d > 0, k.eps))
+    assert seen == {(True, 0), (False, 4)}  # one side inside, one outside
 
 
 def test_fundamental_ngon_needs_t_above_one():

@@ -65,8 +65,8 @@ def cyclic_equal(t1, t2):
 
 @functools.cache
 def cycle_table():
-    """The fixed face-cycle table with its 20 vertex triples; all structural
-    invariants are checked when it is first built (once per process)."""
+    """The fixed face-cycle table with its 20 vertex triples, built once per
+    process; tests/test_dodec.py asserts its structural invariants."""
     cycles = dict(_TOP_CYCLES)
     for a in range(6, 12):              # keys in the order 0..11
         cycles[a] = tuple(bar(x) for x in reversed(cycles[bar(a)]))
@@ -79,28 +79,7 @@ def cycle_table():
             if key not in seen:
                 seen[key] = tri
                 verts.append(tri)
-    comb = DodecCombinatorics(cycles=cycles, vertices=tuple(verts))
-    _check_table(comb)
-    return comb
-
-
-def _check_table(comb):
-    cycles, verts = comb.cycles, comb.vertices
-    assert len(verts) == 20, "a dodecahedron has 20 vertices"
-    counts = {}
-    for i in range(12):
-        assert len(set(cycles[i])) == 5 and i not in cycles[i]
-        assert bar(i) not in cycles[i], "antipodal faces are not adjacent"
-        for j in cycles[i]:
-            assert i in cycles[j], "adjacency must be symmetric"
-            assert cyclic_equal(recipe_step(cycles[i], i, j), cycles[j]), \
-                f"recipe closure fails for faces {i} -> {j}"
-        for k in range(5):
-            key = frozenset((i, cycles[i][k], cycles[i][(k + 1) % 5]))
-            counts[key] = counts.get(key, 0) + 1
-    assert all(c == 3 for c in counts.values()), \
-        "each vertex must be shared by exactly 3 faces"
-    assert len(counts) == 20
+    return DodecCombinatorics(cycles=cycles, vertices=tuple(verts))
 
 
 class DodecValidationError(ValueError):

@@ -1,14 +1,20 @@
 """JSON/CSV serialization: rationals as "p/q" strings, floats as shortest
 round-trip decimals, one schema version field per file, deterministic
-formatting (byte-identical across runs and thread counts)."""
+formatting (byte-identical across runs and thread counts); parse_rational
+reads ASCII integers and p/q with int(), other strings with Fraction."""
 
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .qspace import QuadraticSpace, vec
 
 SCHEMA_VERSION = 1
+EXP_MAX = 4300      # larger exponents are refused: Python's cap on int(str)
+_INTEGER = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+                       r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 class InputError(ValueError):
@@ -22,22 +28,33 @@ def rat_to_str(r):
 
 
 def parse_rational(s):
-    if isinstance(s, bool):
-        raise InputError(f"not a rational: {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
+    """The Fraction of a JSON int or rational string, with Fraction(s)'s
+    values and error texts; a decimal exponent above EXP_MAX is refused."""
     if isinstance(s, str):
         try:
+            if m := _INTEGER.fullmatch(s):
+                n, q = int(m[1]), m[2]
+                return Fraction(n) if q is None else Fraction(n, int(q))
+            if (m := _EXPONENT.fullmatch(s)) and abs(int(m[1])) > EXP_MAX:
+                raise ValueError(f"exponent above {EXP_MAX} in absolute value")
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational string {s!r}: {e}") from None
-    raise InputError(f"not a rational: {s!r} (floats are not accepted)")
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    floats = " (floats are not accepted)" if isinstance(s, float) else ""
+    raise InputError(f"not a rational: {s!r}{floats}")
 
 
-def parse_vector(obj):
-    if not isinstance(obj, (list, tuple)):
-        raise InputError(f"vector must be an array, got {obj!r}")
-    return vec(tuple(parse_rational(t) for t in obj))
+def parse_vector(obj, key=None, path=None):
+    """The rationals of a JSON array, as a tuple; an error names the file
+    `path` and the field `key` of the array, when given."""
+    try:
+        if not isinstance(obj, (list, tuple)):
+            raise InputError(f"vector must be an array, got {obj!r}")
+        return tuple(map(parse_rational, obj))
+    except InputError as e:
+        raise InputError(f"{path}: field {key!r}: {e}") if key else e from None
 
 
 def vector_to_json(v):
@@ -76,7 +93,7 @@ def _vector(obj, key, path, dim):
     if len(v) != dim:
         raise InputError(f"{path}: {key} has {len(v)} entries; the space has "
                          f"dimension {dim}")
-    return parse_vector(v)
+    return parse_vector(v, key, path)
 
 
 def _vectors(obj, key, path, dim):
@@ -86,15 +103,14 @@ def _vectors(obj, key, path, dim):
         if not isinstance(v, list) or len(v) != dim:
             raise InputError(f"{path}: field {key!r} must hold vectors of "
                              f"{dim} entries, got {v!r}")
-    return [parse_vector(v) for v in vs]
+    return [parse_vector(v, key, path) for v in vs]
 
 
 def space_from_json(obj, path="<input>"):
-    gram = _field(obj, "gram", path)
+    rows = [parse_vector(r, "gram", path) for r in _array(obj, "gram", path)]
     try:
-        return QuadraticSpace([[parse_rational(t) for t in row]
-                               for row in gram])
-    except (TypeError, ValueError) as e:
+        return QuadraticSpace(rows)
+    except ValueError as e:
         raise InputError(f"{path}: bad gram matrix: {e}") from None
 
 
@@ -122,7 +138,7 @@ def load_points_file(path):
     pts = _array(obj, "points", path)
     if not all(isinstance(p, list) and len(p) == 2 for p in pts):
         raise InputError(f"{path}: field 'points' must hold [x, y] pairs")
-    return [(parse_rational(p[0]), parse_rational(p[1])) for p in pts]
+    return [parse_vector(p, "points", path) for p in pts]
 
 
 def load_dodec_file(path):
@@ -138,8 +154,8 @@ def load_dodec_file(path):
         basis = _vectors(seed, "z0_basis", path, space.dim)
         v0 = _vector(seed, "v0", path, space.dim)
         traw = seed.get("t", 0)
-        t = [parse_rational(u) for u in traw] if isinstance(traw, list) \
-            else parse_rational(traw)
+        t = parse_vector(traw, "t", path) if isinstance(traw, list) \
+            else parse_vector([traw], "t", path)[0]
         cs = seed_construction(space, basis, v0, t)
     else:
         raise InputError(f"{path}: need either 'cs' or 'seed'")

@@ -3,9 +3,10 @@
 All sign decisions downstream (kernels, polygon conditions) are made with
 exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
-The exact core is integer: `inner` sums over the nonzero Gram numerators,
-`int_core` gives collections an integer Gram, and negative_planes a batch of
-planes Bareiss minors on that Gram and one batched orthonormalization.
+The exact core is integer: a space keeps its Gram numerators over their lcm
+(and its signature from them), `inner` sums over the nonzero ones, `int_core`
+gives collections an integer Gram, and negative_planes a batch of planes
+Bareiss minors on that Gram and one batched orthonormalization.
 """
 
 from fractions import Fraction
@@ -21,15 +22,13 @@ def rat(x):
     """Coerce to Fraction. Accepts int, Fraction, and 'p/q' strings."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     return Fraction(x)
 
 
 def vec(coords):
-    return tuple(rat(c) for c in coords)
+    return tuple(map(rat, coords))
 
 
 def vec_add(x, y):
@@ -124,12 +123,13 @@ def _signature(a):
     roots, so Descartes' rule of signs counts the positive and the negative
     eigenvalues exactly.  Raises on a degenerate form."""
     m = len(a)
-    coef, mk = [1], [[0] * m for _ in range(m)]
+    coef, am = [1], a               # A M_k, M_1 = I
     for k in range(1, m + 1):
-        mk = [[sum(a[i][l] * mk[l][j] for l in range(m)) + coef[-1] * (i == j)
-               for j in range(m)] for i in range(m)]
-        coef.append(-sum(a[i][l] * mk[l][i]
-                         for i in range(m) for l in range(m)) // k)
+        coef.append(-sum(am[i][i] for i in range(m)) // k)
+        if k < m:                   # M_{k+1} = A M_k + c_k I, symmetric
+            mk = [[v + coef[-1] * (i == j) for j, v in enumerate(r)]
+                  for i, r in enumerate(am)]
+            am = [[_dot(r, c) for c in mk] for r in a]
     if coef[-1] == 0:
         raise ValueError("degenerate quadratic form")
 
@@ -147,23 +147,21 @@ class QuadraticSpace:
     """
 
     def __init__(self, gram):
-        g = tuple(tuple(rat(v) for v in row) for row in gram)
+        g = tuple(tuple(map(rat, row)) for row in gram)
         m = len(g)
         if any(len(row) != m for row in g):
             raise ValueError("gram matrix must be square")
-        for i in range(m):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
         self.gram = g
         self.dim = m
         # integer core: G = gi / den, and (i, j, gi_ij) over the nonzero gi_ij
-        self._den = math.lcm(*(v.denominator for row in g for v in row))
-        self._gi = tuple(tuple(int(v * self._den) for v in row) for row in g)
+        self._den, gi = _over_lcm([v for row in g for v in row])
+        self._gi = tuple(tuple(gi[i * m:i * m + m]) for i in range(m))
+        if any(r != c for r, c in zip(self._gi, zip(*self._gi))):
+            raise ValueError("gram matrix must be symmetric")
         self._terms = tuple((i, j, v) for i, row in enumerate(self._gi)
                             for j, v in enumerate(row) if v)
         self.sig = _signature(self._gi)
-        self.gram_f = np.array([[float(v) for v in row] for row in g])
+        self.gram_f = np.array([[v / self._den for v in r] for r in self._gi])
 
     def __repr__(self):
         return f"QuadraticSpace(dim={self.dim}, sig={self.sig})"

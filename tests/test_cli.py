@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -557,7 +559,29 @@ def _malformed_files():
         "points5.json": {"schema_version": 1, "points": 5},
         "points1.json": {"schema_version": 1,
                          "points": [["0", "1"], ["1"], ["1", "2"]]},
+        # an entry that is no rational, in each field that holds rationals
+        "dodec_cs_entry.json": {**dodec12,
+                                "cs": [[["1"], "0", "0", "0"]] + cs12[1:]},
+        "dodec_t_dict.json": _seed_with(t={"a": 1}),
+        "dodec_t_true.json": _seed_with(t=True),
+        "dodec_t_float.json": _seed_with(t=[0.5] * 12),
+        "dodec_z0_entry.json": _seed_with(z0_basis=[[None, "1", "0", "0"],
+                                                    ["0", "0", "1", "0"],
+                                                    ["0", "0", "0", "1"]]),
+        "dodec_v0_entry.json": _seed_with(v0=["x", "0", "0", "0"]),
+        "ngon_gram_entry.json": {**funddom, "space": {"gram": [
+            [[1], "0", "0"]] + funddom["space"]["gram"][1:]}},
+        "lattice_mu_entry.json": {**lattice, "mu": [0.5, "0", "0"]},
+        "points_entry.json": {"schema_version": 1,
+                              "points": [["0", "1"], ["1", True]]},
     }
+
+
+def _seed_with(**fields):
+    """The committed seed dodecahedron with some of its seed fields set."""
+    doc = json.loads(Path(DODEC).read_text())
+    doc["seed"].update(fields)
+    return doc
 
 
 THETA = ["--lattice", LATTICE, "--ngon", FUNDDOM]
@@ -648,7 +672,50 @@ MALFORMED = {
     "errfn-x-huge": (["errfn", "eval", "--space", SPACE, "--c", "0,1,0",
                       "--x", "1e308,0,0"], 1,
                      "error: --x '1e308,0,0': entries must be at most"),
+    # Fraction would build 10^|e| (13 s at 1e10000000); refused at once
+    "ngon-eps-exponent": (["ngon", "eps", "--ngon", FUNDDOM, "--x",
+                           "1e10000000,0,0"], 1,
+                          "error: bad vector argument '1e10000000,0,0': bad "
+                          "rational string '1e10000000': exponent above 4300 "
+                          "in absolute value\n"),
+    # a non-rational entry names the file and the field; only a float is
+    # called a float
+    "dodec-cs-entry": (["dodec", "kernel", "--data", "dodec_cs_entry.json",
+                        "--x", "1,0,0,0"], 1,
+                       "error: dodec_cs_entry.json: field 'cs': not a "
+                       "rational: ['1']\n"),
+    "dodec-t-dict": (["dodec", "validate", "--data", "dodec_t_dict.json"], 1,
+                     "error: dodec_t_dict.json: field 't': not a rational: "
+                     "{'a': 1}\n"),
+    "dodec-t-true": (["dodec", "validate", "--data", "dodec_t_true.json"], 1,
+                     "error: dodec_t_true.json: field 't': not a rational: "
+                     "True\n"),
+    "dodec-t-float": (["dodec", "series", "--data", "dodec_t_float.json",
+                       "--nmax", "2"], 1,
+                      "error: dodec_t_float.json: field 't': not a rational: "
+                      "0.5 (floats are not accepted)\n"),
+    "dodec-z0-entry": (["dodec", "validate", "--data",
+                        "dodec_z0_entry.json"], 1,
+                       "error: dodec_z0_entry.json: field 'z0_basis': not a "
+                       "rational: None\n"),
+    "dodec-v0-entry": (["dodec", "validate", "--data",
+                        "dodec_v0_entry.json"], 1,
+                       "error: dodec_v0_entry.json: field 'v0': bad rational "
+                       "string 'x': Invalid literal for Fraction: 'x'\n"),
+    "ngon-gram-entry": (["ngon", "validate", "--ngon",
+                         "ngon_gram_entry.json"], 1,
+                        "error: ngon_gram_entry.json: field 'gram': not a "
+                        "rational: [1]\n"),
+    "lattice-mu-entry": (["theta", "series", "--lattice",
+                          "lattice_mu_entry.json", "--ngon", FUNDDOM,
+                          "--nmax", "2"], 1,
+                         "error: lattice_mu_entry.json: field 'mu': not a "
+                         "rational: 0.5 (floats are not accepted)\n"),
+    "points-entry": (["sig12", "recover", "--points", "points_entry.json"], 1,
+                     "error: points_entry.json: field 'points': not a "
+                     "rational: True\n"),
 }
+QUICK = {"ngon-eps-exponent": 2.0}     # seconds a case may take at most
 
 
 def _no_nan(name):
@@ -665,7 +732,9 @@ def test_cli_malformed_input(capsys, tmp_path, monkeypatch, name):
     for file, doc in _malformed_files().items():
         (tmp_path / file).write_text(json.dumps(doc))
     argv, want, message = MALFORMED[name]
+    start = time.monotonic()
     code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < QUICK.get(name, math.inf)
     assert "Traceback" not in err
     if code == 0:
         json.loads(out, parse_constant=_no_nan)

@@ -42,8 +42,24 @@ def test_bar_is_fixed_point_free_involution():
 
 
 def test_cycle_table_structure():
+    """The invariants of the fixed table: 20 distinct vertex triples, each
+    shared by exactly 3 faces; each cycle 5 distinct faces other than i and
+    its antipode; adjacency symmetric, and the recipe maps F(i) to a
+    rotation of F(j) for every adjacent pair."""
     comb = cycle_table()
     assert len(comb.vertices) == 20
+    counts = {}
+    for i in range(12):
+        cyc = comb.cycles[i]
+        assert len(set(cyc)) == 5 and i not in cyc and bar(i) not in cyc
+        for j in cyc:
+            assert i in comb.cycles[j]
+            assert cyclic_equal(recipe_step(cyc, i, j), comb.cycles[j])
+        for k in range(5):
+            key = frozenset((i, cyc[k], cyc[(k + 1) % 5]))
+            counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 20 and set(counts.values()) == {3}
+    assert {frozenset(t) for t in comb.vertices} == set(counts)
     # each face borders 5 faces and sits in exactly 5 vertex triples
     for i in range(12):
         assert len(comb.cycles[i]) == 5

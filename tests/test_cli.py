@@ -553,6 +553,9 @@ def _malformed_files():
         "dodec_cs_long.json": {**dodec12,
                                "cs": [cs12[0] + ["0"]] + cs12[1:]},
         "dodec11.json": _seed_doc(11),
+        # (C_0, C_0) > 0: C_0^perp is no space to project a face into
+        "dodec_c0_positive.json": {**dodec12,
+                                   "cs": [["1", "0", "0", "0"]] + cs12[1:]},
         "dodec_cs5.json": {**_seed_doc(0), "cs": 5},
         "dodec_v0_short.json": seed,
         "lattice_mu5.json": {**lattice, "mu": 5},
@@ -601,6 +604,11 @@ MALFORMED = {
                              2, NOT_12),
     "dodec-kernel-count": (["dodec", "kernel", "--data", "dodec11.json",
                             "--x", "1,0,0,0"], 2, NOT_12),
+    "dodec-validate-positive-wall": (["dodec", "validate", "--data",
+                                      "dodec_c0_positive.json"], 2,
+                                     "validation error: dodecahedron "
+                                     "conditions fail: face 0: (C_0, C_0) = "
+                                     "2 not < 0\n"),
     "ngon-cs-not-array": (["ngon", "validate", "--ngon", "ngon_cs5.json"], 1,
                           "ngon_cs5.json: field 'cs' must be an array"),
     "dodec-cs-not-array": (["dodec", "validate", "--data", "dodec_cs5.json"],

@@ -21,6 +21,7 @@ import argparse
 import cmath
 import functools
 import sys
+from fractions import Fraction
 
 from . import jsonio
 from .jsonio import InputError, parse_rational, rat_to_str
@@ -242,7 +243,7 @@ def cmd_sig12(args):
 
 def cmd_dodec(args):
     from .dodec import (check_dodec_conditions, validate_dodec,
-                        dodec_D_kernel, dodec_P_kernel, dodec_series)
+                        dodec_D_kernel, dodec_series)
     from .lattice import LatticeCoset
     space, cs = jsonio.load_dodec_file(args.data)
     if args.action == "validate":
@@ -260,11 +261,11 @@ def cmd_dodec(args):
         return 0
     dodec = validate_dodec(space, cs)
     if args.action == "kernel":
-        x = _parse_vector_arg(args.x, "--x", space.dim)
+        d = dodec_D_kernel(dodec, _parse_vector_arg(args.x, "--x", space.dim))
         jsonio.dump_json({
             "schema_version": jsonio.SCHEMA_VERSION,
-            "D": rat_to_str(dodec_D_kernel(dodec, x)),
-            "P": rat_to_str(dodec_P_kernel(dodec, x)),
+            "D": rat_to_str(d),
+            "P": rat_to_str(d - Fraction(dodec.level_at(), 8)),
         }, args.out)
     else:
         mu = _parse_vector_arg(args.mu, "--mu", space.dim) if args.mu \

@@ -51,6 +51,7 @@ from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
+K_MAX = 2.0 ** 53        # |k_i| beyond it: floats skip integers, int64 nears
 GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
 BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
 
@@ -177,7 +178,11 @@ def window_from_planes(z0, planes, nmax, safety=1.5):
         raise ValueError("nmax must be >= 0")
     ev = _kappas(_majorants([z0])[0], _majorants(planes))
     kappa = max(1.0, float(np.max(ev))) * safety
-    b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
+    try:
+        b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
+    except OverflowError:
+        raise ValueError("nmax too large: the window bound overflows a "
+                         "float") from None
     return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety)
 
 
@@ -206,9 +211,10 @@ def _check_space(space, walls):
 class CosetRows:
     """Vectors x = xnum/dmu of cosets mu+L, sorted by the index `coset` and
     then lexicographically: int64 numerators over one denominator (munum:
-    a row per coset, its mu), the exact split `inside`, (x,x)_{z0} <= B, and
-    xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x); the rows k = x - mu and the floats
-    xf of x and qf of Q(x) derive from them.  A row stands for `mult` x."""
+    a row per coset, its mu reduced into [0, 1)), the exact split `inside`,
+    (x,x)_{z0} <= B, and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x); the rows
+    k = x - mu and the floats xf of x and qf of Q(x) derive from them.  A
+    row stands for `mult` x."""
     xnum: np.ndarray
     dmu: int
     munum: np.ndarray
@@ -244,7 +250,8 @@ def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
     whose budget is at least -pad gets its children k_i in its padded
     interval in increasing order, so the rows are born sorted.  The last
     level's children are all kept, so the exact filter alone decides the
-    boundary."""
+    boundary.  A window whose coordinate ranges reach K_MAX raises
+    ValueError before any range is cast to int64."""
     m = len(m_exact)
     muf = np.array([[float(v) for v in mu] for mu in mus])
     bf = float(bound)
@@ -270,6 +277,9 @@ def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
         if fold is not None:     # x_i >= 0 while a folded row's x is all 0
             fold = fold[live]
             lo = np.where(fold, np.maximum(lo, np.ceil(-muf[c, i])), lo)
+        if np.any(np.maximum(-lo, hi) >= K_MAX):
+            raise ValueError(f"enumeration window too large: coordinate {i} "
+                             "of the lattice vectors passes 2^53")
         src = np.arange(len(ks))
         if i == m - 1 and band is not None:
             src, lo, hi = _band_cut(ks + muf[c, :-1], muf[c, -1], lo, hi,
@@ -338,8 +348,11 @@ def enumerate_cosets(space, mus, window, qmax=None, even=False):
     (x,x)_{z0} <= GUARD*B, as one CosetRows over the lcm of the mus'
     denominators, formed once, filtered exactly and split at B.  With a
     qmax, only those with 0 <= Q(x) <= qmax.  For an even kernel, a coset
-    with 2 mu in L holds x = 0 and one x of each +-x pair, at mult 2."""
+    with 2 mu in L holds x = 0 and one x of each +-x pair, at mult 2.  Each
+    mu is first reduced mod L, entries into [0, 1), so that its numerators
+    fit int64 whatever representative was given."""
     bound = window.B * GUARD
+    mus = [tuple(c % 1 for c in mu) for mu in mus]
     d, munum = _numerators(mus)
     band = None if qmax is None else (space.gram_f, float(qmax))
     fold = ~np.any(2 * munum % d, axis=1) if even else None    # 2 mu in L

@@ -639,6 +639,14 @@ MALFORMED = {
     "points-one-coordinate": (["sig12", "recover", "--points", "points1.json"],
                               1, "points1.json: field 'points' must hold "
                                  "[x, y] pairs"),
+    # a window whose coordinates pass 2^53 is refused before any int64 cast
+    "series-nmax-huge": (["theta", "series", *THETA, "--nmax", "1e40"], 2,
+                         "validation error: enumeration window too large: "
+                         "coordinate 0 of the lattice vectors passes 2^53\n"),
+    "series-nmax-float-overflow": (["theta", "series", *THETA, "--nmax",
+                                    "1e400"], 2,
+                                   "validation error: nmax too large: the "
+                                   "window bound overflows a float\n"),
     "modularity-nmax-negative": (["theta", "modularity", *THETA, "--nmax",
                                   "-1", "--tau", "i"], 2,
                                  "validation error: nmax must be >= 0"),
@@ -751,6 +759,21 @@ def test_cli_malformed_input(capsys, tmp_path, monkeypatch, name):
         assert len(err.splitlines()) == 1 and err.endswith("\n"), err
     assert code == want
     assert message in err
+
+
+def test_cli_dodec_series_huge_mu(capsys):
+    """mu matters only mod L: a coset numerator past int64 gives the series
+    of mu = 0, with mu printed as given."""
+    outs = []
+    for mu in ("1e19,0,0,0", "0,0,0,0"):
+        code, out, err = run(capsys, "dodec", "series", "--data", DODEC,
+                             "--mu", mu, "--nmax", "1")
+        assert (code, err) == (0, "")
+        outs.append(json.loads(out))
+    assert outs[0]["mu"] == ["10000000000000000000", "0", "0", "0"]
+    assert outs[1]["mu"] == ["0", "0", "0", "0"]
+    assert outs[0]["coeffs"]
+    assert {**outs[0], "mu": None} == {**outs[1], "mu": None}
 
 
 PINNED = json.loads((REPO / "tests" / "pinned_cli_outputs.json").read_text())

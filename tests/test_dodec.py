@@ -439,6 +439,24 @@ def test_validate_dodec_pairs_each_collection_vector_once(space_q3,
     assert calls == {"pair": 90, "inner": 0, "project_perp": 0}
 
 
+def test_dodec_kernel_command_pairs_x_once(capsys, monkeypatch):
+    """`dodec kernel` forms the pairings (x, C_i) once: D reads their
+    signs, and P = D - D(v) reuses the cached 8 D(v)."""
+    from ngontheta import ngon
+    calls = []
+    pairings = ngon._Walls.pairings
+
+    def counted(self, x):
+        calls.append(x)
+        return pairings(self, x)
+
+    monkeypatch.setattr(ngon._Walls, "pairings", counted)
+    data = str(EXAMPLES / "dodec_seed.json")
+    assert main(["dodec", "kernel", "--data", data, "--x", "1,0,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["P"] != "0"
+    assert len(calls) == 1
+
+
 # |E - E_ref| allowed against the recorded dodec_E references, as in the
 # benchmark's own check
 E_REF_TOL = 1e-9

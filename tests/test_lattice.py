@@ -271,7 +271,9 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
         SimpleNamespace(mu=mu, space=QuadraticSpace(
             [[int(i == j) for j in range(m)] for i in range(m)])),
         SimpleNamespace(majorant=mat, B=bound / GUARD))
-    got = rows.ks
+    # rows.ks is k = x - mu for mu reduced into [0, 1); the reference's k
+    # is x - mu for mu as drawn
+    got = rows.ks - np.array([math.floor(v) for v in mu], dtype=np.int64)
     want = _fp_enumerate_recursive(mat, mu, bound)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and got.shape[1] == m

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import jsonio
 from .jsonio import InputError, parse_rational, rat_to_str
 from .ngon import (NGonValidationError, validate, epsilon, w_invariant,
-                   check_conditions, linking_number)
+                   linking_number)
 
 TAU_MAX = 1e50  # beyond it Im(-1/tau) can underflow or floats overflow
 X_MAX = 1e50    # cap on errfn eval --x entries; near 1e308 (x, c) overflows
@@ -144,21 +144,27 @@ def _load_ngon(path):
     return space, validate(space, cs)
 
 
+def _dump_invalid(violations, out):
+    """The report of a collection that fails its conditions: exit code 2."""
+    jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION, "valid": False,
+                      "violations": violations}, out)
+    return 2
+
+
 def cmd_ngon(args):
     space, cs = jsonio.load_ngon_file(args.ngon)
+    try:
+        ngon = validate(space, cs)
+    except NGonValidationError as e:
+        if args.action != "validate":
+            raise
+        return _dump_invalid([{"j": v.j, "condition": v.condition,
+                               "message": v.message} for v in e.violations],
+                             args.out)
     if args.action == "validate":
-        bad = check_conditions(space, cs)
-        if bad:
-            report = {"schema_version": jsonio.SCHEMA_VERSION, "valid": False,
-                      "violations": [{"j": v.j, "condition": v.condition,
-                                      "message": v.message} for v in bad]}
-            jsonio.dump_json(report, args.out)
-            return 2
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "valid": True, "n": len(cs)}, args.out)
-        return 0
-    ngon = validate(space, cs)
-    if args.action == "eps":
+                          "valid": True, "n": ngon.n}, args.out)
+    elif args.action == "eps":
         kv = epsilon(ngon, _parse_vector_arg(args.x, "--x", space.dim))
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "eps": kv.eps, "regular": kv.regular}, args.out)
@@ -242,25 +248,23 @@ def cmd_sig12(args):
 
 
 def cmd_dodec(args):
-    from .dodec import (check_dodec_conditions, validate_dodec,
-                        dodec_D_kernel, dodec_series)
+    from .dodec import (DodecValidationError, validate_dodec, dodec_D_kernel,
+                        dodec_series)
     from .lattice import LatticeCoset
     space, cs = jsonio.load_dodec_file(args.data)
+    try:
+        dodec = validate_dodec(space, cs)
+    except DodecValidationError as e:
+        # a face with (C_i, C_i) >= 0 has no projected 5-gon to report on
+        if args.action != "validate" or isinstance(e.diagnostics[0][1], str):
+            raise
+        return _dump_invalid([{"face": i, "j": v.j, "condition": v.condition,
+                               "message": v.message}
+                              for i, v in e.diagnostics], args.out)
     if args.action == "validate":
-        bad = check_dodec_conditions(space, cs)
-        if bad:
-            report = {"schema_version": jsonio.SCHEMA_VERSION, "valid": False,
-                      "violations": [{"face": i, "j": v.j,
-                                      "condition": v.condition,
-                                      "message": v.message}
-                                     for i, v in bad]}
-            jsonio.dump_json(report, args.out)
-            return 2
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "valid": True}, args.out)
-        return 0
-    dodec = validate_dodec(space, cs)
-    if args.action == "kernel":
+    elif args.action == "kernel":
         d = dodec_D_kernel(dodec, _parse_vector_arg(args.x, "--x", space.dim))
         jsonio.dump_json({
             "schema_version": jsonio.SCHEMA_VERSION,

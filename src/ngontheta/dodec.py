@@ -47,22 +47,6 @@ class DodecCombinatorics:
     vertices: tuple     # 20 ordered incidence triples (i, u, v)
 
 
-def recipe_step(cycle_i, i, j):
-    """Adjacency recipe: rotate F(i) into the form (a, j, b, u, v) and return
-    (b, i, a, bar(u), bar(v)), a rotation of F(j)."""
-    if j not in cycle_i:
-        raise ValueError(f"face {j} is not adjacent to face {i}")
-    p = cycle_i.index(j)
-    a, _, b, u, v = tuple(cycle_i[(p - 1 + k) % 5] for k in range(5))
-    return (b, i, a, bar(u), bar(v))
-
-
-def cyclic_equal(t1, t2):
-    n = len(t1)
-    return len(t2) == n and any(
-        tuple(t1[(k + r) % n] for k in range(n)) == tuple(t2) for r in range(n))
-
-
 @functools.cache
 def cycle_table():
     """The fixed face-cycle table with its 20 vertex triples, built once per
@@ -88,16 +72,6 @@ class DodecValidationError(ValueError):
         extra = "" if len(diagnostics) <= 4 else f" (+{len(diagnostics) - 4} more)"
         super().__init__("dodecahedron conditions fail: " + msgs + extra)
         self.diagnostics = diagnostics
-
-
-def check_dodec_conditions(space, cs):
-    """All violated (face, Violation) pairs of the per-face 5-gon conditions
-    on the projected tuples R(i) of a collection that passes DodecData's
-    structural checks (which raise); integer signs on the collection's
-    Gram."""
-    d, _, n = space.int_core(_dodec_vectors(space, cs))
-    return [(i, v) for i, f in enumerate(_face_grams(space, d, n, cycle_table()))
-            for v in _gram_violations(*f)]
 
 
 def _dodec_vectors(space, cs):
@@ -146,8 +120,10 @@ class DodecData(_Walls):
 
 
 def validate_dodec(space, cs):
-    """Return a DodecData or raise DodecValidationError naming, per face,
-    the violated 5-gon inequality (face, j, which condition)."""
+    """Return a DodecData, or raise ValueError if cs is no collection of 12
+    vectors in signature (p, 3), or DodecValidationError: at the first face
+    i with (C_i, C_i) >= 0, or else carrying every violated 5-gon inequality
+    as (face, Violation)."""
     return DodecData(space, cs)
 
 

@@ -4,16 +4,18 @@ E_q(c_1..c_q; x) is the average of sgn(y,c_1)...sgn(y,c_q) against the
 unit-mass Gaussian centered at pr_z(x) on the negative q-plane
 z = span(c_1..c_q).  In orthonormalized plane coordinates the density is
 exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into 2^q
-sign-constant cones.  cone_sum, shared by E2/E3 and the N-gon completion's
-rho terms, is the one weighted sum of their masses.  A planar cone's mass
-is computed with the radial integral in closed form and, over the angular
-variable, fixed Gauss-Legendre nodes split at the peak (batched); a piece
-on the far side of the centre, where the integrand has no Gaussian factor
-in the angle, takes a shorter rule.  A solid cone's mass is a 1-D
-integral over one wall's normal coordinate, on fixed Gauss-Legendre
-nodes, of planar slice masses in closed form (a bivariate normal orthant
-probability by Owen's T function).  Values lie in [-1,1] and
-tend to the product of signs as x grows along a regular direction.
+sign-constant cones.  E_frames evaluates E2 or E3 on a stack of plane
+frames: E2/E3 of one plane and dodec_E_kernel are one call each.
+cone_sum, shared by E_frames and the N-gon completion's rho terms, is the
+one weighted sum of their masses.  A planar cone's mass is computed with
+the radial integral in closed form and, over the angular variable, fixed
+Gauss-Legendre nodes split at the peak (batched); a piece on the far side
+of the centre, where the integrand has no Gaussian factor in the angle,
+takes a shorter rule.  A solid cone's mass is a 1-D integral over one
+wall's normal coordinate, on fixed Gauss-Legendre nodes, of planar slice
+masses in closed form (a bivariate normal orthant probability by Owen's T
+function).  Values lie in [-1,1] and tend to the product of signs as x
+grows along a regular direction.
 """
 
 import functools
@@ -318,16 +320,3 @@ def cone_sum(a, f, u, weight, amp=0.0, cut=CONE_CUT):
     else:
         mass = cone_mass_3d(u[k], b)
     return np.bincount(k, weight[k, c] * mass, minlength=len(u))
-
-
-def j0_value(ngon, x):
-    """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
-    for a regular rational x, all N terms in one E_frames batch."""
-    s = ngon.signs(x)
-    if 0 in s:
-        raise ValueError("x is not regular: (x, C_j) = 0")
-    xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
-    a, m, _ = ngon.frames
-    prods = np.prod(np.array(s)[ngon.vertices], axis=1)
-    return sum(float(e) - int(p)
-               for e, p in zip(E_frames(a, m @ xf), prods)) / 4.0

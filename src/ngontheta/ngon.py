@@ -1,6 +1,5 @@
 """Geodesic N-gon data: exact validation, the sign kernel, the w invariant,
-the linking number, vertex planes, boundary-edge sampling, and the
-alternating-sign translation used by the two-sign-convention dictionary.
+the linking number and the vertex planes.
 
 A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
   (1) (C_j, C_j) < 0
@@ -21,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qspace import (NegativePlane, _int_product, _over_lcm, _dot,
-                     negative_planes, rat, vec, vec_add, vec_scale)
+from .qspace import (_int_product, _over_lcm, _dot, negative_planes, vec,
+                     vec_add, vec_scale)
 
 
 def sgn(r):
@@ -40,22 +39,18 @@ class Violation:
 
 
 class NGonValidationError(ValueError):
-    def __init__(self, violation):
-        super().__init__(str(violation))
-        self.violation = violation
+    """Every violated inequality of a collection, condition (1) at each j,
+    then (2), then (3); the message names the first."""
+
+    def __init__(self, violations):
+        super().__init__(str(violations[0]))
+        self.violations = violations
 
 
 @dataclass(frozen=True)
 class KernelValue:
     eps: int
     regular: bool
-
-
-def check_conditions(space, cs):
-    """Return the list of all violated (j, condition) for the 3N inequalities
-    of a collection that passes NGon's structural checks (which raise)."""
-    d, _, n = space.int_core(_ngon_vectors(space, cs))
-    return _gram_violations(n, d, space._den)
 
 
 def _ngon_vectors(space, cs):
@@ -70,8 +65,9 @@ def _ngon_vectors(space, cs):
 
 
 def _gram_violations(n, s, den):
-    """check_conditions on the Gram (u_j, u_k) = n_jk / (s_j s_k den), s_j,
-    den > 0, by integer signs; only a violation's message builds a Fraction."""
+    """The violated (j, condition) of the 3N inequalities on the Gram
+    (u_j, u_k) = n_jk / (s_j s_k den), s_j, den > 0, by integer signs; only
+    a violation's message builds a Fraction."""
     k, out = len(n), ([], [], [])
     for j in range(k):
         jm, jp = (j - 1) % k, (j + 1) % k
@@ -196,7 +192,7 @@ class NGon(_Walls):
         super().__init__(space, _ngon_vectors(space, cs))
         bad = _gram_violations(self._gram, self._d, space._den)
         if bad:
-            raise NGonValidationError(bad[0])
+            raise NGonValidationError(bad)
         self.n = len(self.cs)
         self._set_cell([(j, (j + 1) % self.n) for j in range(self.n)],
                        (0,) * self.n)
@@ -206,8 +202,9 @@ class NGon(_Walls):
 
 
 def validate(space, cs):
-    """Return an NGon or raise NGonValidationError naming the first violated
-    inequality (index j, which of the three conditions)."""
+    """Return an NGon, or raise ValueError if cs is no collection of N >= 3
+    vectors in signature (p, 2), or NGonValidationError carrying every
+    violated inequality (index j, which of the three conditions)."""
     return NGon(space, cs)
 
 
@@ -264,27 +261,6 @@ def linking_number(ngon, x):
     return link
 
 
-def vertex_plane(ngon, j):
-    """Oriented negative plane [C_j, C_{j+1}], 1-based j."""
-    if not 1 <= j <= ngon.n:
-        raise ValueError("vertex index out of range")
-    return ngon.vertex_planes[j - 1]
-
-
-def gamma_sample(ngon, j, s):
-    """Point on edge j of the boundary polygon: the plane
-    [C_j, (s-1) C_{j-1} + s C_{j+1}] for s in [0,1]."""
-    if not 1 <= j <= ngon.n:
-        raise ValueError("edge index out of range")
-    s = rat(s)
-    if not 0 <= s <= 1:
-        raise ValueError("edge parameter s must lie in [0, 1]")
-    cm = ngon.cs[(j - 2) % ngon.n]
-    cp = ngon.cs[j % ngon.n]
-    second = vec_add(vec_scale(s - 1, cm), vec_scale(s, cp))
-    return NegativePlane(ngon.space, (ngon.cs[j - 1], second))
-
-
 def illegal_variant_kernel(space, cs, x, v=None):
     """Kernel for a collection whose only defect is the wrap pair (C_N, C_1):
     condition (3) fails exactly at the two indices touching that pair (j=1
@@ -312,38 +288,3 @@ def illegal_variant_kernel(space, cs, x, v=None):
     eps_tilde = w_tilde - _cyclic_w(sx) - 2 * sx[-1] * sx[0]
     term_signs = [1] * (n - 1) + [-1]
     return int(w_tilde), int(eps_tilde), term_signs
-
-
-def _abmp_sign(j):
-    """Sign s_j = (-1)^{floor((j-1)/2)} of the alternating translation, 1-based."""
-    return -1 if ((j - 1) // 2) % 2 else 1
-
-
-def from_abmp(space, cs_prime):
-    """Translate an alternating-convention collection C'_1..C'_N (N even,
-    third inequality reversed) into an NGon via C_j = s_j C'_j with
-    s = (+,+,-,-,+,+,...)."""
-    n = len(cs_prime)
-    if n % 2:
-        raise ValueError("alternating translation needs even N")
-    cs = [vec_scale(_abmp_sign(j + 1), vec(c)) for j, c in enumerate(cs_prime)]
-    return validate(space, cs)
-
-
-def to_abmp(ngon):
-    """Inverse of from_abmp (the sign pattern is an involution)."""
-    return [vec_scale(_abmp_sign(j + 1), c) for j, c in enumerate(ngon.cs)]
-
-
-def abmp_kernel(space, cs_prime, x):
-    """w + sum_j s_j s_{j+1} sgn(x,C'_j) sgn(x,C'_{j+1}) evaluated on the
-    primed data directly; equals epsilon on the translated collection."""
-    ngon = from_abmp(space, cs_prime)
-    n = ngon.n
-    x = vec(x)
-    s = [sgn(space.inner(x, vec(c))) for c in cs_prime]
-    acc = 0
-    for j in range(n):
-        jp = (j + 1) % n
-        acc += _abmp_sign(j + 1) * _abmp_sign(jp + 1) * s[j] * s[jp]
-    return w_invariant(ngon) + acc

@@ -190,13 +190,6 @@ class QuadraticSpace:
     def q(self, x):
         return self.inner(x, x) / 2
 
-    def project_perp(self, x, c):
-        cc = self.inner(c, c)
-        if cc == 0:
-            raise ValueError("cannot project along a null vector")
-        f = self.inner(x, c) / cc
-        return tuple(a - f * b for a, b in zip(x, c))
-
     def unit_negative(self, c):
         cc = self.inner(c, c)
         if cc >= 0:
@@ -220,10 +213,6 @@ class NegativePlane:
         span = tuple(vec(s) for s in span)
         vars(self).update(vars(
             negative_planes(space, span, [range(len(span))])[0]))
-
-    def coords(self, xf):
-        """Coordinates of pr_z(x) in the orthonormalized basis (x as floats)."""
-        return self.frame[1] @ np.asarray(xf, dtype=float)
 
 
 def negative_planes(space, cs, tuples, gram=None):

@@ -6,7 +6,10 @@ Q([a,b,c]) = 4ac - b^2 and positive vectors of norm n correspond to CM
 points of discriminant -n in the upper half plane.  The orthogonal basis
   e1 = [1/2, 0, 1/2],  e2 = [0, 1, 0],  e3 = [1/2, 0, -1/2]
 has Gram diag(2, -2, -2) and fixes the orientation used by the hyperbolic
-cross product.  `sig12 winding` prints ngon.linking_number, for any (p, 2).
+cross product.  The module recovers an N-gon from the vertices of a
+geodesic polygon (`sig12 recover`), builds the truncated fundamental
+domain's 4-gon and its class-number series (`sig12 zagier`); `sig12
+winding` prints ngon.linking_number, for any (p, 2).
 """
 
 import math
@@ -120,17 +123,6 @@ def _signed_crosses(pts, taus):
     return cs
 
 
-def one_sign_term(zs, j):
-    """tau_j * sgn(|z_j|^2-|z_{j-1}|^2) * sgn(|z_{j+1}|^2-|z_j|^2): the j-th
-    summand of -w for the recovered collection (1-based j)."""
-    pts = [p if isinstance(p, UHPoint) else UHPoint(*p) for p in zs]
-    n = len(pts)
-    i = (j - 1) % n
-    tau = turning_sign(pts[(i - 1) % n], pts[i], pts[(i + 1) % n])
-    return tau * sgn(pts[i].norm2 - pts[(i - 1) % n].norm2) \
-        * sgn(pts[(i + 1) % n].norm2 - pts[i].norm2)
-
-
 def fundamental_ngon(t):
     """The 4-gon bounding the standard modular fundamental domain truncated
     at height t (t > 1): vertical walls at x = ±1/2, the unit semicircle,
@@ -143,64 +135,6 @@ def fundamental_ngon(t):
     c3 = (0, 1, Fraction(1, 2))
     c4 = (Fraction(1, 2), 0, Fraction(-1, 2))
     return validate(SPACE_ABC, (c1, c2, c3, c4))
-
-
-def butterfly_collection():
-    """Four vectors whose boundary loop is a figure-eight: the normalized
-    kernel is +1 on CM points in the upper lobe, -1 in the lower, 0 outside.
-    As printed here the third polygon condition fails at j=1 and j=3;
-    flipping the sign of the fourth vector repairs both (butterfly_ngon),
-    and the same kernel arises as the difference of the two triangles
-    (C'1,C'2,C'3) and (-C'3,-C'1,C'4)."""
-    c1 = (Fraction(1, 2), Fraction(-3, 2), Fraction(-5, 4))
-    c2 = (Fraction(-1, 2), 0, 2)
-    c3 = (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 4))
-    c4 = (Fraction(-1, 2), 0, Fraction(1, 2))
-    return (vec(c1), vec(c2), vec(c3), vec(c4))
-
-
-def butterfly_ngon():
-    """The valid 4-gon carrying the figure-eight kernel: the butterfly
-    collection with the fourth vector negated (w = 0, eps/4 = +1 on the
-    upper lobe, -1 on the lower, 0 outside)."""
-    c1, c2, c3, c4 = butterfly_collection()
-    return validate(SPACE_ABC, (c1, c2, c3, tuple(-t for t in c4)))
-
-
-def dart_collection():
-    """A quadrilateral loop with one reversed edge: vertices (-1,1), (1,1),
-    (0,3), (0,3/2) traversed with a single right turn at the last vertex.
-    The third polygon condition fails exactly at the wrap pair (j=1, j=4),
-    and no sign flips repair it; its kernel goes through
-    illegal_variant_kernel (value 4 inside the dart, 0 outside, w~ = 2)."""
-    pts = [UHPoint(-1, 1), UHPoint(1, 1), UHPoint(0, 3),
-           UHPoint(0, Fraction(3, 2))]
-    taus = [turning_sign(pts[j - 1], pts[j], pts[(j + 1) % 4])
-            for j in range(4)]
-    return tuple(_signed_crosses(pts, taus))
-
-
-def reduced_forms(n):
-    """Reduced positive binary forms [a,b,c] of discriminant b^2-4ac = -n:
-    |b| <= a <= c, with b >= 0 if |b| = a or a = c."""
-    out = []
-    n = int(n)
-    bmax = int(math.isqrt(n // 3)) + 1
-    for b in range(-bmax, bmax + 1):
-        if (b * b + n) % 4:
-            continue
-        ac = (b * b + n) // 4
-        a = max(abs(b), 1)
-        while a * a <= ac:
-            if a != 0 and ac % a == 0:
-                c = ac // a
-                if abs(b) <= a <= c:
-                    if b < 0 and (abs(b) == a or a == c):
-                        a += 1
-                        continue
-                    out.append((a, b, c))
-            a += 1
-    return out
 
 
 def truncated_class_series(t, nmax, safety=1.5):

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,12 +11,18 @@ EXAMPLES = REPO / "examples"
 
 sys.path.insert(0, str(REPO / "src"))
 
-from ngontheta.qspace import QuadraticSpace  # noqa: E402
+from ngontheta.dodec import (DodecValidationError,  # noqa: E402
+                             bar, validate_dodec)
+from ngontheta.errfn import E_frames  # noqa: E402
+from ngontheta.ngon import (NGonValidationError, sgn, validate,  # noqa: E402
+                            w_invariant)
+from ngontheta.qspace import QuadraticSpace, vec, vec_scale  # noqa: E402
+from ngontheta.sig12 import (SPACE_ABC, UHPoint,  # noqa: E402
+                             _signed_crosses, turning_sign)
 
 
 @pytest.fixture(scope="session")
 def space_abc():
-    from ngontheta.sig12 import SPACE_ABC
     return SPACE_ABC
 
 
@@ -41,14 +48,13 @@ def funddom():
 def funddom_e():
     """The truncated-fundamental-domain 4-gon in the diagonal basis, scaled
     to integer vectors (kernels are scale-invariant)."""
-    from ngontheta.ngon import validate
     from ngontheta.sig12 import SPACE_E
     return validate(SPACE_E, ((1, -2, -1), (13, 0, -21), (1, 2, -1), (0, 0, 1)))
 
 
 @pytest.fixture(scope="session")
 def seed_dodec(space_q3):
-    from ngontheta.dodec import seed_construction, validate_dodec
+    from ngontheta.dodec import seed_construction
     ts = [Fraction(a + 3, 40) for a in range(12)]
     cs = seed_construction(space_q3,
                            ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
@@ -190,10 +196,18 @@ def check_conditions_vec(space, cs):
     return out
 
 
+def outcome(f, *args):
+    """f(*args), or the message of the RuntimeError it raises."""
+    try:
+        return f(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
 def regular_negative_vector_vec(space, cs):
     """The first of C_1, C_1 + C_2/k (k = 2, 3, ...) that is negative with
     every (v, C_j) nonzero."""
-    from ngontheta.qspace import vec, vec_add, vec_scale
+    from ngontheta.qspace import vec_add
     cs = tuple(vec(c) for c in cs)
     for k in range(1, 10001):
         v = cs[0] if k == 1 else vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
@@ -202,13 +216,21 @@ def regular_negative_vector_vec(space, cs):
     raise RuntimeError("could not find a regular negative vector")
 
 
+def project_perp(space, x, c):
+    """x minus its projection on the non-null vector c, exactly."""
+    cc = space.inner(c, c)
+    if cc == 0:
+        raise ValueError("cannot project along a null vector")
+    f = space.inner(x, c) / cc
+    return tuple(a - f * b for a, b in zip(x, c))
+
+
 def projected_tuple(space, cs, cycle, i):
     """R(i) = (P_i C_j)_{j in F(i)}, P_i the projection to C_i^perp."""
-    from ngontheta.dodec import DodecValidationError
     if space.inner(cs[i], cs[i]) >= 0:
         raise DodecValidationError(
             [(i, f"(C_{i}, C_{i}) = {space.inner(cs[i], cs[i])} not < 0")])
-    return tuple(space.project_perp(cs[j], cs[i]) for j in cycle)
+    return tuple(project_perp(space, cs[j], cs[i]) for j in cycle)
 
 
 def check_dodec_conditions_vec(space, cs):
@@ -243,3 +265,170 @@ def dodec_D_vec(space, cs, face_w, x):
     s = _signs_vec(space, x, cs)
     trip = sum(s[i] * s[u] * s[v] for i, u, v in cycle_table().vertices)
     return Fraction(trip + sum(w * t for w, t in zip(face_w, s)), 8)
+
+
+# --- what the validating constructors raise ---------------------------------
+
+def ngon_violations(space, cs):
+    """Every violation that NGonValidationError carries for cs, [] when cs
+    is an N-gon; a collection failing the structural checks raises."""
+    try:
+        validate(space, cs)
+    except NGonValidationError as e:
+        return e.violations
+    return []
+
+
+def dodec_violations(space, cs):
+    """Every (face, Violation) that DodecValidationError carries for cs, []
+    when cs is a dodecahedral collection; a collection failing the
+    structural checks, or with some (C_i, C_i) >= 0, raises."""
+    try:
+        validate_dodec(space, cs)
+    except DodecValidationError as e:
+        if isinstance(e.diagnostics[0][1], str):
+            raise
+        return e.diagnostics
+    return []
+
+
+# --- example collections in the [a,b,c] model -------------------------------
+
+def butterfly_collection():
+    """Four vectors whose boundary loop is a figure-eight: the normalized
+    kernel is +1 on CM points in the upper lobe, -1 in the lower, 0 outside.
+    As printed here the third polygon condition fails at j=1 and j=3;
+    flipping the sign of the fourth vector repairs both (butterfly_ngon),
+    and the same kernel arises as the difference of the two triangles
+    (C'1,C'2,C'3) and (-C'3,-C'1,C'4)."""
+    c1 = (Fraction(1, 2), Fraction(-3, 2), Fraction(-5, 4))
+    c2 = (Fraction(-1, 2), 0, 2)
+    c3 = (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 4))
+    c4 = (Fraction(-1, 2), 0, Fraction(1, 2))
+    return (vec(c1), vec(c2), vec(c3), vec(c4))
+
+
+def butterfly_ngon():
+    """The valid 4-gon carrying the figure-eight kernel: the butterfly
+    collection with the fourth vector negated (w = 0, eps/4 = +1 on the
+    upper lobe, -1 on the lower, 0 outside)."""
+    c1, c2, c3, c4 = butterfly_collection()
+    return validate(SPACE_ABC, (c1, c2, c3, tuple(-t for t in c4)))
+
+
+def dart_collection():
+    """A quadrilateral loop with one reversed edge: vertices (-1,1), (1,1),
+    (0,3), (0,3/2) traversed with a single right turn at the last vertex.
+    The third polygon condition fails exactly at the wrap pair (j=1, j=4),
+    and no sign flips repair it; its kernel goes through
+    illegal_variant_kernel (value 4 inside the dart, 0 outside, w~ = 2)."""
+    pts = [UHPoint(-1, 1), UHPoint(1, 1), UHPoint(0, 3),
+           UHPoint(0, Fraction(3, 2))]
+    taus = [turning_sign(pts[j - 1], pts[j], pts[(j + 1) % 4])
+            for j in range(4)]
+    return tuple(_signed_crosses(pts, taus))
+
+
+def one_sign_term(zs, j):
+    """tau_j * sgn(|z_j|^2-|z_{j-1}|^2) * sgn(|z_{j+1}|^2-|z_j|^2): the j-th
+    summand of -w for the recovered collection (1-based j)."""
+    pts = [p if isinstance(p, UHPoint) else UHPoint(*p) for p in zs]
+    n = len(pts)
+    i = (j - 1) % n
+    tau = turning_sign(pts[(i - 1) % n], pts[i], pts[(i + 1) % n])
+    return tau * sgn(pts[i].norm2 - pts[(i - 1) % n].norm2) \
+        * sgn(pts[(i + 1) % n].norm2 - pts[i].norm2)
+
+
+def reduced_forms(n):
+    """Reduced positive binary forms [a,b,c] of discriminant b^2-4ac = -n:
+    |b| <= a <= c, with b >= 0 if |b| = a or a = c."""
+    out = []
+    n = int(n)
+    bmax = int(math.isqrt(n // 3)) + 1
+    for b in range(-bmax, bmax + 1):
+        if (b * b + n) % 4:
+            continue
+        ac = (b * b + n) // 4
+        a = max(abs(b), 1)
+        while a * a <= ac:
+            if a != 0 and ac % a == 0:
+                c = ac // a
+                if abs(b) <= a <= c:
+                    if b < 0 and (abs(b) == a or a == c):
+                        a += 1
+                        continue
+                    out.append((a, b, c))
+            a += 1
+    return out
+
+
+# --- the alternating-sign (ABMP) convention ----------------------------------
+
+def abmp_sign(j):
+    """Sign s_j = (-1)^{floor((j-1)/2)} of the alternating translation, 1-based."""
+    return -1 if ((j - 1) // 2) % 2 else 1
+
+
+def from_abmp(space, cs_prime):
+    """Translate an alternating-convention collection C'_1..C'_N (N even,
+    third inequality reversed) into an NGon via C_j = s_j C'_j with
+    s = (+,+,-,-,+,+,...)."""
+    n = len(cs_prime)
+    if n % 2:
+        raise ValueError("alternating translation needs even N")
+    cs = [vec_scale(abmp_sign(j + 1), vec(c)) for j, c in enumerate(cs_prime)]
+    return validate(space, cs)
+
+
+def to_abmp(ngon):
+    """Inverse of from_abmp (the sign pattern is an involution)."""
+    return [vec_scale(abmp_sign(j + 1), c) for j, c in enumerate(ngon.cs)]
+
+
+def abmp_kernel(space, cs_prime, x):
+    """w + sum_j s_j s_{j+1} sgn(x,C'_j) sgn(x,C'_{j+1}) evaluated on the
+    primed data directly; equals epsilon on the translated collection."""
+    ngon = from_abmp(space, cs_prime)
+    n = ngon.n
+    x = vec(x)
+    s = [sgn(space.inner(x, vec(c))) for c in cs_prime]
+    acc = 0
+    for j in range(n):
+        jp = (j + 1) % n
+        acc += abmp_sign(j + 1) * abmp_sign(jp + 1) * s[j] * s[jp]
+    return w_invariant(ngon) + acc
+
+
+# --- the dodecahedral adjacency recipe ---------------------------------------
+
+def recipe_step(cycle_i, i, j):
+    """Adjacency recipe: rotate F(i) into the form (a, j, b, u, v) and return
+    (b, i, a, bar(u), bar(v)), a rotation of F(j)."""
+    if j not in cycle_i:
+        raise ValueError(f"face {j} is not adjacent to face {i}")
+    p = cycle_i.index(j)
+    a, _, b, u, v = tuple(cycle_i[(p - 1 + k) % 5] for k in range(5))
+    return (b, i, a, bar(u), bar(v))
+
+
+def cyclic_equal(t1, t2):
+    n = len(t1)
+    return len(t2) == n and any(
+        tuple(t1[(k + r) % n] for k in range(n)) == tuple(t2) for r in range(n))
+
+
+# --- the smooth N-gon kernel --------------------------------------------------
+
+def j0_value(ngon, x):
+    """(1/4) sum_j [E2(C_j, C_{j+1}, x*sqrt(2)) - sgn(x,C_j) sgn(x,C_{j+1})]
+    for a regular rational x, all N terms in one E_frames batch on
+    ngon.frames."""
+    s = ngon.signs(x)
+    if 0 in s:
+        raise ValueError("x is not regular: (x, C_j) = 0")
+    xf = np.array([float(v) for v in vec(x)]) * math.sqrt(2.0)
+    a, m, _ = ngon.frames
+    prods = np.prod(np.array(s)[ngon.vertices], axis=1)
+    return sum(float(e) - int(p)
+               for e, p in zip(E_frames(a, m @ xf), prods)) / 4.0

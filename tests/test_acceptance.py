@@ -14,14 +14,14 @@ from ngontheta.qspace import QuadraticSpace, NegativePlane
 from ngontheta.errfn import E1, E2, E3
 from ngontheta.ngon import validate, epsilon, w_invariant, linking_number
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC, recover_ngon,
-                             fundamental_ngon, butterfly_ngon,
-                             reduced_forms, truncated_class_series)
+                             fundamental_ngon, truncated_class_series)
 from ngontheta.lattice import (LatticeCoset, EnumWindow, certify_window,
                                enumerate_coset, holomorphic_series,
                                modularity_check)
 from ngontheta import jsonio
 
-from conftest import random_negative_abc
+from conftest import (butterfly_ngon, cyclic_equal, dodec_violations,
+                      random_negative_abc, recipe_step, reduced_forms)
 
 SQUARE = [(-1, 1), (1, 1), (Fraction(3, 2), 3), (Fraction(-3, 2), 3)]
 
@@ -210,7 +210,7 @@ def test_criterion_06_error_function_suite():
     hits = 0
     while hits < 5:
         x = np.array([rng.uniform(-1, 1) for _ in range(3)])
-        u = pl.coords(x)
+        u = pl.frame[1] @ x
         margins = np.abs(a @ u) / np.linalg.norm(a, axis=1)
         if np.min(margins) < 1e-2:
             continue
@@ -274,9 +274,7 @@ def test_criterion_08_enumeration_certification():
 
 def test_criterion_09_dodecahedron(space_q3, seed_dodec):
     t0 = time.monotonic()
-    from ngontheta.dodec import (cycle_table, recipe_step, cyclic_equal,
-                                 check_dodec_conditions, seed_construction,
-                                 dodec_P_kernel)
+    from ngontheta.dodec import cycle_table, seed_construction, dodec_P_kernel
     comb = cycle_table()
     # recipe regenerates the table from F(0) alone
     known = {0: comb.cycles[0]}
@@ -299,13 +297,13 @@ def test_criterion_09_dodecahedron(space_q3, seed_dodec):
     # seed validity at t = 0 and at 20 random small rational displacements
     z0 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     v0 = (1, 0, 0, 0)
-    assert check_dodec_conditions(
+    assert dodec_violations(
         space_q3, seed_construction(space_q3, z0, v0, 0)) == []
     rng = random.Random(1009)
     for _ in range(20):
         ts = [Fraction(rng.randint(-10, 10), 400) for _ in range(12)]
         cs = seed_construction(space_q3, z0, v0, ts)
-        assert check_dodec_conditions(space_q3, cs) == []
+        assert dodec_violations(space_q3, cs) == []
     # per-face invariants and eighth-integrality of P
     assert all(w in (-1, 3) for w in seed_dodec.face_w)
     done = 0

@@ -15,7 +15,7 @@ from ngontheta.cli import main
 from ngontheta.jsonio import (InputError, parse_rational, rat_to_str,
                               parse_vector, qexpansion_to_json)
 
-from conftest import EXAMPLES, REPO
+from conftest import EXAMPLES, REPO, butterfly_collection
 
 FUNDDOM = str(EXAMPLES / "funddom.json")
 LATTICE = str(EXAMPLES / "lattice_sig12.json")
@@ -111,7 +111,7 @@ def test_cli_ngon_validate_ok(capsys):
 
 
 def test_cli_ngon_validate_bad(capsys, tmp_path):
-    from ngontheta.sig12 import SPACE_ABC, butterfly_collection
+    from ngontheta.sig12 import SPACE_ABC
     doc = {"schema_version": 1,
            "space": jsonio.space_to_json(SPACE_ABC),
            "cs": [jsonio.vector_to_json(c) for c in butterfly_collection()]}

@@ -12,8 +12,10 @@ from ngontheta.qspace import QuadraticSpace
 from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN,
                              QuadratureError, cone_mass_2d, cone_mass_3d,
                              cone_dist2, cone_sum, _orthant, _radial_1,
-                             j0_value, E_frames)
+                             E_frames)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
+
+from conftest import butterfly_ngon, j0_value
 
 SQPI = math.sqrt(math.pi)
 SP3 = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
@@ -51,7 +53,7 @@ def _e2_oracle(space, c1, c2, x):
     integral in closed form (erf), and quadrature the outer variable."""
     from ngontheta.qspace import NegativePlane
     pl = NegativePlane(space, (c1, c2))
-    u = pl.coords(np.asarray(x, dtype=float))
+    u = pl.frame[1] @ np.asarray(x, dtype=float)
     a = np.array([pl.ortho @ space.gram_f @
                   np.array([float(v) for v in c]) for c in (c1, c2)])
     cth, sth = a[0] / np.linalg.norm(a[0])
@@ -148,7 +150,7 @@ def test_limit_is_sign_product():
         x = np.array([rng.uniform(-1, 1) for _ in range(3)])
         a = np.array([pl.ortho @ SP3.gram_f @
                       np.array([float(v) for v in c]) for c in (c1, c2)])
-        u = pl.coords(x)
+        u = pl.frame[1] @ x
         margins = np.abs(a @ u) / np.linalg.norm(a, axis=1)
         if np.min(margins) < 1e-3:
             continue
@@ -360,7 +362,6 @@ def _j0_per_edge(space, ngon, x):
 def test_j0_value_matches_per_edge_sum_bitwise(funddom):
     # one E_frames batch on ngon.frames gives the per-edge sum bit for bit,
     # on points near the walls (cone-mass path) and far from them
-    from ngontheta.sig12 import butterfly_ngon
     rng = random.Random(20)
     slow = 0
     for ngon in (funddom, butterfly_ngon()):

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngontheta import jsonio
-from ngontheta.dodec import (DodecValidationError, check_dodec_conditions,
-                             seed_construction, validate_dodec)
+from ngontheta.dodec import (DodecValidationError, seed_construction,
+                             validate_dodec)
 from ngontheta.jsonio import EXP_MAX, InputError, parse_rational, parse_vector
-from ngontheta.ngon import (NGonValidationError, check_conditions,
-                            validate)
+from ngontheta.ngon import NGonValidationError, validate
 from ngontheta.qspace import QuadraticSpace, _signature, vec_add, vec_scale
 
 from conftest import (check_conditions_vec, check_dodec_conditions_vec,
-                      dodec_D_vec, face_w_vec, regular_negative_vector_vec)
+                      dodec_D_vec, dodec_violations, face_w_vec,
+                      regular_negative_vector_vec)
 
 
 # --- parse_rational against Fraction ------------------------------------
@@ -183,9 +183,9 @@ def _report(check, space, cs):
 
 def test_dodec_validator_matches_projected_reference(space_q3):
     """Perturbed seed cells, valid and invalid: violation reports (messages
-    included), face_w and 8 D(v) at the default negative v equal a
-    Fraction reference built from space.project_perp and the three
-    conditions on each projected 5-tuple."""
+    included) that validate_dodec raises, face_w and 8 D(v) at the default
+    negative v equal a Fraction reference built from projected vectors and
+    the three conditions on each projected 5-tuple."""
     seen = set()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -202,13 +202,9 @@ def test_dodec_validator_matches_projected_reference(space_q3):
         for j, delta in moves:
             cs[j] = vec_add(cs[j], vec_scale(scale, delta))
         want = _report(check_dodec_conditions_vec, sp, cs)
-        assert _report(check_dodec_conditions, sp, cs) == want
+        assert _report(dodec_violations, sp, cs) == want
         seen.add(want == [])
         if want != []:
-            with pytest.raises(DodecValidationError) as e:
-                validate_dodec(sp, cs)
-            if want[0] != "raised":
-                assert e.value.diagnostics == check_dodec_conditions(sp, cs)
             return
         d = validate_dodec(sp, cs)
         face_w = face_w_vec(sp, cs)
@@ -221,8 +217,8 @@ def test_dodec_validator_matches_projected_reference(space_q3):
 
 
 def test_ngon_validator_matches_reference(funddom):
-    """NGon raises the first violation that check_conditions lists, and
-    both equal the Fraction reference, on perturbed fundamental domains."""
+    """NGon raises every violation of the Fraction reference, and its
+    message names the first, on perturbed fundamental domains."""
     sp = funddom.space
     seen = set()
 
@@ -233,12 +229,12 @@ def test_ngon_validator_matches_reference(funddom):
         cs = list(funddom.cs)
         cs[j] = vec_add(cs[j], vec_scale(scale, delta))
         want = check_conditions_vec(sp, cs)
-        assert check_conditions(sp, cs) == want
         seen.add(want == [])
         if want:
             with pytest.raises(NGonValidationError) as e:
                 validate(sp, cs)
-            assert e.value.violation == want[0]
+            assert e.value.violations == want
+            assert str(e.value) == str(want[0])
         else:
             validate(sp, cs)
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
                               DegeneratePlaneError, negative_planes,
-                              _over_lcm, _row_norms, vec)
+                              _over_lcm, _row_norms, vec, vec_add, vec_scale)
 from ngontheta.errfn import E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
@@ -26,14 +26,14 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
 from ngontheta import lattice
 from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
                              validate_dodec)
-from ngontheta.ngon import (w_invariant, vertex_plane, gamma_sample, validate,
-                            regular_negative_vector, epsilon, linking_number)
+from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
+                            epsilon, linking_number)
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
-                             fundamental_ngon, reduced_forms,
-                             truncated_class_series, butterfly_ngon,
+                             fundamental_ngon, truncated_class_series,
                              recover_ngon, cross, point_to_vector, abc_to_e)
 
-from conftest import majorant_exact, mat_det, mat_inv
+from conftest import (butterfly_ngon, j0_value, majorant_exact, mat_det,
+                      mat_inv, project_perp, reduced_forms)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -400,8 +400,11 @@ def test_window_scales_with_nmax(funddom):
 def _edge_kappa(ngon, z0, samples=64):
     """Oracle: the float kappa over `samples` interior planes per boundary
     edge, [C_j, (s-1) C_{j-1} + s C_{j+1}], s = i/(samples+1)."""
-    planes = [gamma_sample(ngon, j, Fraction(i, samples + 1))
-              for j in range(1, ngon.n + 1) for i in range(1, samples + 1)]
+    cs, n = ngon.cs, ngon.n
+    planes = [NegativePlane(ngon.space, (cs[j], vec_add(
+        vec_scale(s - 1, cs[j - 1]), vec_scale(s, cs[(j + 1) % n]))))
+        for j in range(n)
+        for s in (Fraction(i, samples + 1) for i in range(1, samples + 1))]
     return window_from_planes(z0, planes, 1, safety=1.0).kappa
 
 
@@ -420,7 +423,7 @@ def test_vertex_kappa_bounds_edge_samples(points, data):
         assume(False)
     if data.draw(st.booleans(), label="vertex z0"):
         j = data.draw(st.integers(1, ngon.n), label="vertex")
-        z0 = vertex_plane(ngon, j)
+        z0 = ngon.vertex_planes[j - 1]
     else:
         # x(p)^perp is a negative plane; cross(x(p), x(q)) lies in it
         p, q1, q2 = (point_to_vector(data.draw(uhp)) for _ in range(3))
@@ -953,7 +956,7 @@ def test_eps_is_four_linking_numbers(name, funddom):
 
     check()
     assert sorted(seen) == [False, True]
-    x = space.project_perp(seen[True], ngon.cs[0])      # on the wall C_1
+    x = project_perp(space, seen[True], ngon.cs[0])      # on the wall C_1
     assert space.q(x) > 0 and not epsilon(ngon, x).regular
     with pytest.raises(ValueError, match="not regular"):
         linking_number(ngon, x)
@@ -1538,7 +1541,6 @@ def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):
     # _Walls.frames is built once per collection, by whichever of E2, E3,
     # j0 and the completion reads it first, and stacks the vertex planes'
     # NegativePlane.frame, which equals its defining products
-    from ngontheta.errfn import j0_value
     from ngontheta.dodec import dodec_E_kernel
     from ngontheta.ngon import _Walls, validate
     built = []

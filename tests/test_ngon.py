@@ -6,26 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngontheta.ngon import (check_conditions, validate, NGonValidationError,
-                            Violation, KernelValue, w_invariant, epsilon,
-                            vertex_plane, regular_negative_vector,
-                            gamma_sample, illegal_variant_kernel, from_abmp,
-                            to_abmp, abmp_kernel, _abmp_sign)
-from ngontheta.sig12 import (SPACE_ABC, butterfly_collection, butterfly_ngon,
-                             dart_collection, fundamental_ngon, recover_ngon)
+from ngontheta.ngon import (validate, NGonValidationError, KernelValue,
+                            w_invariant, epsilon, regular_negative_vector,
+                            illegal_variant_kernel)
+from ngontheta.sig12 import SPACE_ABC, fundamental_ngon, recover_ngon
 
-from ngontheta.qspace import vec_add, vec_scale
+from ngontheta.qspace import NegativePlane, vec_add, vec_scale
 from ngontheta.sig12 import UHPoint, _signed_crosses, turning_sign
 
-from conftest import (check_conditions_vec, random_negative_abc,
-                      regular_negative_vector_vec)
+from conftest import (abmp_kernel, abmp_sign, butterfly_collection,
+                      butterfly_ngon, check_conditions_vec, dart_collection,
+                      from_abmp, ngon_violations, outcome, project_perp,
+                      random_negative_abc, regular_negative_vector_vec,
+                      to_abmp)
 
 small_rat = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 
 def test_fundamental_domain_is_valid(funddom):
     assert funddom.n == 4
-    assert check_conditions(funddom.space, funddom.cs) == []
+    assert ngon_violations(funddom.space, funddom.cs) == []
     assert w_invariant(funddom) == 0
 
 
@@ -33,18 +33,18 @@ def test_validation_error_reports_first_violation(space_abc):
     cs = butterfly_collection()
     with pytest.raises(NGonValidationError) as exc:
         validate(space_abc, cs)
-    v = exc.value.violation
+    v = exc.value.violations[0]
     assert (v.j, v.condition) == (1, 3)
-    assert "j=1" in str(exc.value)
+    assert str(exc.value) == str(v) and "j=1" in str(exc.value)
 
 
 def test_butterfly_printed_violations(space_abc):
-    bad = check_conditions(space_abc, butterfly_collection())
+    bad = ngon_violations(space_abc, butterfly_collection())
     assert [(v.j, v.condition) for v in bad] == [(1, 3), (3, 3)]
 
 
 def test_dart_violations(space_abc):
-    bad = check_conditions(space_abc, dart_collection())
+    bad = ngon_violations(space_abc, dart_collection())
     assert [(v.j, v.condition) for v in bad] == [(1, 3), (4, 3)]
 
 
@@ -54,7 +54,7 @@ def test_condition_violations_always_even_under_flips(space_abc, funddom):
     for k in range(4):
         cs = list(funddom.cs)
         cs[k] = tuple(-t for t in cs[k])
-        bad = sorted((v.j, v.condition) for v in check_conditions(space_abc, cs))
+        bad = sorted((v.j, v.condition) for v in ngon_violations(space_abc, cs))
         assert len(bad) % 2 == 0
         expect = sorted({((k - 1) % 4 + 1, 3), ((k + 1) % 4 + 1, 3)})
         assert bad == expect
@@ -62,14 +62,14 @@ def test_condition_violations_always_even_under_flips(space_abc, funddom):
 
 def test_positive_vector_fails_condition_one(space_abc):
     cs = ((1, 0, 1), (0, -1, Fraction(1, 2)), (0, 1, Fraction(1, 2)))
-    bad = check_conditions(space_abc, cs)
+    bad = ngon_violations(space_abc, cs)
     assert (1, 1) in [(v.j, v.condition) for v in bad]
 
 
 def test_duplicate_vector_fails_condition_two(space_abc):
     c = (0, 1, 0)
-    bad = check_conditions(space_abc, (c, c, (Fraction(1, 2), 0,
-                                              Fraction(-1, 2))))
+    bad = ngon_violations(space_abc, (c, c, (Fraction(1, 2), 0,
+                                             Fraction(-1, 2))))
     assert any(v.condition == 2 for v in bad)
 
 
@@ -207,24 +207,15 @@ def test_level_matches_numpy_form(cell, funddom, seed_dodec):
 
 
 def test_vertex_plane_and_edge_samples(funddom):
-    pl = vertex_plane(funddom, 2)
-    assert pl.span == (funddom.cs[1], funddom.cs[2])
-    # s = 1 endpoint of edge j is the vertex plane at j
-    end = gamma_sample(funddom, 2, 1)
-    assert end.span[0] == funddom.cs[1]
-    assert end.span[1] == funddom.cs[2]
-    # interior samples are genuine negative planes
-    for s in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)):
-        gamma_sample(funddom, 2, s)
-    with pytest.raises(ValueError):
-        vertex_plane(funddom, 5)
-    with pytest.raises(ValueError):
-        gamma_sample(funddom, 0, Fraction(1, 2))
-    # s outside [0, 1] is a range error, not a plane past the vertex (9/8)
-    # or a degenerate span (2)
-    for s in (Fraction(-1, 8), Fraction(9, 8), 2):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            gamma_sample(funddom, 2, s)
+    c1, c2, c3 = funddom.cs[:3]
+    assert funddom.vertex_planes[1].span == (c2, c3)
+    # the edge planes [C_2, (s-1) C_1 + s C_3] run from [C_2, -C_1] at s = 0
+    # to the vertex plane [C_2, C_3] at s = 1, and the interior ones are
+    # genuine negative planes
+    for s in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 8), 1):
+        edge = NegativePlane(funddom.space, (c2, vec_add(
+            vec_scale(s - 1, c1), vec_scale(s, c3))))
+    assert edge.span == (c2, c3)
 
 
 def test_illegal_variant_kernel_dart(space_abc):
@@ -259,7 +250,7 @@ def test_illegal_variant_kernel_rejects_other_patterns(space_abc, funddom):
 
 
 def test_abmp_sign_pattern():
-    assert [_abmp_sign(j) for j in range(1, 9)] == [1, 1, -1, -1, 1, 1, -1, -1]
+    assert [abmp_sign(j) for j in range(1, 9)] == [1, 1, -1, -1, 1, 1, -1, -1]
 
 
 def test_abmp_round_trip(funddom):
@@ -282,14 +273,6 @@ def test_abmp_kernel_matches_translated(funddom):
 
 def _signs(space, x, cs):
     return [(space.inner(x, c) > 0) - (space.inner(x, c) < 0) for c in cs]
-
-
-def _outcome(f, *args):
-    """f(*args), or the message of the RuntimeError it raises."""
-    try:
-        return f(*args)
-    except RuntimeError as exc:
-        return f"RuntimeError: {exc}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,18 +304,18 @@ def test_gram_path_matches_vector_oracle(n, data):
         cs[i] = (0, 0, 0)
     elif move == "perp" and n > 3 and sp.inner(cs[0], cs[0]) != 0 \
             and sp.inner(half, half) != 0:
-        cs[2] = sp.project_perp(cs[2], cs[0])
-        cs[3] = sp.project_perp(cs[3], half)
+        cs[2] = project_perp(sp, cs[2], cs[0])
+        cs[3] = project_perp(sp, cs[3], half)
     want = check_conditions_vec(sp, cs)
-    assert check_conditions(sp, cs) == want
+    assert ngon_violations(sp, cs) == want
     # both search the same k <= 10000; where no C_1 + C_2/k qualifies (a
     # C_3 made orthogonal to C_1 can be orthogonal to C_2 as well, and then
     # to every candidate) both raise the same RuntimeError
     if sp.inner(cs[0], cs[0]) < 0 and all(any(c) for c in cs) and \
             sp.inner(cs[0], cs[1]) ** 2 != sp.inner(cs[0], cs[0]) \
             * sp.inner(cs[1], cs[1]):
-        assert _outcome(regular_negative_vector, sp, cs) == \
-            _outcome(regular_negative_vector_vec, sp, cs)
+        assert outcome(regular_negative_vector, sp, cs) == \
+            outcome(regular_negative_vector_vec, sp, cs)
     if want:
         return
     ngon = validate(sp, cs)
@@ -341,7 +324,7 @@ def test_gram_path_matches_vector_oracle(n, data):
     assert w_invariant(ngon) == w
     for x in data.draw(st.lists(st.tuples(small_rat, small_rat, small_rat),
                                 min_size=1, max_size=3)):
-        for y in (x, sp.project_perp(x, cs[data.draw(st.integers(0, n - 1))])):
+        for y in (x, project_perp(sp, x, cs[data.draw(st.integers(0, n - 1))])):
             s = _signs(sp, y, cs)
             assert epsilon(ngon, y) == KernelValue(
                 w + sum(s[j] * s[(j + 1) % n] for j in range(n)), all(s))

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from ngontheta.ngon import (epsilon, gamma_sample, linking_number,
-                            vertex_plane, w_invariant)
+from ngontheta.ngon import epsilon, linking_number, w_invariant
+from ngontheta.qspace import NegativePlane, vec_add, vec_scale
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, abc_to_e, e_to_abc, UHPoint,
                              point_to_vector, cross, alpha, turning_sign,
-                             OrientationError, recover_ngon, one_sign_term,
-                             fundamental_ngon, butterfly_ngon, reduced_forms,
-                             truncated_class_series)
+                             OrientationError, recover_ngon,
+                             fundamental_ngon, truncated_class_series)
+
+from conftest import butterfly_ngon, one_sign_term, reduced_forms
 
 SQUARE = [(-1, 1), (1, 1), (Fraction(3, 2), 3), (Fraction(-3, 2), 3)]
 
@@ -107,7 +108,7 @@ def test_one_sign_terms_sum_to_minus_w():
 def test_vertex_plane_cross_is_rho(funddom):
     # vertex 3 of the t=2 domain is the corner rho at x=-1/2 on the unit
     # circle: the cross of its plane spans the ray of X(rho) = [1,1,1]/sqrt 3
-    p = cross(*vertex_plane(funddom, 3).span)
+    p = cross(*funddom.vertex_planes[2].span)
     assert p[0] > 0 and p == (p[0],) * 3
 
 
@@ -135,8 +136,10 @@ def test_winding_near_an_edge(funddom):
     # x = p + d C_2 with p orthogonal to the midpoint plane of edge 2: D_x
     # passes within about d of the edge's interior, on either side, and the
     # integer link stays exact however small d is
-    p = cross(*gamma_sample(funddom, 2, Fraction(1, 2)).span)
-    c = funddom.cs[1]
+    c1, c, c3 = funddom.cs[:3]
+    half = Fraction(1, 2)
+    p = cross(*NegativePlane(funddom.space, (c, vec_add(
+        vec_scale(half - 1, c1), vec_scale(half, c3)))).span)
 
     def near(d):
         return tuple(a + d * b for a, b in zip(p, c))

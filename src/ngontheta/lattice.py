@@ -242,18 +242,18 @@ class CosetRows:
 def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
     """Coset index c and int64 rows k, sorted by c and then lexicographically,
     that contain every integer vector with (k+mu_c)^T M (k+mu_c) <= bound,
-    mu_c in mus: float Fincke-Pohst bounds with padding, which an exact
-    filter then decides; with band = (float Gram, qmax), only those with
-    0 <= Q <= qmax; where fold[c], only x = 0 and the x whose first nonzero
-    coordinate is positive.  The search runs level-wise, coordinate i = 0
-    up to m-1, all cosets at once: each partial row (k_0, ..., k_{i-1})
-    whose budget is at least -pad gets its children k_i in its padded
-    interval in increasing order, so the rows are born sorted.  The last
-    level's children are all kept, so the exact filter alone decides the
-    boundary.  A window whose coordinate ranges reach K_MAX raises
-    ValueError before any range is cast to int64."""
+    mu_c in mus (rows of rationals or floats): float Fincke-Pohst bounds
+    with padding, which an exact filter then decides; with band = (float
+    Gram, qmax), only those with 0 <= Q <= qmax; where fold[c], only x = 0
+    and the x whose first nonzero coordinate is positive.  The search runs
+    level-wise, coordinate i = 0 up to m-1, all cosets at once: each
+    partial row (k_0, ..., k_{i-1}) whose budget is at least -pad gets its
+    children k_i in its padded interval in increasing order, so the rows
+    are born sorted.  The last level's children are all kept, so the exact
+    filter alone decides the boundary.  A k_i range reaching K_MAX raises
+    ValueError before it is cast to int64."""
     m = len(m_exact)
-    muf = np.array([[float(v) for v in mu] for mu in mus])
+    muf = np.array(mus, dtype=float)
     bf = float(bound)
     # q(x) = sum_i d_i (x_i + sum_{j<i} l_ij x_j)^2, i eliminated downward
     a = np.array([[float(v) for v in row] for row in m_exact])
@@ -274,12 +274,12 @@ def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
         t = np.sqrt((budget + pad) / dvec[i])
         lo = np.ceil(-t - shift - 1e-9)
         hi = np.floor(t - shift + 1e-9)
+        if max(hi.max(initial=0.0), -lo.min(initial=0.0)) >= K_MAX:
+            raise ValueError("enumeration window too large: a coordinate "
+                             "of its lattice vectors passes 2^53")
         if fold is not None:     # x_i >= 0 while a folded row's x is all 0
             fold = fold[live]
             lo = np.where(fold, np.maximum(lo, np.ceil(-muf[c, i])), lo)
-        if np.any(np.maximum(-lo, hi) >= K_MAX):
-            raise ValueError(f"enumeration window too large: coordinate {i} "
-                             "of the lattice vectors passes 2^53")
         src = np.arange(len(ks))
         if i == m - 1 and band is not None:
             src, lo, hi = _band_cut(ks + muf[c, :-1], muf[c, -1], lo, hi,
@@ -338,9 +338,11 @@ def _majorant_leq(xnum, dmu, m_exact, bound):
 
 
 def _numerators(mus):
-    """(d, int64 rows) with mus = rows/d, d the lcm of all denominators."""
+    """(d, int64 rows) with mus = rows/d mod L, d the lcm of all
+    denominators: each entry reduced into [0, 1) before the int64 cast."""
     d, flat = _over_lcm([c for mu in mus for c in mu])
-    return d, np.array(flat, dtype=np.int64).reshape(len(mus), -1)
+    return d, np.array([v % d for v in flat],
+                       dtype=np.int64).reshape(len(mus), -1)
 
 
 def enumerate_cosets(space, mus, window, qmax=None, even=False):
@@ -352,11 +354,10 @@ def enumerate_cosets(space, mus, window, qmax=None, even=False):
     mu is first reduced mod L, entries into [0, 1), so that its numerators
     fit int64 whatever representative was given."""
     bound = window.B * GUARD
-    mus = [tuple(c % 1 for c in mu) for mu in mus]
     d, munum = _numerators(mus)
     band = None if qmax is None else (space.gram_f, float(qmax))
     fold = ~np.any(2 * munum % d, axis=1) if even else None    # 2 mu in L
-    c, ks = _fp_enumerate(window.majorant, mus, bound, band, fold)
+    c, ks = _fp_enumerate(window.majorant, munum / d, bound, band, fold)
     xnum = ks * d + munum[c]
     keep, norms, den = _majorant_leq(xnum, d, window.majorant, bound)
     xx_num = _row_norms(xnum, space._gi)           # 2 d^2 Q(x)

@@ -641,8 +641,8 @@ MALFORMED = {
                                  "[x, y] pairs"),
     # a window whose coordinates pass 2^53 is refused before any int64 cast
     "series-nmax-huge": (["theta", "series", *THETA, "--nmax", "1e40"], 2,
-                         "validation error: enumeration window too large: "
-                         "coordinate 0 of the lattice vectors passes 2^53\n"),
+                         "validation error: enumeration window too large: a "
+                         "coordinate of its lattice vectors passes 2^53\n"),
     "series-nmax-float-overflow": (["theta", "series", *THETA, "--nmax",
                                     "1e400"], 2,
                                    "validation error: nmax too large: the "

@@ -112,12 +112,16 @@ class _Walls:
         self._d, self._gc, self._gram = space.int_core(cs)
 
     def _set_cell(self, vertices, face_w):
-        """Fix the cell's vertices and face weights and cache the level of
-        the default negative vector v (regular_negative_vector)."""
+        """Fix the cell's vertices and face weights."""
         self.vertices, self.face_w = np.array(vertices), tuple(face_w)
         self._vertex_signs = [operator.itemgetter(*v) for v in vertices]
-        self._level_v = int(self.level(_regular_choice(self._gram,
-                                                       self._d)[1]))
+
+    @functools.cached_property
+    def _level_v(self):
+        """The level of the default negative vector v
+        (regular_negative_vector), found on first use: validation needs no
+        v, and a valid dodecahedral cell can lack a regular C_0 + C_1/k."""
+        return int(self.level(_regular_choice(self._gram, self._d)[1]))
 
     def pairings(self, x):
         """The integers (x', C'_j) den, x' and C'_j the numerators of x and

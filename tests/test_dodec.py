@@ -134,6 +134,27 @@ def test_negated_normal_rejected(space_q3, seed_dodec):
         validate_dodec(space_q3, bad)
 
 
+def test_cell_without_default_negative_vector_validates(space_q3, seed_dodec,
+                                                       tmp_path, capsys):
+    """C_2 moved orthogonal to C_0 and C_1 keeps every face condition, but
+    no C_0 + C_1/k is regular: validation needs no negative vector, so
+    validate_dodec and `dodec validate` accept the cell."""
+    from ngontheta import jsonio
+    cs = list(seed_dodec.cs)
+    u = project_perp(space_q3, cs[1], cs[0])
+    cs[2] = project_perp(space_q3, project_perp(space_q3, cs[2], cs[0]), u)
+    with pytest.raises(RuntimeError):
+        regular_negative_vector(space_q3, cs)
+    validate_dodec(space_q3, cs)
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "space": jsonio.space_to_json(space_q3),
+        "cs": [jsonio.vector_to_json(c) for c in cs]}))
+    assert main(["dodec", "validate", "--data", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"schema_version": 1,
+                                                   "valid": True}
+
+
 def test_dodec_rejects_wrong_shape(space_q3, space_abc):
     with pytest.raises(ValueError):
         validate_dodec(space_abc, [(0, 1, 0)] * 12)   # signature (1,2)

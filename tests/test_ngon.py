@@ -209,13 +209,16 @@ def test_level_matches_numpy_form(cell, funddom, seed_dodec):
 def test_vertex_plane_and_edge_samples(funddom):
     c1, c2, c3 = funddom.cs[:3]
     assert funddom.vertex_planes[1].span == (c2, c3)
-    # the edge planes [C_2, (s-1) C_1 + s C_3] run from [C_2, -C_1] at s = 0
-    # to the vertex plane [C_2, C_3] at s = 1, and the interior ones are
-    # genuine negative planes
-    for s in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 8), 1):
-        edge = NegativePlane(funddom.space, (c2, vec_add(
+
+    def edge(s):
+        """The plane [C_2, (s-1) C_1 + s C_3] on edge 2; NegativePlane
+        raises unless it is negative definite."""
+        return NegativePlane(funddom.space, (c2, vec_add(
             vec_scale(s - 1, c1), vec_scale(s, c3))))
-    assert edge.span == (c2, c3)
+
+    for s in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)):
+        edge(s)
+    assert edge(1).span == (c2, c3)     # s = 1 ends at the vertex plane
 
 
 def test_illegal_variant_kernel_dart(space_abc):

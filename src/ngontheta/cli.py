@@ -248,7 +248,7 @@ def cmd_sig12(args):
 
 
 def cmd_dodec(args):
-    from .dodec import (DodecValidationError, validate_dodec, dodec_D_kernel,
+    from .dodec import (DodecValidationError, validate_dodec, dodec_P_kernel,
                         dodec_series)
     from .lattice import LatticeCoset
     space, cs = jsonio.load_dodec_file(args.data)
@@ -265,11 +265,11 @@ def cmd_dodec(args):
         jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
                           "valid": True}, args.out)
     elif args.action == "kernel":
-        d = dodec_D_kernel(dodec, _parse_vector_arg(args.x, "--x", space.dim))
+        p = dodec_P_kernel(dodec, _parse_vector_arg(args.x, "--x", space.dim))
         jsonio.dump_json({
             "schema_version": jsonio.SCHEMA_VERSION,
-            "D": rat_to_str(d),
-            "P": rat_to_str(d - Fraction(dodec.level_at(), 8)),
+            "D": rat_to_str(p + Fraction(dodec.level_at(), 8)),
+            "P": rat_to_str(p),
         }, args.out)
     else:
         mu = _parse_vector_arg(args.mu, "--mu", space.dim) if args.mu \

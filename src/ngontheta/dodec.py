@@ -127,16 +127,12 @@ def validate_dodec(space, cs):
     return DodecData(space, cs)
 
 
-def dodec_D_kernel(dodec, x):
-    """D(x) = 1/8 sum_nu sgn(x;nu) + 1/8 sum_i w(R(i)) sgn((x,C_i)), where
-    sgn(x;nu) is the product of the three signs of the vertex triple.  The
-    sign is fixed so that D is the pointwise limit of the smooth kernel E
-    along regular rays, which the completed series requires."""
-    return Fraction(int(dodec.level(dodec.signs(x))), 8)
-
-
 def dodec_P_kernel(dodec, x, v=None):
-    """P(x) = D(x) - D(v) for a (deterministic by default) negative v."""
+    """P(x) = D(x) - D(v) for a (deterministic by default) negative v, where
+    D(x) = 1/8 sum_nu sgn(x;nu) + 1/8 sum_i w(R(i)) sgn((x,C_i)) and
+    sgn(x;nu) is the product of the three signs of the vertex triple.  The
+    sign of D is fixed so that D is the pointwise limit of the smooth kernel
+    E along regular rays, which the completed series requires."""
     return Fraction(int(dodec.level(dodec.signs(x))) - dodec.level_at(v), 8)
 
 

@@ -418,6 +418,14 @@ def cyclic_equal(t1, t2):
         tuple(t1[(k + r) % n] for k in range(n)) == tuple(t2) for r in range(n))
 
 
+# --- the dodecahedral sign kernel --------------------------------------------
+
+def dodec_D_kernel(dodec, x):
+    """D(x) = 1/8 sum_nu sgn(x;nu) + 1/8 sum_i w(R(i)) sgn((x,C_i)) on the
+    cell code: the level of x alone, not P(x) shifted by D(v)."""
+    return Fraction(int(dodec.level(dodec.signs(x))), 8)
+
+
 # --- the smooth N-gon kernel --------------------------------------------------
 
 def j0_value(ngon, x):

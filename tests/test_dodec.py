@@ -13,13 +13,13 @@ from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
 from ngontheta import lattice
 from ngontheta.dodec import (bar, cycle_table, DodecValidationError,
                              validate_dodec,
-                             dodec_D_kernel, dodec_P_kernel, dodec_E_kernel,
+                             dodec_P_kernel, dodec_E_kernel,
                              seed_construction, PHI_HAT, dodec_series)
 from ngontheta.ngon import regular_negative_vector
 from ngontheta.cli import main
 
 from conftest import (EXAMPLES, REPO, check_dodec_conditions_vec,
-                      cyclic_equal, dodec_D_vec, dodec_violations, face_w_vec,
+                      cyclic_equal, dodec_D_kernel, dodec_D_vec, dodec_violations, face_w_vec,
                       outcome, project_perp, recipe_step,
                       regular_negative_vector_vec)
 
@@ -463,8 +463,8 @@ def test_validate_dodec_pairs_each_collection_vector_once(space_q3,
 
 
 def test_dodec_kernel_command_pairs_x_once(capsys, monkeypatch):
-    """`dodec kernel` forms the pairings (x, C_i) once: D reads their
-    signs, and P = D - D(v) reuses the cached 8 D(v)."""
+    """`dodec kernel` forms the pairings (x, C_i) once: P reads their
+    signs, and D = P + D(v) reuses the cached 8 D(v)."""
     from ngontheta import ngon
     calls = []
     pairings = ngon._Walls.pairings

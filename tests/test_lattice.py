@@ -24,16 +24,16 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                minimax_plane, _kappas, _majorants,
                                _tail_estimate, _completion_sum, CosetRows)
 from ngontheta import lattice
-from ngontheta.dodec import (dodec_series, dodec_D_kernel, seed_construction,
-                             validate_dodec)
+from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
 from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
                             epsilon, linking_number)
 from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
                              fundamental_ngon, truncated_class_series,
                              recover_ngon, cross, point_to_vector, abc_to_e)
 
-from conftest import (butterfly_ngon, j0_value, majorant_exact, mat_det,
-                      mat_inv, project_perp, reduced_forms)
+from conftest import (butterfly_ngon, dodec_D_kernel, j0_value,
+                      majorant_exact, mat_det, mat_inv, project_perp,
+                      reduced_forms)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))

@@ -1,7 +1,9 @@
 """Every public module-level function of src/ngontheta is reached from
 outside the tests: referenced by src/ code other than its own definition,
-named in a perfbench/ source file, or named in the README's library table.
-Oracles that only tests call belong in tests/conftest.py."""
+imported or called by a perfbench/ source file, or named in backticks in
+the README's library table.  A name inside a string (a tracer label such
+as "dodec.dodec_P_kernel") reaches nothing.  Oracles that only tests call
+belong in tests/conftest.py."""
 
 import ast
 import re
@@ -20,6 +22,14 @@ def _names(node):
             yield n.attr
         elif isinstance(n, ast.alias):
             yield n.name
+
+
+def _named(table, perf):
+    """The identifiers in backticks in the README table rows and the names
+    that the perfbench/ sources perf import, call or read."""
+    quoted = re.findall(r"`([^`]*)`", "\n".join(table))
+    return set(re.findall(r"\w+", " ".join(quoted))) | \
+        {n for text in perf for n in _names(ast.parse(text))}
 
 
 def _unreached(sources, named):
@@ -44,8 +54,7 @@ def test_no_test_only_code_in_src():
              if line.startswith("| `ngontheta.")]
     assert len(table) == len(sources) - 1     # one row per module
     perf = [p.read_text() for p in sorted((REPO / "perfbench").glob("*.py"))]
-    named = set(re.findall(r"\w+", "\n".join(table + perf)))
-    assert _unreached(sources, named) == []
+    assert _unreached(sources, _named(table, perf)) == []
 
 
 def test_guard_flags_a_test_only_function():
@@ -54,3 +63,13 @@ def test_guard_flags_a_test_only_function():
            "b": "from .a import used\n"}
     assert _unreached(src, set()) == ["a.orphan"]
     assert _unreached(src, {"orphan"}) == []
+    # named only in prose, a string or a comment: still flagged
+    named = _named(["| `ngontheta.a` | orphan |"],
+                   ['LAYERS = ("a.orphan", "orphan")  # orphan\n'])
+    assert "orphan" not in named
+    assert _unreached(src, named) == ["a.orphan"]
+    # named in backticks, imported or called: reached
+    for table, perf in ((["| `ngontheta.a` | `orphan(x)` |"], []),
+                        ([], ["from ngontheta.a import orphan\n"]),
+                        ([], ["import ngontheta.a as a\na.orphan()\n"])):
+        assert _unreached(src, _named(table, perf)) == []

@@ -562,6 +562,14 @@ def _malformed_files():
         "points5.json": {"schema_version": 1, "points": 5},
         "points1.json": {"schema_version": 1,
                          "points": [["0", "1"], ["1"], ["1", "2"]]},
+        "points_y0.json": {"schema_version": 1,
+                           "points": [["0", "1"], ["1", "0"], ["0", "2"]]},
+        # the first three vertices lie on the geodesic x = 0
+        "points_collinear.json": {"schema_version": 1,
+                                  "points": [["0", "1"], ["0", "2"],
+                                             ["0", "3"], ["1", "1"]]},
+        "points_two.json": {"schema_version": 1,
+                            "points": [["0", "1"], ["1", "1"]]},
         # an entry that is no rational, in each field that holds rationals
         "dodec_cs_entry.json": {**dodec12,
                                 "cs": [[["1"], "0", "0", "0"]] + cs12[1:]},
@@ -639,6 +647,14 @@ MALFORMED = {
     "points-one-coordinate": (["sig12", "recover", "--points", "points1.json"],
                               1, "points1.json: field 'points' must hold "
                                  "[x, y] pairs"),
+    "points-y-zero": (["sig12", "recover", "--points", "points_y0.json"], 2,
+                      "validation error: upper-half-plane point needs y > 0\n"),
+    "points-collinear": (["sig12", "recover", "--points",
+                          "points_collinear.json"], 2,
+                         "validation error: three consecutive vertices "
+                         "collinear at index 2\n"),
+    "points-two": (["sig12", "recover", "--points", "points_two.json"], 2,
+                   "validation error: need at least 3 vertices\n"),
     # a window whose coordinates pass 2^53 is refused before any int64 cast
     "series-nmax-huge": (["theta", "series", *THETA, "--nmax", "1e40"], 2,
                          "validation error: enumeration window too large: a "

@@ -52,6 +52,7 @@ AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
 K_MAX = 2.0 ** 53        # |k_i| beyond it: floats skip integers, int64 nears
+ROWS_MAX = 10 ** 7       # rows one enumeration level may hold
 GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
 BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
 
@@ -251,7 +252,8 @@ def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
     children k_i in its padded interval in increasing order, so the rows
     are born sorted.  The last level's children are all kept, so the exact
     filter alone decides the boundary.  A k_i range reaching K_MAX raises
-    ValueError before it is cast to int64."""
+    ValueError before it is cast to int64, and a level of more than
+    ROWS_MAX rows before it is allocated."""
     m = len(m_exact)
     muf = np.array(mus, dtype=float)
     bf = float(bound)
@@ -284,7 +286,12 @@ def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
         if i == m - 1 and band is not None:
             src, lo, hi = _band_cut(ks + muf[c, :-1], muf[c, -1], lo, hi,
                                     *band)
-        count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        count = np.maximum(hi - lo + 1, 0)
+        if count.sum() > ROWS_MAX:          # float: no int64 overflow
+            raise ValueError("enumeration window too large: one level of its "
+                             f"search needs {count.sum():.3g} rows, more "
+                             f"than {ROWS_MAX:.0e}")
+        count = count.astype(np.int64)
         parent = np.repeat(src, count)
         kk = np.repeat(lo + count - np.cumsum(count), count) \
             + np.arange(len(parent))

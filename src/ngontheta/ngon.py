@@ -85,15 +85,27 @@ def _gram_violations(n, s, den):
     return out[0] + out[1] + out[2]
 
 
-def _regular_choice(n, s):
+def _regular_choice(n, s, q):
     """(k, signs of the (v, u_l)) of regular_negative_vector from a Gram as
-    in _gram_violations: v is a positive multiple of a u_1 + b u_2."""
-    for k in range(1, 10001):
-        a, b = (1, 0) if k == 1 else (k * s[1], s[0])
-        if a * a * n[0][0] + 2 * a * b * n[0][1] + b * b * n[1][1] < 0:
-            signs = [sgn(a * p + b * q) for p, q in zip(n[0], n[1])]
-            if all(signs):
-                return k, signs
+    in _gram_violations: v = sum_{i<q} h^i C_i at the first regular one of
+    h = 0, 1/2, 1/3, ... (k = 1, 2, ...); k^{q-1} v is a positive multiple
+    of sum_i k^{q-1-i} (prod_{j != i} s_j) u_i.
+
+    C_0..C_{q-1} is the first vertex of an N-gon, a face or a dodecahedron
+    of N walls.  Its span V is negative definite, so no negative C_l is
+    orthogonal to V, and (v, C_l) is a nonzero polynomial of degree < q in
+    h: together the N of them vanish at no more than N(q-1) values of h, so
+    one of the first N(q-1)+1 gives a regular v, nonzero in V and so
+    negative.  Raises RuntimeError when none does, which only a collection
+    that is no cell can cause."""
+    if all(n[0]):
+        return 1, [sgn(p) for p in n[0]]
+    scale = math.prod(s[:q])
+    for k in range(2, len(n) * (q - 1) + 2):
+        c = [k ** (q - 1 - i) * scale // s[i] for i in range(q)]
+        signs = [sgn(_dot(c, col)) for col in zip(*n[:q])]
+        if all(signs):
+            return k, signs
     raise RuntimeError("could not find a regular negative vector")
 
 
@@ -120,8 +132,9 @@ class _Walls:
     def _level_v(self):
         """The level of the default negative vector v
         (regular_negative_vector), found on first use: validation needs no
-        v, and a valid dodecahedral cell can lack a regular C_0 + C_1/k."""
-        return int(self.level(_regular_choice(self._gram, self._d)[1]))
+        v."""
+        return int(self.level(_regular_choice(self._gram, self._d,
+                                              self.space.sig[1])[1]))
 
     def pairings(self, x):
         """The integers (x', C'_j) den, x' and C'_j the numerators of x and
@@ -213,13 +226,16 @@ def validate(space, cs):
 
 
 def regular_negative_vector(space, cs):
-    """Deterministic negative vector v with all (v, C_j) nonzero: the first
-    of C_1, C_1 + C_2/k for k = 2, 3, ... that qualifies (exact checks).
-    Raises RuntimeError when none does up to k = 10000."""
+    """Deterministic regular v = sum_{i<q} h^i C_i, q = space.sig[1], at
+    the first of h = 0, 1/2, 1/3, ... with every (v, C_j) nonzero (exact
+    checks); negative on a cell, and RuntimeError only for a collection
+    that is no cell (_regular_choice)."""
     walls = _Walls(space, tuple(vec(c) for c in cs))
-    k = _regular_choice(walls._gram, walls._d)[0]
-    c0, c1 = walls.cs[:2]
-    return c0 if k == 1 else vec_add(c0, vec_scale(Fraction(1, k), c1))
+    q = space.sig[1]
+    k = _regular_choice(walls._gram, walls._d, q)[0]
+    h = Fraction(int(k > 1), k)
+    return functools.reduce(vec_add, (vec_scale(h ** i, c)
+                                      for i, c in enumerate(walls.cs[:q])))
 
 
 def w_invariant(ngon, v=None):
@@ -286,7 +302,7 @@ def illegal_variant_kernel(space, cs, x, v=None):
             "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
             "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
     sv = walls.negative_signs(v) if v is not None else \
-        _regular_choice(walls._gram, walls._d)[1]
+        _regular_choice(walls._gram, walls._d, 2)[1]
     w_tilde = _cyclic_w(sv) + 2 * sv[-1] * sv[0]
     sx = walls.signs(x)
     eps_tilde = w_tilde - _cyclic_w(sx) - 2 * sx[-1] * sx[0]

@@ -3,124 +3,76 @@ Q(X) = det(X) and (X,Y) = -tr(XY).
 
 A vector is written [a,b,c] for the matrix [[b, 2c], [-2a, -b]], so
 Q([a,b,c]) = 4ac - b^2 and positive vectors of norm n correspond to CM
-points of discriminant -n in the upper half plane.  The orthogonal basis
-  e1 = [1/2, 0, 1/2],  e2 = [0, 1, 0],  e3 = [1/2, 0, -1/2]
-has Gram diag(2, -2, -2) and fixes the orientation used by the hyperbolic
-cross product.  The module recovers an N-gon from the vertices of a
+points of discriminant -n in the upper half plane.  A point z = x + iy is
+the ray of P(z) = (1, -2x, x^2 + y^2), a positive multiple of the norm-1
+vector X(z).  Along a geodesic polygon the turn at z_j is
+-sgn det(P_{j-1}, P_j, P_{j+1}), +1 for a left turn, and the wall of the
+edge z_{j-1} -> z_j is C_j = eps_j (-w_3, 2w_2, -w_1) for the Euclidean
+cross product w = P_{j-1} x P_j and eps_j the product of the turns before
+j; (-w_3, 2w_2, -w_1) is -G^{-1} w for the Gram G of SPACE_ABC, up to a
+positive factor.  The module recovers an N-gon from the vertices of a
 geodesic polygon (`sig12 recover`), builds the truncated fundamental
 domain's 4-gon and its class-number series (`sig12 zagier`); `sig12
 winding` prints ngon.linking_number, for any (p, 2).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .qspace import NegativePlane, QuadraticSpace, rat, vec, vec_primitive
+from .qspace import (NegativePlane, QuadraticSpace, _dot, _over_lcm, rat,
+                     vec, vec_primitive)
 from .ngon import validate, sgn
 
 # Gram of (X,Y) = -tr(XY) in [a,b,c] coordinates: (x,x) = 2(4ac - b^2)
 SPACE_ABC = QuadraticSpace([[0, 0, 4], [0, -2, 0], [4, 0, 0]])
-# Gram in the orthogonal e-basis
-SPACE_E = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
 
+# an orthogonal pair of norm -1 vectors: the base plane of `sig12 zagier`
 E2_ABC = vec((0, 1, 0))
 E3_ABC = vec((Fraction(1, 2), 0, Fraction(-1, 2)))
-
-
-def abc_to_e(x):
-    a, b, c = vec(x)
-    return (a + c, b, a - c)
-
-
-def e_to_abc(x):
-    al, be, ga = vec(x)
-    return ((al + ga) / 2, be, (al - ga) / 2)
-
-
-@dataclass(frozen=True)
-class UHPoint:
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, 'x', rat(self.x))
-        object.__setattr__(self, 'y', rat(self.y))
-        if not self.y > 0:
-            raise ValueError("upper-half-plane point needs y > 0")
-
-    @property
-    def norm2(self):
-        return self.x * self.x + self.y * self.y
-
-
-def point_to_vector(z):
-    """X(z) = [1/(2y), -x/y, |z|^2/(2y)], the norm-1 positive vector at z."""
-    z = z if isinstance(z, UHPoint) else UHPoint(*z)
-    return (1 / (2 * z.y), -z.x / z.y, z.norm2 / (2 * z.y))
-
-
-def cross(u0, u1):
-    """Hyperbolic cross product in [a,b,c] coordinates (orthogonal to both
-    factors; X(z1) x X(z2) spans the geodesic through z1, z2 oriented from
-    z1 to z2)."""
-    a0, b0, c0 = abc_to_e(u0)
-    a1, b1, c1 = abc_to_e(u1)
-    ce = (b0 * c1 - c0 * b1, a0 * c1 - c0 * a1, -(a0 * b1 - b0 * a1))
-    return e_to_abc(ce)
-
-
-def alpha(z1, z2, z3):
-    """Turning invariant at z2: positive for a left turn of the geodesic
-    path z1 -> z2 -> z3, negative for a right turn, zero when collinear."""
-    zs = [p if isinstance(p, UHPoint) else UHPoint(*p) for p in (z1, z2, z3)]
-    x1, x2, x3 = (p.x for p in zs)
-    n1, n2, n3 = (p.norm2 for p in zs)
-    num = x1 * (n2 - n3) + x2 * (n3 - n1) + x3 * (n1 - n2)
-    return num / (2 * zs[0].y * zs[1].y * zs[2].y)
-
-
-def turning_sign(z1, z2, z3):
-    return sgn(alpha(z1, z2, z3))
 
 
 class OrientationError(ValueError):
     pass
 
 
+def _ray(z):
+    """An integer positive multiple of P(z) = (1, -2x, x^2 + y^2)."""
+    x, y = map(rat, z)
+    if not y > 0:
+        raise ValueError("upper-half-plane point needs y > 0")
+    return _over_lcm((1, -2 * x, x * x + y * y))[1]
+
+
+def _cross(u, v):
+    """Euclidean cross product u x v of integer 3-vectors."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def recover_ngon(zs):
-    """Collection C_j = eps_j X(z_{j-1}) x X(z_j) from the ordered vertices
-    of a geodesic polygon, with eps_j the product of the preceding turning
-    signs.  Raises OrientationError when the total turning is -1 (reverse
-    the vertex order to negate the associated series)."""
-    pts = [p if isinstance(p, UHPoint) else UHPoint(*p) for p in zs]
-    n = len(pts)
+    """The walls C_j above, made primitive, of the geodesic polygon with
+    ordered vertices z_j = (x, y).  Raises OrientationError when the
+    product of all turns is -1 (reverse the vertex order to negate the
+    associated series)."""
+    ps = [_ray(z) for z in zs]
+    n = len(ps)
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    taus = []
-    for j in range(n):
-        t = turning_sign(pts[(j - 1) % n], pts[j], pts[(j + 1) % n])
-        if t == 0:
-            raise ValueError(f"three consecutive vertices collinear at index {j + 1}")
-        taus.append(t)
-    total = math.prod(taus)
-    if total != 1:
+    ws = [_cross(ps[j - 1], ps[j]) for j in range(n)]
+    # det(P_{j-1}, P_j, P_{j+1}) = (P_{j-1} x P_j) . P_{j+1}
+    turns = [-sgn(_dot(w, ps[(j + 1) % n])) for j, w in enumerate(ws)]
+    if 0 in turns:
+        raise ValueError("three consecutive vertices collinear at index "
+                         f"{turns.index(0) + 1}")
+    if math.prod(turns) != 1:
         raise OrientationError(
             "total turning is -1 (odd number of right turns); "
             "reverse the vertex order and negate the series")
-    return validate(SPACE_ABC, _signed_crosses(pts, taus))
-
-
-def _signed_crosses(pts, taus):
-    """Primitive C_j = eps_j X(z_{j-1}) x X(z_j), with eps_j the product of
-    the turning signs taus before index j."""
-    cs = []
-    eps = 1
-    for j, tau in enumerate(taus):
-        y = cross(point_to_vector(pts[j - 1]), point_to_vector(pts[j]))
-        cs.append(vec_primitive(tuple(eps * t for t in vec(y))))
-        eps *= tau
-    return cs
+    cs, eps = [], 1
+    for w, t in zip(ws, turns):
+        cs.append(vec_primitive((-eps * w[2], 2 * eps * w[1], -eps * w[0])))
+        eps *= t
+    return validate(SPACE_ABC, cs)
 
 
 def fundamental_ngon(t):

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +17,13 @@ from ngontheta.dodec import (DodecValidationError,  # noqa: E402
 from ngontheta.errfn import E_frames  # noqa: E402
 from ngontheta.ngon import (NGonValidationError, sgn, validate,  # noqa: E402
                             w_invariant)
-from ngontheta.qspace import QuadraticSpace, vec, vec_scale  # noqa: E402
-from ngontheta.sig12 import (SPACE_ABC, UHPoint,  # noqa: E402
-                             _signed_crosses, turning_sign)
+from ngontheta.qspace import (QuadraticSpace, rat, vec,  # noqa: E402
+                              vec_primitive, vec_scale)
+from ngontheta.sig12 import SPACE_ABC  # noqa: E402
+
+# Gram in the orthogonal e-basis e1 = [1/2, 0, 1/2], e2 = [0, 1, 0],
+# e3 = [1/2, 0, -1/2] of the [a,b,c] model
+SPACE_E = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +33,6 @@ def space_abc():
 
 @pytest.fixture(scope="session")
 def space_e():
-    from ngontheta.sig12 import SPACE_E
     return SPACE_E
 
 
@@ -48,7 +52,6 @@ def funddom():
 def funddom_e():
     """The truncated-fundamental-domain 4-gon in the diagonal basis, scaled
     to integer vectors (kernels are scale-invariant)."""
-    from ngontheta.sig12 import SPACE_E
     return validate(SPACE_E, ((1, -2, -1), (13, 0, -21), (1, 2, -1), (0, 0, 1)))
 
 
@@ -204,14 +207,19 @@ def outcome(f, *args):
         return f"RuntimeError: {exc}"
 
 
-def regular_negative_vector_vec(space, cs):
-    """The first of C_1, C_1 + C_2/k (k = 2, 3, ...) that is negative with
-    every (v, C_j) nonzero."""
+def regular_negative_vector_vec(space, cs, q=None):
+    """The first v = sum_{i<q} h^i C_i (q = space.sig[1] unless given) at
+    h = 0, 1/2, 1/3, ..., among the first N(q-1)+1, with every (v, C_j)
+    nonzero."""
     from ngontheta.qspace import vec_add
     cs = tuple(vec(c) for c in cs)
-    for k in range(1, 10001):
-        v = cs[0] if k == 1 else vec_add(cs[0], vec_scale(Fraction(1, k), cs[1]))
-        if space.inner(v, v) < 0 and all(space.inner(v, c) != 0 for c in cs):
+    q = space.sig[1] if q is None else q
+    for k in range(1, len(cs) * (q - 1) + 2):
+        h = Fraction(int(k > 1), k)
+        v = cs[0]
+        for i in range(1, q):
+            v = vec_add(v, vec_scale(h ** i, cs[i]))
+        if all(space.inner(v, c) != 0 for c in cs):
             return v
     raise RuntimeError("could not find a regular negative vector")
 
@@ -254,7 +262,7 @@ def face_w_vec(space, cs):
     out = []
     for i in range(12):
         r = projected_tuple(space, cs, comb.cycles[i], i)
-        s = _signs_vec(space, regular_negative_vector_vec(space, r), r)
+        s = _signs_vec(space, regular_negative_vector_vec(space, r, q=2), r)
         out.append(-sum(s[l] * s[(l + 1) % 5] for l in range(5)))
     return tuple(out)
 
@@ -290,6 +298,76 @@ def dodec_violations(space, cs):
             raise
         return e.diagnostics
     return []
+
+
+# --- the hyperbolic [a,b,c] helpers: the oracle of sig12.recover_ngon -------
+
+def abc_to_e(x):
+    a, b, c = vec(x)
+    return (a + c, b, a - c)
+
+
+def e_to_abc(x):
+    al, be, ga = vec(x)
+    return ((al + ga) / 2, be, (al - ga) / 2)
+
+
+@dataclass(frozen=True)
+class UHPoint:
+    x: Fraction
+    y: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, 'x', rat(self.x))
+        object.__setattr__(self, 'y', rat(self.y))
+        if not self.y > 0:
+            raise ValueError("upper-half-plane point needs y > 0")
+
+    @property
+    def norm2(self):
+        return self.x * self.x + self.y * self.y
+
+
+def point_to_vector(z):
+    """X(z) = [1/(2y), -x/y, |z|^2/(2y)], the norm-1 positive vector at z."""
+    z = z if isinstance(z, UHPoint) else UHPoint(*z)
+    return (1 / (2 * z.y), -z.x / z.y, z.norm2 / (2 * z.y))
+
+
+def cross(u0, u1):
+    """Hyperbolic cross product in [a,b,c] coordinates (orthogonal to both
+    factors; X(z1) x X(z2) spans the geodesic through z1, z2 oriented from
+    z1 to z2)."""
+    a0, b0, c0 = abc_to_e(u0)
+    a1, b1, c1 = abc_to_e(u1)
+    ce = (b0 * c1 - c0 * b1, a0 * c1 - c0 * a1, -(a0 * b1 - b0 * a1))
+    return e_to_abc(ce)
+
+
+def alpha(z1, z2, z3):
+    """Turning invariant at z2: positive for a left turn of the geodesic
+    path z1 -> z2 -> z3, negative for a right turn, zero when collinear."""
+    zs = [p if isinstance(p, UHPoint) else UHPoint(*p) for p in (z1, z2, z3)]
+    x1, x2, x3 = (p.x for p in zs)
+    n1, n2, n3 = (p.norm2 for p in zs)
+    num = x1 * (n2 - n3) + x2 * (n3 - n1) + x3 * (n1 - n2)
+    return num / (2 * zs[0].y * zs[1].y * zs[2].y)
+
+
+def turning_sign(z1, z2, z3):
+    return sgn(alpha(z1, z2, z3))
+
+
+def _signed_crosses(pts, taus):
+    """Primitive C_j = eps_j X(z_{j-1}) x X(z_j), with eps_j the product of
+    the turning signs taus before index j."""
+    cs = []
+    eps = 1
+    for j, tau in enumerate(taus):
+        y = cross(point_to_vector(pts[j - 1]), point_to_vector(pts[j]))
+        cs.append(vec_primitive(tuple(eps * t for t in vec(y))))
+        eps *= tau
+    return cs
 
 
 # --- example collections in the [a,b,c] model -------------------------------

@@ -13,15 +13,16 @@ from scipy.integrate import quad
 from ngontheta.qspace import QuadraticSpace, NegativePlane
 from ngontheta.errfn import E1, E2, E3
 from ngontheta.ngon import validate, epsilon, w_invariant, linking_number
-from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC, recover_ngon,
+from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, recover_ngon,
                              fundamental_ngon, truncated_class_series)
 from ngontheta.lattice import (LatticeCoset, EnumWindow, certify_window,
                                enumerate_coset, holomorphic_series,
                                modularity_check)
 from ngontheta import jsonio
 
-from conftest import (butterfly_ngon, cyclic_equal, dodec_violations,
-                      random_negative_abc, recipe_step, reduced_forms)
+from conftest import (SPACE_E, butterfly_ngon, cyclic_equal,
+                      dodec_violations, random_negative_abc, recipe_step,
+                      reduced_forms)
 
 SQUARE = [(-1, 1), (1, 1), (Fraction(3, 2), 3), (Fraction(-3, 2), 3)]
 

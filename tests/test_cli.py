@@ -15,7 +15,7 @@ from ngontheta.cli import main
 from ngontheta.jsonio import (InputError, parse_rational, rat_to_str,
                               parse_vector, qexpansion_to_json)
 
-from conftest import EXAMPLES, REPO, butterfly_collection
+from conftest import EXAMPLES, REPO, SPACE_E, abc_to_e, butterfly_collection
 
 FUNDDOM = str(EXAMPLES / "funddom.json")
 LATTICE = str(EXAMPLES / "lattice_sig12.json")
@@ -212,7 +212,6 @@ def test_cli_theta_out_file(capsys, tmp_path):
 
 
 def test_cli_theta_gram_mismatch(capsys, tmp_path):
-    from ngontheta.sig12 import SPACE_E
     lat = tmp_path / "lat.json"
     lat.write_text(json.dumps(
         {"schema_version": 1,
@@ -298,7 +297,6 @@ def test_cli_sig12_winding(capsys, tmp_path, coords):
     # funddom as stored ([a,b,c] coordinates), written in SPACE_E
     # coordinates, and padded into SPACE_ABC + <2>, at the image of (1,0,2)
     from ngontheta.qspace import QuadraticSpace
-    from ngontheta.sig12 import SPACE_E, abc_to_e
     path, x = FUNDDOM, (1, 0, 2)
     if coords != "abc":
         space, cs = jsonio.load_ngon_file(FUNDDOM)
@@ -659,6 +657,12 @@ MALFORMED = {
     "series-nmax-huge": (["theta", "series", *THETA, "--nmax", "1e40"], 2,
                          "validation error: enumeration window too large: a "
                          "coordinate of its lattice vectors passes 2^53\n"),
+    # under 2^53, but one level of the search would hold 4.5e8 rows (3.3 GiB
+    # per int64 array): refused before numpy allocates them
+    "series-nmax-rows": (["theta", "series", *THETA, "--nmax", "1e17"], 2,
+                         "validation error: enumeration window too large: "
+                         "one level of its search needs 4.48e+08 rows, more "
+                         "than 1e+07\n"),
     "series-nmax-float-overflow": (["theta", "series", *THETA, "--nmax",
                                     "1e400"], 2,
                                    "validation error: nmax too large: the "
@@ -747,7 +751,8 @@ MALFORMED = {
                      "error: points_entry.json: field 'points': not a "
                      "rational: True\n"),
 }
-QUICK = {"ngon-eps-exponent": 2.0}     # seconds a case may take at most
+QUICK = {"ngon-eps-exponent": 2.0,     # seconds a case may take at most
+         "series-nmax-rows": 2.0}
 
 
 def _no_nan(name):

@@ -134,18 +134,22 @@ def test_negated_normal_rejected(space_q3, seed_dodec):
         validate_dodec(space_q3, bad)
 
 
-def test_cell_without_default_negative_vector_validates(space_q3, seed_dodec,
-                                                       tmp_path, capsys):
-    """C_2 moved orthogonal to C_0 and C_1 keeps every face condition, but
-    no C_0 + C_1/k is regular: validation needs no negative vector, so
-    validate_dodec and `dodec validate` accept the cell."""
+def test_cell_with_c2_orthogonal_to_c0_c1_runs(space_q3, seed_dodec,
+                                               tmp_path, capsys):
+    """C_2 moved orthogonal to C_0 and C_1 keeps every face condition, and
+    no C_0 + C_1/k is regular, but a C_0 + C_1/k + C_2/k^2 on the first
+    vertex is: `dodec validate`, `dodec kernel` and `dodec series` exit 0 on
+    the cell, whose level is the seed's."""
     from ngontheta import jsonio
     cs = list(seed_dodec.cs)
     u = project_perp(space_q3, cs[1], cs[0])
     cs[2] = project_perp(space_q3, project_perp(space_q3, cs[2], cs[0]), u)
-    with pytest.raises(RuntimeError):
-        regular_negative_vector(space_q3, cs)
-    validate_dodec(space_q3, cs)
+    assert space_q3.inner(cs[0], cs[2]) == space_q3.inner(cs[1], cs[2]) == 0
+    v = regular_negative_vector(space_q3, cs)
+    assert v == regular_negative_vector_vec(space_q3, cs) != cs[0]
+    assert space_q3.inner(v, v) < 0
+    d = validate_dodec(space_q3, cs)
+    assert d.level_at() == seed_dodec.level_at() == 0
     path = tmp_path / "cell.json"
     path.write_text(json.dumps({
         "schema_version": 1, "space": jsonio.space_to_json(space_q3),
@@ -153,6 +157,10 @@ def test_cell_without_default_negative_vector_validates(space_q3, seed_dodec,
     assert main(["dodec", "validate", "--data", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"schema_version": 1,
                                                    "valid": True}
+    for argv in (["kernel", "--x", "1,0,0,0"], ["series", "--nmax", "2"]):
+        assert main(["dodec", argv[0], "--data", str(path), *argv[1:]]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and json.loads(out.out)
 
 
 def test_dodec_rejects_wrong_shape(space_q3, space_abc):
@@ -396,8 +404,8 @@ def _report(check, space, cs):
 def test_gram_path_matches_vector_oracle(space_q3, ts, move, j, j2, scale,
                                          delta, xs, wall):
     """Seed dodecahedra at random t, one vector shifted (valid or not), or
-    two vectors made orthogonal to C_0 and to C_0 + C_1/2 (so that the
-    negative vector needs k >= 3): violation reports, face_w, the default
+    two vectors made orthogonal to C_0 and to C_0 + C_1/2 + C_2/4 (so that
+    the negative vector needs k >= 3): violation reports, face_w, the default
     negative vector, D, P and the row kernel agree with the projected-vector
     code, also at x orthogonal to some C_i."""
     sp = space_q3
@@ -405,19 +413,19 @@ def test_gram_path_matches_vector_oracle(space_q3, ts, move, j, j2, scale,
     if move == "shift":
         cs[j] = vec_add(cs[j], vec_scale(scale, delta))
     elif move == "perp":
-        assume(j != j2)
-        half = vec_add(cs[0], vec_scale(Fraction(1, 2), cs[1]))
+        assume(j != j2 and 2 not in (j, j2))
+        half = vec_add(vec_add(cs[0], vec_scale(Fraction(1, 2), cs[1])),
+                       vec_scale(Fraction(1, 4), cs[2]))
         assume(sp.inner(half, half) != 0)
         cs[j] = project_perp(sp, cs[j], cs[0])
         cs[j2] = project_perp(sp, cs[j2], half)
     want = _report(check_dodec_conditions_vec, sp, cs)
     assert _report(dodec_violations, sp, cs) == want
-    # both search the same k <= 10000; where no C_0 + C_1/k qualifies (a
-    # C_j made orthogonal to C_0 can be orthogonal to C_1 as well) both
-    # raise the same RuntimeError
-    if sp.inner(cs[0], cs[0]) < 0 and all(any(c) for c in cs):
-        assert outcome(regular_negative_vector, sp, cs) == \
-            outcome(regular_negative_vector_vec, sp, cs)
+    # both search the same k <= 2N + 1 on C_0 + C_1/k + C_2/k^2; where none
+    # qualifies (a C_j made orthogonal to C_0 can be orthogonal to C_1 and
+    # C_2 as well) both raise the same RuntimeError
+    assert outcome(regular_negative_vector, sp, cs) == \
+        outcome(regular_negative_vector_vec, sp, cs)
     if want != []:
         return
     d = validate_dodec(sp, cs)

@@ -27,11 +27,11 @@ from ngontheta import lattice
 from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
 from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
                             epsilon, linking_number)
-from ngontheta.sig12 import (SPACE_ABC, SPACE_E, E2_ABC, E3_ABC,
-                             fundamental_ngon, truncated_class_series,
-                             recover_ngon, cross, point_to_vector, abc_to_e)
+from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, fundamental_ngon,
+                             truncated_class_series, recover_ngon)
 
-from conftest import (butterfly_ngon, dodec_D_kernel, j0_value,
+from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
+                      butterfly_ngon, dodec_D_kernel, j0_value,
                       majorant_exact, mat_det, mat_inv, project_perp,
                       reduced_forms)
 

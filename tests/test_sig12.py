@@ -1,17 +1,19 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ngontheta.ngon import epsilon, linking_number, w_invariant
+from ngontheta.ngon import epsilon, linking_number, validate, w_invariant
 from ngontheta.qspace import NegativePlane, vec_add, vec_scale
-from ngontheta.sig12 import (SPACE_ABC, SPACE_E, abc_to_e, e_to_abc, UHPoint,
-                             point_to_vector, cross, alpha, turning_sign,
-                             OrientationError, recover_ngon,
+from ngontheta.sig12 import (SPACE_ABC, OrientationError, recover_ngon,
                              fundamental_ngon, truncated_class_series)
 
-from conftest import butterfly_ngon, one_sign_term, reduced_forms
+from conftest import (SPACE_E, UHPoint, _signed_crosses, abc_to_e, alpha,
+                      butterfly_ngon, cross, e_to_abc, one_sign_term,
+                      point_to_vector, reduced_forms, turning_sign)
 
 SQUARE = [(-1, 1), (1, 1), (Fraction(3, 2), 3), (Fraction(-3, 2), 3)]
 
@@ -31,11 +33,10 @@ def test_point_to_vector_norm_one():
         assert SPACE_ABC.q(x) == 1
 
 
-def test_uhpoint_requires_positive_y():
-    with pytest.raises(ValueError):
-        UHPoint(0, 0)
-    with pytest.raises(ValueError):
-        UHPoint(1, -2)
+def test_recover_requires_positive_y():
+    for z in ((0, 0), (1, -2)):
+        with pytest.raises(ValueError, match="needs y > 0"):
+            recover_ngon([(0, 1), z, (1, 2)])
 
 
 def test_cross_is_orthogonal():
@@ -95,6 +96,57 @@ def test_recover_collinear_raises():
 def test_recover_too_few():
     with pytest.raises(ValueError):
         recover_ngon([(0, 1), (1, 1)])
+
+
+def _oracle_recover(zs):
+    """recover_ngon on the upper-half-plane helpers: the turning signs of
+    alpha and the hyperbolic crosses of the norm-1 vectors X(z)."""
+    pts = [UHPoint(*p) for p in zs]
+    n = len(pts)
+    if n < 3:
+        raise ValueError("need at least 3 vertices")
+    taus = [turning_sign(pts[j - 1], pts[j], pts[(j + 1) % n])
+            for j in range(n)]
+    if 0 in taus:
+        raise ValueError("three consecutive vertices collinear at index "
+                         f"{taus.index(0) + 1}")
+    if math.prod(taus) != 1:
+        raise OrientationError(
+            "total turning is -1 (odd number of right turns); "
+            "reverse the vertex order and negate the series")
+    return validate(SPACE_ABC, _signed_crosses(pts, taus))
+
+
+def _recovered(f, zs):
+    """("cs", C_1..C_N) of f(zs), or (exception type, message)."""
+    try:
+        return "cs", f(zs).cs
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_recover_matches_hyperbolic_oracle():
+    """recover_ngon on the integer rays P(z) equals the upper-half-plane
+    oracle on 2 to 8 random vertices, about half of the lists with one
+    y <= 0: the same collection, or the same exception and message, and
+    every outcome is drawn."""
+    seen = set()
+    coord = st.fractions(-2, 2, max_denominator=3)
+    height = st.fractions(Fraction(1, 3), 3, max_denominator=3)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(coord, height), min_size=2, max_size=8),
+           st.one_of(st.none(), st.sampled_from([0, -1])), st.integers(0, 7))
+    def check(zs, y_bad, j):
+        if y_bad is not None:
+            zs[j % len(zs)] = (zs[j % len(zs)][0], y_bad)
+        got = _recovered(recover_ngon, zs)
+        assert got == _recovered(_oracle_recover, zs)
+        seen.add(got[0] if got[0] != "ValueError" else got[1].split()[0])
+
+    check()
+    assert seen == {"cs", "OrientationError", "upper-half-plane", "three",
+                    "need"}
 
 
 def test_one_sign_terms_sum_to_minus_w():

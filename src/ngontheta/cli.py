@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 malformed input (bad JSON, missing file, a field
 or vector argument of the wrong shape, a non-finite tau or |tau| > TAU_MAX,
-an errfn --x entry above X_MAX in absolute value); 2 validation failure;
+an errfn --x entry above X_MAX in absolute value); 2 validation failure
+(also theta modularity on a lattice with |det G| above lattice.DISC_MAX);
 3 certification or quadrature failure.
 """
 
@@ -66,76 +67,68 @@ def build_parser():
         description="Indefinite theta series for geodesic polygons and "
                     "dodecahedra.")
     sub = p.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="FILE")
+    series = argparse.ArgumentParser(add_help=False, parents=[out])
+    series.add_argument("--format", choices=("json", "csv"), default="json")
+    series.add_argument("--emit-plot-data", metavar="FILE")
 
     ngon = sub.add_parser("ngon", help="N-gon validation and kernels")
     ngon_sub = ngon.add_subparsers(dest="action", required=True)
     for name in ("validate", "eps", "w"):
-        sp = ngon_sub.add_parser(name)
+        sp = ngon_sub.add_parser(name, parents=[out])
         sp.add_argument("--ngon", required=True, metavar="FILE")
         if name == "eps":
             sp.add_argument("--x", required=True, metavar="RAT,RAT,...")
         if name == "w":
             sp.add_argument("--v", metavar="RAT,RAT,...")
-        sp.add_argument("--out", metavar="FILE")
 
     theta = sub.add_parser("theta", help="q-expansions and modularity")
     theta_sub = theta.add_subparsers(dest="action", required=True)
     for name in ("series", "complete", "modularity"):
-        sp = theta_sub.add_parser(name)
+        sp = theta_sub.add_parser(
+            name, parents=[series if name == "series" else out])
         sp.add_argument("--lattice", required=True, metavar="FILE")
         sp.add_argument("--ngon", required=True, metavar="FILE")
         sp.add_argument("--nmax", required=True)
         sp.add_argument("--mu", metavar="RAT,RAT,...")
-        sp.add_argument("--out", metavar="FILE")
         if name == "series":
             sp.add_argument("--normalized", action="store_true")
-            sp.add_argument("--format", choices=("json", "csv"),
-                            default="json")
-            sp.add_argument("--emit-plot-data", metavar="FILE")
             sp.add_argument("--safety", type=float, default=1.5)
         else:
             sp.add_argument("--tau", required=True, metavar="A+BI")
 
     sig12 = sub.add_parser("sig12", help="signature-(1,2) utilities")
     sig_sub = sig12.add_subparsers(dest="action", required=True)
-    sp = sig_sub.add_parser("recover")
+    sp = sig_sub.add_parser("recover", parents=[out])
     sp.add_argument("--points", required=True, metavar="FILE")
-    sp.add_argument("--out", metavar="FILE")
-    sp = sig_sub.add_parser("winding")
+    sp = sig_sub.add_parser("winding", parents=[out])
     sp.add_argument("--ngon", required=True, metavar="FILE")
     sp.add_argument("--x", required=True, metavar="RAT,RAT,...")
-    sp.add_argument("--out", metavar="FILE")
-    sp = sig_sub.add_parser("zagier")
+    sp = sig_sub.add_parser("zagier", parents=[series])
     sp.add_argument("--T", required=True, dest="t")
     sp.add_argument("--nmax", required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--emit-plot-data", metavar="FILE")
-    sp.add_argument("--out", metavar="FILE")
 
     dodec = sub.add_parser("dodec", help="dodecahedral collections")
     dodec_sub = dodec.add_subparsers(dest="action", required=True)
     for name in ("validate", "kernel", "series"):
-        sp = dodec_sub.add_parser(name)
+        sp = dodec_sub.add_parser(
+            name, parents=[series if name == "series" else out])
         sp.add_argument("--data", required=True, metavar="FILE")
-        sp.add_argument("--out", metavar="FILE")
         if name == "kernel":
             sp.add_argument("--x", required=True, metavar="RAT,RAT,...")
         if name == "series":
             sp.add_argument("--nmax", required=True)
             sp.add_argument("--mu", metavar="RAT,RAT,...")
-            sp.add_argument("--format", choices=("json", "csv"),
-                            default="json")
-            sp.add_argument("--emit-plot-data", metavar="FILE")
 
     errfn = sub.add_parser("errfn", help="generalized error functions")
     errfn_sub = errfn.add_subparsers(dest="action", required=True)
-    sp = errfn_sub.add_parser("eval")
+    sp = errfn_sub.add_parser("eval", parents=[out])
     sp.add_argument("--space", required=True, metavar="FILE",
                     help='JSON file with {"gram": ...}')
     sp.add_argument("--c", action="append", required=True,
                     metavar="RAT,RAT,...", help="repeat for E2/E3")
     sp.add_argument("--x", required=True, metavar="FLOAT,FLOAT,...")
-    sp.add_argument("--out", metavar="FILE")
     return p
 
 
@@ -146,8 +139,7 @@ def _load_ngon(path):
 
 def _dump_invalid(violations, out):
     """The report of a collection that fails its conditions: exit code 2."""
-    jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION, "valid": False,
-                      "violations": violations}, out)
+    jsonio.dump_report(out, valid=False, violations=violations)
     return 2
 
 
@@ -162,16 +154,13 @@ def cmd_ngon(args):
                                "message": v.message} for v in e.violations],
                              args.out)
     if args.action == "validate":
-        jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "valid": True, "n": ngon.n}, args.out)
+        jsonio.dump_report(args.out, valid=True, n=ngon.n)
     elif args.action == "eps":
         kv = epsilon(ngon, _parse_vector_arg(args.x, "--x", space.dim))
-        jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "eps": kv.eps, "regular": kv.regular}, args.out)
+        jsonio.dump_report(args.out, eps=kv.eps, regular=kv.regular)
     else:
         v = _parse_vector_arg(args.v, "--v", space.dim) if args.v else None
-        jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "w": w_invariant(ngon, v)}, args.out)
+        jsonio.dump_report(args.out, w=w_invariant(ngon, v))
     return 0
 
 
@@ -194,29 +183,23 @@ def cmd_theta(args):
     elif args.action == "complete":
         tau = _parse_tau(args.tau)
         value, tail = completion_eval(coset, ngon, tau, nmax)
-        jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "tau": [tau.real, tau.imag],
-                          "value": [value.real, value.imag],
-                          "tail": tail}, args.out)
+        jsonio.dump_report(args.out, tau=[tau.real, tau.imag],
+                           value=[value.real, value.imag], tail=tail)
     else:
         tau = _parse_tau(args.tau)
         rep = modularity_check(lat_space, ngon, tau, nmax)
-        jsonio.dump_json({
-            "schema_version": jsonio.SCHEMA_VERSION,
-            "t_defect": rep["t_defect"],
-            "s_defect": rep["s_defect"],
-            "tail": rep["tail"],
-            "weil_unitarity": rep["weil_unitarity"],
-            "weil_composition": rep["weil_composition"],
-            "theta": [[z.real, z.imag] for z in rep["theta"]],
-        }, args.out)
+        jsonio.dump_report(
+            args.out, **{k: rep[k] for k in (
+                "t_defect", "s_defect", "tail", "weil_unitarity",
+                "weil_composition")},
+            theta=[[z.real, z.imag] for z in rep["theta"]])
     return 0
 
 
 def _emit_series(qe, args):
-    if getattr(args, "emit_plot_data", None):
+    if args.emit_plot_data:
         jsonio.dump_plot_data(qe, args.emit_plot_data)
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         jsonio.dump_qexpansion_csv(qe, args.out)
     else:
         jsonio.dump_json(jsonio.qexpansion_to_json(qe), args.out)
@@ -227,19 +210,14 @@ def cmd_sig12(args):
     if args.action == "recover":
         pts = jsonio.load_points_file(args.points)
         ngon = recover_ngon(pts)
-        jsonio.dump_json({
-            "schema_version": jsonio.SCHEMA_VERSION,
-            "space": jsonio.space_to_json(SPACE_ABC),
-            "cs": [jsonio.vector_to_json(c) for c in ngon.cs],
-            "w": w_invariant(ngon),
-        }, args.out)
+        jsonio.dump_report(args.out, space=jsonio.space_to_json(SPACE_ABC),
+                           cs=[jsonio.vector_to_json(c) for c in ngon.cs],
+                           w=w_invariant(ngon))
     elif args.action == "winding":
         space, ngon = _load_ngon(args.ngon)
         x = _parse_vector_arg(args.x, "--x", space.dim)
-        jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "winding": linking_number(ngon, x),
-                          "eps": epsilon(ngon, x).eps},
-                         args.out)
+        jsonio.dump_report(args.out, winding=linking_number(ngon, x),
+                           eps=epsilon(ngon, x).eps)
     else:
         qe = truncated_class_series(parse_rational(args.t),
                                     parse_rational(args.nmax))
@@ -262,15 +240,12 @@ def cmd_dodec(args):
                                "message": v.message}
                               for i, v in e.diagnostics], args.out)
     if args.action == "validate":
-        jsonio.dump_json({"schema_version": jsonio.SCHEMA_VERSION,
-                          "valid": True}, args.out)
+        jsonio.dump_report(args.out, valid=True)
     elif args.action == "kernel":
         p = dodec_P_kernel(dodec, _parse_vector_arg(args.x, "--x", space.dim))
-        jsonio.dump_json({
-            "schema_version": jsonio.SCHEMA_VERSION,
-            "D": rat_to_str(p + Fraction(dodec.level_at(), 8)),
-            "P": rat_to_str(p),
-        }, args.out)
+        jsonio.dump_report(args.out,
+                           D=rat_to_str(p + Fraction(dodec.level_at(), 8)),
+                           P=rat_to_str(p))
     else:
         mu = _parse_vector_arg(args.mu, "--mu", space.dim) if args.mu \
             else None
@@ -292,20 +267,13 @@ def cmd_errfn(args):
     fn = {1: E1, 2: E2, 3: E3}.get(len(cs))
     if fn is None:
         raise InputError("errfn eval takes 1, 2, or 3 --c vectors")
-    out = f"E{len(cs)} = {fn(space, *cs, x):.10f}\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    jsonio.write(f"E{len(cs)} = {fn(space, *cs, x):.10f}\n", args.out)
     return 0
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .dodec import DodecValidationError
-    from .sig12 import OrientationError
     from .lattice import CertificationError
     from .errfn import QuadratureError
     try:
@@ -321,9 +289,6 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NGonValidationError, DodecValidationError, OrientationError) as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 2
     except (CertificationError, QuadratureError) as e:
         print(f"numerical certification error: {e}", file=sys.stderr)
         return 3

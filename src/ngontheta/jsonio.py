@@ -182,26 +182,31 @@ def qexpansion_to_json(qe):
 
 def dump_json(obj, out=None):
     text = json.dumps(obj, indent=2, separators=(",", ": ")) + "\n"
-    _write(text, out)
+    write(text, out)
     return text
+
+
+def dump_report(out, **fields):
+    """A CLI report: {"schema_version": SCHEMA_VERSION, **fields}."""
+    return dump_json({"schema_version": SCHEMA_VERSION, **fields}, out)
 
 
 def dump_qexpansion_csv(qe, out=None):
     lines = ["n,c"]
     for n, c in sorted(qe.entries.items()):
         lines.append(f"{rat_to_str(n)},{rat_to_str(Fraction(c))}")
-    _write("\n".join(lines) + "\n", out)
+    write("\n".join(lines) + "\n", out)
 
 
 def dump_plot_data(qe, path):
     """Tab-separated (n, c(n)) table for plotting."""
-    with open(path, "w") as fh:
-        for n, c in sorted(qe.entries.items()):
-            fh.write(f"{float(n)!r}\t{float(c)!r}\n")
+    write("".join(f"{float(n)!r}\t{float(c)!r}\n"
+                  for n, c in sorted(qe.entries.items())), path)
 
 
-def _write(text, out):
-    if out is None:
+def write(text, out=None):
+    """Write text to the file `out`, or to stdout when out is None or ""."""
+    if not out:
         sys.stdout.write(text)
     else:
         with open(out, "w") as fh:

@@ -53,6 +53,7 @@ RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 RETRIES = 3              # re-certifications before CertificationError
 K_MAX = 2.0 ** 53        # |k_i| beyond it: floats skip integers, int64 nears
 ROWS_MAX = 10 ** 7       # rows one enumeration level may hold
+DISC_MAX = 4096          # |L'/L| the dense Weil matrices may have
 GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
 BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
 
@@ -79,12 +80,16 @@ class LatticeCoset:
 def disc_group(space):
     """Sorted coset representatives of L∨/L, each with entries in [0,1).
     With d = |det G| the numerators d*mu mod d form the closure of 0 under
-    adding the m integer columns of d*G^{-1}, so memory grows like d*m."""
+    adding the m integer columns of d*G^{-1}, so memory grows like d*m;
+    d above DISC_MAX is refused before any set is built."""
     if space._den != 1:
         raise ValueError("lattice Gram matrix must be integral")
     m = space.dim
     det, adj = _adjugate(space._gi)
     d = abs(det)                          # d G^{-1} = sign(det) adj
+    if d > DISC_MAX:
+        raise ValueError(f"discriminant group too large: |det G| = {d}, "
+                         f"more than {DISC_MAX}")
     gens = [tuple(v * (d // det) % d for v in col) for col in zip(*adj)]
     seen = {(0,) * m}
     todo = list(seen)
@@ -574,7 +579,8 @@ S_PAIRING_SIGN = +1
 
 
 def weil_matrices(space):
-    """(T diagonal, S matrix) of the finite quadratic module L∨/L."""
+    """(reps, T diagonal, S matrix, negation index) of the finite quadratic
+    module L∨/L; neg[i] is the index of -reps[i]."""
     reps = disc_group(space)
     d = len(reps)
     p, q = space.sig
@@ -588,25 +594,20 @@ def weil_matrices(space):
     pair = r @ np.array(space._gi, dtype=np.int64) @ r.T / (den * den)
     s = np.exp(2j * math.pi * S_PAIRING_SIGN * pair)
     s *= phase / math.sqrt(d)
-    return reps, tdiag, s
-
-
-def negation_index(reps):
-    """For each disc_group rep mu, the index of -mu, by integer numerators."""
-    den, r = _numerators(reps)
     index = {row: i for i, row in enumerate(map(tuple, r.tolist()))}
-    return [index[row] for row in map(tuple, (-r % den).tolist())]
+    neg = [index[row] for row in map(tuple, (-r % den).tolist())]
+    return reps, tdiag, s, neg
 
 
-def weil_sanity(space, weil=None):
-    """Return (unitarity defect, S^2-composition defect); both should be ~0.
-    `weil` may pass weil_matrices(space), or it and negation_index(reps)."""
-    reps, _, s, *neg = weil or weil_matrices(space)
+def weil_sanity(space, weil):
+    """(unitarity defect, S^2-composition defect) of weil_matrices(space);
+    both should be ~0."""
+    reps, _, s, neg = weil
     d = len(reps)
     uni = float(np.max(np.abs(s @ s.conj().T - np.eye(d))))
     # S^2 = phase^2 * permutation mu -> -mu
     perm = np.zeros((d, d))
-    perm[neg[0] if neg else negation_index(reps), np.arange(d)] = 1.0
+    perm[neg, np.arange(d)] = 1.0
     p, q = space.sig
     ph2 = cmath.exp(2j * math.pi * (q - p) / 4.0)
     comp = float(np.max(np.abs(s @ s - ph2 * perm)))
@@ -621,8 +622,7 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     i <= index(-mu_i) are one even batch about completion_eval's window,
     evaluated once per Im tau; each value fills both entries of its pair."""
     _check_space(space, ngon)
-    reps, tdiag, smat = weil = weil_matrices(space)
-    neg = negation_index(reps)
+    reps, tdiag, smat, neg = weil = weil_matrices(space)
     window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     kern = _CompletionKernel(ngon, w_offset)
     own = [i for i, j in enumerate(neg) if i <= j]
@@ -642,7 +642,7 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     inverted, tail2 = theta_vec(-1 / tau)
     auto = tau ** (space.dim / 2.0)
     s_defect = float(np.max(np.abs(inverted - auto * (smat @ base))))
-    uni, comp = weil_sanity(space, weil + (neg,))
+    uni, comp = weil_sanity(space, weil)
     return {
         "t_defect": t_defect,
         "s_defect": s_defect,

@@ -22,8 +22,6 @@ def rat(x):
     """Coerce to Fraction. Accepts int, Fraction, and 'p/q' strings."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
     return Fraction(x)
 
 

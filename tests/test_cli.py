@@ -530,9 +530,20 @@ def _seed_doc(n):
     return doc
 
 
+def _scaled_gram(doc, k):
+    """The Gram matrix of a file's space times the integer k."""
+    return {"gram": [[str(k * int(v)) for v in row] for row in doc["gram"]]}
+
+
 def _malformed_files():
     funddom = json.loads(Path(FUNDDOM).read_text())
     lattice = json.loads(Path(LATTICE).read_text())
+    scaled = {}
+    for k in (10, 1000):     # |L'/L| = 32 k^3
+        scaled[f"funddom_x{k}.json"] = {
+            **funddom, "space": _scaled_gram(funddom["space"], k)}
+        scaled[f"lattice_x{k}.json"] = {**lattice,
+                                        **_scaled_gram(lattice, k)}
     seed = json.loads(Path(DODEC).read_text())
     seed["seed"]["v0"] = seed["seed"]["v0"][:3]
     neg = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]
@@ -583,6 +594,7 @@ def _malformed_files():
         "lattice_mu_entry.json": {**lattice, "mu": [0.5, "0", "0"]},
         "points_entry.json": {"schema_version": 1,
                               "points": [["0", "1"], ["1", True]]},
+        **scaled,
     }
 
 
@@ -667,6 +679,21 @@ MALFORMED = {
                                     "1e400"], 2,
                                    "validation error: nmax too large: the "
                                    "window bound overflows a float\n"),
+    # |L'/L| = 32,000 asked numpy for 7.6 GiB of Weil matrices, and
+    # 3.2e10 never left disc_group's closure: both refused before any set
+    "modularity-disc-32000": (["theta", "modularity", "--lattice",
+                               "lattice_x10.json", "--ngon",
+                               "funddom_x10.json", "--nmax", "2",
+                               "--tau=0.1+1.1i"], 2,
+                              "validation error: discriminant group too "
+                              "large: |det G| = 32000, more than 4096\n"),
+    "modularity-disc-3.2e10": (["theta", "modularity", "--lattice",
+                                "lattice_x1000.json", "--ngon",
+                                "funddom_x1000.json", "--nmax", "2",
+                                "--tau=0.1+1.1i"], 2,
+                               "validation error: discriminant group too "
+                               "large: |det G| = 32000000000, more than "
+                               "4096\n"),
     "modularity-nmax-negative": (["theta", "modularity", *THETA, "--nmax",
                                   "-1", "--tau", "i"], 2,
                                  "validation error: nmax must be >= 0"),
@@ -752,7 +779,9 @@ MALFORMED = {
                      "rational: True\n"),
 }
 QUICK = {"ngon-eps-exponent": 2.0,     # seconds a case may take at most
-         "series-nmax-rows": 2.0}
+         "series-nmax-rows": 2.0,
+         "modularity-disc-32000": 2.0,
+         "modularity-disc-3.2e10": 2.0}
 
 
 def _no_nan(name):
@@ -808,6 +837,40 @@ def test_cli_pinned_output(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *PINNED[name]["argv"])
     assert code == 0
     assert out == PINNED[name]["stdout"]
+
+
+OUT_ARGV = {
+    **{name: pin["argv"] for name, pin in PINNED.items()},
+    "errfn": ["errfn", "eval", "--space", SPACE, "--c", "0,1,0",
+              "--x", "0.3,0.7,1.1"],
+    "series_csv_plot": ["theta", "series", *THETA, "--nmax", "10",
+                        "--format", "csv", "--emit-plot-data", "plot.tsv"],
+    "zagier_csv": ["sig12", "zagier", "--T", "2", "--nmax", "30",
+                   "--format", "csv"],
+    "ngon_invalid": ["ngon", "validate", "--ngon", "butterfly.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_ARGV))
+def test_cli_out_file_matches_stdout(capsys, tmp_path, monkeypatch, name):
+    """--out FILE writes exactly the bytes that stdout gets without it and
+    leaves stdout empty; the exit code, stderr and plot data stay as they
+    are."""
+    from ngontheta.sig12 import SPACE_ABC
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "examples").symlink_to(EXAMPLES)
+    (tmp_path / "butterfly.json").write_text(json.dumps({
+        "schema_version": 1, "space": jsonio.space_to_json(SPACE_ABC),
+        "cs": [jsonio.vector_to_json(c) for c in butterfly_collection()]}))
+    plot = tmp_path / "plot.tsv"
+    code, out, err = run(capsys, *OUT_ARGV[name])
+    plotted = plot.read_bytes() if plot.exists() else None
+    assert out
+    got = run(capsys, *OUT_ARGV[name], "--out", "report")
+    assert got == (code, "", err)
+    assert (tmp_path / "report").read_bytes() == out.encode()
+    assert (plot.read_bytes() if plot.exists() else None) == plotted
+    assert code == (2 if name == "ngon_invalid" else 0)
 
 
 def test_exact_commands_load_no_scipy_special():

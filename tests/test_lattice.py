@@ -19,7 +19,7 @@ from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                QExpansion, GUARD,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
-                               negation_index, _CompletionKernel,
+                               _CompletionKernel,
                                CertificationError, _majorant_leq,
                                minimax_plane, _kappas, _majorants,
                                _tail_estimate, _completion_sum, CosetRows)
@@ -667,7 +667,7 @@ def coset_completions(funddom):
 def test_completion_parity_under_negation(coset_completions):
     # the completion kernel is even, so theta_{-mu} = theta_mu
     reps, vals = coset_completions
-    neg = negation_index(reps)
+    neg = weil_matrices(SPACE_ABC)[3]
     assert len(reps) == 32 and sorted(neg) == list(range(32))
     for i, j in enumerate(neg):
         assert neg[j] == i
@@ -1048,9 +1048,10 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
 
 
 def test_modularity_check_is_one_batch(funddom, monkeypatch):
-    # one enumeration, one negation index, and one _row_terms and one
-    # cone_sum call per Im tau (tau and tau + 1 share theirs)
-    calls = {"enum": 0, "neg": 0, "rows": 0, "cone": 0}
+    # one enumeration, one set of Weil matrices (with the negation index),
+    # and one _row_terms and one cone_sum call per Im tau (tau and tau + 1
+    # share theirs)
+    calls = {"enum": 0, "weil": 0, "rows": 0, "cone": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -1061,13 +1062,13 @@ def test_modularity_check_is_one_batch(funddom, monkeypatch):
     want = modularity_check(SPACE_ABC, funddom, complex(0.1234, 0.95), 6)
     monkeypatch.setattr(lattice, "_fp_enumerate",
                         counting("enum", lattice._fp_enumerate))
-    monkeypatch.setattr(lattice, "negation_index",
-                        counting("neg", lattice.negation_index))
+    monkeypatch.setattr(lattice, "weil_matrices",
+                        counting("weil", lattice.weil_matrices))
     monkeypatch.setattr(lattice, "cone_sum", counting("cone", cone_sum))
     monkeypatch.setattr(_CompletionKernel, "_row_terms", counting(
         "rows", _CompletionKernel._row_terms))
     got = modularity_check(SPACE_ABC, funddom, complex(0.1234, 0.95), 6)
-    assert calls == {"enum": 1, "neg": 1, "rows": 2, "cone": 2}
+    assert calls == {"enum": 1, "weil": 1, "rows": 2, "cone": 2}
     assert np.array_equal(got["theta"], want["theta"])
     assert got["s_defect"] == want["s_defect"]
 
@@ -1099,14 +1100,13 @@ def test_completion_rejects_lower_half_plane(funddom):
 
 def test_weil_sanity(space_e, space_abc):
     for sp in (space_e, space_abc):
-        uni, comp = weil_sanity(sp)
+        uni, comp = weil_sanity(sp, weil_matrices(sp))
         assert uni < 1e-12
         assert comp < 1e-12
-        assert weil_sanity(sp, weil_matrices(sp)) == (uni, comp)
 
 
 def test_weil_t_matrix(space_e):
-    reps, tdiag, _ = weil_matrices(space_e)
+    reps, tdiag, _, _ = weil_matrices(space_e)
     for mu, t in zip(reps, tdiag):
         want = np.exp(2j * math.pi * float(space_e.q(mu)))
         assert abs(t - want) < 1e-14

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (QuadraticSpace, NegativePlane,
-                              DegeneratePlaneError, vec, vec_primitive,
+                              DegeneratePlaneError, rat, vec, vec_primitive,
                               _adjugate, _leading_minors)
 
 from conftest import (inner_dense, majorant_exact, majorant_float, mat_det,
@@ -15,6 +15,10 @@ from conftest import (inner_dense, majorant_exact, majorant_float, mat_det,
 
 rationals = st.fractions(min_value=-20, max_value=20,
                          max_denominator=6)
+
+
+def test_rat_converts_floats_exactly():
+    assert rat(0.1) == Fraction(0.1)
 
 
 def test_signature_diagonal():

@@ -91,7 +91,8 @@ def build_parser():
         sp.add_argument("--lattice", required=True, metavar="FILE")
         sp.add_argument("--ngon", required=True, metavar="FILE")
         sp.add_argument("--nmax", required=True)
-        sp.add_argument("--mu", metavar="RAT,RAT,...")
+        if name != "modularity":        # modularity reads every coset
+            sp.add_argument("--mu", metavar="RAT,RAT,...")
         if name == "series":
             sp.add_argument("--normalized", action="store_true")
             sp.add_argument("--safety", type=float, default=1.5)
@@ -171,6 +172,15 @@ def cmd_theta(args):
     ngon_space, ngon = _load_ngon(args.ngon)
     if lat_space.gram != ngon_space.gram:
         raise InputError("lattice and N-gon Gram matrices differ")
+    if args.action == "modularity":
+        nmax, tau = parse_rational(args.nmax), _parse_tau(args.tau)
+        rep = modularity_check(lat_space, ngon, tau, nmax)
+        jsonio.dump_report(
+            args.out, **{k: rep[k] for k in (
+                "t_defect", "s_defect", "tail", "weil_unitarity",
+                "weil_composition")},
+            theta=[[z.real, z.imag] for z in rep["theta"]])
+        return 0
     if args.mu:
         mu = _parse_vector_arg(args.mu, "--mu", lat_space.dim)
     coset = LatticeCoset(lat_space, mu)
@@ -180,19 +190,11 @@ def cmd_theta(args):
                                 normalized=args.normalized,
                                 safety=args.safety)
         _emit_series(qe, args)
-    elif args.action == "complete":
+    else:
         tau = _parse_tau(args.tau)
         value, tail = completion_eval(coset, ngon, tau, nmax)
         jsonio.dump_report(args.out, tau=[tau.real, tau.imag],
                            value=[value.real, value.imag], tail=tail)
-    else:
-        tau = _parse_tau(args.tau)
-        rep = modularity_check(lat_space, ngon, tau, nmax)
-        jsonio.dump_report(
-            args.out, **{k: rep[k] for k in (
-                "t_defect", "s_defect", "tail", "weil_unitarity",
-                "weil_composition")},
-            theta=[[z.real, z.imag] for z in rep["theta"]])
     return 0
 
 

@@ -62,11 +62,18 @@ def vector_to_json(v):
 
 
 def load_json(path):
+    """The JSON document of the UTF-8 file `path`; every failure to read or
+    parse it is an InputError naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: byte {e.start}: "
+                         f"{e.reason}") from None
     except json.JSONDecodeError as e:
         raise InputError(
             f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: "
@@ -205,9 +212,13 @@ def dump_plot_data(qe, path):
 
 
 def write(text, out=None):
-    """Write text to the file `out`, or to stdout when out is None or ""."""
+    """Write text to the file `out`, or to stdout when out is None or "";
+    a file that cannot be written is an InputError naming it."""
     if not out:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {out}: {e.strerror or e}") from None

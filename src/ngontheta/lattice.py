@@ -45,7 +45,7 @@ import numpy as np
 
 from .errfn import SIGNS, cone_sum
 from .ngon import w_invariant
-from .qspace import (NegativePlane, _adjugate, _over_lcm, _row_norms, rat,
+from .qspace import (NegativePlane, _charpoly, _over_lcm, _row_norms, rat,
                      vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
@@ -85,7 +85,8 @@ def disc_group(space):
     if space._den != 1:
         raise ValueError("lattice Gram matrix must be integral")
     m = space.dim
-    det, adj = _adjugate(space._gi)
+    c, adj = _charpoly(space._gi)
+    det = (-1) ** m * c[-1]
     d = abs(det)                          # d G^{-1} = sign(det) adj
     if d > DISC_MAX:
         raise ValueError(f"discriminant group too large: |det G| = {d}, "
@@ -110,7 +111,8 @@ def majorant_matrix(space, z0_span):
     M = G - 2 (G S) (S^T G S)^{-1} (G S)^T for the span S of z0, computed
     as (det(n) gi - 2 g adj(n) g^T) / (den det(n)) from int_core's g, n."""
     _, g, n = space.int_core([vec(v) for v in z0_span])
-    (det, adj), k, m = _adjugate(n), len(n), space.dim
+    (c, adj), k, m = _charpoly(n), len(n), space.dim
+    det = (-1) ** k * c[-1]
     return [[Fraction(det * space._gi[i][j] - 2 * sum(
         g[a][i] * adj[a][b] * g[b][j] for a in range(k) for b in range(k)),
         space._den * det) for j in range(m)] for i in range(m)]
@@ -455,7 +457,7 @@ class _CompletionKernel:
     evaluated at its final weight: times e^{amp}, amp = -2 pi v Q (capped at
     AMP_CAP), so that each row's value is its term of the completed series
     up to the phase e^{2 pi i Re(tau) Q}, and screened by what each term
-    adds to the sum.  A window row whose bound (|w| + |w_offset| + N) e^{amp}
+    adds to the sum.  A window row whose bound (|w| + N) e^{amp}
     on |kernel| e^{amp} (each E2 lies in [-1, 1]) is below e^{RHO_LOG_TOL}
     gets 0, as guard-band rows do.  A wall term lies within
     2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated only where that
@@ -465,11 +467,9 @@ class _CompletionKernel:
     ends and the pair screen read ngon.vertices.  The (row, edge) pairs of a
     batch that pass a margin screen go to one errfn.cone_sum call."""
 
-    def __init__(self, ngon, w_offset=0):
+    def __init__(self, ngon):
         self.ngon = ngon
-        self.w_offset = w_offset
-        self.log_bound = math.log(abs(w_invariant(ngon)) + abs(w_offset)
-                                  + ngon.n)
+        self.log_bound = math.log(abs(w_invariant(ngon)) + ngon.n)
         a, b = ngon.vertices.T
         self.adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
         self.adj[a, b] = self.adj[b, a] = 1
@@ -500,8 +500,7 @@ class _CompletionKernel:
         signs = self.ngon.sign_matrix(batch.xnum[live])
         xf = batch.xf[live]
         tmat = scale * (xf @ chat_g.T)                 # tau_k margins
-        vals = (self.ngon.kernel(signs) + self.w_offset).astype(float) \
-            * np.exp(amp)
+        vals = self.ngon.kernel(signs).astype(float) * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
         # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
         # those that can reach e^{RHO_LOG_TOL} are evaluated
@@ -526,14 +525,14 @@ class _CompletionKernel:
         return live, vals, rows, (edges, u, weight, amp[rows])
 
 
-def completion_eval(coset, ngon, tau, nmax, window=None, w_offset=0):
+def completion_eval(coset, ngon, tau, nmax, window=None):
     """Value of the completed series at tau for one coset, with a tail
     estimate: (value, tail).  The default window is about minimax_plane."""
     _check_space(coset.space, ngon)
     if window is None:
         window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     batch = enumerate_coset(coset, window, even=True)
-    scaled = _CompletionKernel(ngon, w_offset).eval(batch, tau.imag)
+    scaled = _CompletionKernel(ngon).eval(batch, tau.imag)
     return complex(_completion_sum(batch, scaled, tau)[0]), \
         _tail_estimate(batch, window, ngon.n, tau.imag)[0]
 
@@ -584,13 +583,13 @@ def weil_matrices(space):
     reps = disc_group(space)
     d = len(reps)
     p, q = space.sig
-    tdiag = np.array([cmath.exp(2j * math.pi * float(space.q(mu)))
-                      for mu in reps])
-    phase = cmath.exp(2j * math.pi * (q - p) / 8.0)
     # representatives R/den as integer rows: (mu, nu) = (R G R^T)/den^2 for
     # the integer Gram G = space._gi of a lattice, whose float quotient is
-    # the correctly rounded float of the exact pairing
+    # the correctly rounded float of the exact pairing, as is Q(mu)'s
     den, r = _numerators(reps)
+    tdiag = np.array([cmath.exp(2j * math.pi * (int(n) / (2 * den * den)))
+                      for n in _row_norms(r, space._gi)])
+    phase = cmath.exp(2j * math.pi * (q - p) / 8.0)
     pair = r @ np.array(space._gi, dtype=np.int64) @ r.T / (den * den)
     s = np.exp(2j * math.pi * S_PAIRING_SIGN * pair)
     s *= phase / math.sqrt(d)
@@ -614,7 +613,7 @@ def weil_sanity(space, weil):
     return uni, comp
 
 
-def modularity_check(space, ngon, tau, nmax, w_offset=0):
+def modularity_check(space, ngon, tau, nmax):
     """Compare the completion vector at tau+1 and -1/tau against the finite
     Weil transform; returns a report dict.  The completion kernel is even
     (eps, the wall terms and the rho masses are invariant under x -> -x,
@@ -624,7 +623,7 @@ def modularity_check(space, ngon, tau, nmax, w_offset=0):
     _check_space(space, ngon)
     reps, tdiag, smat, neg = weil = weil_matrices(space)
     window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
-    kern = _CompletionKernel(ngon, w_offset)
+    kern = _CompletionKernel(ngon)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
     batch = enumerate_cosets(space, [reps[i] for i in own], window, even=True)

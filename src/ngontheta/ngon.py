@@ -186,10 +186,9 @@ class _Walls:
     @functools.cached_property
     def vertex_planes(self):
         """The oriented vertex planes [C_a, C_b, ...], one per vertex in
-        the order of `vertices`: one negative_planes batch on the
-        collection's integer Gram, built on first use."""
-        return negative_planes(self.space, self.cs, self.vertices.tolist(),
-                               self._gram)
+        the order of `vertices`: one negative_planes batch, built on first
+        use; validation proved each span negative definite."""
+        return negative_planes(self.space, self.cs, self.vertices.tolist())
 
     @functools.cached_property
     def frames(self):

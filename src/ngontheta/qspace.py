@@ -5,8 +5,10 @@ exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
 The exact core is integer: a space keeps its Gram numerators over their lcm
 (and its signature from them), `inner` sums over the nonzero ones, `int_core`
-gives collections an integer Gram, and negative_planes a batch of planes
-Bareiss minors on that Gram and one batched orthonormalization.
+gives collections an integer Gram, and one Faddeev-LeVerrier routine,
+_charpoly, yields the signature, determinants, adjugates and the exact
+negative-definiteness test; negative_planes orthonormalizes a batch of
+planes at once.
 """
 
 from fractions import Fraction
@@ -80,54 +82,29 @@ def vec_primitive(x):
     return tuple(Fraction(c // g) for c in ints)
 
 
-def _leading_minors(a):
-    """Leading principal minors of a square integer matrix by fraction-free
-    (Bareiss) elimination without pivoting: after step k the pivot a[k][k]
-    is the k+1-th minor.  Stops after the first zero minor."""
-    a, n, minors = [list(row) for row in a], len(a), [1]
-    for k in range(n):
-        minors.append(a[k][k])
-        if not a[k][k]:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // minors[-2]
-    return minors[1:]
-
-
-def _adjugate(a):
-    """(det a, adj a) of a nonsingular square integer matrix: fraction-free
-    (Bareiss) Gauss-Jordan on [a | I] with row swaps ends at [p I | p a^-1],
-    p the last pivot, which is det a up to the sign of the swaps."""
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev, sign = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            raise ValueError("singular matrix")
-        if p != k:
-            m[k], m[p], sign = m[p], m[k], -sign
-        m = [r if i == k else [(m[k][k] * v - r[k] * w) // prev
-                               for v, w in zip(r, m[k])]
-             for i, r in enumerate(m)]
-        prev = m[k][k]
-    return sign * prev, [[sign * v for v in row[n:]] for row in m]
+def _charpoly(a):
+    """(c, adj a) of a symmetric integer matrix a by Faddeev-LeVerrier:
+    det(t I - a) = sum_k c_k t^(m-k), exact over the integers, and
+    adj a = (-1)^(m+1) M_m, so det a = (-1)^m c_m, where M_1 = I,
+    c_k = -tr(a M_k)/k and M_{k+1} = a M_k + c_k I.  Each M_k is a
+    polynomial in a, so symmetric, and a M_k takes row-row products."""
+    m = len(a)
+    c, mk, am = [1], [[int(i == j) for j in range(m)] for i in range(m)], a
+    for k in range(1, m + 1):
+        c.append(-sum(am[i][i] for i in range(m)) // k)
+        if k < m:
+            mk = [[v + c[-1] * (i == j) for j, v in enumerate(r)]
+                  for i, r in enumerate(am)]
+            am = [[_dot(r, s) for s in mk] for r in a]
+    return c, [[(-1) ** (m + 1) * v for v in r] for r in mk]
 
 
 def _signature(a):
     """Signature (p, q) of a symmetric integer matrix.  Its characteristic
-    polynomial, exact over the integers by Faddeev-LeVerrier, has only real
-    roots, so Descartes' rule of signs counts the positive and the negative
-    eigenvalues exactly.  Raises on a degenerate form."""
-    m = len(a)
-    coef, am = [1], a               # A M_k, M_1 = I
-    for k in range(1, m + 1):
-        coef.append(-sum(am[i][i] for i in range(m)) // k)
-        if k < m:                   # M_{k+1} = A M_k + c_k I, symmetric
-            mk = [[v + coef[-1] * (i == j) for j, v in enumerate(r)]
-                  for i, r in enumerate(am)]
-            am = [[_dot(r, c) for c in mk] for r in a]
+    polynomial (_charpoly) has only real roots, so Descartes' rule of signs
+    counts the positive and the negative eigenvalues exactly.  Raises on a
+    degenerate form."""
+    coef = _charpoly(a)[0]
     if coef[-1] == 0:
         raise ValueError("degenerate quadratic form")
 
@@ -202,34 +179,38 @@ class DegeneratePlaneError(ValueError):
 
 class NegativePlane:
     """Oriented negative q-plane given by an ordered exact spanning basis:
-    the one-plane batch of negative_planes.  Negative definiteness is checked
-    exactly: the leading principal minors of the negated span Gram, scaled
-    to integers, must all be positive; `ortho` satisfies (u_i, u_j) =
+    the one-plane batch of negative_planes.  Negative definiteness is
+    decided exactly first: the span's int_core Gram, a positive diagonal
+    congruence of its Gram, must have every _charpoly coefficient > 0 (its
+    roots are real, so all are negative); `ortho` satisfies (u_i, u_j) =
     -delta_ij."""
 
     def __init__(self, space, span):
         span = tuple(vec(s) for s in span)
+        if not all(c > 0 for c in _charpoly(space.int_core(span)[2])[0]):
+            raise DegeneratePlaneError(
+                "span Gram matrix is not negative definite")
         vars(self).update(vars(
             negative_planes(space, span, [range(len(span))])[0]))
 
 
-def negative_planes(space, cs, tuples, gram=None):
+def negative_planes(space, cs, tuples):
     """The NegativePlanes spanned by cs[t] for V index tuples t of one length
-    q, in one pass; cs are exact vectors and gram their int_core Gram (None:
-    computed here).  Its principal submatrix on t is a positive diagonal
-    congruence of plane t's span Gram, so its Bareiss minors decide negative
-    definiteness exactly.  Modified Gram-Schmidt w.r.t. the negated form, the
-    pivot and renorm checks and the frames run on all V planes at once; each
-    stacked product has one plane's shapes, so a plane's floats do not
+    q, in one pass; cs are exact vectors.  Each span must be negative
+    definite, which the caller has proved: NegativePlane decides it exactly,
+    and validation proves it for a cell's vertex planes.  An N-gon's
+    conditions (1) and (2) make span(C_j, C_{j+1}) negative definite.  A
+    dodecahedral vertex (i, u, v) is listed from face i's cycle, where
+    (C_i, C_i) < 0 and face i's conditions (1) and (2) on P_i C_u, P_i C_v
+    (P_i the projection to C_i^perp) make span(C_i, C_u, C_v) the
+    orthogonal sum of the negative definite span(C_i) and
+    span(P_i C_u, P_i C_v).  Modified Gram-Schmidt w.r.t. the negated form,
+    the pivot and renorm checks and the frames run on all V planes at once;
+    each stacked product has one plane's shapes, so a plane's floats do not
     depend on its batch.  A plane's frame (a, m) holds the rows a_i[k] =
     (u_k, c_i), so (y, c_i) = t . a_i for y = sum_k t_k u_k, and the map m
     taking x (as floats) to the orthonormal coordinates u = m x of pr_z(x)."""
-    if gram is None:
-        gram = space.int_core(cs)[2]
     tuples = [tuple(t) for t in tuples]
-    if any(v <= 0 for t in tuples for v in _leading_minors(
-            [[-gram[a][b] for b in t] for a in t])):
-        raise DegeneratePlaneError("span Gram matrix is not negative definite")
     gf = space.gram_f
     sf = np.array([[float(c) for c in v] for v in cs])[np.array(tuples, int)]
     basis = []

@@ -124,6 +124,14 @@ def mat_det(rows):
     return det
 
 
+def negative_definite_vec(gram, span):
+    """The rational oracle of negative definiteness: every leading principal
+    minor of the negated span Gram, by inner_dense and mat_det, is > 0."""
+    gm = [[inner_dense(gram, a, b) for b in span] for a in span]
+    return all(mat_det([[-gm[i][j] for j in range(sz)] for i in range(sz)]) > 0
+               for sz in range(1, len(span) + 1))
+
+
 # --- majorant oracles -------------------------------------------------------
 
 def _solve_exact(a_rows, rhs):

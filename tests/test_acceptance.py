@@ -224,7 +224,7 @@ def test_criterion_06_error_function_suite():
     _report(6, "E1/E2/E3 quadrature, factorization, invariance, limits")
 
 
-def test_criterion_07_completion_consistency():
+def test_criterion_07_completion_consistency(monkeypatch):
     t0 = time.monotonic()
     g = fundamental_ngon(2)
     tau = complex(0.0, 1.0)
@@ -236,7 +236,9 @@ def test_criterion_07_completion_consistency():
     assert rep20["s_defect"] < 1e-3, rep20["s_defect"]
     assert rep20["tail"] < 1e-6           # heuristic tail estimate reported
     # negative control: corrupting w by +4 must break the S-transform check
-    bad = modularity_check(SPACE_ABC, g, tau, 10, w_offset=4)
+    kernel = g.kernel
+    monkeypatch.setattr(g, "kernel", lambda signs: kernel(signs) + 4)
+    bad = modularity_check(SPACE_ABC, g, tau, 10)
     assert bad["s_defect"] >= 0.1, bad["s_defect"]
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, elapsed

@@ -259,6 +259,24 @@ def test_cli_theta_modularity(capsys):
     assert len(obj["theta"]) == 32
 
 
+def test_cli_modularity_takes_no_mu(capsys, tmp_path):
+    """theta modularity reads every coset: its parser has no --mu, and a
+    lattice file's mu, even one not in the dual lattice, changes nothing."""
+    argv = ["theta", "modularity", "--ngon", FUNDDOM, "--nmax", "2",
+            "--tau", "i"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lattice", LATTICE, "--mu", "1/4,1/2,1/4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mu" in capsys.readouterr().err
+    obj = json.loads(Path(LATTICE).read_text())
+    obj["mu"] = ["1/3", "0", "0"]
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv, "--lattice", str(lat))
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv, "--lattice", LATTICE)
+
+
 def test_cli_thread_count_invariance(capsys, tmp_path, monkeypatch):
     outs = []
     for nt in ("1", "2", "8"):
@@ -594,6 +612,8 @@ def _malformed_files():
         "lattice_mu_entry.json": {**lattice, "mu": [0.5, "0", "0"]},
         "points_entry.json": {"schema_version": 1,
                               "points": [["0", "1"], ["1", True]]},
+        # bytes are written as they are: Latin-1, not UTF-8
+        "latin1.json": b'{"name": "caf\xe9"}',
         **scaled,
     }
 
@@ -777,11 +797,28 @@ MALFORMED = {
     "points-entry": (["sig12", "recover", "--points", "points_entry.json"], 1,
                      "error: points_entry.json: field 'points': not a "
                      "rational: True\n"),
+    # a file that cannot be read or written names itself (the working
+    # directory "." is a directory)
+    "out-directory": (["ngon", "validate", "--ngon", FUNDDOM, "--out", "."],
+                      1, "error: cannot write .: Is a directory\n"),
+    "plot-data-missing-dir": (["theta", "series", *THETA, "--nmax", "2",
+                               "--emit-plot-data", "missing/p.tsv"], 1,
+                              "error: cannot write missing/p.tsv: No such "
+                              "file or directory\n"),
+    "ngon-directory": (["ngon", "validate", "--ngon", "."], 1,
+                       "error: cannot read .: Is a directory\n"),
+    "ngon-not-utf8": (["ngon", "validate", "--ngon", "latin1.json"], 1,
+                      "error: latin1.json: not UTF-8 text: byte 13: invalid "
+                      "continuation byte\n"),
 }
 QUICK = {"ngon-eps-exponent": 2.0,     # seconds a case may take at most
          "series-nmax-rows": 2.0,
          "modularity-disc-32000": 2.0,
-         "modularity-disc-3.2e10": 2.0}
+         "modularity-disc-3.2e10": 2.0,
+         "out-directory": 2.0,
+         "plot-data-missing-dir": 2.0,
+         "ngon-directory": 2.0,
+         "ngon-not-utf8": 2.0}
 
 
 def _no_nan(name):
@@ -796,7 +833,10 @@ def test_cli_malformed_input(capsys, tmp_path, monkeypatch, name):
     NaN or Infinity."""
     monkeypatch.chdir(tmp_path)
     for file, doc in _malformed_files().items():
-        (tmp_path / file).write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            (tmp_path / file).write_bytes(doc)
+        else:
+            (tmp_path / file).write_text(json.dumps(doc))
     argv, want, message = MALFORMED[name]
     start = time.monotonic()
     code, out, err = run(capsys, *argv)

@@ -27,13 +27,14 @@ from ngontheta import lattice
 from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
 from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
                             epsilon, linking_number)
-from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, fundamental_ngon,
-                             truncated_class_series, recover_ngon)
+from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, OrientationError,
+                             fundamental_ngon, truncated_class_series,
+                             recover_ngon)
 
 from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       butterfly_ngon, dodec_D_kernel, j0_value,
-                      majorant_exact, mat_det, mat_inv, project_perp,
-                      reduced_forms)
+                      majorant_exact, mat_det, mat_inv,
+                      negative_definite_vec, project_perp, reduced_forms)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -517,7 +518,7 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
         return cone_sum(*args, **kwargs)
 
     monkeypatch.setattr(lattice, "cone_sum", counted)
-    kern = _CompletionKernel(funddom, w_offset=4)
+    kern = _CompletionKernel(funddom)
     reps = disc_group(SPACE_ABC)
     alone = [enumerate_coset(LatticeCoset(SPACE_ABC, mu), funddom_window)
              for mu in reps]
@@ -560,14 +561,14 @@ def test_eval_batches_guard_rows_are_zero(funddom, funddom_batch):
 
 
 def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
-    # a window row is skipped exactly when (|w| + |w_offset| + N) e^{amp},
-    # a bound on its completed term, is below e^{RHO_LOG_TOL}; a skipped row
-    # gets 0, and every other window row keeps the value it has when no row
-    # is skipped
-    kern = _CompletionKernel(funddom, w_offset=-3)
-    full = _CompletionKernel(funddom, w_offset=-3)
+    # a window row is skipped exactly when (|w| + N) e^{amp}, a bound on
+    # its completed term, is below e^{RHO_LOG_TOL}; a skipped row gets 0,
+    # and every other window row keeps the value it has when no row is
+    # skipped
+    kern = _CompletionKernel(funddom)
+    full = _CompletionKernel(funddom)
     full.log_bound = math.inf                  # skips no row
-    bound = abs(w_invariant(funddom)) + 3 + funddom.n
+    bound = abs(w_invariant(funddom)) + funddom.n
     batch = funddom_batch
     skipped = 0
     for v in (0.37, 1.3):
@@ -603,7 +604,7 @@ def _unscreened_wall_eval(kern, batch, v):
     walls = coef * np.where(signs != 0, -signs * erfcx(math.sqrt(math.pi)
                                                        * np.abs(t))
                             * np.exp(np.minimum(lead, lattice.AMP_CAP)), 0.0)
-    eps = (ngon.kernel(signs) + kern.w_offset) * np.exp(amp)
+    eps = ngon.kernel(signs) * np.exp(amp)
     rho = np.bincount(rows, cone_sum(ngon.frames[0], *args,
                                      cut=-lattice.RHO_LOG_TOL),
                       minlength=len(live))
@@ -620,7 +621,7 @@ def test_wall_term_screen_bound(funddom, funddom_batch):
     # it below e^{RHO_LOG_TOL}: a row moves by at most 2N e^{RHO_LOG_TOL},
     # and by rounding, from its value with every wall term evaluated; a row
     # with no term skipped keeps its value bit for bit
-    kern = _CompletionKernel(funddom, w_offset=2)
+    kern = _CompletionKernel(funddom)
     n = funddom.n
     dropped = 0
     for v in (0.37, 1.3):
@@ -742,7 +743,7 @@ def test_folded_batch_matches_full_sum(funddom):
     # sum up to rounding, and its count (for the tail) is the full
     # enumeration's
     window = completion_window(funddom, 6)
-    kern = _CompletionKernel(funddom, w_offset=1)
+    kern = _CompletionKernel(funddom)
     tau = complex(-0.31, 1.1)
     folded = 0
     for mu in disc_group(SPACE_ABC):
@@ -757,7 +758,7 @@ def test_folded_batch_matches_full_sum(funddom):
         scaled = kern.eval(full, tau.imag)
         terms = scaled * np.exp(2j * math.pi * tau.real * full.qf)
         got, tail = completion_eval(LatticeCoset(SPACE_ABC, mu), funddom,
-                                    tau, 6, w_offset=1)
+                                    tau, 6)
         assert abs(got - np.sum(terms)) <= len(full) * np.finfo(float).eps \
             * np.sum(np.abs(terms)), mu
         assert tail == _tail_estimate(full, window, funddom.n, 1.1)[0]
@@ -802,7 +803,13 @@ def test_tail_estimate_of_an_empty_batch(funddom):
         == completion_eval(LatticeCoset(SPACE_ABC), funddom, tau, 0)[1]
 
 
-def test_product_modularity_at_m4():
+def _shift_kernel(monkeypatch, ngon, offset):
+    """Corrupt ngon's kernel by a constant, as a wrong w would."""
+    kernel = ngon.kernel
+    monkeypatch.setattr(ngon, "kernel", lambda signs: kernel(signs) + offset)
+
+
+def test_product_modularity_at_m4(monkeypatch):
     # the (2,2) product 4-gon, 144 cosets: the completion is modular to
     # rounding, its theta is not identically zero (every coset's series
     # vanishing would pass the defects trivially), a wrong w breaks S, and
@@ -815,8 +822,8 @@ def test_product_modularity_at_m4():
     assert len(report["theta"]) == 144
     assert report["t_defect"] <= 1e-12 and report["s_defect"] <= 1e-12
     assert np.max(np.abs(report["theta"])) >= 0.05
-    assert modularity_check(ngon.space, ngon, tau, 6,
-                            w_offset=4)["s_defect"] >= 1e3
+    _shift_kernel(monkeypatch, ngon, 4)
+    assert modularity_check(ngon.space, ngon, tau, 6)["s_defect"] >= 1e3
     assert elapsed < 5.0
 
 
@@ -962,7 +969,7 @@ def test_eps_is_four_linking_numbers(name, funddom):
         linking_number(ngon, x)
 
 
-def test_tilted_polygon_modularity_at_m4(funddom):
+def test_tilted_polygon_modularity_at_m4(funddom, monkeypatch):
     # the tilted polygon, 64 cosets: modular to rounding, theta not
     # identically zero, a wrong w breaks S, and the check stays fast
     ngon = _tilted_polygon(funddom)
@@ -974,8 +981,8 @@ def test_tilted_polygon_modularity_at_m4(funddom):
     assert len(report["theta"]) == 64
     assert report["t_defect"] <= 1e-12 and report["s_defect"] <= 1e-12
     assert np.max(np.abs(report["theta"])) >= 0.05
-    assert modularity_check(ngon.space, ngon, tau, 6,
-                            w_offset=4)["s_defect"] >= 1e3
+    _shift_kernel(monkeypatch, ngon, 4)
+    assert modularity_check(ngon.space, ngon, tau, 6)["s_defect"] >= 1e3
     assert elapsed < 5.0
 
 
@@ -1485,9 +1492,9 @@ def test_vertex_planes_built_once(monkeypatch, seed_dodec):
     batches = []
     build = qspace.negative_planes
 
-    def counted(space, cs, tuples, gram=None):
+    def counted(space, cs, tuples):
         batches.append(len(tuples))
-        return build(space, cs, tuples, gram)
+        return build(space, cs, tuples)
 
     for mod in (qspace, ngon):
         monkeypatch.setattr(mod, "negative_planes", counted)
@@ -1512,13 +1519,13 @@ def _cell(name, funddom, seed_dodec):
 @pytest.mark.parametrize("name", ["funddom", "butterfly", "product", "padded",
                                   "dodec"])
 def test_negative_planes_batch(name, funddom, seed_dodec):
-    # one batch on the collection's Gram builds every vertex plane: each
-    # is orthonormal w.r.t. the negated form, and its frame is the frame of
-    # the same plane built alone
+    # one batch builds every vertex plane: each is orthonormal w.r.t. the
+    # negated form, and its frame is the frame of the same plane built
+    # alone
     walls = _cell(name, funddom, seed_dodec)
     space, tuples = walls.space, walls.vertices.tolist()
     q = len(tuples[0])
-    planes = negative_planes(space, walls.cs, tuples, walls._gram)
+    planes = negative_planes(space, walls.cs, tuples)
     assert [pl.span for pl in planes] == \
         [pl.span for pl in walls.vertex_planes]
     for t, pl in zip(tuples, planes, strict=True):
@@ -1528,13 +1535,86 @@ def test_negative_planes_batch(name, funddom, seed_dodec):
         alone = NegativePlane(space, pl.span)
         for got, want in zip(pl.frame, alone.frame, strict=True):
             assert np.max(np.abs(got - want)) <= 1e-15
-    # one span that is not negative definite voids the batch, by the exact
-    # minors (a repeated vector's Gram is singular), with or without gram
-    bad = tuples[:1] + [[0] * q] + tuples[1:]
-    for gram in (walls._gram, None):
+    # a span that is not negative definite: NegativePlane rejects it
+    # exactly, and in a batch the float guards void the whole batch; a
+    # repeated vector's Gram is singular, funddom's [C_0, C_2] (walls that
+    # meet at infinity) too, and its [C_1, C_3] is indefinite
+    bads = [[0] * q] + ([[0, 2], [1, 3]] if name == "funddom" else [])
+    for bad in bads:
         with pytest.raises(DegeneratePlaneError,
                            match="not negative definite"):
-            negative_planes(space, walls.cs, bad, gram)
+            NegativePlane(space, [walls.cs[a] for a in bad])
+        with pytest.raises(DegeneratePlaneError,
+                           match="orthonormalization pivot failure"):
+            negative_planes(space, walls.cs, tuples[:1] + [bad] + tuples[1:])
+
+
+def _drawn_cell(kind, data, funddom, space_q3):
+    """A cell drawn for test_validated_cells_have_negative_vertex_spans:
+    a polygon recovered from 3 to 8 upper-half-plane points with distinct
+    x (reversed when they turn clockwise), the (2,2) product 4-gon with at
+    most one wall moved, funddom padded into SPACE_ABC + <2> and tilted by
+    C_j + t_j e_4, or a seed dodecahedron with random t and at most three
+    walls moved.  ValueError when recovery or validation refuses the
+    draw."""
+    if kind == "recovered":
+        coord = st.fractions(-2, 2, max_denominator=3)
+        height = st.fractions(Fraction(1, 3), 3, max_denominator=3)
+        zs = data.draw(st.lists(st.tuples(coord, height), min_size=3,
+                                max_size=8, unique_by=lambda z: z[0]))
+        try:
+            return recover_ngon(zs)
+        except OrientationError:
+            return recover_ngon(zs[::-1])
+    if kind == "padded":
+        ts = data.draw(st.lists(st.fractions(-Fraction(1, 2), Fraction(1, 2),
+                                             max_denominator=8),
+                                min_size=4, max_size=4))
+        return validate(QuadraticSpace(SPLIT_GRAM),
+                        [tuple(c) + (t,) for c, t in zip(funddom.cs, ts)])
+    if kind == "product":
+        product = _product_4gon()
+        space, cs, walls = product.space, list(product.cs), 1
+    else:
+        space, walls = space_q3, 3
+        cs = list(seed_construction(
+            space, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (1, 0, 0, 0),
+            data.draw(st.lists(st.fractions(0, 1, max_denominator=60),
+                               min_size=12, max_size=12))))
+    scale = data.draw(st.sampled_from([Fraction(1, 100), Fraction(1, 10),
+                                       Fraction(1, 3)]))
+    for _ in range(data.draw(st.integers(0, walls))):
+        j = data.draw(st.integers(0, len(cs) - 1))
+        delta = data.draw(st.tuples(*[st.fractions(
+            -1, 1, max_denominator=4)] * space.dim))
+        cs[j] = vec_add(cs[j], vec_scale(scale, delta))
+    return (validate if kind == "product" else validate_dodec)(space, cs)
+
+
+@pytest.mark.parametrize("kind", ["recovered", "product", "padded", "dodec"])
+def test_validated_cells_have_negative_vertex_spans(kind, funddom, space_q3):
+    # validation proves what negative_planes assumes: every vertex span of
+    # a validated cell is negative definite by the rational oracle (and the
+    # batch's float guards pass), on at least 100 distinct cells of a kind
+    cells = set()
+
+    @settings(max_examples={"recovered": 150, "product": 150, "padded": 150,
+                            "dodec": 120}[kind],
+              deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        try:
+            cell = _drawn_cell(kind, data, funddom, space_q3)
+        except ValueError:
+            return
+        cells.add(cell.cs)
+        for t in cell.vertices.tolist():
+            assert negative_definite_vec(cell.space.gram,
+                                         [cell.cs[a] for a in t])
+        assert len(cell.vertex_planes) == len(cell.vertices)
+
+    check()
+    assert len(cells) >= 100
 
 
 def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):

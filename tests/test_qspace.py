@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,10 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (QuadraticSpace, NegativePlane,
                               DegeneratePlaneError, rat, vec, vec_primitive,
-                              _adjugate, _leading_minors)
+                              _charpoly)
 
 from conftest import (inner_dense, majorant_exact, majorant_float, mat_det,
-                      mat_inv, project_perp)
+                      mat_inv, negative_definite_vec, project_perp)
 
 rationals = st.fractions(min_value=-20, max_value=20,
                          max_denominator=6)
@@ -125,28 +126,57 @@ def test_vec_primitive():
 
 def test_adjugate_exact():
     m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    d, adj = _adjugate(m)
-    n = len(m)
+    c, adj = _charpoly(m)
+    d, n = -c[-1], len(m)               # det = (-1)^3 c_3
     prod = [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
     assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
-    assert d == 18
-    with pytest.raises(ValueError):
-        _adjugate([[1, 2], [2, 4]])
+    assert d == 18 and c == [1, -9, 24, -18]
+    # a singular matrix has an adjugate too: its cofactors, det = c_2 = 0
+    assert _charpoly([[1, 2], [2, 4]]) == ([1, -5, 0], [[4, -2], [-2, 1]])
+    assert _charpoly([[-3]]) == ([1, 3], [[1]])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
-    min_size=n, max_size=n)))
+def _cofactor(a, i, j):
+    """(-1)^(i+j) det of a without row i and column j, by mat_det."""
+    minor = [[v for c, v in enumerate(r) if c != j]
+             for k, r in enumerate(a) if k != i]
+    return (-1) ** (i + j) * (mat_det(minor) if minor else 1)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric integer matrix of size 1..5 with entries in [-4, 4]; with
+    a repeated row and column at one draw in three, so singular ones are
+    common."""
+    n = draw(st.integers(1, 5))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        a[-1] = list(a[0])
+        for r, v in zip(a, a[0]):
+            r[-1] = v
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(symmetric_matrices())
 def test_adjugate_matches_fraction_inverse(a):
-    """Bareiss Gauss-Jordan against Fraction Gauss-Jordan on random integer
-    matrices, zero pivots (row swaps) and indefinite ones included."""
-    det = mat_det(a)
-    assume(det != 0)
-    d, adj = _adjugate(a)
-    assert d == det
-    assert adj == [[det * v for v in row] for row in mat_inv(a)]
+    """The adjugate of _charpoly against cofactors by Fraction elimination
+    and against det * inverse, on random symmetric integer matrices,
+    singular and indefinite ones included: adj a . a = det I, 0 when
+    singular."""
+    n, det = len(a), mat_det(a)
+    c, adj = _charpoly(a)
+    assert (-1) ** n * c[-1] == det
+    assert adj == [[_cofactor(a, j, i) for j in range(n)] for i in range(n)]
+    assert [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[det * (i == j) for j in range(n)]
+                                   for i in range(n)]
+    if det:
+        assert adj == [[det * v for v in row] for row in mat_inv(a)]
 
 
 mixed = st.one_of(st.integers(-20, 20), rationals)
@@ -199,19 +229,13 @@ def test_inner_dimension_mismatch(space_abc):
         NegativePlane(space_abc, ((0, 1, 0), (0, 0)))
 
 
-def _old_negative_definite(gram, span):
-    """The rational test NegativePlane used before its integer core: every
-    leading principal minor of the negated span Gram, by mat_det, is > 0."""
-    gm = [[inner_dense(gram, a, b) for b in span] for a in span]
-    return all(mat_det([[-gm[i][j] for j in range(sz)] for i in range(sz)]) > 0
-               for sz in range(1, len(span) + 1))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_bareiss_minors_match_mat_det(data):
+def test_charpoly_matches_mat_det(data):
     # random integer span Grams S^T G S; repeated or dependent span rows make
-    # them singular, and G indefinite makes them indefinite
+    # them singular, and G indefinite makes them indefinite: c_k is (-1)^k
+    # times the sum of the k x k principal minors, so c_1 = -tr and
+    # c_m = (-1)^m det
     m = data.draw(st.integers(2, 5))
     k = data.draw(st.integers(1, m))
     small = st.integers(-4, 4)
@@ -223,11 +247,14 @@ def test_bareiss_minors_match_mat_det(data):
     if k > 1 and data.draw(st.booleans()):
         span[-1] = [2 * a - b for a, b in zip(span[0], span[1])]
     a = [[inner_dense(gram, u, v) for v in span] for u in span]
-    minors = _leading_minors([[int(v) for v in row] for row in a])
-    want = [mat_det([row[:sz] for row in a[:sz]]) for sz in range(1, k + 1)]
-    assert all(type(v) is int for v in minors)
-    assert minors == want[:len(minors)]
-    assert len(minors) == k or minors[-1] == 0
+    c = _charpoly([[int(v) for v in row] for row in a])[0]
+    assert all(type(v) is int for v in c)
+    assert c == [(-1) ** sz * sum(mat_det([[a[i][j] for j in t] for i in t])
+                                  for t in itertools.combinations(range(k),
+                                                                  sz))
+                 for sz in range(k + 1)]
+    assert c[1] == -sum(a[i][i] for i in range(k))
+    assert c[k] == (-1) ** k * mat_det(a)
 
     # NegativePlane accepts exactly the spans the rational test accepts, also
     # for rational spans and a rational Gram
@@ -246,7 +273,7 @@ def test_bareiss_minors_match_mat_det(data):
         accepted = True
     except DegeneratePlaneError as e:
         accepted = "not negative definite" not in str(e)
-    assert accepted == _old_negative_definite(gram, rspan)
+    assert accepted == negative_definite_vec(gram, rspan)
 
 
 @settings(max_examples=200, deadline=None)

@@ -189,22 +189,13 @@ def cmd_theta(args):
         qe = holomorphic_series(coset, ngon, nmax,
                                 normalized=args.normalized,
                                 safety=args.safety)
-        _emit_series(qe, args)
+        jsonio.dump_series(qe, args.format, args.out, args.emit_plot_data)
     else:
         tau = _parse_tau(args.tau)
         value, tail = completion_eval(coset, ngon, tau, nmax)
         jsonio.dump_report(args.out, tau=[tau.real, tau.imag],
                            value=[value.real, value.imag], tail=tail)
     return 0
-
-
-def _emit_series(qe, args):
-    if args.emit_plot_data:
-        jsonio.dump_plot_data(qe, args.emit_plot_data)
-    if args.format == "csv":
-        jsonio.dump_qexpansion_csv(qe, args.out)
-    else:
-        jsonio.dump_json(jsonio.qexpansion_to_json(qe), args.out)
 
 
 def cmd_sig12(args):
@@ -223,7 +214,7 @@ def cmd_sig12(args):
     else:
         qe = truncated_class_series(parse_rational(args.t),
                                     parse_rational(args.nmax))
-        _emit_series(qe, args)
+        jsonio.dump_series(qe, args.format, args.out, args.emit_plot_data)
     return 0
 
 
@@ -253,7 +244,7 @@ def cmd_dodec(args):
             else None
         qe = dodec_series(LatticeCoset(space, mu), dodec,
                           parse_rational(args.nmax))
-        _emit_series(qe, args)
+        jsonio.dump_series(qe, args.format, args.out, args.emit_plot_data)
     return 0
 
 

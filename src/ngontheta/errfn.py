@@ -177,8 +177,9 @@ def cone_dist2(u, b, rays):
     rays = rays / np.linalg.norm(rays, axis=-2, keepdims=True)
     proj = np.maximum(np.einsum('...i,...ij->...j', u, rays), 0.0)
     d = u[..., :, None] - proj[..., None, :] * rays
-    best = np.minimum(np.einsum('...i,...i->...', u, u),
-                      np.min(np.einsum('...ij,...ij->...j', d, d), axis=-1))
+    dd = np.einsum('...ij,...ij->...j', d, d)        # to each ray
+    best = functools.reduce(np.minimum, np.moveaxis(dd, -1, 0),
+                            np.einsum('...i,...i->...', u, u))
     return np.where(inside, 0.0, best)[()]
 
 

@@ -1,9 +1,11 @@
 """JSON/CSV serialization: rationals as "p/q" strings, floats as shortest
 round-trip decimals, one schema version field per file, deterministic
 formatting (byte-identical across runs and thread counts); parse_rational
-reads ASCII integers and p/q with int(), other strings with Fraction."""
+reads ASCII integers and p/q with int(), other strings with Fraction.
+Series are written from QExpansion's integers, with one gcd per string."""
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -21,10 +23,11 @@ class InputError(ValueError):
     """Malformed input file (bad JSON, missing fields, bad rationals)."""
 
 
-def rat_to_str(r):
-    r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else \
-        f"{r.numerator}/{r.denominator}"
+def rat_to_str(p, q=1):
+    """p/q in lowest terms as "p/q", or "p" if whole; p int or Fraction."""
+    p, q = p.numerator, p.denominator * q
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def parse_rational(s):
@@ -169,21 +172,16 @@ def load_dodec_file(path):
     return space, cs
 
 
-def coeff_to_json(c):
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return rat_to_str(c)
-    return int(c)
-
-
 def qexpansion_to_json(qe):
+    q, d = qe.qden, qe.den
     return {
         "schema_version": SCHEMA_VERSION,
         "mu": vector_to_json(qe.mu),
         "nmax": rat_to_str(qe.nmax),
         "normalized": bool(qe.normalized),
-        "flags": [rat_to_str(n) for n in sorted(qe.flags)],
-        "coeffs": {rat_to_str(n): coeff_to_json(c)
-                   for n, c in sorted(qe.entries.items())},
+        "flags": [rat_to_str(f, q) for f in qe.flag_exps],
+        "coeffs": {rat_to_str(e, q): rat_to_str(c, d) if c % d else c // d
+                   for e, c in zip(qe.exps, qe.nums)},
     }
 
 
@@ -198,17 +196,16 @@ def dump_report(out, **fields):
     return dump_json({"schema_version": SCHEMA_VERSION, **fields}, out)
 
 
-def dump_qexpansion_csv(qe, out=None):
-    lines = ["n,c"]
-    for n, c in sorted(qe.entries.items()):
-        lines.append(f"{rat_to_str(n)},{rat_to_str(Fraction(c))}")
-    write("\n".join(lines) + "\n", out)
-
-
-def dump_plot_data(qe, path):
-    """Tab-separated (n, c(n)) table for plotting."""
-    write("".join(f"{float(n)!r}\t{float(c)!r}\n"
-                  for n, c in sorted(qe.entries.items())), path)
+def dump_series(qe, fmt="json", out=None, plot=None):
+    """JSON or CSV (fmt) of a series to out; its (n, c(n)) TSV to plot."""
+    q, d, terms = qe.qden, qe.den, list(zip(qe.exps, qe.nums))
+    if plot:
+        write("".join(f"{e / q!r}\t{c / d!r}\n" for e, c in terms), plot)
+    if fmt == "csv":
+        write("n,c\n" + "".join(f"{rat_to_str(e, q)},{rat_to_str(c, d)}\n"
+                                for e, c in terms), out)
+    else:
+        dump_json(qexpansion_to_json(qe), out)
 
 
 def write(text, out=None):

@@ -26,9 +26,10 @@ from .ngon import validate, sgn
 # Gram of (X,Y) = -tr(XY) in [a,b,c] coordinates: (x,x) = 2(4ac - b^2)
 SPACE_ABC = QuadraticSpace([[0, 0, 4], [0, -2, 0], [4, 0, 0]])
 
-# an orthogonal pair of norm -1 vectors: the base plane of `sig12 zagier`
+# an orthogonal pair of norm -1 vectors and their plane, `sig12 zagier`'s z0
 E2_ABC = vec((0, 1, 0))
 E3_ABC = vec((Fraction(1, 2), 0, Fraction(-1, 2)))
+Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
 
 
 class OrientationError(ValueError):
@@ -96,7 +97,6 @@ def truncated_class_series(t, nmax, safety=1.5):
     from .lattice import LatticeCoset, holomorphic_series, certify_window
     ngon = fundamental_ngon(t)
     coset = LatticeCoset(SPACE_ABC)
-    window = certify_window(ngon, NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)),
-                            nmax, safety=safety)
+    window = certify_window(ngon, Z0_ABC, nmax, safety=safety)
     return holomorphic_series(coset, ngon, nmax, window=window,
                               normalized=True)

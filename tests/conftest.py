@@ -526,3 +526,45 @@ def j0_value(ngon, x):
     prods = np.prod(np.array(s)[ngon.vertices], axis=1)
     return sum(float(e) - int(p)
                for e, p in zip(E_frames(a, m @ xf), prods)) / 4.0
+
+
+# --- the Fraction formatter of q-expansions -----------------------------------
+# jsonio's series writers as they were when a series held Fraction entries:
+# the oracle of the integer writers (each returns its text or dict).
+
+def rat_to_str_fraction(r):
+    r = Fraction(r)
+    return str(r.numerator) if r.denominator == 1 else \
+        f"{r.numerator}/{r.denominator}"
+
+
+def coeff_to_json(c):
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return rat_to_str_fraction(c)
+    return int(c)
+
+
+def qexpansion_to_json_fraction(qe):
+    return {
+        "schema_version": 1,
+        "mu": [rat_to_str_fraction(t) for t in vec(qe.mu)],
+        "nmax": rat_to_str_fraction(qe.nmax),
+        "normalized": bool(qe.normalized),
+        "flags": [rat_to_str_fraction(n) for n in sorted(qe.flags)],
+        "coeffs": {rat_to_str_fraction(n): coeff_to_json(c)
+                   for n, c in sorted(qe.entries.items())},
+    }
+
+
+def qexpansion_csv_fraction(qe):
+    lines = ["n,c"]
+    for n, c in sorted(qe.entries.items()):
+        lines.append(f"{rat_to_str_fraction(n)},"
+                     f"{rat_to_str_fraction(Fraction(c))}")
+    return "\n".join(lines) + "\n"
+
+
+def plot_data_fraction(qe):
+    """Tab-separated (n, c(n)) table for plotting."""
+    return "".join(f"{float(n)!r}\t{float(c)!r}\n"
+                   for n, c in sorted(qe.entries.items()))

@@ -1,21 +1,28 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ngontheta import jsonio
 from ngontheta.cli import main
 from ngontheta.jsonio import (InputError, parse_rational, rat_to_str,
                               parse_vector, qexpansion_to_json)
 
-from conftest import EXAMPLES, REPO, SPACE_E, abc_to_e, butterfly_collection
+from conftest import (EXAMPLES, REPO, SPACE_E, abc_to_e, butterfly_collection,
+                      plot_data_fraction, qexpansion_csv_fraction,
+                      qexpansion_to_json_fraction)
 
 FUNDDOM = str(EXAMPLES / "funddom.json")
 LATTICE = str(EXAMPLES / "lattice_sig12.json")
@@ -61,15 +68,73 @@ def test_load_json_errors(tmp_path):
 
 def test_qexpansion_to_json_shape():
     from ngontheta.lattice import QExpansion
-    qe = QExpansion(mu=(0, Fraction(1, 2), 0),
-                    entries={Fraction(2): 4, Fraction(1, 2): Fraction(1, 4)},
-                    nmax=Fraction(3), flags={Fraction(2)}, normalized=True)
+    # n = e/8 with dmu = 2, c(n) = c/4: {1/2: 1/4, 2: 4}, flags {2}
+    qe = QExpansion(mu=(0, Fraction(1, 2), 0), nmax=Fraction(3), qden=8,
+                    exps=[4, 16], nums=[1, 16], den=4, flag_exps=[16],
+                    normalized=True)
+    assert qe.entries == {Fraction(1, 2): Fraction(1, 4), Fraction(2): 4}
+    assert qe.flags == {Fraction(2)}
     obj = qexpansion_to_json(qe)
     assert obj["schema_version"] == 1
     assert obj["mu"] == ["0", "1/2", "0"]
     assert obj["normalized"] is True
     assert obj["flags"] == ["2"]
     assert obj["coeffs"] == {"1/2": "1/4", "2": 4}
+
+
+def _stdout(fn, *args):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        fn(*args)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_series_writers_match_fraction_oracle(data):
+    # the integer writers against the Fraction formatter they replace, on
+    # the integers a series driver holds: ascending distinct exponent
+    # numerators over 2 dmu^2 (0 for x = 0), int64 coefficient sums over den
+    # (negative, 0 where terms cancel, multiples of den), and the positive
+    # flagged exponents of some rows, repeats and 0 included
+    from ngontheta.lattice import QExpansion
+    dmu = data.draw(st.sampled_from([1, 2, 3, 4, 6, 10]), label="dmu")
+    qden, den = 2 * dmu * dmu, data.draw(st.sampled_from([1, 4, 8]))
+    exps = np.unique(np.array(data.draw(st.lists(
+        st.integers(0, 40) | st.integers(0, 10 ** 6), max_size=30)),
+        dtype=np.int64))
+    sums = np.array(data.draw(st.lists(
+        st.sampled_from([0, den, -den, 2 * den]) | st.integers(-99, 99),
+        min_size=len(exps), max_size=len(exps))), dtype=np.int64)
+    rows = np.array(data.draw(st.lists(
+        st.sampled_from([0, *exps.tolist()]) | st.integers(0, 40))),
+        dtype=np.int64)
+    flags = np.unique(rows)
+    mu = tuple(Fraction(data.draw(st.integers(0, dmu - 1)), dmu)
+               for _ in range(3))
+    qe = QExpansion(mu=mu, nmax=Fraction(data.draw(st.integers(0, 99)), 2),
+                    qden=qden, exps=exps.tolist(), nums=sums.tolist(),
+                    den=den, flag_exps=flags[flags > 0].tolist(),
+                    normalized=den == 4)
+    # the views equal the Fraction dict and set built from the int64 arrays
+    old_entries = {Fraction(int(e), qden): int(c) if den == 1 else
+                   Fraction(int(c), den) for e, c in zip(exps, sums)}
+    assert list(qe.entries.items()) == list(old_entries.items())
+    assert [type(c) for c in qe.entries.values()] == \
+        [type(c) for c in old_entries.values()]
+    assert qe.flags == {Fraction(int(e), qden) for e in set(rows) if e > 0}
+    assert all(type(n) is Fraction for n in [*qe.entries, *qe.flags])
+    for n, c in old_entries.items():
+        assert qe.coeff(n) == c and type(qe.coeff(n)) is type(c)
+    got, want = qexpansion_to_json(qe), qexpansion_to_json_fraction(qe)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+    assert _stdout(jsonio.dump_series, qe) == _stdout(jsonio.dump_json, want)
+    assert _stdout(jsonio.dump_series, qe, "csv") == \
+        qexpansion_csv_fraction(qe)
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = Path(tmp) / "plot.tsv"
+        jsonio.dump_series(qe, "json", os.devnull, str(plot))
+        assert plot.read_text() == plot_data_fraction(qe)
 
 
 def test_dump_json_deterministic(tmp_path):

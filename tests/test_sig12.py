@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ngontheta.ngon import epsilon, linking_number, validate, w_invariant
 from ngontheta.qspace import NegativePlane, vec_add, vec_scale
-from ngontheta.sig12 import (SPACE_ABC, OrientationError, recover_ngon,
-                             fundamental_ngon, truncated_class_series)
+from ngontheta.sig12 import (SPACE_ABC, Z0_ABC, OrientationError,
+                             recover_ngon, fundamental_ngon,
+                             truncated_class_series)
 
 from conftest import (SPACE_E, UHPoint, _signed_crosses, abc_to_e, alpha,
                       butterfly_ngon, cross, e_to_abc, one_sign_term,
@@ -237,6 +238,8 @@ def test_truncated_class_series_small():
     assert coeffs.get(0, 0) == 0
     flagged = set(series.flags)
     assert {3, 4, 11}.issubset(flagged)  # boundary-incident discriminants
+    # the window is certified about the module's (E2, E3) plane, built once
+    assert series.window.z0 is Z0_ABC
 
 
 def test_truncated_class_series_oracle_large():

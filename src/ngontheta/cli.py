@@ -95,7 +95,6 @@ def build_parser():
             sp.add_argument("--mu", metavar="RAT,RAT,...")
         if name == "series":
             sp.add_argument("--normalized", action="store_true")
-            sp.add_argument("--safety", type=float, default=1.5)
         else:
             sp.add_argument("--tau", required=True, metavar="A+BI")
 
@@ -187,8 +186,7 @@ def cmd_theta(args):
     nmax = parse_rational(args.nmax)
     if args.action == "series":
         qe = holomorphic_series(coset, ngon, nmax,
-                                normalized=args.normalized,
-                                safety=args.safety)
+                                normalized=args.normalized)
         jsonio.dump_series(qe, args.format, args.out, args.emit_plot_data)
     else:
         tau = _parse_tau(args.tau)

@@ -215,8 +215,8 @@ def seed_construction(space, z0_basis, v0, t=0):
 
 # --- q-expansion ------------------------------------------------------------
 
-def dodec_series(coset, dodec, nmax, window=None, safety=1.5):
-    """q-expansion of sum_x P(x) q^{Q(x)} over the certified window; the
-    same window and guard-band retry contract as the N-gon series."""
+def dodec_series(coset, dodec, nmax, window=None):
+    """q-expansion of sum_x P(x) q^{Q(x)} over a window proved exactly at
+    the 20 vertex 3-planes, as the N-gon series' is at its vertex planes."""
     from .lattice import _certified_series
-    return _certified_series(coset, dodec, rat(nmax), window, safety, 8)
+    return _certified_series(coset, dodec, rat(nmax), window, 8)

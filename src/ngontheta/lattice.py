@@ -2,28 +2,26 @@
 q-expansions, numerical evaluation of the non-holomorphic completion, and
 finite-Weil-representation modularity checks.
 
-Enumeration is certified in two steps.  First a comparability constant kappa
-gives the bound (x,x)_{z0} <= kappa * (x,x) for every x whose kernel value
-can be nonzero: such x satisfy (x,x) = (x,x)_{z*} for some plane z* on the
-wall surface, so kappa only has to bound lambda_max(M_{z0}, M_z) over that
-surface.  log lambda_max(M_{z0}, M_z) is the sup-norm Finsler distance from
-z0 to z on the symmetric space of majorants, which is convex along geodesics
-(Bhatia, Positive Definite Matrices, ch. 6), and every edge of the surface
-is a geodesic segment between two vertex planes, so the maximum is attained
-at a vertex plane; kappa is computed there, in floating point.  Second, a
-guard band above the bound is enumerated and must contain no x with nonzero
-kernel.  That exact check is what makes a series exact.  When it fails, the
-window is re-certified about the same base plane z0 with twice its safety
-factor, at most RETRIES times; after that the series raises
-CertificationError (CLI exit code 3).  N-gons and dodecahedra share this
-path: their vertex tables give the vertex planes and sign kernels.  Series
-take the first vertex plane as base plane, completions minimax_plane,
-whose lower kappa shrinks their windows.  enumerate_cosets returns one
-row batch (CosetRows) of any number of cosets, enumerate_coset that of
-one, and the signs of (x, C_j) come from the wall collection's sign_matrix
-on the batch's integer rows.  The kernels vanish on nonzero vectors of
-norm <= 0, so a series batch holds only the window's rows with
-0 <= Q(x) <= nmax; a completion batch holds the whole window.
+A series window is proved: a comparability constant kappa gives the bound
+(x,x)_{z0} <= kappa * (x,x) for every x whose kernel value can be nonzero:
+such x satisfy (x,x) = (x,x)_{z*} for some plane z* on the wall surface, so
+kappa only has to bound lambda_max(M_{z0}, M_z) over that surface, whose
+log is the sup-norm Finsler distance from z0 to z on the symmetric space of
+majorants, convex along geodesics (Bhatia, Positive Definite Matrices,
+ch. 6).  Every edge of the surface is a geodesic segment between two vertex
+planes, so the maximum is at a vertex plane.  certify_window estimates it
+there in floating point, times SAFETY, giving B = 2 nmax kappa; every
+series proves exactly that B/(2 nmax) bounds it at each vertex plane
+(_prove_window), or raises CertificationError (CLI exit code 3).  N-gons
+and dodecahedra share this path: their vertex tables give the vertex planes
+and sign kernels.  Series take the first vertex plane as base plane,
+completions minimax_plane, whose lower kappa shrinks their windows (there B
+is a truncation).  enumerate_cosets returns one row batch (CosetRows) of
+any number of cosets, enumerate_coset that of one, and the signs of
+(x, C_j) come from the wall collection's sign_matrix on the batch's integer
+rows.  The kernels vanish on nonzero vectors of norm <= 0, so a series
+batch holds only the window's rows with 0 <= Q(x) <= nmax; a completion
+batch holds the whole window.
 
 The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
@@ -50,11 +48,10 @@ from .qspace import (NegativePlane, _charpoly, _over_lcm, _row_norms, rat,
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
-RETRIES = 3              # re-certifications before CertificationError
 K_MAX = 2.0 ** 53        # |k_i| beyond it: floats skip integers, int64 nears
 ROWS_MAX = 10 ** 7       # rows one enumeration level may hold
 DISC_MAX = 4096          # |L'/L| the dense Weil matrices may have
-GUARD = Fraction(6, 5)   # series and completions enumerate up to GUARD * B
+SAFETY = 1.5             # window_from_planes' factor on the float kappa
 BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
 
 
@@ -106,13 +103,20 @@ def disc_group(space):
     return reps
 
 
-def majorant_matrix(space, z0_span):
+def _span_core(space, span):
+    """(g, det n, adj n) of int_core's integer rows g and Gram n of a span."""
+    _, g, n = space.int_core([vec(v) for v in span])
+    c, adj = _charpoly(n)
+    return g, (-1) ** len(n) * c[-1], adj
+
+
+def majorant_matrix(space, z0_span, core=None):
     """Exact positive-definite matrix M with x^T M x = (x,x)_{z0}:
     M = G - 2 (G S) (S^T G S)^{-1} (G S)^T for the span S of z0, computed
-    as (det(n) gi - 2 g adj(n) g^T) / (den det(n)) from int_core's g, n."""
-    _, g, n = space.int_core([vec(v) for v in z0_span])
-    (c, adj), k, m = _charpoly(n), len(n), space.dim
-    det = (-1) ** k * c[-1]
+    as (det(n) gi - 2 g adj(n) g^T) / (den det(n)) from the span's
+    _span_core, or the `core` given."""
+    g, det, adj = core or _span_core(space, z0_span)
+    k, m = len(g), space.dim
     return [[Fraction(det * space._gi[i][j] - 2 * sum(
         g[a][i] * adj[a][b] * g[b][j] for a in range(k) for b in range(k)),
         space._den * det) for j in range(m)] for i in range(m)]
@@ -123,12 +127,16 @@ class EnumWindow:
     z0: NegativePlane
     B: Fraction
     kappa: float
-    safety: float
+
+    @cached_property
+    def core(self):
+        """_span_core of the base plane, built on first use."""
+        return _span_core(self.z0.space, self.z0.span)
 
     @cached_property
     def majorant(self):
         """Exact matrix of (x,x)_{z0}, built on first use."""
-        return majorant_matrix(self.z0.space, self.z0.span)
+        return majorant_matrix(self.z0.space, self.z0.span, self.core)
 
 
 def _majorants(planes):
@@ -174,39 +182,58 @@ def minimax_plane(planes):
     return plane if kappa[0] < kappa[1] else planes[0]
 
 
-def window_from_planes(z0, planes, nmax, safety=1.5):
-    """Comparability window about the NegativePlane z0:
-    kappa = safety * max over the given planes of the largest generalized
-    eigenvalue of M_{z0} against M_z, in floating point by _kappas (the
-    guard band, not kappa, makes the series exact).  Below safety 1 the
-    window would fall short of the proven bound."""
-    if not (math.isfinite(safety) and safety >= 1):
-        raise ValueError("safety must be a finite number >= 1")
+def window_from_planes(z0, planes, nmax):
+    """Window about the NegativePlane z0: kappa = SAFETY times the largest
+    lambda_max(M_{z0}, M_z) over the planes z, in floats by _kappas, and
+    B = 2 nmax kappa rounded up to 1/64, which _prove_window proves."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     ev = _kappas(_majorants([z0])[0], _majorants(planes))
-    kappa = max(1.0, float(np.max(ev))) * safety
+    kappa = max(1.0, float(np.max(ev))) * SAFETY
     try:
         b = Fraction(math.ceil(kappa * 2.0 * float(nmax) * 64)) / 64
     except OverflowError:
         raise ValueError("nmax too large: the window bound overflows a "
                          "float") from None
-    return EnumWindow(z0=z0, B=b, kappa=kappa, safety=safety)
+    return EnumWindow(z0=z0, B=b, kappa=kappa)
 
 
-def certify_window(walls, z0, nmax, safety=1.5):
+def certify_window(walls, z0, nmax):
     """Window for the kernel of an NGon or a DodecData from its vertex
     planes, about the NegativePlane z0 (None: the first vertex plane).  An
     N-gon edge plane [C_j, (s-1) C_{j-1} + s C_{j+1}] lies on the geodesic
-    between two vertex planes [C_j, C_{j+1}] inside the totally geodesic H^2
-    of span(C_{j-1}, C_j, C_{j+1}); a dodecahedral edge plane
-    [C_i, C_j, (s-1) C_a + s C_b] lies on the geodesic between two vertex
-    3-planes inside the H^3 of span(C_i, C_j, C_a, C_b).  By convexity of
-    log lambda_max neither can raise kappa above its value at the
-    vertices."""
+    between the vertex planes [C_j, C_{j+1}], and a dodecahedral edge plane
+    [C_i, C_j, (s-1) C_a + s C_b] between two vertex 3-planes, so by
+    convexity of log lambda_max neither raises kappa above the vertices'."""
     if z0 is None:
         z0 = walls.vertex_planes[0]
-    return window_from_planes(z0, walls.vertex_planes, nmax, safety=safety)
+    return window_from_planes(z0, walls.vertex_planes, nmax)
+
+
+def _prove_window(window, walls, nmax):
+    """Raise CertificationError unless M_{z0} <= kappa M_{z_j}, kappa =
+    B/(2 nmax) = kn/kd >= 1 (X_j cannot tell kappa from 1/kappa), at every
+    vertex plane z_j: the pencil's eigenvalues other than 1 are e^{+-2t}, t
+    the hyperbolic angles between the planes, whose cosh^2 are those of
+    N_j^{-1} P_j N_0^{-1} P_j^T (N the spans' integer Grams, P_j =
+    ((C_a, s_b)) the integer pairings), and e^{2t} <= kappa iff cosh^2 t <=
+    (kn + kd)^2 / (4 kn kd), iff
+      X_j = 4 kn kd sgn(det N_0) P_j adj(N_0) P_j^T - (kn + kd)^2 |det N_0| N_j
+    is positive semidefinite: (-1)^k c_k >= 0 for its _charpoly's c_k."""
+    if nmax <= 0:       # only x = 0 counts, and every window holds it
+        return
+    kappa = Fraction(window.B) / (2 * nmax)
+    kn, kd, (_, det, adj) = kappa.numerator, kappa.denominator, window.core
+    v = walls.vertices
+    p = np.array([walls.pairings(s) for s in window.z0.span], object).T[v]
+    pap = p @ np.array(adj, dtype=object) @ p.transpose(0, 2, 1)
+    nj = np.array(walls._gram, dtype=object)[v[:, :, None], v[:, None]]
+    x = 4 * kn * kd * (det // abs(det)) * pap - (kn + kd) ** 2 * abs(det) * nj
+    bad = [j for j, c in enumerate(_charpoly(x)[0]) if kappa < 1
+           or any((-1) ** k * ck < 0 for k, ck in enumerate(c))]
+    if bad:
+        raise CertificationError(f"series window B = {window.B} not proved "
+                                 f"for nmax = {nmax} at vertex plane {bad[0]}")
 
 
 def _check_space(space, walls):
@@ -219,24 +246,18 @@ def _check_space(space, walls):
 class CosetRows:
     """Vectors x = xnum/dmu of cosets mu+L, sorted by the index `coset` and
     then lexicographically: int64 numerators over one denominator (munum:
-    a row per coset, its mu reduced into [0, 1)), the exact split `inside`,
-    (x,x)_{z0} <= B, and xx_num = dmu^2 (x,x) = 2 dmu^2 Q(x); the rows
-    k = x - mu and the floats xf of x and qf of Q(x) derive from them.  A
+    a row per coset, its mu reduced into [0, 1)) and xx_num = dmu^2 (x,x)
+    = 2 dmu^2 Q(x); the floats xf of x and qf of Q(x) derive from them.  A
     row stands for `mult` x."""
     xnum: np.ndarray
     dmu: int
     munum: np.ndarray
-    inside: np.ndarray
     xx_num: np.ndarray
     coset: np.ndarray
     mult: np.ndarray | int = 1
 
     def __len__(self):
         return len(self.xnum)
-
-    @property
-    def ks(self):
-        return (self.xnum - self.munum[self.coset]) // self.dmu
 
     @cached_property
     def xf(self):
@@ -342,13 +363,11 @@ def _outward(ylo, yhi, lo, hi):
 
 
 def _majorant_leq(xnum, dmu, m_exact, bound):
-    """Exact mask of the rows x = xnum/dmu with x^T M x <= bound, with the
-    integer norms q = xnum^T mi xnum and their denominator den = dm dmu^2,
-    M = mi/dm: x^T M x <= bound iff q <= floor(bound * den)."""
+    """Exact mask of the rows x = xnum/dmu with x^T M x <= bound, M = mi/dm:
+    xnum^T mi xnum <= floor(bound dm dmu^2)."""
     dm = math.lcm(*(v.denominator for row in m_exact for v in row))
     q = _row_norms(xnum, [[int(v * dm) for v in row] for row in m_exact])
-    den = dm * dmu * dmu
-    return q <= math.floor(Fraction(bound) * den), q, den
+    return q <= math.floor(Fraction(bound) * dm * dmu * dmu)
 
 
 def _numerators(mus):
@@ -361,26 +380,24 @@ def _numerators(mus):
 
 def enumerate_cosets(space, mus, window, qmax=None, even=False):
     """The vectors x in mu+L, for each mu of mus (in L∨), with
-    (x,x)_{z0} <= GUARD*B, as one CosetRows over the lcm of the mus'
-    denominators, formed once, filtered exactly and split at B.  With a
+    (x,x)_{z0} <= B, as one CosetRows over the lcm of the mus'
+    denominators, formed once and filtered exactly.  With a
     qmax, only those with 0 <= Q(x) <= qmax.  For an even kernel, a coset
     with 2 mu in L holds x = 0 and one x of each +-x pair, at mult 2.  Each
     mu is first reduced mod L, entries into [0, 1), so that its numerators
     fit int64 whatever representative was given."""
-    bound = window.B * GUARD
     d, munum = _numerators(mus)
     band = None if qmax is None else (space.gram_f, float(qmax))
     fold = ~np.any(2 * munum % d, axis=1) if even else None    # 2 mu in L
-    c, ks = _fp_enumerate(window.majorant, munum / d, bound, band, fold)
+    c, ks = _fp_enumerate(window.majorant, munum / d, window.B, band, fold)
     xnum = ks * d + munum[c]
-    keep, norms, den = _majorant_leq(xnum, d, window.majorant, bound)
+    keep = _majorant_leq(xnum, d, window.majorant, window.B)
     xx_num = _row_norms(xnum, space._gi)           # 2 d^2 Q(x)
     if qmax is not None:
         keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * d**2 * rat(qmax)))
     mult = np.where(fold[c] & np.any(xnum, axis=1), 2, 1)[keep] if even else 1
-    return CosetRows(xnum[keep], d, munum,
-                     inside=norms[keep] <= math.floor(window.B * den),
-                     xx_num=xx_num[keep], coset=c[keep], mult=mult)
+    return CosetRows(xnum[keep], d, munum, xx_num=xx_num[keep],
+                     coset=c[keep], mult=mult)
 
 
 def enumerate_coset(coset, window, qmax=None, even=False):
@@ -417,49 +434,34 @@ class QExpansion:
         return self.entries.get(rat(n), 0)
 
 
-def _certified_series(coset, walls, nmax, window, safety, den):
-    """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a certified window,
-    where walls.kernel maps the exact sign matrix of the enumerated x
-    (walls.sign_matrix) to integer numerators, times the rows' mult if the
-    level is even (NGon).  Without a window, the default one is certified
-    at `safety`.  A guard-band x with a nonzero kernel and Q(x) in
-    (0, nmax] voids the window, which is then re-certified about its own
-    base plane at twice its safety, at most RETRIES times."""
+def _certified_series(coset, walls, nmax, window, den):
+    """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a proved window (by
+    default certify_window's), where walls.kernel maps the exact sign matrix
+    of the enumerated x (walls.sign_matrix) to integer numerators, times the
+    rows' mult if the level is even (NGon)."""
     _check_space(coset.space, walls)
     if window is None:
-        window = certify_window(walls, None, nmax, safety)
+        window = certify_window(walls, None, nmax)
+    _prove_window(window, walls, nmax)
     even = walls.vertices.shape[1] % 2 == 0 and not any(walls.face_w)
-    for attempt in range(RETRIES + 1):
-        if attempt:
-            window = certify_window(walls, window.z0, nmax, 2 * window.safety)
-        batch = enumerate_coset(coset, window, qmax=nmax, even=even)
-        signs = walls.sign_matrix(batch.xnum)
-        num = walls.kernel(signs) * batch.mult
-        if not np.any(batch.xx_num[(num != 0) & ~batch.inside] != 0):
-            break
-    else:
-        raise CertificationError(
-            "guard band contains kernel-supported vectors; "
-            f"retried up to safety={window.safety}")
-    hits = (num != 0) & batch.inside
-    exps, where = np.unique(batch.xx_num[hits], return_inverse=True)
+    batch = enumerate_coset(coset, window, qmax=nmax, even=even)
+    signs = walls.sign_matrix(batch.xnum)
+    num = walls.kernel(signs) * batch.mult
+    exps, where = np.unique(batch.xx_num[num != 0], return_inverse=True)
     sums = np.zeros(len(exps), dtype=np.int64)
-    np.add.at(sums, where, num[hits])
+    np.add.at(sums, where, num[num != 0])
     # a set of ints: np.unique's hash path imports numpy.ma (17 ms, 1 MB)
-    odd = reduce(np.logical_or, signs.T == 0) & batch.inside
+    odd = reduce(np.logical_or, signs.T == 0)
     flags = sorted({e for e in batch.xx_num[odd].tolist() if e > 0})
     return QExpansion(coset.mu, nmax, 2 * batch.dmu ** 2, exps.tolist(),
-                      sums.tolist(), den, flags, window)
+                      sums.tolist(), den, flags, window, den == 4)
 
 
-def holomorphic_series(coset, ngon, nmax, window=None, normalized=False,
-                       safety=1.5):
+def holomorphic_series(coset, ngon, nmax, window=None, normalized=False):
     """q-expansion of sum_x eps(x) q^{Q(x)} (eps/4 when normalized) over the
-    certified window."""
-    qe = _certified_series(coset, ngon, rat(nmax), window, safety,
-                           4 if normalized else 1)
-    qe.normalized = normalized
-    return qe
+    proved window."""
+    return _certified_series(coset, ngon, rat(nmax), window,
+                             4 if normalized else 1)
 
 
 class _CompletionKernel:
@@ -470,7 +472,7 @@ class _CompletionKernel:
     up to the phase e^{2 pi i Re(tau) Q}, and screened by what each term
     adds to the sum.  A window row whose bound (|w| + N) e^{amp}
     on |kernel| e^{amp} (each E2 lies in [-1, 1]) is below e^{RHO_LOG_TOL}
-    gets 0, as guard-band rows do.  A wall term lies within
+    gets 0.  A wall term lies within
     2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated only where that
     bound reaches e^{RHO_LOG_TOL}.  The rho_j are Gaussian masses of the sign
     quadrants of the vertex planes span(C_j, C_{j+1}), weighted
@@ -487,7 +489,7 @@ class _CompletionKernel:
 
     def eval(self, batch, v):
         """Kernel values times e^{-2 pi v Q} of the batch's rows at Im tau = v,
-        0 on skipped window rows and on guard-band rows."""
+        0 on skipped rows."""
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
         live, vals, rows, pairs = self._row_terms(batch, v, math.sqrt(2.0 * v))
@@ -498,15 +500,14 @@ class _CompletionKernel:
         return out
 
     def _row_terms(self, batch, v, scale):
-        """The indices `live` of the window rows that pass the row bound,
+        """The indices `live` of the batch rows that pass the row bound,
         their eps and wall terms, the live-row index of each (row, edge)
         pair that passes the rho screen, and the pairs' cone_sum arguments:
         edge, plane centre, quadrant weights and amp."""
         from scipy.special import erfcx
-        live = np.flatnonzero(batch.inside)
-        amp = np.minimum(-2.0 * math.pi * v * batch.qf[live], AMP_CAP)
-        keep = amp + self.log_bound >= RHO_LOG_TOL
-        live, amp = live[keep], amp[keep]
+        amp = np.minimum(-2.0 * math.pi * v * batch.qf, AMP_CAP)
+        live = np.flatnonzero(amp + self.log_bound >= RHO_LOG_TOL)
+        amp = amp[live]
         _, proj, chat_g = self.ngon.frames
         signs = self.ngon.sign_matrix(batch.xnum[live])
         xf = batch.xf[live]
@@ -560,11 +561,11 @@ def _completion_sum(batch, scaled, tau):
 def _tail_estimate(batch, window, n_edges, v):
     """Heuristic tail bound 2N * sum_{(x,x)_{z0} > B} e^{-pi v (x,x)_{z0}/kappa}
     per coset, the lattice-point density calibrated from the (at least one)
-    vectors the batch holds of it inside the window, (x,x)_{z0} <= B."""
+    vectors the batch holds of it, all in the window (x,x)_{z0} <= B."""
     from scipy.special import gammaincc, gamma as gamma_fn
     m = window.z0.space.dim
     bf = float(window.B)
-    count = np.bincount(batch.coset, batch.inside * batch.mult,
+    count = np.bincount(batch.coset, np.broadcast_to(batch.mult, len(batch)),
                         len(batch.munum))
     c = np.maximum(count, 1) * (m / 2.0) / max(bf, 1.0) ** (m / 2.0)
     lam = math.pi * v / window.kappa

@@ -168,7 +168,8 @@ class _Walls:
             return sum(math.prod(g(s)) for g in self._vertex_signs) \
                 + sum(map(operator.mul, s, self.face_w))
         s = np.asarray(s)
-        lv = np.prod(s[..., self.vertices], axis=-1).sum(axis=-1)
+        lv = functools.reduce(operator.mul, (s[..., col] for col in
+                                             self.vertices.T)).sum(axis=-1)
         return lv + s @ self.face_w if any(self.face_w) else lv
 
     def level_at(self, v=None):

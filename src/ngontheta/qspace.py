@@ -83,20 +83,20 @@ def vec_primitive(x):
 
 
 def _charpoly(a):
-    """(c, adj a) of a symmetric integer matrix a by Faddeev-LeVerrier:
-    det(t I - a) = sum_k c_k t^(m-k), exact over the integers, and
-    adj a = (-1)^(m+1) M_m, so det a = (-1)^m c_m, where M_1 = I,
-    c_k = -tr(a M_k)/k and M_{k+1} = a M_k + c_k I.  Each M_k is a
-    polynomial in a, so symmetric, and a M_k takes row-row products."""
-    m = len(a)
-    c, mk, am = [1], [[int(i == j) for j in range(m)] for i in range(m)], a
+    """(c, adj a) of a symmetric integer matrix a, or of each of a stack
+    (..., m, m), by Faddeev-LeVerrier on object arrays of Python ints:
+    det(t I - a) = sum_k c_k t^(m-k) and adj a = (-1)^(m+1) M_m, so
+    det a = (-1)^m c_m, where M_1 = I, c_k = -tr(a M_k)/k and
+    M_{k+1} = a M_k + c_k I; c and adj return as nested lists."""
+    a = np.array(a, dtype=object)
+    m, eye = a.shape[-1], np.eye(a.shape[-1], dtype=object)
+    c, mk, am = [np.ones(a.shape[:-2] + (1,), dtype=object)], eye, a
     for k in range(1, m + 1):
-        c.append(-sum(am[i][i] for i in range(m)) // k)
+        c.append(-am.diagonal(0, -2, -1).sum(-1, keepdims=True) // k)
         if k < m:
-            mk = [[v + c[-1] * (i == j) for j, v in enumerate(r)]
-                  for i, r in enumerate(am)]
-            am = [[_dot(r, s) for s in mk] for r in a]
-    return c, [[(-1) ** (m + 1) * v for v in r] for r in mk]
+            mk = am + c[-1][..., None] * eye
+            am = a @ mk
+    return np.concatenate(c, -1).tolist(), ((-1) ** (m + 1) * mk).tolist()
 
 
 def _signature(a):

@@ -90,13 +90,13 @@ def fundamental_ngon(t):
     return validate(SPACE_ABC, (c1, c2, c3, c4))
 
 
-def truncated_class_series(t, nmax, safety=1.5):
+def truncated_class_series(t, nmax):
     """Normalized q-expansion counting (twice) CM points of discriminant -n
     inside the truncated fundamental domain; boundary-incident exponents are
     flagged, not weighted."""
     from .lattice import LatticeCoset, holomorphic_series, certify_window
     ngon = fundamental_ngon(t)
     coset = LatticeCoset(SPACE_ABC)
-    window = certify_window(ngon, Z0_ABC, nmax, safety=safety)
+    window = certify_window(ngon, Z0_ABC, nmax)
     return holomorphic_series(coset, ngon, nmax, window=window,
                               normalized=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -169,6 +170,67 @@ def majorant_exact(space, x, span):
     """((x,x)_z, R(x,z)) as exact rationals."""
     r = r_exact(space, x, span)
     return space.inner(x, x) + 2 * r, r
+
+
+def majorant_dense(gram, span):
+    """M_z = G - 2 G S (S^T G S)^{-1} S^T G of the plane spanned by span,
+    in Fraction arithmetic (mat_inv)."""
+    g = [[Fraction(v) for v in row] for row in gram]
+    m, q = len(g), len(span)
+    gs = [[sum(g[i][k] * Fraction(s[k]) for k in range(m)) for s in span]
+          for i in range(m)]
+    ni = mat_inv([[sum(Fraction(a[k]) * gs[k][b] for k in range(m))
+                   for b in range(q)] for a in span])
+    return [[g[i][j] - 2 * sum(gs[i][a] * ni[a][b] * gs[j][b]
+                               for a in range(q) for b in range(q))
+             for j in range(m)] for i in range(m)]
+
+
+def psd_by_minors(mat):
+    """Positive semidefiniteness of a symmetric Fraction matrix: every
+    principal minor, not only the leading ones, is >= 0."""
+    m = len(mat)
+    return all(mat_det([[mat[i][j] for j in idx] for i in idx]) >= 0
+               for r in range(1, m + 1)
+               for idx in itertools.combinations(range(m), r))
+
+
+def window_proof_oracle(walls, z0, b, nmax):
+    """The m x m form of the series window proof: b M_j - 2 nmax M_0 is
+    positive semidefinite at every vertex plane z_j of the walls, so
+    lambda_max(M_0, M_j) <= b / (2 nmax) there."""
+    gram = walls.space.gram
+    m0 = majorant_dense(gram, z0.span)
+    return all(psd_by_minors([[b * x - 2 * nmax * y for x, y in zip(rj, r0)]
+                              for rj, r0 in zip(majorant_dense(
+                                  gram, [walls.cs[a] for a in t]), m0)])
+               for t in walls.vertices.tolist())
+
+
+def guard_band_hits(walls, coset, window, nmax):
+    """The guard-band oracle: the x of the coset with B < (x,x)_{z0} <= 2B,
+    0 < Q(x) <= nmax and a nonzero kernel, as Fraction rows.  A window that
+    holds every kernel-supported x leaves it empty."""
+    from ngontheta.lattice import EnumWindow, enumerate_coset
+    wide = enumerate_coset(coset, EnumWindow(window.z0, 2 * window.B,
+                                             window.kappa), qmax=nmax)
+    num = walls.kernel(walls.sign_matrix(wide.xnum))
+    m0 = majorant_dense(walls.space.gram, window.z0.span)
+    hits = []
+    for row, k, xx in zip(wide.xnum.tolist(), num.tolist(),
+                          wide.xx_num.tolist()):
+        if k == 0 or xx <= 0:
+            continue
+        x = [Fraction(v, wide.dmu) for v in row]
+        if sum(x[i] * m0[i][j] * x[j] for i in range(len(x))
+               for j in range(len(x))) > window.B:
+            hits.append(x)
+    return hits
+
+
+def batch_ks(batch):
+    """The integer rows k = x - mu of a CosetRows, mu reduced into [0, 1)."""
+    return (batch.xnum - batch.munum[batch.coset]) // batch.dmu
 
 
 def majorant_float(space, x, z):

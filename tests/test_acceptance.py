@@ -15,12 +15,12 @@ from ngontheta.errfn import E1, E2, E3
 from ngontheta.ngon import validate, epsilon, w_invariant, linking_number
 from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, recover_ngon,
                              fundamental_ngon, truncated_class_series)
-from ngontheta.lattice import (LatticeCoset, EnumWindow, certify_window,
-                               enumerate_coset, holomorphic_series,
-                               modularity_check)
+from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
+                               certify_window, enumerate_coset,
+                               holomorphic_series, modularity_check)
 from ngontheta import jsonio
 
-from conftest import (SPACE_E, butterfly_ngon, cyclic_equal,
+from conftest import (SPACE_E, batch_ks, butterfly_ngon, cyclic_equal,
                       dodec_violations, random_negative_abc, recipe_step,
                       reduced_forms)
 
@@ -250,29 +250,43 @@ def test_criterion_07_completion_consistency(monkeypatch):
 def test_criterion_08_enumeration_certification():
     t0 = time.monotonic()
     from conftest import EXAMPLES
-    # safety doubling leaves every packaged-example series unchanged
+    # each packaged-example series runs on a window proved exactly, and a
+    # window at twice the safety, B doubled, leaves it unchanged
     space, cs = jsonio.load_ngon_file(str(EXAMPLES / "funddom.json"))
     g = validate(space, cs)
     coset = LatticeCoset(space)
-    s1 = holomorphic_series(coset, g, 20, safety=1.5)
-    s2 = holomorphic_series(coset, g, 20, safety=3.0)
+    s1 = holomorphic_series(coset, g, 20)
+    s2 = holomorphic_series(coset, g, 20, window=_doubled(s1.window))
     assert s1.entries == s2.entries and s1.flags == s2.flags
     dspace, dcs = jsonio.load_dodec_file(str(EXAMPLES / "dodec_seed.json"))
     from ngontheta.dodec import validate_dodec, dodec_series
     dd = validate_dodec(dspace, dcs)
-    d1 = dodec_series(LatticeCoset(dspace), dd, 2, safety=1.5)
-    d2 = dodec_series(LatticeCoset(dspace), dd, 2, safety=3.0)
+    d1 = dodec_series(LatticeCoset(dspace), dd, 2)
+    d2 = dodec_series(LatticeCoset(dspace), dd, 2, window=_doubled(d1.window))
     assert d1.entries == d2.entries and d1.flags == d2.flags
+    # a window 1% below the float kappa is refused
+    for qe, walls, series in ((s1, g, holomorphic_series),
+                              (d1, dd, dodec_series)):
+        w = qe.window
+        low = EnumWindow(z0=w.z0, B=w.B * Fraction(99, 150), kappa=1.0)
+        with pytest.raises(CertificationError):
+            series(LatticeCoset(walls.space), walls, qe.nmax, window=low)
     # the B = 4 window about the base plane holds exactly 7 vectors
     window = EnumWindow(z0=NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC)),
-                        B=Fraction(4), kappa=1.0, safety=1.0)
+                        B=Fraction(4), kappa=1.0)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
-    got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
+    got = sorted(tuple(int(v) for v in row) for row in batch_ks(batch))
     assert got == sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
                           (0, -1, 0), (0, 0, 1), (0, 0, -1)])
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
-    _report(8, "safety-doubling invariance; B=4 window holds 7 vectors")
+    _report(8, "proved windows; safety-doubling invariance; 1% below "
+               "refused; B=4 window holds 7 vectors")
+
+
+def _doubled(window):
+    """The window at twice its safety: B and kappa doubled."""
+    return EnumWindow(z0=window.z0, B=2 * window.B, kappa=2 * window.kappa)
 
 
 def test_criterion_09_dodecahedron(space_q3, seed_dodec):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngontheta import jsonio
+from ngontheta import jsonio, lattice
 from ngontheta.cli import main
 from ngontheta.jsonio import (InputError, parse_rational, rat_to_str,
                               parse_vector, qexpansion_to_json)
@@ -289,12 +289,32 @@ def test_cli_theta_gram_mismatch(capsys, tmp_path):
 
 @pytest.mark.parametrize("safety", ["0", "-1", "nan", "0.5"])
 def test_cli_safety_below_one_is_validation_error(capsys, safety):
-    # below 1 the window falls short of the proven vertex kappa
-    code, out, err = run(capsys, "theta", "series", "--lattice", LATTICE,
-                         "--ngon", FUNDDOM, "--nmax", "6",
-                         f"--safety={safety}")
-    assert (code, out) == (2, "")
-    assert err == "validation error: safety must be a finite number >= 1\n"
+    # theta series proves its window exactly and has no --safety: the
+    # parser refuses the option, below one or not (2 as well), with exit 2
+    for value in (safety, "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "series", "--lattice", LATTICE, "--ngon", FUNDDOM,
+                  "--nmax", "6", f"--safety={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: unrecognized arguments: --safety={value}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "series", "--lattice", LATTICE, "--ngon", FUNDDOM],
+    ["dodec", "series", "--data", DODEC, "--mu", "1/2,0,0,0"]],
+    ids=["theta", "dodec"])
+def test_cli_unproved_window_exits_3(capsys, monkeypatch, argv):
+    # a window 1% below the float kappa fails the exact proof: exit 3 with
+    # one stderr line, nothing on stdout
+    monkeypatch.setattr(lattice, "SAFETY", 0.99)
+    code, out, err = run(capsys, *argv, "--nmax", "6")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical certification error: series window B")
+    assert " not proved for nmax = 6 at vertex plane " in err
+    assert err.count("\n") == 1
 
 
 def test_cli_theta_complete(capsys):
@@ -754,11 +774,11 @@ MALFORMED = {
     "series-nmax-huge": (["theta", "series", *THETA, "--nmax", "1e40"], 2,
                          "validation error: enumeration window too large: a "
                          "coordinate of its lattice vectors passes 2^53\n"),
-    # under 2^53, but one level of the search would hold 4.5e8 rows (3.3 GiB
+    # under 2^53, but one level of the search would hold 4.1e8 rows (3 GiB
     # per int64 array): refused before numpy allocates them
     "series-nmax-rows": (["theta", "series", *THETA, "--nmax", "1e17"], 2,
                          "validation error: enumeration window too large: "
-                         "one level of its search needs 4.48e+08 rows, more "
+                         "one level of its search needs 4.09e+08 rows, more "
                          "than 1e+07\n"),
     "series-nmax-float-overflow": (["theta", "series", *THETA, "--nmax",
                                     "1e400"], 2,

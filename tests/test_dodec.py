@@ -20,7 +20,7 @@ from ngontheta.cli import main
 
 from conftest import (EXAMPLES, REPO, check_dodec_conditions_vec,
                       cyclic_equal, dodec_D_kernel, dodec_D_vec, dodec_violations, face_w_vec,
-                      outcome, project_perp, recipe_step,
+                      guard_band_hits, outcome, project_perp, recipe_step,
                       regular_negative_vector_vec)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
@@ -310,8 +310,8 @@ def test_vertex_kappa_bounds_edge_samples():
         r = [Fraction(rng.randint(-4, 4), 16) for _ in range(3)]
         tilted = tuple((r[k],) + Z0[k][1:] for k in range(3))
         for z0 in (vertex_plane, NegativePlane(space, tilted)):
-            vertex = certify_window(dodec, z0, 1, safety=1.0).kappa
-            edge = window_from_planes(z0, planes, 1, safety=1.0).kappa
+            vertex = certify_window(dodec, z0, 1).kappa
+            edge = window_from_planes(z0, planes, 1).kappa
             assert vertex >= edge * (1 - 1e-12), (vertex, edge)
 
 
@@ -343,32 +343,34 @@ def test_dodec_series_zero_coset_vanishes(seed_dodec4):
 
 
 def test_dodec_series_safety_invariance(seed_dodec4):
+    # the series does not depend on the window's margin over the proof: the
+    # default window (SAFETY = 1.5) and one at safety 3, B doubled, agree
     mu = (Fraction(1, 4), 0, 0, 0)
-    s1 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3, safety=1.5)
-    s2 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3, safety=3.0)
+    s1 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3)
+    w = s1.window
+    wide = EnumWindow(z0=w.z0, B=2 * w.B, kappa=2 * w.kappa)
+    s2 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3, window=wide)
+    assert lattice.SAFETY == 1.5 and s2.window is wide
     assert s1.entries == s2.entries
     assert s1.flags == s2.flags
 
 
-def test_dodec_guard_band_retries_exhausted(seed_dodec4, monkeypatch):
+def test_dodec_unproved_window_raises(seed_dodec4, monkeypatch):
     # B = 2 about the default base plane: the P-supported x with Q = 9/8
-    # has (x,x)_{z0} ~ 2.30 and falls in the guard band (2, 12/5]
-    calls = []
+    # has (x,x)_{z0} ~ 2.30 and lies outside it, which the guard-band
+    # oracle sees and the exact proof refuses, with no second window
+    def small(z0):
+        return EnumWindow(z0=z0, B=Fraction(2), kappa=1.0)
 
-    def small(z0, safety):
-        return EnumWindow(z0=z0, B=Fraction(2), kappa=1.0, safety=safety)
+    def unused(*args, **kwargs):
+        raise AssertionError("a second window was certified")
 
-    def always_small(dodec, z0, nmax, safety=1.5):
-        calls.append((z0, safety))
-        return small(z0, safety)
-
-    monkeypatch.setattr(lattice, "certify_window", always_small)
     z0 = seed_dodec4.vertex_planes[0]
-    mu = (Fraction(1, 4), 0, 0, 0)
-    with pytest.raises(CertificationError):
-        dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 2,
-                     window=small(z0, 1.0))
-    assert calls == [(z0, s) for s in (2.0, 4.0, 8.0)]
+    coset = LatticeCoset(SP4, (Fraction(1, 4), 0, 0, 0))
+    assert guard_band_hits(seed_dodec4, coset, small(z0), 2)
+    monkeypatch.setattr(lattice, "certify_window", unused)
+    with pytest.raises(CertificationError, match="not proved for nmax = 2"):
+        dodec_series(coset, seed_dodec4, 2, window=small(z0))
 
 
 def test_dodec_window_grows_with_nmax(seed_dodec4):

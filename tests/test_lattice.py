@@ -16,13 +16,14 @@ from ngontheta.errfn import E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
                                EnumWindow, window_from_planes, certify_window,
                                enumerate_coset, enumerate_cosets,
-                               QExpansion, GUARD,
+                               QExpansion, SAFETY,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
                                _CompletionKernel,
                                CertificationError, _majorant_leq,
+                               _prove_window,
                                minimax_plane, _kappas, _majorants,
-                               _tail_estimate, _completion_sum, CosetRows)
+                               _tail_estimate, _completion_sum)
 from ngontheta import lattice
 from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
 from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
@@ -32,9 +33,10 @@ from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, OrientationError,
                              recover_ngon)
 
 from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
-                      butterfly_ngon, dodec_D_kernel, j0_value,
-                      majorant_exact, mat_det, mat_inv,
-                      negative_definite_vec, project_perp, reduced_forms)
+                      batch_ks, butterfly_ngon, dodec_D_kernel,
+                      guard_band_hits, j0_value, majorant_exact, mat_det,
+                      mat_inv, negative_definite_vec, project_perp,
+                      reduced_forms, window_proof_oracle)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -131,15 +133,15 @@ def test_enumeration_small_ball(space_e):
     # (x,x)_{z0} = 2|x|^2 on the diagonal lattice: B = 2 gives exactly the
     # origin and the six unit vectors
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(2),
-                        kappa=1.0, safety=1.0)
+                        kappa=1.0)
     batch = enumerate_coset(LatticeCoset(space_e), window)
-    got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
+    got = sorted(tuple(int(v) for v in row) for row in batch_ks(batch))
     want = sorted([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                    (0, 0, 1), (0, 0, -1)])
     assert got == want
     # B = 4 additionally admits the twelve two-coordinate vectors
-    window.B = Fraction(4)
-    assert enumerate_coset(LatticeCoset(space_e), window).inside.sum() == 19
+    window = EnumWindow(window.z0, B=Fraction(4), kappa=1.0)
+    assert len(enumerate_coset(LatticeCoset(space_e), window)) == 19
 
 
 def test_lattice_coset_rejects_wrong_length_mu(space_e):
@@ -153,10 +155,10 @@ def test_lattice_coset_rejects_wrong_length_mu(space_e):
 
 def test_enumeration_shifted_coset(space_e):
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(1, 2),
-                        kappa=1.0, safety=1.0)
+                        kappa=1.0)
     batch = enumerate_coset(LatticeCoset(space_e, (Fraction(1, 2), 0, 0)),
                             window)
-    got = sorted(tuple(int(v) for v in row) for row in batch.ks[batch.inside])
+    got = sorted(tuple(int(v) for v in row) for row in batch_ks(batch))
     assert got == [(-1, 0, 0), (0, 0, 0)]   # x = k + mu = (-1/2,0,0), (1/2,0,0)
 
 
@@ -202,7 +204,7 @@ def _fp_enumerate_recursive(m_exact, mu, bound):
     arr = np.array(cands, dtype=np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
     dmu, munum = _over_lcm(mu)
-    return arr[_majorant_leq(arr * dmu + munum, dmu, m_exact, bound)[0]]
+    return arr[_majorant_leq(arr * dmu + munum, dmu, m_exact, bound)]
 
 
 def _random_majorant(data, space_q3):
@@ -266,21 +268,20 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
         bound = data.draw(st.fractions(0, 12, max_denominator=64))
     assume(how != "row" or bound <= 40)
     # enumerate_coset reads only mu and the Gram of the coset, and only the
-    # majorant and B of the window; it enumerates up to GUARD * B = bound
-    # and splits the rows at B
+    # majorant and B of the window; it enumerates up to B = bound
     rows = enumerate_coset(
         SimpleNamespace(mu=mu, space=QuadraticSpace(
             [[int(i == j) for j in range(m)] for i in range(m)])),
-        SimpleNamespace(majorant=mat, B=bound / GUARD))
-    # rows.ks is k = x - mu for mu reduced into [0, 1); the reference's k
+        SimpleNamespace(majorant=mat, B=bound))
+    # batch_ks is k = x - mu for mu reduced into [0, 1); the reference's k
     # is x - mu for mu as drawn
-    got = rows.ks - np.array([math.floor(v) for v in mu], dtype=np.int64)
+    got = batch_ks(rows) - np.array([math.floor(v) for v in mu],
+                                    dtype=np.int64)
     want = _fp_enumerate_recursive(mat, mu, bound)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and got.shape[1] == m
     assert np.array_equal(got, want)
-    assert rows.inside.tolist() == [qform(k) <= bound / GUARD
-                                    for k in got.tolist()]
+    assert all(qform(k) <= bound for k in got.tolist())
     if how == "row":
         assert len(got)
 
@@ -313,7 +314,7 @@ def test_even_enumeration_folds_pm_pairs(space_q3, data):
     fold = np.array([all((2 * c).denominator == 1 for c in mu) for mu in mus])
     lead = full.xnum[np.arange(len(full)), np.argmax(full.xnum != 0, 1)]
     keep = ~fold[full.coset] | (lead >= 0)
-    for name in ("xnum", "inside", "xx_num", "coset"):
+    for name in ("xnum", "xx_num", "coset"):
         assert np.array_equal(getattr(half, name), getattr(full, name)[keep])
     nonzero = np.any(half.xnum != 0, axis=1)
     assert np.array_equal(half.mult, np.where(fold[half.coset] & nonzero,
@@ -357,14 +358,14 @@ def _band_bases():
 def test_band_enumeration_matches_filtered_full_enumeration():
     # the band batch of enumerate_coset(..., qmax) must hold exactly the rows
     # of the full batch with 0 <= Q(x) <= qmax, in the same order, with the
-    # same window split and norms; isotropic rows of cosets mu != 0 and
+    # same norms; isotropic rows of cosets mu != 0 and
     # rows on Q = qmax test both edges of the band
     signs, on_zero, on_top = set(), 0, 0
     band_rows = full_rows = raw_rows = 0
     for space, span, sign in _band_bases():
         signs.add(sign)
         window = EnumWindow(z0=NegativePlane(space, span), B=Fraction(40),
-                            kappa=1.0, safety=1.0)
+                            kappa=1.0)
         reps = disc_group(space)
         for mu in reps[:6] + [tuple(c + 2 for c in reps[-1])]:
             coset = LatticeCoset(space, mu)
@@ -375,10 +376,9 @@ def test_band_enumeration_matches_filtered_full_enumeration():
                 keep = np.array([0 <= q <= qmax for q in qs], dtype=bool)
                 band = enumerate_coset(coset, window, qmax=qmax)
                 raw_rows += len(lattice._fp_enumerate(
-                    window.majorant, [mu], window.B * GUARD,
+                    window.majorant, [mu], window.B,
                     (space.gram_f, float(qmax)))[1])
                 assert np.array_equal(band.xnum, full.xnum[keep])
-                assert np.array_equal(band.inside, full.inside[keep])
                 assert np.array_equal(band.xx_num, full.xx_num[keep])
                 on_zero += sum(q == 0 for q in qs) if any(mu) else 0
                 on_top += sum(q == qmax for q in qs) if qmax else 0
@@ -406,7 +406,7 @@ def _edge_kappa(ngon, z0, samples=64):
         vec_scale(s - 1, cs[j - 1]), vec_scale(s, cs[(j + 1) % n]))))
         for j in range(n)
         for s in (Fraction(i, samples + 1) for i in range(1, samples + 1))]
-    return window_from_planes(z0, planes, 1, safety=1.0).kappa
+    return window_from_planes(z0, planes, 1).kappa
 
 
 uhp = st.tuples(st.fractions(-3, 3, max_denominator=4),
@@ -432,7 +432,7 @@ def test_vertex_kappa_bounds_edge_samples(points, data):
             z0 = NegativePlane(SPACE_ABC, (cross(p, q1), cross(p, q2)))
         except ValueError:          # p, q1, q2 on one geodesic
             assume(False)
-    vertex = certify_window(ngon, z0, 1, safety=1.0).kappa
+    vertex = certify_window(ngon, z0, 1).kappa
     edge = _edge_kappa(ngon, z0)
     assert vertex >= edge * (1 - 1e-12), (vertex, edge)
 
@@ -453,9 +453,23 @@ def test_series_matches_class_number_oracle():
         assert series.coeff(n) == _truncated_oracle(2, n), n
 
 
-def test_series_safety_invariance():
-    s1 = truncated_class_series(2, 15, safety=1.5)
-    s2 = truncated_class_series(2, 15, safety=3.0)
+def _at_safety(window, safety):
+    """The window at another safety factor: kappa and B scaled by
+    safety / SAFETY, B kept on its grid of 1/64."""
+    return EnumWindow(window.z0, math.ceil(window.B * 64 * Fraction(
+        safety) / Fraction(SAFETY)) / Fraction(64), window.kappa * safety
+        / SAFETY)
+
+
+def test_series_safety_invariance(funddom):
+    # the series does not depend on the window's margin over the proof:
+    # the default window (SAFETY = 1.5) and one at safety 3 agree
+    s1 = truncated_class_series(2, 15)
+    wide = _at_safety(s1.window, 3.0)
+    assert wide.B == 2 * s1.window.B
+    s2 = holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 15,
+                            window=wide, normalized=True)
+    assert s2.window is wide
     assert s1.entries == s2.entries
     assert s1.flags == s2.flags
 
@@ -481,8 +495,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     got = kern.eval(batch, v)
     w = w_invariant(funddom)
     n = funddom.n
-    rows = [i for i in range(len(batch.xf)) if batch.inside[i]][:25]
-    for i in rows:
+    for i in range(min(25, len(batch))):
         q = float(batch.xx_num[i]) / batch.dmu ** 2 / 2.0
         amp = min(-2.0 * math.pi * v * q, 600.0)
         xs = batch.xf[i] * math.sqrt(2.0 * v)
@@ -530,7 +543,7 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
         assert joint.shape == (len(funddom_batch),)
         for i, batch in enumerate(alone):
             want = kern.eval(batch, v)
-            assert want.shape == (len(batch.inside),)
+            assert want.shape == (len(batch),)
             assert np.array_equal(joint[funddom_batch.coset == i], want)
         assert len(calls) == 1 + len(reps)
         pairs = calls[1:]
@@ -550,14 +563,24 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
         assert np.array_equal(np.concatenate(grouped), joint)
 
 
-def test_eval_batches_guard_rows_are_zero(funddom, funddom_batch):
+def test_eval_batches_hold_window_rows_only(funddom, funddom_window,
+                                            funddom_batch):
+    # a completion batch holds exactly the rows with (x,x)_{z0} <= B, no
+    # guard band: the B-window inside the 2B-window, decided by Fraction
+    # norms; every coset carries nonzero completed terms
     kern = _CompletionKernel(funddom)
     got = kern.eval(funddom_batch, 0.8)
-    inside = funddom_batch.inside
+    wide = enumerate_cosets(SPACE_ABC, disc_group(SPACE_ABC), EnumWindow(
+        funddom_window.z0, 2 * funddom_window.B, funddom_window.kappa))
+    mat = funddom_window.majorant
+    norms = [sum(x[i] * mat[i][j] * x[j] for i in range(3)
+                 for j in range(3)) for x in
+             ([Fraction(v, wide.dmu) for v in row] for row in wide.xnum)]
+    inside = np.array([n <= funddom_window.B for n in norms])
+    assert np.array_equal(funddom_batch.xnum, wide.xnum[inside])
+    assert np.any(~inside)
     for i in range(32):
-        rows = funddom_batch.coset == i
-        assert np.any(rows & ~inside) and np.any(got[rows & inside] != 0)
-    assert np.all(got[~inside] == 0)
+        assert np.any(got[funddom_batch.coset == i] != 0)
 
 
 def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
@@ -578,8 +601,8 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
         live[kern._row_terms(batch, v, math.sqrt(2.0 * v))[0]] = True
         amp = np.minimum(-2.0 * math.pi * v * batch.qf, lattice.AMP_CAP)
         small = bound * np.exp(amp) < math.exp(lattice.RHO_LOG_TOL)
-        assert np.array_equal(live, batch.inside & ~small)
-        skip = batch.inside & small
+        assert np.array_equal(live, ~small)
+        skip = small
         skipped += np.count_nonzero(skip)
         assert np.all(g[skip] == 0)
         assert np.all(np.abs(f[skip]) <= bound * np.exp(amp[skip]))
@@ -714,11 +737,12 @@ def test_minimax_plane_lowers_kappa(name, ratio):
     assert minimax_plane(planes).span == z0.span          # deterministic
     first = _plane_kappa(planes, planes[0])
     assert _plane_kappa(planes, z0) <= ratio * first
-    # the window's kappa is the same routine's, times the safety
+    # the window's kappa is the same routine's, times SAFETY
     window = completion_window(walls, 6)
     assert window.z0 is not planes[0]
-    assert window.kappa == 1.5 * _plane_kappa(planes, window.z0)
-    assert certify_window(walls, None, 6).kappa == 1.5 * first
+    assert SAFETY == 1.5
+    assert window.kappa == SAFETY * _plane_kappa(planes, window.z0)
+    assert certify_window(walls, None, 6).kappa == SAFETY * first
 
 
 def test_completion_window_invariance(funddom):
@@ -765,29 +789,36 @@ def test_folded_batch_matches_full_sum(funddom):
     assert folded == 8
 
 
-def _window_rows(batch):
-    """The batch without its guard-band rows."""
-    keep = batch.inside
-    mult = batch.mult[keep] if np.ndim(batch.mult) else batch.mult
-    return CosetRows(batch.xnum[keep], batch.dmu, batch.munum, keep[keep],
-                     batch.xx_num[keep], batch.coset[keep], mult=mult)
+def _tail_oracle(count, window, n_edges, v):
+    """2N * 4 * max(count, 1) (m/2) / B^{m/2} * Gamma(m/2) lam^{-m/2}
+    Q(m/2, lam B), lam = pi v / kappa, the tail of a coset holding `count`
+    vectors with (x,x)_{z0} <= B."""
+    import mpmath
+    m, b = window.z0.space.dim, float(window.B)
+    lam = math.pi * v / window.kappa
+    return float(8 * n_edges * max(count, 1) * (m / 2) / max(b, 1) ** (m / 2)
+                 * mpmath.gammainc(m / 2, lam * b) / lam ** (m / 2))
 
 
 def test_tail_estimate_counts_window_rows_only(funddom):
     # the density is calibrated against B^{m/2}, so only rows with
-    # (x,x)_{z0} <= B may count: the guard band up to GUARD * B leaves every
-    # tail unchanged, on full and on even (folded) batches
+    # (x,x)_{z0} <= B may count: every row of a completion batch lies in
+    # the window, and each coset's tail counts its vectors (a folded row
+    # twice) against the window's B, on full and on even (folded) batches
     window = completion_window(funddom, 6)
-    guard_rows = 0
+    mat = window.majorant
     for mu in disc_group(SPACE_ABC):
         full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
-        guard_rows += int(np.sum(~full.inside))
+        assert all(sum(x[i] * mat[i][j] * x[j] for i in range(3)
+                       for j in range(3)) <= window.B for x in
+                   ([Fraction(v, full.dmu) for v in row] for row in full.xnum))
         for batch in (full, enumerate_coset(LatticeCoset(SPACE_ABC, mu),
                                             window, even=True)):
-            assert np.array_equal(
-                _tail_estimate(batch, window, funddom.n, 0.95),
-                _tail_estimate(_window_rows(batch), window, funddom.n, 0.95))
-    assert guard_rows > 0
+            count = int(np.sum(np.broadcast_to(batch.mult, len(batch))))
+            assert count == len(full)
+            got = _tail_estimate(batch, window, funddom.n, 0.95)[0]
+            assert got == pytest.approx(
+                _tail_oracle(count, window, funddom.n, 0.95), rel=1e-12)
 
 
 def test_tail_estimate_of_an_empty_batch(funddom):
@@ -999,8 +1030,8 @@ def _batch_case(name, funddom, seed_dodec):
                  name]
     window = completion_window(walls, 1 if name in ("product", "split")
                                else 6)
-    if name == "empty":
-        window.B = Fraction(1, 2)
+    if name == "empty":     # B = 3/5: cosets 0, 1, 3, 8, 9, 24, 27 hold rows
+        window.B = Fraction(3, 5)
     return walls.space, window
 
 
@@ -1027,9 +1058,8 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
         assert s * alone.dmu == batch.dmu
         rows = batch.coset == i
         assert np.array_equal(batch.xnum[rows], alone.xnum * s)
-        assert np.array_equal(batch.inside[rows], alone.inside)
         assert np.array_equal(batch.xx_num[rows], alone.xx_num * s * s)
-        assert np.array_equal(batch.ks[rows], alone.ks)
+        assert np.array_equal(batch_ks(batch)[rows], batch_ks(alone))
         assert np.array_equal(batch.xf[rows], alone.xf)
         assert np.array_equal(batch.qf[rows], alone.qf)
         folded = enumerate_coset(LatticeCoset(space, mu), window, qmax,
@@ -1182,10 +1212,9 @@ def test_majorant_filter_matches_fraction_filter(data):
         bound = data.draw(st.fractions(-10, 10 ** 6, max_denominator=50))
     dmu, munum = _over_lcm(mu)
     xnum = np.array(rows, dtype=np.int64) * dmu + munum
-    got, norms, den = _majorant_leq(xnum, dmu, mat, bound)
+    got = _majorant_leq(xnum, dmu, mat, bound)
     assert got.dtype == bool
     assert list(got) == [qform(k) <= bound for k in rows]
-    assert [Fraction(int(q), den) for q in norms] == [qform(k) for k in rows]
 
 
 def _int_rows(data, m, lim, edge):
@@ -1297,23 +1326,19 @@ def test_sign_matrix_matches_signs(seed_dodec, data):
 
 
 def _row_loop_series(batch, signs, num, den, nmax):
-    """Reference: the per-row Fraction loop that the series driver replaced.
-    Returns (entries, flags, whether the guard band holds a supported x)."""
+    """Reference: the per-row Fraction loop that the series driver replaced,
+    over a window's rows.  Returns (entries, flags)."""
     regular = np.all(signs != 0, axis=1)
-    entries, flags, bad_guard = {}, set(), False
+    entries, flags = {}, set()
     for i in range(len(num)):
         qx = Fraction(int(batch.xx_num[i]), 2 * batch.dmu ** 2)
         if qx < 0 or qx > nmax:
-            continue
-        if not batch.inside[i]:
-            if num[i] != 0 and batch.xx_num[i] != 0:
-                bad_guard = True
             continue
         if not regular[i] and qx > 0:
             flags.add(qx)
         if num[i] != 0:
             entries[qx] = entries.get(qx, 0) + Fraction(int(num[i]), den)
-    return dict(sorted(entries.items())), flags, bad_guard
+    return dict(sorted(entries.items())), flags
 
 
 def _eps_num(ngon, signs):
@@ -1369,9 +1394,11 @@ def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
     qe = series(coset, nmax)
     batch = enumerate_coset(coset, qe.window)
     signs = poly.sign_matrix(batch.xnum)
-    entries, flags, bad_guard = _row_loop_series(batch, signs, num(signs),
-                                                 den, Fraction(nmax))
-    assert not bad_guard and entries
+    entries, flags = _row_loop_series(batch, signs, num(signs), den,
+                                      Fraction(nmax))
+    assert entries
+    # the guard-band oracle: no supported x between B and 2B
+    assert guard_band_hits(poly, coset, qe.window, Fraction(nmax)) == []
     assert list(qe.entries.items()) == list(entries.items())
     assert [type(c) for c in qe.entries.values()] == \
         [int if den == 1 else Fraction] * len(entries)
@@ -1407,9 +1434,8 @@ def test_series_fold_matches_unfolded_sum(funddom, seed_dodec, monkeypatch):
             assert np.sum(half.mult) == len(full)
             assert 2 * len(half) - len(full) == int(not any(mu))
             signs = ngon.sign_matrix(full.xnum)
-            entries, flags, bad_guard = _row_loop_series(
-                full, signs, ngon.kernel(signs), 1, nmax)
-            assert not bad_guard
+            entries, flags = _row_loop_series(full, signs,
+                                              ngon.kernel(signs), 1, nmax)
             assert list(qe.entries.items()) == list(entries.items()), mu
             assert qe.flags == flags, mu
     assert cases == 16
@@ -1421,75 +1447,66 @@ def test_series_fold_matches_unfolded_sum(funddom, seed_dodec, monkeypatch):
                           enum(coset, qe.window, qmax=2).xnum)
 
 
-def _small_window(z0, safety):
+def _small_window(z0):
     # B = 9 about (E2, E3): the eps-supported x = (1, 1, 1) with Q = 3 has
-    # (x,x)_{z0} = 10 and falls in the guard band (9, 54/5]
-    return EnumWindow(z0=z0, B=Fraction(9), kappa=1.0, safety=safety)
+    # (x,x)_{z0} = 10 and lies outside it
+    return EnumWindow(z0=z0, B=Fraction(9), kappa=1.0)
 
 
 @pytest.mark.parametrize("mu", [None, (Fraction(1, 2), 0, 0),
                                 (Fraction(1, 4), Fraction(1, 2),
                                  Fraction(1, 4))])
 def test_window_split_is_exact(mu):
-    # the batch's inside mask is (x,x)_{z0} <= B exactly, with B set to the
-    # norm of an enumerated row so that some rows lie on the boundary
+    # the batch is the rows with (x,x)_{z0} <= B exactly: those of the
+    # 2B-window with Fraction norms <= B, with B set to the norm of an
+    # enumerated row so that some rows lie on the boundary
     coset = LatticeCoset(SPACE_ABC, mu)
     z0 = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
-    window = EnumWindow(z0=z0, B=Fraction(9), kappa=1.0, safety=1.0)
-    mat = window.majorant
+    mat = _small_window(z0).majorant
 
     def norms(batch):
         xs = [[Fraction(int(v), batch.dmu) for v in row] for row in batch.xnum]
         return [sum(x[i] * mat[i][j] * x[j] for i in range(3)
                     for j in range(3)) for x in xs]
 
-    window.B = sorted(norms(enumerate_coset(coset, window)))[10]
-    batch = enumerate_coset(coset, window)
+    b = sorted(norms(enumerate_coset(coset, _small_window(z0))))[10]
+    batch = enumerate_coset(coset, EnumWindow(z0=z0, B=b, kappa=1.0))
     got = norms(batch)
-    assert got.count(window.B) >= 1
-    assert batch.inside.dtype == bool
-    assert list(batch.inside) == [n <= window.B for n in got]
+    assert got.count(b) >= 1 and max(got) == b
+    wide = enumerate_coset(coset, EnumWindow(z0=z0, B=2 * b, kappa=1.0))
+    assert len(wide) > len(batch)
+    assert batch.xnum.tolist() == [row for row, n in zip(
+        wide.xnum.tolist(), norms(wide)) if n <= b]
 
 
-def test_guard_band_retry_keeps_base_plane(funddom):
+def test_unproved_window_raises(funddom, monkeypatch):
+    # B = 9 at nmax 6 proves nothing (B/(2 nmax) < 1), and the guard-band
+    # oracle finds eps-supported x beyond it: the series refuses the window
+    # before it enumerates anything, and certifies no other window
     coset = LatticeCoset(SPACE_ABC)
-    small = _small_window(Z0_ABC, 1.0)
-    batch = enumerate_coset(coset, small)
-    signs = funddom.sign_matrix(batch.xnum)
-    assert _row_loop_series(batch, signs, _eps_num(funddom, signs), 1,
-                            Fraction(6))[2]
-    qe = holomorphic_series(coset, funddom, 6, window=small)
-    want = holomorphic_series(
-        coset, funddom, 6,
-        window=certify_window(funddom, Z0_ABC, 6))
-    assert qe.entries == want.entries and qe.flags == want.flags
-    assert qe.window.z0 is Z0_ABC
-    assert qe.window.safety == 2 * small.safety
+    assert guard_band_hits(funddom, coset, _small_window(Z0_ABC), 6)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a window was certified or enumerated")
+
+    monkeypatch.setattr(lattice, "certify_window", unused)
+    monkeypatch.setattr(lattice, "enumerate_coset", unused)
+    with pytest.raises(CertificationError, match="series window B = 9 not "
+                       "proved for nmax = 6 at vertex plane 0"):
+        holomorphic_series(coset, funddom, 6, window=_small_window(Z0_ABC))
 
 
-def test_guard_band_retries_exhausted(funddom, monkeypatch):
-    calls = []
-
-    def always_small(ngon, z0, nmax, safety=1.5):
-        calls.append((z0, safety))
-        return _small_window(z0, safety)
-
-    monkeypatch.setattr(lattice, "certify_window", always_small)
-    with pytest.raises(CertificationError):
-        holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 6,
-                           window=_small_window(Z0_ABC, 1.0))
-    assert calls == [(Z0_ABC, s) for s in (2.0, 4.0, 8.0)]
-
-
-@pytest.mark.parametrize("safety", [0, -1, float("nan"), 0.5])
+@pytest.mark.parametrize("safety", [0, -1, 0.5, 0.99])
 def test_safety_below_one_is_rejected(funddom, seed_dodec, safety):
-    # below 1 the window falls short of the proven vertex kappa
-    msg = "safety must be a finite number >= 1"
-    with pytest.raises(ValueError, match=msg):
-        holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 6, safety=safety)
-    with pytest.raises(ValueError, match=msg):
-        dodec_series(LatticeCoset(seed_dodec.space), seed_dodec, 2,
-                     safety=safety)
+    # a window below the float kappa, 1% below it included, falls short of
+    # the vertex planes' lambda_max: the exact proof rejects it, for an
+    # N-gon and for a dodecahedron
+    for walls, series, nmax in ((funddom, holomorphic_series, 6),
+                                (seed_dodec, dodec_series, 3)):
+        coset = LatticeCoset(walls.space)
+        low = _at_safety(certify_window(walls, None, nmax), safety)
+        with pytest.raises(CertificationError, match="not proved"):
+            series(coset, walls, nmax, window=low)
 
 
 def test_vertex_planes_built_once(monkeypatch, seed_dodec):
@@ -1624,6 +1641,49 @@ def test_validated_cells_have_negative_vertex_spans(kind, funddom, space_q3):
 
     check()
     assert len(cells) >= 100
+
+
+@pytest.mark.parametrize("kind", ["recovered", "product", "padded", "dodec"])
+def test_window_proof_matches_majorant_oracle(kind, funddom, space_q3):
+    # on both sides of the float kappa, at B = kappa_f (1 -+ 1e-7) 2 nmax,
+    # the q x q proof agrees with the m x m majorant oracle of
+    # tests/conftest.py, refusing below and passing above, about the first
+    # vertex plane and about minimax_plane; above, the guard-band oracle
+    # finds no kernel-supported x with 0 < Q <= nmax between B and 2B
+    cells = set()
+
+    @settings(max_examples={"recovered": 100, "product": 120,
+                            "padded": 120, "dodec": 80}[kind],
+              deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        try:
+            cell = _drawn_cell(kind, data, funddom, space_q3)
+        except ValueError:
+            return
+        cells.add(cell.cs)
+        planes = cell.vertex_planes
+        z0 = planes[0] if data.draw(st.booleans(), label="first") \
+            else minimax_plane(planes)
+        nmax = Fraction(data.draw(st.integers(
+            1, 8 if kind == "recovered" else 2), label="nmax"))
+        kf = float(np.max(_kappas(_majorants([z0])[0], _majorants(planes))))
+        for f, proved in ((1 - 1e-7, False), (1 + 1e-7, True)):
+            window = EnumWindow(z0, Fraction(kf * f) * 2 * nmax, kf * f)
+            assert window_proof_oracle(cell, z0, window.B, nmax) == proved
+            try:
+                _prove_window(window, cell, nmax)
+            except CertificationError:
+                assert not proved
+            else:
+                assert proved
+        reps = disc_group(cell.space)
+        mu = reps[data.draw(st.integers(0, len(reps) - 1), label="coset")]
+        assert guard_band_hits(cell, LatticeCoset(cell.space, mu), window,
+                               nmax) == []
+
+    check()
+    assert len(cells) >= 50
 
 
 def test_frames_built_once_and_stack_plane_frames(monkeypatch, seed_dodec):

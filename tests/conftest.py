@@ -228,6 +228,15 @@ def guard_band_hits(walls, coset, window, nmax):
     return hits
 
 
+def window_at_safety(window, safety):
+    """The window at another safety factor: kappa and B scaled by
+    safety / SAFETY, B rounded up on its grid of 1/64."""
+    from ngontheta.lattice import SAFETY, EnumWindow
+    scale = Fraction(safety) / Fraction(SAFETY)
+    return EnumWindow(window.z0, Fraction(math.ceil(window.B * 64 * scale),
+                                          64), window.kappa * float(scale))
+
+
 def batch_ks(batch):
     """The integer rows k = x - mu of a CosetRows, mu reduced into [0, 1)."""
     return (batch.xnum - batch.munum[batch.coset]) // batch.dmu

@@ -22,7 +22,7 @@ from ngontheta import jsonio
 
 from conftest import (SPACE_E, batch_ks, butterfly_ngon, cyclic_equal,
                       dodec_violations, random_negative_abc, recipe_step,
-                      reduced_forms)
+                      reduced_forms, window_at_safety)
 
 SQUARE = [(-1, 1), (1, 1), (Fraction(3, 2), 3), (Fraction(-3, 2), 3)]
 
@@ -256,19 +256,20 @@ def test_criterion_08_enumeration_certification():
     g = validate(space, cs)
     coset = LatticeCoset(space)
     s1 = holomorphic_series(coset, g, 20)
-    s2 = holomorphic_series(coset, g, 20, window=_doubled(s1.window))
+    s2 = holomorphic_series(coset, g, 20,
+                            window=window_at_safety(s1.window, 3.0))
     assert s1.entries == s2.entries and s1.flags == s2.flags
     dspace, dcs = jsonio.load_dodec_file(str(EXAMPLES / "dodec_seed.json"))
     from ngontheta.dodec import validate_dodec, dodec_series
     dd = validate_dodec(dspace, dcs)
     d1 = dodec_series(LatticeCoset(dspace), dd, 2)
-    d2 = dodec_series(LatticeCoset(dspace), dd, 2, window=_doubled(d1.window))
+    d2 = dodec_series(LatticeCoset(dspace), dd, 2,
+                      window=window_at_safety(d1.window, 3.0))
     assert d1.entries == d2.entries and d1.flags == d2.flags
     # a window 1% below the float kappa is refused
     for qe, walls, series in ((s1, g, holomorphic_series),
                               (d1, dd, dodec_series)):
-        w = qe.window
-        low = EnumWindow(z0=w.z0, B=w.B * Fraction(99, 150), kappa=1.0)
+        low = window_at_safety(qe.window, 0.99)
         with pytest.raises(CertificationError):
             series(LatticeCoset(walls.space), walls, qe.nmax, window=low)
     # the B = 4 window about the base plane holds exactly 7 vectors
@@ -282,11 +283,6 @@ def test_criterion_08_enumeration_certification():
     assert elapsed < 10.0, elapsed
     _report(8, "proved windows; safety-doubling invariance; 1% below "
                "refused; B=4 window holds 7 vectors")
-
-
-def _doubled(window):
-    """The window at twice its safety: B and kappa doubled."""
-    return EnumWindow(z0=window.z0, B=2 * window.B, kappa=2 * window.kappa)
 
 
 def test_criterion_09_dodecahedron(space_q3, seed_dodec):

@@ -21,6 +21,7 @@ from ngontheta.cli import main
 from conftest import (EXAMPLES, REPO, check_dodec_conditions_vec,
                       cyclic_equal, dodec_D_kernel, dodec_D_vec, dodec_violations, face_w_vec,
                       guard_band_hits, outcome, project_perp, recipe_step,
+                      window_at_safety,
                       regular_negative_vector_vec)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
@@ -347,10 +348,9 @@ def test_dodec_series_safety_invariance(seed_dodec4):
     # default window (SAFETY = 1.5) and one at safety 3, B doubled, agree
     mu = (Fraction(1, 4), 0, 0, 0)
     s1 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3)
-    w = s1.window
-    wide = EnumWindow(z0=w.z0, B=2 * w.B, kappa=2 * w.kappa)
+    wide = window_at_safety(s1.window, 3.0)
     s2 = dodec_series(LatticeCoset(SP4, mu), seed_dodec4, 3, window=wide)
-    assert lattice.SAFETY == 1.5 and s2.window is wide
+    assert wide.B == 2 * s1.window.B and s2.window is wide
     assert s1.entries == s2.entries
     assert s1.flags == s2.flags
 

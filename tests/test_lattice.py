@@ -36,7 +36,7 @@ from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       batch_ks, butterfly_ngon, dodec_D_kernel,
                       guard_band_hits, j0_value, majorant_exact, mat_det,
                       mat_inv, negative_definite_vec, project_perp,
-                      reduced_forms, window_proof_oracle)
+                      reduced_forms, window_at_safety, window_proof_oracle)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -453,19 +453,11 @@ def test_series_matches_class_number_oracle():
         assert series.coeff(n) == _truncated_oracle(2, n), n
 
 
-def _at_safety(window, safety):
-    """The window at another safety factor: kappa and B scaled by
-    safety / SAFETY, B kept on its grid of 1/64."""
-    return EnumWindow(window.z0, math.ceil(window.B * 64 * Fraction(
-        safety) / Fraction(SAFETY)) / Fraction(64), window.kappa * safety
-        / SAFETY)
-
-
 def test_series_safety_invariance(funddom):
     # the series does not depend on the window's margin over the proof:
     # the default window (SAFETY = 1.5) and one at safety 3 agree
     s1 = truncated_class_series(2, 15)
-    wide = _at_safety(s1.window, 3.0)
+    wide = window_at_safety(s1.window, 3.0)
     assert wide.B == 2 * s1.window.B
     s2 = holomorphic_series(LatticeCoset(SPACE_ABC), funddom, 15,
                             window=wide, normalized=True)
@@ -1504,7 +1496,7 @@ def test_safety_below_one_is_rejected(funddom, seed_dodec, safety):
     for walls, series, nmax in ((funddom, holomorphic_series, 6),
                                 (seed_dodec, dodec_series, 3)):
         coset = LatticeCoset(walls.space)
-        low = _at_safety(certify_window(walls, None, nmax), safety)
+        low = window_at_safety(certify_window(walls, None, nmax), safety)
         with pytest.raises(CertificationError, match="not proved"):
             series(coset, walls, nmax, window=low)
 

@@ -173,7 +173,8 @@ def cone_dist2(u, b, rays):
     lower bound for a solid cone, whose nearest point can lie on a facet:
     E3's octant screen drops cones with real mass (open; the values of
     perfbench/refs/dodec_E.json carry it)."""
-    inside = np.all(np.einsum('...ij,...j->...i', b, u) >= -1e-12, axis=-1)
+    inside = functools.reduce(np.logical_and, np.moveaxis(
+        np.einsum('...ij,...j->...i', b, u) >= -1e-12, -1, 0))
     rays = rays / np.linalg.norm(rays, axis=-2, keepdims=True)
     proj = np.maximum(np.einsum('...i,...ij->...j', u, rays), 0.0)
     d = u[..., :, None] - proj[..., None, :] * rays
@@ -288,8 +289,9 @@ def E_frames(a, u):
     are one cone_sum over their 2^q cones, each weighted by its sign
     product.  A signed sum past 1 + SUM_SLACK raises."""
     margins = np.einsum('vij,vj->vi', a, u) / np.linalg.norm(a, axis=2)
-    out = np.prod(np.sign(margins), axis=1)
-    slow = np.flatnonzero(np.min(np.abs(margins), axis=1) < FAST_MARGIN)
+    out = functools.reduce(np.multiply, np.sign(margins).T)
+    slow = np.flatnonzero(functools.reduce(np.minimum, np.abs(margins).T)
+                          < FAST_MARGIN)
     if not slow.size:
         return out
     sign = np.prod(SIGNS[:2 ** a.shape[1], 3 - a.shape[1]:], axis=1)

@@ -16,12 +16,13 @@ series proves exactly that B/(2 nmax) bounds it at each vertex plane
 and dodecahedra share this path: their vertex tables give the vertex planes
 and sign kernels.  Series take the first vertex plane as base plane,
 completions minimax_plane, whose lower kappa shrinks their windows (there B
-is a truncation).  enumerate_cosets returns one row batch (CosetRows) of
-any number of cosets, enumerate_coset that of one, and the signs of
-(x, C_j) come from the wall collection's sign_matrix on the batch's integer
-rows.  The kernels vanish on nonzero vectors of norm <= 0, so a series
-batch holds only the window's rows with 0 <= Q(x) <= nmax; a completion
-batch holds the whole window.
+is a truncation); the proof and the enumeration read the base plane's
+cached exact data, NegativePlane.core and .majorant.  enumerate_cosets
+returns one row batch (CosetRows) of any number of cosets, enumerate_coset
+that of one; the signs of (x, C_j) come from the wall collection's
+sign_matrix on its integer rows.  The kernels vanish on nonzero vectors of
+norm <= 0, so a series batch holds only the window's rows with 0 <= Q(x)
+<= nmax; a completion batch holds the whole window.
 
 The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
@@ -43,8 +44,7 @@ import numpy as np
 
 from .errfn import SIGNS, cone_sum
 from .ngon import w_invariant
-from .qspace import (NegativePlane, _charpoly, _over_lcm, _row_norms, rat,
-                     vec)
+from .qspace import NegativePlane, _charpoly, _over_lcm, _row_norms, rat, vec
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
@@ -98,28 +98,11 @@ def disc_group(space):
             if y not in seen:
                 seen.add(y)
                 todo.append(y)
-    reps = sorted(tuple(Fraction(v, d) for v in row) for row in seen)
+    # one denominator d: the integer rows sort as their Fraction rows
+    frac = [Fraction(v, d) for v in range(d)]
+    reps = [tuple(map(frac.__getitem__, row)) for row in sorted(seen)]
     assert len(reps) == d, "dual group size must equal |det|"
     return reps
-
-
-def _span_core(space, span):
-    """(g, det n, adj n) of int_core's integer rows g and Gram n of a span."""
-    _, g, n = space.int_core([vec(v) for v in span])
-    c, adj = _charpoly(n)
-    return g, (-1) ** len(n) * c[-1], adj
-
-
-def majorant_matrix(space, z0_span, core=None):
-    """Exact positive-definite matrix M with x^T M x = (x,x)_{z0}:
-    M = G - 2 (G S) (S^T G S)^{-1} (G S)^T for the span S of z0, computed
-    as (det(n) gi - 2 g adj(n) g^T) / (den det(n)) from the span's
-    _span_core, or the `core` given."""
-    g, det, adj = core or _span_core(space, z0_span)
-    k, m = len(g), space.dim
-    return [[Fraction(det * space._gi[i][j] - 2 * sum(
-        g[a][i] * adj[a][b] * g[b][j] for a in range(k) for b in range(k)),
-        space._den * det) for j in range(m)] for i in range(m)]
 
 
 @dataclass
@@ -127,16 +110,6 @@ class EnumWindow:
     z0: NegativePlane
     B: Fraction
     kappa: float
-
-    @cached_property
-    def core(self):
-        """_span_core of the base plane, built on first use."""
-        return _span_core(self.z0.space, self.z0.span)
-
-    @cached_property
-    def majorant(self):
-        """Exact matrix of (x,x)_{z0}, built on first use."""
-        return majorant_matrix(self.z0.space, self.z0.span, self.core)
 
 
 def _majorants(planes):
@@ -223,7 +196,7 @@ def _prove_window(window, walls, nmax):
     if nmax <= 0:       # only x = 0 counts, and every window holds it
         return
     kappa = Fraction(window.B) / (2 * nmax)
-    kn, kd, (_, det, adj) = kappa.numerator, kappa.denominator, window.core
+    kn, kd, (*_, det, adj) = kappa.numerator, kappa.denominator, window.z0.core
     v = walls.vertices
     p = np.array([walls.pairings(s) for s in window.z0.span], object).T[v]
     pap = p @ np.array(adj, dtype=object) @ p.transpose(0, 2, 1)
@@ -268,25 +241,26 @@ class CosetRows:
         return self.xx_num.astype(float) / self.dmu ** 2 / 2.0
 
 
-def _fp_enumerate(m_exact, mus, bound, band=None, fold=None):
+def _fp_enumerate(majorant, mus, bound, band=None, fold=None):
     """Coset index c and int64 rows k, sorted by c and then lexicographically,
     that contain every integer vector with (k+mu_c)^T M (k+mu_c) <= bound,
-    mu_c in mus (rows of rationals or floats): float Fincke-Pohst bounds
-    with padding, which an exact filter then decides; with band = (float
-    Gram, qmax), only those with 0 <= Q <= qmax; where fold[c], only x = 0
-    and the x whose first nonzero coordinate is positive.  The search runs
-    level-wise, coordinate i = 0 up to m-1, all cosets at once: each
-    partial row (k_0, ..., k_{i-1}) whose budget is at least -pad gets its
-    children k_i in its padded interval in increasing order, so the rows
-    are born sorted.  The last level's children are all kept, so the exact
-    filter alone decides the boundary.  A k_i range reaching K_MAX raises
-    ValueError before it is cast to int64, and a level of more than
-    ROWS_MAX rows before it is allocated."""
-    m = len(m_exact)
+    M = mi/dm for majorant = (mi, dm), mu_c in mus (rows of rationals or
+    floats): float Fincke-Pohst bounds with padding, which an exact filter
+    then decides; with band = (float Gram, qmax), only those with 0 <= Q <=
+    qmax; where fold[c], only x = 0 and the x whose first nonzero coordinate
+    is positive.  The search runs level-wise, coordinate i = 0 up to m-1,
+    all cosets at once: each partial row (k_0, ..., k_{i-1}) whose budget is
+    at least -pad gets its children k_i in its padded interval in increasing
+    order, so the rows are born sorted.  The last level's children are all
+    kept, so the exact filter alone decides the boundary.  A k_i range
+    reaching K_MAX raises ValueError before it is cast to int64, and a level
+    of more than ROWS_MAX rows before it is allocated."""
+    mi, dm = majorant
+    m = len(mi)
     muf = np.array(mus, dtype=float)
     bf = float(bound)
     # q(x) = sum_i d_i (x_i + sum_{j<i} l_ij x_j)^2, i eliminated downward
-    a = np.array([[float(v) for v in row] for row in m_exact])
+    a = np.array([[v / dm for v in row] for row in mi])    # correctly rounded
     dvec, lmat = np.empty(m), np.zeros((m, m))
     for i in range(m - 1, -1, -1):
         dvec[i] = a[i, i]
@@ -362,12 +336,11 @@ def _outward(ylo, yhi, lo, hi):
             np.minimum(hi, np.floor(yhi + 1e-9 * (1.0 + abs(yhi)))))
 
 
-def _majorant_leq(xnum, dmu, m_exact, bound):
-    """Exact mask of the rows x = xnum/dmu with x^T M x <= bound, M = mi/dm:
-    xnum^T mi xnum <= floor(bound dm dmu^2)."""
-    dm = math.lcm(*(v.denominator for row in m_exact for v in row))
-    q = _row_norms(xnum, [[int(v * dm) for v in row] for row in m_exact])
-    return q <= math.floor(Fraction(bound) * dm * dmu * dmu)
+def _majorant_leq(xnum, dmu, majorant, bound):
+    """Exact mask of the rows x = xnum/dmu with x^T M x <= bound, M = mi/dm
+    for majorant = (mi, dm): xnum^T mi xnum <= floor(bound dm dmu^2)."""
+    mi, dm = majorant
+    return _row_norms(xnum, mi) <= math.floor(Fraction(bound) * dm * dmu * dmu)
 
 
 def _numerators(mus):
@@ -389,13 +362,14 @@ def enumerate_cosets(space, mus, window, qmax=None, even=False):
     d, munum = _numerators(mus)
     band = None if qmax is None else (space.gram_f, float(qmax))
     fold = ~np.any(2 * munum % d, axis=1) if even else None    # 2 mu in L
-    c, ks = _fp_enumerate(window.majorant, munum / d, window.B, band, fold)
+    c, ks = _fp_enumerate(window.z0.majorant, munum / d, window.B, band, fold)
     xnum = ks * d + munum[c]
-    keep = _majorant_leq(xnum, d, window.majorant, window.B)
+    keep = _majorant_leq(xnum, d, window.z0.majorant, window.B)
     xx_num = _row_norms(xnum, space._gi)           # 2 d^2 Q(x)
     if qmax is not None:
         keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * d**2 * rat(qmax)))
-    mult = np.where(fold[c] & np.any(xnum, axis=1), 2, 1)[keep] if even else 1
+    mult = (np.where(fold[c] & reduce(np.logical_or, xnum.T != 0), 2, 1)[keep]
+            if even else 1)
     return CosetRows(xnum[keep], d, munum, xx_num=xx_num[keep],
                      coset=c[keep], mult=mult)
 
@@ -419,7 +393,7 @@ class QExpansion:
     den: int = 1
     flag_exps: list = ()
     window: EnumWindow = None
-    normalized: bool = False
+    normalized = property(lambda self: self.den == 4)
 
     @cached_property
     def entries(self):
@@ -454,7 +428,7 @@ def _certified_series(coset, walls, nmax, window, den):
     odd = reduce(np.logical_or, signs.T == 0)
     flags = sorted({e for e in batch.xx_num[odd].tolist() if e > 0})
     return QExpansion(coset.mu, nmax, 2 * batch.dmu ** 2, exps.tolist(),
-                      sums.tolist(), den, flags, window, den == 4)
+                      sums.tolist(), den, flags, window)
 
 
 def holomorphic_series(coset, ngon, nmax, window=None, normalized=False):

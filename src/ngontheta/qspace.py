@@ -5,13 +5,15 @@ exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
 The exact core is integer: a space keeps its Gram numerators over their lcm
 (and its signature from them), `inner` sums over the nonzero ones, `int_core`
-gives collections an integer Gram, and one Faddeev-LeVerrier routine,
-_charpoly, yields the signature, determinants, adjugates and the exact
-negative-definiteness test; negative_planes orthonormalizes a batch of
-planes at once.
+gives collections and planes an integer Gram, and one Faddeev-LeVerrier
+routine, _charpoly, yields signatures, determinants and adjugates; a
+NegativePlane runs it once, for its cached `core`, which its definiteness
+test, its integer `majorant` and the window proof read.  negative_planes
+orthonormalizes a batch of planes at once.
 """
 
 from fractions import Fraction
+from functools import cached_property
 import math
 import operator
 
@@ -181,17 +183,38 @@ class NegativePlane:
     """Oriented negative q-plane given by an ordered exact spanning basis:
     the one-plane batch of negative_planes.  Negative definiteness is
     decided exactly first: the span's int_core Gram, a positive diagonal
-    congruence of its Gram, must have every _charpoly coefficient > 0 (its
+    congruence of its Gram, must have every `core` coefficient > 0 (its
     roots are real, so all are negative); `ortho` satisfies (u_i, u_j) =
-    -delta_ij."""
+    -delta_ij.  `core` and `majorant` are cached on first use."""
 
     def __init__(self, space, span):
-        span = tuple(vec(s) for s in span)
-        if not all(c > 0 for c in _charpoly(space.int_core(span)[2])[0]):
+        vars(self).update(space=space, span=tuple(vec(s) for s in span))
+        if not all(c > 0 for c in self.core[1]):
             raise DegeneratePlaneError(
                 "span Gram matrix is not negative definite")
         vars(self).update(vars(
-            negative_planes(space, span, [range(len(span))])[0]))
+            negative_planes(space, self.span, [range(len(self.span))])[0]))
+
+    @cached_property
+    def core(self):
+        """(g, c, det n, adj n): the span's int_core rows g, and the
+        _charpoly coefficients c and adjugate of its integer Gram n."""
+        _, g, n = self.space.int_core(self.span)
+        c, adj = _charpoly(n)
+        return g, c, (-1) ** len(n) * c[-1], adj
+
+    @cached_property
+    def majorant(self):
+        """(mi, dm): M = G - 2 (G S) (S^T G S)^{-1} (G S)^T, (x,x)_z = x^T M x
+        for the span S, as integers mi over dm > 0: (det(n) gi - 2 g^T
+        adj(n) g) / (den det(n)) from `core`, over the gcd of all of them."""
+        g, _, det, adj = self.core
+        g = np.array(g, dtype=object)
+        mi = det * np.array(self.space._gi, dtype=object) \
+            - 2 * g.T @ np.array(adj, dtype=object) @ g
+        dm = self.space._den * det          # of the sign (-1)^k of det n
+        h = (-1) ** len(g) * math.gcd(dm, *mi.flat)
+        return (mi // h).tolist(), dm // h
 
 
 def negative_planes(space, cs, tuples):

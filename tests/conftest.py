@@ -18,8 +18,8 @@ from ngontheta.dodec import (DodecValidationError,  # noqa: E402
 from ngontheta.errfn import E_frames  # noqa: E402
 from ngontheta.ngon import (NGonValidationError, sgn, validate,  # noqa: E402
                             w_invariant)
-from ngontheta.qspace import (QuadraticSpace, rat, vec,  # noqa: E402
-                              vec_primitive, vec_scale)
+from ngontheta.qspace import (QuadraticSpace, _charpoly,  # noqa: E402
+                              rat, vec, vec_primitive, vec_scale)
 from ngontheta.sig12 import SPACE_ABC  # noqa: E402
 
 # Gram in the orthogonal e-basis e1 = [1/2, 0, 1/2], e2 = [0, 1, 0],
@@ -184,6 +184,27 @@ def majorant_dense(gram, span):
     return [[g[i][j] - 2 * sum(gs[i][a] * ni[a][b] * gs[j][b]
                                for a in range(q) for b in range(q))
              for j in range(m)] for i in range(m)]
+
+
+def majorant_matrix(space, span):
+    """The Fraction majorant that NegativePlane.majorant replaced: M = G -
+    2 (G S) (S^T G S)^{-1} (G S)^T for the span S, one Fraction per entry
+    (det(n) gi - 2 g adj(n) g^T) / (den det(n)) from the span's int_core
+    rows g and integer Gram n."""
+    _, g, n = space.int_core([vec(v) for v in span])
+    c, adj = _charpoly(n)
+    det, k, m = (-1) ** len(n) * c[-1], len(g), space.dim
+    return [[Fraction(det * space._gi[i][j] - 2 * sum(
+        g[a][i] * adj[a][b] * g[b][j] for a in range(k) for b in range(k)),
+        space._den * det) for j in range(m)] for i in range(m)]
+
+
+def int_majorant(mat):
+    """(mi, dm) of a Fraction matrix as _majorant_leq formed it before
+    planes owned their integer majorant: dm the lcm of the entries'
+    denominators, mi = mat * dm."""
+    dm = math.lcm(*(v.denominator for row in mat for v in row))
+    return [[int(v * dm) for v in row] for row in mat], dm
 
 
 def psd_by_minors(mat):

@@ -70,8 +70,7 @@ def test_qexpansion_to_json_shape():
     from ngontheta.lattice import QExpansion
     # n = e/8 with dmu = 2, c(n) = c/4: {1/2: 1/4, 2: 4}, flags {2}
     qe = QExpansion(mu=(0, Fraction(1, 2), 0), nmax=Fraction(3), qden=8,
-                    exps=[4, 16], nums=[1, 16], den=4, flag_exps=[16],
-                    normalized=True)
+                    exps=[4, 16], nums=[1, 16], den=4, flag_exps=[16])
     assert qe.entries == {Fraction(1, 2): Fraction(1, 4), Fraction(2): 4}
     assert qe.flags == {Fraction(2)}
     obj = qexpansion_to_json(qe)
@@ -113,8 +112,7 @@ def test_series_writers_match_fraction_oracle(data):
                for _ in range(3))
     qe = QExpansion(mu=mu, nmax=Fraction(data.draw(st.integers(0, 99)), 2),
                     qden=qden, exps=exps.tolist(), nums=sums.tolist(),
-                    den=den, flag_exps=flags[flags > 0].tolist(),
-                    normalized=den == 4)
+                    den=den, flag_exps=flags[flags > 0].tolist())
     # the views equal the Fraction dict and set built from the int64 arrays
     old_entries = {Fraction(int(e), qden): int(c) if den == 1 else
                    Fraction(int(c), den) for e, c in zip(exps, sums)}

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -334,6 +335,56 @@ def test_cone_dist2():
                      np.broadcast_to(rays, (4, 2, 2)))
     assert np.allclose(got, want, atol=1e-12)
     assert [cone_dist2(x, b, rays) for x in u] == list(got)
+
+
+def _cone_dist2_axis(u, b, rays):
+    """cone_dist2 with its inside test reduced by np.all over the last
+    axis, as it was before that reduction ran column by column."""
+    inside = np.all(np.einsum('...ij,...j->...i', b, u) >= -1e-12, axis=-1)
+    rays = rays / np.linalg.norm(rays, axis=-2, keepdims=True)
+    proj = np.maximum(np.einsum('...i,...ij->...j', u, rays), 0.0)
+    d = u[..., :, None] - proj[..., None, :] * rays
+    dd = np.einsum('...ij,...ij->...j', d, d)
+    best = functools.reduce(np.minimum, np.moveaxis(dd, -1, 0),
+                            np.einsum('...i,...i->...', u, u))
+    return np.where(inside, 0.0, best)[()]
+
+
+def test_column_reductions_match_axis_reductions(monkeypatch):
+    # cone_dist2's inside test and E_frames' sign product and least margin
+    # reduce column by column, bit for bit as numpy's reductions over the
+    # short last axis did: integer frames give exact zero margins, tiny
+    # centres margins about the -1e-12 tolerance, and the unbatched
+    # cone_dist2 the same values
+    from ngontheta import errfn
+    rng = np.random.default_rng(32)
+    slow_seen = []
+
+    def no_cone_sum(a, f, u, weight):
+        slow_seen.append(f)
+        return np.zeros(len(f))
+
+    monkeypatch.setattr(errfn, "cone_sum", no_cone_sum)
+    for q in (2, 3):
+        a = rng.integers(-2, 3, (3000, q, q)).astype(float)
+        a = a[np.abs(np.linalg.det(a)) > 0.5]
+        u = rng.integers(-2, 3, (len(a), q)) \
+            * rng.choice([1e-13, 1e-3, 1.0, 100.0], (len(a), 1))
+        want = _cone_dist2_axis(u, a, np.linalg.inv(a))
+        got = cone_dist2(u, a, np.linalg.inv(a))
+        assert np.array_equal(got, want) and 0 < np.sum(want == 0) < len(a)
+        assert [cone_dist2(x, b, r) for x, b, r in zip(
+            u[:200], a[:200], np.linalg.inv(a[:200]))] == list(want[:200])
+        margins = np.einsum('vij,vj->vi', a, u) / np.linalg.norm(a, axis=2)
+        slow = np.flatnonzero(np.min(np.abs(margins), axis=1) < FAST_MARGIN)
+        signs = np.prod(np.sign(margins), axis=1)
+        signs[slow] = 0.0
+        slow_seen.clear()
+        got = E_frames(a, u)
+        assert len(slow_seen) == 1 and np.array_equal(slow_seen[0], slow)
+        assert np.array_equal(got, signs)
+        assert np.array_equal(np.signbit(got), np.signbit(signs))
+        assert 0 < len(slow) < len(a) and np.any(signs == -1)
 
 
 def test_e1_continuity_across_wall():

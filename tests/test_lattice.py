@@ -13,8 +13,7 @@ from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
                               DegeneratePlaneError, negative_planes,
                               _over_lcm, _row_norms, vec, vec_add, vec_scale)
 from ngontheta.errfn import E2, cone_sum
-from ngontheta.lattice import (LatticeCoset, disc_group, majorant_matrix,
-                               EnumWindow, window_from_planes, certify_window,
+from ngontheta.lattice import (LatticeCoset, disc_group, EnumWindow, window_from_planes, certify_window,
                                enumerate_coset, enumerate_cosets,
                                QExpansion, SAFETY,
                                holomorphic_series, completion_eval,
@@ -34,8 +33,8 @@ from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, OrientationError,
 
 from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       batch_ks, butterfly_ngon, dodec_D_kernel,
-                      guard_band_hits, j0_value, majorant_exact, mat_det,
-                      mat_inv, negative_definite_vec, project_perp,
+                      guard_band_hits, int_majorant, j0_value,
+                      majorant_exact, majorant_matrix, mat_det, mat_inv, negative_definite_vec, project_perp,
                       reduced_forms, window_at_safety, window_proof_oracle)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
@@ -117,14 +116,16 @@ def test_coset_rejects_non_integral_gram():
 
 
 def test_majorant_matrix_matches_exact_form(space_abc):
+    # the plane's integer majorant mi/dm is the form (x,x)_{z0} exactly
     span = ((0, 1, 0), (Fraction(1, 2), 0, Fraction(-1, 2)))
-    m = majorant_matrix(space_abc, span)
+    mi, dm = NegativePlane(space_abc, span).majorant
     import random
     rng = random.Random(21)
     for _ in range(20):
         x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                   for _ in range(3))
-        quad = sum(x[i] * m[i][j] * x[j] for i in range(3) for j in range(3))
+        quad = sum(x[i] * mi[i][j] * x[j] for i in range(3)
+                   for j in range(3)) / dm
         exact, _ = majorant_exact(space_abc, x, span)
         assert quad == exact
 
@@ -204,7 +205,8 @@ def _fp_enumerate_recursive(m_exact, mu, bound):
     arr = np.array(cands, dtype=np.int64)
     arr = arr[np.lexsort(arr.T[::-1])]
     dmu, munum = _over_lcm(mu)
-    return arr[_majorant_leq(arr * dmu + munum, dmu, m_exact, bound)]
+    return arr[_majorant_leq(arr * dmu + munum, dmu, int_majorant(m_exact),
+                             bound)]
 
 
 def _random_majorant(data, space_q3):
@@ -238,6 +240,13 @@ def _random_majorant(data, space_q3):
              for j in range(m)] for i in range(m)]
 
 
+def _bare_window(mat, bound):
+    """The window enumerate_cosets reads: B and the base plane's (mi, dm)
+    of the Fraction matrix mat."""
+    return SimpleNamespace(z0=SimpleNamespace(majorant=int_majorant(mat)),
+                           B=bound)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_fp_enumerate_matches_recursion(space_q3, data):
@@ -268,11 +277,11 @@ def test_fp_enumerate_matches_recursion(space_q3, data):
         bound = data.draw(st.fractions(0, 12, max_denominator=64))
     assume(how != "row" or bound <= 40)
     # enumerate_coset reads only mu and the Gram of the coset, and only the
-    # majorant and B of the window; it enumerates up to B = bound
+    # base plane's majorant and B of the window; it enumerates up to B = bound
     rows = enumerate_coset(
         SimpleNamespace(mu=mu, space=QuadraticSpace(
             [[int(i == j) for j in range(m)] for i in range(m)])),
-        SimpleNamespace(majorant=mat, B=bound))
+        _bare_window(mat, bound))
     # batch_ks is k = x - mu for mu reduced into [0, 1); the reference's k
     # is x - mu for mu as drawn
     got = batch_ks(rows) - np.array([math.floor(v) for v in mu],
@@ -307,7 +316,7 @@ def test_even_enumeration_folds_pm_pairs(space_q3, data):
                             for i in range(m)])
     qmax = data.draw(st.one_of(st.none(), st.fractions(0, 6,
                                                        max_denominator=8)))
-    window = SimpleNamespace(majorant=mat, B=data.draw(
+    window = _bare_window(mat, data.draw(
         st.fractions(0, 10, max_denominator=16), label="B"))
     full = enumerate_cosets(space, mus, window, qmax)
     half = enumerate_cosets(space, mus, window, qmax, even=True)
@@ -376,7 +385,7 @@ def test_band_enumeration_matches_filtered_full_enumeration():
                 keep = np.array([0 <= q <= qmax for q in qs], dtype=bool)
                 band = enumerate_coset(coset, window, qmax=qmax)
                 raw_rows += len(lattice._fp_enumerate(
-                    window.majorant, [mu], window.B,
+                    window.z0.majorant, [mu], window.B,
                     (space.gram_f, float(qmax)))[1])
                 assert np.array_equal(band.xnum, full.xnum[keep])
                 assert np.array_equal(band.xx_num, full.xx_num[keep])
@@ -564,7 +573,7 @@ def test_eval_batches_hold_window_rows_only(funddom, funddom_window,
     got = kern.eval(funddom_batch, 0.8)
     wide = enumerate_cosets(SPACE_ABC, disc_group(SPACE_ABC), EnumWindow(
         funddom_window.z0, 2 * funddom_window.B, funddom_window.kappa))
-    mat = funddom_window.majorant
+    mat = majorant_matrix(SPACE_ABC, funddom_window.z0.span)
     norms = [sum(x[i] * mat[i][j] * x[j] for i in range(3)
                  for j in range(3)) for x in
              ([Fraction(v, wide.dmu) for v in row] for row in wide.xnum)]
@@ -798,7 +807,7 @@ def test_tail_estimate_counts_window_rows_only(funddom):
     # the window, and each coset's tail counts its vectors (a folded row
     # twice) against the window's B, on full and on even (folded) batches
     window = completion_window(funddom, 6)
-    mat = window.majorant
+    mat = majorant_matrix(SPACE_ABC, window.z0.span)
     for mu in disc_group(SPACE_ABC):
         full = enumerate_coset(LatticeCoset(SPACE_ABC, mu), window)
         assert all(sum(x[i] * mat[i][j] * x[j] for i in range(3)
@@ -1204,7 +1213,7 @@ def test_majorant_filter_matches_fraction_filter(data):
         bound = data.draw(st.fractions(-10, 10 ** 6, max_denominator=50))
     dmu, munum = _over_lcm(mu)
     xnum = np.array(rows, dtype=np.int64) * dmu + munum
-    got = _majorant_leq(xnum, dmu, mat, bound)
+    got = _majorant_leq(xnum, dmu, int_majorant(mat), bound)
     assert got.dtype == bool
     assert list(got) == [qform(k) <= bound for k in rows]
 
@@ -1454,7 +1463,7 @@ def test_window_split_is_exact(mu):
     # enumerated row so that some rows lie on the boundary
     coset = LatticeCoset(SPACE_ABC, mu)
     z0 = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
-    mat = _small_window(z0).majorant
+    mat = majorant_matrix(SPACE_ABC, z0.span)
 
     def norms(batch):
         xs = [[Fraction(int(v), batch.dmu) for v in row] for row in batch.xnum]
@@ -1743,3 +1752,122 @@ def test_mismatched_spaces_are_rejected(seed_dodec, monkeypatch):
                  lambda: dodec_series(LatticeCoset(sp4), seed_dodec, 4)):
         with pytest.raises(ValueError, match=msg):
             call()
+
+
+@pytest.mark.parametrize("kind", ["abc", "q3", "product", "dodec"])
+def test_plane_majorant_matches_fraction_majorant(kind, funddom, space_q3):
+    # NegativePlane.majorant is the Fraction majorant of tests/conftest.py
+    # as the integers _majorant_leq formed from it (over the lcm of its
+    # denominators), and each entry mi/dm, an int / int, is float(Fraction):
+    # on planes of SPACE_ABC, negative 3-spaces of signature (1,3), the
+    # (2,2) product's vertex planes and re-seeded dodecahedra's
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        if kind == "abc":
+            p, q1, q2 = (point_to_vector(data.draw(uhp)) for _ in range(3))
+            try:
+                planes = [NegativePlane(SPACE_ABC, (cross(p, q1),
+                                                    cross(p, q2)))]
+            except ValueError:          # p, q1, q2 on one geodesic
+                return
+        elif kind == "q3":
+            t = [data.draw(st.fractions(Fraction(-9, 16), Fraction(9, 16),
+                                        max_denominator=16)) for _ in range(3)]
+            planes = [NegativePlane(space_q3, [
+                [t[i]] + [int(j == i) for j in range(3)] for i in range(3)])]
+        else:
+            try:
+                planes = _drawn_cell(kind, data, funddom,
+                                     space_q3).vertex_planes
+            except ValueError:
+                return
+        for plane in planes:
+            mat = majorant_matrix(plane.space, plane.span)
+            mi, dm = plane.majorant
+            assert (mi, dm) == int_majorant(mat) and dm > 0
+            assert {type(v) for row in mi for v in row} | {type(dm)} == {int}
+            assert [[v / dm for v in row] for row in mi] \
+                == [[float(v) for v in row] for row in mat]
+
+    check()
+
+
+def test_plane_core_is_its_one_charpoly(monkeypatch, funddom):
+    # a plane runs _charpoly once, for its cached core: its window proof
+    # (whose one _charpoly stack is over the vertex planes' X_j) and its
+    # enumeration read that core and add no call for it; two class series
+    # about a fresh Z0_ABC build its core and its majorant once
+    from ngontheta import qspace, sig12
+    charpoly = qspace._charpoly
+    calls = {"plane": 0, "proof": 0}
+    built = {"core": [], "majorant": []}
+
+    def counting(key):
+        def counted(a):
+            calls[key] += 1
+            return charpoly(a)
+        return counted
+
+    for name in built:
+        prop = NegativePlane.__dict__[name]
+
+        def record(self, name=name, func=prop.func):
+            built[name].append(self)
+            return func(self)
+
+        counted_prop = cached_property(record)
+        counted_prop.__set_name__(NegativePlane, name)
+        monkeypatch.setattr(NegativePlane, name, counted_prop)
+    monkeypatch.setattr(qspace, "_charpoly", counting("plane"))
+    monkeypatch.setattr(lattice, "_charpoly", counting("proof"))
+    z0 = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
+    assert calls == {"plane": 1, "proof": 0} and built["core"] == [z0]
+    window = certify_window(funddom, z0, 6)
+    coset = LatticeCoset(SPACE_ABC)
+    qe = holomorphic_series(coset, funddom, 6, window=window)
+    assert calls == {"plane": 1, "proof": 1}
+    assert len(enumerate_coset(coset, window)) > len(qe.exps)
+    assert calls == {"plane": 1, "proof": 1}
+    assert built == {"core": [z0], "majorant": [z0]}
+    fresh = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
+    monkeypatch.setattr(sig12, "Z0_ABC", fresh)
+    first, second = (truncated_class_series(2, 6) for _ in range(2))
+    assert calls == {"plane": 2, "proof": 3}
+    assert built == {"core": [z0, fresh], "majorant": [z0, fresh]}
+    assert first.entries == second.entries == holomorphic_series(
+        coset, funddom, 6, window=window, normalized=True).entries
+
+
+def _disc_group_fraction_sort(space):
+    """disc_group as it sorted before: the closure of 0 under the columns of
+    d G^{-1} (by mat_inv), each row made a Fraction tuple, then sorted."""
+    gi = [[int(v) for v in row] for row in space.gram]
+    d = abs(int(mat_det(gi)))
+    gens = [tuple(int(v * d) % d for v in col) for col in zip(*mat_inv(gi))]
+    seen, todo = {(0,) * space.dim}, [(0,) * space.dim]
+    while todo:
+        x = todo.pop()
+        for y in (tuple((a + b) % d for a, b in zip(x, g)) for g in gens):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return sorted(tuple(Fraction(v, d) for v in row) for row in seen)
+
+
+def test_disc_group_matches_fraction_sort():
+    # sorting the integer rows d mu mod d and building each value's Fraction
+    # once gives the list, the order and the types that sorting Fraction
+    # tuples gave: diagonal and non-diagonal Grams up to |D| = 2,048
+    grams = [SPACE_ABC.gram, SPACE_E.gram, SPLIT_GRAM,
+             [[2, 1, 0], [1, -2, 1], [0, 1, -4]],
+             [[4, 1, 0, 0], [1, -6, 2, 0], [0, 2, -8, 1], [0, 0, 1, 10]],
+             [[2, 0, 0, 0], [0, -16, 0, 0], [0, 0, -8, 0], [0, 0, 0, 8]]]
+    rng = random.Random(32)
+    spaces = [QuadraticSpace(g) for g in grams]
+    spaces += [_random_integral_gram(rng) for _ in range(20)]
+    assert max(len(disc_group(s)) for s in spaces) == 2048
+    for space in spaces:
+        got = disc_group(space)
+        assert got == _disc_group_fraction_sort(space), space.gram
+        assert {type(v) for mu in got for v in mu} == {Fraction}

@@ -212,7 +212,7 @@ class NegativePlane:
         g = np.array(g, dtype=object)
         mi = det * np.array(self.space._gi, dtype=object) \
             - 2 * g.T @ np.array(adj, dtype=object) @ g
-        dm = self.space._den * det          # of the sign (-1)^k of det n
+        dm = self.space._den * det      # det n has the sign (-1)^k, k x k
         h = (-1) ** len(g) * math.gcd(dm, *mi.flat)
         return (mi // h).tolist(), dm // h
 

@@ -1,6 +1,6 @@
 """JSON/CSV serialization: rationals as "p/q" strings, floats as shortest
 round-trip decimals, one schema version field per file, deterministic
-formatting (byte-identical across runs and thread counts); parse_rational
+formatting (byte-identical from run to run); parse_rational
 reads ASCII integers and p/q with int(), other strings with Fraction.
 Series are written from QExpansion's integers, with one gcd per string."""
 

@@ -30,8 +30,9 @@ term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
 rho cone masses by their distance from the Gaussian centre.
 modularity_check evaluates its cosets as one batch, in one cone_sum call
-per Im tau.  N-gon kernels are even in x: series and completions take one
-x of each +-x pair (mult 2), modularity_check one coset of each +-mu pair.
+per Im tau.  A cell states whether its kernel is even in x (walls.even,
+true for every N-gon): then series and completions take one x of each +-x
+pair (mult 2), and modularity_check one coset of each +-mu pair.
 """
 
 import math
@@ -43,7 +44,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errfn import SIGNS, cone_sum
-from .ngon import w_invariant
 from .qspace import NegativePlane, _charpoly, _over_lcm, _row_norms, rat, vec
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
@@ -81,15 +81,13 @@ def disc_group(space):
     d above DISC_MAX is refused before any set is built."""
     if space._den != 1:
         raise ValueError("lattice Gram matrix must be integral")
-    m = space.dim
-    c, adj = _charpoly(space._gi)
-    det = (-1) ** m * c[-1]
-    d = abs(det)                          # d G^{-1} = sign(det) adj
+    _, det, adj = space.core
+    d = abs(det)                    # d G^{-1} = sign(det) adj, space.core
     if d > DISC_MAX:
         raise ValueError(f"discriminant group too large: |det G| = {d}, "
                          f"more than {DISC_MAX}")
     gens = [tuple(v * (d // det) % d for v in col) for col in zip(*adj)]
-    seen = {(0,) * m}
+    seen = {(0,) * space.dim}
     todo = list(seen)
     while todo:
         x = todo.pop()
@@ -412,13 +410,12 @@ def _certified_series(coset, walls, nmax, window, den):
     """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a proved window (by
     default certify_window's), where walls.kernel maps the exact sign matrix
     of the enumerated x (walls.sign_matrix) to integer numerators, times the
-    rows' mult if the level is even (NGon)."""
+    rows' mult if the kernel is even (walls.even: every NGon)."""
     _check_space(coset.space, walls)
     if window is None:
         window = certify_window(walls, None, nmax)
     _prove_window(window, walls, nmax)
-    even = walls.vertices.shape[1] % 2 == 0 and not any(walls.face_w)
-    batch = enumerate_coset(coset, window, qmax=nmax, even=even)
+    batch = enumerate_coset(coset, window, qmax=nmax, even=walls.even)
     signs = walls.sign_matrix(batch.xnum)
     num = walls.kernel(signs) * batch.mult
     exps, where = np.unique(batch.xx_num[num != 0], return_inverse=True)
@@ -456,7 +453,7 @@ class _CompletionKernel:
 
     def __init__(self, ngon):
         self.ngon = ngon
-        self.log_bound = math.log(abs(w_invariant(ngon)) + ngon.n)
+        self.log_bound = math.log(abs(ngon.level_at()) + ngon.n)
         a, b = ngon.vertices.T
         self.adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
         self.adj[a, b] = self.adj[b, a] = 1
@@ -498,7 +495,7 @@ class _CompletionKernel:
         ek = np.zeros(tmat.shape)
         ek[r, k] = -signs[r, k] * erfcx(math.sqrt(math.pi) * np.abs(tmat[r, k])) \
             * np.exp(np.minimum(lead[r, k], AMP_CAP))
-        vals += np.sum(coef * ek, axis=1)
+        vals += reduce(np.add, (coef * ek).T)
         # rho terms: signed Gaussian cone masses.  A cone with nonzero weight
         # flips every wall carrying a nonzero sign, so its distance from the
         # Gaussian center is at least the larger signed-wall margin: its
@@ -517,7 +514,7 @@ def completion_eval(coset, ngon, tau, nmax, window=None):
     _check_space(coset.space, ngon)
     if window is None:
         window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
-    batch = enumerate_coset(coset, window, even=True)
+    batch = enumerate_coset(coset, window, even=ngon.even)
     scaled = _CompletionKernel(ngon).eval(batch, tau.imag)
     return complex(_completion_sum(batch, scaled, tau)[0]), \
         _tail_estimate(batch, window, ngon.n, tau.imag)[0]
@@ -560,9 +557,6 @@ def _tail_estimate(batch, window, n_edges, v):
 #   theta_mu(-1/tau) = tau^{m/2} * (phase/sqrt|D|) * sum_nu e(+(mu,nu)) theta_nu(tau)
 # with phase = e((q-p)/8) for signature (p,q) and the principal branch of
 # tau^{m/2}.
-S_PAIRING_SIGN = +1
-
-
 def weil_matrices(space):
     """(reps, T diagonal, S matrix, negation index) of the finite quadratic
     module L∨/L; neg[i] is the index of -reps[i]."""
@@ -577,7 +571,7 @@ def weil_matrices(space):
                       for n in _row_norms(r, space._gi)])
     phase = cmath.exp(2j * math.pi * (q - p) / 8.0)
     pair = r @ np.array(space._gi, dtype=np.int64) @ r.T / (den * den)
-    s = np.exp(2j * math.pi * S_PAIRING_SIGN * pair)
+    s = np.exp(2j * math.pi * pair)
     s *= phase / math.sqrt(d)
     index = {row: i for i, row in enumerate(map(tuple, r.tolist()))}
     neg = [index[row] for row in map(tuple, (-r % den).tolist())]
@@ -612,7 +606,8 @@ def modularity_check(space, ngon, tau, nmax):
     kern = _CompletionKernel(ngon)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
-    batch = enumerate_cosets(space, [reps[i] for i in own], window, even=True)
+    batch = enumerate_cosets(space, [reps[i] for i in own], window,
+                             even=ngon.even)
     scaled = {}     # Im tau -> kernel values; tau, tau+1 share them
 
     def theta_vec(t):

@@ -8,8 +8,9 @@ A collection C_1..C_N of negative vectors is an N-gon when, for all j mod N:
 All checks are integer signs on the collection's Gram, built once per NGon;
 the collection also owns the pairings (x, C_j) and their signs.
 Its vertices are the pairs (j, j+1 mod N) and its face weights 0: level,
-kernel and vertex planes (one negative_planes batch) are _Walls', shared
-with dodecahedra.
+kernel, parity (`even`, true for an N-gon and false for a dodecahedron) and
+vertex planes (one negative_planes batch) are _Walls', shared with
+dodecahedra.
 """
 
 import functools
@@ -124,8 +125,11 @@ class _Walls:
         self._d, self._gc, self._gram = space.int_core(cs)
 
     def _set_cell(self, vertices, face_w):
-        """Fix the cell's vertices and face weights."""
+        """Fix the cell's vertices, face weights and parity: its kernel is
+        even in x when each vertex multiplies an even number of signs and
+        every face weight is 0 (x -> -x negates every sign)."""
         self.vertices, self.face_w = np.array(vertices), tuple(face_w)
+        self.even = self.vertices.shape[1] % 2 == 0 and not any(self.face_w)
         self._vertex_signs = [operator.itemgetter(*v) for v in vertices]
 
     @functools.cached_property

@@ -3,13 +3,13 @@
 All sign decisions downstream (kernels, polygon conditions) are made with
 exact rational arithmetic on top of this module; floating point appears only
 in majorant evaluation and in the orthonormalized bases used by quadrature.
-The exact core is integer: a space keeps its Gram numerators over their lcm
-(and its signature from them), `inner` sums over the nonzero ones, `int_core`
-gives collections and planes an integer Gram, and one Faddeev-LeVerrier
-routine, _charpoly, yields signatures, determinants and adjugates; a
-NegativePlane runs it once, for its cached `core`, which its definiteness
-test, its integer `majorant` and the window proof read.  negative_planes
-orthonormalizes a batch of planes at once.
+The exact core is integer: a space keeps its Gram numerators over their lcm,
+`inner` pairs over them, `int_core` gives collections and planes an integer
+Gram, and one Faddeev-LeVerrier routine, _charpoly, yields signatures,
+determinants and adjugates.  A space and a NegativePlane each run it once,
+for their `core`: the space's signature and discriminant group read it, and
+the plane's definiteness test, integer `majorant` and window proof.
+negative_planes orthonormalizes a batch of planes at once.
 """
 
 from fractions import Fraction
@@ -101,12 +101,11 @@ def _charpoly(a):
     return np.concatenate(c, -1).tolist(), ((-1) ** (m + 1) * mk).tolist()
 
 
-def _signature(a):
-    """Signature (p, q) of a symmetric integer matrix.  Its characteristic
-    polynomial (_charpoly) has only real roots, so Descartes' rule of signs
-    counts the positive and the negative eigenvalues exactly.  Raises on a
-    degenerate form."""
-    coef = _charpoly(a)[0]
+def _signature(coef):
+    """Signature (p, q) of a symmetric integer matrix from its _charpoly
+    coefficients.  Its characteristic polynomial has only real roots, so
+    Descartes' rule of signs counts the positive and the negative
+    eigenvalues exactly.  Raises on a degenerate form."""
     if coef[-1] == 0:
         raise ValueError("degenerate quadratic form")
 
@@ -121,6 +120,7 @@ class QuadraticSpace:
     """Rational symmetric bilinear form (x,y) = x^T G y with Q(x) = (x,x)/2.
 
     The Gram matrix carries the factor-of-2 convention: (x,x) = 2 Q(x).
+    G = _gi / _den, and core = (c, det, adj) of _gi from one _charpoly.
     """
 
     def __init__(self, gram):
@@ -130,14 +130,13 @@ class QuadraticSpace:
             raise ValueError("gram matrix must be square")
         self.gram = g
         self.dim = m
-        # integer core: G = gi / den, and (i, j, gi_ij) over the nonzero gi_ij
         self._den, gi = _over_lcm([v for row in g for v in row])
         self._gi = tuple(tuple(gi[i * m:i * m + m]) for i in range(m))
         if any(r != c for r, c in zip(self._gi, zip(*self._gi))):
             raise ValueError("gram matrix must be symmetric")
-        self._terms = tuple((i, j, v) for i, row in enumerate(self._gi)
-                            for j, v in enumerate(row) if v)
-        self.sig = _signature(self._gi)
+        c, adj = _charpoly(self._gi)
+        self.core = (c, (-1) ** m * c[-1], adj)
+        self.sig = _signature(c)
         self.gram_f = np.array([[v / self._den for v in r] for r in self._gi])
 
     def __repr__(self):
@@ -161,7 +160,7 @@ class QuadraticSpace:
             raise ValueError("dimension mismatch")
         dx, xn = _over_lcm(x)
         dy, yn = _over_lcm(y)
-        return Fraction(sum(g * xn[i] * yn[j] for i, j, g in self._terms),
+        return Fraction(_dot(xn, [_dot(r, yn) for r in self._gi]),
                         dx * dy * self._den)
 
     def q(self, x):

@@ -19,7 +19,7 @@ from ngontheta.errfn import E_frames  # noqa: E402
 from ngontheta.ngon import (NGonValidationError, sgn, validate,  # noqa: E402
                             w_invariant)
 from ngontheta.qspace import (QuadraticSpace, _charpoly,  # noqa: E402
-                              rat, vec, vec_primitive, vec_scale)
+                              _over_lcm, rat, vec, vec_primitive, vec_scale)
 from ngontheta.sig12 import SPACE_ABC  # noqa: E402
 
 # Gram in the orthogonal e-basis e1 = [1/2, 0, 1/2], e2 = [0, 1, 0],
@@ -84,6 +84,18 @@ def inner_dense(gram, x, y):
     m = len(gram)
     return sum((Fraction(x[i]) * Fraction(gram[i][j]) * Fraction(y[j])
                 for i in range(m) for j in range(m)), Fraction(0))
+
+
+def inner_sparse(space, x, y):
+    """(x, y) as QuadraticSpace.inner summed it before it paired over the
+    whole integer Gram: g x_i y_j over the nonzero entries (i, j, g) of
+    space._gi, over dx dy space._den."""
+    dx, xn = _over_lcm(x)
+    dy, yn = _over_lcm(y)
+    terms = [(i, j, g) for i, row in enumerate(space._gi)
+             for j, g in enumerate(row) if g]
+    return Fraction(sum(g * xn[i] * yn[j] for i, j, g in terms),
+                    dx * dy * space._den)
 
 
 def mat_inv(rows):

@@ -16,7 +16,8 @@ from ngontheta.dodec import (DodecValidationError, seed_construction,
                              validate_dodec)
 from ngontheta.jsonio import EXP_MAX, InputError, parse_rational, parse_vector
 from ngontheta.ngon import NGonValidationError, validate
-from ngontheta.qspace import QuadraticSpace, _signature, vec_add, vec_scale
+from ngontheta.qspace import (QuadraticSpace, _charpoly, _signature, vec_add,
+                              vec_scale)
 
 from conftest import (check_conditions_vec, check_dodec_conditions_vec,
                       dodec_D_vec, dodec_violations, face_w_vec,
@@ -141,18 +142,18 @@ def congruent_diagonals(draw):
 @given(case=congruent_diagonals(),
        scale=st.fractions(Fraction(1, 12), 12, max_denominator=12))
 def test_signature_of_congruent_diagonal(case, scale):
-    """_signature and QuadraticSpace read the signature of P^T D P off D;
-    a degenerate form raises.  The space's integer Gram is G = gi / den,
-    den the lcm of G's denominators."""
+    """_signature of the _charpoly coefficients and QuadraticSpace read the
+    signature of P^T D P off D; a degenerate form raises.  The space's
+    integer Gram is G = gi / den, den the lcm of G's denominators."""
     a, sig = case
     gram = [[scale * v for v in row] for row in a]
     if sig is None:
         with pytest.raises(ValueError, match="degenerate"):
-            _signature(a)
+            _signature(_charpoly(a)[0])
         with pytest.raises(ValueError, match="degenerate"):
             QuadraticSpace(gram)
         return
-    assert _signature(a) == sig
+    assert _signature(_charpoly(a)[0]) == sig
     space = QuadraticSpace(gram)
     assert space.sig == sig
     assert space._den == math.lcm(*(v.denominator for r in gram for v in r))

@@ -27,6 +27,7 @@ from ngontheta import lattice
 from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
 from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
                             epsilon, linking_number)
+from ngontheta import qspace
 from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, OrientationError,
                              fundamental_ngon, truncated_class_series,
                              recover_ngon)
@@ -1855,18 +1856,95 @@ def _disc_group_fraction_sort(space):
     return sorted(tuple(Fraction(v, d) for v in row) for row in seen)
 
 
+# lattice Grams of the discriminant-group and space-core tests, diagonal
+# and non-diagonal, with |D| from 8 to 2,048
+DISC_GRAMS = [SPACE_ABC.gram, SPACE_E.gram, SPLIT_GRAM,
+              [[2, 1, 0], [1, -2, 1], [0, 1, -4]],
+              [[4, 1, 0, 0], [1, -6, 2, 0], [0, 2, -8, 1], [0, 0, 1, 10]],
+              [[2, 0, 0, 0], [0, -16, 0, 0], [0, 0, -8, 0], [0, 0, 0, 8]]]
+
+
 def test_disc_group_matches_fraction_sort():
     # sorting the integer rows d mu mod d and building each value's Fraction
     # once gives the list, the order and the types that sorting Fraction
     # tuples gave, on diagonal and non-diagonal Grams up to |D| = 2,048,
     # beyond the reach of the index construction above
-    grams = [SPACE_ABC.gram, SPACE_E.gram, SPLIT_GRAM,
-             [[2, 1, 0], [1, -2, 1], [0, 1, -4]],
-             [[4, 1, 0, 0], [1, -6, 2, 0], [0, 2, -8, 1], [0, 0, 1, 10]],
-             [[2, 0, 0, 0], [0, -16, 0, 0], [0, 0, -8, 0], [0, 0, 0, 8]]]
-    spaces = [QuadraticSpace(g) for g in grams]
+    spaces = [QuadraticSpace(g) for g in DISC_GRAMS]
     assert max(len(disc_group(s)) for s in spaces) == 2048
     for space in spaces:
         got = disc_group(space)
         assert got == _disc_group_fraction_sort(space), space.gram
         assert {type(v) for mu in got for v in mu} == {Fraction}
+
+
+def test_space_core_is_its_one_charpoly(monkeypatch):
+    # a QuadraticSpace runs _charpoly once, at construction, for its core
+    # (c, det, adj) with det = (-1)^m c_m, which its signature and
+    # weil_matrices' discriminant group read; weil_matrices adds no call
+    charpoly = qspace._charpoly
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return charpoly(a)
+
+    monkeypatch.setattr(qspace, "_charpoly", counted)
+    monkeypatch.setattr(lattice, "_charpoly", counted)
+    for gram in DISC_GRAMS:
+        calls.clear()
+        space = QuadraticSpace(gram)
+        reps = weil_matrices(space)[0]
+        assert calls == [space._gi]
+        c, adj = charpoly(space._gi)
+        assert space.core == (c, (-1) ** space.dim * c[-1], adj)
+        assert space.core[1] == mat_det(gram) and abs(space.core[1]) \
+            == len(reps)
+
+
+def _parity_cell(name, funddom, seed_dodec, space_q3):
+    if name == "reseeded":
+        ts = [Fraction(7 * a % 12 - 5, 400) for a in range(12)]
+        return validate_dodec(space_q3, seed_construction(
+            space_q3, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            (1, 0, 0, 0), ts))
+    if name == "padded":
+        return _split_ngon(funddom, np.eye(4, dtype=int).tolist())
+    return {"funddom": funddom, "product": _product_4gon(),
+            "tilted": _tilted_polygon(funddom), "dodec": seed_dodec}[name]
+
+
+class _Recorded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["funddom", "product", "padded", "tilted",
+                                  "dodec", "reseeded"])
+def test_cell_parity_is_stated_once(name, funddom, seed_dodec, space_q3,
+                                    monkeypatch):
+    # walls.even is the parity rule the series driver stated inline: true
+    # for every N-gon, false for a dodecahedron (3 signs per vertex, face
+    # weights -1 and 3); the series, completion and modularity drivers hand
+    # enumerate_cosets the cell's even, flipped or not
+    walls = _parity_cell(name, funddom, seed_dodec, space_q3)
+    assert walls.even is (walls.vertices.shape[1] % 2 == 0
+                          and not any(walls.face_w))
+    assert walls.even is (name not in ("dodec", "reseeded"))
+    coset = LatticeCoset(walls.space)
+    drivers = [lambda: dodec_series(coset, walls, 2)] if not walls.even else [
+        lambda: holomorphic_series(coset, walls, 2),
+        lambda: completion_eval(coset, walls, complex(0.1, 1.0), 2),
+        lambda: modularity_check(walls.space, walls, complex(0.1, 1.0), 2)]
+    seen = []
+
+    def record(space, mus, window, qmax=None, even=False):
+        seen.append(even)
+        raise _Recorded
+
+    monkeypatch.setattr(lattice, "enumerate_cosets", record)
+    for even in (walls.even, not walls.even):
+        monkeypatch.setattr(walls, "even", even)
+        for driver in drivers:
+            seen.clear()
+            with pytest.raises(_Recorded):
+                driver()
+            assert seen == [even]

@@ -11,7 +11,7 @@ from ngontheta.qspace import (QuadraticSpace, NegativePlane,
                               DegeneratePlaneError, rat, vec, vec_primitive,
                               _charpoly)
 
-from conftest import (inner_dense, majorant_exact, majorant_float, mat_det,
+from conftest import (inner_dense, inner_sparse, majorant_exact, majorant_float, mat_det,
                       mat_inv, negative_definite_vec, project_perp)
 
 rationals = st.fractions(min_value=-20, max_value=20,
@@ -293,3 +293,34 @@ def test_signature_matches_eigenvalues(data):
     assume(np.min(np.abs(ev)) > 1e-9 * max(1.0, np.max(np.abs(ev))))
     assert QuadraticSpace(gram).sig == (int(np.sum(ev > 0)),
                                         int(np.sum(ev < 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inner_matches_sparse_sum(data):
+    """inner pairs over the whole integer Gram and returns the Fraction of
+    the sparse sum over its nonzero entries it replaced, on random rational
+    Grams with zero entries and vectors of ints and Fractions; a vector of
+    the wrong length still raises."""
+    m = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=5))
+    gram = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = data.draw(entry)
+    if mat_det(gram) == 0:
+        return
+    space = QuadraticSpace(gram)
+    coord = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.fractions(-20, 20, max_denominator=7))
+    x, y = (data.draw(st.lists(coord, min_size=m, max_size=m))
+            for _ in range(2))
+    got = space.inner(x, y)
+    assert type(got) is Fraction
+    assert got == inner_sparse(space, x, y) == inner_dense(gram, x, y)
+    assert space.inner(y, x) == got and space.q(x) == space.inner(x, x) / 2
+    bad = data.draw(st.lists(coord, max_size=m + 2).filter(
+        lambda v: len(v) != m))
+    for args in ((bad, y), (x, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            space.inner(*args)

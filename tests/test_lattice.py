@@ -1799,7 +1799,7 @@ def test_plane_core_is_its_one_charpoly(monkeypatch, funddom):
     # (whose one _charpoly stack is over the vertex planes' X_j) and its
     # enumeration read that core and add no call for it; two class series
     # about a fresh Z0_ABC build its core and its majorant once
-    from ngontheta import qspace, sig12
+    from ngontheta import sig12
     charpoly = qspace._charpoly
     calls = {"plane": 0, "proof": 0}
     built = {"core": [], "majorant": []}
@@ -1921,10 +1921,11 @@ class _Recorded(Exception):
                                   "dodec", "reseeded"])
 def test_cell_parity_is_stated_once(name, funddom, seed_dodec, space_q3,
                                     monkeypatch):
-    # walls.even is the parity rule the series driver stated inline: true
-    # for every N-gon, false for a dodecahedron (3 signs per vertex, face
-    # weights -1 and 3); the series, completion and modularity drivers hand
-    # enumerate_cosets the cell's even, flipped or not
+    # walls.even is the rule "an even number of signs per vertex and no
+    # nonzero face weight": true for every N-gon, false for a dodecahedron
+    # (3 signs per vertex, face weights -1 and 3); the series, completion
+    # and modularity drivers hand enumerate_cosets the cell's even, flipped
+    # or not
     walls = _parity_cell(name, funddom, seed_dodec, space_q3)
     assert walls.even is (walls.vertices.shape[1] % 2 == 0
                           and not any(walls.face_w))

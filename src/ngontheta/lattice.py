@@ -30,9 +30,10 @@ term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
 rho cone masses by their distance from the Gaussian centre.
 modularity_check evaluates its cosets as one batch, in one cone_sum call
-per Im tau.  A cell states whether its kernel is even in x (walls.even,
-true for every N-gon): then series and completions take one x of each +-x
-pair (mult 2), and modularity_check one coset of each +-mu pair.
+per Im tau and run of EVAL_ROWS rows, which bounds the temporaries.  A
+cell states whether its kernel is even in x (walls.even, true for every
+N-gon): then series and completions take one x of each +-x pair (mult 2),
+and modularity_check one coset of each +-mu pair.
 """
 
 import math
@@ -50,6 +51,7 @@ AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 K_MAX = 2.0 ** 53        # |k_i| beyond it: floats skip integers, int64 nears
 ROWS_MAX = 10 ** 7       # rows one enumeration level may hold
+EVAL_ROWS = 2 ** 17      # rows one completion kernel run may hold
 DISC_MAX = 4096          # |L'/L| the dense Weil matrices may have
 SAFETY = 1.5             # window_from_planes' factor on the float kappa
 BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
@@ -460,25 +462,27 @@ class _CompletionKernel:
 
     def eval(self, batch, v):
         """Kernel values times e^{-2 pi v Q} of the batch's rows at Im tau = v,
-        0 on skipped rows."""
+        0 on skipped rows; rows go in runs of at most EVAL_ROWS."""
         if v <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        live, vals, rows, pairs = self._row_terms(batch, v, math.sqrt(2.0 * v))
         out = np.zeros(len(batch))
-        out[live] = vals + np.bincount(
-            rows, cone_sum(self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL),
-            minlength=len(vals))
+        for lo in range(0, len(batch), EVAL_ROWS):
+            live, vals, rows, pairs = self._row_terms(
+                batch, v, math.sqrt(2.0 * v), lo, lo + EVAL_ROWS)
+            out[live] = vals + np.bincount(
+                rows, cone_sum(self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL),
+                minlength=len(vals))
         return out
 
-    def _row_terms(self, batch, v, scale):
-        """The indices `live` of the batch rows that pass the row bound,
+    def _row_terms(self, batch, v, scale, lo=0, hi=None):
+        """The indices `live` of the batch rows lo:hi that pass the row bound,
         their eps and wall terms, the live-row index of each (row, edge)
         pair that passes the rho screen, and the pairs' cone_sum arguments:
         edge, plane centre, quadrant weights and amp."""
         from scipy.special import erfcx
-        amp = np.minimum(-2.0 * math.pi * v * batch.qf, AMP_CAP)
-        live = np.flatnonzero(amp + self.log_bound >= RHO_LOG_TOL)
-        amp = amp[live]
+        amp = np.minimum(-2.0 * math.pi * v * batch.qf[lo:hi], AMP_CAP)
+        live = lo + np.flatnonzero(amp + self.log_bound >= RHO_LOG_TOL)
+        amp = amp[live - lo]
         _, proj, chat_g = self.ngon.frames
         signs = self.ngon.sign_matrix(batch.xnum[live])
         xf = batch.xf[live]

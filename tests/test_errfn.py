@@ -10,7 +10,8 @@ from scipy.integrate import quad, dblquad
 from scipy.special import erf, erfcx
 
 from ngontheta.qspace import QuadraticSpace
-from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN,
+from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN, FAR_NODES,
+                             GL_NODES,
                              QuadratureError, cone_mass_2d, cone_mass_3d,
                              cone_dist2, cone_sum, _orthant, _radial_1,
                              E_frames)
@@ -705,6 +706,105 @@ def test_cone_sum_matches_cone_loop():
     assert np.array_equal(cone_sum(a3, f3, u3, weight),
                           _cone_sum_loop(a3, f3, u3, weight, np.zeros(150),
                                          CONE_CUT)[0])
+
+
+def _cone_table_items(rng, rays, k):
+    """k item centres for a table of cones with ray columns rays (shape
+    (C, q, q)): row cone[i] for item i, and u = 0, a point on a ray, a point
+    inside, the point opposite it, or a random point, in turn."""
+    q = rays.shape[1]
+    cone = rng.integers(0, len(rays), k)
+    mix = rng.uniform(0.1, 3.0, (k, q))
+    inside = np.einsum('kij,kj->ki', rays[cone], mix)
+    u = np.stack([np.zeros((k, q)), rays[cone, :, 0] * mix[:, :1], inside,
+                  -inside, rng.normal(size=(k, q)) * 3.0])
+    return cone, u[np.arange(k) % 5, np.arange(k)]
+
+
+def test_cone_table_matches_per_item(monkeypatch):
+    # a table of cones read by index gives, bit for bit, what the same cones
+    # given one per item give: planar cones with rays in either order (so
+    # that those given clockwise are flipped), scalar and per-item amp, and
+    # more pieces than one block of node arrays holds, near side and far
+    import ngontheta.errfn as errfn
+    rng = np.random.default_rng(3401)
+    blocks = errfn._blocks
+    seen = []
+
+    def counted(k, p, nodes):
+        out = list(blocks(k, p, nodes))
+        seen.append((nodes, len(out)))
+        return out
+
+    monkeypatch.setattr(errfn, "_blocks", counted)
+    th = rng.uniform(-math.pi, math.pi, 12)
+    th2 = th + rng.uniform(0.01, math.pi - 0.01, 12) * rng.choice([-1, 1], 12)
+    g1 = rng.uniform(0.2, 5.0, (12, 1)) * np.stack([np.cos(th), np.sin(th)], 1)
+    g2 = rng.uniform(0.2, 5.0, (12, 1)) * np.stack([np.cos(th2), np.sin(th2)], 1)
+    flip = np.mod(th2 - th, 2.0 * math.pi) > math.pi
+    assert 0 < np.sum(flip) < 12
+    rays = np.stack([g1, g2], axis=2)
+    cone, u = _cone_table_items(rng, rays, 3000)
+    b = np.linalg.inv(rays)
+    got = cone_dist2(u, b, rays, cone=cone)
+    assert np.array_equal(got, cone_dist2(u, b[cone], rays[cone]))
+    assert np.sum(got == 0.0) > 1000 and np.sum(got > 0.0) > 1000
+    for amp in (0.0, rng.uniform(0.0, 300.0, 3000)):
+        seen.clear()
+        got = cone_mass_2d(u, g1, g2, amp, cone=cone)
+        assert [nodes for nodes, _ in seen] == [GL_NODES, FAR_NODES]
+        assert all(n > 1 for _, n in seen)
+        want = cone_mass_2d(u, g1[cone], g2[cone], amp)
+        assert np.array_equal(got, want) and np.sum(got > 1e-3) > 1000
+        a = np.broadcast_to(amp, (3000,))
+        assert [cone_mass_2d(u[i], g1[cone[i]], g2[cone[i]], a[i])
+                for i in range(10)] == list(got[:10])
+    # solid cones: the screen and the mass
+    b3 = np.array([_random_walls(rng) for _ in range(6)])
+    r3 = np.linalg.inv(b3)
+    cone, u = _cone_table_items(rng, r3, 400)
+    got = cone_dist2(u, b3, r3, cone=cone)
+    assert np.array_equal(got, cone_dist2(u, b3[cone], r3[cone]))
+    assert [cone_dist2(u[i], b3[cone[i]], r3[cone[i]])
+            for i in range(10)] == list(got[:10])
+    assert np.array_equal(cone_mass_3d(u[:60], b3, cone=cone[:60]),
+                          cone_mass_3d(u[:60], b3[cone[:60]]))
+
+
+def test_cone_sum_sets_up_each_cone_once(monkeypatch):
+    # one cone_sum call derives its planar cones' angles once per row of its
+    # table of F 2^q cones, not once per item, and makes one screen call
+    # and one cone-mass call
+    import ngontheta.errfn as errfn
+    rng = np.random.default_rng(3402)
+    rows, calls = [], []
+    cone_rays = errfn._cone_rays
+
+    def counted_rays(g1, g2):
+        rows.append(len(g1))
+        return cone_rays(g1, g2)
+
+    def counting(name):
+        fn = getattr(errfn, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(errfn, "_cone_rays", counted_rays)
+    for name in ("cone_dist2", "cone_mass_2d", "cone_mass_3d"):
+        monkeypatch.setattr(errfn, name, counting(name))
+    for q, frames, items in ((2, 5, 2000), (3, 4, 300)):
+        a = rng.normal(size=(frames, q, q))
+        f = rng.integers(0, frames, items)
+        u = rng.normal(size=(items, q))
+        rows.clear()
+        calls.clear()
+        got = cone_sum(a, f, u, np.ones((items, 2 ** q)))
+        assert calls == ["cone_dist2", f"cone_mass_{q}d"]
+        assert rows == ([frames * 4] if q == 2 else [])
+        assert np.all(np.abs(got - 1.0) < 1e-9)
 
 
 def test_cone_sum_empty_pool():

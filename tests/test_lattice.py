@@ -1113,6 +1113,52 @@ def test_modularity_check_is_one_batch(funddom, monkeypatch):
     assert got["s_defect"] == want["s_defect"]
 
 
+def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
+    # the completion kernel evaluates a batch in runs of at most EVAL_ROWS
+    # consecutive rows, one _row_terms and one cone_sum call each, and no
+    # run changes a bit: under a budget that cuts the batch between cosets
+    # and inside them, modularity_check and completion_eval give the values
+    # of one run per batch
+    tau = complex(0.1234, 0.95)
+    coset = LatticeCoset(SPACE_ABC, (Fraction(1, 4), 0, 0))
+    want = modularity_check(SPACE_ABC, funddom, tau, 6)
+    want_one = completion_eval(coset, funddom, tau, 6)
+    runs, cones = [], []
+    row_terms = _CompletionKernel._row_terms
+
+    def counted_rows(self, batch, v, scale, lo=0, hi=None):
+        out = row_terms(self, batch, v, scale, lo, hi)
+        hi = min(hi, len(batch))
+        runs.append((hi - lo, np.all((out[0] >= lo) & (out[0] < hi)),
+                     lo > 0 and batch.coset[lo - 1] == batch.coset[lo]))
+        return out
+
+    def counted_cone(*args, **kwargs):
+        cones.append(len(args[1]))
+        return cone_sum(*args, **kwargs)
+
+    monkeypatch.setattr(_CompletionKernel, "_row_terms", counted_rows)
+    monkeypatch.setattr(lattice, "cone_sum", counted_cone)
+    monkeypatch.setattr(lattice, "EVAL_ROWS", 97)
+    got = modularity_check(SPACE_ABC, funddom, tau, 6)
+    assert np.array_equal(got["theta"], want["theta"])
+    assert all(got[key] == want[key] for key in ("t_defect", "s_defect"))
+    rows = sum(n for n, _, _ in runs) // 2       # tau, -1/tau: two Im tau
+    assert len(runs) == len(cones) == 2 * math.ceil(rows / 97)
+    _check_runs(runs, 97)
+    runs.clear()
+    assert completion_eval(coset, funddom, tau, 6) == want_one
+    _check_runs(runs, 97)
+
+
+def _check_runs(runs, budget):
+    """Each run holds at most budget rows and its live rows alone; there is
+    more than one, and a cut between two of them falls inside a coset."""
+    assert len(runs) >= 2
+    assert all(rows <= budget and inside for rows, inside, _ in runs)
+    assert any(cut for _, _, cut in runs)
+
+
 def test_completion_approaches_holomorphic_part(funddom):
     # as v grows the completion tends to the holomorphic series plus the
     # v-independent x = 0 term (the Gaussian wall masses at the origin)

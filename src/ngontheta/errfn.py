@@ -9,14 +9,14 @@ frames: E2/E3 of one plane and dodec_E_kernel are one call each.
 cone_sum, shared by E_frames and the N-gon completion's rho terms, is the
 one weighted sum of their masses; it sets up a call's cones once, as one
 table that its screen and mass read by index.  A planar cone's mass is
-computed with the radial integral in closed form and, over the angular
-variable, fixed Gauss-Legendre nodes split at the peak (batched); a piece
-on the far side of the centre, where the integrand has no Gaussian factor
-in the angle, takes a shorter rule.  A solid cone's mass is a 1-D integral
-over one wall's normal coordinate, on fixed Gauss-Legendre nodes, of
-planar slice masses in closed form (a bivariate normal orthant probability
-by Owen's T function).  Values lie in [-1,1] and tend to the product of
-signs as x grows along a regular direction.
+computed with the radial integral in closed form; over the angle, its
+Gaussian term on u's side integrates in closed form too (a difference of
+erfc), and the smooth rest, which has no Gaussian factor in the angle,
+takes one short Gauss-Legendre rule (batched).  A solid cone's mass is a
+1-D integral over one wall's normal coordinate, on fixed Gauss-Legendre
+nodes, of planar slice masses in closed form (a bivariate normal orthant
+probability by Owen's T function).  Values lie in [-1,1] and tend to the
+product of signs as x grows along a regular direction.
 """
 
 import functools
@@ -31,11 +31,10 @@ SQPI = math.sqrt(math.pi)
 # beyond this sign-margin the Gaussian tail is < erfc(7.5*sqrt(pi)) ~ 1e-78
 FAST_MARGIN = 7.5
 CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
-GL_NODES = 64            # Gauss-Legendre nodes per monotone piece of a cone
-FAR_NODES = 24           # nodes per piece on the far side of the centre u
-CONE_BLOCK = 128 * GL_NODES  # node elements per block (bounds temporaries)
-# a piece of a cone ends where its Gaussian factor has fallen by e^{-46}
-# (~1e-20) from the piece's peak; the dropped remainder is smaller still
+FAR_NODES = 24           # nodes per part of a planar cone's smooth term
+CONE_BLOCK = 8192        # node elements per block (bounds temporaries)
+# a solid cone's 1-D range ends where its Gaussian factor has fallen by
+# e^{-46} (~1e-20) from its peak; the dropped remainder is smaller still
 PIECE_CUT = 46.0
 LINE_NODES = 24          # Gauss-Legendre nodes per piece of a solid cone
 WINDOW = 3.0             # slice distance spanned by a window at a fast change
@@ -55,18 +54,6 @@ def E1(space, c, x):
     return float(erf(SQPI * (np.asarray(x, dtype=float) @ space.gram_f @ und)))
 
 
-def _radial_1(e0, b):
-    """exp(e0) * exp(pi b^2) * I1(b) with I1(b) = integral_0^inf r exp(-pi (r-b)^2) dr,
-    computed without overflow for e0 <= ~700; elementwise on arrays.  With
-    1 + erf(t) = 2 - erfcx(t) e^{-t^2} for b >= 0 both signs of b share one
-    form; the bracket cancels only where its e^{-pi b^2} factor makes it
-    negligible (b > 0) or as in the direct erfcx form (b < 0)."""
-    from scipy.special import erfcx
-    ab = np.abs(b)
-    return np.exp(e0) * np.maximum(b, 0.0) + np.exp(e0 - np.pi * b * b) \
-        * (1.0 / (2.0 * np.pi) - ab / 2.0 * erfcx(SQPI * ab))
-
-
 @functools.cache
 def _gl_rule(n):
     """n-point Gauss-Legendre rule: its nodes s and weights w on [-1, 1],
@@ -79,13 +66,13 @@ def _gl_rule(n):
 
 def _cone_rays(g1, g2):
     """Per cone (rays g1, g2 of shape (C, 2)): unit rays e (C, 2, 2) in
-    counterclockwise order, the first one's angle th1 and the opening dth."""
+    counterclockwise order and the opening dth."""
     th1, th2 = np.arctan2(g1[:, 1], g1[:, 0]), np.arctan2(g2[:, 1], g2[:, 0])
     dth = np.mod(th2 - th1, 2.0 * np.pi)
     flip = dth > np.pi                  # order the rays counterclockwise
     e = np.where(flip[:, None, None], np.stack([g2, g1], 1), np.stack([g1, g2], 1))
     e /= np.linalg.norm(e, axis=2, keepdims=True)
-    return e, np.where(flip, th2, th1), np.where(flip, 2.0 * np.pi - dth, dth)
+    return e, np.where(flip, 2.0 * np.pi - dth, dth)
 
 
 def cone_mass_2d(u, g1, g2, amp=0.0, cone=None):
@@ -93,81 +80,77 @@ def cone_mass_2d(u, g1, g2, amp=0.0, cone=None):
     spanned by g1, g2 (angular extent < pi).  Batched: u may hold one item
     per row (shape (K, 2), amp scalar or (K,)), giving K masses; a single
     item gives a float.  Item k's cone is row cone[k] of the tables g1, g2
-    (shape (C, 2)), or row k without cone; the rays' order, angles and unit
+    (shape (C, 2)), or row k without cone; the rays' order, opening and unit
     vectors are derived once per table row (_cone_rays), the rest per item.
-    The angular integrand depends only on the angle from u: it peaks in the
-    direction of u and bottoms out opposite it.  Each cone is split there
-    into two monotone pieces; each piece is integrated from its peak end
-    outward, with the angle offset x = L t^2 and fixed Gauss-Legendre nodes
-    in t: GL_NODES of them on a piece that starts on u's side, where a
-    Gaussian factor in the angle sets the length (PIECE_CUT), and FAR_NODES
-    on a far-side piece (b <= 0 all along), whose integrand is e^{amp - pi
-    |u|^2} times a slowly varying erfcx term.  A cone whose rays both lie a
-    right angle or more from u, such as the completion's rho quadrant
-    opposite u when it is not obtuse, has only far-side pieces."""
+    In the direction at angle a from u, with b = |u| cos a and q = |u| sin
+    a, the radial integral is e^{amp} max(b, 0) e^{-pi q^2} + e^{amp - pi
+    |u|^2} g(|b|), g(y) = 1/(2 pi) - (y/2) erfcx(sqrt(pi) y).  The first
+    term integrates over the angle in closed form: over a stretch on one
+    side of u's direction, to e^{amp} (erfc x_1 - erfc x_2)/2, x = sqrt(pi)
+    |q| at the ends of its part with b >= 0, |q| from the cross products u
+    x e of its rays (|u| at the perpendicular to u), x_1 <= x_2.  The
+    second has no Gaussian factor in the angle: the cone is cut where the
+    angle passes a multiple of pi/2, and each part is integrated on
+    FAR_NODES Gauss-Legendre nodes in t, its angle d to the nearest
+    perpendicular d0 + L t^2 from the part's end nearest it, where g(|b|)
+    changes fastest and has its kink."""
     from scipy.special import erfcx
     single = np.ndim(u) == 1
     u, g1, g2 = (np.asarray(a, dtype=float).reshape(-1, 2) for a in (u, g1, g2))
     amp = np.broadcast_to(np.asarray(amp, dtype=float), (len(u),))
-    e, th1, dth = (t[... if cone is None else cone] for t in _cone_rays(g1, g2))
+    e, dth = (t[... if cone is None else cone] for t in _cone_rays(g1, g2))
     # at a unit ray e, b = (u, e) is the center's offset along the ray and
-    # q = u x e its transverse distance; at the split ray q = 0, b = +-|u|
+    # q = u x e its transverse distance
     b = np.einsum('kej,kj->ke', e, u)
     q = u[:, 0, None] * e[:, :, 1] - u[:, 1, None] * e[:, :, 0]
     r = np.hypot(u[:, 0], u[:, 1])
-    phi = np.mod(np.arctan2(u[:, 1], u[:, 0]) - th1, 2.0 * np.pi)
-    anti = np.mod(phi + np.pi, 2.0 * np.pi)
-    peak, low = phi <= dth, anti <= dth
-    split = np.where(peak, phi, np.where(low, anti, 0.0))
-    b = np.stack([b[:, 0], np.where(peak, r, np.where(low, -r, b[:, 0])),
-                  b[:, 1]], axis=1)
-    q = np.stack([q[:, 0], np.where(peak | low, 0.0, q[:, 0]), q[:, 1]], 1)
-    length = np.stack([split, dth - split], axis=1)
-    start = b[:, :2] >= b[:, 1:]        # a piece starts at its larger-b end
-    ba = np.where(start, b[:, :2], b[:, 1:])
-    qa = np.where(start, q[:, :2], q[:, 1:])
-    turn = np.where(start, 1.0, -1.0)
-    # along a piece the angle from u grows from psi; on pieces that start on
-    # u's side (b > 0) stop where pi q^2 has grown by PIECE_CUT, i.e. where
-    # sin^2 of that angle reaches s2 (past a right angle the integrand is
-    # below e^{-pi b^2} < e^{-PIECE_CUT} of its start value anyway)
-    psi = np.arctan2(np.abs(qa), ba)
-    with np.errstate(divide='ignore', over='ignore'):     # r near 0: s2 inf
-        s2 = (qa * qa + PIECE_CUT / np.pi) / (r * r)[:, None]
-    cut = (s2 < 1.0) & (ba > 0)
-    reach = np.arcsin(np.sqrt(np.where(cut, s2, 0.0))) - psi
-    length = np.where(cut, np.minimum(length, reach), length)
-    # only pieces of nonzero length reach the nodes (a cone that holds
-    # neither u's direction nor its opposite has a split piece of 0)
-    live, far = length > 0.0, ba <= 0.0
-    mass = np.zeros(length.shape)
-    _, _, s, w = _gl_rule(GL_NODES)
-    for k, p in _blocks(*np.nonzero(live & ~far), GL_NODES):
-        x = length[k, p, None] * s
-        cx, sx = np.cos(x), np.sin(x)
-        a, b, t = qa[k, p, None], ba[k, p, None], turn[k, p, None]
-        bx = b * cx - t * a * sx
-        qx = a * cx + t * b * sx
-        f = _radial_1(amp[k, None] - np.pi * qx * qx, bx)
-        mass[k, p] = np.sum(f * w, axis=1) * length[k, p]
-    # far-side pieces (b <= 0 all along): _radial_1's first term is 0 and
-    # its second e^{amp - pi r^2} (1/(2 pi) - |b|/2 erfcx(sqrt(pi) |b|)),
-    # b = r cos(angle from u), has no Gaussian factor in the angle
+    # closed-form term on the stretches from each ray to u's direction if
+    # the cone holds it (x = 0 there), else on the one from ray to ray; a
+    # stretch with b < 0 at both ends has x_1 = x_2 and gets 0 (skipped)
+    x = SQPI * np.where(b >= 0.0, np.abs(q), r[:, None])
+    inside = (q[:, 0] <= 0.0) & (q[:, 1] >= 0.0)
+    x = np.stack([x[:, 0], np.where(inside, 0.0, x[:, 0]), x[:, 1]], axis=1)
+    x1, x2 = np.minimum(x[:, :2], x[:, 1:]), np.maximum(x[:, :2], x[:, 1:])
+    n = np.flatnonzero(x1 < x2)         # stretch n of item n // 2
+    x1, x2 = x1.ravel()[n], x2.ravel()[n]
+    c2 = erfcx(x2)
+    near = np.exp(amp[n // 2] - x1 * x1) * (
+        (erfcx(x1) - c2) - c2 * np.expm1(-(x2 - x1) * (x2 + x1))) / 2.0
+    # quadrature term: the angle from u runs over [a0, a0 + dth], cut where
+    # it passes a multiple of pi/2 (u's direction, its opposite or a
+    # perpendicular) into parts.  On a part |cos| = sin d, with d the angle
+    # to the nearest perpendicular, monotone along it from d0 to d0 + step
+    a0 = np.arctan2(q[:, 0], b[:, 0])
+    cut = np.pi / 2.0 * (np.ceil(a0 / (np.pi / 2.0))[:, None] + [0.0, 1.0])
+    a = np.column_stack([a0, np.minimum(cut, (a0 + dth)[:, None]), a0 + dth])
+    d = np.abs(np.pi / 2.0 - (a - np.pi * np.floor(a / np.pi)))
+    d0, step = np.minimum(d[:, :-1], d[:, 1:]), np.abs(d[:, 1:] - d[:, :-1])
+    # the parts of nonzero length, flat: item k = i // 3
+    i = np.flatnonzero(step)
+    d0, step, rs = d0.ravel()[i], step.ravel()[i], SQPI * r[i // 3]
+    far = np.zeros(len(i))
     _, _, s, w = _gl_rule(FAR_NODES)
-    for k, p in _blocks(*np.nonzero(live & far), FAR_NODES):
-        ab = np.abs(r[k, None] * np.cos(psi[k, p, None] + length[k, p, None] * s))
-        mass[k, p] = np.exp(amp[k] - np.pi * r[k] * r[k]) * length[k, p] * (
-            1.0 / (2.0 * np.pi) - np.sum(ab * erfcx(SQPI * ab) * w, 1) / 2.0)
-    out = mass[:, 0] + mass[:, 1]
+    for j in _blocks(len(i), FAR_NODES):
+        # z = sqrt(pi) |b| at the nodes, where 2 sqrt(pi) g is 1/sqrt(pi) -
+        # z erfcx(z) (the weights sum to 1)
+        z = d0[j, None] + step[j, None] * s
+        np.sin(z, out=z)
+        z *= rs[j, None]
+        zc = erfcx(z)
+        zc *= z
+        far[j] = (1.0 / SQPI - np.einsum('ij,j->i', zc, w)) * step[j]
+    out = np.bincount(n // 2, near, minlength=len(u)) \
+        + np.exp(amp - np.pi * r * r) \
+        * np.bincount(i // 3, far, minlength=len(u)) / (2.0 * SQPI)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("2-D cone mass produced a non-finite value")
     return float(out[0]) if single else out
 
 
-def _blocks(k, p, nodes):
-    """The pieces (k, p) in blocks of at most CONE_BLOCK node elements."""
+def _blocks(n, nodes):
+    """Slices of range(n) with at most CONE_BLOCK node elements each."""
     step = CONE_BLOCK // nodes
-    return ((k[i:i + step], p[i:i + step]) for i in range(0, len(k), step))
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def cone_dist2(u, b, rays, cone=None):
@@ -193,7 +176,10 @@ def cone_dist2(u, b, rays, cone=None):
 
 def E2(space, c1, c2, x):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2) over span(c1,c2); the sign of
-    the ratio for exactly proportional c1, c2."""
+    the ratio for exactly proportional c1, c2.  Far out along one wall the
+    value is still that of its float frame: at |x| ~ 1e13 the frame's
+    rounding moves the centre by about 1e-3, so a sign margin of 0.05 is
+    resolved to no better than that."""
     c1, c2 = vec(c1), vec(c2)
     i = next((k for k, v in enumerate(c1) if v != 0), None)
     if i is not None and c2[i] != 0 and all(c2[i] * a == c1[i] * b

@@ -7,14 +7,12 @@ from itertools import product
 import numpy as np
 import pytest
 from scipy.integrate import quad, dblquad
-from scipy.special import erf, erfcx
+from scipy.special import erf, erfc, erfcx
 
 from ngontheta.qspace import QuadraticSpace
 from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN, FAR_NODES,
-                             GL_NODES,
                              QuadratureError, cone_mass_2d, cone_mass_3d,
-                             cone_dist2, cone_sum, _orthant, _radial_1,
-                             E_frames)
+                             cone_dist2, cone_sum, _orthant, E_frames)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
 from conftest import butterfly_ngon, j0_value
@@ -100,6 +98,19 @@ def test_e2_factorization_orthogonal():
         got = E2(SP3, E2_, E3_, x)
         want = E1(SP3, E2_, x) * E1(SP3, E3_, x)
         assert abs(got - want) < 1e-8
+
+
+def test_e2_factorization_far_along_a_wall():
+    # far out along one wall, with the other margin small, E2 = E1 * E1
+    # holds to rounding: the slow path's masses come from the cross
+    # products of u with the rays, not from angles times |u|
+    for b in (10.0, 1e3, 1e6, 1e9, 1e12):
+        for x in ((0, b, 0.05), (0, 0.05, b), (0, -b, 0.05), (0, b, -0.05),
+                  (1.0, -0.05, -b), (0, b, 1e-3)):
+            x = np.array(x, dtype=float)
+            got = E2(SP3, E2_, E3_, x)
+            want = E1(SP3, E2_, x) * E1(SP3, E3_, x)
+            assert abs(got - want) < 1e-14, (x, got, want)
 
 
 def test_e3_factorization_orthogonal():
@@ -194,14 +205,57 @@ def _radial_2(e0, b):
          + (1.0 / (4.0 * math.pi) + b * b / 2.0) * erfcx(SQPI * (-b)))
 
 
+def _g(y):
+    """The smooth part g(y) = 1/(2 pi) - (y/2) erfcx(sqrt(pi) y) of the
+    planar radial integral."""
+    return 1.0 / (2.0 * math.pi) - y / 2.0 * erfcx(SQPI * y)
+
+
+def _gauss_term(r, a1, a2):
+    """Quadrature of max(r cos a, 0) e^{-pi r^2 sin^2 a} over [a1, a2]."""
+    pts = [p for p in (0.0, math.pi / 2.0) if a1 < p < a2]
+    val, _ = quad(lambda a: max(r * math.cos(a), 0.0)
+                  * math.exp(-math.pi * (r * math.sin(a)) ** 2), a1, a2,
+                  points=pts or None, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return val
+
+
 def test_radial_integrals_against_quadrature():
+    # I1(b) = integral_0^inf r exp(-pi (r-b)^2) dr = max(b, 0) + e^{-pi b^2}
+    # g(|b|), the split that cone_mass_2d integrates over the angle
     for b in (-3.0, -0.4, 0.0, 0.7, 2.5):
         i1, _ = quad(lambda r: r * math.exp(-math.pi * (r - b) ** 2), 0, 40,
                      epsabs=1e-14)
         i2, _ = quad(lambda r: r * r * math.exp(-math.pi * (r - b) ** 2), 0,
                      40, epsabs=1e-14)
-        assert abs(_radial_1(0.0, b) - i1) < 1e-12
+        assert abs(max(b, 0.0) + math.exp(-math.pi * b * b) * _g(abs(b))
+                   - i1) < 1e-12
         assert abs(_radial_2(0.0, b) - i2) < 1e-12
+    # over the angle a from u, on one side of u, the first term integrates
+    # to (erfc x_1 - erfc x_2)/2, x = sqrt(pi) r |sin a| up to the
+    # perpendicular and sqrt(pi) r past it
+    for r, a1, a2 in ((0.3, 0.1, 1.2), (2.0, 0.0, 0.4), (2.0, 0.3, 2.5),
+                      (6.0, 0.05, 0.06), (1.5, 1.7, 3.0), (3.0, 0.0, 1.6)):
+        x1, x2 = (SQPI * (r * abs(math.sin(a)) if math.cos(a) >= 0 else r)
+                  for a in (a1, a2))
+        assert abs((erfc(x1) - erfc(x2)) / 2.0 - _gauss_term(r, a1, a2)) \
+            < 1e-14
+    # cone_mass_2d is the two terms: at |u| = 30 the second underflows, so
+    # it gives the closed form alone; at |u| = 2 each term counts
+    for r in (30.0, 2.0):
+        for a1, a2 in ((-0.01, 0.02), (0.01, 0.05), (-0.3, 1.8),
+                       (1.7, 2.9), (-2.9, -1.2)):
+            got = cone_mass_2d(np.array([r, 0.0]),
+                               np.array([math.cos(a1), math.sin(a1)]),
+                               np.array([math.cos(a2), math.sin(a2)]))
+            near = sum(_gauss_term(r, lo, hi) for lo, hi in
+                       ((max(a1, 0.0), max(a2, 0.0)),
+                        (max(-a2, 0.0), max(-a1, 0.0))) if lo < hi)
+            smooth, _ = quad(lambda a: _g(r * abs(math.cos(a))), a1, a2,
+                             points=[p for p in (-math.pi / 2, math.pi / 2)
+                                     if a1 < p < a2] or None, epsabs=1e-15)
+            want = near + math.exp(-math.pi * r * r) * smooth
+            assert abs(got - want) < 1e-14, (r, a1, a2, got, want)
 
 
 def _radial_1_scalar(e0, b):
@@ -263,13 +317,12 @@ def test_cone_mass_batched_vs_quadrature():
     assert cone_mass_2d(u[7], g1[7], g2[7], amp=amp[7]) == got[7]
 
 
-def test_far_side_cone_mass_vs_quadrature(monkeypatch):
+def test_far_side_cone_mass_vs_quadrature():
     # the rho terms' cones with both signs nonzero: the quadrant of a random
     # frame opposite the centre u, amp across [0, AMP_CAP], centres out to
-    # where the rho screen still admits the cone.  Most of their pieces lie
-    # on the far side of u (b <= 0 all along) and skip _radial_1; a batch
+    # where the rho screen still admits the cone.  Most of them lie on the
+    # far side of u (b <= 0 all along) and take no closed-form term; a batch
     # that mixes them with cones holding u gives each cone's single value
-    import ngontheta.errfn as errfn
     rng = np.random.default_rng(1705)
     k = 400
     a = rng.normal(size=(k, 2, 2))
@@ -283,18 +336,16 @@ def test_far_side_cone_mass_vs_quadrature(monkeypatch):
         >= RHO_LOG_TOL
     assert keep.sum() >= 300
     u, g1, g2, amp = u[keep], rays[keep, :, 0], rays[keep, :, 1], amp[keep]
-    near = []
-    radial = errfn._radial_1
 
-    def counted(e0, b):
-        near.append(len(b))
-        return radial(e0, b)
+    def near(g1, g2):
+        # the items with a closed-form term: a ray within a right angle of u
+        # (the cone holds -u, so it reaches u's side only through a ray)
+        return np.count_nonzero((np.sum(u * g1, 1) > 0)
+                                | (np.sum(u * g2, 1) > 0))
 
-    monkeypatch.setattr(errfn, "_radial_1", counted)
     got = cone_mass_2d(u, g1, g2, amp=amp)
-    # -u lies inside each cone, so each has two pieces of nonzero length;
-    # an obtuse one can have a ray within a right angle of u
-    assert sum(near) < len(u)
+    # an obtuse quadrant can have a ray within a right angle of u
+    assert 0 < near(g1, g2) < len(u)
     for i in range(len(u)):
         want = _cone_mass_2d_quad(u[i], g1[i], g2[i], amp=amp[i])
         assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), \
@@ -303,11 +354,75 @@ def test_far_side_cone_mass_vs_quadrature(monkeypatch):
     mix = np.arange(len(u)) % 2 == 0
     g1 = np.where(mix[:, None], -g1, g1)
     g2 = np.where(mix[:, None], -g2, g2)
-    near.clear()
+    assert np.count_nonzero(mix) <= near(g1, g2) < len(u)
     got = cone_mass_2d(u, g1, g2, amp=amp)
-    assert sum(near) >= np.count_nonzero(mix) and sum(near) < 2 * len(u)
     assert [cone_mass_2d(u[i], g1[i], g2[i], amp=amp[i])
             for i in range(len(u))] == list(got)
+
+
+def _ray(t):
+    return np.array([math.cos(t), math.sin(t)])
+
+
+def test_near_side_cone_mass_vs_quadrature():
+    # cones on u's side, where the closed-form term carries the mass
+    rng = np.random.default_rng(3501)
+    rmax = math.sqrt((AMP_CAP - RHO_LOG_TOL) / math.pi)
+    k = 600
+    r = rng.uniform(0.0, rmax, k)
+    amp = rng.uniform(0.0, AMP_CAP, k)
+    phi = rng.uniform(-math.pi, math.pi, k)
+    u = r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    # u inside the cone, out to the rho screen's reach, amp up to AMP_CAP
+    lo = phi - rng.uniform(0.0, 1.5, k)
+    hi = np.minimum(np.maximum(lo + rng.uniform(0.01, math.pi - 0.01, k),
+                               phi + 1e-3), lo + math.pi - 0.01)
+    cases = [(u, np.stack([np.cos(lo), np.sin(lo)], axis=1),
+              np.stack([np.cos(hi), np.sin(hi)], axis=1), amp)]
+    # thin cones off u: openings 1e-3 to 1e-2 within a right angle of u
+    lo = phi + rng.uniform(-1.5, 1.5, k)
+    hi = lo + rng.uniform(1e-3, 1e-2, k)
+    cases.append((u, np.stack([np.cos(lo), np.sin(lo)], axis=1),
+                  np.stack([np.cos(hi), np.sin(hi)], axis=1), amp))
+    # a ray exactly perpendicular to u = (r, 0), on either side of it
+    up, down = np.array([0.0, 1.0]), np.array([0.0, -1.0])
+    pairs = [(_ray(-1.0), up), (up, _ray(2.5)), (down, _ray(0.3)),
+             (_ray(-2.0), down)]
+    r = np.linspace(0.0, rmax, 20)
+    cases.append((np.stack([np.repeat(r, 4), np.zeros(80)], axis=1),
+                  np.array([g1 for g1, _ in pairs] * 20),
+                  np.array([g2 for _, g2 in pairs] * 20),
+                  rng.uniform(0.0, AMP_CAP, 80)))
+    for u, g1, g2, amp in cases:
+        got = cone_mass_2d(u, g1, g2, amp=amp)
+        for i in range(len(u)):
+            want = _cone_mass_2d_quad(u[i], g1[i], g2[i], amp=amp[i])
+            assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), \
+                (u[i], g1[i], g2[i], amp[i], got[i], want)
+        # a single cone gives the same value as its row of the batch
+        i = rng.integers(len(u))
+        assert cone_mass_2d(u[i], g1[i], g2[i], amp=amp[i]) == got[i]
+    # u on a ray at |u| = 1e9, or off it by delta along the normal f: b
+    # ties at the ray and at u's direction, and the cone holds the half
+    # plane's mass on f's side whichever side of the ray u lies (its far
+    # ray is 1e9 sin(pi/4) away).  Axis rays keep u x e exact
+    for e in np.eye(2)[[0, 1, 0, 1]] * [[1.0], [1.0], [-1.0], [-1.0]]:
+        f = np.array([-e[1], e[0]])
+        for delta in (-1e-8, -2e-9, 0.0, 2e-9, 1e-8):
+            u = 1e9 * e + delta * f
+            assert np.hypot(*u) == 1e9
+            for g1, g2, side in ((e, f, 1.0), (e, e + f, 1.0), (e, f - e, 1.0),
+                                 (-f, e, -1.0), (e - f, e, -1.0),
+                                 (-e - f, e, -1.0)):
+                want = (1.0 + side * erf(SQPI * delta)) / 2.0
+                assert abs(cone_mass_2d(u, g1, g2) - want) < 1e-15
+                assert cone_mass_2d(u, -g1, -g2) == 0.0
+    # u = 0: e^{amp} times the opening over 2 pi
+    for amp in (0.0, 300.0, AMP_CAP):
+        for dth in (1e-3, 1.0, 3.0):
+            got = cone_mass_2d(np.zeros(2), _ray(0.4), _ray(0.4 + dth),
+                               amp=amp)
+            assert abs(got / math.exp(amp) - dth / (2.0 * math.pi)) < 1e-15
 
 
 def test_cone_mass_full_plane():
@@ -731,8 +846,8 @@ def test_cone_table_matches_per_item(monkeypatch):
     blocks = errfn._blocks
     seen = []
 
-    def counted(k, p, nodes):
-        out = list(blocks(k, p, nodes))
+    def counted(n, nodes):
+        out = list(blocks(n, nodes))
         seen.append((nodes, len(out)))
         return out
 
@@ -752,7 +867,7 @@ def test_cone_table_matches_per_item(monkeypatch):
     for amp in (0.0, rng.uniform(0.0, 300.0, 3000)):
         seen.clear()
         got = cone_mass_2d(u, g1, g2, amp, cone=cone)
-        assert [nodes for nodes, _ in seen] == [GL_NODES, FAR_NODES]
+        assert [nodes for nodes, _ in seen] == [FAR_NODES]
         assert all(n > 1 for _, n in seen)
         want = cone_mass_2d(u, g1[cone], g2[cone], amp)
         assert np.array_equal(got, want) and np.sum(got > 1e-3) > 1000

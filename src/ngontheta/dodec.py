@@ -111,7 +111,7 @@ class DodecData(_Walls):
         if bad:
             raise DodecValidationError(bad)
         # w(R(i)) = -sum_l sgn((v_i, R(i)_l)) sgn((v_i, R(i)_{l+1})) for the
-        # regular negative v_i in V_i that regular_negative_vector picks
+        # regular negative v_i in V_i that _regular_choice picks
         face_w = [_cyclic_w(_regular_choice(m, s, 2)[1]) for m, s, _ in faces]
         self._set_cell(self.comb.vertices, face_w)
 

@@ -7,16 +7,19 @@ exp(-pi |t - u|^2); the plane is cut by the hyperplanes (y,c_k)=0 into 2^q
 sign-constant cones.  E_frames evaluates E2 or E3 on a stack of plane
 frames: E2/E3 of one plane and dodec_E_kernel are one call each.
 cone_sum, shared by E_frames and the N-gon completion's rho terms, is the
-one weighted sum of their masses; it sets up a call's cones once, as one
-table that its screen and mass read by index.  A planar cone's mass is
-computed with the radial integral in closed form; over the angle, its
-Gaussian term on u's side integrates in closed form too (a difference of
-erfc), and the smooth rest, which has no Gaussian factor in the angle,
-takes one short Gauss-Legendre rule (batched).  A solid cone's mass is a
-1-D integral over one wall's normal coordinate, on fixed Gauss-Legendre
-nodes, of planar slice masses in closed form (a bivariate normal orthant
-probability by Owen's T function).  Values lie in [-1,1] and tend to the
-product of signs as x grows along a regular direction.
+one weighted sum of their masses, under one weight rule: cone sigma of an
+item with reference signs s weighs prod_i (sigma_i - s_i).  It sets up a
+call's cones once, as one table that its screen and mass read by index.
+One cut, CONE_CUT, decides when a Gaussian mass is negligible; FAST_MARGIN
+is the distance at which a Gaussian factor falls that far.  A planar
+cone's mass is computed with the radial integral in closed form; over the
+angle, its Gaussian term on u's side integrates in closed form too (a
+difference of erfc), and the smooth rest, which has no Gaussian factor in
+the angle, takes one short Gauss-Legendre rule (batched).  A solid cone's
+mass is a 1-D integral over one wall's normal coordinate, on fixed
+Gauss-Legendre nodes, of planar slice masses in closed form (a bivariate
+normal orthant probability by Owen's T function).  Values lie in [-1,1]
+and tend to the product of signs as x grows along a regular direction.
 """
 
 import functools
@@ -28,19 +31,18 @@ import numpy as np
 from .qspace import NegativePlane, vec
 
 SQPI = math.sqrt(math.pi)
-# beyond this sign-margin the Gaussian tail is < erfc(7.5*sqrt(pi)) ~ 1e-78
-FAST_MARGIN = 7.5
 CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
+# the distance at which a Gaussian factor exp(-pi d^2) falls below
+# e^{-CONE_CUT}: E2/E3 take the sign product when every sign margin reaches
+# it, and a solid cone's 1-D range ends this far either side of u_n
+FAST_MARGIN = math.sqrt(CONE_CUT / math.pi)
 FAR_NODES = 24           # nodes per part of a planar cone's smooth term
 CONE_BLOCK = 8192        # node elements per block (bounds temporaries)
-# a solid cone's 1-D range ends where its Gaussian factor has fallen by
-# e^{-46} (~1e-20) from its peak; the dropped remainder is smaller still
-PIECE_CUT = 46.0
 LINE_NODES = 24          # Gauss-Legendre nodes per piece of a solid cone
 WINDOW = 3.0             # slice distance spanned by a window at a fast change
 SUM_SLACK = 1e-9         # E2/E3 mass sums further out than this are errors
-# SIGNS[:2**q, 3-q:] signs the 2^q cones of a q-frame (q <= 3), + first
-SIGNS = np.array(list(product((1.0, -1.0), repeat=3)))
+# _SIGNS[:2**q, 3-q:] signs the 2^q cones of a q-frame (q <= 3), + first
+_SIGNS = np.array(list(product((1.0, -1.0), repeat=3)))
 
 
 class QuadratureError(RuntimeError):
@@ -194,12 +196,13 @@ def cone_mass_3d(u, b, cone=None):
     shape (C, 3, 3) whose row cone[k], set up once per row, is item k's
     cone.  With n a wall's unit normal, the slice at t = (n, y) is a planar
     cone with apex t p: mass = int_0^inf exp(-pi (t - u_n)^2) m(u_perp - t
-    p) dt, m the slice's planar cone mass, to a Gaussian factor of
-    e^{-PIECE_CUT}.  The slice mass changes on a scale 1/rate where the
-    slice centre crosses a wall (rate |c_j|/|g_j|) or passes the apex (rate
-    |p|): split there, at u_n and WINDOW/rate either side; LINE_NODES
-    Gauss-Legendre nodes a piece.  A slice's mass is the orthant
-    probability of its walls' standardized margins (_orthant)."""
+    p) dt, m the slice's planar cone mass, over t within FAST_MARGIN of u_n
+    (its Gaussian factor cut at e^{-CONE_CUT}).  The slice mass changes on
+    a scale 1/rate where the slice centre crosses a wall (rate |c_j|/|g_j|)
+    or passes the apex (rate |p|): split there, at u_n and WINDOW/rate
+    either side; LINE_NODES Gauss-Legendre nodes a piece.  A slice's mass
+    is the orthant probability of its walls' standardized margins
+    (_orthant)."""
     u = np.asarray(u, dtype=float).reshape(-1, 3)
     nb = np.asarray(b, dtype=float).reshape(-1, 3, 3)
     nb = nb / np.linalg.norm(nb, axis=2, keepdims=True)
@@ -224,8 +227,8 @@ def cone_mass_3d(u, b, cone=None):
     n, frame, g, gn, c, p, rho = (a[rows] for a in (n, frame, g, gn, c, p, rho))
     un = np.einsum('kd,kd->k', u, n)
     uperp = np.einsum('kid,kd->ki', frame, u)
-    lo = np.maximum(un - math.sqrt(PIECE_CUT / math.pi), 0.0)
-    hi = np.maximum(un + math.sqrt(PIECE_CUT / math.pi), lo)
+    lo = np.maximum(un - FAST_MARGIN, 0.0)
+    hi = np.maximum(un + FAST_MARGIN, lo)
     with np.errstate(divide='ignore', invalid='ignore'):
         at = np.column_stack([-np.einsum('kjd,kd->kj', g, uperp) / c,
                               np.sum(uperp * p, 1) / np.sum(p * p, 1)])
@@ -268,7 +271,13 @@ def _orthant(h, k, rho):
 
 
 def E3(space, c1, c2, c3, x):
-    """Gaussian-averaged sgn(y,c1)sgn(y,c2)sgn(y,c3) over span(c1,c2,c3)."""
+    """Gaussian-averaged sgn(y,c1)sgn(y,c2)sgn(y,c3) over span(c1,c2,c3).
+    A frame whose sign margins all reach FAST_MARGIN gets the exact sign
+    product.  The slow path drifts far out along a wall: at x = (0, b, b,
+    0.05) on diag(2, -2, -2, -2), its unscreened cone sum (cut = inf) is off
+    the product of the three E1 by 3e-16 at b = 10, 1e-11 at 1e6, 8e-9 at
+    1e9 and 7e-6 at 1e12; screened, by 0.43 already at b = 10, because the
+    octant screen (cone_dist2) drops octants with real mass."""
     return _E(space, (c1, c2, c3), x)
 
 
@@ -280,34 +289,39 @@ def _E(space, cs, x):
 def E_frames(a, u):
     """E2 or E3 for V frames at once: functional rows a of shape (V, q, q)
     and centres u of shape (V, q) in orthonormal plane coordinates.  A frame
-    whose margins all reach FAST_MARGIN gets its sign product; the others
-    are one cone_sum over their 2^q cones, each weighted by its sign
-    product.  A signed sum past 1 + SUM_SLACK raises."""
+    whose margins all reach FAST_MARGIN gets its sign product (each wall's
+    far side holds mass below e^{-CONE_CUT}); the others are one cone_sum
+    over their 2^q cones with reference signs 0, which weights each cone by
+    its sign product.  A signed sum past 1 + SUM_SLACK raises."""
     margins = np.einsum('vij,vj->vi', a, u) / np.linalg.norm(a, axis=2)
     out = functools.reduce(np.multiply, np.sign(margins).T)
     slow = np.flatnonzero(functools.reduce(np.minimum, np.abs(margins).T)
                           < FAST_MARGIN)
     if not slow.size:
         return out
-    sign = np.prod(SIGNS[:2 ** a.shape[1], 3 - a.shape[1]:], axis=1)
-    total = cone_sum(a, slow, u[slow],
-                     np.broadcast_to(sign, (slow.size, sign.size)))
+    total = cone_sum(a, slow, u[slow], np.zeros((slow.size, a.shape[1])))
     if np.any(np.abs(total) > 1.0 + SUM_SLACK):
         raise QuadratureError(f"cone-mass sum {total!r} is outside [-1, 1]")
     out[slow] = np.clip(total, -1.0, 1.0)
     return out
 
 
-def cone_sum(a, f, u, weight, amp=0.0, cut=CONE_CUT):
-    """sum_c weight[k, c] e^{amp_k} mass(cone c of frame a[f_k], centre u_k)
-    per item k: cone c is {y : sigma_c a y >= 0}, sigma_c = SIGNS[c, 3-q:],
-    for frames a of shape (F, q, q), q = 2 or 3.  The F 2^q cones are one
-    table, row f 2^q + c, that the screen and the mass read by index.  The
-    (k, c) of nonzero weight pass one cone_dist2 screen (amp_k - pi dist^2
-    >= -cut) and one cone-mass call; np.bincount adds each item's terms in
-    cone order.  amp applies to planar cones only; E3's callers pass none."""
+def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
+    """sum_c w_kc e^{amp_k} mass(cone c of frame a[f_k], centre u_k) per
+    item k: cone c is {y : sigma_c a y >= 0}, sigma_c = _SIGNS[c, 3-q:], for
+    frames a of shape (F, q, q), q = 2 or 3, and its weight is the one rule
+    w_kc = prod_i (sigma_ci - s_ki) of item k's reference signs s[k] (shape
+    (K, q)), formed column by column: s = 0 gives E2/E3's sign products,
+    the signs at a vertex the completion's rho weights.  The F 2^q cones
+    are one table, row f 2^q + c, that the screen and the mass read by
+    index.  The (k, c) of nonzero weight pass one cone_dist2 screen (amp_k
+    - pi dist^2 >= -cut) and one cone-mass call; np.bincount adds each
+    item's terms in cone order.  amp applies to planar cones only; E3's
+    callers pass none."""
     q = a.shape[1]
-    sig = SIGNS[:2 ** q, 3 - q:]
+    sig = _SIGNS[:2 ** q, 3 - q:]
+    weight = functools.reduce(np.multiply, (sig[:, i] - s[:, i, None]
+                                            for i in range(q)))
     k, c = np.nonzero(weight)
     amp = np.broadcast_to(np.asarray(amp, dtype=float), (len(u),))[k]
     b = (sig[:, :, None] * a[:, None]).reshape(-1, q, q)

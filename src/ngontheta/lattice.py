@@ -44,7 +44,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errfn import SIGNS, cone_sum
+from .errfn import cone_sum
 from .qspace import NegativePlane, _charpoly, _over_lcm, _row_norms, rat, vec
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
@@ -478,7 +478,8 @@ class _CompletionKernel:
         """The indices `live` of the batch rows lo:hi that pass the row bound,
         their eps and wall terms, the live-row index of each (row, edge)
         pair that passes the rho screen, and the pairs' cone_sum arguments:
-        edge, plane centre, quadrant weights and amp."""
+        edge, plane centre, the signs (s_j, s_{j+1}) at its ends (cone_sum's
+        reference signs, which give the rho weights) and amp."""
         from scipy.special import erfcx
         amp = np.minimum(-2.0 * math.pi * v * batch.qf[lo:hi], AMP_CAP)
         live = lo + np.flatnonzero(amp + self.log_bound >= RHO_LOG_TOL)
@@ -508,8 +509,7 @@ class _CompletionKernel:
                                  > RHO_LOG_TOL)
         u = scale * np.einsum('pij,pj->pi', proj[edges], xf[rows])
         ends = signs[rows[:, None], self.ngon.vertices[edges]]
-        weight = (SIGNS[:4, 1] - ends[:, :1]) * (SIGNS[:4, 2] - ends[:, 1:])
-        return live, vals, rows, (edges, u, weight, amp[rows])
+        return live, vals, rows, (edges, u, ends, amp[rows])
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None):

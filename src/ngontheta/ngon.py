@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qspace import (_int_product, _over_lcm, _dot, negative_planes, vec,
-                     vec_add, vec_scale)
+from .qspace import _int_product, _over_lcm, _dot, negative_planes, vec
 
 
 def sgn(r):
@@ -87,10 +86,11 @@ def _gram_violations(n, s, den):
 
 
 def _regular_choice(n, s, q):
-    """(k, signs of the (v, u_l)) of regular_negative_vector from a Gram as
-    in _gram_violations: v = sum_{i<q} h^i C_i at the first regular one of
-    h = 0, 1/2, 1/3, ... (k = 1, 2, ...); k^{q-1} v is a positive multiple
-    of sum_i k^{q-1-i} (prod_{j != i} s_j) u_i.
+    """(k, signs of the (v, u_l)) of the default regular negative vector,
+    the one negative-vector helper, from a Gram as in _gram_violations: v =
+    sum_{i<q} h^i C_i at the first regular one of h = 0, 1/2, 1/3, ... (k =
+    1, 2, ...); k^{q-1} v is a positive multiple of sum_i k^{q-1-i}
+    (prod_{j != i} s_j) u_i.
 
     C_0..C_{q-1} is the first vertex of an N-gon, a face or a dodecahedron
     of N walls.  Its span V is negative definite, so no negative C_l is
@@ -134,9 +134,8 @@ class _Walls:
 
     @functools.cached_property
     def _level_v(self):
-        """The level of the default negative vector v
-        (regular_negative_vector), found on first use: validation needs no
-        v."""
+        """The level of the default negative vector v (_regular_choice),
+        found on first use: validation needs no v."""
         return int(self.level(_regular_choice(self._gram, self._d,
                                               self.space.sig[1])[1]))
 
@@ -229,19 +228,6 @@ def validate(space, cs):
     return NGon(space, cs)
 
 
-def regular_negative_vector(space, cs):
-    """Deterministic regular v = sum_{i<q} h^i C_i, q = space.sig[1], at
-    the first of h = 0, 1/2, 1/3, ... with every (v, C_j) nonzero (exact
-    checks); negative on a cell, and RuntimeError only for a collection
-    that is no cell (_regular_choice)."""
-    walls = _Walls(space, tuple(vec(c) for c in cs))
-    q = space.sig[1]
-    k = _regular_choice(walls._gram, walls._d, q)[0]
-    h = Fraction(int(k > 1), k)
-    return functools.reduce(vec_add, (vec_scale(h ** i, c)
-                                      for i, c in enumerate(walls.cs[:q])))
-
-
 def w_invariant(ngon, v=None):
     """w = -sum_j sgn(v,C_j) sgn(v,C_{j+1}) for any negative v."""
     return -ngon.level_at(v)
@@ -283,32 +269,3 @@ def linking_number(ngon, x):
         if (v0 > 0) != (v1 > 0) and (c > 0) == (v1 > 0):
             link += sgn(c)          # crossed the positive a_1 axis
     return link
-
-
-def illegal_variant_kernel(space, cs, x, v=None):
-    """Kernel for a collection whose only defect is the wrap pair (C_N, C_1):
-    condition (3) fails exactly at the two indices touching that pair (j=1
-    and j=N; a single violation is impossible, since the third conditions
-    2-color the vertex planes around a cycle).  Returns
-    (w_tilde, eps_tilde(x), term signs) with, for a negative v (ValueError
-    otherwise; None: the default v of regular_negative_vector),
-      w_tilde = sgn(v,C_N)sgn(v,C_1) - sum_{j<N} sgn(v,C_j)sgn(v,C_{j+1})
-      eps_tilde(x) = w_tilde - sgn(x,C_N)sgn(x,C_1) + sum_{j<N} sgn(x,C_j)sgn(x,C_{j+1})
-    and term_signs[j] the sign (+1 or -1) carried by the smooth pair term
-    (C_j, C_{j+1}) in the matching completion.
-    """
-    walls = _Walls(space, tuple(vec(c) for c in cs))
-    n = len(cs)
-    bad = _gram_violations(walls._gram, walls._d, space._den)
-    badset = [(b.j, b.condition) for b in bad]
-    if badset not in ([(n, 3)], [(1, 3), (n, 3)]):
-        raise ValueError(
-            "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
-            "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
-    sv = walls.negative_signs(v) if v is not None else \
-        _regular_choice(walls._gram, walls._d, 2)[1]
-    w_tilde = _cyclic_w(sv) + 2 * sv[-1] * sv[0]
-    sx = walls.signs(x)
-    eps_tilde = w_tilde - _cyclic_w(sx) - 2 * sx[-1] * sx[0]
-    term_signs = [1] * (n - 1) + [-1]
-    return int(w_tilde), int(eps_tilde), term_signs

@@ -33,15 +33,6 @@ def vec(coords):
     return tuple(map(rat, coords))
 
 
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(s, x):
-    s = rat(s)
-    return tuple(s * a for a in x)
-
-
 def _over_lcm(x):
     """(d, numerators) with x_i = numerators_i / d, d the lcm of the
     denominators of the int or Fraction entries."""

@@ -16,11 +16,23 @@ sys.path.insert(0, str(REPO / "src"))
 from ngontheta.dodec import (DodecValidationError,  # noqa: E402
                              bar, validate_dodec)
 from ngontheta.errfn import E_frames  # noqa: E402
-from ngontheta.ngon import (NGonValidationError, sgn, validate,  # noqa: E402
-                            w_invariant)
+from ngontheta.ngon import (NGonValidationError, _Walls,  # noqa: E402
+                            _cyclic_w, _gram_violations, _regular_choice,
+                            sgn, validate, w_invariant)
 from ngontheta.qspace import (QuadraticSpace, _charpoly,  # noqa: E402
-                              _over_lcm, rat, vec, vec_primitive, vec_scale)
+                              _over_lcm, rat, vec, vec_primitive)
 from ngontheta.sig12 import SPACE_ABC  # noqa: E402
+
+
+# exact vector arithmetic on tuples of Fractions (no src/ caller needs it)
+def vec_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vec_scale(s, x):
+    s = rat(s)
+    return tuple(s * a for a in x)
+
 
 # Gram in the orthogonal e-basis e1 = [1/2, 0, 1/2], e2 = [0, 1, 0],
 # e3 = [1/2, 0, -1/2] of the [a,b,c] model
@@ -323,7 +335,6 @@ def regular_negative_vector_vec(space, cs, q=None):
     """The first v = sum_{i<q} h^i C_i (q = space.sig[1] unless given) at
     h = 0, 1/2, 1/3, ..., among the first N(q-1)+1, with every (v, C_j)
     nonzero."""
-    from ngontheta.qspace import vec_add
     cs = tuple(vec(c) for c in cs)
     q = space.sig[1] if q is None else q
     for k in range(1, len(cs) * (q - 1) + 2):
@@ -334,6 +345,20 @@ def regular_negative_vector_vec(space, cs, q=None):
         if all(space.inner(v, c) != 0 for c in cs):
             return v
     raise RuntimeError("could not find a regular negative vector")
+
+
+def regular_choice_signs(space, cs, q=None):
+    """The signs of (v, C_j) at the default regular negative vector v that
+    _regular_choice picks on the collection cs, q = space.sig[1] unless
+    given."""
+    walls = _Walls(space, tuple(vec(c) for c in cs))
+    return _regular_choice(walls._gram, walls._d,
+                           space.sig[1] if q is None else q)[1]
+
+
+def regular_signs_vec(space, cs, q=None):
+    """The signs of (v, C_j) at v = regular_negative_vector_vec."""
+    return _signs_vec(space, regular_negative_vector_vec(space, cs, q), cs)
 
 
 def project_perp(space, x, c):
@@ -517,6 +542,35 @@ def dart_collection():
     taus = [turning_sign(pts[j - 1], pts[j], pts[(j + 1) % 4])
             for j in range(4)]
     return tuple(_signed_crosses(pts, taus))
+
+
+def illegal_variant_kernel(space, cs, x, v=None):
+    """Kernel for a collection whose only defect is the wrap pair (C_N, C_1):
+    condition (3) fails exactly at the two indices touching that pair (j=1
+    and j=N; a single violation is impossible, since the third conditions
+    2-color the vertex planes around a cycle).  Returns
+    (w_tilde, eps_tilde(x), term signs) with, for a negative v (ValueError
+    otherwise; None: the default v of _regular_choice),
+      w_tilde = sgn(v,C_N)sgn(v,C_1) - sum_{j<N} sgn(v,C_j)sgn(v,C_{j+1})
+      eps_tilde(x) = w_tilde - sgn(x,C_N)sgn(x,C_1) + sum_{j<N} sgn(x,C_j)sgn(x,C_{j+1})
+    and term_signs[j] the sign (+1 or -1) carried by the smooth pair term
+    (C_j, C_{j+1}) in the matching completion.
+    """
+    walls = _Walls(space, tuple(vec(c) for c in cs))
+    n = len(cs)
+    bad = _gram_violations(walls._gram, walls._d, space._den)
+    badset = [(b.j, b.condition) for b in bad]
+    if badset not in ([(n, 3)], [(1, 3), (n, 3)]):
+        raise ValueError(
+            "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
+            "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
+    sv = walls.negative_signs(v) if v is not None else \
+        _regular_choice(walls._gram, walls._d, 2)[1]
+    w_tilde = _cyclic_w(sv) + 2 * sv[-1] * sv[0]
+    sx = walls.signs(x)
+    eps_tilde = w_tilde - _cyclic_w(sx) - 2 * sx[-1] * sx[0]
+    term_signs = [1] * (n - 1) + [-1]
+    return int(w_tilde), int(eps_tilde), term_signs
 
 
 def one_sign_term(zs, j):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ngontheta.qspace import QuadraticSpace, NegativePlane, vec_add, vec_scale
+from ngontheta.qspace import QuadraticSpace, NegativePlane
 from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
                                window_from_planes, certify_window)
 from ngontheta import lattice
@@ -15,14 +15,14 @@ from ngontheta.dodec import (bar, cycle_table, DodecValidationError,
                              validate_dodec,
                              dodec_P_kernel, dodec_E_kernel,
                              seed_construction, PHI_HAT, dodec_series)
-from ngontheta.ngon import regular_negative_vector
 from ngontheta.cli import main
 
 from conftest import (EXAMPLES, REPO, check_dodec_conditions_vec,
                       cyclic_equal, dodec_D_kernel, dodec_D_vec, dodec_violations, face_w_vec,
                       guard_band_hits, outcome, project_perp, recipe_step,
-                      window_at_safety,
-                      regular_negative_vector_vec)
+                      window_at_safety, regular_choice_signs,
+                      regular_negative_vector_vec, regular_signs_vec, vec_add,
+                      vec_scale)
 
 SP4 = QuadraticSpace([[4, 0, 0, 0], [0, -2, 0, 0],
                       [0, 0, -2, 0], [0, 0, 0, -2]])
@@ -146,9 +146,10 @@ def test_cell_with_c2_orthogonal_to_c0_c1_runs(space_q3, seed_dodec,
     u = project_perp(space_q3, cs[1], cs[0])
     cs[2] = project_perp(space_q3, project_perp(space_q3, cs[2], cs[0]), u)
     assert space_q3.inner(cs[0], cs[2]) == space_q3.inner(cs[1], cs[2]) == 0
-    v = regular_negative_vector(space_q3, cs)
-    assert v == regular_negative_vector_vec(space_q3, cs) != cs[0]
-    assert space_q3.inner(v, v) < 0
+    v = regular_negative_vector_vec(space_q3, cs)
+    assert v != cs[0] and space_q3.inner(v, v) < 0
+    assert regular_choice_signs(space_q3, cs) == \
+        regular_signs_vec(space_q3, cs)
     d = validate_dodec(space_q3, cs)
     assert d.level_at() == seed_dodec.level_at() == 0
     path = tmp_path / "cell.json"
@@ -205,7 +206,7 @@ def test_d_kernel_vanishes_on_negative_vectors(seed_dodec):
 
 def test_p_kernel_properties(seed_dodec):
     rng = random.Random(35)
-    v0 = regular_negative_vector(seed_dodec.space, seed_dodec.cs)
+    v0 = regular_negative_vector_vec(seed_dodec.space, seed_dodec.cs)
     assert seed_dodec.space.inner(v0, v0) < 0
     assert dodec_P_kernel(seed_dodec, v0) == 0
     with pytest.raises(ValueError):
@@ -426,14 +427,14 @@ def test_gram_path_matches_vector_oracle(space_q3, ts, move, j, j2, scale,
     # both search the same k <= 2N + 1 on C_0 + C_1/k + C_2/k^2; where none
     # qualifies (a C_j made orthogonal to C_0 can be orthogonal to C_1 and
     # C_2 as well) both raise the same RuntimeError
-    assert outcome(regular_negative_vector, sp, cs) == \
-        outcome(regular_negative_vector_vec, sp, cs)
+    assert outcome(regular_choice_signs, sp, cs) == \
+        outcome(regular_signs_vec, sp, cs)
     if want != []:
         return
     d = validate_dodec(sp, cs)
     assert d.face_w == face_w_vec(sp, cs)
     v = regular_negative_vector_vec(sp, cs)
-    assert regular_negative_vector(d.space, d.cs) == v
+    assert regular_choice_signs(d.space, d.cs) == regular_signs_vec(sp, cs)
     dv = dodec_D_vec(sp, cs, d.face_w, v)
     for x in list(xs) + [project_perp(sp, x, cs[wall]) for x in xs]:
         dx = dodec_D_vec(sp, cs, d.face_w, x)

@@ -503,6 +503,29 @@ def test_column_reductions_match_axis_reductions(monkeypatch):
         assert 0 < len(slow) < len(a) and np.any(signs == -1)
 
 
+def test_fast_margin_frames_match_cone_sum():
+    # a frame whose sign margins all reach FAST_MARGIN, the distance at
+    # which a Gaussian factor falls below e^{-CONE_CUT}, gets its sign
+    # product, within 1e-15 of the cone_sum it skips for E2 and within the
+    # solid-cone quadrature's rounding (up to 2.2e-15 on these frames) for
+    # E3; a quarter of the frames sit just past FAST_MARGIN on their
+    # smallest margin
+    assert FAST_MARGIN == math.sqrt(CONE_CUT / math.pi)
+    rng = np.random.default_rng(3701)
+    for q, n in ((2, 400), (3, 120)):
+        a = np.array([rng.normal(size=(2, 2)) if q == 2 else
+                      _random_walls(rng) for _ in range(n)])
+        nb = a / np.linalg.norm(a, axis=2, keepdims=True)
+        m = FAST_MARGIN * (1.0 + 1e-9 + rng.uniform(0.0, 0.5, (n, q)))
+        m[rng.random(n) < 0.25, 0] = FAST_MARGIN * (1.0 + 1e-9)
+        m *= rng.choice([-1.0, 1.0], (n, q))
+        u = np.linalg.solve(nb, m[:, :, None])[:, :, 0]
+        fast = E_frames(a, u)
+        assert np.array_equal(fast, np.prod(np.sign(m), axis=1))
+        slow = cone_sum(a, np.arange(n), u, np.zeros((n, q)))
+        assert np.max(np.abs(slow - fast)) <= (1e-15 if q == 2 else 4e-15)
+
+
 def test_e1_continuity_across_wall():
     c = (0, 1, 0)
     left = E1(SP3, c, np.array([0.0, -1e-9, 0.5]))
@@ -641,8 +664,8 @@ def _unit_det(b):
 
 def test_cone_mass_3d_vs_quadrature():
     # cones that pass E3's screen: unit-normal |det| down to 0.02, centres
-    # near the apex, outside, and deep inside with the smallest margin just
-    # under FAST_MARGIN (|u| <= 12, past which the oracle itself drifts)
+    # near the apex, outside, and deep inside with the smallest margin
+    # between 5 and 7.5 (|u| <= 12, past which the oracle itself drifts)
     rng = np.random.default_rng(2004)
     us, bs = [], []
     while len(us) < 100:
@@ -652,11 +675,11 @@ def test_cone_mass_3d_vs_quadrature():
             continue
         if rng.random() < 0.25:
             u = np.linalg.inv(nb).sum(axis=1)
-            u *= rng.uniform(5.0, FAST_MARGIN) / np.min(np.abs(nb @ u))
+            u *= rng.uniform(5.0, 7.5) / np.min(np.abs(nb @ u))
         else:
             u = rng.normal(size=3)
             u *= rng.uniform(0.0, 4.0) / np.linalg.norm(u)
-        if (np.linalg.norm(u) > 12.0 or np.min(np.abs(nb @ u)) >= FAST_MARGIN
+        if (np.linalg.norm(u) > 12.0 or np.min(np.abs(nb @ u)) >= 7.5
                 or math.pi * cone_dist2(u, b, np.linalg.inv(b)) > 42.0):
             continue
         us.append(u)
@@ -746,16 +769,18 @@ def test_signed_sum_outside_unit_interval_raises(monkeypatch):
                 E2(SP4, c1, c2, x)
 
 
-def _cone_sum_loop(a, f, u, weight, amp, cut):
+def _cone_sum_loop(a, f, u, s, amp, cut):
     """cone_sum one (item, cone) at a time, with the sign rows of the cones
-    built here: the same screen, then cone_mass_2d or cone_mass_3d on one
-    cone; also each screened term's margin amp - pi d^2 + cut."""
+    and their weights prod_i (sigma_i - s_i) built here: the same screen,
+    then cone_mass_2d or cone_mass_3d on one cone; also each screened
+    term's margin amp - pi d^2 + cut."""
     q = a.shape[1]
     sig = np.array(list(product((1.0, -1.0), repeat=q)))
     total, margins = np.zeros(len(u)), []
     for k in range(len(u)):
         for c in range(2 ** q):
-            if weight[k, c] == 0:
+            weight = np.prod(sig[c] - s[k])
+            if weight == 0:
                 continue
             b = sig[c][:, None] * a[f[k]]
             rays = np.linalg.inv(a[f[k]]) * sig[c]
@@ -767,19 +792,20 @@ def _cone_sum_loop(a, f, u, weight, amp, cut):
                 mass = cone_mass_2d(u[k], rays[:, 0], rays[:, 1], amp=amp[k])
             else:
                 mass = cone_mass_3d(u[k], b)[0]
-            total[k] += weight[k, c] * mass
+            total[k] += weight * mass
     return total, np.array(margins)
 
 
-def _sum_weights(rng, k, q):
-    """Small integer weights, a third of the rows one-hot (so that a term
-    near the screen is the whole sum) and some rows all zero."""
-    weight = rng.integers(-4, 5, (k, 2 ** q)).astype(float)
+def _sum_signs(rng, k, q):
+    """Reference signs s in {-1, 0, 1}^q, a third of the rows with no zero
+    sign, where one cone alone has nonzero weight (so that a term near the
+    screen is the whole sum), and the weights prod_i (sigma_i - s_i) of
+    each item's 2^q cones."""
+    s = rng.integers(-1, 2, (k, q)).astype(float)
     one = rng.random(k) < 1 / 3
-    weight[one] = 0.0
-    weight[one, rng.integers(0, 2 ** q, one.sum())] = 1.0
-    weight[rng.random(k) < 0.05] = 0.0
-    return weight
+    s[one] = rng.choice([-1.0, 1.0], (one.sum(), q))
+    sig = np.array(list(product((1.0, -1.0), repeat=q)))
+    return s, np.prod(sig[None] - s[:, None], axis=2)
 
 
 def test_cone_sum_matches_cone_loop():
@@ -808,18 +834,21 @@ def test_cone_sum_matches_cone_loop():
     u3 = centres(np.zeros(150), CONE_CUT, 3)
     for a, f, u, amp, cut in ((a2, f, u, amp, -RHO_LOG_TOL),
                               (a3, f3, u3, np.zeros(150), CONE_CUT)):
-        weight = _sum_weights(rng, len(u), a.shape[1])
-        want, margins = _cone_sum_loop(a, f, u, weight, amp, cut)
-        got = cone_sum(a, f, u, weight, amp, cut)
+        q = a.shape[1]
+        s, weight = _sum_signs(rng, len(u), q)
+        # weights 0, +-1, +-2, +-4 and, for solid cones, +-8 all occur
+        assert set(weight.ravel()) == {0.0} | {
+            t * 2.0 ** i for t in (-1, 1) for i in range(q + 1)}
+        want, margins = _cone_sum_loop(a, f, u, s, amp, cut)
+        got = cone_sum(a, f, u, s, amp, cut)
         assert np.array_equal(got, want)
-        assert np.all(got[~weight.any(axis=1)] == 0.0)
         # terms on both sides of the cut, within 1 of it
         assert np.sum((margins > -1) & (margins < 0)) >= 3
         assert np.sum((margins >= 0) & (margins < 1)) >= 3
     # amp is optional and the cut defaults to E2/E3's
-    weight = _sum_weights(rng, 150, 3)
-    assert np.array_equal(cone_sum(a3, f3, u3, weight),
-                          _cone_sum_loop(a3, f3, u3, weight, np.zeros(150),
+    s, _ = _sum_signs(rng, 150, 3)
+    assert np.array_equal(cone_sum(a3, f3, u3, s),
+                          _cone_sum_loop(a3, f3, u3, s, np.zeros(150),
                                          CONE_CUT)[0])
 
 
@@ -889,7 +918,8 @@ def test_cone_table_matches_per_item(monkeypatch):
 def test_cone_sum_sets_up_each_cone_once(monkeypatch):
     # one cone_sum call derives its planar cones' angles once per row of its
     # table of F 2^q cones, not once per item, and makes one screen call
-    # and one cone-mass call
+    # and one cone-mass call; its sum is that of the item's cones given one
+    # per item, unscreened, whose masses sum to 1
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3402)
     rows, calls = [], []
@@ -914,20 +944,29 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
         a = rng.normal(size=(frames, q, q))
         f = rng.integers(0, frames, items)
         u = rng.normal(size=(items, q))
+        s, weight = _sum_signs(rng, items, q)
         rows.clear()
         calls.clear()
-        got = cone_sum(a, f, u, np.ones((items, 2 ** q)))
+        got = cone_sum(a, f, u, s)
         assert calls == ["cone_dist2", f"cone_mass_{q}d"]
         assert rows == ([frames * 4] if q == 2 else [])
-        assert np.all(np.abs(got - 1.0) < 1e-9)
+        sig = np.array(list(product((1.0, -1.0), repeat=q)))
+        b = (sig[None, :, :, None] * a[f][:, None]).reshape(-1, q, q)
+        rays, uu = np.linalg.inv(b), np.repeat(u, 2 ** q, axis=0)
+        mass = (cone_mass_2d(uu, rays[:, :, 0], rays[:, :, 1]) if q == 2
+                else cone_mass_3d(uu, b)).reshape(items, 2 ** q)
+        assert np.all(np.abs(np.sum(mass, axis=1) - 1.0) < 1e-9)
+        assert np.all(np.abs(got - np.sum(weight * mass, axis=1)) < 1e-9)
 
 
 def test_cone_sum_empty_pool():
     for q in (2, 3):
         a = np.eye(q)[None]
         got = cone_sum(a, np.zeros(0, dtype=int), np.zeros((0, q)),
-                       np.zeros((0, 2 ** q)))
+                       np.zeros((0, q)))
         assert got.shape == (0,)
-        zero = cone_sum(a, np.zeros(2, dtype=int), np.zeros((2, q)),
-                        np.zeros((2, 2 ** q)))
+        # reference signs all +1 weigh only the all-negative cone, which the
+        # screen drops for centres deep in the all-positive one
+        zero = cone_sum(a, np.zeros(2, dtype=int), np.full((2, q), 10.0),
+                        np.ones((2, q)))
         assert np.array_equal(zero, np.zeros(2))

@@ -16,12 +16,11 @@ from ngontheta.dodec import (DodecValidationError, seed_construction,
                              validate_dodec)
 from ngontheta.jsonio import EXP_MAX, InputError, parse_rational, parse_vector
 from ngontheta.ngon import NGonValidationError, validate
-from ngontheta.qspace import (QuadraticSpace, _charpoly, _signature, vec_add,
-                              vec_scale)
+from ngontheta.qspace import QuadraticSpace, _charpoly, _signature
 
 from conftest import (check_conditions_vec, check_dodec_conditions_vec,
                       dodec_D_vec, dodec_violations, face_w_vec,
-                      regular_negative_vector_vec)
+                      regular_negative_vector_vec, vec_add, vec_scale)
 
 
 # --- parse_rational against Fraction ------------------------------------

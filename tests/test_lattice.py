@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
                               DegeneratePlaneError, negative_planes,
-                              _over_lcm, _row_norms, vec, vec_add, vec_scale)
+                              _over_lcm, _row_norms, vec)
 from ngontheta.errfn import E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, EnumWindow, window_from_planes, certify_window,
                                enumerate_coset, enumerate_cosets,
@@ -25,8 +26,7 @@ from ngontheta.lattice import (LatticeCoset, disc_group, EnumWindow, window_from
                                _tail_estimate, _completion_sum)
 from ngontheta import lattice
 from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
-from ngontheta.ngon import (w_invariant, validate, regular_negative_vector,
-                            epsilon, linking_number)
+from ngontheta.ngon import w_invariant, validate, epsilon, linking_number
 from ngontheta import qspace
 from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, OrientationError,
                              fundamental_ngon, truncated_class_series,
@@ -36,7 +36,8 @@ from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       batch_ks, butterfly_ngon, dodec_D_kernel,
                       guard_band_hits, int_majorant, j0_value,
                       majorant_exact, majorant_matrix, mat_det, mat_inv, negative_definite_vec, project_perp,
-                      reduced_forms, window_at_safety, window_proof_oracle)
+                      reduced_forms, regular_negative_vector_vec, vec_add,
+                      vec_scale, window_at_safety, window_proof_oracle)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -563,6 +564,46 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
                    for lo, hi in groups]
         assert len(calls) == len(groups)
         assert np.array_equal(np.concatenate(grouped), joint)
+
+
+def test_cone_sum_weights_match_sign_and_rho_tables(funddom, funddom_batch,
+                                                    monkeypatch):
+    # cone_sum's one weight rule prod_i (sigma_i - s_i) gives, bit for bit,
+    # the tables its callers built before: E2/E3's sign products for s = 0
+    # and the rho weights (sigma_1 - s_j)(sigma_2 - s_{j+1}) for the ends
+    # that _row_terms returns.  Each call keeps one cone c of every item
+    # (the screen passes it alone) and gives it mass 1, so that it returns
+    # column c of the weights.
+    from ngontheta import errfn
+    signs = np.array(list(product((1.0, -1.0), repeat=3)))
+
+    def weights(a, f, s):
+        q = a.shape[1]
+        u = np.zeros((len(f), q))
+        out = []
+        for c in range(2 ** q):
+            monkeypatch.setattr(errfn, "cone_dist2", lambda u, b, r, cone: (
+                np.where(cone % 2 ** q == c, 0.0, np.inf)))
+            out.append(cone_sum(a, f, u, s))
+        return np.stack(out, axis=1)
+
+    for name in ("cone_mass_2d", "cone_mass_3d"):
+        monkeypatch.setattr(errfn, name,
+                            lambda u, *args, **kwargs: np.ones(len(u)))
+    for q in (2, 3):
+        a = np.eye(q)[None]
+        got = weights(a, np.zeros(5, dtype=int), np.zeros((5, q)))
+        assert np.array_equal(got, np.broadcast_to(
+            np.prod(signs[:2 ** q, 3 - q:], axis=1), (5, 2 ** q)))
+    kern = _CompletionKernel(funddom)
+    ends_seen = set()
+    for v in (0.37, 1.3):
+        _, _, _, (edges, _, ends, _) = kern._row_terms(
+            funddom_batch, v, math.sqrt(2.0 * v))
+        ends_seen |= set(map(tuple, ends.tolist()))
+        rho = (signs[:4, 1] - ends[:, :1]) * (signs[:4, 2] - ends[:, 1:])
+        assert np.array_equal(weights(funddom.frames[0], edges, ends), rho)
+    assert ends_seen == set(product((-1, 0, 1), repeat=2))
 
 
 def test_eval_batches_hold_window_rows_only(funddom, funddom_window,
@@ -1399,7 +1440,7 @@ def _p8_num(dodec, signs):
     for (i, u, v) in dodec.comb.vertices:
         trip += signs[:, i] * signs[:, u] * signs[:, v]
     dv = 8 * dodec_D_kernel(dodec,
-                            regular_negative_vector(dodec.space, dodec.cs))
+                            regular_negative_vector_vec(dodec.space, dodec.cs))
     return trip + signs @ np.array(dodec.face_w) - int(dv)
 
 

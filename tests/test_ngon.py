@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngontheta.ngon import (validate, NGonValidationError, KernelValue,
-                            w_invariant, epsilon, regular_negative_vector,
-                            illegal_variant_kernel)
+                            w_invariant, epsilon)
 from ngontheta.sig12 import SPACE_ABC, fundamental_ngon, recover_ngon
 
-from ngontheta.qspace import NegativePlane, vec_add, vec_scale
+from ngontheta.qspace import NegativePlane
 
 from conftest import (UHPoint, _signed_crosses, turning_sign, abmp_kernel,
                       abmp_sign, butterfly_collection, butterfly_ngon,
                       check_conditions_vec, dart_collection,
-                      from_abmp, ngon_violations, outcome, project_perp,
-                      random_negative_abc, regular_negative_vector_vec,
-                      to_abmp)
+                      from_abmp, illegal_variant_kernel, ngon_violations,
+                      outcome, project_perp, random_negative_abc,
+                      regular_choice_signs, regular_negative_vector_vec,
+                      regular_signs_vec, to_abmp, vec_add, vec_scale)
 
 small_rat = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -166,9 +166,10 @@ def test_kernel_multiple_of_four_when_regular(x):
 
 def test_default_negative_vector_is_regular(funddom, funddom_e):
     for g in (funddom, funddom_e):
-        v = regular_negative_vector(g.space, g.cs)
+        v = regular_negative_vector_vec(g.space, g.cs)
         assert g.space.inner(v, v) < 0
-        assert all(g.space.inner(v, c) != 0 for c in g.cs)
+        signs = regular_choice_signs(g.space, g.cs)
+        assert all(signs) and signs == regular_signs_vec(g.space, g.cs)
 
 
 def test_regular_negative_vector_capped(space_e):
@@ -176,12 +177,13 @@ def test_regular_negative_vector_capped(space_e):
     cs = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     t0 = time.monotonic()
     with pytest.raises(RuntimeError):
-        regular_negative_vector(space_e, cs)
+        regular_choice_signs(space_e, cs)
     assert time.monotonic() - t0 < 30.0
     # the first regular candidate is C_1 + C_2/2 when C_1 is not regular
     cs = ((0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 1, 0))
-    assert regular_negative_vector(space_e, cs) == (0, Fraction(3, 2),
-                                                    Fraction(1, 2))
+    v = regular_negative_vector_vec(space_e, cs)
+    assert v == (0, Fraction(3, 2), Fraction(1, 2))
+    assert regular_choice_signs(space_e, cs) == regular_signs_vec(space_e, cs)
 
 
 @pytest.mark.parametrize("cell", ["funddom", "dodec"])
@@ -314,8 +316,8 @@ def test_gram_path_matches_vector_oracle(n, data):
     # both search the same k <= N + 1; where no C_1 + C_2/k qualifies (a
     # C_3 made orthogonal to C_1 can be orthogonal to C_2 as well, and then
     # to every candidate) both raise the same RuntimeError
-    assert outcome(regular_negative_vector, sp, cs) == \
-        outcome(regular_negative_vector_vec, sp, cs)
+    assert outcome(regular_choice_signs, sp, cs) == \
+        outcome(regular_signs_vec, sp, cs)
     if want:
         return
     ngon = validate(sp, cs)

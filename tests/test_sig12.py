@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngontheta.ngon import epsilon, linking_number, validate, w_invariant
-from ngontheta.qspace import NegativePlane, vec_add, vec_scale
+from ngontheta.qspace import NegativePlane
 from ngontheta.sig12 import (SPACE_ABC, Z0_ABC, OrientationError,
                              recover_ngon, fundamental_ngon,
                              truncated_class_series)
 
 from conftest import (SPACE_E, UHPoint, _signed_crosses, abc_to_e, alpha,
                       butterfly_ngon, cross, e_to_abc, one_sign_term,
-                      point_to_vector, reduced_forms, turning_sign)
+                      point_to_vector, reduced_forms, turning_sign, vec_add,
+                      vec_scale)
 
 SQUARE = [(-1, 1), (1, 1), (Fraction(3, 2), 3), (Fraction(-3, 2), 3)]
 

@@ -1,16 +1,12 @@
-"""Every public module-level function of src/ngontheta is reached from
+"""Every public module-level function of src/ngontheta is reached by code
 outside the tests: referenced by src/ code other than its own definition,
-imported or called by a perfbench/ source file, or named in backticks in
-the README's library table.  A name inside a string (a tracer label such
-as "dodec.dodec_P_kernel") reaches nothing.  Oracles that only tests call
-belong in tests/conftest.py."""
+or imported or called by a perfbench/ source file.  A name inside a string
+(a tracer label such as "dodec.dodec_P_kernel"), a comment or the README
+reaches nothing.  Oracles that only tests call belong in tests/conftest.py."""
 
 import ast
-import re
 
 from conftest import REPO
-
-SRC = REPO / "src" / "ngontheta"
 
 
 def _names(node):
@@ -24,12 +20,9 @@ def _names(node):
             yield n.name
 
 
-def _named(table, perf):
-    """The identifiers in backticks in the README table rows and the names
-    that the perfbench/ sources perf import, call or read."""
-    quoted = re.findall(r"`([^`]*)`", "\n".join(table))
-    return set(re.findall(r"\w+", " ".join(quoted))) | \
-        {n for text in perf for n in _names(ast.parse(text))}
+def _named(perf):
+    """The names that the perfbench/ sources perf import, call or read."""
+    return {n for text in perf for n in _names(ast.parse(text))}
 
 
 def _unreached(sources, named):
@@ -48,28 +41,45 @@ def _unreached(sources, named):
             and not any(name in r for top, r in refs if top is not node)]
 
 
+def _repo_unreached(repo):
+    """_unreached over the modules of repo/src/ngontheta, with the names
+    that the repo/perfbench sources reach; the README is not read."""
+    sources = {p.stem: p.read_text()
+               for p in sorted((repo / "src" / "ngontheta").glob("*.py"))}
+    perf = [p.read_text() for p in sorted((repo / "perfbench").glob("*.py"))]
+    return _unreached(sources, _named(perf))
+
+
 def test_no_test_only_code_in_src():
-    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     table = [line for line in (REPO / "README.md").read_text().splitlines()
              if line.startswith("| `ngontheta.")]
-    assert len(table) == len(sources) - 1     # one row per module
-    perf = [p.read_text() for p in sorted((REPO / "perfbench").glob("*.py"))]
-    assert _unreached(sources, _named(table, perf)) == []
+    modules = list((REPO / "src" / "ngontheta").glob("*.py"))
+    assert len(table) == len(modules) - 1     # one README row per module
+    assert _repo_unreached(REPO) == []
 
 
-def test_guard_flags_a_test_only_function():
+def test_guard_flags_a_test_only_function(tmp_path):
     src = {"a": "def used():\n    return 1\n\n\n"
                 "def orphan():\n    return orphan() + used()\n",
            "b": "from .a import used\n"}
     assert _unreached(src, set()) == ["a.orphan"]
     assert _unreached(src, {"orphan"}) == []
     # named only in prose, a string or a comment: still flagged
-    named = _named(["| `ngontheta.a` | orphan |"],
-                   ['LAYERS = ("a.orphan", "orphan")  # orphan\n'])
+    named = _named(['LAYERS = ("a.orphan", "orphan")  # orphan\n'])
     assert "orphan" not in named
     assert _unreached(src, named) == ["a.orphan"]
-    # named in backticks, imported or called: reached
-    for table, perf in ((["| `ngontheta.a` | `orphan(x)` |"], []),
-                        ([], ["from ngontheta.a import orphan\n"]),
-                        ([], ["import ngontheta.a as a\na.orphan()\n"])):
-        assert _unreached(src, _named(table, perf)) == []
+    # imported or called: reached
+    for perf in ("from ngontheta.a import orphan\n",
+                 "import ngontheta.a as a\na.orphan()\n"):
+        assert _unreached(src, _named([perf])) == []
+    # named in backticks in the README's library table only: flagged
+    (tmp_path / "src" / "ngontheta").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    for module, text in src.items():
+        (tmp_path / "src" / "ngontheta" / f"{module}.py").write_text(text)
+    (tmp_path / "README.md").write_text("| `ngontheta.a` | `orphan(x)` |\n")
+    (tmp_path / "perfbench" / "run.py").write_text("import ngontheta.b\n")
+    assert _repo_unreached(tmp_path) == ["a.orphan"]
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "from ngontheta.a import orphan\n")
+    assert _repo_unreached(tmp_path) == []

@@ -9,17 +9,20 @@ frames: E2/E3 of one plane and dodec_E_kernel are one call each.
 cone_sum, shared by E_frames and the N-gon completion's rho terms, is the
 one weighted sum of their masses, under one weight rule: cone sigma of an
 item with reference signs s weighs prod_i (sigma_i - s_i).  It sets up a
-call's cones once, as one table that its screen and mass read by index.
+call's cones once, as one table that its screen and mass read by index:
+cone_dist2, cone_mass_2d and cone_mass_3d take item arrays, cone tables
+and a required index cone into them, the one form cone_sum passes.
 One cut, CONE_CUT, decides when a Gaussian mass is negligible; FAST_MARGIN
 is the distance at which a Gaussian factor falls that far.  A planar
 cone's mass is computed with the radial integral in closed form; over the
 angle, its Gaussian term on u's side integrates in closed form too (a
 difference of erfc), and the smooth rest, which has no Gaussian factor in
 the angle, takes one short Gauss-Legendre rule (batched).  A solid cone's
-mass is a 1-D integral over one wall's normal coordinate, on fixed
-Gauss-Legendre nodes, of planar slice masses in closed form (a bivariate
-normal orthant probability by Owen's T function).  Values lie in [-1,1]
-and tend to the product of signs as x grows along a regular direction.
+mass is a 1-D integral over one wall's normal coordinate of planar slice
+masses in closed form (a bivariate normal orthant probability by Owen's T
+function).  Both 1-D rules take CONE_NODES Gauss-Legendre nodes a
+piece.  Values lie in [-1,1] and tend to the product of signs as x grows
+along a regular direction.
 """
 
 import functools
@@ -36,9 +39,8 @@ CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
 # e^{-CONE_CUT}: E2/E3 take the sign product when every sign margin reaches
 # it, and a solid cone's 1-D range ends this far either side of u_n
 FAST_MARGIN = math.sqrt(CONE_CUT / math.pi)
-FAR_NODES = 24           # nodes per part of a planar cone's smooth term
+CONE_NODES = 24          # Gauss-Legendre nodes a piece of a 1-D cone integral
 CONE_BLOCK = 8192        # node elements per block (bounds temporaries)
-LINE_NODES = 24          # Gauss-Legendre nodes per piece of a solid cone
 WINDOW = 3.0             # slice distance spanned by a window at a fast change
 SUM_SLACK = 1e-9         # E2/E3 mass sums further out than this are errors
 # _SIGNS[:2**q, 3-q:] signs the 2^q cones of a q-frame (q <= 3), + first
@@ -77,13 +79,12 @@ def _cone_rays(g1, g2):
     return e, np.where(flip, 2.0 * np.pi - dth, dth)
 
 
-def cone_mass_2d(u, g1, g2, amp=0.0, cone=None):
-    """exp(amp) times the Gaussian mass exp(-pi|t-u|^2) of the planar cone
-    spanned by g1, g2 (angular extent < pi).  Batched: u may hold one item
-    per row (shape (K, 2), amp scalar or (K,)), giving K masses; a single
-    item gives a float.  Item k's cone is row cone[k] of the tables g1, g2
-    (shape (C, 2)), or row k without cone; the rays' order, opening and unit
-    vectors are derived once per table row (_cone_rays), the rest per item.
+def cone_mass_2d(u, g1, g2, amp, cone):
+    """exp(amp_k) times the Gaussian mass exp(-pi|t-u_k|^2) of item k's
+    planar cone (angular extent < pi), for items u of shape (K, 2) and amp
+    of shape (K,): the cone spanned by row cone[k] of the ray tables g1, g2
+    (shape (C, 2)).  The rays' order, opening and unit vectors are derived
+    once per table row (_cone_rays), the rest per item.
     In the direction at angle a from u, with b = |u| cos a and q = |u| sin
     a, the radial integral is e^{amp} max(b, 0) e^{-pi q^2} + e^{amp - pi
     |u|^2} g(|b|), g(y) = 1/(2 pi) - (y/2) erfcx(sqrt(pi) y).  The first
@@ -93,14 +94,11 @@ def cone_mass_2d(u, g1, g2, amp=0.0, cone=None):
     x e of its rays (|u| at the perpendicular to u), x_1 <= x_2.  The
     second has no Gaussian factor in the angle: the cone is cut where the
     angle passes a multiple of pi/2, and each part is integrated on
-    FAR_NODES Gauss-Legendre nodes in t, its angle d to the nearest
+    CONE_NODES Gauss-Legendre nodes in t, its angle d to the nearest
     perpendicular d0 + L t^2 from the part's end nearest it, where g(|b|)
     changes fastest and has its kink."""
     from scipy.special import erfcx
-    single = np.ndim(u) == 1
-    u, g1, g2 = (np.asarray(a, dtype=float).reshape(-1, 2) for a in (u, g1, g2))
-    amp = np.broadcast_to(np.asarray(amp, dtype=float), (len(u),))
-    e, dth = (t[... if cone is None else cone] for t in _cone_rays(g1, g2))
+    e, dth = (t[cone] for t in _cone_rays(g1, g2))
     # at a unit ray e, b = (u, e) is the center's offset along the ray and
     # q = u x e its transverse distance
     b = np.einsum('kej,kj->ke', e, u)
@@ -131,8 +129,8 @@ def cone_mass_2d(u, g1, g2, amp=0.0, cone=None):
     i = np.flatnonzero(step)
     d0, step, rs = d0.ravel()[i], step.ravel()[i], SQPI * r[i // 3]
     far = np.zeros(len(i))
-    _, _, s, w = _gl_rule(FAR_NODES)
-    for j in _blocks(len(i), FAR_NODES):
+    _, _, s, w = _gl_rule(CONE_NODES)
+    for j in _blocks(len(i), CONE_NODES):
         # z = sqrt(pi) |b| at the nodes, where 2 sqrt(pi) g is 1/sqrt(pi) -
         # z erfcx(z) (the weights sum to 1)
         z = d0[j, None] + step[j, None] * s
@@ -146,7 +144,7 @@ def cone_mass_2d(u, g1, g2, amp=0.0, cone=None):
         * np.bincount(i // 3, far, minlength=len(u)) / (2.0 * SQPI)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("2-D cone mass produced a non-finite value")
-    return float(out[0]) if single else out
+    return out
 
 
 def _blocks(n, nodes):
@@ -155,30 +153,29 @@ def _blocks(n, nodes):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-def cone_dist2(u, b, rays, cone=None):
-    """Squared distance from u to the nearest ray of the cone {y : b y >= 0}
-    (0 if u lies inside), whose rays are the columns of rays = b^{-1}, for
-    float arrays u of shape (..., d), b and rays of shape (..., d, d), or
-    tables b, rays of shape (C, d, d) whose row cone[k] is item k's cone,
-    its rays normalized once per row.  It is the distance to a planar cone,
-    whose boundary is its rays, but no lower bound for a solid cone, whose
-    nearest point can lie on a facet: E3's octant screen drops cones with
-    real mass (open; the values of perfbench/refs/dodec_E.json carry it)."""
-    rows = ... if cone is None else cone
-    inside = functools.reduce(np.logical_and, np.moveaxis(
-        np.einsum('...ij,...j->...i', b[rows], u) >= -1e-12, -1, 0))
-    rays = (rays / np.linalg.norm(rays, axis=-2, keepdims=True))[rows]
-    proj = np.maximum(np.einsum('...i,...ij->...j', u, rays), 0.0)
-    d = u[..., :, None] - proj[..., None, :] * rays
-    dd = np.einsum('...ij,...ij->...j', d, d)        # to each ray
-    best = functools.reduce(np.minimum, np.moveaxis(dd, -1, 0),
-                            np.einsum('...i,...i->...', u, u))
-    return np.where(inside, 0.0, best)[()]
+def cone_dist2(u, b, rays, cone):
+    """Squared distance from u_k to the nearest ray of item k's cone {y : b
+    y >= 0} (0 if u_k lies inside), whose rays are the columns of rays =
+    b^{-1}, for items u of shape (K, d) and tables b, rays of shape (C, d,
+    d) whose row cone[k] is item k's cone, its rays normalized once per
+    row.  It is the distance to a planar cone, whose boundary is its rays,
+    but no lower bound for a solid cone, whose nearest point can lie on a
+    facet: E3's octant screen drops cones with real mass (open; the values
+    of perfbench/refs/dodec_E.json carry it)."""
+    inside = functools.reduce(
+        np.logical_and, (np.einsum('kij,kj->ki', b[cone], u) >= -1e-12).T)
+    rays = (rays / np.linalg.norm(rays, axis=1, keepdims=True))[cone]
+    proj = np.maximum(np.einsum('ki,kij->kj', u, rays), 0.0)
+    d = u[:, :, None] - proj[:, None, :] * rays
+    dd = np.einsum('kij,kij->kj', d, d)        # to each ray
+    best = functools.reduce(np.minimum, dd.T, np.einsum('ki,ki->k', u, u))
+    return np.where(inside, 0.0, best)
 
 
 def E2(space, c1, c2, x):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2) over span(c1,c2); the sign of
-    the ratio for exactly proportional c1, c2.  Far out along one wall the
+    the ratio for exactly proportional negative c1, c2 (proportional null
+    or positive ones raise E1's ValueError).  Far out along one wall the
     value is still that of its float frame: at |x| ~ 1e13 the frame's
     rounding moves the centre by about 1e-3, so a sign margin of 0.05 is
     resolved to no better than that."""
@@ -186,28 +183,26 @@ def E2(space, c1, c2, x):
     i = next((k for k, v in enumerate(c1) if v != 0), None)
     if i is not None and c2[i] != 0 and all(c2[i] * a == c1[i] * b
                                             for a, b in zip(c1, c2)):
+        space.unit_negative(c1)         # raises unless c1 is negative
         return 1.0 if c2[i] / c1[i] > 0 else -1.0
     return _E(space, (c1, c2), x)
 
 
-def cone_mass_3d(u, b, cone=None):
-    """Gaussian masses exp(-pi|y-u|^2) of the solid cones {y : b y >= 0}, u
-    of shape (K, 3), functional rows b of shape (K, 3, 3), or a table b of
-    shape (C, 3, 3) whose row cone[k], set up once per row, is item k's
-    cone.  With n a wall's unit normal, the slice at t = (n, y) is a planar
-    cone with apex t p: mass = int_0^inf exp(-pi (t - u_n)^2) m(u_perp - t
-    p) dt, m the slice's planar cone mass, over t within FAST_MARGIN of u_n
+def cone_mass_3d(u, b, cone):
+    """Gaussian masses exp(-pi|y-u_k|^2) of item k's solid cone {y : b y >=
+    0}, for items u of shape (K, 3) and a table b of functional rows, shape
+    (C, 3, 3), whose row cone[k], set up once per row, is item k's cone.
+    With n a wall's unit normal, the slice at t = (n, y) is a planar cone
+    with apex t p: mass = int_0^inf exp(-pi (t - u_n)^2) m(u_perp - t p)
+    dt, m the slice's planar cone mass, over t within FAST_MARGIN of u_n
     (its Gaussian factor cut at e^{-CONE_CUT}).  The slice mass changes on
     a scale 1/rate where the slice centre crosses a wall (rate |c_j|/|g_j|)
     or passes the apex (rate |p|): split there, at u_n and WINDOW/rate
-    either side; LINE_NODES Gauss-Legendre nodes a piece.  A slice's mass
+    either side; CONE_NODES Gauss-Legendre nodes a piece.  A slice's mass
     is the orthant probability of its walls' standardized margins
     (_orthant)."""
-    u = np.asarray(u, dtype=float).reshape(-1, 3)
-    nb = np.asarray(b, dtype=float).reshape(-1, 3, 3)
-    nb = nb / np.linalg.norm(nb, axis=2, keepdims=True)
-    rows = ... if cone is None else cone
-    if np.any(np.abs(np.linalg.det(nb))[rows] < 1e-14):
+    nb = b / np.linalg.norm(b, axis=2, keepdims=True)
+    if np.any(np.abs(np.linalg.det(nb))[cone] < 1e-14):
         raise QuadratureError("degenerate solid cone")
     # condition on the wall whose normal is least parallel to the other two
     cos = np.abs(nb @ nb.transpose(0, 2, 1)) - 2.0 * np.eye(3)
@@ -224,7 +219,7 @@ def cone_mass_3d(u, b, cone=None):
     c = np.einsum('kjd,kd->kj', walls, n)
     p = -np.einsum('kij,kj->ki', np.linalg.inv(g), c)
     rho = np.sum(g[:, 0] * g[:, 1], axis=1) / (gn[:, 0] * gn[:, 1])
-    n, frame, g, gn, c, p, rho = (a[rows] for a in (n, frame, g, gn, c, p, rho))
+    n, frame, g, gn, c, p, rho = (a[cone] for a in (n, frame, g, gn, c, p, rho))
     un = np.einsum('kd,kd->k', u, n)
     uperp = np.einsum('kid,kd->ki', frame, u)
     lo = np.maximum(un - FAST_MARGIN, 0.0)
@@ -237,9 +232,9 @@ def cone_mass_3d(u, b, cone=None):
                                  at + WINDOW / rate])
     knots = np.sort(np.clip(np.nan_to_num(knots, nan=-1.0),
                             lo[:, None], hi[:, None]), axis=1)
-    s, w, _, _ = _gl_rule(LINE_NODES)
+    s, w, _, _ = _gl_rule(CONE_NODES)
     length = np.diff(knots, axis=1)[:, :, None] / 2.0
-    shape = (len(u), (knots.shape[1] - 1) * LINE_NODES)
+    shape = (len(u), (knots.shape[1] - 1) * CONE_NODES)
     t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
     wt = (length * w).reshape(shape)
     k, j = np.nonzero(wt > 0.0)       # slices of the pieces of nonzero length

@@ -587,14 +587,14 @@ def weil_sanity(space, weil):
     both should be ~0."""
     reps, _, s, neg = weil
     d = len(reps)
-    uni = float(np.max(np.abs(s @ s.conj().T - np.eye(d))))
-    # S^2 = phase^2 * permutation mu -> -mu
-    perm = np.zeros((d, d))
-    perm[neg, np.arange(d)] = 1.0
+    # S S* = 1, S^2 = phase^2 * (mu -> -mu); one d x d product at a time
+    uni = s @ s.conj().T
+    uni[np.diag_indices(d)] -= 1.0
+    uni = float(np.max(np.abs(uni)))
     p, q = space.sig
-    ph2 = cmath.exp(2j * math.pi * (q - p) / 4.0)
-    comp = float(np.max(np.abs(s @ s - ph2 * perm)))
-    return uni, comp
+    comp = s @ s
+    comp[neg, np.arange(d)] -= cmath.exp(2j * math.pi * (q - p) / 4.0)
+    return uni, float(np.max(np.abs(comp)))
 
 
 def modularity_check(space, ngon, tau, nmax):

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import sys
@@ -294,6 +295,20 @@ def majorant_float(space, x, z):
     pairings = z.ortho @ space.gram_f @ xf
     r = float(pairings @ pairings)
     return float(space.inner(x, x)) + 2.0 * r, r
+
+
+def weil_sanity_dense(space, weil):
+    """(unitarity defect, S^2-composition defect) as lattice.weil_sanity
+    formed them with dense helper matrices: S S* - eye(d) and S S - phase^2
+    times a float permutation matrix."""
+    reps, _, s, neg = weil
+    d = len(reps)
+    uni = float(np.max(np.abs(s @ s.conj().T - np.eye(d))))
+    perm = np.zeros((d, d))
+    perm[neg, np.arange(d)] = 1.0
+    p, q = space.sig
+    ph2 = cmath.exp(2j * math.pi * (q - p) / 4.0)
+    return uni, float(np.max(np.abs(s @ s - ph2 * perm)))
 
 
 # --- wall-collection oracles ------------------------------------------------
@@ -684,6 +699,23 @@ def j0_value(ngon, x):
     prods = np.prod(np.array(s)[ngon.vertices], axis=1)
     return sum(float(e) - int(p)
                for e, p in zip(E_frames(a, m @ xf), prods)) / 4.0
+
+
+# --- errfn's cone routines, each item its own cone ---------------------------
+
+def per_item(fn, u, *tables):
+    """fn(u, *tables, cone) for cone_dist2, cone_mass_2d or cone_mass_3d of
+    ngontheta.errfn on items that are each their own cone: tables with one
+    row per item (cone_mass_2d's amp among them, a scalar for every item),
+    cone = arange(K).  One item, u of shape (q,) and its tables without the
+    item axis, goes as a one-item table and gives a float."""
+    if np.ndim(u) == 1:
+        return float(per_item(fn, np.asarray(u, dtype=float)[None],
+                              *(np.asarray(a, dtype=float)[None]
+                                for a in tables))[0])
+    tables = (np.full(len(u), float(a)) if np.ndim(a) == 0 else a
+              for a in tables)
+    return fn(u, *tables, np.arange(len(u)))
 
 
 # --- the Fraction formatter of q-expansions -----------------------------------

@@ -838,6 +838,12 @@ MALFORMED = {
     "errfn-x-huge": (["errfn", "eval", "--space", SPACE, "--c", "0,1,0",
                       "--x", "1e308,0,0"], 1,
                      "error: --x '1e308,0,0': entries must be at most"),
+    # E2 of proportional vectors is the sign of their ratio only for
+    # negative ones; (1,0,0) is null in this space
+    "errfn-e2-null-pair": (["errfn", "eval", "--space", SPACE, "--c", "1,0,0",
+                            "--c", "2,0,0", "--x", "0.3,0.7,1.1"], 2,
+                           "validation error: unit_negative requires a "
+                           "negative vector\n"),
     # Fraction would build 10^|e| (13 s at 1e10000000); refused at once
     "ngon-eps-exponent": (["ngon", "eps", "--ngon", FUNDDOM, "--x",
                            "1e10000000,0,0"], 1,

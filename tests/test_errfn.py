@@ -10,12 +10,12 @@ from scipy.integrate import quad, dblquad
 from scipy.special import erf, erfc, erfcx
 
 from ngontheta.qspace import QuadraticSpace
-from ngontheta.errfn import (E1, E2, E3, CONE_CUT, FAST_MARGIN, FAR_NODES,
+from ngontheta.errfn import (E1, E2, E3, CONE_CUT, CONE_NODES, FAST_MARGIN,
                              QuadratureError, cone_mass_2d, cone_mass_3d,
                              cone_dist2, cone_sum, _orthant, E_frames)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
-from conftest import butterfly_ngon, j0_value
+from conftest import butterfly_ngon, j0_value, per_item
 
 SQPI = math.sqrt(math.pi)
 SP3 = QuadraticSpace([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
@@ -182,6 +182,11 @@ def test_e2_proportional_vectors():
     x = np.array([0.3, 0.1, 0.2])
     assert E2(SP3, (0, 1, 0), (0, 3, 0), x) == 1.0
     assert E2(SP3, (0, 1, 0), (0, -2, 0), x) == -1.0
+    # the shortcut needs negative vectors: a null pair and a positive pair
+    # raise as E1 does
+    for c1, c2 in (((1, 1, 0), (2, 2, 0)), ((1, 0, 0), (-3, 0, 0))):
+        with pytest.raises(ValueError, match="requires a negative vector"):
+            E2(SP3, c1, c2, x)
 
 
 def test_values_in_unit_interval():
@@ -245,9 +250,8 @@ def test_radial_integrals_against_quadrature():
     for r in (30.0, 2.0):
         for a1, a2 in ((-0.01, 0.02), (0.01, 0.05), (-0.3, 1.8),
                        (1.7, 2.9), (-2.9, -1.2)):
-            got = cone_mass_2d(np.array([r, 0.0]),
-                               np.array([math.cos(a1), math.sin(a1)]),
-                               np.array([math.cos(a2), math.sin(a2)]))
+            got = per_item(cone_mass_2d, np.array([r, 0.0]), _ray(a1),
+                           _ray(a2), 0.0)
             near = sum(_gauss_term(r, lo, hi) for lo, hi in
                        ((max(a1, 0.0), max(a2, 0.0)),
                         (max(-a2, 0.0), max(-a1, 0.0))) if lo < hi)
@@ -304,17 +308,17 @@ def test_cone_mass_batched_vs_quadrature():
     swap = rng.random(k) < 0.5
     g1, g2 = np.where(swap[:, None], g2, g1), np.where(swap[:, None], g1, g2)
     rays = np.stack([g1, g2], axis=2)
-    keep = amp - math.pi * cone_dist2(u, np.linalg.inv(rays), rays) \
-        >= RHO_LOG_TOL
+    keep = amp - math.pi * per_item(cone_dist2, u, np.linalg.inv(rays),
+                                    rays) >= RHO_LOG_TOL
     assert keep.sum() >= 2000
     u, g1, g2, amp = u[keep], g1[keep], g2[keep], amp[keep]
-    got = cone_mass_2d(u, g1, g2, amp=amp)
+    got = per_item(cone_mass_2d, u, g1, g2, amp)
     for i in range(len(u)):
         want = _cone_mass_2d_quad(u[i], g1[i], g2[i], amp=amp[i])
         assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), \
             (u[i], g1[i], g2[i], amp[i], got[i], want)
     # a single cone gives the same value as its row of the batch
-    assert cone_mass_2d(u[7], g1[7], g2[7], amp=amp[7]) == got[7]
+    assert per_item(cone_mass_2d, u[7], g1[7], g2[7], amp[7]) == got[7]
 
 
 def test_far_side_cone_mass_vs_quadrature():
@@ -332,8 +336,8 @@ def test_far_side_cone_mass_vs_quadrature():
                  / np.sum(u * u, axis=1))[:, None]
     sig = -np.sign(np.einsum('kij,kj->ki', a, u))
     rays = np.linalg.inv(a) * sig[:, None, :]
-    keep = amp - math.pi * cone_dist2(u, sig[:, :, None] * a, rays) \
-        >= RHO_LOG_TOL
+    keep = amp - math.pi * per_item(cone_dist2, u, sig[:, :, None] * a,
+                                    rays) >= RHO_LOG_TOL
     assert keep.sum() >= 300
     u, g1, g2, amp = u[keep], rays[keep, :, 0], rays[keep, :, 1], amp[keep]
 
@@ -343,7 +347,7 @@ def test_far_side_cone_mass_vs_quadrature():
         return np.count_nonzero((np.sum(u * g1, 1) > 0)
                                 | (np.sum(u * g2, 1) > 0))
 
-    got = cone_mass_2d(u, g1, g2, amp=amp)
+    got = per_item(cone_mass_2d, u, g1, g2, amp)
     # an obtuse quadrant can have a ray within a right angle of u
     assert 0 < near(g1, g2) < len(u)
     for i in range(len(u)):
@@ -355,8 +359,8 @@ def test_far_side_cone_mass_vs_quadrature():
     g1 = np.where(mix[:, None], -g1, g1)
     g2 = np.where(mix[:, None], -g2, g2)
     assert np.count_nonzero(mix) <= near(g1, g2) < len(u)
-    got = cone_mass_2d(u, g1, g2, amp=amp)
-    assert [cone_mass_2d(u[i], g1[i], g2[i], amp=amp[i])
+    got = per_item(cone_mass_2d, u, g1, g2, amp)
+    assert [per_item(cone_mass_2d, u[i], g1[i], g2[i], amp[i])
             for i in range(len(u))] == list(got)
 
 
@@ -394,14 +398,14 @@ def test_near_side_cone_mass_vs_quadrature():
                   np.array([g2 for _, g2 in pairs] * 20),
                   rng.uniform(0.0, AMP_CAP, 80)))
     for u, g1, g2, amp in cases:
-        got = cone_mass_2d(u, g1, g2, amp=amp)
+        got = per_item(cone_mass_2d, u, g1, g2, amp)
         for i in range(len(u)):
             want = _cone_mass_2d_quad(u[i], g1[i], g2[i], amp=amp[i])
             assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want)), \
                 (u[i], g1[i], g2[i], amp[i], got[i], want)
         # a single cone gives the same value as its row of the batch
         i = rng.integers(len(u))
-        assert cone_mass_2d(u[i], g1[i], g2[i], amp=amp[i]) == got[i]
+        assert per_item(cone_mass_2d, u[i], g1[i], g2[i], amp[i]) == got[i]
     # u on a ray at |u| = 1e9, or off it by delta along the normal f: b
     # ties at the ray and at u's direction, and the cone holds the half
     # plane's mass on f's side whichever side of the ray u lies (its far
@@ -415,13 +419,14 @@ def test_near_side_cone_mass_vs_quadrature():
                                  (-f, e, -1.0), (e - f, e, -1.0),
                                  (-e - f, e, -1.0)):
                 want = (1.0 + side * erf(SQPI * delta)) / 2.0
-                assert abs(cone_mass_2d(u, g1, g2) - want) < 1e-15
-                assert cone_mass_2d(u, -g1, -g2) == 0.0
+                assert abs(per_item(cone_mass_2d, u, g1, g2, 0.0) - want) \
+                    < 1e-15
+                assert per_item(cone_mass_2d, u, -g1, -g2, 0.0) == 0.0
     # u = 0: e^{amp} times the opening over 2 pi
     for amp in (0.0, 300.0, AMP_CAP):
         for dth in (1e-3, 1.0, 3.0):
-            got = cone_mass_2d(np.zeros(2), _ray(0.4), _ray(0.4 + dth),
-                               amp=amp)
+            got = per_item(cone_mass_2d, np.zeros(2), _ray(0.4),
+                           _ray(0.4 + dth), amp)
             assert abs(got / math.exp(amp) - dth / (2.0 * math.pi)) < 1e-15
 
 
@@ -432,25 +437,28 @@ def test_cone_mass_full_plane():
     total = 0.0
     for s1 in (1, -1):
         for s2 in (1, -1):
-            total += cone_mass_2d(u, s1 * gens[0], s2 * gens[1])
+            total += per_item(cone_mass_2d, u, s1 * gens[0], s2 * gens[1],
+                              0.0)
     assert abs(total - 1.0) < 1e-10
 
 
 def test_cone_dist2():
     eye = np.eye(2)
-    assert cone_dist2(np.array([0.5, 0.5]), eye, eye) == 0.0
-    assert abs(cone_dist2(np.array([-1.0, 0.0]), eye, eye) - 1.0) < 1e-9
-    assert abs(cone_dist2(np.array([-1.0, -1.0]), eye, eye) - 2.0) < 1e-9
+    assert per_item(cone_dist2, np.array([0.5, 0.5]), eye, eye) == 0.0
+    assert abs(per_item(cone_dist2, np.array([-1.0, 0.0]), eye, eye) - 1.0) \
+        < 1e-9
+    assert abs(per_item(cone_dist2, np.array([-1.0, -1.0]), eye, eye)
+               - 2.0) < 1e-9
     # the cone {y : b y >= 0} with rays (1, 0) and (1, 1); batched rows
     b = np.array([[0.0, 1.0], [1.0, -1.0]])
     rays = np.array([[1.0, 1.0], [1.0, 0.0]])       # columns (1, 1), (1, 0)
     assert np.allclose(b @ rays, eye)
     u = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
     want = [0.0, 0.5, 1.0, 2.0]
-    got = cone_dist2(u, np.broadcast_to(b, (4, 2, 2)),
-                     np.broadcast_to(rays, (4, 2, 2)))
+    got = per_item(cone_dist2, u, np.broadcast_to(b, (4, 2, 2)),
+                   np.broadcast_to(rays, (4, 2, 2)))
     assert np.allclose(got, want, atol=1e-12)
-    assert [cone_dist2(x, b, rays) for x in u] == list(got)
+    assert [per_item(cone_dist2, x, b, rays) for x in u] == list(got)
 
 
 def _cone_dist2_axis(u, b, rays):
@@ -470,8 +478,8 @@ def test_column_reductions_match_axis_reductions(monkeypatch):
     # cone_dist2's inside test and E_frames' sign product and least margin
     # reduce column by column, bit for bit as numpy's reductions over the
     # short last axis did: integer frames give exact zero margins, tiny
-    # centres margins about the -1e-12 tolerance, and the unbatched
-    # cone_dist2 the same values
+    # centres margins about the -1e-12 tolerance, and cone_dist2 on one
+    # item the same values
     from ngontheta import errfn
     rng = np.random.default_rng(32)
     slow_seen = []
@@ -487,9 +495,9 @@ def test_column_reductions_match_axis_reductions(monkeypatch):
         u = rng.integers(-2, 3, (len(a), q)) \
             * rng.choice([1e-13, 1e-3, 1.0, 100.0], (len(a), 1))
         want = _cone_dist2_axis(u, a, np.linalg.inv(a))
-        got = cone_dist2(u, a, np.linalg.inv(a))
+        got = per_item(cone_dist2, u, a, np.linalg.inv(a))
         assert np.array_equal(got, want) and 0 < np.sum(want == 0) < len(a)
-        assert [cone_dist2(x, b, r) for x, b, r in zip(
+        assert [per_item(cone_dist2, x, b, r) for x, b, r in zip(
             u[:200], a[:200], np.linalg.inv(a[:200]))] == list(want[:200])
         margins = np.einsum('vij,vj->vi', a, u) / np.linalg.norm(a, axis=2)
         slow = np.flatnonzero(np.min(np.abs(margins), axis=1) < FAST_MARGIN)
@@ -680,7 +688,8 @@ def test_cone_mass_3d_vs_quadrature():
             u = rng.normal(size=3)
             u *= rng.uniform(0.0, 4.0) / np.linalg.norm(u)
         if (np.linalg.norm(u) > 12.0 or np.min(np.abs(nb @ u)) >= 7.5
-                or math.pi * cone_dist2(u, b, np.linalg.inv(b)) > 42.0):
+                or math.pi * per_item(cone_dist2, u, b, np.linalg.inv(b))
+                > 42.0):
             continue
         us.append(u)
         bs.append(b)
@@ -688,12 +697,12 @@ def test_cone_mass_3d_vs_quadrature():
     margins = np.min(np.abs(np.einsum('kij,kj->ki', b, u))
                      / np.linalg.norm(b, axis=2), axis=1)
     assert min(_unit_det(x) for x in b) < 0.025 and margins.max() > 7.0
-    got = cone_mass_3d(u, b)
+    got = per_item(cone_mass_3d, u, b)
     for i in range(len(u)):
         want = _cone_mass_3d_dblquad(u[i], np.linalg.inv(b[i]))
         assert abs(got[i] - want) <= 1e-11, (u[i], b[i], got[i], want)
     # a single cone gives the same value as its row of the batch
-    assert cone_mass_3d(u[7], b[7])[0] == got[7]
+    assert per_item(cone_mass_3d, u[7], b[7]) == got[7]
 
 
 def test_cone_mass_3d_octants_partition_space():
@@ -710,7 +719,7 @@ def test_cone_mass_3d_octants_partition_space():
                                                            keepdims=True)
     sig = np.array(list(product((1.0, -1.0), repeat=3)))
     b = sig[:, :, None] * np.array(bs)[:, None]
-    mass = cone_mass_3d(np.repeat(u, 8, axis=0), b.reshape(-1, 3, 3))
+    mass = per_item(cone_mass_3d, np.repeat(u, 8, axis=0), b.reshape(-1, 3, 3))
     assert np.max(np.abs(mass.reshape(1000, 8).sum(axis=1) - 1.0)) <= 1e-12
 
 
@@ -725,7 +734,7 @@ def test_orthant_matches_planar_cone_mass():
     rho = np.sum(g[:, 0] * g[:, 1], axis=1) / (gn[:, 0] * gn[:, 1])
     h = np.einsum('kjd,kd->kj', g, u) * math.sqrt(2.0 * math.pi) / gn
     rays = np.linalg.inv(g)
-    want = cone_mass_2d(u, rays[:, :, 0], rays[:, :, 1])
+    want = per_item(cone_mass_2d, u, rays[:, :, 0], rays[:, :, 1], 0.0)
     # the bound is the quadrature's: at |rho| -> 1 it errs by ~1e-14
     assert np.max(np.abs(_orthant(h[:, 0], h[:, 1], rho) - want)) <= 1e-13
     # at an exact zero margin: the closed form at the apex, and continuity
@@ -742,7 +751,7 @@ def test_orthant_matches_planar_cone_mass():
 def test_cone_mass_3d_degenerate():
     b = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(QuadratureError):
-        cone_mass_3d(np.zeros(3), b)
+        per_item(cone_mass_3d, np.zeros(3), b)
 
 
 def test_signed_sum_outside_unit_interval_raises(monkeypatch):
@@ -784,14 +793,16 @@ def _cone_sum_loop(a, f, u, s, amp, cut):
                 continue
             b = sig[c][:, None] * a[f[k]]
             rays = np.linalg.inv(a[f[k]]) * sig[c]
-            margin = amp[k] - math.pi * cone_dist2(u[k], b, rays) + cut
+            margin = amp[k] - math.pi * per_item(cone_dist2, u[k], b, rays) \
+                + cut
             margins.append(margin)
             if margin < 0:
                 continue
             if q == 2:
-                mass = cone_mass_2d(u[k], rays[:, 0], rays[:, 1], amp=amp[k])
+                mass = per_item(cone_mass_2d, u[k], rays[:, 0], rays[:, 1],
+                                amp[k])
             else:
-                mass = cone_mass_3d(u[k], b)[0]
+                mass = per_item(cone_mass_3d, u[k], b)
             total[k] += weight * mass
     return total, np.array(margins)
 
@@ -867,9 +878,11 @@ def _cone_table_items(rng, rays, k):
 
 def test_cone_table_matches_per_item(monkeypatch):
     # a table of cones read by index gives, bit for bit, what the same cones
-    # given one per item give: planar cones with rays in either order (so
-    # that those given clockwise are flipped), scalar and per-item amp, and
-    # more pieces than one block of node arrays holds, near side and far
+    # give in a table of one row per item, and one item in a one-item table
+    # what its row of the batch gives: planar cones with rays in either
+    # order (so that those given clockwise are flipped), zero and random
+    # amp, and more pieces than one block of node arrays holds, near side
+    # and far
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3401)
     blocks = errfn._blocks
@@ -890,36 +903,35 @@ def test_cone_table_matches_per_item(monkeypatch):
     rays = np.stack([g1, g2], axis=2)
     cone, u = _cone_table_items(rng, rays, 3000)
     b = np.linalg.inv(rays)
-    got = cone_dist2(u, b, rays, cone=cone)
-    assert np.array_equal(got, cone_dist2(u, b[cone], rays[cone]))
+    got = cone_dist2(u, b, rays, cone)
+    assert np.array_equal(got, per_item(cone_dist2, u, b[cone], rays[cone]))
     assert np.sum(got == 0.0) > 1000 and np.sum(got > 0.0) > 1000
-    for amp in (0.0, rng.uniform(0.0, 300.0, 3000)):
+    for amp in (np.zeros(3000), rng.uniform(0.0, 300.0, 3000)):
         seen.clear()
-        got = cone_mass_2d(u, g1, g2, amp, cone=cone)
-        assert [nodes for nodes, _ in seen] == [FAR_NODES]
+        got = cone_mass_2d(u, g1, g2, amp, cone)
+        assert [nodes for nodes, _ in seen] == [CONE_NODES]
         assert all(n > 1 for _, n in seen)
-        want = cone_mass_2d(u, g1[cone], g2[cone], amp)
+        want = per_item(cone_mass_2d, u, g1[cone], g2[cone], amp)
         assert np.array_equal(got, want) and np.sum(got > 1e-3) > 1000
-        a = np.broadcast_to(amp, (3000,))
-        assert [cone_mass_2d(u[i], g1[cone[i]], g2[cone[i]], a[i])
+        assert [per_item(cone_mass_2d, u[i], g1[cone[i]], g2[cone[i]], amp[i])
                 for i in range(10)] == list(got[:10])
     # solid cones: the screen and the mass
     b3 = np.array([_random_walls(rng) for _ in range(6)])
     r3 = np.linalg.inv(b3)
     cone, u = _cone_table_items(rng, r3, 400)
-    got = cone_dist2(u, b3, r3, cone=cone)
-    assert np.array_equal(got, cone_dist2(u, b3[cone], r3[cone]))
-    assert [cone_dist2(u[i], b3[cone[i]], r3[cone[i]])
+    got = cone_dist2(u, b3, r3, cone)
+    assert np.array_equal(got, per_item(cone_dist2, u, b3[cone], r3[cone]))
+    assert [per_item(cone_dist2, u[i], b3[cone[i]], r3[cone[i]])
             for i in range(10)] == list(got[:10])
-    assert np.array_equal(cone_mass_3d(u[:60], b3, cone=cone[:60]),
-                          cone_mass_3d(u[:60], b3[cone[:60]]))
+    assert np.array_equal(cone_mass_3d(u[:60], b3, cone[:60]),
+                          per_item(cone_mass_3d, u[:60], b3[cone[:60]]))
 
 
 def test_cone_sum_sets_up_each_cone_once(monkeypatch):
     # one cone_sum call derives its planar cones' angles once per row of its
     # table of F 2^q cones, not once per item, and makes one screen call
-    # and one cone-mass call; its sum is that of the item's cones given one
-    # per item, unscreened, whose masses sum to 1
+    # and one cone-mass call; its sum is that of the item's cones in a
+    # table of one row per item, unscreened, whose masses sum to 1
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3402)
     rows, calls = [], []
@@ -953,8 +965,9 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
         sig = np.array(list(product((1.0, -1.0), repeat=q)))
         b = (sig[None, :, :, None] * a[f][:, None]).reshape(-1, q, q)
         rays, uu = np.linalg.inv(b), np.repeat(u, 2 ** q, axis=0)
-        mass = (cone_mass_2d(uu, rays[:, :, 0], rays[:, :, 1]) if q == 2
-                else cone_mass_3d(uu, b)).reshape(items, 2 ** q)
+        mass = (per_item(cone_mass_2d, uu, rays[:, :, 0], rays[:, :, 1], 0.0)
+                if q == 2 else per_item(cone_mass_3d, uu, b)
+                ).reshape(items, 2 ** q)
         assert np.all(np.abs(np.sum(mass, axis=1) - 1.0) < 1e-9)
         assert np.all(np.abs(got - np.sum(weight * mass, axis=1)) < 1e-9)
 

@@ -37,7 +37,8 @@ from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       guard_band_hits, int_majorant, j0_value,
                       majorant_exact, majorant_matrix, mat_det, mat_inv, negative_definite_vec, project_perp,
                       reduced_forms, regular_negative_vector_vec, vec_add,
-                      vec_scale, window_at_safety, window_proof_oracle)
+                      vec_scale, weil_sanity_dense, window_at_safety,
+                      window_proof_oracle)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -1230,6 +1231,19 @@ def test_weil_sanity(space_e, space_abc):
         uni, comp = weil_sanity(sp, weil_matrices(sp))
         assert uni < 1e-12
         assert comp < 1e-12
+
+
+def test_weil_sanity_matches_dense_oracle(funddom):
+    # the defects formed in place on S S* and S S equal, bit for bit, those
+    # formed with dense eye(d) and permutation matrices: funddom (|D| = 32),
+    # the (2,2) product (144) and funddom's Gram doubled (256)
+    doubled = QuadraticSpace([[2 * v for v in row] for row in SPACE_ABC.gram])
+    for space, d in ((funddom.space, 32), (_product_4gon().space, 144),
+                     (doubled, 256)):
+        weil = weil_matrices(space)
+        assert len(weil[0]) == d
+        got = weil_sanity(space, weil)
+        assert got == weil_sanity_dense(space, weil) and max(got) < 1e-12
 
 
 def test_weil_t_matrix(space_e):

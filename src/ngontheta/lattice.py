@@ -20,9 +20,9 @@ is a truncation); the proof and the enumeration read the base plane's
 cached exact data, NegativePlane.core and .majorant.  enumerate_cosets
 returns one row batch (CosetRows) of any number of cosets, enumerate_coset
 that of one; the signs of (x, C_j) come from the wall collection's
-sign_matrix on its integer rows.  The kernels vanish on nonzero vectors of
-norm <= 0, so a series batch holds only the window's rows with 0 <= Q(x)
-<= nmax; a completion batch holds the whole window.
+sign_matrix on its integer rows.  A series batch holds only the rows with
+0 <= Q(x) <= nmax and a nonzero kernel or a zero sign, the rows a series
+can use; a completion batch holds the whole window.
 
 The completion kernel returns each window row's term at its final weight,
 kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
@@ -45,7 +45,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errfn import cone_sum
-from .qspace import NegativePlane, _charpoly, _over_lcm, _row_norms, rat, vec
+from .qspace import (NegativePlane, _charpoly, _dot, _over_lcm, _row_norms,
+                     rat, vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
@@ -70,9 +71,10 @@ class LatticeCoset:
         if space._den != 1:
             raise ValueError("lattice Gram matrix must be integral")
         self.mu = vec(mu) if mu is not None else vec([0] * m)
-        # G mu is integral iff every (e_i, mu) is; a wrong-length mu raises
-        if any(space.inner([int(i == j) for j in range(m)], self.mu)
-               .denominator != 1 for i in range(m)):
+        d, num = _over_lcm(self.mu)     # mu in L∨ iff d divides G num
+        if len(num) != m:
+            raise ValueError("dimension mismatch")
+        if any(_dot(row, num) % d for row in space._gi):
             raise ValueError("mu is not in the dual lattice")
 
 
@@ -241,23 +243,23 @@ class CosetRows:
         return self.xx_num.astype(float) / self.dmu ** 2 / 2.0
 
 
-def _fp_enumerate(majorant, mus, bound, band=None, fold=None):
-    """Coset index c and int64 rows k, sorted by c and then lexicographically,
-    that contain every integer vector with (k+mu_c)^T M (k+mu_c) <= bound,
-    M = mi/dm for majorant = (mi, dm), mu_c in mus (rows of rationals or
-    floats): float Fincke-Pohst bounds with padding, which an exact filter
-    then decides; with band = (float Gram, qmax), only those with 0 <= Q <=
-    qmax; where fold[c], only x = 0 and the x whose first nonzero coordinate
-    is positive.  The search runs level-wise, coordinate i = 0 up to m-1,
-    all cosets at once: each partial row (k_0, ..., k_{i-1}) whose budget is
-    at least -pad gets its children k_i in its padded interval in increasing
-    order, so the rows are born sorted.  The last level's children are all
-    kept, so the exact filter alone decides the boundary.  A k_i range
-    reaching K_MAX raises ValueError before it is cast to int64, and a level
-    of more than ROWS_MAX rows before it is allocated."""
+def _fp_enumerate(majorant, d, munum, bound, band=None, fold=None):
+    """Coset index c and int64 numerators x d = k d + munum[c] of rows x,
+    sorted by c and then lexicographically, that contain every x = k + mu_c
+    (k integer) with x^T M x <= bound, M = mi/dm for majorant = (mi, dm) and
+    mu_c = munum[c]/d: float Fincke-Pohst bounds with padding, which an exact
+    filter then decides; with band = (float Gram, qmax), only those with
+    0 <= Q <= qmax; where fold[c], only x = 0 and the x whose first nonzero
+    coordinate is positive.  The search runs level-wise, coordinate i = 0 up
+    to m-1, all cosets at once: each partial row (k_0, ..., k_{i-1}) whose
+    budget is at least -pad gets its children k_i in its padded interval in
+    increasing order, so the rows are born sorted.  The last level keeps its
+    children unfiltered and writes their numerators, its parents' then its
+    own.  A k_i range reaching K_MAX raises ValueError before it is cast to
+    int64, and a level of more than ROWS_MAX rows before it is allocated."""
     mi, dm = majorant
     m = len(mi)
-    muf = np.array(mus, dtype=float)
+    muf = munum / d
     bf = float(bound)
     # q(x) = sum_i d_i (x_i + sum_{j<i} l_ij x_j)^2, i eliminated downward
     a = np.array([[v / dm for v in row] for row in mi])    # correctly rounded
@@ -271,8 +273,8 @@ def _fp_enumerate(majorant, mus, bound, band=None, fold=None):
     ks = np.zeros((len(muf), 0))      # float k_{0..i-1} of each partial row
     budget = np.full(len(muf), bf)
     for i in range(m):
-        live = budget >= -pad
-        c, ks, budget = c[live], ks[live], budget[live]
+        live = np.flatnonzero(budget >= -pad)
+        c, ks, budget = c[live], np.take(ks, live, 0), budget[live]
         off = muf[:, i] + muf[:, :i] @ lmat[i, :i]      # once per coset
         shift = ks @ lmat[i, :i] + off[c]
         t = np.sqrt((budget + pad) / dvec[i])
@@ -297,11 +299,17 @@ def _fp_enumerate(majorant, mus, bound, band=None, fold=None):
         parent = np.repeat(src, count)
         kk = np.repeat(lo + count - np.cumsum(count), count) \
             + np.arange(len(parent))
+        if i == m - 1:
+            break
         y = kk + shift[parent]
         budget = budget[parent] - dvec[i] * y * y
-        c, ks = c[parent], np.column_stack([ks[parent], kk])
+        c, ks = c[parent], np.column_stack([np.take(ks, parent, 0), kk])
         fold = None if fold is None else fold[parent] & (kk == -muf[c, i])
-    return c, ks.astype(np.int64)
+    xnum = np.take(munum, c, 0)             # the parents' numerators
+    xnum[:, :-1] += ks.astype(np.int64) * d
+    xnum = np.take(xnum, parent, 0)
+    xnum[:, -1] += kk.astype(np.int64) * d
+    return c[parent], xnum
 
 
 def _band_cut(xr, mu_last, lo, hi, gram, qmax):
@@ -351,32 +359,36 @@ def _numerators(mus):
                        dtype=np.int64).reshape(len(mus), -1)
 
 
-def enumerate_cosets(space, mus, window, qmax=None, even=False):
-    """The vectors x in mu+L, for each mu of mus (in L∨), with
-    (x,x)_{z0} <= B, as one CosetRows over the lcm of the mus'
-    denominators, formed once and filtered exactly.  With a
-    qmax, only those with 0 <= Q(x) <= qmax.  For an even kernel, a coset
-    with 2 mu in L holds x = 0 and one x of each +-x pair, at mult 2.  Each
-    mu is first reduced mod L, entries into [0, 1), so that its numerators
-    fit int64 whatever representative was given."""
+def enumerate_cosets(space, mus, window, qmax=None, even=False, keep=None):
+    """The vectors x in mu+L, for each mu of mus (in L∨), with (x,x)_{z0} <=
+    B, as one CosetRows over the lcm of the mus' denominators, formed once
+    and filtered exactly; with a qmax, only those with 0 <= Q(x) <= qmax,
+    and with keep, a mask of int64 numerator rows, only the rows it keeps,
+    taken before the exact filter.  For an even kernel, a coset with 2 mu in
+    L holds x = 0 and one x of each +-x pair, at mult 2.  Each mu is first
+    reduced mod L, entries into [0, 1), so that its numerators fit int64
+    whatever representative was given."""
     d, munum = _numerators(mus)
     band = None if qmax is None else (space.gram_f, float(qmax))
     fold = ~np.any(2 * munum % d, axis=1) if even else None    # 2 mu in L
-    c, ks = _fp_enumerate(window.z0.majorant, munum / d, window.B, band, fold)
-    xnum = ks * d + munum[c]
-    keep = _majorant_leq(xnum, d, window.z0.majorant, window.B)
+    c, xnum = _fp_enumerate(window.z0.majorant, d, munum, window.B, band,
+                            fold)
+    if keep is not None:
+        rows = np.flatnonzero(keep(xnum))
+        c, xnum = c[rows], np.take(xnum, rows, 0)
+    ok = _majorant_leq(xnum, d, window.z0.majorant, window.B)
     xx_num = _row_norms(xnum, space._gi)           # 2 d^2 Q(x)
     if qmax is not None:
-        keep &= (xx_num >= 0) & (xx_num <= math.floor(2 * d**2 * rat(qmax)))
-    mult = (np.where(fold[c] & reduce(np.logical_or, xnum.T != 0), 2, 1)[keep]
+        ok &= (xx_num >= 0) & (xx_num <= math.floor(2 * d**2 * rat(qmax)))
+    mult = (np.where(fold[c] & reduce(np.logical_or, xnum.T != 0), 2, 1)[ok]
             if even else 1)
-    return CosetRows(xnum[keep], d, munum, xx_num=xx_num[keep],
-                     coset=c[keep], mult=mult)
+    return CosetRows(np.compress(ok, xnum, 0), d, munum, xx_num=xx_num[ok],
+                     coset=c[ok], mult=mult)
 
 
-def enumerate_coset(coset, window, qmax=None, even=False):
+def enumerate_coset(coset, window, qmax=None, even=False, keep=None):
     """enumerate_cosets of one coset, over its own denominator."""
-    return enumerate_cosets(coset.space, [coset.mu], window, qmax, even)
+    return enumerate_cosets(coset.space, [coset.mu], window, qmax, even, keep)
 
 
 @dataclass
@@ -410,21 +422,24 @@ class QExpansion:
 
 def _certified_series(coset, walls, nmax, window, den):
     """q-expansion of sum_x kernel(x)/den q^{Q(x)} over a proved window (by
-    default certify_window's), where walls.kernel maps the exact sign matrix
-    of the enumerated x (walls.sign_matrix) to integer numerators, times the
-    rows' mult if the kernel is even (walls.even: every NGon)."""
+    default certify_window's) from the enumerated x with a nonzero kernel or
+    a zero sign: walls.kernel maps their exact signs (walls.sign_matrix) to
+    integer numerators, times mult if it is even (walls.even: every NGon)."""
     _check_space(coset.space, walls)
     if window is None:
         window = certify_window(walls, None, nmax)
     _prove_window(window, walls, nmax)
-    batch = enumerate_coset(coset, window, qmax=nmax, even=walls.even)
-    signs = walls.sign_matrix(batch.xnum)
-    num = walls.kernel(signs) * batch.mult
+
+    def terms(xnum):     # kernel numerators, rows with a zero sign
+        signs = walls.sign_matrix(xnum)
+        return walls.kernel(signs), reduce(np.logical_or, signs.T == 0)
+    batch = enumerate_coset(coset, window, qmax=nmax, even=walls.even,
+                            keep=lambda xnum: np.logical_or(*terms(xnum)))
+    num, odd = terms(batch.xnum)
     exps, where = np.unique(batch.xx_num[num != 0], return_inverse=True)
     sums = np.zeros(len(exps), dtype=np.int64)
-    np.add.at(sums, where, num[num != 0])
+    np.add.at(sums, where, (num * batch.mult)[num != 0])
     # a set of ints: np.unique's hash path imports numpy.ma (17 ms, 1 MB)
-    odd = reduce(np.logical_or, signs.T == 0)
     flags = sorted({e for e in batch.xx_num[odd].tolist() if e > 0})
     return QExpansion(coset.mu, nmax, 2 * batch.dmu ** 2, exps.tolist(),
                       sums.tolist(), den, flags, window)

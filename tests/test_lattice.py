@@ -157,6 +157,52 @@ def test_lattice_coset_rejects_wrong_length_mu(space_e):
         LatticeCoset(space_e, (Fraction(1, 3), 0, 0))
 
 
+def _dual_oracle(space, mu):
+    """Fraction reference of mu in L∨: every entry of G mu is an integer."""
+    return all(sum((g * c for g, c in zip(row, mu)), Fraction(0)).denominator
+               == 1 for row in space.gram)
+
+
+DUAL_SPACES = {"abc": lambda: SPACE_ABC,
+               "product": lambda: _product_4gon().space,
+               "dodec": lambda: QuadraticSpace(
+                   [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0],
+                    [0, 0, 0, -2]])}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_lattice_coset_dual_check_matches_fraction_oracle(data):
+    # LatticeCoset's integer test of mu in L∨ equals the Fraction oracle on
+    # random mu (denominators up to 12, numerators up to 1e20, and members
+    # of L∨ built from disc_group plus a lattice vector), on SPACE_ABC, the
+    # (2,2) product and diag(2, -2, -2, -2), the 1e19 mu of the CLI's huge-mu
+    # series among them; a wrong length raises dimension mismatch
+    name = data.draw(st.sampled_from(sorted(DUAL_SPACES)), label="space")
+    space = DUAL_SPACES[name]()
+    m, big = space.dim, 10 ** 20
+    if data.draw(st.booleans(), label="dual"):
+        reps = disc_group(space)
+        rep = reps[data.draw(st.integers(0, len(reps) - 1), label="coset")]
+        mu = tuple(c + data.draw(st.integers(-big, big)) for c in rep)
+    else:
+        mu = tuple(Fraction(data.draw(st.integers(-big, big)),
+                            data.draw(st.integers(1, 12))) for _ in range(m))
+    examples = [mu]
+    if name == "dodec":
+        examples.append((10 ** 19, 0, 0, 0))
+    for mu in examples:
+        if _dual_oracle(space, mu):
+            assert LatticeCoset(space, mu).mu == tuple(map(Fraction, mu))
+        else:
+            with pytest.raises(ValueError, match="mu is not in the dual "
+                               "lattice"):
+                LatticeCoset(space, mu)
+        for wrong in (mu[:-1], mu + (0,)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                LatticeCoset(space, wrong)
+
+
 def test_enumeration_shifted_coset(space_e):
     window = EnumWindow(z0=NegativePlane(space_e, Z0_E), B=Fraction(1, 2),
                         kappa=1.0)
@@ -388,7 +434,7 @@ def test_band_enumeration_matches_filtered_full_enumeration():
                 keep = np.array([0 <= q <= qmax for q in qs], dtype=bool)
                 band = enumerate_coset(coset, window, qmax=qmax)
                 raw_rows += len(lattice._fp_enumerate(
-                    window.z0.majorant, [mu], window.B,
+                    window.z0.majorant, *lattice._numerators([mu]), window.B,
                     (space.gram_f, float(qmax)))[1])
                 assert np.array_equal(band.xnum, full.xnum[keep])
                 assert np.array_equal(band.xx_num, full.xx_num[keep])
@@ -1512,11 +1558,26 @@ def test_series_driver_matches_row_loop(case, mu, nmax, cancelled, funddom,
         assert qe.entries[cancelled] == 0
 
 
+def _supported_rows(walls, batch):
+    """The rows of a batch a series can use: nonzero kernel or a zero sign."""
+    signs = walls.sign_matrix(batch.xnum)
+    return (walls.kernel(signs) != 0) | np.any(signs == 0, axis=1)
+
+
+def _assert_rows_equal(got, want, rows):
+    assert np.array_equal(got.xnum, want.xnum[rows])
+    assert np.array_equal(got.xx_num, want.xx_num[rows])
+    assert np.array_equal(got.coset, want.coset[rows])
+    assert np.array_equal(np.broadcast_to(got.mult, len(got)),
+                          np.broadcast_to(want.mult, len(want))[rows])
+
+
 def test_series_fold_matches_unfolded_sum(funddom, seed_dodec, monkeypatch):
     # an N-gon series enumerates x = 0 and one x of each +-x pair of a coset
     # with 2 mu in L, weighting eps by mult: its entries and flags are those
     # of the unfolded batch summed row by row.  A dodecahedral series (odd
-    # level) enumerates every x, at mult 1
+    # level) enumerates every x, at mult 1.  The series batch holds the rows
+    # of the whole window batch with a nonzero kernel or a zero sign
     batches = []
     enum = lattice.enumerate_coset
 
@@ -1533,9 +1594,13 @@ def test_series_fold_matches_unfolded_sum(funddom, seed_dodec, monkeypatch):
             cases += 1
             coset = LatticeCoset(SPACE_ABC, mu)
             qe = holomorphic_series(coset, ngon, nmax)
-            half, full = batches[-1], enum(coset, qe.window, qmax=nmax)
+            kept = batches[-1]
+            half = enum(coset, qe.window, qmax=nmax, even=True)
+            full = enum(coset, qe.window, qmax=nmax)
             assert np.sum(half.mult) == len(full)
             assert 2 * len(half) - len(full) == int(not any(mu))
+            _assert_rows_equal(kept, half, _supported_rows(ngon, half))
+            assert len(kept) < len(half)
             signs = ngon.sign_matrix(full.xnum)
             entries, flags = _row_loop_series(full, signs,
                                               ngon.kernel(signs), 1, nmax)
@@ -1546,8 +1611,75 @@ def test_series_fold_matches_unfolded_sum(funddom, seed_dodec, monkeypatch):
     coset = LatticeCoset(seed_dodec.space, (Fraction(1, 2), 0, 0, 0))
     qe = dodec_series(coset, seed_dodec, 2)
     assert batches and all(np.all(b.mult == 1) for b in batches)
-    assert np.array_equal(batches[-1].xnum,
-                          enum(coset, qe.window, qmax=2).xnum)
+    full = enum(coset, qe.window, qmax=2)
+    assert np.all(full.mult == 1)
+    _assert_rows_equal(batches[-1], full, _supported_rows(seed_dodec, full))
+
+
+def test_predicated_series_matches_full_window(funddom, seed_dodec, space_q3):
+    # the series keeps only the rows with a nonzero kernel or a zero sign,
+    # before the exact filter: its entries, flags and window equal the row
+    # loop over the whole window batch, on N-gons (funddom, padded, the
+    # (2,2) product, the tilted polygon) and dodecahedra (the seed, a
+    # re-seeded cell), on random cosets (self-negative ones, which an even
+    # kernel folds, included) given with a lattice vector added, about the
+    # certified window and about a window whose B lies just below a lattice
+    # norm of a band row, where the exact majorant filter drops generated
+    # rows; over the examples, both it and the predicate drop rows
+    dropped, cells = {"majorant": 0, "kernel": 0}, set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(["funddom", "padded", "product",
+                                          "tilted", "dodec", "reseeded"]))
+        walls = _parity_cell(name, funddom, seed_dodec, space_q3)
+        space = walls.space
+        cells.add(name)
+        nmax = Fraction(data.draw(st.integers(1, 6 if space.dim == 3 else 3),
+                                  label="nmax"))
+        reps = disc_group(space)
+        if data.draw(st.booleans(), label="self-negative"):
+            reps = [mu for mu in reps
+                    if all((2 * c).denominator == 1 for c in mu)]
+        mu = reps[data.draw(st.integers(0, len(reps) - 1), label="coset")]
+        mu = tuple(c + data.draw(st.integers(-3, 3)) for c in mu)
+        coset = LatticeCoset(space, mu)
+        window = certify_window(walls, None, nmax)
+        if data.draw(st.booleans(), label="at a norm"):
+            batch = enumerate_coset(coset, window, qmax=nmax)
+            mi, dm = window.z0.majorant
+            norms = sorted({n for n in (
+                Fraction(int(v), dm * batch.dmu ** 2)
+                for v in _row_norms(batch.xnum, mi)) if n > window.B / 2})
+            assume(norms)
+            b = norms[data.draw(st.integers(0, len(norms) - 1))]
+            window = EnumWindow(window.z0, b * (1 - Fraction(1, 10 ** 12)),
+                                window.kappa)
+            try:
+                _prove_window(window, walls, nmax)
+            except CertificationError:
+                assume(False)
+        d, munum = lattice._numerators([mu])
+        raw = lattice._fp_enumerate(window.z0.majorant, d, munum, window.B,
+                                    (space.gram_f, float(nmax)))[1]
+        dropped["majorant"] += int(np.sum(~_majorant_leq(
+            raw, d, window.z0.majorant, window.B)))
+        series, den = ((holomorphic_series, 1) if walls.even
+                       else (dodec_series, 8))
+        qe = series(coset, walls, nmax, window=window)
+        full = enumerate_coset(coset, window, qmax=nmax)
+        dropped["kernel"] += int(np.sum(~_supported_rows(walls, full)))
+        signs = walls.sign_matrix(full.xnum)
+        entries, flags = _row_loop_series(full, signs, walls.kernel(signs),
+                                          den, nmax)
+        assert list(qe.entries.items()) == list(entries.items())
+        assert qe.flags == flags
+        assert qe.window is window
+
+    check()
+    assert len(cells) == 6
+    assert dropped["majorant"] > 0 and dropped["kernel"] > 0
 
 
 def _small_window(z0):
@@ -2038,7 +2170,7 @@ def test_cell_parity_is_stated_once(name, funddom, seed_dodec, space_q3,
         lambda: modularity_check(walls.space, walls, complex(0.1, 1.0), 2)]
     seen = []
 
-    def record(space, mus, window, qmax=None, even=False):
+    def record(space, mus, window, qmax=None, even=False, keep=None):
         seen.append(even)
         raise _Recorded
 

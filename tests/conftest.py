@@ -622,6 +622,34 @@ def reduced_forms(n):
     return out
 
 
+def hurwitz_class_number(n):
+    """H(n) for n >= 1: the reduced forms of discriminant -n, [a,0,a]
+    weighted 1/2, [a,a,a] 1/3, every other form 1 (0 for n = 1, 2 mod 4)."""
+    return sum((Fraction(1, 2) if b == 0 and a == c else
+                Fraction(1, 3) if a == b == c else Fraction(1))
+               for a, b, c in reduced_forms(n))
+
+
+def zagier_hhat(tau, nterms=80, fmax=12):
+    """Zagier's completed class-number series (Zagier 1975; Hirzebruch and
+    Zagier 1976) at tau = u + iv:
+    H^(tau) = -1/12 + sum_{n>=1} H(n) q^n
+              + v^{-1/2} sum_{f in Z} beta(4 pi f^2 v) q^{-f^2},
+    beta(x) = e^{-x} (1 - sqrt(pi x) erfcx(sqrt x)) / (8 pi), summed over
+    n < nterms and |f| <= fmax.  e^{-x} and |q^{-f^2}| = e^{2 pi f^2 v}
+    are combined into e^{-2 pi f^2 v}, which keeps every term finite."""
+    from scipy.special import erfcx
+    u, v = tau.real, tau.imag
+    hol = sum(float(hurwitz_class_number(n)) * cmath.exp(2j * math.pi * n * tau)
+              for n in range(1, nterms))
+    nonhol = 0.0
+    for f in range(-fmax, fmax + 1):
+        x = 4.0 * math.pi * f * f * v
+        nonhol += (1.0 - math.sqrt(math.pi * x) * erfcx(math.sqrt(x))) \
+            / (8.0 * math.pi) * cmath.exp(-2.0 * math.pi * f * f * complex(v, u))
+    return -1.0 / 12.0 + hol + nonhol / math.sqrt(v)
+
+
 # --- the alternating-sign (ABMP) convention ----------------------------------
 
 def abmp_sign(j):

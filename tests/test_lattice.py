@@ -34,11 +34,12 @@ from ngontheta.sig12 import (SPACE_ABC, E2_ABC, E3_ABC, OrientationError,
 
 from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       batch_ks, butterfly_ngon, dodec_D_kernel,
-                      guard_band_hits, int_majorant, j0_value,
+                      guard_band_hits, hurwitz_class_number, int_majorant,
+                      j0_value,
                       majorant_exact, majorant_matrix, mat_det, mat_inv, negative_definite_vec, project_perp,
                       reduced_forms, regular_negative_vector_vec, vec_add,
                       vec_scale, weil_sanity_dense, window_at_safety,
-                      window_proof_oracle)
+                      window_proof_oracle, zagier_hhat)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
 Z0_ABC = NegativePlane(SPACE_ABC, (E2_ABC, E3_ABC))
@@ -511,6 +512,20 @@ def test_series_matches_class_number_oracle():
         assert series.coeff(n) == _truncated_oracle(2, n), n
 
 
+@pytest.mark.parametrize("t", [2, 4, 8])
+def test_class_series_matches_hurwitz_numbers(t):
+    # below 4 T^2 every coefficient of the truncated class series, flagged
+    # or not, is 2 H(n), the Hurwitz class number, except at n = 3 k^2: H
+    # weighs the CM point [k,k,k] at the corner by 1/3, while sgn(0) = 0
+    # averages it to 1/2, so the series reads 2 H(n) + 1/3 there
+    nmax = 4 * t * t - 1
+    series = truncated_class_series(t, nmax)
+    for n in range(1, nmax + 1):
+        corner = Fraction(1, 3) if math.isqrt(n // 3) ** 2 * 3 == n else 0
+        assert series.coeff(n) == 2 * hurwitz_class_number(n) + corner, n
+    assert {3, 12}.issubset(series.flags)
+
+
 def test_series_safety_invariance(funddom):
     # the series does not depend on the window's margin over the proof:
     # the default window (SAFETY = 1.5) and one at safety 3 agree
@@ -552,6 +567,20 @@ def test_completion_kernel_matches_e2_sum(funddom):
         brute = w + sum(E2(SPACE_ABC, funddom.cs[j],
                            funddom.cs[(j + 1) % n], xs) for j in range(n))
         assert abs(got[i] - brute * math.exp(amp)) < 1e-9 * math.exp(amp), i
+
+
+def test_completion_matches_zagier_eisenstein():
+    # as the truncation height T grows, the completed series of the
+    # truncated fundamental domain (mu = 0) tends to 8 times Zagier's
+    # completed class-number series; at T = 16 and nmax 14 it agrees to
+    # rounding over Re tau in [-1/2, 1/2], Im tau in [0.5, 3]
+    ngon = fundamental_ngon(16)
+    for tau in (complex(-0.5, 0.5), complex(0.5, 0.5), complex(0.1, 0.7),
+                complex(-0.3, 1.1), complex(0.0, 1.6), complex(0.25, 2.0),
+                complex(0.1, 3.0), complex(-0.45, 3.0)):
+        val, tail = completion_eval(LatticeCoset(SPACE_ABC), ngon, tau, 14)
+        assert tail < 1e-14, (tau, tail)
+        assert abs(val - 8.0 * zagier_hhat(tau)) < 1e-13, (tau, val)
 
 
 @pytest.fixture(scope="module")

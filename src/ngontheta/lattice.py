@@ -500,8 +500,8 @@ class _CompletionKernel:
         live = lo + np.flatnonzero(amp + self.log_bound >= RHO_LOG_TOL)
         amp = amp[live - lo]
         _, proj, chat_g = self.ngon.frames
-        signs = self.ngon.sign_matrix(batch.xnum[live])
-        xf = batch.xf[live]
+        signs = self.ngon.sign_matrix(np.take(batch.xnum, live, 0))
+        xf = np.take(batch.xf, live, 0)
         tmat = scale * (xf @ chat_g.T)                 # tau_k margins
         vals = self.ngon.kernel(signs).astype(float) * np.exp(amp)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
@@ -522,7 +522,8 @@ class _CompletionKernel:
         # term is below e^{lead} of both walls (lead = amp on a zero sign).
         rows, edges = np.nonzero(lead[:, self.ngon.vertices].min(axis=2)
                                  > RHO_LOG_TOL)
-        u = scale * np.einsum('pij,pj->pi', proj[edges], xf[rows])
+        u = scale * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
+                              np.take(xf, rows, 0))
         ends = signs[rows[:, None], self.ngon.vertices[edges]]
         return live, vals, rows, (edges, u, ends, amp[rows])
 

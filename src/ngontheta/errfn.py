@@ -17,12 +17,16 @@ is the distance at which a Gaussian factor falls that far.  A planar
 cone's mass is computed with the radial integral in closed form; over the
 angle, its Gaussian term on u's side integrates in closed form too (a
 difference of erfc), and the smooth rest, which has no Gaussian factor in
-the angle, takes one short Gauss-Legendre rule (batched).  A solid cone's
-mass is a 1-D integral over one wall's normal coordinate of planar slice
-masses in closed form (a bivariate normal orthant probability by Owen's T
-function).  Both 1-D rules take CONE_NODES Gauss-Legendre nodes a
-piece.  Values lie in [-1,1] and tend to the product of signs as x grows
-along a regular direction.
+the angle, takes a short Gauss-Legendre rule (batched): each piece the
+fewest nodes of FAR_NODES whose error bound (64/15) M rho^{2-2m}/(rho^2
+- 1), M a closed-form bound of the integrand on a Bernstein ellipse E_rho
+(Trefethen, ATAP Thm 19.3), a proof, not an estimate, is below e^{-cut}
+at the piece's weight, else CONE_NODES.  A solid cone's mass is a 1-D
+integral over one wall's normal coordinate of planar slice masses in
+closed form (a bivariate normal orthant probability by Owen's T
+function), on CONE_NODES Gauss-Legendre nodes a piece and no bound.
+Values lie in [-1,1] and tend to the product of signs as x grows along a
+regular direction.
 """
 
 import functools
@@ -40,6 +44,9 @@ CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
 # it, and a solid cone's 1-D range ends this far either side of u_n
 FAST_MARGIN = math.sqrt(CONE_CUT / math.pi)
 CONE_NODES = 24          # Gauss-Legendre nodes a piece of a 1-D cone integral
+FAR_NODES = (2, 4, 6, 8, 12, 16, CONE_NODES)   # node counts of a far piece
+_FAR_LADDER = np.array([min(m for m in FAR_NODES if m >= k)  # the first >= k
+                        for k in range(CONE_NODES + 1)])
 CONE_BLOCK = 8192        # node elements per block (bounds temporaries)
 WINDOW = 3.0             # slice distance spanned by a window at a fast change
 SUM_SLACK = 1e-9         # E2/E3 mass sums further out than this are errors
@@ -79,7 +86,7 @@ def _cone_rays(g1, g2):
     return e, np.where(flip, 2.0 * np.pi - dth, dth)
 
 
-def cone_mass_2d(u, g1, g2, amp, cone):
+def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
     """exp(amp_k) times the Gaussian mass exp(-pi|t-u_k|^2) of item k's
     planar cone (angular extent < pi), for items u of shape (K, 2) and amp
     of shape (K,): the cone spanned by row cone[k] of the ray tables g1, g2
@@ -93,10 +100,13 @@ def cone_mass_2d(u, g1, g2, amp, cone):
     |q| at the ends of its part with b >= 0, |q| from the cross products u
     x e of its rays (|u| at the perpendicular to u), x_1 <= x_2.  The
     second has no Gaussian factor in the angle: the cone is cut where the
-    angle passes a multiple of pi/2, and each part is integrated on
-    CONE_NODES Gauss-Legendre nodes in t, its angle d to the nearest
-    perpendicular d0 + L t^2 from the part's end nearest it, where g(|b|)
-    changes fastest and has its kink."""
+    angle passes a multiple of pi/2, and each part is integrated by
+    Gauss-Legendre in t, its angle d to the nearest perpendicular d0 + L
+    t^2 from the part's end nearest it, where g(|b|) changes fastest and
+    has its kink.  A part takes the fewest nodes of FAR_NODES whose error,
+    proved by a Bernstein-ellipse bound (_far_bound; a proof, not an
+    estimate), is below e^{-cut} at the part's weight e^{amp - pi |u|^2},
+    none if the whole part is, and CONE_NODES if no count is enough."""
     from scipy.special import erfcx
     e, dth = (t[cone] for t in _cone_rays(g1, g2))
     # at a unit ray e, b = (u, e) is the center's offset along the ray and
@@ -121,30 +131,74 @@ def cone_mass_2d(u, g1, g2, amp, cone):
     # perpendicular) into parts.  On a part |cos| = sin d, with d the angle
     # to the nearest perpendicular, monotone along it from d0 to d0 + step
     a0 = np.arctan2(q[:, 0], b[:, 0])
-    cut = np.pi / 2.0 * (np.ceil(a0 / (np.pi / 2.0))[:, None] + [0.0, 1.0])
-    a = np.column_stack([a0, np.minimum(cut, (a0 + dth)[:, None]), a0 + dth])
+    turn = np.pi / 2.0 * (np.ceil(a0 / (np.pi / 2.0))[:, None] + [0.0, 1.0])
+    a = np.column_stack([a0, np.minimum(turn, (a0 + dth)[:, None]), a0 + dth])
     d = np.abs(np.pi / 2.0 - (a - np.pi * np.floor(a / np.pi)))
     d0, step = np.minimum(d[:, :-1], d[:, 1:]), np.abs(d[:, 1:] - d[:, :-1])
     # the parts of nonzero length, flat: item k = i // 3
     i = np.flatnonzero(step)
     d0, step, rs = d0.ravel()[i], step.ravel()[i], SQPI * r[i // 3]
+    # a cone's far term errs by at most e^{-cut}: each of its parts by a third
+    nodes = _far_nodes(d0, step, rs, (amp - np.pi * r * r)[i // 3],
+                       cut + math.log(3.0))
     far = np.zeros(len(i))
-    _, _, s, w = _gl_rule(CONE_NODES)
-    for j in _blocks(len(i), CONE_NODES):
-        # z = sqrt(pi) |b| at the nodes, where 2 sqrt(pi) g is 1/sqrt(pi) -
-        # z erfcx(z) (the weights sum to 1)
-        z = d0[j, None] + step[j, None] * s
-        np.sin(z, out=z)
-        z *= rs[j, None]
-        zc = erfcx(z)
-        zc *= z
-        far[j] = (1.0 / SQPI - np.einsum('ij,j->i', zc, w)) * step[j]
+    for m in FAR_NODES:
+        p = np.flatnonzero(nodes == m)
+        _, _, s, w = _gl_rule(m)
+        for j in _blocks(len(p), m):
+            # z = sqrt(pi) |b| at the nodes, where 2 sqrt(pi) g is
+            # 1/sqrt(pi) - z erfcx(z) (the weights sum to 1)
+            j = p[j]
+            z = d0[j, None] + step[j, None] * s
+            np.sin(z, out=z)
+            z *= rs[j, None]
+            zc = erfcx(z)
+            zc *= z
+            far[j] = (1.0 / SQPI - np.einsum('ij,j->i', zc, w)) * step[j]
     out = np.bincount(n // 2, near, minlength=len(u)) \
         + np.exp(amp - np.pi * r * r) \
         * np.bincount(i // 3, far, minlength=len(u)) / (2.0 * SQPI)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("2-D cone mass produced a non-finite value")
     return out
+
+
+def _far_nodes(d0, step, rs, lw, cut):
+    """Each far piece's node count at weight e^{lw}: 0 if the whole piece,
+    at most e^{lw} step/(2 pi) as 0 < f <= 1/sqrt(pi) on the real range, is
+    below e^{-cut}, else the fewest of FAR_NODES whose error bound
+    (_far_bound) is, else CONE_NODES."""
+    lk, lr = _far_bound(d0, step, rs)
+    need = np.fmin(np.ceil((lk + lw + cut) / (2.0 * lr)), CONE_NODES)
+    nodes = _FAR_LADDER[np.maximum(need, 0.0).astype(int)]
+    return np.where(lw + cut + np.log(step / (2.0 * math.pi)) <= 0.0, 0, nodes)
+
+
+def _far_bound(d0, step, rs):
+    """(lk, lr) such that the m-node Gauss rule's error on a far piece, step
+    int_{-1}^{1} t f(z) ds / (2 sqrt(pi)), t = (s+1)/2, z = rs sin(d0 +
+    step t^2), f(z) = 1/sqrt(pi) - z erfcx(z), is at most e^{lk - 2 m lr}:
+    a proof, for m >= 2.  As f(z) = (2/sqrt(pi)) int_0^inf y e^{-y^2 -
+    2zy} dy, |f(z)| <= f(Re z) <= (1/sqrt(pi) + 2w) e^{w^2} where Re z >=
+    -w.  On the Bernstein ellipse E_rho, rho = a + b, of half-axes a =
+    sqrt(1 + b^2) and b: |t| <= (a+1)/2, the angle's imaginary part is
+    within Y = step (a+1) b/2, and its real part lies in [d0 - R, d0 +
+    step + R + sqrt(R step)], R = step b^2/4, which with R <= 1/2 and d0 +
+    step <= pi/2 is below pi.  So Re z >= -w, w = rs max(R - d0, 0) cosh
+    Y, and |t f| <= M = (a+1)/2 (1/sqrt(pi) + 2w) e^{w^2}, and the rule
+    errs on the integral by at most (64/15) M rho^{2-2m}/(rho^2 - 1)
+    (Trefethen, ATAP Thm 19.3, its n = m - 1), where rho^2 - 1 = 2 b rho.
+    Each piece takes R = max(d0, 0.8/rs) up to 1/2: the ellipse passes the
+    angle 0 only where w <= 0.8 cosh Y."""
+    with np.errstate(divide='ignore', over='ignore'):
+        reach = np.minimum(np.maximum(d0, 0.8 / rs), 0.5)
+    b = 2.0 * np.sqrt(reach / step)
+    a1 = np.sqrt(1.0 + b * b) + 1.0
+    w = rs * np.maximum(reach - d0, 0.0) * np.cosh(step * a1 * b / 2.0)
+    lr = np.arcsinh(b)
+    lk = np.log(8.0 / (15.0 * SQPI) * a1 * (1.0 / SQPI + 2.0 * w) * step / b) \
+        + w * w + lr
+    return lk, lr
 
 
 def _blocks(n, nodes):
@@ -325,7 +379,8 @@ def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
     keep = amp - math.pi * cone_dist2(u[k], b, rays, cone) >= -cut
     k, c, cone, amp = k[keep], c[keep], cone[keep], amp[keep]
     if q == 2:
-        mass = cone_mass_2d(u[k], rays[:, :, 0], rays[:, :, 1], amp, cone)
+        mass = cone_mass_2d(u[k], rays[:, :, 0], rays[:, :, 1], amp, cone,
+                            cut)
     else:
         mass = cone_mass_3d(u[k], b, cone)
     return np.bincount(k, weight[k, c] * mass, minlength=len(u))

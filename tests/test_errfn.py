@@ -4,15 +4,18 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, dblquad
 from scipy.special import erf, erfc, erfcx
 
 from ngontheta.qspace import QuadraticSpace
-from ngontheta.errfn import (E1, E2, E3, CONE_CUT, CONE_NODES, FAST_MARGIN,
-                             QuadratureError, cone_mass_2d, cone_mass_3d,
-                             cone_dist2, cone_sum, _orthant, E_frames)
+from ngontheta.errfn import (E1, E2, E3, CONE_CUT, CONE_NODES, FAR_NODES,
+                             FAST_MARGIN, QuadratureError, cone_mass_2d,
+                             cone_mass_3d, cone_dist2, cone_sum, _orthant,
+                             E_frames, _far_bound, _far_nodes)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
 from conftest import butterfly_ngon, j0_value, per_item
@@ -361,6 +364,110 @@ def test_far_side_cone_mass_vs_quadrature():
     assert np.count_nonzero(mix) <= near(g1, g2) < len(u)
     got = per_item(cone_mass_2d, u, g1, g2, amp)
     assert [per_item(cone_mass_2d, u[i], g1[i], g2[i], amp[i])
+            for i in range(len(u))] == list(got)
+
+
+@functools.cache
+def _gauss_mp(m, dps):
+    """The m-node Gauss-Legendre rule in dps-digit arithmetic: numpy's
+    nodes refined by Newton's method on P_m, P_m' = m (x P_m - P_{m-1}) /
+    (x^2 - 1), and weights 2 / ((1 - x^2) P_m'(x)^2)."""
+    with mpmath.workdps(dps):
+        rule = []
+        for x0 in np.polynomial.legendre.leggauss(m)[0]:
+            x = mpmath.mpf(x0)
+            for _ in range(int(math.log2(dps)) + 2):
+                p = mpmath.legendre(m, x)
+                dp = m * (x * p - mpmath.legendre(m - 1, x)) / (x * x - 1)
+                x -= p / dp
+            rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+        return rule
+
+
+@st.composite
+def _far_pieces(draw):
+    """A far piece (d0, step, r, amp, cut): d0 in [0, pi/2) (0 itself one
+    draw in four), step in (0, pi/2 - d0], amp up to AMP_CAP, and r either
+    up to 1e3 or up to 1.1 times the radius where the weight e^{amp - pi
+    r^2} falls to e^{-cut}, at either cut (E2's and the completion's)."""
+    cut = draw(st.sampled_from([CONE_CUT, -RHO_LOG_TOL]))
+    angle = st.floats(0.0, math.pi / 2, exclude_max=True)
+    d0 = draw(st.one_of(st.just(0.0), angle, angle, angle))
+    step = draw(st.floats(1e-6, 1.0)) * (math.pi / 2 - d0)
+    amp = draw(st.floats(0.0, AMP_CAP))
+    r = draw(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1.1).map(
+        lambda f: f * math.sqrt((amp + cut) / math.pi))))
+    return d0, step, r, amp, cut
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_far_pieces(), min_size=1, max_size=3))
+@example([(0.0, math.pi / 2, 14.0, AMP_CAP, -RHO_LOG_TOL),
+          (0.0, 1.2, 13.5, AMP_CAP, -RHO_LOG_TOL),
+          (0.0, 0.3, 6.0, 120.0, CONE_CUT), (0.7, 0.8, 2.0, 0.0, CONE_CUT),
+          (1.5, 0.0177, 8.78, 274.0, CONE_CUT),
+          (math.pi / 2 - 2e-16, 2e-16, 932.25, 0.0, CONE_CUT),
+          (0.0, math.pi / 2, 1e3, AMP_CAP, -RHO_LOG_TOL),
+          (0.0, math.pi / 2, 5e-324, 0.0, CONE_CUT)])
+def test_far_rule_bound_against_mpmath(pieces):
+    # each far piece step int_{-1}^{1} t f(z) ds / (2 sqrt(pi)), z = sqrt(pi)
+    # r sin(d0 + step t^2), f(z) = 1/sqrt(pi) - z erfcx(z), at weight
+    # e^{amp - pi r^2}: the exact m-node Gauss rule errs by no more than
+    # _far_bound states, at every count of FAR_NODES; at the count
+    # _far_nodes chooses, below CONE_NODES, the weighted error is at most
+    # e^{-cut} (the whole piece if it chose 0).  The reference carries 30
+    # digits past the weight's, so that e^{-cut} / weight is resolved, and
+    # past the rs^4 that z e^{z^2} erfc(z) loses to cancellation.  A
+    # cone holding just that piece (rays at pi/2 + d0 and pi/2 + d0 + step
+    # from u = (r, 0)) gets that value from cone_mass_2d, within the chosen
+    # rule's error and rounding, and in a batch of all the pieces' cones
+    # the same bits
+    d0, step, r, amp, cut = (np.array(v) for v in zip(*pieces))
+    rs = SQPI * r
+    lk, lr = _far_bound(d0, step, rs)
+    nodes = _far_nodes(d0, step, rs, amp - math.pi * r * r, cut)
+    for i in range(len(pieces)):
+        lw = amp[i] - math.pi * r[i] ** 2
+        dps = 30 + 4 * math.ceil(math.log10(1.0 + rs[i])) \
+            + (max(0, math.ceil((lw + cut[i]) / math.log(10)))
+               if nodes[i] < CONE_NODES else 0)
+        with mpmath.workdps(dps):
+            def h(s):
+                t = (s + 1) / 2
+                z = rs[i] * mpmath.sin(d0[i] + step[i] * t * t)
+                return t * (1 / mpmath.sqrt(mpmath.pi)
+                            - z * mpmath.exp(z * z) * mpmath.erfc(z))
+            scale = step[i] / (2 * mpmath.sqrt(mpmath.pi))
+            exact = mpmath.quad(h, [-1, 1]) * scale
+            weight = mpmath.exp(lw)
+            err = {0: abs(exact)}
+            for m in FAR_NODES:
+                err[m] = abs(sum(w * h(x) for x, w in _gauss_mp(m, dps))
+                             * scale - exact)
+                # the reference's digits are the floor
+                bound = mpmath.exp(lk[i] - 2 * m * lr[i]) * (1 + 1e-9)
+                assert err[m] <= bound + mpmath.mpf(10) ** (5 - dps) * scale, \
+                    (pieces[i], m)
+            if nodes[i] < CONE_NODES:
+                assert err[nodes[i]] * weight <= math.exp(-cut[i]), \
+                    (pieces[i], nodes[i])
+            want = float(weight * exact)
+            # the rays' angles and the rule's sum round at about 1e-16, and
+            # e^{amp - pi r^2} at about (1 + amp) 1e-16 relative
+            slack = float(weight * (err[nodes[i]] + 1e-15 * (1 + amp[i])))
+        got = per_item(functools.partial(cone_mass_2d, cut=cut[i]),
+                       np.array([r[i], 0.0]), _ray(math.pi / 2 + d0[i]),
+                       _ray(math.pi / 2 + d0[i] + step[i]), amp[i])
+        assert abs(got - want) <= math.exp(-cut[i]) + slack, \
+            (pieces[i], got, want)
+    # a batch of the pieces' cones, at the first piece's cut, against each
+    # cone alone
+    u = np.stack([r, np.zeros(len(r))], axis=1)
+    g1 = np.stack([_ray(math.pi / 2 + a) for a in d0])
+    g2 = np.stack([_ray(math.pi / 2 + a + b) for a, b in zip(d0, step)])
+    mass = functools.partial(cone_mass_2d, cut=cut[0])
+    got = per_item(mass, u, g1, g2, amp)
+    assert [per_item(mass, u[i], g1[i], g2[i], amp[i])
             for i in range(len(u))] == list(got)
 
 
@@ -781,8 +888,9 @@ def test_signed_sum_outside_unit_interval_raises(monkeypatch):
 def _cone_sum_loop(a, f, u, s, amp, cut):
     """cone_sum one (item, cone) at a time, with the sign rows of the cones
     and their weights prod_i (sigma_i - s_i) built here: the same screen,
-    then cone_mass_2d or cone_mass_3d on one cone; also each screened
-    term's margin amp - pi d^2 + cut."""
+    then cone_mass_2d (at the same cut, which sizes its far rule) or
+    cone_mass_3d on one cone; also each screened term's margin amp - pi
+    d^2 + cut."""
     q = a.shape[1]
     sig = np.array(list(product((1.0, -1.0), repeat=q)))
     total, margins = np.zeros(len(u)), []
@@ -799,8 +907,8 @@ def _cone_sum_loop(a, f, u, s, amp, cut):
             if margin < 0:
                 continue
             if q == 2:
-                mass = per_item(cone_mass_2d, u[k], rays[:, 0], rays[:, 1],
-                                amp[k])
+                mass = per_item(functools.partial(cone_mass_2d, cut=cut),
+                                u[k], rays[:, 0], rays[:, 1], amp[k])
             else:
                 mass = per_item(cone_mass_3d, u[k], b)
             total[k] += weight * mass
@@ -881,8 +989,9 @@ def test_cone_table_matches_per_item(monkeypatch):
     # give in a table of one row per item, and one item in a one-item table
     # what its row of the batch gives: planar cones with rays in either
     # order (so that those given clockwise are flipped), zero and random
-    # amp, and more pieces than one block of node arrays holds, near side
-    # and far
+    # amp, near side and far; the far pieces go in blocks per node count,
+    # every count of FAR_NODES takes pieces, and the CONE_NODES pieces are
+    # more than one block of node arrays holds
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3401)
     blocks = errfn._blocks
@@ -909,8 +1018,8 @@ def test_cone_table_matches_per_item(monkeypatch):
     for amp in (np.zeros(3000), rng.uniform(0.0, 300.0, 3000)):
         seen.clear()
         got = cone_mass_2d(u, g1, g2, amp, cone)
-        assert [nodes for nodes, _ in seen] == [CONE_NODES]
-        assert all(n > 1 for _, n in seen)
+        assert [nodes for nodes, _ in seen] == list(FAR_NODES)
+        assert all(n >= 1 for _, n in seen) and dict(seen)[CONE_NODES] > 1
         want = per_item(cone_mass_2d, u, g1[cone], g2[cone], amp)
         assert np.array_equal(got, want) and np.sum(got > 1e-3) > 1000
         assert [per_item(cone_mass_2d, u[i], g1[cone[i]], g2[cone[i]], amp[i])

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -372,6 +371,7 @@ def _gauss_mp(m, dps):
     """The m-node Gauss-Legendre rule in dps-digit arithmetic: numpy's
     nodes refined by Newton's method on P_m, P_m' = m (x P_m - P_{m-1}) /
     (x^2 - 1), and weights 2 / ((1 - x^2) P_m'(x)^2)."""
+    import mpmath
     with mpmath.workdps(dps):
         rule = []
         for x0 in np.polynomial.legendre.leggauss(m)[0]:
@@ -422,6 +422,7 @@ def test_far_rule_bound_against_mpmath(pieces):
     # from u = (r, 0)) gets that value from cone_mass_2d, within the chosen
     # rule's error and rounding, and in a batch of all the pieces' cones
     # the same bits
+    import mpmath
     d0, step, r, amp, cut = (np.array(v) for v in zip(*pieces))
     rs = SQPI * r
     lk, lr = _far_bound(d0, step, rs)

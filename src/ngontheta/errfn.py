@@ -11,7 +11,8 @@ one weighted sum of their masses, under one weight rule: cone sigma of an
 item with reference signs s weighs prod_i (sigma_i - s_i).  It sets up a
 call's cones once, as one table that its screen and mass read by index:
 cone_dist2, cone_mass_2d and cone_mass_3d take item arrays, cone tables
-and a required index cone into them, the one form cone_sum passes.
+and a required index cone into them, the one form cone_sum passes;
+cone_mass_2d screens planar cones itself, cone_dist2 solid ones.
 One cut, CONE_CUT, decides when a Gaussian mass is negligible; FAST_MARGIN
 is the distance at which a Gaussian factor falls that far.  A planar
 cone's mass is computed with the radial integral in closed form; over the
@@ -35,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .qspace import NegativePlane, vec
+from .qspace import NegativePlane, _nonzero_2d, vec
 
 SQPI = math.sqrt(math.pi)
 CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
@@ -91,7 +92,9 @@ def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
     planar cone (angular extent < pi), for items u of shape (K, 2) and amp
     of shape (K,): the cone spanned by row cone[k] of the ray tables g1, g2
     (shape (C, 2)).  The rays' order, opening and unit vectors are derived
-    once per table row (_cone_rays), the rest per item.
+    once per table row (_cone_rays), the rest per item.  A screen on the b,
+    q and |u| below gives 0 to an item whose cone lies farther than
+    sqrt((amp_k + cut)/pi) from u_k.
     In the direction at angle a from u, with b = |u| cos a and q = |u| sin
     a, the radial integral is e^{amp} max(b, 0) e^{-pi q^2} + e^{amp - pi
     |u|^2} g(|b|), g(y) = 1/(2 pi) - (y/2) erfcx(sqrt(pi) y).  The first
@@ -114,11 +117,16 @@ def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
     b = np.einsum('kej,kj->ke', e, u)
     q = u[:, 0, None] * e[:, :, 1] - u[:, 1, None] * e[:, :, 0]
     r = np.hypot(u[:, 0], u[:, 1])
+    # x / sqrt(pi): u's distance to a ray, |q| where b >= 0, else |u|
+    x = SQPI * np.where(b >= 0.0, np.abs(q), r[:, None])
+    inside = (q[:, 0] <= 0.0) & (q[:, 1] >= 0.0)
+    x0 = np.where(inside, 0.0, np.minimum(x[:, 0], x[:, 1]))
+    live = np.flatnonzero(amp - x0 * x0 >= -cut)
+    b, q, r, x, inside, dth, amp = (np.take(t, live, 0) for t in (
+        b, q, r, x, inside, dth, amp))
     # closed-form term on the stretches from each ray to u's direction if
     # the cone holds it (x = 0 there), else on the one from ray to ray; a
     # stretch with b < 0 at both ends has x_1 = x_2 and gets 0 (skipped)
-    x = SQPI * np.where(b >= 0.0, np.abs(q), r[:, None])
-    inside = (q[:, 0] <= 0.0) & (q[:, 1] >= 0.0)
     x = np.stack([x[:, 0], np.where(inside, 0.0, x[:, 0]), x[:, 1]], axis=1)
     x1, x2 = np.minimum(x[:, :2], x[:, 1:]), np.maximum(x[:, :2], x[:, 1:])
     n = np.flatnonzero(x1 < x2)         # stretch n of item n // 2
@@ -155,9 +163,10 @@ def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
             zc = erfcx(z)
             zc *= z
             far[j] = (1.0 / SQPI - np.einsum('ij,j->i', zc, w)) * step[j]
-    out = np.bincount(n // 2, near, minlength=len(u)) \
+    out = np.zeros(len(u))
+    out[live] = np.bincount(n // 2, near, minlength=len(live)) \
         + np.exp(amp - np.pi * r * r) \
-        * np.bincount(i // 3, far, minlength=len(u)) / (2.0 * SQPI)
+        * np.bincount(i // 3, far, minlength=len(live)) / (2.0 * SQPI)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("2-D cone mass produced a non-finite value")
     return out
@@ -212,10 +221,10 @@ def cone_dist2(u, b, rays, cone):
     y >= 0} (0 if u_k lies inside), whose rays are the columns of rays =
     b^{-1}, for items u of shape (K, d) and tables b, rays of shape (C, d,
     d) whose row cone[k] is item k's cone, its rays normalized once per
-    row.  It is the distance to a planar cone, whose boundary is its rays,
-    but no lower bound for a solid cone, whose nearest point can lie on a
-    facet: E3's octant screen drops cones with real mass (open; the values
-    of perfbench/refs/dodec_E.json carry it)."""
+    row: cone_sum's screen of solid cones (cone_mass_2d screens planar
+    ones).  It is no lower bound for a solid cone, whose nearest point can
+    lie on a facet: E3's octant screen drops cones with real mass (open;
+    the values of perfbench/refs/dodec_E.json carry it)."""
     inside = functools.reduce(
         np.logical_and, (np.einsum('kij,kj->ki', b[cone], u) >= -1e-12).T)
     rays = (rays / np.linalg.norm(rays, axis=1, keepdims=True))[cone]
@@ -291,7 +300,7 @@ def cone_mass_3d(u, b, cone):
     shape = (len(u), (knots.shape[1] - 1) * CONE_NODES)
     t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
     wt = (length * w).reshape(shape)
-    k, j = np.nonzero(wt > 0.0)       # slices of the pieces of nonzero length
+    k, j = _nonzero_2d(wt > 0.0)     # slices of the pieces of nonzero length
     # wall j's margin on the slice at t, in units of the Gaussian's standard
     # deviation 1/sqrt(2 pi); the walls' correlation rho is that of g_1, g_2
     h = (np.einsum('kjd,kd->kj', g, uperp)[k] + t[k, j][:, None] * c[k]) \
@@ -363,24 +372,24 @@ def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
     (K, q)), formed column by column: s = 0 gives E2/E3's sign products,
     the signs at a vertex the completion's rho weights.  The F 2^q cones
     are one table, row f 2^q + c, that the screen and the mass read by
-    index.  The (k, c) of nonzero weight pass one cone_dist2 screen (amp_k
-    - pi dist^2 >= -cut) and one cone-mass call; np.bincount adds each
-    item's terms in cone order.  amp applies to planar cones only; E3's
-    callers pass none."""
+    index.  The (k, c) of nonzero weight go to one cone-mass call, screened
+    by amp_k - pi dist^2 >= -cut (cone_mass_2d's own screen, cone_dist2's
+    for solid cones); np.bincount adds each item's terms in cone order.
+    amp applies to planar cones only; E3's callers pass none."""
     q = a.shape[1]
     sig = _SIGNS[:2 ** q, 3 - q:]
     weight = functools.reduce(np.multiply, (sig[:, i] - s[:, i, None]
                                             for i in range(q)))
-    k, c = np.nonzero(weight)
+    k, c = _nonzero_2d(weight)
     amp = np.broadcast_to(np.asarray(amp, dtype=float), (len(u),))[k]
-    b = (sig[:, :, None] * a[:, None]).reshape(-1, q, q)
     rays = (np.linalg.inv(a)[:, None] * sig[:, None, :]).reshape(-1, q, q)
     cone = f[k] * 2 ** q + c
-    keep = amp - math.pi * cone_dist2(u[k], b, rays, cone) >= -cut
-    k, c, cone, amp = k[keep], c[keep], cone[keep], amp[keep]
     if q == 2:
-        mass = cone_mass_2d(u[k], rays[:, :, 0], rays[:, :, 1], amp, cone,
-                            cut)
+        mass = cone_mass_2d(np.take(u, k, 0), rays[:, :, 0], rays[:, :, 1],
+                            amp, cone, cut)
     else:
-        mass = cone_mass_3d(u[k], b, cone)
+        b = (sig[:, :, None] * a[:, None]).reshape(-1, q, q)
+        keep = amp - math.pi * cone_dist2(u[k], b, rays, cone) >= -cut
+        k, c = k[keep], c[keep]
+        mass = cone_mass_3d(u[k], b, cone[keep])
     return np.bincount(k, weight[k, c] * mass, minlength=len(u))

@@ -29,11 +29,11 @@ kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
 term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
 single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
 rho cone masses by their distance from the Gaussian centre.
-modularity_check evaluates its cosets as one batch, in one cone_sum call
-per Im tau and run of EVAL_ROWS rows, which bounds the temporaries.  A
-cell states whether its kernel is even in x (walls.even, true for every
-N-gon): then series and completions take one x of each +-x pair (mult 2),
-and modularity_check one coset of each +-mu pair.
+modularity_check evaluates its cosets as one batch at both Im tau, in one
+cone_sum call per run of EVAL_ROWS (row, Im tau) items, which bounds the
+temporaries.  A cell states whether its kernel is even in x (walls.even,
+true for every N-gon): then series and completions take one x of each +-x
+pair (mult 2), and modularity_check one coset of each +-mu pair.
 """
 
 import math
@@ -45,14 +45,14 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errfn import cone_sum
-from .qspace import (NegativePlane, _charpoly, _dot, _over_lcm, _row_norms,
-                     rat, vec)
+from .qspace import (NegativePlane, _charpoly, _dot, _nonzero_2d, _over_lcm,
+                     _row_norms, rat, vec)
 
 AMP_CAP = 600.0          # exponent cap keeping corrupted kernels finite
 RHO_LOG_TOL = -38.0      # skip completion terms below e^{RHO_LOG_TOL}
 K_MAX = 2.0 ** 53        # |k_i| beyond it: floats skip integers, int64 nears
 ROWS_MAX = 10 ** 7       # rows one enumeration level may hold
-EVAL_ROWS = 2 ** 17      # rows one completion kernel run may hold
+EVAL_ROWS = 2 ** 17      # (row, Im tau) items one kernel run may hold
 DISC_MAX = 4096          # |L'/L| the dense Weil matrices may have
 SAFETY = 1.5             # window_from_planes' factor on the float kappa
 BASE_STEPS = 30          # Badoiu-Clarkson steps of minimax_plane
@@ -458,15 +458,16 @@ class _CompletionKernel:
     evaluated at its final weight: times e^{amp}, amp = -2 pi v Q (capped at
     AMP_CAP), so that each row's value is its term of the completed series
     up to the phase e^{2 pi i Re(tau) Q}, and screened by what each term
-    adds to the sum.  A window row whose bound (|w| + N) e^{amp}
-    on |kernel| e^{amp} (each E2 lies in [-1, 1]) is below e^{RHO_LOG_TOL}
-    gets 0.  A wall term lies within
-    2 e^{amp - pi tau_k^2} (erfcx <= 1) and is evaluated only where that
-    bound reaches e^{RHO_LOG_TOL}.  The rho_j are Gaussian masses of the sign
-    quadrants of the vertex planes span(C_j, C_{j+1}), weighted
-    (sigma_1 - s_j)(sigma_2 - s_{j+1}); the wall adjacency, the quadrant
-    ends and the pair screen read ngon.vertices.  The (row, edge) pairs of a
-    batch that pass a margin screen go to one errfn.cone_sum call."""
+    adds to the sum.  A window row whose bound (|w| + N) e^{amp} on |kernel|
+    e^{amp} (each E2 lies in [-1, 1]) is below e^{RHO_LOG_TOL} gets 0.  A
+    wall term lies within 2 e^{amp - pi tau_k^2} (erfcx <= 1) and is
+    evaluated only where its coefficient is nonzero and that bound reaches
+    e^{RHO_LOG_TOL}.  The rho_j are Gaussian masses of the sign quadrants of
+    the vertex planes span(C_j, C_{j+1}), weighted (sigma_1 - s_j)(sigma_2 -
+    s_{j+1}); the wall adjacency, the quadrant ends and the pair screen read
+    ngon.vertices.  One eval takes every Im tau of a check: a row's signs
+    and margins are formed once, and the (row, Im tau, edge) pairs that
+    pass a margin screen go to one errfn.cone_sum call per run."""
 
     def __init__(self, ngon):
         self.ngon = ngon
@@ -475,43 +476,45 @@ class _CompletionKernel:
         self.adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
         self.adj[a, b] = self.adj[b, a] = 1
 
-    def eval(self, batch, v):
-        """Kernel values times e^{-2 pi v Q} of the batch's rows at Im tau = v,
-        0 on skipped rows; rows go in runs of at most EVAL_ROWS."""
-        if v <= 0:
-            raise ValueError("tau must lie in the upper half plane")
-        out = np.zeros(len(batch))
-        for lo in range(0, len(batch), EVAL_ROWS):
-            live, vals, rows, pairs = self._row_terms(
-                batch, v, math.sqrt(2.0 * v), lo, lo + EVAL_ROWS)
-            out[live] = vals + np.bincount(
-                rows, cone_sum(self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL),
-                minlength=len(vals))
+    def eval(self, batch, vs):
+        """Kernel values times e^{-2 pi v Q} of the batch's rows at each Im
+        tau = v of vs, shape (len(vs), len(batch)), 0 on skipped rows; the
+        (v, row) items go in runs of at most EVAL_ROWS."""
+        out = np.zeros((len(vs), len(batch)))
+        step = EVAL_ROWS // len(vs)
+        for lo in range(0, len(batch), step):
+            live, vals, item, pairs = self._row_terms(batch, vs, lo, lo + step)
+            np.put(out, live, vals + np.bincount(item, cone_sum(
+                self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL),
+                minlength=len(vals)))
         return out
 
-    def _row_terms(self, batch, v, scale, lo=0, hi=None):
-        """The indices `live` of the batch rows lo:hi that pass the row bound,
-        their eps and wall terms, the live-row index of each (row, edge)
-        pair that passes the rho screen, and the pairs' cone_sum arguments:
-        edge, plane centre, the signs (s_j, s_{j+1}) at its ends (cone_sum's
-        reference signs, which give the rho weights) and amp."""
+    def _row_terms(self, batch, vs, lo=0, hi=None):
+        """The flat indices `live` into eval's values of the items (v, row),
+        rows lo:hi, that pass the row bound, their eps and wall terms, the
+        item of each (item, edge) pair that passes the rho screen, and the
+        pairs' cone_sum arguments: edge, plane centre, the signs (s_j,
+        s_{j+1}) at its ends (cone_sum's reference signs, which give the rho
+        weights) and amp.  An item has its own amp and scale sqrt(2 v)."""
         from scipy.special import erfcx
-        amp = np.minimum(-2.0 * math.pi * v * batch.qf[lo:hi], AMP_CAP)
-        live = lo + np.flatnonzero(amp + self.log_bound >= RHO_LOG_TOL)
-        amp = amp[live - lo]
+        amp = np.minimum(np.multiply.outer([-2.0 * math.pi * v for v in vs],
+                                           batch.qf[lo:hi]), AMP_CAP)
+        v, row = _nonzero_2d(amp + self.log_bound >= RHO_LOG_TOL)
+        amp, scale = amp[v, row], np.sqrt(2.0 * np.array(vs))[v]
         _, proj, chat_g = self.ngon.frames
-        signs = self.ngon.sign_matrix(np.take(batch.xnum, live, 0))
-        xf = np.take(batch.xf, live, 0)
-        tmat = scale * (xf @ chat_g.T)                 # tau_k margins
-        vals = self.ngon.kernel(signs).astype(float) * np.exp(amp)
+        signs = self.ngon.sign_matrix(batch.xnum[lo:hi])
+        xf = batch.xf[lo:hi]
+        vals = np.take(self.ngon.kernel(signs), row) * np.exp(amp)
+        coef = np.take(signs @ self.adj, row, 0)
+        tmat = scale[:, None] * np.take(xf @ chat_g.T, row, 0)  # tau_k margins
+        signs = np.take(signs, row, 0)
         # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
         # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
-        # those that can reach e^{RHO_LOG_TOL} are evaluated
-        coef = signs @ self.adj
+        # those of nonzero coefficient that can reach e^{RHO_LOG_TOL} count
         with np.errstate(over='ignore'):
             lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
                             amp[:, None])
-        r, k = np.nonzero((signs != 0) & (lead >= RHO_LOG_TOL))
+        r, k = _nonzero_2d((coef != 0) & (signs != 0) & (lead >= RHO_LOG_TOL))
         ek = np.zeros(tmat.shape)
         ek[r, k] = -signs[r, k] * erfcx(math.sqrt(math.pi) * np.abs(tmat[r, k])) \
             * np.exp(np.minimum(lead[r, k], AMP_CAP))
@@ -520,12 +523,13 @@ class _CompletionKernel:
         # flips every wall carrying a nonzero sign, so its distance from the
         # Gaussian center is at least the larger signed-wall margin: its
         # term is below e^{lead} of both walls (lead = amp on a zero sign).
-        rows, edges = np.nonzero(lead[:, self.ngon.vertices].min(axis=2)
-                                 > RHO_LOG_TOL)
-        u = scale * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
-                              np.take(xf, rows, 0))
-        ends = signs[rows[:, None], self.ngon.vertices[edges]]
-        return live, vals, rows, (edges, u, ends, amp[rows])
+        va, vb = self.ngon.vertices.T
+        p, edges = _nonzero_2d(np.minimum(lead[:, va], lead[:, vb])
+                               > RHO_LOG_TOL)
+        u = scale[p, None] * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
+                                       np.take(xf, row[p], 0))
+        ends = np.column_stack([signs[p, va[edges]], signs[p, vb[edges]]])
+        return v * len(batch) + lo + row, vals, p, (edges, u, ends, amp[p])
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None):
@@ -535,9 +539,9 @@ def completion_eval(coset, ngon, tau, nmax, window=None):
     if window is None:
         window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     batch = enumerate_coset(coset, window, even=ngon.even)
-    scaled = _CompletionKernel(ngon).eval(batch, tau.imag)
-    return complex(_completion_sum(batch, scaled, tau)[0]), \
-        _tail_estimate(batch, window, ngon.n, tau.imag)[0]
+    tail = _tail_estimate(batch, window, ngon.n, tau.imag)[0]
+    scaled = _CompletionKernel(ngon).eval(batch, [tau.imag])[0]
+    return complex(_completion_sum(batch, scaled, tau)[0]), tail
 
 
 def _completion_sum(batch, scaled, tau):
@@ -554,6 +558,8 @@ def _tail_estimate(batch, window, n_edges, v):
     per coset, the lattice-point density calibrated from the (at least one)
     vectors the batch holds of it, all in the window (x,x)_{z0} <= B."""
     from scipy.special import gammaincc, gamma as gamma_fn
+    if v <= 0:
+        raise ValueError("tau must lie in the upper half plane")
     m = window.z0.space.dim
     bf = float(window.B)
     count = np.bincount(batch.coset, np.broadcast_to(batch.mult, len(batch)),
@@ -619,34 +625,29 @@ def modularity_check(space, ngon, tau, nmax):
     (eps, the wall terms and the rho masses are invariant under x -> -x,
     and so is the window), so theta_{-mu} = theta_mu: the cosets mu_i with
     i <= index(-mu_i) are one even batch about completion_eval's window,
-    evaluated once per Im tau; each value fills both entries of its pair."""
+    evaluated at both Im tau at once; a value fills both entries of a pair."""
     _check_space(space, ngon)
     reps, tdiag, smat, neg = weil = weil_matrices(space)
     window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
-    kern = _CompletionKernel(ngon)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
     batch = enumerate_cosets(space, [reps[i] for i in own], window,
                              even=ngon.even)
-    scaled = {}     # Im tau -> kernel values; tau, tau+1 share them
-
-    def theta_vec(t):
-        if t.imag not in scaled:
-            scaled[t.imag] = kern.eval(batch, t.imag)
-        return _completion_sum(batch, scaled[t.imag], t)[pair], \
-            np.max(_tail_estimate(batch, window, ngon.n, t.imag))
-
-    base, tail0 = theta_vec(tau)
-    shifted, tail1 = theta_vec(tau + 1)
+    # tau's tail first: at a tiny Im tau it raises before Im(-1/tau) is inf
+    tail = max(np.max(_tail_estimate(batch, window, ngon.n, t.imag))
+               for t in (tau, -1 / tau))
+    vs = sorted({tau.imag, (-1 / tau).imag})      # tau, tau + 1 share theirs
+    scaled = dict(zip(vs, _CompletionKernel(ngon).eval(batch, vs)))
+    base, shifted, inverted = (_completion_sum(batch, scaled[t.imag], t)[pair]
+                               for t in (tau, tau + 1, -1 / tau))
     t_defect = float(np.max(np.abs(shifted - tdiag * base)))
-    inverted, tail2 = theta_vec(-1 / tau)
     auto = tau ** (space.dim / 2.0)
     s_defect = float(np.max(np.abs(inverted - auto * (smat @ base))))
     uni, comp = weil_sanity(space, weil)
     return {
         "t_defect": t_defect,
         "s_defect": s_defect,
-        "tail": max(tail0, tail1, tail2),
+        "tail": tail,
         "weil_unitarity": uni,
         "weil_composition": comp,
         "theta": base,

@@ -54,6 +54,13 @@ def _int_product(x, rows):
     return x.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).T
 
 
+def _nonzero_2d(mask):
+    """np.nonzero of a 2-D mask from its flat indices and one floor
+    division, about 5x faster than np.nonzero's 2-D path in numpy 2.4."""
+    i = np.flatnonzero(mask)
+    return (r := i // mask.shape[1]), i - r * mask.shape[1]
+
+
 def _row_norms(x, mat):
     """Exact x_i^T mat x_i of int64 rows x_i, symmetric integer mat: on int64
     when the partial-sum bound max(1, max|x|)^2 sum|mat| < 2^63, else Python

@@ -569,6 +569,50 @@ def test_cone_dist2():
     assert [per_item(cone_dist2, x, b, rays) for x in u] == list(got)
 
 
+def test_planar_screen_matches_cone_dist2(monkeypatch):
+    # cone_mass_2d screens its items from the b, q and |u| its mass reads:
+    # u's squared distance d^2 to the cone is 0 inside, else that to the
+    # nearer ray, q^2 where b >= 0 and |u|^2 where b < 0.  On random planar
+    # cones, with u anywhere, inside, on a ray and beyond the apex, it is
+    # cone_dist2's up to rounding: an item with amp - pi d^2 above -cut by
+    # 1e-12 (pi d^2 + cut), d^2 by cone_dist2, gets a mass, one as far
+    # below none, and an item inside gets a mass at amp = -cut.  Every far
+    # piece takes CONE_NODES here, so that an item that passes has a
+    # positive mass.
+    import ngontheta.errfn as errfn
+    monkeypatch.setattr(errfn, "_far_nodes",
+                        lambda d0, *args: np.full(len(d0), CONE_NODES))
+    rng = np.random.default_rng(4301)
+    k = 2000
+    th = rng.uniform(-math.pi, math.pi, k)
+    th2 = th + rng.uniform(0.05, math.pi - 0.05, k) * rng.choice([-1, 1], k)
+    g1 = rng.uniform(0.2, 5.0, (k, 1)) * np.stack([np.cos(th), np.sin(th)], 1)
+    g2 = rng.uniform(0.2, 5.0, (k, 1)) * np.stack([np.cos(th2), np.sin(th2)],
+                                                  1)
+    e1, e2 = (g / np.linalg.norm(g, axis=1, keepdims=True) for g in (g1, g2))
+    s1, s2 = rng.uniform(0.01, 4.0, (2, k, 1))
+    kind = np.arange(k) % 4
+    u = np.select([kind[:, None] == j for j in range(4)], [
+        rng.normal(size=(k, 2)) * rng.uniform(0.0, 4.0, (k, 1)),
+        s1 * e1 + s2 * e2,                                  # inside
+        np.where(rng.random((k, 1)) < 0.5, s1 * g1, s2 * g2),   # on a ray
+        -(s1 * e1 + s2 * e2)])                              # beyond the apex
+    rays = np.stack([g1, g2], axis=2)
+    d2 = per_item(cone_dist2, u, np.linalg.inv(rays), rays)
+    assert np.all(d2[kind == 1] == 0) and np.all(d2[kind == 2] == 0)
+    assert np.sum(d2 > 1.0) > k // 4
+    cut, cone = 38.0, np.arange(k)
+    slack = 1e-12 * (math.pi * d2 + cut)
+    for amp, passes in ((math.pi * d2 - cut + slack, True),
+                        (math.pi * d2 - cut - slack, False)):
+        mass = cone_mass_2d(u, g1, g2, amp, cone, cut)
+        assert np.all((mass > 0) == passes)
+    inside = kind == 1
+    assert np.all(cone_mass_2d(u[inside], g1[inside], g2[inside],
+                               np.full(np.sum(inside), -cut),
+                               cone[:np.sum(inside)], cut) > 0)
+
+
 def _cone_dist2_axis(u, b, rays):
     """cone_dist2 with its inside test reduced by np.all over the last
     axis, as it was before that reduction ran column by column."""
@@ -1039,9 +1083,10 @@ def test_cone_table_matches_per_item(monkeypatch):
 
 def test_cone_sum_sets_up_each_cone_once(monkeypatch):
     # one cone_sum call derives its planar cones' angles once per row of its
-    # table of F 2^q cones, not once per item, and makes one screen call
-    # and one cone-mass call; its sum is that of the item's cones in a
-    # table of one row per item, unscreened, whose masses sum to 1
+    # table of F 2^q cones, not once per item, and makes one cone-mass call,
+    # which screens planar cones itself, after one cone_dist2 screen call
+    # for solid cones; its sum is that of the item's cones in a table of
+    # one row per item, unscreened, whose masses sum to 1
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3402)
     rows, calls = [], []
@@ -1070,7 +1115,8 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
         rows.clear()
         calls.clear()
         got = cone_sum(a, f, u, s)
-        assert calls == ["cone_dist2", f"cone_mass_{q}d"]
+        assert calls == (["cone_mass_2d"] if q == 2 else
+                         ["cone_dist2", "cone_mass_3d"])
         assert rows == ([frames * 4] if q == 2 else [])
         sig = np.array(list(product((1.0, -1.0), repeat=q)))
         b = (sig[None, :, :, None] * a[f][:, None]).reshape(-1, q, q)

@@ -557,7 +557,7 @@ def test_completion_kernel_matches_e2_sum(funddom):
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
     kern = _CompletionKernel(funddom)
     v = 0.37
-    got = kern.eval(batch, v)
+    got = kern.eval(batch, [v])[0]
     w = w_invariant(funddom)
     n = funddom.n
     for i in range(min(25, len(batch))):
@@ -617,11 +617,12 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
     assert len({b.dmu for b in alone}) > 1
     for v in (0.37, 1.3):
         calls.clear()
-        joint = kern.eval(funddom_batch, v)
+        joint = kern.eval(funddom_batch, [v])
         assert len(calls) == 1 and calls[0] > 0
-        assert joint.shape == (len(funddom_batch),)
+        assert joint.shape == (1, len(funddom_batch))
+        joint = joint[0]
         for i, batch in enumerate(alone):
-            want = kern.eval(batch, v)
+            want = kern.eval(batch, [v])[0]
             assert want.shape == (len(batch),)
             assert np.array_equal(joint[funddom_batch.coset == i], want)
         assert len(calls) == 1 + len(reps)
@@ -636,7 +637,7 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
                 start, held = i + 1, 0
         calls.clear()
         grouped = [kern.eval(enumerate_cosets(SPACE_ABC, reps[lo:hi],
-                                              funddom_window), v)
+                                              funddom_window), [v])[0]
                    for lo, hi in groups]
         assert len(calls) == len(groups)
         assert np.array_equal(np.concatenate(grouped), joint)
@@ -647,9 +648,10 @@ def test_cone_sum_weights_match_sign_and_rho_tables(funddom, funddom_batch,
     # cone_sum's one weight rule prod_i (sigma_i - s_i) gives, bit for bit,
     # the tables its callers built before: E2/E3's sign products for s = 0
     # and the rho weights (sigma_1 - s_j)(sigma_2 - s_{j+1}) for the ends
-    # that _row_terms returns.  Each call keeps one cone c of every item
-    # (the screen passes it alone) and gives it mass 1, so that it returns
-    # column c of the weights.
+    # that _row_terms returns.  Each call gives one cone c of every item
+    # mass 1 and the others 0 (planar cones, which cone_mass_2d screens
+    # itself) or passes it alone through the cone_dist2 screen and gives it
+    # mass 1 (solid cones), so that it returns column c of the weights.
     from ngontheta import errfn
     signs = np.array(list(product((1.0, -1.0), repeat=3)))
 
@@ -658,14 +660,15 @@ def test_cone_sum_weights_match_sign_and_rho_tables(funddom, funddom_batch,
         u = np.zeros((len(f), q))
         out = []
         for c in range(2 ** q):
+            monkeypatch.setattr(errfn, "cone_mass_2d", lambda u, *args: (
+                np.where(args[3] % 4 == c, 1.0, 0.0)))
             monkeypatch.setattr(errfn, "cone_dist2", lambda u, b, r, cone: (
                 np.where(cone % 2 ** q == c, 0.0, np.inf)))
             out.append(cone_sum(a, f, u, s))
         return np.stack(out, axis=1)
 
-    for name in ("cone_mass_2d", "cone_mass_3d"):
-        monkeypatch.setattr(errfn, name,
-                            lambda u, *args, **kwargs: np.ones(len(u)))
+    monkeypatch.setattr(errfn, "cone_mass_3d",
+                        lambda u, *args, **kwargs: np.ones(len(u)))
     for q in (2, 3):
         a = np.eye(q)[None]
         got = weights(a, np.zeros(5, dtype=int), np.zeros((5, q)))
@@ -674,8 +677,7 @@ def test_cone_sum_weights_match_sign_and_rho_tables(funddom, funddom_batch,
     kern = _CompletionKernel(funddom)
     ends_seen = set()
     for v in (0.37, 1.3):
-        _, _, _, (edges, _, ends, _) = kern._row_terms(
-            funddom_batch, v, math.sqrt(2.0 * v))
+        _, _, _, (edges, _, ends, _) = kern._row_terms(funddom_batch, [v])
         ends_seen |= set(map(tuple, ends.tolist()))
         rho = (signs[:4, 1] - ends[:, :1]) * (signs[:4, 2] - ends[:, 1:])
         assert np.array_equal(weights(funddom.frames[0], edges, ends), rho)
@@ -688,7 +690,7 @@ def test_eval_batches_hold_window_rows_only(funddom, funddom_window,
     # guard band: the B-window inside the 2B-window, decided by Fraction
     # norms; every coset carries nonzero completed terms
     kern = _CompletionKernel(funddom)
-    got = kern.eval(funddom_batch, 0.8)
+    got = kern.eval(funddom_batch, [0.8])[0]
     wide = enumerate_cosets(SPACE_ABC, disc_group(SPACE_ABC), EnumWindow(
         funddom_window.z0, 2 * funddom_window.B, funddom_window.kappa))
     mat = majorant_matrix(SPACE_ABC, funddom_window.z0.span)
@@ -714,10 +716,10 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
     batch = funddom_batch
     skipped = 0
     for v in (0.37, 1.3):
-        g = kern.eval(batch, v)
-        f = full.eval(batch, v)
+        g = kern.eval(batch, [v])[0]
+        f = full.eval(batch, [v])[0]
         live = np.zeros(len(batch), dtype=bool)
-        live[kern._row_terms(batch, v, math.sqrt(2.0 * v))[0]] = True
+        live[kern._row_terms(batch, [v])[0]] = True
         amp = np.minimum(-2.0 * math.pi * v * batch.qf, lattice.AMP_CAP)
         small = bound * np.exp(amp) < math.exp(lattice.RHO_LOG_TOL)
         assert np.array_equal(live, ~small)
@@ -730,14 +732,14 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
 
 
 def _unscreened_wall_eval(kern, batch, v):
-    """kern.eval(batch, v) with every wall term evaluated: the same
+    """kern.eval(batch, [v]) with every wall term evaluated: the same
     live rows and rho terms, eps and the wall terms
     (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} in full.  Also,
     per row, the number of wall terms that the kernel's screen drops and
     the sum of the magnitudes of the row's terms (its rounding scale)."""
     from scipy.special import erfcx
     ngon, scale = kern.ngon, math.sqrt(2.0 * v)
-    live, _, rows, args = kern._row_terms(batch, v, scale)
+    live, _, rows, args = kern._row_terms(batch, [v])
     amp = np.minimum(-2.0 * math.pi * v * batch.qf[live], lattice.AMP_CAP)
     signs = ngon.sign_matrix(batch.xnum[live])
     t = scale * (batch.xf[live] @ ngon.frames[2].T)
@@ -767,13 +769,69 @@ def test_wall_term_screen_bound(funddom, funddom_batch):
     n = funddom.n
     dropped = 0
     for v in (0.37, 1.3):
-        got = kern.eval(funddom_batch, v)
+        got = kern.eval(funddom_batch, [v])[0]
         want, drop, size = _unscreened_wall_eval(kern, funddom_batch, v)
         dropped += drop.sum()
         assert np.array_equal(got[drop == 0], want[drop == 0])
         assert np.all(np.abs(got - want) <= 2 * n * math.exp(
             lattice.RHO_LOG_TOL) + n * np.finfo(float).eps * size)
     assert dropped > 1000
+
+
+def test_wall_terms_skip_zero_coefficients(funddom, funddom_batch,
+                                           monkeypatch):
+    # a wall term (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} is
+    # evaluated only where its coefficient is nonzero: erfcx sees exactly
+    # the margins sqrt(pi) |tau_k| of the terms with s_{k-1}+s_{k+1} != 0,
+    # s_k != 0 and a bound at least e^{RHO_LOG_TOL}, most of the terms that
+    # pass the bound are skipped, and every row whose terms all pass the
+    # bound keeps its value with every wall term evaluated, bit for bit
+    import scipy.special
+    from scipy.special import erfcx
+    seen = []
+
+    def counted(x):
+        seen.append(np.array(x))
+        return erfcx(x)
+
+    kern, batch, n = _CompletionKernel(funddom), funddom_batch, funddom.n
+    vs = [0.37, 1.3]
+    monkeypatch.setattr(scipy.special, "erfcx", counted)
+    live = kern._row_terms(batch, vs)[0]
+    monkeypatch.undo()
+    assert len(seen) == 1
+    v, row = np.divmod(live, len(batch))
+    amp = np.minimum(-2.0 * math.pi * np.array(vs)[v] * batch.qf[row],
+                     lattice.AMP_CAP)
+    signs = funddom.sign_matrix(batch.xnum[row])
+    coef = np.roll(signs, 1, axis=1) + np.roll(signs, -1, axis=1)
+    t = np.sqrt(2.0 * np.array(vs))[v, None] * (batch.xf[row]
+                                               @ funddom.frames[2].T)
+    passes = (signs != 0) & (amp[:, None] - math.pi * t ** 2
+                             >= lattice.RHO_LOG_TOL)
+    want = math.sqrt(math.pi) * np.abs(t[passes & (coef != 0)])
+    assert np.array_equal(np.sort(seen[0]), np.sort(want))
+    assert np.sum(passes & (coef == 0)) > 2 * np.sum(passes & (coef != 0))
+    got = kern.eval(batch, vs)
+    for i, x in enumerate(vs):
+        full, drop, _ = _unscreened_wall_eval(kern, batch, x)
+        assert np.array_equal(got[i][drop == 0], full[drop == 0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+       st.sampled_from([2 ** 17, 501, 64]))
+def test_eval_at_many_im_tau_matches_each_alone(funddom, funddom_batch, v1,
+                                                v2, rows):
+    # one eval at [v1, v2] gives, bit for bit, the rows of eval at [v1] and
+    # at [v2], whatever the runs of at most EVAL_ROWS (row, Im tau) items
+    kern = _CompletionKernel(funddom)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "EVAL_ROWS", rows)
+        both = kern.eval(funddom_batch, [v1, v2])
+        alone = [kern.eval(funddom_batch, [v])[0] for v in (v1, v2)]
+    assert both.shape == (2, len(funddom_batch))
+    assert both.tobytes() == np.stack(alone).tobytes()
 
 
 @pytest.mark.parametrize("tau", [complex(0.1234, 0.95), complex(-0.4, 0.8),
@@ -898,7 +956,7 @@ def test_folded_batch_matches_full_sum(funddom):
         assert np.sum(half.mult) == len(full)
         assert 2 * len(half) - len(full) == int(not any(mu))    # x = 0 in L
         assert np.array_equal(half.mult == 1, np.all(half.xnum == 0, axis=1))
-        scaled = kern.eval(full, tau.imag)
+        scaled = kern.eval(full, [tau.imag])[0]
         terms = scaled * np.exp(2j * math.pi * tau.real * full.qf)
         got, tail = completion_eval(LatticeCoset(SPACE_ABC, mu), funddom,
                                     tau, 6)
@@ -1198,7 +1256,7 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
     assert sizes[0] == 1 and len(empty) >= 10 and len(empty) < cosets - 5
     tau = complex(0.1234, 0.95)
     vals = _completion_sum(half, _CompletionKernel(funddom).eval(
-        half, tau.imag), tau)
+        half, [tau.imag])[0], tau)
     tails = _tail_estimate(half, window, funddom.n, tau.imag)
     assert np.all(vals[empty] == 0) and np.any(vals != 0)
     assert np.all(tails[empty] == tails[0])
@@ -1206,8 +1264,8 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
 
 def test_modularity_check_is_one_batch(funddom, monkeypatch):
     # one enumeration, one set of Weil matrices (with the negation index),
-    # and one _row_terms and one cone_sum call per Im tau (tau and tau + 1
-    # share theirs)
+    # and one _row_terms and one cone_sum call for both Im tau (tau and
+    # tau + 1 share theirs, -1/tau has its own)
     calls = {"enum": 0, "weil": 0, "rows": 0, "cone": 0}
 
     def counting(key, fn):
@@ -1225,16 +1283,17 @@ def test_modularity_check_is_one_batch(funddom, monkeypatch):
     monkeypatch.setattr(_CompletionKernel, "_row_terms", counting(
         "rows", _CompletionKernel._row_terms))
     got = modularity_check(SPACE_ABC, funddom, complex(0.1234, 0.95), 6)
-    assert calls == {"enum": 1, "weil": 1, "rows": 2, "cone": 2}
+    assert calls == {"enum": 1, "weil": 1, "rows": 1, "cone": 1}
     assert np.array_equal(got["theta"], want["theta"])
     assert got["s_defect"] == want["s_defect"]
 
 
 def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
-    # the completion kernel evaluates a batch in runs of at most EVAL_ROWS
-    # consecutive rows, one _row_terms and one cone_sum call each, and no
-    # run changes a bit: under a budget that cuts the batch between cosets
-    # and inside them, modularity_check and completion_eval give the values
+    # the completion kernel evaluates a batch in runs of consecutive rows
+    # holding at most EVAL_ROWS (row, Im tau) items, one _row_terms and one
+    # cone_sum call each, and no run changes a bit: under a budget that cuts
+    # the batch between cosets and inside them, modularity_check (two Im
+    # tau, 48 rows a run) and completion_eval (one, 97 rows) give the values
     # of one run per batch
     tau = complex(0.1234, 0.95)
     coset = LatticeCoset(SPACE_ABC, (Fraction(1, 4), 0, 0))
@@ -1243,10 +1302,11 @@ def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
     runs, cones = [], []
     row_terms = _CompletionKernel._row_terms
 
-    def counted_rows(self, batch, v, scale, lo=0, hi=None):
-        out = row_terms(self, batch, v, scale, lo, hi)
+    def counted_rows(self, batch, vs, lo=0, hi=None):
+        out = row_terms(self, batch, vs, lo, hi)
         hi = min(hi, len(batch))
-        runs.append((hi - lo, np.all((out[0] >= lo) & (out[0] < hi)),
+        row = out[0] % len(batch)
+        runs.append((len(vs) * (hi - lo), np.all((row >= lo) & (row < hi)),
                      lo > 0 and batch.coset[lo - 1] == batch.coset[lo]))
         return out
 
@@ -1261,7 +1321,7 @@ def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
     assert np.array_equal(got["theta"], want["theta"])
     assert all(got[key] == want[key] for key in ("t_defect", "s_defect"))
     rows = sum(n for n, _, _ in runs) // 2       # tau, -1/tau: two Im tau
-    assert len(runs) == len(cones) == 2 * math.ceil(rows / 97)
+    assert len(runs) == len(cones) == math.ceil(rows / 48)
     _check_runs(runs, 97)
     runs.clear()
     assert completion_eval(coset, funddom, tau, 6) == want_one
@@ -1269,8 +1329,8 @@ def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
 
 
 def _check_runs(runs, budget):
-    """Each run holds at most budget rows and its live rows alone; there is
-    more than one, and a cut between two of them falls inside a coset."""
+    """Each run holds at most budget items and its live rows alone; there
+    is more than one, and a cut between two of them falls inside a coset."""
     assert len(runs) >= 2
     assert all(rows <= budget and inside for rows, inside, _ in runs)
     assert any(cut for _, _, cut in runs)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import (QuadraticSpace, NegativePlane,
                               DegeneratePlaneError, rat, vec, vec_primitive,
-                              _charpoly)
+                              _charpoly, _nonzero_2d)
 
 from conftest import (inner_dense, inner_sparse, majorant_exact, majorant_float, mat_det,
                       mat_inv, negative_definite_vec, project_perp)
@@ -324,3 +324,19 @@ def test_inner_matches_sparse_sum(data):
     for args in ((bad, y), (x, bad), (bad, bad)):
         with pytest.raises(ValueError, match="dimension mismatch"):
             space.inner(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0, 4), (None, 1), (None, 4), (None, 168)]),
+       st.integers(1, 300), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_nonzero_2d_matches_np_nonzero(shape, n, density, seed):
+    # the (row, column) indices formed from the flat indices of a 2-D mask
+    # are np.nonzero's, same values, order and dtype, on the masks' shapes
+    # the kernels use: (rows, wall) and (item, cone) masks with 4 columns,
+    # one column, and cone_mass_3d's 7 pieces of 24 nodes
+    rows, cols = shape
+    mask = np.random.default_rng(seed).random((n if rows is None else rows,
+                                               cols)) < density
+    got, want = _nonzero_2d(mask), np.nonzero(mask)
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype
+               for g, w in zip(got, want, strict=True))

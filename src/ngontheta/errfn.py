@@ -23,9 +23,10 @@ fewest nodes of FAR_NODES whose error bound (64/15) M rho^{2-2m}/(rho^2
 - 1), M a closed-form bound of the integrand on a Bernstein ellipse E_rho
 (Trefethen, ATAP Thm 19.3), a proof, not an estimate, is below e^{-cut}
 at the piece's weight, else CONE_NODES.  A solid cone's mass is a 1-D
-integral over one wall's normal coordinate of planar slice masses in
-closed form (a bivariate normal orthant probability by Owen's T
-function), on CONE_NODES Gauss-Legendre nodes a piece and no bound.
+integral over one wall's normal coordinate of planar slice masses, on
+CONE_NODES Gauss-Legendre nodes a piece and no bound: every slice is a
+planar cone of cone_mass_2d, weighed at its final weight in one call, so
+cone_mass_2d is the one cone-mass routine.
 Values lie in [-1,1] and tend to the product of signs as x grows along a
 regular direction.
 """
@@ -261,9 +262,11 @@ def cone_mass_3d(u, b, cone):
     (its Gaussian factor cut at e^{-CONE_CUT}).  The slice mass changes on
     a scale 1/rate where the slice centre crosses a wall (rate |c_j|/|g_j|)
     or passes the apex (rate |p|): split there, at u_n and WINDOW/rate
-    either side; CONE_NODES Gauss-Legendre nodes a piece.  A slice's mass
-    is the orthant probability of its walls' standardized margins
-    (_orthant)."""
+    either side; CONE_NODES Gauss-Legendre nodes a piece.  The slice cone's
+    rays are the columns of g^{-1}, g its walls' rows in n^perp: every
+    slice is one item of a single cone_mass_2d call on that table, centre
+    u_perp - t p and amp -pi (t - u_n)^2, so its screen and far rule run at
+    the slice's final weight."""
     nb = b / np.linalg.norm(b, axis=2, keepdims=True)
     if np.any(np.abs(np.linalg.det(nb))[cone] < 1e-14):
         raise QuadratureError("degenerate solid cone")
@@ -280,9 +283,9 @@ def cone_mass_3d(u, b, cone):
     g = walls @ frame.transpose(0, 2, 1)
     gn = np.linalg.norm(g, axis=2)
     c = np.einsum('kjd,kd->kj', walls, n)
-    p = -np.einsum('kij,kj->ki', np.linalg.inv(g), c)
-    rho = np.sum(g[:, 0] * g[:, 1], axis=1) / (gn[:, 0] * gn[:, 1])
-    n, frame, g, gn, c, p, rho = (a[cone] for a in (n, frame, g, gn, c, p, rho))
+    rays = np.linalg.inv(g)             # the slice cone's rays, its columns
+    p = -np.einsum('kij,kj->ki', rays, c)
+    n, frame, g, gn, c, p = (a[cone] for a in (n, frame, g, gn, c, p))
     un = np.einsum('kd,kd->k', u, n)
     uperp = np.einsum('kid,kd->ki', frame, u)
     lo = np.maximum(un - FAST_MARGIN, 0.0)
@@ -301,31 +304,10 @@ def cone_mass_3d(u, b, cone):
     t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
     wt = (length * w).reshape(shape)
     k, j = _nonzero_2d(wt > 0.0)     # slices of the pieces of nonzero length
-    # wall j's margin on the slice at t, in units of the Gaussian's standard
-    # deviation 1/sqrt(2 pi); the walls' correlation rho is that of g_1, g_2
-    h = (np.einsum('kjd,kd->kj', g, uperp)[k] + t[k, j][:, None] * c[k]) \
-        * (math.sqrt(2.0 * math.pi) / gn[k])
-    mass = np.zeros(shape)
-    mass[k, j] = np.exp(-np.pi * (t[k, j] - un[k]) ** 2) \
-        * _orthant(h[:, 0], h[:, 1], rho[k])
-    if not np.all(np.isfinite(mass)):
-        raise QuadratureError("3-D cone mass produced a non-finite value")
-    return np.sum(mass * wt, axis=1)
-
-
-def _orthant(h, k, rho):
-    """P(X <= h, Y <= k) for standard normals X, Y of correlation rho,
-    |rho| < 1, elementwise, from Owen's T function (Owen 1956).  An exact
-    zero h or k is moved to 1e-300, where Phi2 is continuous, so that the
-    arguments of T stay defined."""
-    from scipy.special import ndtr, owens_t
-    h = np.where(h == 0.0, 1e-300, h)
-    k = np.where(k == 0.0, 1e-300, k)
-    r = np.sqrt(1.0 - rho * rho)
-    with np.errstate(over='ignore'):
-        ah, ak = (k - rho * h) / (h * r), (h - rho * k) / (k * r)
-    return (ndtr(h) + ndtr(k)) / 2.0 - owens_t(h, ah) - owens_t(k, ak) \
-        - 0.5 * ((h < 0.0) != (k < 0.0))
+    t = t[k, j]
+    mass = cone_mass_2d(uperp[k] - t[:, None] * p[k], rays[:, :, 0],
+                        rays[:, :, 1], -np.pi * (t - un[k]) ** 2, cone[k])
+    return np.bincount(k, mass * wt[k, j], minlength=len(u))
 
 
 def E3(space, c1, c2, c3, x):
@@ -333,9 +315,10 @@ def E3(space, c1, c2, c3, x):
     A frame whose sign margins all reach FAST_MARGIN gets the exact sign
     product.  The slow path drifts far out along a wall: at x = (0, b, b,
     0.05) on diag(2, -2, -2, -2), its unscreened cone sum (cut = inf) is off
-    the product of the three E1 by 3e-16 at b = 10, 1e-11 at 1e6, 8e-9 at
-    1e9 and 7e-6 at 1e12; screened, by 0.43 already at b = 10, because the
-    octant screen (cone_dist2) drops octants with real mass."""
+    the product of the three E1 by 7e-16 at b = 10, 1e-11 at 1e6, 8e-9 at
+    1e9 and 7e-6 at 1e12 (from cone_mass_3d's 1-D set-up, not the slice
+    masses); screened, by 0.43 already at b = 10, because the octant screen
+    (cone_dist2) drops octants with real mass."""
     return _E(space, (c1, c2, c3), x)
 
 

@@ -13,7 +13,7 @@ from scipy.special import erf, erfc, erfcx
 from ngontheta.qspace import QuadraticSpace
 from ngontheta.errfn import (E1, E2, E3, CONE_CUT, CONE_NODES, FAR_NODES,
                              FAST_MARGIN, QuadratureError, cone_mass_2d,
-                             cone_mass_3d, cone_dist2, cone_sum, _orthant,
+                             cone_mass_3d, cone_dist2, cone_sum,
                              E_frames, _far_bound, _far_nodes)
 from ngontheta.lattice import AMP_CAP, RHO_LOG_TOL
 
@@ -875,29 +875,59 @@ def test_cone_mass_3d_octants_partition_space():
     assert np.max(np.abs(mass.reshape(1000, 8).sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_orthant_matches_planar_cone_mass():
-    # the closed-form slice mass of cone_mass_3d against cone_mass_2d's
-    # quadrature on the same planar cones {g y >= 0}: margins of the centre
-    # in units of 1/sqrt(2 pi), correlation of the unit wall normals
+def test_cone_mass_3d_exact_octants():
+    # the sign octants of the identity frame have product masses, prod_i
+    # erfc(-sqrt(pi) sigma_i u_i)/2: each slice of cone_mass_3d is weighed
+    # by cone_mass_2d at its final weight, so small masses keep their
+    # relative accuracy too
+    rng = np.random.default_rng(4401)
+    u = rng.uniform(-2.5, 2.5, (3000, 3))
+    sig = np.array(list(product((1.0, -1.0), repeat=3)))
+    cone = rng.integers(0, 8, 3000)
+    got = cone_mass_3d(u, sig[:, :, None] * np.eye(3), cone)
+    want = np.prod(erfc(-SQPI * sig[cone] * u), axis=1) / 8.0
+    err = np.abs(got - want)
+    assert np.max(err) <= 4e-15
+    small = want > 1e-12
+    assert want.min() < 1e-9 and np.max(err[small] / want[small]) <= 1e-7
+
+
+def test_e3_block_frame_factorizes():
+    # c3 orthogonal to span(c1, c2): E3 = E2 E1 to rounding, the 2 + 1
+    # block frame's slices being planar cones of cone_mass_2d themselves
+    rng = np.random.default_rng(4402)
+    c1, c2, c3 = (0, 1, 1, 0), (0, -1, 2, 0), (0, 0, 0, 1)
+    for x in rng.uniform(-1.5, 1.5, (20, 4)):
+        got = E3(SP4, c1, c2, c3, x)
+        want = E2(SP4, c1, c2, x) * E1(SP4, c3, x)
+        assert abs(got - want) <= 1e-13, (x, got, want)
+
+
+def test_planar_cone_mass_at_apex_and_across_a_wall():
+    # the slice mass of a solid cone is cone_mass_2d's, and a slice centre
+    # can sit on a wall or at the apex: at the apex the mass is the
+    # opening / 2 pi, 1/4 + arcsin(rho)/(2 pi) for the cone {g y >= 0}
+    # whose unit wall normals have correlation rho
     rng = np.random.default_rng(1956)
-    g = rng.normal(size=(2000, 2, 2))
-    u = rng.normal(size=(2000, 2)) * rng.uniform(0.0, 3.0, (2000, 1))
+    g = rng.normal(size=(200, 2, 2))
     gn = np.linalg.norm(g, axis=2)
     rho = np.sum(g[:, 0] * g[:, 1], axis=1) / (gn[:, 0] * gn[:, 1])
-    h = np.einsum('kjd,kd->kj', g, u) * math.sqrt(2.0 * math.pi) / gn
     rays = np.linalg.inv(g)
-    want = per_item(cone_mass_2d, u, rays[:, :, 0], rays[:, :, 1], 0.0)
-    # the bound is the quadrature's: at |rho| -> 1 it errs by ~1e-14
-    assert np.max(np.abs(_orthant(h[:, 0], h[:, 1], rho) - want)) <= 1e-13
-    # at an exact zero margin: the closed form at the apex, and continuity
-    # across the wall elsewhere
-    r, k = rng.uniform(-0.99, 0.99, 100), rng.normal(size=100)
-    zero = np.zeros(100)
-    assert np.max(np.abs(_orthant(zero, zero, r)
-                         - (0.25 + np.arcsin(r) / (2.0 * math.pi)))) <= 1e-15
-    for a, b in ((zero, k), (k, zero)):
-        near = _orthant(a + 1e-9 * (a == 0), b + 1e-9 * (b == 0), r)
-        assert np.max(np.abs(_orthant(a, b, r) - near)) <= 1e-8
+    at_apex = per_item(cone_mass_2d, np.zeros((200, 2)), rays[:, :, 0],
+                       rays[:, :, 1], 0.0)
+    assert np.max(np.abs(at_apex - (0.25 + np.arcsin(rho) / (2.0 * math.pi)))) \
+        <= 1e-15
+    # a centre exactly on the line of the ray (1, 0), either side of the
+    # apex, and 1e-9 off it on either side: the mass is continuous there
+    axis = np.broadcast_to([1.0, 0.0], (200, 2))
+    other = rng.normal(size=(200, 2))
+    k = rng.normal(size=200) * 2.0
+    on = np.column_stack([k, np.zeros(200)])
+    for g1, g2 in ((axis, other), (other, axis)):
+        mass = per_item(cone_mass_2d, on, g1, g2, 0.0)
+        for off in (1e-9, -1e-9):
+            near = per_item(cone_mass_2d, on + [0.0, off], g1, g2, 0.0)
+            assert np.max(np.abs(mass - near)) <= 1e-8
 
 
 def test_cone_mass_3d_degenerate():
@@ -1085,8 +1115,10 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
     # one cone_sum call derives its planar cones' angles once per row of its
     # table of F 2^q cones, not once per item, and makes one cone-mass call,
     # which screens planar cones itself, after one cone_dist2 screen call
-    # for solid cones; its sum is that of the item's cones in a table of
-    # one row per item, unscreened, whose masses sum to 1
+    # for solid cones; cone_mass_3d weighs every slice of its solid cones
+    # in one cone_mass_2d call, whose planar cones are the slice cones of
+    # the same F 8 table rows; its sum is that of the item's cones in a
+    # table of one row per item, unscreened, whose masses sum to 1
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3402)
     rows, calls = [], []
@@ -1116,8 +1148,8 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
         calls.clear()
         got = cone_sum(a, f, u, s)
         assert calls == (["cone_mass_2d"] if q == 2 else
-                         ["cone_dist2", "cone_mass_3d"])
-        assert rows == ([frames * 4] if q == 2 else [])
+                         ["cone_dist2", "cone_mass_3d", "cone_mass_2d"])
+        assert rows == [frames * 2 ** q]
         sig = np.array(list(product((1.0, -1.0), repeat=q)))
         b = (sig[None, :, :, None] * a[f][:, None]).reshape(-1, q, q)
         rays, uu = np.linalg.inv(b), np.repeat(u, 2 ** q, axis=0)

@@ -25,8 +25,8 @@ fewest nodes of FAR_NODES whose error bound (64/15) M rho^{2-2m}/(rho^2
 at the piece's weight, else CONE_NODES.  A solid cone's mass is a 1-D
 integral over one wall's normal coordinate of planar slice masses, on
 CONE_NODES Gauss-Legendre nodes a piece and no bound: every slice is a
-planar cone of cone_mass_2d, weighed at its final weight in one call, so
-cone_mass_2d is the one cone-mass routine.
+planar cone of cone_mass_2d, weighed at its final weight in runs of at
+most SLICE_RUN slices, so cone_mass_2d is the one cone-mass routine.
 Values lie in [-1,1] and tend to the product of signs as x grows along a
 regular direction.
 """
@@ -50,6 +50,7 @@ FAR_NODES = (2, 4, 6, 8, 12, 16, CONE_NODES)   # node counts of a far piece
 _FAR_LADDER = np.array([min(m for m in FAR_NODES if m >= k)  # the first >= k
                         for k in range(CONE_NODES + 1)])
 CONE_BLOCK = 8192        # node elements per block (bounds temporaries)
+SLICE_RUN = 2 ** 17      # solid-cone slices per cone_mass_2d call, at most
 WINDOW = 3.0             # slice distance spanned by a window at a fast change
 SUM_SLACK = 1e-9         # E2/E3 mass sums further out than this are errors
 # _SIGNS[:2**q, 3-q:] signs the 2^q cones of a q-frame (q <= 3), + first
@@ -264,9 +265,10 @@ def cone_mass_3d(u, b, cone):
     or passes the apex (rate |p|): split there, at u_n and WINDOW/rate
     either side; CONE_NODES Gauss-Legendre nodes a piece.  The slice cone's
     rays are the columns of g^{-1}, g its walls' rows in n^perp: every
-    slice is one item of a single cone_mass_2d call on that table, centre
-    u_perp - t p and amp -pi (t - u_n)^2, so its screen and far rule run at
-    the slice's final weight."""
+    slice is one item of a cone_mass_2d call on that table, centre u_perp -
+    t p and amp -pi (t - u_n)^2, so its screen and far rule run at the
+    slice's final weight; a call takes the slices of whole items, at most
+    SLICE_RUN, which bounds its temporaries and changes no bit."""
     nb = b / np.linalg.norm(b, axis=2, keepdims=True)
     if np.any(np.abs(np.linalg.det(nb))[cone] < 1e-14):
         raise QuadratureError("degenerate solid cone")
@@ -303,11 +305,18 @@ def cone_mass_3d(u, b, cone):
     shape = (len(u), (knots.shape[1] - 1) * CONE_NODES)
     t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
     wt = (length * w).reshape(shape)
-    k, j = _nonzero_2d(wt > 0.0)     # slices of the pieces of nonzero length
-    t = t[k, j]
-    mass = cone_mass_2d(uperp[k] - t[:, None] * p[k], rays[:, :, 0],
-                        rays[:, :, 1], -np.pi * (t - un[k]) ** 2, cone[k])
-    return np.bincount(k, mass * wt[k, j], minlength=len(u))
+    out = np.empty(len(u))
+    step = max(SLICE_RUN // shape[1], 1)    # whole items, SLICE_RUN slices
+    for lo in range(0, len(u), step):
+        run = slice(lo, lo + step)
+        k, j = _nonzero_2d(wt[run] > 0.0)   # slices of nonzero-length pieces
+        ts, kt = t[run][k, j], k + lo
+        mass = cone_mass_2d(uperp[kt] - ts[:, None] * p[kt], rays[:, :, 0],
+                            rays[:, :, 1], -np.pi * (ts - un[kt]) ** 2,
+                            cone[kt])
+        out[run] = np.bincount(k, mass * wt[run][k, j],
+                               minlength=len(out[run]))
+    return out
 
 
 def E3(space, c1, c2, c3, x):

@@ -24,16 +24,19 @@ sign_matrix on its integer rows.  A series batch holds only the rows with
 0 <= Q(x) <= nmax and a nonzero kernel or a zero sign, the rows a series
 can use; a completion batch holds the whole window.
 
-The completion kernel returns each window row's term at its final weight,
-kernel(x) e^{-2 pi v Q(x)}, so one tolerance RHO_LOG_TOL screens what each
-term adds to the sum: whole rows by the proved bound |kernel| <= |w| + N,
-single wall terms by their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single
-rho cone masses by their distance from the Gaussian centre.
-modularity_check evaluates its cosets as one batch at both Im tau, in one
-cone_sum call per run of EVAL_ROWS (row, Im tau) items, which bounds the
-temporaries.  A cell states whether its kernel is even in x (walls.even,
-true for every N-gon): then series and completions take one x of each +-x
-pair (mult 2), and modularity_check one coset of each +-mu pair.
+Completions have one driver, _completed: one batch of cosets, evaluated
+at every distinct Im tau in one pass of the kernel (_completion_terms),
+which completion_eval (one coset, one tau) and modularity_check (a coset of
+each +-mu pair at tau, tau + 1 and -1/tau) each call once.  The kernel
+returns each window row's term at its final weight, kernel(x) e^{-2 pi v
+Q(x)}, so one tolerance RHO_LOG_TOL screens what each term adds to the sum:
+whole rows by the proved bound |kernel| <= |w| + N, single wall terms by
+their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single rho cone masses by
+their distance from the Gaussian centre; one cone_sum call per run of
+EVAL_ROWS (row, Im tau) items bounds the temporaries.  A cell states
+whether its kernel is even in x (walls.even, true for every N-gon): then
+series and completions take one x of each +-x pair (mult 2), and
+modularity_check one coset of each +-mu pair.
 """
 
 import math
@@ -452,105 +455,98 @@ def holomorphic_series(coset, ngon, nmax, window=None, normalized=False):
                              4 if normalized else 1)
 
 
-class _CompletionKernel:
-    """The stable completion kernel of an N-gon
-       kernel(x) = eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k + sum_j rho_j,
-    evaluated at its final weight: times e^{amp}, amp = -2 pi v Q (capped at
-    AMP_CAP), so that each row's value is its term of the completed series
-    up to the phase e^{2 pi i Re(tau) Q}, and screened by what each term
-    adds to the sum.  A window row whose bound (|w| + N) e^{amp} on |kernel|
-    e^{amp} (each E2 lies in [-1, 1]) is below e^{RHO_LOG_TOL} gets 0.  A
-    wall term lies within 2 e^{amp - pi tau_k^2} (erfcx <= 1) and is
-    evaluated only where its coefficient is nonzero and that bound reaches
-    e^{RHO_LOG_TOL}.  The rho_j are Gaussian masses of the sign quadrants of
-    the vertex planes span(C_j, C_{j+1}), weighted (sigma_1 - s_j)(sigma_2 -
-    s_{j+1}); the wall adjacency, the quadrant ends and the pair screen read
-    ngon.vertices.  One eval takes every Im tau of a check: a row's signs
-    and margins are formed once, and the (row, Im tau, edge) pairs that
-    pass a margin screen go to one errfn.cone_sum call per run."""
+def _completion_terms(ngon, batch, vs):
+    """The N-gon completion kernel eps(x) + sum_k (s_{k-1}+s_{k+1}) e_k +
+    sum_j rho_j of the batch's rows at each Im tau = v of vs, shape
+    (len(vs), len(batch)), at its final weight e^{amp}, amp = -2 pi v Q
+    capped at AMP_CAP, 0 on skipped rows; the (v, row) items go in runs of
+    at most EVAL_ROWS, one _row_terms and one cone_sum call each."""
+    out = np.zeros((len(vs), len(batch)))
+    step = EVAL_ROWS // len(vs)
+    for lo in range(0, len(batch), step):
+        live, vals, item, pairs = _row_terms(ngon, batch, vs, lo, lo + step)
+        np.put(out, live, vals + np.bincount(item, cone_sum(
+            ngon.frames[0], *pairs, cut=-RHO_LOG_TOL), minlength=len(vals)))
+    return out
 
-    def __init__(self, ngon):
-        self.ngon = ngon
-        self.log_bound = math.log(abs(ngon.level_at()) + ngon.n)
-        a, b = ngon.vertices.T
-        self.adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
-        self.adj[a, b] = self.adj[b, a] = 1
 
-    def eval(self, batch, vs):
-        """Kernel values times e^{-2 pi v Q} of the batch's rows at each Im
-        tau = v of vs, shape (len(vs), len(batch)), 0 on skipped rows; the
-        (v, row) items go in runs of at most EVAL_ROWS."""
-        out = np.zeros((len(vs), len(batch)))
-        step = EVAL_ROWS // len(vs)
-        for lo in range(0, len(batch), step):
-            live, vals, item, pairs = self._row_terms(batch, vs, lo, lo + step)
-            np.put(out, live, vals + np.bincount(item, cone_sum(
-                self.ngon.frames[0], *pairs, cut=-RHO_LOG_TOL),
-                minlength=len(vals)))
-        return out
+def _row_terms(ngon, batch, vs, lo=0, hi=None):
+    """The flat indices `live` into _completion_terms' values of the items
+    (v, row), rows lo:hi, whose bound (|w| + N) e^{amp} (each E2 lies in
+    [-1, 1]) reaches e^{RHO_LOG_TOL}, their eps and wall terms, the item of
+    each (item, edge) pair that passes the rho screen, and the pairs'
+    cone_sum arguments: edge, plane centre, the signs (s_j, s_{j+1}) at its
+    ends (cone_sum's reference signs: the quadrants of span(C_j, C_{j+1})
+    weigh (sigma_1 - s_j)(sigma_2 - s_{j+1})) and amp.  An item has its own
+    amp and scale sqrt(2 v), a row's signs and margins are formed once, and
+    the wall adjacency, quadrant ends and pair screen read ngon.vertices."""
+    from scipy.special import erfcx
+    amp = np.minimum(np.multiply.outer([-2.0 * math.pi * v for v in vs],
+                                       batch.qf[lo:hi]), AMP_CAP)
+    log_bound = math.log(abs(ngon.level_at()) + ngon.n)
+    v, row = _nonzero_2d(amp + log_bound >= RHO_LOG_TOL)
+    amp, scale = amp[v, row], np.sqrt(2.0 * np.array(vs))[v]
+    _, proj, chat_g = ngon.frames
+    va, vb = ngon.vertices.T
+    adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
+    adj[va, vb] = adj[vb, va] = 1
+    signs = ngon.sign_matrix(batch.xnum[lo:hi])
+    xf = batch.xf[lo:hi]
+    vals = np.take(ngon.kernel(signs), row) * np.exp(amp)
+    coef = np.take(signs @ adj, row, 0)
+    tmat = scale[:, None] * np.take(xf @ chat_g.T, row, 0)  # tau_k margins
+    signs = np.take(signs, row, 0)
+    # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
+    # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
+    # those of nonzero coefficient that can reach e^{RHO_LOG_TOL} count
+    with np.errstate(over='ignore'):
+        lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
+                        amp[:, None])
+    r, k = _nonzero_2d((coef != 0) & (signs != 0) & (lead >= RHO_LOG_TOL))
+    ek = np.zeros(tmat.shape)
+    ek[r, k] = -signs[r, k] * erfcx(math.sqrt(math.pi) * np.abs(tmat[r, k])) \
+        * np.exp(np.minimum(lead[r, k], AMP_CAP))
+    vals += reduce(np.add, (coef * ek).T)
+    # rho terms: signed Gaussian cone masses.  A cone with nonzero weight
+    # flips every wall carrying a nonzero sign, so its distance from the
+    # Gaussian center is at least the larger signed-wall margin: its term
+    # is below e^{lead} of both walls (lead = amp on a zero sign).
+    p, edges = _nonzero_2d(np.minimum(lead[:, va], lead[:, vb])
+                           > RHO_LOG_TOL)
+    u = scale[p, None] * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
+                                   np.take(xf, row[p], 0))
+    ends = np.column_stack([signs[p, va[edges]], signs[p, vb[edges]]])
+    return v * len(batch) + lo + row, vals, p, (edges, u, ends, amp[p])
 
-    def _row_terms(self, batch, vs, lo=0, hi=None):
-        """The flat indices `live` into eval's values of the items (v, row),
-        rows lo:hi, that pass the row bound, their eps and wall terms, the
-        item of each (item, edge) pair that passes the rho screen, and the
-        pairs' cone_sum arguments: edge, plane centre, the signs (s_j,
-        s_{j+1}) at its ends (cone_sum's reference signs, which give the rho
-        weights) and amp.  An item has its own amp and scale sqrt(2 v)."""
-        from scipy.special import erfcx
-        amp = np.minimum(np.multiply.outer([-2.0 * math.pi * v for v in vs],
-                                           batch.qf[lo:hi]), AMP_CAP)
-        v, row = _nonzero_2d(amp + self.log_bound >= RHO_LOG_TOL)
-        amp, scale = amp[v, row], np.sqrt(2.0 * np.array(vs))[v]
-        _, proj, chat_g = self.ngon.frames
-        signs = self.ngon.sign_matrix(batch.xnum[lo:hi])
-        xf = batch.xf[lo:hi]
-        vals = np.take(self.ngon.kernel(signs), row) * np.exp(amp)
-        coef = np.take(signs @ self.adj, row, 0)
-        tmat = scale[:, None] * np.take(xf @ chat_g.T, row, 0)  # tau_k margins
-        signs = np.take(signs, row, 0)
-        # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
-        # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
-        # those of nonzero coefficient that can reach e^{RHO_LOG_TOL} count
-        with np.errstate(over='ignore'):
-            lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
-                            amp[:, None])
-        r, k = _nonzero_2d((coef != 0) & (signs != 0) & (lead >= RHO_LOG_TOL))
-        ek = np.zeros(tmat.shape)
-        ek[r, k] = -signs[r, k] * erfcx(math.sqrt(math.pi) * np.abs(tmat[r, k])) \
-            * np.exp(np.minimum(lead[r, k], AMP_CAP))
-        vals += reduce(np.add, (coef * ek).T)
-        # rho terms: signed Gaussian cone masses.  A cone with nonzero weight
-        # flips every wall carrying a nonzero sign, so its distance from the
-        # Gaussian center is at least the larger signed-wall margin: its
-        # term is below e^{lead} of both walls (lead = amp on a zero sign).
-        va, vb = self.ngon.vertices.T
-        p, edges = _nonzero_2d(np.minimum(lead[:, va], lead[:, vb])
-                               > RHO_LOG_TOL)
-        u = scale[p, None] * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
-                                       np.take(xf, row[p], 0))
-        ends = np.column_stack([signs[p, va[edges]], signs[p, vb[edges]]])
-        return v * len(batch) + lo + row, vals, p, (edges, u, ends, amp[p])
+
+def _completed(space, ngon, mus, nmax, taus, window=None):
+    """The completed series of the cosets mus at each tau of taus, shape
+    (len(taus), len(mus)), and per distinct Im tau, in the order of taus,
+    each coset's tail estimate: one batch in the window (by default about
+    minimax_plane), one kernel pass over the sorted distinct Im tau, and
+    per tau each coset's sum of mult * term * e^{2 pi i Re(tau) Q}."""
+    _check_space(space, ngon)
+    if window is None:
+        window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
+    batch = enumerate_cosets(space, mus, window, even=ngon.even)
+    vs = dict.fromkeys(t.imag for t in taus)   # tau's tail raises first
+    tails = [_tail_estimate(batch, window, ngon.n, v) for v in vs]
+    scaled = dict(zip(sorted(vs), _completion_terms(ngon, batch, sorted(vs))))
+    ends = np.searchsorted(batch.coset, np.arange(len(mus) + 1))
+    vals = []
+    for t in taus:
+        terms = batch.mult * scaled[t.imag] \
+            * np.exp(2j * math.pi * t.real * batch.qf)
+        vals.append([np.sum(terms[a:b]) for a, b in zip(ends, ends[1:])])
+    return np.array(vals), tails
 
 
 def completion_eval(coset, ngon, tau, nmax, window=None):
     """Value of the completed series at tau for one coset, with a tail
     estimate: (value, tail).  The default window is about minimax_plane."""
-    _check_space(coset.space, ngon)
-    if window is None:
-        window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
-    batch = enumerate_coset(coset, window, even=ngon.even)
-    tail = _tail_estimate(batch, window, ngon.n, tau.imag)[0]
-    scaled = _CompletionKernel(ngon).eval(batch, [tau.imag])[0]
-    return complex(_completion_sum(batch, scaled, tau)[0]), tail
-
-
-def _completion_sum(batch, scaled, tau):
-    """Each coset's value at tau: the terms `scaled` of the batch at
-    v = Im tau (_CompletionKernel.eval) times their phases e^{2 pi i Re(tau) Q}
-    and multiplicities, summed over the coset's contiguous rows alone."""
-    terms = batch.mult * scaled * np.exp(2j * math.pi * tau.real * batch.qf)
-    ends = np.searchsorted(batch.coset, np.arange(len(batch.munum) + 1))
-    return np.array([np.sum(terms[a:b]) for a, b in zip(ends, ends[1:])])
+    vals, tails = _completed(coset.space, ngon, [coset.mu], nmax, [tau],
+                             window)
+    return complex(vals[0, 0]), tails[0][0]
 
 
 def _tail_estimate(batch, window, n_edges, v):
@@ -626,20 +622,13 @@ def modularity_check(space, ngon, tau, nmax):
     and so is the window), so theta_{-mu} = theta_mu: the cosets mu_i with
     i <= index(-mu_i) are one even batch about completion_eval's window,
     evaluated at both Im tau at once; a value fills both entries of a pair."""
-    _check_space(space, ngon)
     reps, tdiag, smat, neg = weil = weil_matrices(space)
-    window = certify_window(ngon, minimax_plane(ngon.vertex_planes), nmax)
     own = [i for i, j in enumerate(neg) if i <= j]
     pair = np.searchsorted(own, np.minimum(np.arange(len(reps)), neg))
-    batch = enumerate_cosets(space, [reps[i] for i in own], window,
-                             even=ngon.even)
-    # tau's tail first: at a tiny Im tau it raises before Im(-1/tau) is inf
-    tail = max(np.max(_tail_estimate(batch, window, ngon.n, t.imag))
-               for t in (tau, -1 / tau))
-    vs = sorted({tau.imag, (-1 / tau).imag})      # tau, tau + 1 share theirs
-    scaled = dict(zip(vs, _CompletionKernel(ngon).eval(batch, vs)))
-    base, shifted, inverted = (_completion_sum(batch, scaled[t.imag], t)[pair]
-                               for t in (tau, tau + 1, -1 / tau))
+    vals, tails = _completed(space, ngon, [reps[i] for i in own], nmax,
+                             [tau, tau + 1, -1 / tau])
+    base, shifted, inverted = vals[:, pair]
+    tail = max(np.max(t) for t in tails)
     t_defect = float(np.max(np.abs(shifted - tdiag * base)))
     auto = tau ** (space.dim / 2.0)
     s_defect = float(np.max(np.abs(inverted - auto * (smat @ base))))

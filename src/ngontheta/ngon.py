@@ -130,7 +130,6 @@ class _Walls:
         every face weight is 0 (x -> -x negates every sign)."""
         self.vertices, self.face_w = np.array(vertices), tuple(face_w)
         self.even = self.vertices.shape[1] % 2 == 0 and not any(self.face_w)
-        self._vertex_signs = [operator.itemgetter(*v) for v in vertices]
 
     @functools.cached_property
     def _level_v(self):
@@ -166,10 +165,7 @@ class _Walls:
     def level(self, s):
         """sum over the vertices of the product of their signs, plus
         face_w . s, for the signs s of (x, C_j) in the last axis: minus the
-        w-sum of an N-gon, 8 D of a dodecahedron."""
-        if getattr(s, "ndim", 1) == 1:      # one sign vector: Python ints
-            return sum(math.prod(g(s)) for g in self._vertex_signs) \
-                + sum(map(operator.mul, s, self.face_w))
+        w-sum of an N-gon, 8 D of a dodecahedron, as numpy integers."""
         s = np.asarray(s)
         lv = functools.reduce(operator.mul, (s[..., col] for col in
                                              self.vertices.T)).sum(axis=-1)

@@ -830,6 +830,14 @@ MALFORMED = {
                                  "error: --tau '1e60+1e-200i': |tau| must"),
     "modularity-tau-cap-tail": (["theta", "modularity", *THETA, "--nmax",
                                  "2", "--tau=1e50+1e-200i"], 3, TAIL),
+    # the completion driver estimates the tails in the order tau, -1/tau:
+    # Im tau = 1e-210 overflows first, though Im(-1/tau) = 1e-310 would too
+    "complete-tau-tail-order": (["theta", "complete", *THETA, "--nmax", "2",
+                                 "--tau=1e50+1e-210i"], 3,
+                                TAIL + " at Im tau = 1e-210\n"),
+    "modularity-tau-tail-order": (["theta", "modularity", *THETA, "--nmax",
+                                   "2", "--tau=1e50+1e-210i"], 3,
+                                  TAIL + " at Im tau = 1e-210\n"),
     # an --x entry beyond cli.X_MAX = 1e50: 1e400 overflowed float(), 1e308
     # the inner products (E1 = nan)
     "errfn-x-overflow": (["errfn", "eval", "--space", SPACE, "--c", "0,1,0",

@@ -892,6 +892,38 @@ def test_cone_mass_3d_exact_octants():
     assert want.min() < 1e-9 and np.max(err[small] / want[small]) <= 1e-7
 
 
+@pytest.mark.parametrize("budget", [1, 2000, 20000])
+def test_cone_mass_3d_slice_runs_change_no_bit(monkeypatch, budget):
+    # cone_mass_3d passes the slices of whole items to cone_mass_2d, at most
+    # SLICE_RUN a call (one item a call when an item holds more): under a
+    # small budget the masses of identity-frame octants and random solid
+    # cones equal those of one run bit for bit
+    import ngontheta.errfn as errfn
+    rng = np.random.default_rng(4501)
+    sig = np.array(list(product((1.0, -1.0), repeat=3)))
+    b = np.concatenate([sig[:, :, None] * np.eye(3),
+                        [_random_walls(rng) for _ in range(8)]])
+    cone = rng.integers(0, len(b), 300)
+    u = rng.uniform(-2.5, 2.5, (300, 3))
+    slices = []
+    mass_2d = errfn.cone_mass_2d
+
+    def counted(*args, **kwargs):
+        slices.append(len(args[0]))
+        return mass_2d(*args, **kwargs)
+
+    monkeypatch.setattr(errfn, "cone_mass_2d", counted)
+    want = cone_mass_3d(u, b, cone)
+    assert len(slices) == 1 and slices[0] <= errfn.SLICE_RUN
+    one_run = slices.pop()
+    monkeypatch.setattr(errfn, "SLICE_RUN", budget)
+    got = cone_mass_3d(u, b, cone)
+    assert got.tobytes() == want.tobytes()
+    assert len(slices) > 1 and sum(slices) == one_run
+    # an item holds at most 11 pieces of CONE_NODES slices
+    assert max(slices) <= max(budget, 11 * errfn.CONE_NODES)
+
+
 def test_e3_block_frame_factorizes():
     # c3 orthogonal to span(c1, c2): E3 = E2 E1 to rounding, the 2 + 1
     # block frame's slices being planar cones of cone_mass_2d themselves
@@ -1115,13 +1147,14 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
     # one cone_sum call derives its planar cones' angles once per row of its
     # table of F 2^q cones, not once per item, and makes one cone-mass call,
     # which screens planar cones itself, after one cone_dist2 screen call
-    # for solid cones; cone_mass_3d weighs every slice of its solid cones
-    # in one cone_mass_2d call, whose planar cones are the slice cones of
-    # the same F 8 table rows; its sum is that of the item's cones in a
-    # table of one row per item, unscreened, whose masses sum to 1
+    # for solid cones; cone_mass_3d weighs the slices of its solid cones in
+    # cone_mass_2d calls of at most SLICE_RUN slices (more than one here),
+    # whose planar cones are the slice cones of the same F 8 table rows,
+    # set up once per call; its sum is that of the item's cones in a table
+    # of one row per item, unscreened, whose masses sum to 1
     import ngontheta.errfn as errfn
     rng = np.random.default_rng(3402)
-    rows, calls = [], []
+    rows, calls, slices = [], [], []
     cone_rays = errfn._cone_rays
 
     def counted_rays(g1, g2):
@@ -1133,6 +1166,7 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
 
         def counted(*args, **kwargs):
             calls.append(name)
+            slices.append(len(args[0]))
             return fn(*args, **kwargs)
         return counted
 
@@ -1146,10 +1180,14 @@ def test_cone_sum_sets_up_each_cone_once(monkeypatch):
         s, weight = _sum_signs(rng, items, q)
         rows.clear()
         calls.clear()
+        slices.clear()
         got = cone_sum(a, f, u, s)
+        runs = calls.count("cone_mass_2d")
         assert calls == (["cone_mass_2d"] if q == 2 else
-                         ["cone_dist2", "cone_mass_3d", "cone_mass_2d"])
-        assert rows == [frames * 2 ** q]
+                         ["cone_dist2", "cone_mass_3d"] + ["cone_mass_2d"]
+                         * runs)
+        assert (runs > 1) == (q == 3) and rows == [frames * 2 ** q] * runs
+        assert q == 2 or max(slices[2:]) <= errfn.SLICE_RUN
         sig = np.array(list(product((1.0, -1.0), repeat=q)))
         b = (sig[None, :, :, None] * a[f][:, None]).reshape(-1, q, q)
         rays, uu = np.linalg.inv(b), np.repeat(u, 2 ** q, axis=0)

@@ -19,11 +19,11 @@ from ngontheta.lattice import (LatticeCoset, disc_group, EnumWindow, window_from
                                QExpansion, SAFETY,
                                holomorphic_series, completion_eval,
                                modularity_check, weil_matrices, weil_sanity,
-                               _CompletionKernel,
+                               _completion_terms,
                                CertificationError, _majorant_leq,
                                _prove_window,
                                minimax_plane, _kappas, _majorants,
-                               _tail_estimate, _completion_sum)
+                               _tail_estimate)
 from ngontheta import lattice
 from ngontheta.dodec import dodec_series, seed_construction, validate_dodec
 from ngontheta.ngon import w_invariant, validate, epsilon, linking_number
@@ -551,13 +551,12 @@ def test_series_normalization(funddom):
 
 
 def test_completion_kernel_matches_e2_sum(funddom):
-    # eval returns each row's term at its final weight:
+    # _completion_terms returns each row's term at its final weight:
     # (w + sum_j E2) * e^{amp} with amp = -2 pi v Q, capped at 600
     window = certify_window(funddom, Z0_ABC, 2)
     batch = enumerate_coset(LatticeCoset(SPACE_ABC), window)
-    kern = _CompletionKernel(funddom)
     v = 0.37
-    got = kern.eval(batch, [v])[0]
+    got = _completion_terms(funddom, batch, [v])[0]
     w = w_invariant(funddom)
     n = funddom.n
     for i in range(min(25, len(batch))):
@@ -598,11 +597,11 @@ def funddom_batch(funddom_window):
 def test_eval_batches_matches_per_coset(funddom, funddom_window,
                                         funddom_batch, monkeypatch,
                                         pair_block):
-    # one eval call makes one cone_sum call, over the rho pairs of every
-    # coset of its batch, and changes no bit of any value: the batch of all
-    # 32 cosets, each coset's own batch and the batches of groups of
-    # consecutive cosets holding about pair_block rho pairs (each over the
-    # lcm of its own cosets' denominators) all agree
+    # one _completion_terms call makes one cone_sum call, over the rho pairs
+    # of every coset of its batch, and changes no bit of any value: the
+    # batch of all 32 cosets, each coset's own batch and the batches of
+    # groups of consecutive cosets holding about pair_block rho pairs (each
+    # over the lcm of its own cosets' denominators) all agree
     calls = []
 
     def counted(*args, **kwargs):
@@ -610,19 +609,18 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
         return cone_sum(*args, **kwargs)
 
     monkeypatch.setattr(lattice, "cone_sum", counted)
-    kern = _CompletionKernel(funddom)
     reps = disc_group(SPACE_ABC)
     alone = [enumerate_coset(LatticeCoset(SPACE_ABC, mu), funddom_window)
              for mu in reps]
     assert len({b.dmu for b in alone}) > 1
     for v in (0.37, 1.3):
         calls.clear()
-        joint = kern.eval(funddom_batch, [v])
+        joint = _completion_terms(funddom, funddom_batch, [v])
         assert len(calls) == 1 and calls[0] > 0
         assert joint.shape == (1, len(funddom_batch))
         joint = joint[0]
         for i, batch in enumerate(alone):
-            want = kern.eval(batch, [v])[0]
+            want = _completion_terms(funddom, batch, [v])[0]
             assert want.shape == (len(batch),)
             assert np.array_equal(joint[funddom_batch.coset == i], want)
         assert len(calls) == 1 + len(reps)
@@ -636,8 +634,8 @@ def test_eval_batches_matches_per_coset(funddom, funddom_window,
                 groups.append((start, i + 1))
                 start, held = i + 1, 0
         calls.clear()
-        grouped = [kern.eval(enumerate_cosets(SPACE_ABC, reps[lo:hi],
-                                              funddom_window), [v])[0]
+        grouped = [_completion_terms(funddom, enumerate_cosets(
+            SPACE_ABC, reps[lo:hi], funddom_window), [v])[0]
                    for lo, hi in groups]
         assert len(calls) == len(groups)
         assert np.array_equal(np.concatenate(grouped), joint)
@@ -674,10 +672,10 @@ def test_cone_sum_weights_match_sign_and_rho_tables(funddom, funddom_batch,
         got = weights(a, np.zeros(5, dtype=int), np.zeros((5, q)))
         assert np.array_equal(got, np.broadcast_to(
             np.prod(signs[:2 ** q, 3 - q:], axis=1), (5, 2 ** q)))
-    kern = _CompletionKernel(funddom)
     ends_seen = set()
     for v in (0.37, 1.3):
-        _, _, _, (edges, _, ends, _) = kern._row_terms(funddom_batch, [v])
+        _, _, _, (edges, _, ends, _) = lattice._row_terms(funddom,
+                                                          funddom_batch, [v])
         ends_seen |= set(map(tuple, ends.tolist()))
         rho = (signs[:4, 1] - ends[:, :1]) * (signs[:4, 2] - ends[:, 1:])
         assert np.array_equal(weights(funddom.frames[0], edges, ends), rho)
@@ -689,8 +687,7 @@ def test_eval_batches_hold_window_rows_only(funddom, funddom_window,
     # a completion batch holds exactly the rows with (x,x)_{z0} <= B, no
     # guard band: the B-window inside the 2B-window, decided by Fraction
     # norms; every coset carries nonzero completed terms
-    kern = _CompletionKernel(funddom)
-    got = kern.eval(funddom_batch, [0.8])[0]
+    got = _completion_terms(funddom, funddom_batch, [0.8])[0]
     wide = enumerate_cosets(SPACE_ABC, disc_group(SPACE_ABC), EnumWindow(
         funddom_window.z0, 2 * funddom_window.B, funddom_window.kappa))
     mat = majorant_matrix(SPACE_ABC, funddom_window.z0.span)
@@ -704,22 +701,22 @@ def test_eval_batches_hold_window_rows_only(funddom, funddom_window,
         assert np.any(got[funddom_batch.coset == i] != 0)
 
 
-def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
+def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch,
+                                            monkeypatch):
     # a window row is skipped exactly when (|w| + N) e^{amp}, a bound on
     # its completed term, is below e^{RHO_LOG_TOL}; a skipped row gets 0,
     # and every other window row keeps the value it has when no row is
     # skipped
-    kern = _CompletionKernel(funddom)
-    full = _CompletionKernel(funddom)
-    full.log_bound = math.inf                  # skips no row
     bound = abs(w_invariant(funddom)) + funddom.n
     batch = funddom_batch
     skipped = 0
     for v in (0.37, 1.3):
-        g = kern.eval(batch, [v])[0]
-        f = full.eval(batch, [v])[0]
+        g = _completion_terms(funddom, batch, [v])[0]
+        with monkeypatch.context() as mp:       # |w| = inf skips no row
+            mp.setattr(type(funddom), "level_at", lambda *_: math.inf)
+            f = _completion_terms(funddom, batch, [v])[0]
         live = np.zeros(len(batch), dtype=bool)
-        live[kern._row_terms(batch, [v])[0]] = True
+        live[lattice._row_terms(funddom, batch, [v])[0]] = True
         amp = np.minimum(-2.0 * math.pi * v * batch.qf, lattice.AMP_CAP)
         small = bound * np.exp(amp) < math.exp(lattice.RHO_LOG_TOL)
         assert np.array_equal(live, ~small)
@@ -731,15 +728,15 @@ def test_row_screen_skips_only_bounded_rows(funddom, funddom_batch):
     assert skipped > 0
 
 
-def _unscreened_wall_eval(kern, batch, v):
-    """kern.eval(batch, [v]) with every wall term evaluated: the same
-    live rows and rho terms, eps and the wall terms
+def _unscreened_wall_eval(ngon, batch, v):
+    """_completion_terms(ngon, batch, [v]) with every wall term evaluated:
+    the same live rows and rho terms, eps and the wall terms
     (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} in full.  Also,
     per row, the number of wall terms that the kernel's screen drops and
     the sum of the magnitudes of the row's terms (its rounding scale)."""
     from scipy.special import erfcx
-    ngon, scale = kern.ngon, math.sqrt(2.0 * v)
-    live, _, rows, args = kern._row_terms(batch, [v])
+    scale = math.sqrt(2.0 * v)
+    live, _, rows, args = lattice._row_terms(ngon, batch, [v])
     amp = np.minimum(-2.0 * math.pi * v * batch.qf[live], lattice.AMP_CAP)
     signs = ngon.sign_matrix(batch.xnum[live])
     t = scale * (batch.xf[live] @ ngon.frames[2].T)
@@ -765,12 +762,11 @@ def test_wall_term_screen_bound(funddom, funddom_batch):
     # it below e^{RHO_LOG_TOL}: a row moves by at most 2N e^{RHO_LOG_TOL},
     # and by rounding, from its value with every wall term evaluated; a row
     # with no term skipped keeps its value bit for bit
-    kern = _CompletionKernel(funddom)
     n = funddom.n
     dropped = 0
     for v in (0.37, 1.3):
-        got = kern.eval(funddom_batch, [v])[0]
-        want, drop, size = _unscreened_wall_eval(kern, funddom_batch, v)
+        got = _completion_terms(funddom, funddom_batch, [v])[0]
+        want, drop, size = _unscreened_wall_eval(funddom, funddom_batch, v)
         dropped += drop.sum()
         assert np.array_equal(got[drop == 0], want[drop == 0])
         assert np.all(np.abs(got - want) <= 2 * n * math.exp(
@@ -794,10 +790,10 @@ def test_wall_terms_skip_zero_coefficients(funddom, funddom_batch,
         seen.append(np.array(x))
         return erfcx(x)
 
-    kern, batch, n = _CompletionKernel(funddom), funddom_batch, funddom.n
+    batch, n = funddom_batch, funddom.n
     vs = [0.37, 1.3]
     monkeypatch.setattr(scipy.special, "erfcx", counted)
-    live = kern._row_terms(batch, vs)[0]
+    live = lattice._row_terms(funddom, batch, vs)[0]
     monkeypatch.undo()
     assert len(seen) == 1
     v, row = np.divmod(live, len(batch))
@@ -812,9 +808,9 @@ def test_wall_terms_skip_zero_coefficients(funddom, funddom_batch,
     want = math.sqrt(math.pi) * np.abs(t[passes & (coef != 0)])
     assert np.array_equal(np.sort(seen[0]), np.sort(want))
     assert np.sum(passes & (coef == 0)) > 2 * np.sum(passes & (coef != 0))
-    got = kern.eval(batch, vs)
+    got = _completion_terms(funddom, batch, vs)
     for i, x in enumerate(vs):
-        full, drop, _ = _unscreened_wall_eval(kern, batch, x)
+        full, drop, _ = _unscreened_wall_eval(funddom, batch, x)
         assert np.array_equal(got[i][drop == 0], full[drop == 0])
 
 
@@ -823,13 +819,14 @@ def test_wall_terms_skip_zero_coefficients(funddom, funddom_batch,
        st.sampled_from([2 ** 17, 501, 64]))
 def test_eval_at_many_im_tau_matches_each_alone(funddom, funddom_batch, v1,
                                                 v2, rows):
-    # one eval at [v1, v2] gives, bit for bit, the rows of eval at [v1] and
-    # at [v2], whatever the runs of at most EVAL_ROWS (row, Im tau) items
-    kern = _CompletionKernel(funddom)
+    # one _completion_terms call at [v1, v2] gives, bit for bit, the rows of
+    # the calls at [v1] and at [v2], whatever the runs of at most EVAL_ROWS
+    # (row, Im tau) items
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "EVAL_ROWS", rows)
-        both = kern.eval(funddom_batch, [v1, v2])
-        alone = [kern.eval(funddom_batch, [v])[0] for v in (v1, v2)]
+        both = _completion_terms(funddom, funddom_batch, [v1, v2])
+        alone = [_completion_terms(funddom, funddom_batch, [v])[0]
+                 for v in (v1, v2)]
     assert both.shape == (2, len(funddom_batch))
     assert both.tobytes() == np.stack(alone).tobytes()
 
@@ -944,7 +941,6 @@ def test_folded_batch_matches_full_sum(funddom):
     # sum up to rounding, and its count (for the tail) is the full
     # enumeration's
     window = completion_window(funddom, 6)
-    kern = _CompletionKernel(funddom)
     tau = complex(-0.31, 1.1)
     folded = 0
     for mu in disc_group(SPACE_ABC):
@@ -956,7 +952,7 @@ def test_folded_batch_matches_full_sum(funddom):
         assert np.sum(half.mult) == len(full)
         assert 2 * len(half) - len(full) == int(not any(mu))    # x = 0 in L
         assert np.array_equal(half.mult == 1, np.all(half.xnum == 0, axis=1))
-        scaled = kern.eval(full, [tau.imag])[0]
+        scaled = _completion_terms(funddom, full, [tau.imag])[0]
         terms = scaled * np.exp(2j * math.pi * tau.real * full.qf)
         got, tail = completion_eval(LatticeCoset(SPACE_ABC, mu), funddom,
                                     tau, 6)
@@ -1255,18 +1251,20 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
     empty = [i for i, n in enumerate(sizes) if n == 0]
     assert sizes[0] == 1 and len(empty) >= 10 and len(empty) < cosets - 5
     tau = complex(0.1234, 0.95)
-    vals = _completion_sum(half, _CompletionKernel(funddom).eval(
-        half, [tau.imag])[0], tau)
-    tails = _tail_estimate(half, window, funddom.n, tau.imag)
+    (vals,), (tails,) = lattice._completed(space, funddom, reps, 6, [tau],
+                                           window)
+    held = enumerate_cosets(space, reps, window, even=True).coset
+    empty = np.setdiff1d(np.arange(cosets), held)    # in _completed's batch
+    assert len(empty) >= 10
     assert np.all(vals[empty] == 0) and np.any(vals != 0)
     assert np.all(tails[empty] == tails[0])
 
 
 def test_modularity_check_is_one_batch(funddom, monkeypatch):
     # one enumeration, one set of Weil matrices (with the negation index),
-    # and one _row_terms and one cone_sum call for both Im tau (tau and
-    # tau + 1 share theirs, -1/tau has its own)
-    calls = {"enum": 0, "weil": 0, "rows": 0, "cone": 0}
+    # one _completed call, and one _row_terms and one cone_sum call for
+    # both Im tau (tau and tau + 1 share theirs, -1/tau has its own)
+    calls = {"enum": 0, "weil": 0, "driver": 0, "rows": 0, "cone": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -1280,10 +1278,12 @@ def test_modularity_check_is_one_batch(funddom, monkeypatch):
     monkeypatch.setattr(lattice, "weil_matrices",
                         counting("weil", lattice.weil_matrices))
     monkeypatch.setattr(lattice, "cone_sum", counting("cone", cone_sum))
-    monkeypatch.setattr(_CompletionKernel, "_row_terms", counting(
-        "rows", _CompletionKernel._row_terms))
+    monkeypatch.setattr(lattice, "_completed",
+                        counting("driver", lattice._completed))
+    monkeypatch.setattr(lattice, "_row_terms",
+                        counting("rows", lattice._row_terms))
     got = modularity_check(SPACE_ABC, funddom, complex(0.1234, 0.95), 6)
-    assert calls == {"enum": 1, "weil": 1, "rows": 1, "cone": 1}
+    assert calls == {"enum": 1, "weil": 1, "driver": 1, "rows": 1, "cone": 1}
     assert np.array_equal(got["theta"], want["theta"])
     assert got["s_defect"] == want["s_defect"]
 
@@ -1300,10 +1300,10 @@ def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
     want = modularity_check(SPACE_ABC, funddom, tau, 6)
     want_one = completion_eval(coset, funddom, tau, 6)
     runs, cones = [], []
-    row_terms = _CompletionKernel._row_terms
+    row_terms = lattice._row_terms
 
-    def counted_rows(self, batch, vs, lo=0, hi=None):
-        out = row_terms(self, batch, vs, lo, hi)
+    def counted_rows(ngon, batch, vs, lo=0, hi=None):
+        out = row_terms(ngon, batch, vs, lo, hi)
         hi = min(hi, len(batch))
         row = out[0] % len(batch)
         runs.append((len(vs) * (hi - lo), np.all((row >= lo) & (row < hi)),
@@ -1314,7 +1314,7 @@ def test_completion_runs_stay_within_row_budget(funddom, monkeypatch):
         cones.append(len(args[1]))
         return cone_sum(*args, **kwargs)
 
-    monkeypatch.setattr(_CompletionKernel, "_row_terms", counted_rows)
+    monkeypatch.setattr(lattice, "_row_terms", counted_rows)
     monkeypatch.setattr(lattice, "cone_sum", counted_cone)
     monkeypatch.setattr(lattice, "EVAL_ROWS", 97)
     got = modularity_check(SPACE_ABC, funddom, tau, 6)

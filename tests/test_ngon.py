@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from ngontheta.dodec import seed_construction, validate_dodec
 from ngontheta.ngon import (validate, NGonValidationError, KernelValue,
                             w_invariant, epsilon)
 from ngontheta.sig12 import SPACE_ABC, fundamental_ngon, recover_ngon
@@ -188,8 +189,9 @@ def test_regular_negative_vector_capped(space_e):
 
 @pytest.mark.parametrize("cell", ["funddom", "dodec"])
 def test_level_matches_numpy_form(cell, funddom, seed_dodec):
-    # level on one sign vector (Python) and on a matrix (numpy, face_w . s
-    # skipped when face_w is all zero) equals the numpy form on every row
+    # level on one sign vector and on a matrix (face_w . s skipped when
+    # face_w is all zero) equals the numpy form on every row; level_at, the
+    # level its callers read, is a Python int
     walls = {"funddom": funddom, "dodec": seed_dodec}[cell]
     rng = np.random.default_rng(11)
     signs = rng.integers(-1, 2, size=(300, len(walls.cs)))
@@ -205,7 +207,39 @@ def test_level_matches_numpy_form(cell, funddom, seed_dodec):
     for row, w in zip(signs, want):
         for s in (row.tolist(), tuple(row.tolist()), row):
             assert walls.level(s) == w
-        assert type(walls.level(row.tolist())) is int
+    assert type(walls.level_at()) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_level_of_each_row_is_the_matrix_level(space_q3, data):
+    # level has one path: on random N-gons (recovered from upper-half-plane
+    # points) and dodecahedra (the seed construction at random t), the level
+    # of each row of a sign matrix, zero signs included, given as a list, a
+    # tuple or a 1-D array, equals that row of the matrix level
+    try:
+        if data.draw(st.booleans(), label="dodec"):
+            ts = data.draw(st.lists(st.fractions(
+                Fraction(-1, 2), Fraction(1, 2), max_denominator=40),
+                min_size=12, max_size=12))
+            walls = validate_dodec(space_q3, seed_construction(
+                space_q3, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                (1, 0, 0, 0), ts))
+        else:
+            walls = recover_ngon(data.draw(st.lists(st.tuples(
+                st.fractions(-3, 3, max_denominator=4),
+                st.fractions(Fraction(1, 4), 4, max_denominator=4)),
+                min_size=3, max_size=6)))
+    except ValueError:      # no valid cell: orientation, collinear points
+        assume(False)
+    n = len(walls.cs)
+    signs = np.array(data.draw(st.lists(st.lists(
+        st.integers(-1, 1), min_size=n, max_size=n), min_size=1, max_size=8)))
+    want = walls.level(signs)
+    assert want.shape == (len(signs),)
+    for row, w in zip(signs, want):
+        for s in (row.tolist(), tuple(row.tolist()), row):
+            assert walls.level(s) == w
 
 
 def test_vertex_plane_and_edge_samples(funddom):

@@ -11,10 +11,11 @@ one weighted sum of their masses, under one weight rule: cone sigma of an
 item with reference signs s weighs prod_i (sigma_i - s_i).  It sets up a
 call's cones once, as one table that its screen and mass read by index:
 cone_dist2, cone_mass_2d and cone_mass_3d take item arrays, cone tables
-and a required index cone into them, the one form cone_sum passes;
-cone_mass_2d screens planar cones itself, cone_dist2 solid ones.
-One cut, CONE_CUT, decides when a Gaussian mass is negligible; FAST_MARGIN
-is the distance at which a Gaussian factor falls that far.  A planar
+and a required index cone into them, the masses also each item's final
+weight amp and a cut: the one form cone_sum passes.  cone_mass_2d screens
+planar cones itself, cone_dist2 solid ones.  CONE_CUT, the default cut,
+decides when a Gaussian mass is negligible; FAST_MARGIN, E_frames'
+fast-path margin, is where a Gaussian factor falls that far.  A planar
 cone's mass is computed with the radial integral in closed form; over the
 angle, its Gaussian term on u's side integrates in closed form too (a
 difference of erfc), and the smooth rest, which has no Gaussian factor in
@@ -25,8 +26,8 @@ fewest nodes of FAR_NODES whose error bound (64/15) M rho^{2-2m}/(rho^2
 at the piece's weight, else CONE_NODES.  A solid cone's mass is a 1-D
 integral over one wall's normal coordinate of planar slice masses, on
 CONE_NODES Gauss-Legendre nodes a piece and no bound: every slice is a
-planar cone of cone_mass_2d, weighed at its final weight in runs of at
-most SLICE_RUN slices, so cone_mass_2d is the one cone-mass routine.
+planar cone of cone_mass_2d, weighed at its final weight and cut in runs
+of at most SLICE_RUN slices, so cone_mass_2d is the one cone-mass routine.
 Values lie in [-1,1] and tend to the product of signs as x grows along a
 regular direction.
 """
@@ -41,9 +42,8 @@ from .qspace import NegativePlane, _nonzero_2d, vec
 
 SQPI = math.sqrt(math.pi)
 CONE_CUT = 42.0           # E2/E3 skip cones of mass below e^{-42} << 1e-11
-# the distance at which a Gaussian factor exp(-pi d^2) falls below
-# e^{-CONE_CUT}: E2/E3 take the sign product when every sign margin reaches
-# it, and a solid cone's 1-D range ends this far either side of u_n
+# where a Gaussian factor exp(-pi d^2) falls below e^{-CONE_CUT}: E2/E3
+# take the sign product when every sign margin reaches it
 FAST_MARGIN = math.sqrt(CONE_CUT / math.pi)
 CONE_NODES = 24          # Gauss-Legendre nodes a piece of a 1-D cone integral
 FAR_NODES = (2, 4, 6, 8, 12, 16, CONE_NODES)   # node counts of a far piece
@@ -253,22 +253,24 @@ def E2(space, c1, c2, x):
     return _E(space, (c1, c2), x)
 
 
-def cone_mass_3d(u, b, cone):
-    """Gaussian masses exp(-pi|y-u_k|^2) of item k's solid cone {y : b y >=
-    0}, for items u of shape (K, 3) and a table b of functional rows, shape
-    (C, 3, 3), whose row cone[k], set up once per row, is item k's cone.
-    With n a wall's unit normal, the slice at t = (n, y) is a planar cone
-    with apex t p: mass = int_0^inf exp(-pi (t - u_n)^2) m(u_perp - t p)
-    dt, m the slice's planar cone mass, over t within FAST_MARGIN of u_n
-    (its Gaussian factor cut at e^{-CONE_CUT}).  The slice mass changes on
-    a scale 1/rate where the slice centre crosses a wall (rate |c_j|/|g_j|)
-    or passes the apex (rate |p|): split there, at u_n and WINDOW/rate
-    either side; CONE_NODES Gauss-Legendre nodes a piece.  The slice cone's
-    rays are the columns of g^{-1}, g its walls' rows in n^perp: every
-    slice is one item of a cone_mass_2d call on that table, centre u_perp -
-    t p and amp -pi (t - u_n)^2, so its screen and far rule run at the
-    slice's final weight; a call takes the slices of whole items, at most
-    SLICE_RUN, which bounds its temporaries and changes no bit."""
+def cone_mass_3d(u, b, amp, cone, cut=CONE_CUT):
+    """exp(amp_k) times the Gaussian mass exp(-pi|y-u_k|^2) of item k's
+    solid cone {y : b y >= 0}, for items u of shape (K, 3), amp of shape
+    (K,) and a table b of functional rows, shape (C, 3, 3), whose row
+    cone[k], set up once per row, is item k's cone.  With n a wall's unit
+    normal, the slice at t = (n, y) is a planar cone with apex t p: mass =
+    int_0^inf exp(amp - pi (t - u_n)^2) m(u_perp - t p) dt, m the slice's
+    planar cone mass, over t within sqrt(max(amp + cut, 0)/pi) of u_n,
+    where the slice's weight falls to e^{-cut} (cut must be finite).  The
+    slice mass changes on a scale 1/rate where the slice centre crosses a
+    wall (rate |c_j|/|g_j|) or passes the apex (rate |p|): split there, at
+    u_n and WINDOW/rate either side; CONE_NODES Gauss-Legendre nodes a
+    piece.  The slice cone's rays are the columns of g^{-1}, g its walls'
+    rows in n^perp: every slice is one item of a cone_mass_2d call on that
+    table at cut, centre u_perp - t p and amp amp - pi (t - u_n)^2, so its
+    screen and far rule run at the slice's final weight; a call takes the
+    slices of whole items, at most SLICE_RUN, which bounds its temporaries
+    and changes no bit."""
     nb = b / np.linalg.norm(b, axis=2, keepdims=True)
     if np.any(np.abs(np.linalg.det(nb))[cone] < 1e-14):
         raise QuadratureError("degenerate solid cone")
@@ -290,8 +292,9 @@ def cone_mass_3d(u, b, cone):
     n, frame, g, gn, c, p = (a[cone] for a in (n, frame, g, gn, c, p))
     un = np.einsum('kd,kd->k', u, n)
     uperp = np.einsum('kid,kd->ki', frame, u)
-    lo = np.maximum(un - FAST_MARGIN, 0.0)
-    hi = np.maximum(un + FAST_MARGIN, lo)
+    reach = np.sqrt(np.maximum(amp + cut, 0.0) / np.pi)
+    lo = np.maximum(un - reach, 0.0)
+    hi = np.maximum(un + reach, lo)
     with np.errstate(divide='ignore', invalid='ignore'):
         at = np.column_stack([-np.einsum('kjd,kd->kj', g, uperp) / c,
                               np.sum(uperp * p, 1) / np.sum(p * p, 1)])
@@ -312,8 +315,9 @@ def cone_mass_3d(u, b, cone):
         k, j = _nonzero_2d(wt[run] > 0.0)   # slices of nonzero-length pieces
         ts, kt = t[run][k, j], k + lo
         mass = cone_mass_2d(uperp[kt] - ts[:, None] * p[kt], rays[:, :, 0],
-                            rays[:, :, 1], -np.pi * (ts - un[kt]) ** 2,
-                            cone[kt])
+                            rays[:, :, 1],
+                            amp[kt] - np.pi * (ts - un[kt]) ** 2, cone[kt],
+                            cut)
         out[run] = np.bincount(k, mass * wt[run][k, j],
                                minlength=len(out[run]))
     return out
@@ -323,11 +327,11 @@ def E3(space, c1, c2, c3, x):
     """Gaussian-averaged sgn(y,c1)sgn(y,c2)sgn(y,c3) over span(c1,c2,c3).
     A frame whose sign margins all reach FAST_MARGIN gets the exact sign
     product.  The slow path drifts far out along a wall: at x = (0, b, b,
-    0.05) on diag(2, -2, -2, -2), its unscreened cone sum (cut = inf) is off
-    the product of the three E1 by 7e-16 at b = 10, 1e-11 at 1e6, 8e-9 at
-    1e9 and 7e-6 at 1e12 (from cone_mass_3d's 1-D set-up, not the slice
-    masses); screened, by 0.43 already at b = 10, because the octant screen
-    (cone_dist2) drops octants with real mass."""
+    0.05) on diag(2, -2, -2, -2), the sum of all eight octants' signed
+    cone_mass_3d masses is off the product of the three E1 by 9e-16 at b =
+    10, 1e-11 at 1e6, 8e-9 at 1e9 and 7e-6 at 1e12 (from cone_mass_3d's 1-D
+    set-up, not the slice masses); E3 itself, by 0.43 already at b = 10,
+    because the octant screen (cone_dist2) drops octants with real mass."""
     return _E(space, (c1, c2, c3), x)
 
 
@@ -364,10 +368,10 @@ def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
     (K, q)), formed column by column: s = 0 gives E2/E3's sign products,
     the signs at a vertex the completion's rho weights.  The F 2^q cones
     are one table, row f 2^q + c, that the screen and the mass read by
-    index.  The (k, c) of nonzero weight go to one cone-mass call, screened
-    by amp_k - pi dist^2 >= -cut (cone_mass_2d's own screen, cone_dist2's
-    for solid cones); np.bincount adds each item's terms in cone order.
-    amp applies to planar cones only; E3's callers pass none."""
+    index.  The (k, c) of nonzero weight go to one cone-mass call at amp_k
+    and cut, screened by amp_k - pi dist^2 >= -cut (cone_mass_2d's own
+    screen, cone_dist2's for solid cones); np.bincount adds each item's
+    terms in cone order."""
     q = a.shape[1]
     sig = _SIGNS[:2 ** q, 3 - q:]
     weight = functools.reduce(np.multiply, (sig[:, i] - s[:, i, None]
@@ -383,5 +387,5 @@ def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
         b = (sig[:, :, None] * a[:, None]).reshape(-1, q, q)
         keep = amp - math.pi * cone_dist2(u[k], b, rays, cone) >= -cut
         k, c = k[keep], c[keep]
-        mass = cone_mass_3d(u[k], b, cone[keep])
+        mass = cone_mass_3d(u[k], b, amp[keep], cone[keep], cut)
     return np.bincount(k, weight[k, c] * mass, minlength=len(u))

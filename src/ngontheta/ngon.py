@@ -150,13 +150,6 @@ class _Walls:
         """The signs of (x, C_j) for a rational vector x."""
         return [sgn(p) for p in self.pairings(x)]
 
-    def negative_signs(self, v):
-        """signs(v), or ValueError unless v is a negative vector."""
-        v = vec(v)
-        if not self.space.inner(v, v) < 0:
-            raise ValueError("v must be a negative vector")
-        return self.signs(v)
-
     def sign_matrix(self, xnum):
         """int64 signs of (x, C_j) for int64 rows xnum, each a positive
         multiple of its x, from the rows gc_j that signs(x) reads."""
@@ -175,7 +168,10 @@ class _Walls:
         """The level of a negative vector v (None: the default v)."""
         if v is None:
             return self._level_v
-        return int(self.level(self.negative_signs(v)))
+        v = vec(v)
+        if not self.space.inner(v, v) < 0:
+            raise ValueError("v must be a negative vector")
+        return int(self.level(self.signs(v)))
 
     def kernel(self, signs):
         """level(x) - level(v) of each row of an integer matrix of the signs

@@ -419,12 +419,37 @@ def face_w_vec(space, cs):
     return tuple(out)
 
 
+def _dodec_level(face_w, s):
+    """8 D from the signs s of (x, C_i): the vertex triple products plus
+    the face-weighted signs."""
+    from ngontheta.dodec import cycle_table
+    trip = sum(s[i] * s[u] * s[v] for i, u, v in cycle_table().vertices)
+    return trip + sum(w * t for w, t in zip(face_w, s))
+
+
 def dodec_D_vec(space, cs, face_w, x):
     """D(x) from the signs of (x, C_i), each an exact inner product."""
-    from ngontheta.dodec import cycle_table
-    s = _signs_vec(space, x, cs)
-    trip = sum(s[i] * s[u] * s[v] for i, u, v in cycle_table().vertices)
-    return Fraction(trip + sum(w * t for w, t in zip(face_w, s)), 8)
+    return Fraction(_dodec_level(face_w, _signs_vec(space, x, cs)), 8)
+
+
+def dodec_P_rows(space, cs, face_w):
+    """x -> 8 P(x) = 8 (D(x) - D(v)) for integer rows x, each a positive
+    multiple of its vector, v the regular_negative_vector_vec of cs: the
+    pairings (x, C_i) are exact integer dot products with the rows den G
+    C_i, formed here from space.gram and the C_i, and D is dodec_D_vec's
+    sum, so no Fraction is built per row."""
+    cs = [vec(c) for c in cs]
+    rows = [[sum(g * c for g, c in zip(r, v)) for r in space.gram]
+            for v in cs]
+    den = math.lcm(*(c.denominator for r in rows for c in r))
+    rows = [[int(c * den) for c in r] for r in rows]
+    lv = 8 * dodec_D_vec(space, cs, face_w,
+                         regular_negative_vector_vec(space, cs))
+
+    def level(x):
+        return _dodec_level(face_w, [sgn(sum(map(int.__mul__, x, r)))
+                                     for r in rows]) - lv
+    return level
 
 
 # --- what the validating constructors raise ---------------------------------
@@ -579,8 +604,12 @@ def illegal_variant_kernel(space, cs, x, v=None):
         raise ValueError(
             "expected condition (3) to fail only at the wrap pair (j=1, j=N); "
             "found " + (", ".join(str(b) for b in bad) if bad else "no violations"))
-    sv = walls.negative_signs(v) if v is not None else \
-        _regular_choice(walls._gram, walls._d, 2)[1]
+    if v is None:
+        sv = _regular_choice(walls._gram, walls._d, 2)[1]
+    elif space.inner(vec(v), vec(v)) < 0:
+        sv = walls.signs(v)
+    else:
+        raise ValueError("v must be a negative vector")
     w_tilde = _cyclic_w(sv) + 2 * sv[-1] * sv[0]
     sx = walls.signs(x)
     eps_tilde = w_tilde - _cyclic_w(sx) - 2 * sx[-1] * sx[0]
@@ -734,8 +763,8 @@ def j0_value(ngon, x):
 def per_item(fn, u, *tables):
     """fn(u, *tables, cone) for cone_dist2, cone_mass_2d or cone_mass_3d of
     ngontheta.errfn on items that are each their own cone: tables with one
-    row per item (cone_mass_2d's amp among them, a scalar for every item),
-    cone = arange(K).  One item, u of shape (q,) and its tables without the
+    row per item (the cone masses' amp among them, a scalar for every
+    item), cone = arange(K).  One item, u of shape (q,) and its tables without the
     item axis, goes as a one-item table and gives a float."""
     if np.ndim(u) == 1:
         return float(per_item(fn, np.asarray(u, dtype=float)[None],

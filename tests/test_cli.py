@@ -162,6 +162,13 @@ def test_examples_match_code(space_abc, funddom, space_q3, seed_dodec):
     assert load(jsonio.load_points_file, "points_square.json") == SQUARE
     space, cs = load(jsonio.load_dodec_file, "dodec_seed.json")
     assert space.gram == space_q3.gram and tuple(cs) == seed_dodec.cs
+    # the same seed on diag(6, -2, -2, -2)
+    from ngontheta.dodec import seed_construction
+    space, cs = load(jsonio.load_dodec_file, "dodec_seed48.json")
+    assert space.gram == ((6, 0, 0, 0),) + space_q3.gram[1:]
+    assert tuple(cs) == seed_construction(
+        space, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (1, 0, 0, 0),
+        [Fraction(a + 3, 40) for a in range(12)])
 
 
 # --- ngon subcommand ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -9,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ngontheta.qspace import QuadraticSpace, NegativePlane
 from ngontheta.lattice import (LatticeCoset, EnumWindow, CertificationError,
-                               window_from_planes, certify_window)
-from ngontheta import lattice
+                               window_from_planes, certify_window,
+                               enumerate_coset)
+from ngontheta import jsonio, lattice
 from ngontheta.dodec import (bar, cycle_table, DodecValidationError,
                              validate_dodec,
                              dodec_P_kernel, dodec_E_kernel,
@@ -18,7 +20,8 @@ from ngontheta.dodec import (bar, cycle_table, DodecValidationError,
 from ngontheta.cli import main
 
 from conftest import (EXAMPLES, REPO, check_dodec_conditions_vec,
-                      cyclic_equal, dodec_D_kernel, dodec_D_vec, dodec_violations, face_w_vec,
+                      cyclic_equal, dodec_D_kernel, dodec_D_vec, dodec_P_rows,
+                      dodec_violations, face_w_vec,
                       guard_band_hits, outcome, project_perp, recipe_step,
                       window_at_safety, regular_choice_signs,
                       regular_negative_vector_vec, regular_signs_vec, vec_add,
@@ -381,6 +384,83 @@ def test_dodec_window_grows_with_nmax(seed_dodec4):
     assert w2.B >= 2 * w1.B * Fraction(63, 64)
 
 
+# --- diag(6, -2, -2, -2): a dodecahedral lattice whose series can fail -----
+# On diag(2, -2, -2, -2) every coset is its own negative and P is odd, so
+# every series there is 0.  examples/dodec_seed48.json takes the same seed
+# cell on diag(6, -2, -2, -2), |L'/L| = 48, where mu = (a/6, b/2, c/2, d/2)
+# and -mu differ for a != 0, 3.
+
+MUS48 = [(Fraction(a, 6),) + tuple(Fraction(b, 2) for b in bs)
+         for a in range(6) for bs in itertools.product(range(2), repeat=3)]
+
+
+@pytest.fixture(scope="module")
+def dodec48():
+    """The cell of examples/dodec_seed48.json and its series on all 48
+    cosets at nmax 12."""
+    space, cs = jsonio.load_dodec_file(str(EXAMPLES / "dodec_seed48.json"))
+    dodec = validate_dodec(space, cs)
+    assert space.gram[0][0] == 6 and len(MUS48) == 48
+    return dodec, {mu: dodec_series(LatticeCoset(space, mu), dodec, 12)
+                   for mu in MUS48}
+
+
+def test_dodec48_series_match_brute_force_oracle(dodec48):
+    # every coefficient is the sum of 8 P(x)/8 over the coset's x with 0 <
+    # Q(x) <= 12 in a window of twice the proved B, each P from the
+    # conftest oracle's exact pairings: the oracle does not trust the
+    # window proof.  32 cosets are nonzero and 22 carry flags.
+    dodec, series = dodec48
+    space = dodec.space
+    level = dodec_P_rows(space, dodec.cs, face_w_vec(space, dodec.cs))
+    gram = [[int(g) for g in row] for row in space.gram]
+    for mu, s in series.items():
+        wide = enumerate_coset(LatticeCoset(space, mu), EnumWindow(
+            s.window.z0, 2 * s.window.B, s.window.kappa), qmax=12)
+        d2 = wide.dmu ** 2
+        sums = {}               # (x, x) dmu^2 -> sum of 8 P(x)
+        for x in wide.xnum.tolist():
+            xx = sum(a * sum(map(int.__mul__, row, x))
+                     for a, row in zip(x, gram))
+            if 0 < xx <= 24 * d2:
+                sums[xx] = sums.get(xx, 0) + level(x)
+        assert {Fraction(xx, 2 * d2): Fraction(c, 8)
+                for xx, c in sums.items() if c} == \
+            {n: c for n, c in s.entries.items() if c}, mu
+    assert sum(any(s.entries.values()) for s in series.values()) == 32
+    assert sum(bool(s.flags) for s in series.values()) == 22
+
+
+def test_dodec48_shifted_coset(dodec48):
+    s = dodec48[1][(Fraction(1, 6), 0, 0, 0)]
+    assert {n: c for n, c in s.entries.items() if c} == {
+        Fraction(1, 12): 1, Fraction(25, 12): -1, Fraction(49, 12): 1,
+        Fraction(121, 12): -1}
+
+
+def test_dodec48_series_odd_in_mu(dodec48):
+    # P is odd (D(v) = 0) and x -> -x maps the coset mu onto -mu: theta_{-mu}
+    # = -theta_mu, with the same flagged exponents
+    series = dodec48[1]
+    for mu, s in series.items():
+        neg = series[tuple(-m % 1 for m in mu)]
+        assert neg.entries == {n: -c for n, c in s.entries.items()}, mu
+        assert neg.flags == s.flags
+
+
+def test_dodec48_safety_invariance(dodec48):
+    # a window at safety 3, B doubled, gives every coset's series; its
+    # flags only grow, since a flag marks any window row with a zero sign
+    # (ROADMAP item 2: 14 of the 48 cosets gain flags here)
+    dodec, series = dodec48
+    for mu, s in series.items():
+        wide = window_at_safety(s.window, 3.0)
+        s3 = dodec_series(LatticeCoset(dodec.space, mu), dodec, 12,
+                          window=wide)
+        assert wide.B == 2 * s.window.B
+        assert s3.entries == s.entries and s3.flags >= s.flags, mu
+
+
 # --- the integer-Gram path against the vector oracles of conftest -----------
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -494,6 +574,37 @@ def test_dodec_kernel_command_pairs_x_once(capsys, monkeypatch):
 # |E - E_ref| allowed against the recorded dodec_E references, as in the
 # benchmark's own check
 E_REF_TOL = 1e-9
+
+
+def _unscreened_e_kernel(dodec, x):
+    """dodec_E_kernel with no octant screen: all 8 octants of each of the 20
+    vertex frames, each through cone_mass_3d at amp 0 and weighed by its
+    sign product, plus the face E1 terms."""
+    from scipy.special import erf
+    from ngontheta.errfn import SQPI, cone_mass_3d
+    a, m, normals = dodec.frames
+    sig = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    b = (sig[None, :, :, None] * a[:, None]).reshape(-1, 3, 3)
+    xf = np.array([float(v) for v in x]) * math.sqrt(2.0)
+    u = np.repeat(m @ xf, 8, axis=0)
+    mass = cone_mass_3d(u, b, np.zeros(len(u)), np.arange(len(u)))
+    return float((np.tile(np.prod(sig, axis=1), len(a)) @ mass
+                  + erf(SQPI * (normals @ xf)) @ dodec.face_w) / 8.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_e_kernel_matches_unscreened_sum(seed_dodec):
+    # E3's octant screen (cone_dist2, the distance to the nearest ray, not
+    # to the cone) drops octants of real mass: on the 40 benchmark refs the
+    # kernel is up to 0.074 off the sum that keeps every octant
+    refs = json.loads((REPO / "perfbench" / "refs" / "dodec_E.json")
+                      .read_text())
+    assert len(refs) == 40
+    err = max(abs(dodec_E_kernel(seed_dodec, x)
+                  - _unscreened_e_kernel(seed_dodec, x))
+              for x in (tuple(Fraction(v) for v in key.split(","))
+                        for key in refs))
+    assert err <= 1e-12
 
 
 def test_perfbench_refs_reproduce(capsys, seed_dodec):

@@ -446,10 +446,10 @@ def dodec_P_rows(space, cs, face_w):
     lv = 8 * dodec_D_vec(space, cs, face_w,
                          regular_negative_vector_vec(space, cs))
 
-    def level(x):
+    def eight_p(x):
         return _dodec_level(face_w, [sgn(sum(map(int.__mul__, x, r)))
                                      for r in rows]) - lv
-    return level
+    return eight_p
 
 
 # --- what the validating constructors raise ---------------------------------
@@ -764,8 +764,8 @@ def per_item(fn, u, *tables):
     """fn(u, *tables, cone) for cone_dist2, cone_mass_2d or cone_mass_3d of
     ngontheta.errfn on items that are each their own cone: tables with one
     row per item (the cone masses' amp among them, a scalar for every
-    item), cone = arange(K).  One item, u of shape (q,) and its tables without the
-    item axis, goes as a one-item table and gives a float."""
+    item), cone = arange(K).  One item, u of shape (q,) and its tables
+    without the item axis, goes as a one-item table and gives a float."""
     if np.ndim(u) == 1:
         return float(per_item(fn, np.asarray(u, dtype=float)[None],
                               *(np.asarray(a, dtype=float)[None]

@@ -412,7 +412,7 @@ def test_dodec48_series_match_brute_force_oracle(dodec48):
     # window proof.  32 cosets are nonzero and 22 carry flags.
     dodec, series = dodec48
     space = dodec.space
-    level = dodec_P_rows(space, dodec.cs, face_w_vec(space, dodec.cs))
+    eight_p = dodec_P_rows(space, dodec.cs, face_w_vec(space, dodec.cs))
     gram = [[int(g) for g in row] for row in space.gram]
     for mu, s in series.items():
         wide = enumerate_coset(LatticeCoset(space, mu), EnumWindow(
@@ -423,7 +423,7 @@ def test_dodec48_series_match_brute_force_oracle(dodec48):
             xx = sum(a * sum(map(int.__mul__, row, x))
                      for a, row in zip(x, gram))
             if 0 < xx <= 24 * d2:
-                sums[xx] = sums.get(xx, 0) + level(x)
+                sums[xx] = sums.get(xx, 0) + eight_p(x)
         assert {Fraction(xx, 2 * d2): Fraction(c, 8)
                 for xx, c in sums.items() if c} == \
             {n: c for n, c in s.entries.items() if c}, mu
@@ -441,7 +441,8 @@ def test_dodec48_shifted_coset(dodec48):
 def test_dodec48_series_odd_in_mu(dodec48):
     # P is odd (D(v) = 0) and x -> -x maps the coset mu onto -mu: theta_{-mu}
     # = -theta_mu, with the same flagged exponents
-    series = dodec48[1]
+    dodec, series = dodec48
+    assert dodec.level_at() == 0
     for mu, s in series.items():
         neg = series[tuple(-m % 1 for m in mu)]
         assert neg.entries == {n: -c for n, c in s.entries.items()}, mu

@@ -31,12 +31,12 @@ each +-mu pair at tau, tau + 1 and -1/tau) each call once.  The kernel
 returns each window row's term at its final weight, kernel(x) e^{-2 pi v
 Q(x)}, so one tolerance RHO_LOG_TOL screens what each term adds to the sum:
 whole rows by the proved bound |kernel| <= |w| + N, single wall terms by
-their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single rho cone masses by
-their distance from the Gaussian centre; one cone_sum call per run of
-EVAL_ROWS (row, Im tau) items bounds the temporaries.  A cell states
-whether its kernel is even in x (walls.even, true for every N-gon): then
-series and completions take one x of each +-x pair (mult 2), and
-modularity_check one coset of each +-mu pair.
+their bound 2 e^{-2 pi v Q - pi tau_k^2}, and single rho pairs by the
+exact distance of their quadrant from the Gaussian centre; one cone_sum
+call per run of EVAL_ROWS (row, Im tau) items bounds the temporaries.  A
+cell states whether its kernel is even in x (walls.even, true for every
+N-gon): then series and completions take one x of each +-x pair (mult 2),
+and modularity_check one coset of each +-mu pair.
 """
 
 import math
@@ -460,7 +460,8 @@ def _completion_terms(ngon, batch, vs):
     sum_j rho_j of the batch's rows at each Im tau = v of vs, shape
     (len(vs), len(batch)), at its final weight e^{amp}, amp = -2 pi v Q
     capped at AMP_CAP, 0 on skipped rows; the (v, row) items go in runs of
-    at most EVAL_ROWS, one _row_terms and one cone_sum call each."""
+    at most EVAL_ROWS, one _row_terms call each (int8 sign gathers, the
+    exact rho pair screen) and one cone_sum call on the pairs it keeps."""
     out = np.zeros((len(vs), len(batch)))
     step = EVAL_ROWS // len(vs)
     for lo in range(0, len(batch), step):
@@ -474,12 +475,11 @@ def _row_terms(ngon, batch, vs, lo=0, hi=None):
     """The flat indices `live` into _completion_terms' values of the items
     (v, row), rows lo:hi, whose bound (|w| + N) e^{amp} (each E2 lies in
     [-1, 1]) reaches e^{RHO_LOG_TOL}, their eps and wall terms, the item of
-    each (item, edge) pair that passes the rho screen, and the pairs'
-    cone_sum arguments: edge, plane centre, the signs (s_j, s_{j+1}) at its
-    ends (cone_sum's reference signs: the quadrants of span(C_j, C_{j+1})
-    weigh (sigma_1 - s_j)(sigma_2 - s_{j+1})) and amp.  An item has its own
-    amp and scale sqrt(2 v), a row's signs and margins are formed once, and
-    the wall adjacency, quadrant ends and pair screen read ngon.vertices."""
+    each (item, edge) pair the exact rho screen keeps (_rho_pairs), and the
+    pairs' cone_sum arguments: edge, plane centre, the signs (s_j, s_{j+1})
+    at its ends (the quadrants of span(C_j, C_{j+1}) weigh (sigma_1 - s_j)
+    (sigma_2 - s_{j+1})) and amp.  An item has its own amp and scale sqrt(2
+    v), and int8 gathers of its row's signs and wall coefficients."""
     from scipy.special import erfcx
     amp = np.minimum(np.multiply.outer([-2.0 * math.pi * v for v in vs],
                                        batch.qf[lo:hi]), AMP_CAP)
@@ -488,35 +488,50 @@ def _row_terms(ngon, batch, vs, lo=0, hi=None):
     amp, scale = amp[v, row], np.sqrt(2.0 * np.array(vs))[v]
     _, proj, chat_g = ngon.frames
     va, vb = ngon.vertices.T
-    adj = np.zeros((ngon.n, ngon.n), dtype=np.int64)
+    adj = np.zeros((ngon.n, ngon.n), dtype=np.int8)
     adj[va, vb] = adj[vb, va] = 1
-    signs = ngon.sign_matrix(batch.xnum[lo:hi])
+    signs = ngon.sign_matrix(batch.xnum[lo:hi]).astype(np.int8)
     xf = batch.xf[lo:hi]
     vals = np.take(ngon.kernel(signs), row) * np.exp(amp)
     coef = np.take(signs @ adj, row, 0)
-    tmat = scale[:, None] * np.take(xf @ chat_g.T, row, 0)  # tau_k margins
+    tmat = np.take(xf @ chat_g.T, row, 0)
+    tmat *= scale[:, None]                                  # tau_k margins
     signs = np.take(signs, row, 0)
-    # wall terms: (s_{k-1}+s_{k+1}) * (erf(sqrt(pi) tau_k) - s_k) * e^{amp}
-    # lie within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1); only
-    # those of nonzero coefficient that can reach e^{RHO_LOG_TOL} count
+    # wall terms (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} lie
+    # within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1), formed in
+    # place; those of nonzero coefficient reaching e^{RHO_LOG_TOL} count
     with np.errstate(over='ignore'):
-        lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
-                        amp[:, None])
+        lead = np.square(tmat)
+        lead *= -math.pi
+    lead += amp[:, None]
+    np.copyto(lead, amp[:, None], where=signs == 0)
     r, k = _nonzero_2d((coef != 0) & (signs != 0) & (lead >= RHO_LOG_TOL))
-    ek = np.zeros(tmat.shape)
-    ek[r, k] = -signs[r, k] * erfcx(math.sqrt(math.pi) * np.abs(tmat[r, k])) \
-        * np.exp(np.minimum(lead[r, k], AMP_CAP))
-    vals += reduce(np.add, (coef * ek).T)
-    # rho terms: signed Gaussian cone masses.  A cone with nonzero weight
-    # flips every wall carrying a nonzero sign, so its distance from the
-    # Gaussian center is at least the larger signed-wall margin: its term
-    # is below e^{lead} of both walls (lead = amp on a zero sign).
-    p, edges = _nonzero_2d(np.minimum(lead[:, va], lead[:, vb])
-                           > RHO_LOG_TOL)
+    vals += np.bincount(r, coef[r, k] * (-signs[r, k] * erfcx(
+        math.sqrt(math.pi) * np.abs(tmat[r, k])) * np.exp(
+            np.minimum(lead[r, k], AMP_CAP))), minlength=len(vals))
+    p, edges = _rho_pairs(ngon, tmat, signs, lead, amp)
     u = scale[p, None] * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
                                    np.take(xf, row[p], 0))
     ends = np.column_stack([signs[p, va[edges]], signs[p, vb[edges]]])
     return v * len(batch) + lo + row, vals, p, (edges, u, ends, amp[p])
+
+
+def _rho_pairs(ngon, tmat, signs, lead, amp):
+    """(item, edge) of the rho pairs whose weighted quadrant can reach
+    e^{RHO_LOG_TOL}: it flips each signed wall, so lies max |tau| or more
+    from u (lead); with both signs nonzero it is the opposite one, |u| away
+    if no foot of u on a wall lies in it (s_b (tau_b - c tau_a) > 0 < s_a
+    (tau_a - c tau_b), c the cosine of frames[0]'s rows), |u|^2 = (tau_a^2 +
+    tau_b^2 - 2 c tau_a tau_b)/(1 - c^2), kept within 1e-6 for rounding."""
+    va, vb = ngon.vertices.T
+    p, e = _nonzero_2d(np.minimum(lead[:, va], lead[:, vb]) > RHO_LOG_TOL)
+    a = ngon.frames[0] / np.linalg.norm(ngon.frames[0], axis=2)[..., None]
+    ta, tb, c = tmat[p, va[e]], tmat[p, vb[e]], np.sum(a[:, 0] * a[:, 1], 1)[e]
+    d2 = (ta * ta + tb * tb - 2.0 * c * ta * tb) / (1.0 - c * c)
+    keep = (signs[p, vb[e]] * (tb - c * ta) <= 0) \
+        | (signs[p, va[e]] * (ta - c * tb) <= 0) \
+        | (amp[p] - math.pi * d2 >= RHO_LOG_TOL - 1e-6)
+    return p[keep], e[keep]
 
 
 def _completed(space, ngon, mus, nmax, taus, window=None):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ngontheta.qspace import (NegativePlane, QuadraticSpace, _int_product,
                               DegeneratePlaneError, negative_planes,
                               _over_lcm, _row_norms, vec)
-from ngontheta.errfn import E2, cone_sum
+from ngontheta.errfn import CONE_NODES, E2, cone_sum
 from ngontheta.lattice import (LatticeCoset, disc_group, EnumWindow, window_from_planes, certify_window,
                                enumerate_coset, enumerate_cosets,
                                QExpansion, SAFETY,
@@ -812,6 +812,180 @@ def test_wall_terms_skip_zero_coefficients(funddom, funddom_batch,
     for i, x in enumerate(vs):
         full, drop, _ = _unscreened_wall_eval(funddom, batch, x)
         assert np.array_equal(got[i][drop == 0], full[drop == 0])
+
+
+def _coarse_rho_pairs(ngon, tmat, signs, lead, amp):
+    """The rho pair screen by the larger signed margin of each edge alone
+    (lead = amp on a zero sign): the kernel's screen before it was exact."""
+    va, vb = ngon.vertices.T
+    return qspace._nonzero_2d(np.minimum(lead[:, va], lead[:, vb])
+                              > lattice.RHO_LOG_TOL)
+
+
+def _rho_screen_case(name, funddom):
+    """(N-gon, batch of all its cosets in its completion window): funddom,
+    the (2,2) product, the tilted (2,2) polygon and recovered polygons."""
+    ngon, nmax = {
+        "funddom": (funddom, 6), "product": (_product_4gon(), 2),
+        "tilted": (_tilted_polygon(funddom), 3),
+        "square": (recover_ngon([(-1, 1), (1, 1), (Fraction(3, 2), 3),
+                                 (Fraction(-3, 2), 3)]), 6),
+        "chain": (recover_ngon([(r, 1) for r in range(5)]), 4),
+        "mixed": (recover_ngon([(0, 1), (1, 1), (2, 1), (1, 10), (0, 10)]),
+                  4)}[name]
+    return ngon, enumerate_cosets(ngon.space, disc_group(ngon.space),
+                                  completion_window(ngon, nmax), even=True)
+
+
+def _coarse_row_terms(ngon, batch, vs):
+    """_row_terms under the coarse rho screen, and the (tmat, signs, lead,
+    amp) of its items that the screen reads."""
+    seen = []
+
+    def coarse(*args):
+        seen.append(args[1:])
+        return _coarse_rho_pairs(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_rho_pairs", coarse)
+        got = lattice._row_terms(ngon, batch, vs)
+    return got, seen[0]
+
+
+def _check_rho_screen(ngon, batch, vs):
+    """The exact rho screen against the coarse one on a batch: the kernel
+    is bit for bit the same, the pairs kept are coarse pairs with the same
+    cone_sum arguments, and every pair dropped has both signs nonzero and a
+    cone mass below e^{RHO_LOG_TOL} unscreened (cut = inf, every far piece
+    at CONE_NODES).  Returns the coarse pairs' ends and the dropped mask."""
+    got = _completion_terms(ngon, batch, vs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_rho_pairs", _coarse_rho_pairs)
+        want = _completion_terms(ngon, batch, vs)
+    assert got.tobytes() == want.tobytes()
+    (_, _, pc, (ec, uc, endc, ampc)), _ = _coarse_row_terms(ngon, batch, vs)
+    _, _, px, args = lattice._row_terms(ngon, batch, vs)
+    kept = np.isin(pc * ngon.n + ec, px * ngon.n + args[0])
+    assert np.array_equal(pc[kept], px)
+    for a, b in zip((ec, uc, endc, ampc), args):
+        assert a[kept].tobytes() == b.tobytes()
+    drop = ~kept
+    assert np.all(endc[drop] != 0)
+    mass = cone_sum(ngon.frames[0], ec[drop], uc[drop], endc[drop],
+                    ampc[drop], cut=math.inf) / 4.0
+    assert np.all(np.abs(mass) < math.exp(lattice.RHO_LOG_TOL))
+    return endc, drop
+
+
+@pytest.mark.parametrize("name", ["funddom", "product", "tilted", "square",
+                                  "chain", "mixed"])
+def test_rho_pair_screen_is_exact(name, funddom):
+    # a rho pair with both signs nonzero weighs only the quadrant opposite
+    # u, whose distance from u is max |tau| when a foot of u on a wall lies
+    # in it and |u| otherwise (the apex case): screening the apex case at
+    # |u| changes no bit of the kernel and drops only cones whose unscreened
+    # mass is below e^{RHO_LOG_TOL}.  Each batch holds rows on a wall (pairs
+    # with a zero sign, screened as before), apex-case pairs that the exact
+    # screen drops, and far rows that reach no pair
+    ngon, batch = _rho_screen_case(name, funddom)
+    vs = [0.37, 1.3]
+    ends, drop = _check_rho_screen(ngon, batch, vs)
+    assert np.sum(np.any(ends == 0, axis=1)) > 100
+    assert np.sum(drop) > 0.2 * len(drop)
+    (live, _, item, _), _ = _coarse_row_terms(ngon, batch, vs)
+    assert len(np.unique(item)) < 0.9 * len(live)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(uhp, min_size=3, max_size=6), st.floats(0.3, 2.0))
+def test_rho_pair_screen_is_exact_on_recovered_polygons(points, v):
+    try:
+        ngon = recover_ngon(points)
+    except ValueError:              # OrientationError, or collinear vertices
+        assume(False)
+    window = completion_window(ngon, 2)
+    assume(window.B <= 400)
+    batch = enumerate_cosets(SPACE_ABC, disc_group(SPACE_ABC), window,
+                             even=True)
+    _check_rho_screen(ngon, batch, [v])
+
+
+@pytest.mark.parametrize("name", ["funddom", "square", "mixed"])
+def test_rho_pair_screen_keeps_boundary_cones(name, funddom, monkeypatch):
+    # the exact screen's |u| and cone_mass_2d's own distance round
+    # differently; a slack of 1e-6 in the exponent covers that.  Each item
+    # with a pair of both signs nonzero gets the least amp at which
+    # cone_mass_2d keeps that pair's cone (bisection; with every far piece
+    # at CONE_NODES, a cone it keeps has a positive mass), and every such
+    # apex-case pair must pass the rho screen: without the slack thousands
+    # of them fail
+    import ngontheta.errfn as errfn
+    monkeypatch.setattr(errfn, "_far_nodes",
+                        lambda d0, *args: np.full(len(d0), CONE_NODES))
+    ngon, batch = _rho_screen_case(name, funddom)
+    vs = [0.37, 1.3]
+    (_, _, pc, (ec, uc, endc, _)), (tmat, signs, _, amp) = \
+        _coarse_row_terms(ngon, batch, vs)
+    both = np.flatnonzero(np.all(endc != 0, axis=1))
+    first = both[np.unique(pc[both], return_index=True)[1]]
+    p, e, u, ends = pc[first], ec[first], uc[first], endc[first]
+    va, vb = ngon.vertices.T
+    coarse = math.pi * np.maximum(tmat[p, va[e]] ** 2, tmat[p, vb[e]] ** 2) \
+        + lattice.RHO_LOG_TOL
+    lo, hi = coarse - 1.0, math.pi * np.sum(u * u, 1) + lattice.RHO_LOG_TOL + 1
+
+    def kept(a):
+        return cone_sum(ngon.frames[0], e, u, ends, a,
+                        cut=-lattice.RHO_LOG_TOL) != 0
+    assert not np.any(kept(lo)) and np.all(kept(hi))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        k = kept(mid)
+        lo, hi = np.where(k, lo, mid), np.where(k, mid, hi)
+    assert np.all(np.nextafter(lo, hi) == hi)
+    apex = hi - coarse > 1e-6
+    assert np.sum(apex) > 2000
+    amp = amp.copy()
+    amp[p] = hi
+    lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
+                    amp[:, None])
+    q, f = lattice._rho_pairs(ngon, tmat, signs, lead, amp)
+    assert np.all(np.isin(p * ngon.n + e, q * ngon.n + f)[apex])
+
+
+def test_rho_pairs_reaching_cone_mass_are_live(funddom, monkeypatch):
+    # the work the exact screen saves: in modularity_check on funddom at
+    # nmax 6, every pair with both signs nonzero that reaches cone_mass_2d
+    # passes its distance screen (with every far piece at CONE_NODES, a
+    # positive mass), where the coarse screen sent about half of them on
+    # to be screened to 0; the cone items per check, over five tau across
+    # Re tau in [-1/2, 1/2] and Im tau in [0.8, 1.25], stay at most 5,400 on
+    # average (10,368 under the coarse screen)
+    import ngontheta.errfn as errfn
+    pairs, items = [], []
+    mass_2d = errfn.cone_mass_2d
+
+    def counted(u, *args):
+        items[-1] += len(u)
+        return mass_2d(u, *args)
+
+    def recorded(a, *args, **kw):
+        pairs.append(args)
+        return cone_sum(a, *args, **kw)
+    monkeypatch.setattr(errfn, "cone_mass_2d", counted)
+    monkeypatch.setattr(lattice, "cone_sum", recorded)
+    for tau in (complex(0.1, 0.8), complex(0.3, 0.9), complex(-0.2, 1.0),
+                complex(0.45, 1.1), complex(-0.4, 1.25)):
+        items.append(0)
+        modularity_check(SPACE_ABC, funddom, tau, 6)
+    assert len(pairs) == 5 and np.mean(items) <= 5400
+    monkeypatch.setattr(errfn, "_far_nodes",
+                        lambda d0, *args: np.full(len(d0), CONE_NODES))
+    for edges, u, ends, amp in pairs:
+        both = np.all(ends != 0, axis=1)
+        assert np.sum(both) > 1000
+        assert np.all(cone_sum(funddom.frames[0], edges[both], u[both],
+                               ends[both], amp[both],
+                               cut=-lattice.RHO_LOG_TOL) != 0)
 
 
 @settings(max_examples=12, deadline=None)

@@ -90,13 +90,13 @@ def _cone_rays(g1, g2):
 
 
 def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
-    """exp(amp_k) times the Gaussian mass exp(-pi|t-u_k|^2) of item k's
-    planar cone (angular extent < pi), for items u of shape (K, 2) and amp
-    of shape (K,): the cone spanned by row cone[k] of the ray tables g1, g2
-    (shape (C, 2)).  The rays' order, opening and unit vectors are derived
-    once per table row (_cone_rays), the rest per item.  A screen on the b,
-    q and |u| below gives 0 to an item whose cone lies farther than
-    sqrt((amp_k + cut)/pi) from u_k.
+    """exp(amp_k) times the Gaussian mass exp(-pi|t-u_k|^2) of item k's planar
+    cone (angular extent < pi), for items u of shape (K, 2) and amp of shape
+    (K,): the cone spanned by row cone[k] of the ray tables g1, g2 (shape (C,
+    2)).  The rays' order, opening and unit vectors are derived once per table
+    row (_cone_rays), the rest per item, each array dropped after its last
+    read.  A screen on the b, q and |u| below gives 0 to an item whose cone
+    lies farther than sqrt((amp_k + cut)/pi) from u_k.
     In the direction at angle a from u, with b = |u| cos a and q = |u| sin
     a, the radial integral is e^{amp} max(b, 0) e^{-pi q^2} + e^{amp - pi
     |u|^2} g(|b|), g(y) = 1/(2 pi) - (y/2) erfcx(sqrt(pi) y).  The first
@@ -124,8 +124,10 @@ def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
     inside = (q[:, 0] <= 0.0) & (q[:, 1] >= 0.0)
     x0 = np.where(inside, 0.0, np.minimum(x[:, 0], x[:, 1]))
     live = np.flatnonzero(amp - x0 * x0 >= -cut)
-    b, q, r, x, inside, dth, amp = (np.take(t, live, 0) for t in (
-        b, q, r, x, inside, dth, amp))
+    a0 = np.arctan2(q[live, 0], b[live, 0])     # the last read of b and q
+    del e, b, q, x0
+    r, x, inside, dth, amp = (np.take(t, live, 0) for t in (
+        r, x, inside, dth, amp))
     # closed-form term on the stretches from each ray to u's direction if
     # the cone holds it (x = 0 there), else on the one from ray to ray; a
     # stretch with b < 0 at both ends has x_1 = x_2 and gets 0 (skipped)
@@ -134,23 +136,25 @@ def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
     n = np.flatnonzero(x1 < x2)         # stretch n of item n // 2
     x1, x2 = x1.ravel()[n], x2.ravel()[n]
     c2 = erfcx(x2)
-    near = np.exp(amp[n // 2] - x1 * x1) * (
-        (erfcx(x1) - c2) - c2 * np.expm1(-(x2 - x1) * (x2 + x1))) / 2.0
+    near = np.bincount(n // 2, np.exp(amp[n // 2] - x1 * x1) * (
+        (erfcx(x1) - c2) - c2 * np.expm1(-(x2 - x1) * (x2 + x1))) / 2.0,
+        minlength=len(live))
+    lw = amp - np.pi * r * r            # the far term's log weight
+    del x, inside, x1, x2, c2, n, amp
     # quadrature term: the angle from u runs over [a0, a0 + dth], cut where
     # it passes a multiple of pi/2 (u's direction, its opposite or a
     # perpendicular) into parts.  On a part |cos| = sin d, with d the angle
     # to the nearest perpendicular, monotone along it from d0 to d0 + step
-    a0 = np.arctan2(q[:, 0], b[:, 0])
     turn = np.pi / 2.0 * (np.ceil(a0 / (np.pi / 2.0))[:, None] + [0.0, 1.0])
     a = np.column_stack([a0, np.minimum(turn, (a0 + dth)[:, None]), a0 + dth])
     d = np.abs(np.pi / 2.0 - (a - np.pi * np.floor(a / np.pi)))
     d0, step = np.minimum(d[:, :-1], d[:, 1:]), np.abs(d[:, 1:] - d[:, :-1])
     # the parts of nonzero length, flat: item k = i // 3
     i = np.flatnonzero(step)
+    del a0, turn, dth, a, d
     d0, step, rs = d0.ravel()[i], step.ravel()[i], SQPI * r[i // 3]
     # a cone's far term errs by at most e^{-cut}: each of its parts by a third
-    nodes = _far_nodes(d0, step, rs, (amp - np.pi * r * r)[i // 3],
-                       cut + math.log(3.0))
+    nodes = _far_nodes(d0, step, rs, lw[i // 3], cut + math.log(3.0))
     far = np.zeros(len(i))
     for m in FAR_NODES:
         p = np.flatnonzero(nodes == m)
@@ -166,8 +170,7 @@ def cone_mass_2d(u, g1, g2, amp, cone, cut=CONE_CUT):
             zc *= z
             far[j] = (1.0 / SQPI - np.einsum('ij,j->i', zc, w)) * step[j]
     out = np.zeros(len(u))
-    out[live] = np.bincount(n // 2, near, minlength=len(live)) \
-        + np.exp(amp - np.pi * r * r) \
+    out[live] = near + np.exp(lw) \
         * np.bincount(i // 3, far, minlength=len(live)) / (2.0 * SQPI)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("2-D cone mass produced a non-finite value")
@@ -179,10 +182,10 @@ def _far_nodes(d0, step, rs, lw, cut):
     at most e^{lw} step/(2 pi) as 0 < f <= 1/sqrt(pi) on the real range, is
     below e^{-cut}, else the fewest of FAR_NODES whose error bound
     (_far_bound) is, else CONE_NODES."""
+    none = lw + cut + np.log(step / (2.0 * math.pi)) <= 0.0
     lk, lr = _far_bound(d0, step, rs)
     need = np.fmin(np.ceil((lk + lw + cut) / (2.0 * lr)), CONE_NODES)
-    nodes = _FAR_LADDER[np.maximum(need, 0.0).astype(int)]
-    return np.where(lw + cut + np.log(step / (2.0 * math.pi)) <= 0.0, 0, nodes)
+    return np.where(none, 0, _FAR_LADDER[np.maximum(need, 0.0).astype(int)])
 
 
 def _far_bound(d0, step, rs):
@@ -205,10 +208,14 @@ def _far_bound(d0, step, rs):
         reach = np.minimum(np.maximum(d0, 0.8 / rs), 0.5)
     b = 2.0 * np.sqrt(reach / step)
     a1 = np.sqrt(1.0 + b * b) + 1.0
-    w = rs * np.maximum(reach - d0, 0.0) * np.cosh(step * a1 * b / 2.0)
-    lr = np.arcsinh(b)
-    lk = np.log(8.0 / (15.0 * SQPI) * a1 * (1.0 / SQPI + 2.0 * w) * step / b) \
-        + w * w + lr
+    w = np.maximum(np.subtract(reach, d0, out=reach), 0.0, out=reach)
+    w *= rs
+    w *= np.cosh(step * a1 * b / 2.0)
+    a1 *= 8.0 / (15.0 * SQPI)
+    lk = np.log(a1 * (1.0 / SQPI + 2.0 * w) * step / b)
+    lk += np.square(w, out=w)
+    lr = np.arcsinh(b, out=b)
+    lk += lr
     return lk, lr
 
 
@@ -265,12 +272,12 @@ def cone_mass_3d(u, b, amp, cone, cut=CONE_CUT):
     slice mass changes on a scale 1/rate where the slice centre crosses a
     wall (rate |c_j|/|g_j|) or passes the apex (rate |p|): split there, at
     u_n and WINDOW/rate either side; CONE_NODES Gauss-Legendre nodes a
-    piece.  The slice cone's rays are the columns of g^{-1}, g its walls'
-    rows in n^perp: every slice is one item of a cone_mass_2d call on that
-    table at cut, centre u_perp - t p and amp amp - pi (t - u_n)^2, so its
-    screen and far rule run at the slice's final weight; a call takes the
-    slices of whole items, at most SLICE_RUN, which bounds its temporaries
-    and changes no bit."""
+    piece.  The slice cone's rays are the columns of g^{-1}, g its walls' rows
+    in n^perp: every slice is one item of a cone_mass_2d call on that table at
+    cut, centre u_perp - t p and amp amp - pi (t - u_n)^2, so its screen and
+    far rule run at the slice's final weight; a call takes the slices of whole
+    items, at most SLICE_RUN, gathered from their pieces, which bounds its
+    temporaries and changes no bit."""
     nb = b / np.linalg.norm(b, axis=2, keepdims=True)
     if np.any(np.abs(np.linalg.det(nb))[cone] < 1e-14):
         raise QuadratureError("degenerate solid cone")
@@ -304,22 +311,22 @@ def cone_mass_3d(u, b, amp, cone, cut=CONE_CUT):
     knots = np.sort(np.clip(np.nan_to_num(knots, nan=-1.0),
                             lo[:, None], hi[:, None]), axis=1)
     s, w, _, _ = _gl_rule(CONE_NODES)
-    length = np.diff(knots, axis=1)[:, :, None] / 2.0
-    shape = (len(u), (knots.shape[1] - 1) * CONE_NODES)
-    t = (knots[:, :-1, None] + length * (s + 1.0)).reshape(shape)
-    wt = (length * w).reshape(shape)
+    half = np.diff(knots, axis=1) / 2.0         # each piece's half length
+    # slice j of piece i at t = knots_i + half_i (s_j + 1), weight half_i w_j
+    live = (half[:, :, None] * w > 0.0).reshape(-1, half.shape[1] * CONE_NODES)
     out = np.empty(len(u))
-    step = max(SLICE_RUN // shape[1], 1)    # whole items, SLICE_RUN slices
+    step = max(SLICE_RUN // live.shape[1], 1)   # whole items, SLICE_RUN slices
     for lo in range(0, len(u), step):
         run = slice(lo, lo + step)
-        k, j = _nonzero_2d(wt[run] > 0.0)   # slices of nonzero-length pieces
-        ts, kt = t[run][k, j], k + lo
-        mass = cone_mass_2d(uperp[kt] - ts[:, None] * p[kt], rays[:, :, 0],
-                            rays[:, :, 1],
-                            amp[kt] - np.pi * (ts - un[kt]) ** 2, cone[kt],
-                            cut)
-        out[run] = np.bincount(k, mass * wt[run][k, j],
-                               minlength=len(out[run]))
+        k, j = _nonzero_2d(live[run])       # slices of nonzero-length pieces
+        kt, (i, j) = k + lo, np.divmod(j, CONE_NODES)
+        ts = knots[kt, i] + half[kt, i] * (s + 1.0)[j]
+        wt = half[kt, i] * w[j]
+        del i, j
+        mass = cone_mass_2d(uperp[kt] - ts[:, None] * p[kt], rays[..., 0],
+                            rays[..., 1], amp[kt] - np.pi * (ts - un[kt]) ** 2,
+                            cone[kt], cut)
+        out[run] = np.bincount(k, mass * wt, minlength=len(out[run]))
     return out
 
 
@@ -377,6 +384,7 @@ def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
     weight = functools.reduce(np.multiply, (sig[:, i] - s[:, i, None]
                                             for i in range(q)))
     k, c = _nonzero_2d(weight)
+    weight = weight[k, c]
     amp = np.broadcast_to(np.asarray(amp, dtype=float), (len(u),))[k]
     rays = (np.linalg.inv(a)[:, None] * sig[:, None, :]).reshape(-1, q, q)
     cone = f[k] * 2 ** q + c
@@ -386,6 +394,6 @@ def cone_sum(a, f, u, s, amp=0.0, cut=CONE_CUT):
     else:
         b = (sig[:, :, None] * a[:, None]).reshape(-1, q, q)
         keep = amp - math.pi * cone_dist2(u[k], b, rays, cone) >= -cut
-        k, c = k[keep], c[keep]
+        k, weight = k[keep], weight[keep]
         mass = cone_mass_3d(u[k], b, amp[keep], cone[keep], cut)
-    return np.bincount(k, weight[k, c] * mass, minlength=len(u))
+    return np.bincount(k, weight * mass, minlength=len(u))

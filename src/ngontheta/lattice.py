@@ -472,20 +472,20 @@ def _completion_terms(ngon, batch, vs):
 
 
 def _row_terms(ngon, batch, vs, lo=0, hi=None):
-    """The flat indices `live` into _completion_terms' values of the items
-    (v, row), rows lo:hi, whose bound (|w| + N) e^{amp} (each E2 lies in
-    [-1, 1]) reaches e^{RHO_LOG_TOL}, their eps and wall terms, the item of
-    each (item, edge) pair the exact rho screen keeps (_rho_pairs), and the
-    pairs' cone_sum arguments: edge, plane centre, the signs (s_j, s_{j+1})
-    at its ends (the quadrants of span(C_j, C_{j+1}) weigh (sigma_1 - s_j)
-    (sigma_2 - s_{j+1})) and amp.  An item has its own amp and scale sqrt(2
-    v), and int8 gathers of its row's signs and wall coefficients."""
+    """The flat indices `live` into _completion_terms' values of the items (v,
+    row), rows lo:hi, whose bound (|w| + N) e^{amp} (each E2 lies in [-1, 1])
+    reaches e^{RHO_LOG_TOL}, their eps and wall terms, the item of each (item,
+    edge) pair the exact rho screen keeps (_rho_pairs), and the pairs' cone_sum
+    arguments: edge, plane centre, the signs (s_j, s_{j+1}) at its ends (the
+    quadrants of span(C_j, C_{j+1}) weigh (sigma_1 - s_j) (sigma_2 - s_{j+1}))
+    and amp.  An item has its own amp, int8 gathers of its row's signs and wall
+    coefficients, and margins; the rho screen reads lead as a mask."""
     from scipy.special import erfcx
     amp = np.minimum(np.multiply.outer([-2.0 * math.pi * v for v in vs],
                                        batch.qf[lo:hi]), AMP_CAP)
     log_bound = math.log(abs(ngon.level_at()) + ngon.n)
     v, row = _nonzero_2d(amp + log_bound >= RHO_LOG_TOL)
-    amp, scale = amp[v, row], np.sqrt(2.0 * np.array(vs))[v]
+    amp, scale = amp[v, row], np.sqrt(2.0 * np.array(vs))
     _, proj, chat_g = ngon.frames
     va, vb = ngon.vertices.T
     adj = np.zeros((ngon.n, ngon.n), dtype=np.int8)
@@ -495,7 +495,7 @@ def _row_terms(ngon, batch, vs, lo=0, hi=None):
     vals = np.take(ngon.kernel(signs), row) * np.exp(amp)
     coef = np.take(signs @ adj, row, 0)
     tmat = np.take(xf @ chat_g.T, row, 0)
-    tmat *= scale[:, None]                                  # tau_k margins
+    tmat *= scale[v, None]                                  # tau_k margins
     signs = np.take(signs, row, 0)
     # wall terms (s_{k-1}+s_{k+1}) (erf(sqrt(pi) tau_k) - s_k) e^{amp} lie
     # within 2 e^{lead}, lead = amp - pi tau_k^2 (erfcx <= 1), formed in
@@ -509,28 +509,30 @@ def _row_terms(ngon, batch, vs, lo=0, hi=None):
     vals += np.bincount(r, coef[r, k] * (-signs[r, k] * erfcx(
         math.sqrt(math.pi) * np.abs(tmat[r, k])) * np.exp(
             np.minimum(lead[r, k], AMP_CAP))), minlength=len(vals))
+    lead = lead > RHO_LOG_TOL           # the rho screen's wall mask
     p, edges = _rho_pairs(ngon, tmat, signs, lead, amp)
-    u = scale[p, None] * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
-                                   np.take(xf, row[p], 0))
+    u = scale[v[p], None] * np.einsum('pij,pj->pi', np.take(proj, edges, 0),
+                                      np.take(xf, row[p], 0))
     ends = np.column_stack([signs[p, va[edges]], signs[p, vb[edges]]])
     return v * len(batch) + lo + row, vals, p, (edges, u, ends, amp[p])
 
 
-def _rho_pairs(ngon, tmat, signs, lead, amp):
+def _rho_pairs(ngon, tmat, signs, passes, amp):
     """(item, edge) of the rho pairs whose weighted quadrant can reach
     e^{RHO_LOG_TOL}: it flips each signed wall, so lies max |tau| or more
-    from u (lead); with both signs nonzero it is the opposite one, |u| away
-    if no foot of u on a wall lies in it (s_b (tau_b - c tau_a) > 0 < s_a
-    (tau_a - c tau_b), c the cosine of frames[0]'s rows), |u|^2 = (tau_a^2 +
-    tau_b^2 - 2 c tau_a tau_b)/(1 - c^2), kept within 1e-6 for rounding."""
+    from u (passes, lead > RHO_LOG_TOL, at both walls); with both signs
+    nonzero it is the opposite one, |u| away if no foot of u on a wall lies
+    in it (s_b (tau_b - c tau_a) > 0 < s_a (tau_a - c tau_b), c the cosine
+    of frames[0]'s rows), |u|^2 = (tau_a^2 + tau_b^2 - 2 c tau_a tau_b)/(1
+    - c^2), kept within 1e-6 for rounding."""
     va, vb = ngon.vertices.T
-    p, e = _nonzero_2d(np.minimum(lead[:, va], lead[:, vb]) > RHO_LOG_TOL)
+    p, e = _nonzero_2d(passes[:, va] & passes[:, vb])
     a = ngon.frames[0] / np.linalg.norm(ngon.frames[0], axis=2)[..., None]
     ta, tb, c = tmat[p, va[e]], tmat[p, vb[e]], np.sum(a[:, 0] * a[:, 1], 1)[e]
-    d2 = (ta * ta + tb * tb - 2.0 * c * ta * tb) / (1.0 - c * c)
-    keep = (signs[p, vb[e]] * (tb - c * ta) <= 0) \
-        | (signs[p, va[e]] * (ta - c * tb) <= 0) \
-        | (amp[p] - math.pi * d2 >= RHO_LOG_TOL - 1e-6)
+    keep = amp[p] - math.pi * ((ta * ta + tb * tb - 2.0 * c * ta * tb)
+                               / (1.0 - c * c)) >= RHO_LOG_TOL - 1e-6
+    keep |= signs[p, vb[e]] * (tb - c * ta) <= 0
+    keep |= signs[p, va[e]] * (ta - c * tb) <= 0
     return p[keep], e[keep]
 
 

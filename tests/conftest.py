@@ -815,3 +815,16 @@ def plot_data_fraction(qe):
     """Tab-separated (n, c(n)) table for plotting."""
     return "".join(f"{float(n)!r}\t{float(c)!r}\n"
                    for n, c in sorted(qe.entries.items()))
+
+
+def traced_peak(call):
+    """tracemalloc's peak, in bytes, over one call() made after a warm-up
+    call, so that imports and caches filled once are not counted."""
+    import tracemalloc
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

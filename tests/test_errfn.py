@@ -959,6 +959,44 @@ def test_cone_mass_3d_slice_runs_change_no_bit(monkeypatch, budget):
     assert max(slices) <= max(budget, 11 * errfn.CONE_NODES)
 
 
+def _one_cone_mass_2d_batch(run):
+    """The arguments of the one cone_mass_2d call that run() makes."""
+    import ngontheta.errfn as errfn
+    calls = []
+    mass_2d = errfn.cone_mass_2d
+
+    def recorded(*args):
+        calls.append(args)
+        return mass_2d(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errfn, "cone_mass_2d", recorded)
+        run()
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("case", ["modularity", "dodec_E"])
+def test_cone_mass_2d_is_batch_independent(case, funddom, seed_dodec):
+    # cone_mass_2d frees each temporary after its last read, and an item's
+    # mass still depends on its own row alone: on the rho batch of a
+    # modularity check and on the slice batch of dodec_E_kernel, the whole
+    # batch equals, bit for bit, its two uneven parts computed apart
+    from ngontheta.lattice import modularity_check
+    from ngontheta.sig12 import SPACE_ABC
+    run = {"modularity": lambda: modularity_check(SPACE_ABC, funddom,
+                                                  complex(0.3, 1.0), 6),
+           "dodec_E": lambda: dodec_E_kernel(seed_dodec, (
+               Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2), 0))}[case]
+    u, g1, g2, amp, cone, cut = args = _one_cone_mass_2d_batch(run)
+    want = cone_mass_2d(*args)
+    assert len(u) > 5000 and np.count_nonzero(want) > 4000
+    cut_at = len(u) // 3
+    got = np.concatenate([cone_mass_2d(u[part], g1, g2, amp[part],
+                                       cone[part], cut)
+                          for part in (slice(cut_at), slice(cut_at, None))])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_e3_block_frame_factorizes():
     # c3 orthogonal to span(c1, c2): E3 = E2 E1 to rounding, the 2 + 1
     # block frame's slices being planar cones of cone_mass_2d themselves

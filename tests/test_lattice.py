@@ -37,8 +37,8 @@ from conftest import (SPACE_E, abc_to_e, cross, point_to_vector,
                       guard_band_hits, hurwitz_class_number, int_majorant,
                       j0_value,
                       majorant_exact, majorant_matrix, mat_det, mat_inv, negative_definite_vec, project_perp,
-                      reduced_forms, regular_negative_vector_vec, vec_add,
-                      vec_scale, weil_sanity_dense, window_at_safety,
+                      reduced_forms, regular_negative_vector_vec, traced_peak,
+                      vec_add, vec_scale, weil_sanity_dense, window_at_safety,
                       window_proof_oracle, zagier_hhat)
 
 Z0_E = ((0, 1, 0), (0, 0, 1))
@@ -814,12 +814,12 @@ def test_wall_terms_skip_zero_coefficients(funddom, funddom_batch,
         assert np.array_equal(got[i][drop == 0], full[drop == 0])
 
 
-def _coarse_rho_pairs(ngon, tmat, signs, lead, amp):
-    """The rho pair screen by the larger signed margin of each edge alone
-    (lead = amp on a zero sign): the kernel's screen before it was exact."""
+def _coarse_rho_pairs(ngon, tmat, signs, passes, amp):
+    """The rho pair screen by the larger signed margin of each edge alone,
+    both walls' lead (amp on a zero sign) past RHO_LOG_TOL, as the mask
+    passes: the kernel's screen before it was exact."""
     va, vb = ngon.vertices.T
-    return qspace._nonzero_2d(np.minimum(lead[:, va], lead[:, vb])
-                              > lattice.RHO_LOG_TOL)
+    return qspace._nonzero_2d(passes[:, va] & passes[:, vb])
 
 
 def _rho_screen_case(name, funddom):
@@ -948,7 +948,8 @@ def test_rho_pair_screen_keeps_boundary_cones(name, funddom, monkeypatch):
     amp[p] = hi
     lead = np.where(signs != 0, amp[:, None] - math.pi * tmat ** 2,
                     amp[:, None])
-    q, f = lattice._rho_pairs(ngon, tmat, signs, lead, amp)
+    q, f = lattice._rho_pairs(ngon, tmat, signs, lead > lattice.RHO_LOG_TOL,
+                              amp)
     assert np.all(np.isin(p * ngon.n + e, q * ngon.n + f)[apex])
 
 
@@ -1432,6 +1433,16 @@ def test_enumerate_cosets_matches_per_coset(funddom, seed_dodec, name,
     assert len(empty) >= 10
     assert np.all(vals[empty] == 0) and np.any(vals != 0)
     assert np.all(tails[empty] == tails[0])
+
+
+def test_modularity_check_working_set(funddom):
+    # the completion kernel drops each temporary after its last read
+    # (cone_mass_2d, _far_bound, _rho_pairs on a boolean wall mask): one
+    # modularity check at nmax 6 on funddom, at a corner of the benchmark's
+    # tau box, peaks at 2.3 MB traced
+    peak = traced_peak(lambda: modularity_check(SPACE_ABC, funddom,
+                                                complex(-0.4, 1.25), 6))
+    assert peak <= 3.0e6
 
 
 def test_modularity_check_is_one_batch(funddom, monkeypatch):
